@@ -25,6 +25,11 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --release
 
+echo "== perf package tests (smoke workloads, BENCHMARK.json == spec.rs)"
+# The benchmark is a package of its own (perf/Cargo.toml has an empty
+# [workspace]), so the workspace test run above never reaches it.
+cargo test --release --manifest-path perf/Cargo.toml
+
 echo "== E18 contention smoke (striped vs single-mutex at 4 workers)"
 # Asserts striped throughput is no worse than the shards=1 baseline on the
 # shared-queue bank workload (full sweep: experiments -- e18).

@@ -1765,14 +1765,15 @@ fn e18_shard_contention(scale: &Scale, smoke: bool) {
 // E19 — partitioned WAL: recovery time and commit throughput
 // ======================================================================
 
-/// Per-read device latency for the recovery measurements. `Wal::scan` issues
-/// two reads per record (header, body), so charging each read makes recovery
-/// wall time proportional to the *bytes a log device must deliver* — the
-/// real-world cost — instead of to single-core CPU time, where N scan
-/// threads on this box would show nothing. Reads on one device queue behind
-/// each other; reads on different shard logs overlap, which is exactly the
-/// claim the parallel-recovery measurement needs to test.
-const E19_READ_LATENCY: Duration = Duration::from_micros(10);
+/// Per-sector device latency for the recovery measurements (`LatencyDisk`
+/// charges it per 512 bytes a read delivers: 2.5 MB/s, a disk of the paper's
+/// day, and slow enough that device time, not the serial merge, dominates).
+/// That makes recovery wall time proportional to the *bytes a log device must
+/// deliver* — the real-world cost — instead of to single-core CPU time, where
+/// N scan threads on this box would show nothing. Reads on one device queue
+/// behind each other; reads on different shard logs overlap, which is exactly
+/// the claim the parallel-recovery measurement needs to test.
+const E19_READ_LATENCY: Duration = Duration::from_micros(200);
 
 /// Commit `commits` single-key transactions over `partitions` shard logs,
 /// checkpointing every `ckpt_every` commits if asked, then crash every
@@ -1892,7 +1893,7 @@ fn e19_partitioned_wal(scale: &Scale, smoke: bool) {
         &[600, 2100, 8100]
     };
     let ckpt_every = 250;
-    println!("### Recovery time vs history length (partitions = 4, 10µs/read)\n");
+    println!("### Recovery time vs history length (partitions = 4, 200µs/sector read)\n");
     println!("| committed txns | no ckpt: recovery | no ckpt: redo | ckpt every {ckpt_every}: recovery | ckpt: redo |");
     println!("|---------------:|------------------:|--------------:|--------------------------:|-----------:|");
     let mut flat = Vec::new();
@@ -1933,7 +1934,7 @@ fn e19_partitioned_wal(scale: &Scale, smoke: bool) {
     );
 
     // ---- (b) parallel scan vs monolithic scan ----
-    let n = if smoke { 1000 } else { 4000 };
+    let n = 4000;
     println!("### Parallel recovery: one scan thread per shard log ({n} txns, no checkpoints)\n");
     println!("| partitions | recovery | speedup vs 1 |");
     println!("|-----------:|---------:|-------------:|");

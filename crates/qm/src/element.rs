@@ -67,7 +67,43 @@ impl Element {
     }
 }
 
-impl Encode for Element {
+/// An [`Element`] with attributes and payload borrowed. It encodes exactly
+/// as the owned element does, so `Enqueue` can write the caller's payload
+/// into the stored record without first copying it into an `Element`.
+#[derive(Debug, Clone, Copy)]
+pub struct ElementRef<'a> {
+    /// Unique identifier.
+    pub eid: Eid,
+    /// Scheduling priority (higher first).
+    pub priority: Priority,
+    /// Monotonic arrival sequence.
+    pub seq: u64,
+    /// Times a dequeue of this element has been aborted.
+    pub abort_count: u32,
+    /// Abort code of the most recent aborting dequeuer (0 = none).
+    pub abort_code: u32,
+    /// Named attributes.
+    pub attrs: &'a [(String, String)],
+    /// The payload.
+    pub payload: &'a [u8],
+}
+
+impl Element {
+    /// Borrow as an [`ElementRef`].
+    pub fn view(&self) -> ElementRef<'_> {
+        ElementRef {
+            eid: self.eid,
+            priority: self.priority,
+            seq: self.seq,
+            abort_count: self.abort_count,
+            abort_code: self.abort_code,
+            attrs: &self.attrs,
+            payload: &self.payload,
+        }
+    }
+}
+
+impl Encode for ElementRef<'_> {
     fn encode(&self, buf: &mut Vec<u8>) {
         put::u64(buf, self.eid.raw());
         put::u8(buf, self.priority);
@@ -75,11 +111,17 @@ impl Encode for Element {
         put::u32(buf, self.abort_count);
         put::u32(buf, self.abort_code);
         put::u32(buf, self.attrs.len() as u32);
-        for (n, v) in &self.attrs {
+        for (n, v) in self.attrs {
             put::string(buf, n);
             put::string(buf, v);
         }
-        put::bytes(buf, &self.payload);
+        put::bytes(buf, self.payload);
+    }
+}
+
+impl Encode for Element {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.view().encode(buf);
     }
 }
 

@@ -29,7 +29,7 @@
 //! — the paper's "notify lock".
 
 use crate::combine::Dispenser;
-use crate::element::{Eid, Element, Priority};
+use crate::element::{Eid, Element, ElementRef, Priority};
 use crate::error::{QmError, QmResult};
 use crate::keys;
 use crate::meta::{OrderingMode, QueueMeta};
@@ -557,10 +557,13 @@ impl QueueManager {
             .durable
             .get(Some(txn), &key)?
             .ok_or_else(|| QmError::NotRegistered(handle.registrant.clone()))?;
-        let mut reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
-        if reg.stable {
-            reg.record(op, tag, eid, payload);
-            self.durable.put(txn, &key, &reg.encode_to_vec())?;
+        // Only the record's head is read back: the previous tag and element
+        // copy are about to be replaced, the new ones are encoded from the
+        // caller's slices.
+        if let Some(recorded) =
+            Registration::recorded(&raw, op, tag, eid, payload).map_err(QmError::Storage)?
+        {
+            self.durable.put(txn, &key, &recorded)?;
         }
         Ok(())
     }
@@ -597,14 +600,14 @@ impl QueueManager {
         }
         let store = self.store_for(&meta);
         let (eid, seq) = self.next_eid();
-        let elem = Element {
+        let elem = ElementRef {
             eid,
             priority: opts.priority,
             seq,
             abort_count: 0,
             abort_code: 0,
-            attrs: opts.attrs,
-            payload: payload.to_vec(),
+            attrs: &opts.attrs,
+            payload,
         };
         let ekey = keys::element_key(&meta.name, elem.priority, seq);
         store.put(txn, &ekey, &elem.encode_to_vec())?;

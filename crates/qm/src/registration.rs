@@ -89,6 +89,64 @@ impl Registration {
         self.eid = Some(eid);
         self.element_copy = Some(payload.to_vec());
     }
+
+    /// The encoding `raw` (an encoded registration) takes once a tagged
+    /// operation is recorded in it, or `None` when the registration does not
+    /// keep a stable record. Equal to decode → [`Registration::record`] →
+    /// encode, but the superseded tag and element copy are never decoded and
+    /// the new ones are written straight from the caller's slices — the
+    /// element copy is as large as the element, and this runs inside every
+    /// tagged enqueue and dequeue.
+    pub fn recorded(
+        raw: &[u8],
+        op: LastOp,
+        tag: Option<&[u8]>,
+        eid: Eid,
+        payload: &[u8],
+    ) -> StorageResult<Option<Vec<u8>>> {
+        let mut r = Reader::new(raw);
+        r.bytes_ref()?; // registrant
+        r.bytes_ref()?; // queue
+        if !r.bool()? {
+            return Ok(None);
+        }
+        let head = &raw[..raw.len() - r.remaining()];
+        let mut buf =
+            Vec::with_capacity(head.len() + tag.map_or(0, <[u8]>::len) + payload.len() + 24);
+        buf.extend_from_slice(head);
+        encode_last_op(&mut buf, op, tag, Some(eid), Some(payload));
+        Ok(Some(buf))
+    }
+}
+
+/// The record's tail — everything a tagged operation replaces. The head
+/// (registrant, queue, stable flag) never changes after `Register`.
+fn encode_last_op(
+    buf: &mut Vec<u8>,
+    last_op: LastOp,
+    tag: Option<&[u8]>,
+    eid: Option<Eid>,
+    element_copy: Option<&[u8]>,
+) {
+    fn opt_bytes(buf: &mut Vec<u8>, v: Option<&[u8]>) {
+        match v {
+            None => put::u8(buf, 0),
+            Some(b) => {
+                put::u8(buf, 1);
+                put::bytes(buf, b);
+            }
+        }
+    }
+    put::u8(buf, last_op.to_byte());
+    opt_bytes(buf, tag);
+    match eid {
+        None => put::u8(buf, 0),
+        Some(e) => {
+            put::u8(buf, 1);
+            put::u64(buf, e.raw());
+        }
+    }
+    opt_bytes(buf, element_copy);
 }
 
 impl Encode for Registration {
@@ -96,16 +154,13 @@ impl Encode for Registration {
         put::string(buf, &self.registrant);
         put::string(buf, &self.queue);
         put::bool(buf, self.stable);
-        put::u8(buf, self.last_op.to_byte());
-        self.tag.encode(buf);
-        match self.eid {
-            None => put::u8(buf, 0),
-            Some(e) => {
-                put::u8(buf, 1);
-                put::u64(buf, e.raw());
-            }
-        }
-        self.element_copy.encode(buf);
+        encode_last_op(
+            buf,
+            self.last_op,
+            self.tag.as_deref(),
+            self.eid,
+            self.element_copy.as_deref(),
+        );
     }
 }
 
@@ -181,6 +236,27 @@ mod tests {
         let r = Registration::new("c", "q", false);
         let d = Registration::decode_all(&r.encode_to_vec()).unwrap();
         assert_eq!(d, r);
+    }
+
+    #[test]
+    fn recorded_equals_decode_record_encode() {
+        let mut reg = Registration::new("client-7", "reply", true);
+        reg.record(LastOp::Enqueue, Some(b"old-tag"), Eid(1), &[7; 300]);
+        let raw = reg.encode_to_vec();
+        for tag in [None, Some(b"ckpt:4".as_slice())] {
+            let got = Registration::recorded(&raw, LastOp::Dequeue, tag, Eid(9), b"new body")
+                .unwrap()
+                .expect("stable registration records");
+            reg.record(LastOp::Dequeue, tag, Eid(9), b"new body");
+            assert_eq!(got, reg.encode_to_vec());
+            assert_eq!(Registration::decode_all(&got).unwrap(), reg);
+        }
+        let unstable = Registration::new("c", "q", false).encode_to_vec();
+        assert_eq!(
+            Registration::recorded(&unstable, LastOp::Enqueue, None, Eid(1), b"x").unwrap(),
+            None
+        );
+        assert!(Registration::recorded(&raw[..5], LastOp::Enqueue, None, Eid(1), b"x").is_err());
     }
 
     #[test]

@@ -117,8 +117,14 @@ impl<'a> Reader<'a> {
 
     /// Read a u32-length-prefixed byte string.
     pub fn bytes(&mut self) -> StorageResult<Vec<u8>> {
+        Ok(self.bytes_ref()?.to_vec())
+    }
+
+    /// Read a u32-length-prefixed byte string without copying it out of the
+    /// underlying buffer.
+    pub fn bytes_ref(&mut self) -> StorageResult<&'a [u8]> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Read a u32-length-prefixed UTF-8 string.

@@ -60,6 +60,12 @@ pub trait Disk: Send + Sync {
     /// a write-temp-then-rename sequence.
     fn reset(&self, contents: Vec<u8>) -> StorageResult<()>;
 
+    /// Cut the device to its first `len` bytes, in place: recovery drops a
+    /// torn tail this way without copying the valid prefix. Bytes that
+    /// survive keep their durability status; a `len` at or past the end
+    /// changes nothing (as `Vec::truncate`).
+    fn truncate(&self, len: u64) -> StorageResult<()>;
+
     /// Snapshot of the device's I/O counters.
     fn stats(&self) -> DiskStats;
 }
@@ -118,6 +124,12 @@ impl Disk for MemDisk {
     fn reset(&self, contents: Vec<u8>) -> StorageResult<()> {
         let mut g = self.inner.lock();
         g.data = contents;
+        Ok(())
+    }
+
+    fn truncate(&self, len: u64) -> StorageResult<()> {
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        self.inner.lock().data.truncate(len);
         Ok(())
     }
 
@@ -329,9 +341,12 @@ impl Disk for SimDisk {
     fn sync(&self) -> StorageResult<()> {
         let mut g = self.inner.lock();
         self.check(&g)?;
-        let v: Vec<u8> = std::mem::take(&mut g.volatile);
-        g.durable.extend_from_slice(&v);
-        g.stats.syncs += 1;
+        // Keep the volatile buffer's capacity: a force follows nearly every
+        // append, and a taken buffer would re-grow from nothing each time.
+        let inner = &mut *g;
+        inner.durable.extend_from_slice(&inner.volatile);
+        inner.volatile.clear();
+        inner.stats.syncs += 1;
         Ok(())
     }
 
@@ -343,13 +358,23 @@ impl Disk for SimDisk {
         Ok(())
     }
 
+    fn truncate(&self, len: u64) -> StorageResult<()> {
+        let mut g = self.inner.lock();
+        self.check(&g)?;
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        let keep_volatile = len.saturating_sub(g.durable.len());
+        g.volatile.truncate(keep_volatile);
+        g.durable.truncate(len);
+        Ok(())
+    }
+
     fn stats(&self) -> DiskStats {
         self.inner.lock().stats
     }
 }
 
 /// A device wrapper that charges a fixed latency per [`Disk::sync`] (and,
-/// opt-in, per [`Disk::read`]).
+/// opt-in, per [`READ_SECTOR`] bytes a [`Disk::read`] delivers).
 ///
 /// [`SimDisk`]'s sync is a memcpy, so per-commit and group-commit forcing
 /// cost the same and a benchmark cannot see batching win. Real log devices
@@ -363,13 +388,18 @@ impl Disk for SimDisk {
 /// latency via [`LatencyDisk::with_read_latency`], go through the same
 /// single command channel — which is what lets a recovery benchmark see the
 /// point of one scan thread per log device: reads on *different* devices
-/// overlap, reads on the same device queue.
+/// overlap, reads on the same device queue. The read charge is per sector
+/// delivered, not per call, so a scan costs the bytes it moves however it
+/// windows its reads.
 pub struct LatencyDisk {
     inner: Arc<dyn Disk>,
     sync_latency: std::time::Duration,
     read_latency: std::time::Duration,
     flush_channel: Mutex<()>,
 }
+
+/// Unit of the [`LatencyDisk`] read charge.
+pub const READ_SECTOR: usize = 512;
 
 impl LatencyDisk {
     /// Wrap `inner`, sleeping `sync_latency` on every sync.
@@ -382,7 +412,8 @@ impl LatencyDisk {
         }
     }
 
-    /// Also sleep `read_latency` on every read (default: reads are free).
+    /// Also sleep `read_latency` per started [`READ_SECTOR`] of every read,
+    /// at least once per read (default: reads are free).
     pub fn with_read_latency(mut self, read_latency: std::time::Duration) -> Self {
         self.read_latency = read_latency;
         self
@@ -397,7 +428,8 @@ impl Disk for LatencyDisk {
     fn read(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
         if !self.read_latency.is_zero() {
             let _channel = self.flush_channel.lock();
-            std::thread::sleep(self.read_latency);
+            let sectors = u32::try_from(len.div_ceil(READ_SECTOR).max(1)).unwrap_or(u32::MAX);
+            std::thread::sleep(self.read_latency.saturating_mul(sectors));
         }
         self.inner.read(offset, len)
     }
@@ -416,6 +448,10 @@ impl Disk for LatencyDisk {
 
     fn reset(&self, contents: Vec<u8>) -> StorageResult<()> {
         self.inner.reset(contents)
+    }
+
+    fn truncate(&self, len: u64) -> StorageResult<()> {
+        self.inner.truncate(len)
     }
 
     fn stats(&self) -> DiskStats {
@@ -551,6 +587,66 @@ mod tests {
         d.reset(b"new!".to_vec()).unwrap();
         d.crash(CrashStyle::DropVolatile);
         assert_eq!(d.read(0, 4).unwrap(), b"new!");
+    }
+
+    #[test]
+    fn memdisk_truncate_cuts_in_place() {
+        let d = MemDisk::new();
+        d.append(b"keep|drop").unwrap();
+        d.truncate(4).unwrap();
+        assert_eq!(d.len(), 4);
+        assert_eq!(d.read(0, 4).unwrap(), b"keep");
+        d.truncate(99).unwrap();
+        assert_eq!(d.len(), 4, "a cut past the end changes nothing");
+        assert_eq!(d.append(b"!").unwrap(), 4, "appends resume at the cut");
+    }
+
+    #[test]
+    fn simdisk_truncate_cuts_durable_and_volatile() {
+        let d = SimDisk::new();
+        d.append(b"durable").unwrap();
+        d.sync().unwrap();
+        d.append(b"volatile").unwrap();
+        // A cut inside the volatile region keeps the durable bytes durable.
+        d.truncate(10).unwrap();
+        assert_eq!((d.durable_len(), d.volatile_len()), (7, 3));
+        assert_eq!(d.read(0, 10).unwrap(), b"durablevol");
+        // A cut inside the durable region drops every volatile byte too,
+        // and what is left survives a crash.
+        d.truncate(3).unwrap();
+        assert_eq!((d.durable_len(), d.volatile_len()), (3, 0));
+        d.crash(CrashStyle::DropVolatile);
+        assert_eq!(d.read(0, 3).unwrap(), b"dur");
+        d.truncate(99).unwrap();
+        assert_eq!(d.len(), 3);
+        d.fail();
+        assert_eq!(d.truncate(0), Err(StorageError::DeviceFailed));
+    }
+
+    #[test]
+    fn latency_disk_truncate_reaches_the_device() {
+        let sim = SimDisk::new();
+        let d = LatencyDisk::new(Arc::new(sim.clone()), std::time::Duration::ZERO);
+        d.append(b"abcdef").unwrap();
+        d.sync().unwrap();
+        d.truncate(2).unwrap();
+        assert_eq!(sim.durable_len(), 2);
+        assert_eq!(d.read(0, 2).unwrap(), b"ab");
+    }
+
+    #[test]
+    fn simdisk_sync_keeps_the_volatile_buffer() {
+        let d = SimDisk::new();
+        d.append(&[1; 4096]).unwrap();
+        d.sync().unwrap();
+        assert!(
+            d.inner.lock().volatile.capacity() >= 4096,
+            "a force must not throw the append buffer away"
+        );
+        d.append(&[2; 16]).unwrap();
+        d.sync().unwrap();
+        assert_eq!(d.durable_len(), 4112);
+        assert_eq!(d.read(4096, 16).unwrap(), [2; 16]);
     }
 
     #[test]

@@ -61,6 +61,13 @@
 //! log's [`GroupCommit`] coordinator, which batches concurrent syncs into
 //! one device force per group.
 //!
+//! A transaction's write set exists once: `put` copies the caller's bytes
+//! into `TxnState::ops` (the read-your-writes overlay only indexes into it),
+//! commit and prepare take the whole state out of `txns` so the log can be
+//! written from it by reference with no internal lock held, and a successful
+//! commit moves the operations into `mem`. A commit-point operation that
+//! fails puts the state back, so the transaction stays open and retryable.
+//!
 //! Lock order: a thread holds at most one of {`txns`, `mem`, `latch`} at a
 //! time, except the apply step (`apply` → `mem.write`) and checkpointing,
 //! which holds the exclusive `ckpt_gate` and may take `mem.read` then a log
@@ -112,18 +119,21 @@ impl WriteOp {
         }
     }
 
+    /// Append this operation's WAL payload to `buf`.
+    pub fn encode_payload_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            WriteOp::Put { key, value } => {
+                put::bytes(buf, key);
+                put::bytes(buf, value);
+            }
+            WriteOp::Delete { key } => put::bytes(buf, key),
+        }
+    }
+
     /// Encode as a WAL payload.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        match self {
-            WriteOp::Put { key, value } => {
-                put::bytes(&mut buf, key);
-                put::bytes(&mut buf, value);
-            }
-            WriteOp::Delete { key } => {
-                put::bytes(&mut buf, key);
-            }
-        }
+        self.encode_payload_into(&mut buf);
         buf
     }
 
@@ -181,16 +191,6 @@ fn home_partition(ops: &[WriteOp], n: usize) -> usize {
     touched_partitions(ops, n).first().copied().unwrap_or(0)
 }
 
-fn ops_for_partition(ops: &[WriteOp], part: usize, n: usize) -> Vec<WriteOp> {
-    if n <= 1 {
-        return ops.to_vec();
-    }
-    ops.iter()
-        .filter(|op| partition_for_key(op.key(), n) == part)
-        .cloned()
-        .collect()
-}
-
 /// Per-transaction private state.
 #[derive(Debug, Default)]
 struct TxnState {
@@ -199,14 +199,44 @@ struct TxnState {
     /// so a recycled caller token can never splice a dead incarnation's
     /// records into a later outcome during replay.
     internal: u64,
-    /// Redo operations in execution order.
+    /// Redo operations in execution order. The only copy of the written
+    /// values: commit logs them from here and then moves them into the tree.
     ops: Vec<WriteOp>,
-    /// Overlay for read-your-writes: key → Some(value) | None (deleted).
-    overlay: HashMap<Vec<u8>, Option<Vec<u8>>>,
+    /// Overlay for read-your-writes: key → index in `ops` of the latest
+    /// write to it.
+    overlay: HashMap<Vec<u8>, usize>,
     /// Writes have been logged (prepare ran, or recovery found them).
     logged: bool,
     /// Prepare record is durable — the txn is in-doubt until resolved.
     prepared: bool,
+}
+
+impl TxnState {
+    fn write(&mut self, op: WriteOp) {
+        self.overlay.insert(op.key().to_vec(), self.ops.len());
+        self.ops.push(op);
+    }
+
+    /// The transaction's own view of `key`: `None` = not written here,
+    /// `Some(None)` = deleted here.
+    fn read(&self, key: &[u8]) -> Option<Option<&Vec<u8>>> {
+        self.overlay.get(key).map(|&i| Self::written(&self.ops[i]))
+    }
+
+    /// Every key written here with its latest value (`None` = deleted),
+    /// unordered.
+    fn writes(&self) -> impl Iterator<Item = (&Vec<u8>, Option<&Vec<u8>>)> {
+        self.overlay
+            .iter()
+            .map(|(k, &i)| (k, Self::written(&self.ops[i])))
+    }
+
+    fn written(op: &WriteOp) -> Option<&Vec<u8>> {
+        match op {
+            WriteOp::Put { value, .. } => Some(value),
+            WriteOp::Delete { .. } => None,
+        }
+    }
 }
 
 /// Tuning knobs for a [`KvStore`].
@@ -238,10 +268,12 @@ impl Default for KvOptions {
 /// One log partition: its WAL, its group-commit coordinator (each log has
 /// its own durable watermark — truncating one log must never make a sibling
 /// log's records look durable), and the append latch serializing appends.
+/// The latch owns the log's frame buffer: whoever may append may build a
+/// frame in it, and its capacity carries over from record to record.
 struct LogUnit {
     wal: Wal,
     group: GroupCommit,
-    latch: Mutex<()>,
+    latch: Mutex<Vec<u8>>,
 }
 
 /// The retire line: the commit with epoch `e` may touch the shared tree only
@@ -332,8 +364,7 @@ impl KvStore {
         if chain.valid_end < ckpt_disk.len() {
             // A crash mid-checkpoint left a torn or stale segment: drop it
             // so the next delta append lands right after the valid chain.
-            let valid = ckpt_disk.read(0, chain.valid_end as usize)?;
-            ckpt_disk.reset(valid)?;
+            ckpt_disk.truncate(chain.valid_end)?;
             rrq_obs::counter_inc("storage.ckpt.stale_segments_dropped");
         }
 
@@ -352,39 +383,9 @@ impl KvStore {
         // the next recovery's scan would stop at the old tear and lose them.
         for (wal, valid_end) in wals.iter().zip(outcome.valid_ends.iter()) {
             if *valid_end < wal.len() {
-                let valid = wal.disk().read(0, *valid_end as usize)?;
-                wal.disk().reset(valid)?;
+                wal.disk().truncate(*valid_end)?;
                 rrq_obs::counter_inc("storage.recovery.torn_tail_truncations");
             }
-        }
-
-        let mut mem = chain.mem;
-        let mut dirty = HashSet::new();
-        for op in &outcome.redo {
-            apply(&mut mem, op);
-            // Replayed keys are durable in the logs but not in the chain:
-            // they are dirty until the next checkpoint covers them.
-            dirty.insert(op.key().to_vec());
-        }
-        let mut txns = HashMap::new();
-        for (token, ops) in outcome.in_doubt.iter() {
-            let mut st = TxnState {
-                internal: outcome.in_doubt_internal.get(token).copied().unwrap_or(0),
-                logged: true,
-                prepared: true,
-                ..Default::default()
-            };
-            for op in ops {
-                st.overlay.insert(
-                    op.key().to_vec(),
-                    match op {
-                        WriteOp::Put { value, .. } => Some(value.clone()),
-                        WriteOp::Delete { .. } => None,
-                    },
-                );
-                st.ops.push(op.clone());
-            }
-            txns.insert(*token, st);
         }
 
         let report = RecoveryReport {
@@ -393,12 +394,33 @@ impl KvStore {
             aborted_txns: outcome.aborted_txns,
             in_doubt: outcome.in_doubt.keys().copied().collect(),
         };
+        let mut mem = chain.mem;
+        let mut dirty = HashSet::new();
+        for op in outcome.redo {
+            // Replayed keys are durable in the logs but not in the chain:
+            // they are dirty until the next checkpoint covers them.
+            mark_dirty(&mut dirty, op.key());
+            apply(&mut mem, op);
+        }
+        let mut txns = HashMap::new();
+        for (token, ops) in outcome.in_doubt {
+            let mut st = TxnState {
+                internal: outcome.in_doubt_internal.get(&token).copied().unwrap_or(0),
+                logged: true,
+                prepared: true,
+                ..Default::default()
+            };
+            for op in ops {
+                st.write(op);
+            }
+            txns.insert(token, st);
+        }
         let logs: Vec<LogUnit> = wals
             .into_iter()
             .map(|wal| LogUnit {
                 wal,
                 group: GroupCommit::new(opts.group_commit_window),
-                latch: Mutex::new(()),
+                latch: Mutex::new(Vec::new()),
             })
             .collect();
         let store = Arc::new(KvStore {
@@ -455,11 +477,10 @@ impl KvStore {
                 "cannot write after prepare".into(),
             ));
         }
-        st.ops.push(WriteOp::Put {
+        st.write(WriteOp::Put {
             key: key.to_vec(),
             value: value.to_vec(),
         });
-        st.overlay.insert(key.to_vec(), Some(value.to_vec()));
         Ok(())
     }
 
@@ -472,8 +493,7 @@ impl KvStore {
                 "cannot write after prepare".into(),
             ));
         }
-        st.ops.push(WriteOp::Delete { key: key.to_vec() });
-        st.overlay.insert(key.to_vec(), None);
+        st.write(WriteOp::Delete { key: key.to_vec() });
         Ok(())
     }
 
@@ -483,8 +503,8 @@ impl KvStore {
         if let Some(t) = txn {
             let g = self.txns.lock();
             let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
-            if let Some(v) = st.overlay.get(key) {
-                return Ok(v.clone());
+            if let Some(v) = st.read(key) {
+                return Ok(v.cloned());
             }
         }
         Ok(self.mem.read().get(key).cloned())
@@ -505,10 +525,9 @@ impl KvStore {
                 let g = self.txns.lock();
                 let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
                 Some(
-                    st.overlay
-                        .iter()
+                    st.writes()
                         .filter(|(k, _)| k.starts_with(prefix))
-                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .map(|(k, v)| (k.clone(), v.cloned()))
                         .collect(),
                 )
             }
@@ -590,14 +609,13 @@ impl KvStore {
         let mut ov: Vec<(Vec<u8>, Option<Vec<u8>>)> = {
             let g = self.txns.lock();
             let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
-            st.overlay
-                .iter()
+            st.writes()
                 .filter(|(k, _)| {
                     k.starts_with(prefix)
                         && k.as_slice() >= start.as_slice()
                         && cursor.as_ref().is_none_or(|c| *k <= c)
                 })
-                .map(|(k, v)| (k.clone(), v.clone()))
+                .map(|(k, v)| (k.clone(), v.cloned()))
                 .collect()
         };
         if ov.is_empty() {
@@ -650,63 +668,83 @@ impl KvStore {
     /// will survive a crash as in-doubt.
     pub fn prepare(&self, txn: KvTxn) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
-        let (ops, id) = {
-            let mut g = self.txns.lock();
-            let st = g.get_mut(&txn).ok_or(StorageError::UnknownTxn(txn))?;
-            if st.prepared {
-                return Ok(()); // idempotent
-            }
-            // Claim before logging so no write can slip in unlogged between
-            // the clone below and the durable prepare record.
-            st.prepared = true;
-            (st.ops.clone(), st.internal)
+        // Checked out, no write can slip in unlogged between the logging and
+        // the durable prepare record.
+        let mut st = self.checkout(txn)?;
+        let result = if st.prepared {
+            Ok(()) // idempotent
+        } else {
+            self.log_prepare(txn, &st)
         };
-        let result = (|| {
-            let n = self.logs.len();
-            let home = home_partition(&ops, n);
-            // Sibling logs first: after the home log's prepare record is
-            // durable the whole transaction must survive as in-doubt, so
-            // every other log's data records are forced before it.
-            for idx in touched_partitions(&ops, n) {
-                if idx == home {
-                    continue;
-                }
-                let part_ops = ops_for_partition(&ops, idx, n);
-                let unit = &self.logs[idx];
-                let target;
-                {
-                    let _latch = unit.latch.lock();
-                    log_ops(&unit.wal, id, &part_ops)?;
-                    target = unit.wal.len();
-                }
-                // Prepare always forces, even for volatile stores: an
-                // in-doubt txn must survive as in-doubt.
-                self.force_through(unit, target)?;
-            }
-            let home_ops = ops_for_partition(&ops, home, n);
-            let unit = &self.logs[home];
+        if result.is_ok() {
+            st.logged = true;
+            st.prepared = true;
+        }
+        // Back in on every path: after a failure unprepared, write set
+        // intact, and the caller may retry.
+        self.txns.lock().insert(txn, st);
+        result
+    }
+
+    fn log_prepare(&self, txn: KvTxn, st: &TxnState) -> StorageResult<()> {
+        let id = st.internal;
+        let n = self.logs.len();
+        let home = home_partition(&st.ops, n);
+        // Sibling logs first: after the home log's prepare record is durable
+        // the whole transaction must survive as in-doubt, so every other
+        // log's data records are forced before it.
+        self.log_siblings(&st.ops, id, home)?;
+        let unit = &self.logs[home];
+        let target;
+        {
+            let mut frame = unit.latch.lock();
+            log_ops(&unit.wal, &mut frame, id, &st.ops, home, n)?;
             // The prepare record's payload carries the caller's token:
             // recovery surfaces the in-doubt txn under the token the
             // coordinator knows, while the records stay keyed by `id`.
-            let mut token = Vec::with_capacity(8);
-            put::u64(&mut token, txn);
+            unit.wal
+                .append(id, RecordKind::Prepare, &txn.to_le_bytes())?;
+            target = unit.wal.len();
+        }
+        // Prepare always forces, even for volatile stores: an in-doubt txn
+        // must survive as in-doubt.
+        self.force_through(unit, target)
+    }
+
+    /// Take `txn`'s state out of the table for a commit-point operation (see
+    /// the module docs). Until the caller puts it back — prepare always, commit
+    /// on failure — the token is unknown to every other call.
+    fn checkout(&self, txn: KvTxn) -> StorageResult<TxnState> {
+        let st = self.txns.lock().remove(&txn);
+        st.ok_or(StorageError::UnknownTxn(txn))
+    }
+
+    /// Append and force a transaction's data records in every log it touches
+    /// other than `home`. The force is unconditional (not `sync_through`):
+    /// even with `sync_on_commit` off, the home log can be forced
+    /// incidentally — another transaction's prepare or group commit — making
+    /// this transaction's outcome record durable. Outcome-record-durable ⇒
+    /// data-durable must hold structurally, not only when the options ask
+    /// for a sync.
+    fn log_siblings(&self, ops: &[WriteOp], id: u64, home: usize) -> StorageResult<()> {
+        let n = self.logs.len();
+        if n <= 1 {
+            return Ok(());
+        }
+        for idx in touched_partitions(ops, n) {
+            if idx == home {
+                continue;
+            }
+            let unit = &self.logs[idx];
             let target;
             {
-                let _latch = unit.latch.lock();
-                log_ops(&unit.wal, id, &home_ops)?;
-                unit.wal.append(id, RecordKind::Prepare, &token)?;
+                let mut frame = unit.latch.lock();
+                log_ops(&unit.wal, &mut frame, id, ops, idx, n)?;
                 target = unit.wal.len();
             }
-            self.force_through(unit, target)
-        })();
-        let mut g = self.txns.lock();
-        if let Some(st) = g.get_mut(&txn) {
-            match result {
-                Ok(()) => st.logged = true,
-                Err(_) => st.prepared = false, // un-claim; caller may retry
-            }
+            self.force_through(unit, target)?;
         }
-        result
+        Ok(())
     }
 
     /// Commit `txn`: make its writes durable and visible.
@@ -750,66 +788,56 @@ impl KvStore {
 
     fn commit_inner(&self, txn: KvTxn, sync: bool) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
-        let (ops, logged, id) = {
-            let g = self.txns.lock();
-            let st = g.get(&txn).ok_or(StorageError::UnknownTxn(txn))?;
-            (st.ops.clone(), st.logged, st.internal)
-        };
-        let n = self.logs.len();
-        let home = home_partition(&ops, n);
-        if !logged && n > 1 {
-            for idx in touched_partitions(&ops, n) {
-                if idx == home {
-                    continue;
-                }
-                let part_ops = ops_for_partition(&ops, idx, n);
-                let unit = &self.logs[idx];
-                let target;
-                {
-                    let _latch = unit.latch.lock();
-                    log_ops(&unit.wal, id, &part_ops)?;
-                    target = unit.wal.len();
-                }
-                // Sibling data is forced unconditionally (like prepare), not
-                // via `sync_through`: even with `sync_on_commit` off, the
-                // home log can be forced incidentally — another transaction's
-                // prepare or group commit — making this commit's record
-                // durable. Commit-record-durable ⇒ data-durable must hold
-                // structurally, not only when the options ask for a sync.
-                self.force_through(unit, target)?;
+        let st = self.checkout(txn)?;
+        match self.log_commit(&st, sync) {
+            Ok(epoch) => {
+                self.retire(epoch, st.ops);
+                self.commits.fetch_add(1, Ordering::AcqRel);
+                Ok(())
+            }
+            Err(e) => {
+                // Whichever step failed — a sibling log, the home append,
+                // the force — the txn stays open with its write set intact.
+                self.txns.lock().insert(txn, st);
+                Err(e)
             }
         }
-        let home_ops = if logged {
-            Vec::new()
-        } else {
-            ops_for_partition(&ops, home, n)
-        };
+    }
+
+    /// Make `st`'s commit durable (as far as `sync` and the options ask) and
+    /// return its epoch; the caller owes the retire line that epoch's turn.
+    /// On error nothing is owed: no epoch was allocated, or its turn has
+    /// already been passed on empty.
+    fn log_commit(&self, st: &TxnState, sync: bool) -> StorageResult<u64> {
+        let id = st.internal;
+        let n = self.logs.len();
+        let home = home_partition(&st.ops, n);
+        if !st.logged {
+            self.log_siblings(&st.ops, id, home)?;
+        }
         let unit = &self.logs[home];
         let epoch;
         let target;
         let appended;
         {
-            let _latch = unit.latch.lock();
-            if !logged {
-                log_ops(&unit.wal, id, &home_ops)?;
+            let mut frame = unit.latch.lock();
+            if !st.logged {
+                log_ops(&unit.wal, &mut frame, id, &st.ops, home, n)?;
             }
             epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-            let mut payload = Vec::with_capacity(8);
-            put::u64(&mut payload, epoch);
-            appended = unit.wal.append(id, RecordKind::Commit, &payload);
+            appended = unit
+                .wal
+                .append(id, RecordKind::Commit, &epoch.to_le_bytes());
             target = unit.wal.len();
         }
         if let Err(e) = appended.and_then(|_| self.sync_through(unit, target, sync)) {
             // Append or force failed after the epoch was allocated: keep the
-            // retire line moving. Nothing is applied, the txn stays open, and
-            // the caller sees the device error.
-            self.retire(epoch, &[]);
+            // retire line moving. Nothing is applied, and the caller sees the
+            // device error.
+            self.retire(epoch, Vec::new());
             return Err(e);
         }
-        self.retire(epoch, &ops);
-        self.txns.lock().remove(&txn);
-        self.commits.fetch_add(1, Ordering::AcqRel);
-        Ok(())
+        Ok(epoch)
     }
 
     /// Force `unit`'s log through `target` for a commit point, honoring the
@@ -834,23 +862,21 @@ impl KvStore {
         }
     }
 
-    /// Wait for our turn on the retire line, apply `ops` to the shared tree,
+    /// Wait for our turn on the retire line, move `ops` into the shared tree,
     /// and pass the baton. Applying in epoch order keeps the live tree
     /// identical to what recovery would rebuild (epoch-merged replay).
-    fn retire(&self, epoch: u64, ops: &[WriteOp]) {
+    fn retire(&self, epoch: u64, ops: Vec<WriteOp>) {
         let mut g = self.apply.lock();
         while g.applied != epoch {
             self.apply_cv.wait(&mut g);
         }
         if !ops.is_empty() {
-            {
-                let mut mem = self.mem.write();
-                for op in ops {
-                    apply(&mut mem, op);
-                }
+            for op in &ops {
+                mark_dirty(&mut g.dirty, op.key());
             }
+            let mut mem = self.mem.write();
             for op in ops {
-                g.dirty.insert(op.key().to_vec());
+                apply(&mut mem, op);
             }
         }
         g.applied += 1;
@@ -1007,25 +1033,43 @@ impl KvStore {
     }
 }
 
-fn log_ops(wal: &Wal, txn: u64, ops: &[WriteOp]) -> StorageResult<()> {
-    for op in ops {
-        let (kind, payload) = match op {
-            WriteOp::Put { .. } => (RecordKind::KvPut, op.encode_payload()),
-            WriteOp::Delete { .. } => (RecordKind::KvDelete, op.encode_payload()),
+/// Append a data record for each of `ops` that log `part` of `n` carries
+/// (with one log: all of them, unhashed), each encoded straight into the
+/// log's frame buffer.
+fn log_ops(
+    wal: &Wal,
+    frame: &mut Vec<u8>,
+    txn: u64,
+    ops: &[WriteOp],
+    part: usize,
+    n: usize,
+) -> StorageResult<()> {
+    let mine = |op: &&WriteOp| partition_for_key(op.key(), n) == part;
+    for op in ops.iter().filter(mine) {
+        let kind = match op {
+            WriteOp::Put { .. } => RecordKind::KvPut,
+            WriteOp::Delete { .. } => RecordKind::KvDelete,
         };
-        wal.append(txn, kind, &payload)?;
+        wal.append_in(frame, txn, kind, |buf| op.encode_payload_into(buf))?;
     }
     Ok(())
 }
 
-fn apply(mem: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: &WriteOp) {
+fn apply(mem: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: WriteOp) {
     match op {
         WriteOp::Put { key, value } => {
-            mem.insert(key.clone(), value.clone());
+            mem.insert(key, value);
         }
         WriteOp::Delete { key } => {
-            mem.remove(key);
+            mem.remove(&key);
         }
+    }
+}
+
+/// Record `key` in a dirty set, copying it only the first time.
+fn mark_dirty(dirty: &mut HashSet<Vec<u8>>, key: &[u8]) {
+    if !dirty.contains(key) {
+        dirty.insert(key.to_vec());
     }
 }
 

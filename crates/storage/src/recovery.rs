@@ -130,45 +130,37 @@ struct LogFacts {
 }
 
 fn scan_and_classify(wal: &Wal) -> StorageResult<LogFacts> {
-    let (records, valid_end) = wal.scan(0)?;
-    let mut facts = LogFacts {
-        valid_end,
-        ..LogFacts::default()
-    };
-    for rec in records {
-        facts.max_txn = facts.max_txn.max(rec.txn);
-        match rec.kind {
+    let mut facts = LogFacts::default();
+    // Payloads are borrowed from the scan window: a data record's key and
+    // value are copied out once, into the `WriteOp` that replay will move
+    // into the tree.
+    facts.valid_end = wal.scan_with(0, |_lsn, txn, kind, payload| {
+        facts.max_txn = facts.max_txn.max(txn);
+        match kind {
             RecordKind::KvPut => {
-                let op = WriteOp::decode_put(&rec.payload)?;
-                facts.ops.entry(rec.txn).or_default().push(op);
+                let op = WriteOp::decode_put(payload)?;
+                facts.ops.entry(txn).or_default().push(op);
             }
             RecordKind::KvDelete => {
-                let op = WriteOp::decode_delete(&rec.payload)?;
-                facts.ops.entry(rec.txn).or_default().push(op);
+                let op = WriteOp::decode_delete(payload)?;
+                facts.ops.entry(txn).or_default().push(op);
             }
             RecordKind::Prepare => {
-                let token = if rec.payload.len() >= 8 {
-                    Reader::new(&rec.payload).u64().unwrap_or(rec.txn)
-                } else {
-                    rec.txn
-                };
-                facts.prepared.push((rec.txn, token));
+                let token = Reader::new(payload).u64().unwrap_or(txn);
+                facts.prepared.push((txn, token));
             }
             RecordKind::Commit => {
-                let epoch = if rec.payload.len() >= 8 {
-                    Reader::new(&rec.payload).u64().ok()
-                } else {
-                    None
-                };
-                facts.commits.push((rec.txn, epoch));
+                let epoch = Reader::new(payload).u64().ok();
+                facts.commits.push((txn, epoch));
             }
-            RecordKind::Abort => facts.aborted.push(rec.txn),
+            RecordKind::Abort => facts.aborted.push(txn),
             RecordKind::Checkpoint | RecordKind::Custom(_) => {
                 // Checkpoint markers carry no redo info; custom records are
                 // scanned by their owners via `Wal::scan` directly.
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(facts)
 }
 

@@ -20,6 +20,12 @@ const MAGIC: u16 = 0x51CB; // "QCB" — queue control block
 /// Header bytes preceding each record body: magic(2) + len(4) + crc(4).
 const FRAME_HEADER: usize = 10;
 
+/// Fixed bytes opening each record body: txn(8) + kind(1); the payload follows.
+const BODY_PREFIX: usize = 9;
+
+/// Bytes [`Wal::scan_with`] asks the device for at a time.
+pub const SCAN_WINDOW: usize = 64 * 1024;
+
 /// The kind of a log record.
 ///
 /// `KvPut`/`KvDelete` carry redo information for the key-value store;
@@ -117,17 +123,35 @@ impl Wal {
 
     /// Append a record; returns its LSN. Not durable until [`Wal::sync`].
     pub fn append(&self, txn: u64, kind: RecordKind, payload: &[u8]) -> StorageResult<u64> {
-        let mut body = Vec::with_capacity(9 + payload.len());
-        put::u64(&mut body, txn);
-        put::u8(&mut body, kind.to_byte());
-        body.extend_from_slice(payload);
+        let mut frame = Vec::with_capacity(FRAME_HEADER + BODY_PREFIX + payload.len());
+        self.append_in(&mut frame, txn, kind, |buf| buf.extend_from_slice(payload))
+    }
 
-        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
-        put::u16(&mut frame, MAGIC);
-        put::u32(&mut frame, body.len() as u32);
-        put::u32(&mut frame, crc32(&body));
-        frame.extend_from_slice(&body);
-        let lsn = self.disk.append(&frame)?;
+    /// [`Wal::append`] with the frame built in the caller's scratch buffer,
+    /// whose capacity is reused from one record to the next, and the payload
+    /// written in place by `payload` (which must only append). The whole
+    /// frame — header, `txn`, `kind`, payload — is laid out once and handed
+    /// to the device as one slice; length and CRC are patched into the
+    /// header after the payload is known.
+    pub fn append_in(
+        &self,
+        frame: &mut Vec<u8>,
+        txn: u64,
+        kind: RecordKind,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> StorageResult<u64> {
+        frame.clear();
+        put::u16(frame, MAGIC);
+        put::u32(frame, 0); // body length, patched below
+        put::u32(frame, 0); // body crc, patched below
+        put::u64(frame, txn);
+        put::u8(frame, kind.to_byte());
+        payload(frame);
+        let body_len = (frame.len() - FRAME_HEADER) as u32;
+        frame[2..6].copy_from_slice(&body_len.to_le_bytes());
+        let crc = crc32(&frame[FRAME_HEADER..]);
+        frame[6..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        let lsn = self.disk.append(frame)?;
         self.appended.fetch_add(1, Ordering::AcqRel);
         rrq_obs::counter_inc("storage.wal.appends");
         if kind == RecordKind::Commit {
@@ -178,55 +202,72 @@ impl Wal {
     /// by the write-ahead rule nothing after it can belong to a committed
     /// transaction. The offset where valid data ends is also returned.
     pub fn scan(&self, start: u64) -> StorageResult<(Vec<LogRecord>, u64)> {
-        let end = self.disk.len();
         let mut records = Vec::new();
-        let mut off = start;
-        while off + FRAME_HEADER as u64 <= end {
-            let header = self.disk.read(off, FRAME_HEADER)?;
-            let mut r = Reader::new(&header);
-            // The header reads cannot run short (FRAME_HEADER bytes were just
-            // read), but recovery must never panic: surface any miscount as a
-            // corrupt frame instead of unwrapping.
-            let corrupt = |e: StorageError| StorageError::Corrupt {
-                offset: off,
-                detail: e.to_string(),
-            };
-            let magic = r.u16().map_err(corrupt)?;
-            if magic != MAGIC {
-                break;
-            }
-            let len = r.u32().map_err(corrupt)? as usize;
-            let crc = r.u32().map_err(corrupt)?;
-            if off + (FRAME_HEADER + len) as u64 > end {
-                break; // truncated tail
-            }
-            let body = self.disk.read(off + FRAME_HEADER as u64, len)?;
-            if crc32(&body) != crc {
-                break; // torn write
-            }
-            let mut br = Reader::new(&body);
-            let txn = br.u64().map_err(|e| StorageError::Corrupt {
-                offset: off,
-                detail: e.to_string(),
-            })?;
-            let kind_b = br.u8().map_err(|e| StorageError::Corrupt {
-                offset: off,
-                detail: e.to_string(),
-            })?;
-            let kind = RecordKind::from_byte(kind_b).map_err(|e| StorageError::Corrupt {
-                offset: off,
-                detail: e.to_string(),
-            })?;
-            let payload = body[9..].to_vec();
+        let valid_end = self.scan_with(start, |lsn, txn, kind, payload| {
             records.push(LogRecord {
-                lsn: off,
+                lsn,
                 txn,
                 kind,
-                payload,
+                payload: payload.to_vec(),
             });
-            off += (FRAME_HEADER + len) as u64;
+            Ok(())
+        })?;
+        Ok((records, valid_end))
+    }
+
+    /// [`Wal::scan`] without materializing the records: `visit` is handed
+    /// `(lsn, txn, kind, payload)` for every valid record, the payload
+    /// borrowed from the read window, and the offset where valid data ends is
+    /// returned. The device is read in windows of [`SCAN_WINDOW`] bytes (one
+    /// larger read only for a single frame bigger than that), so scanning
+    /// holds a bounded buffer however long the log is. A frame that straddles
+    /// a window's end is re-read whole at the start of the next window.
+    pub fn scan_with(
+        &self,
+        start: u64,
+        mut visit: impl FnMut(u64, u64, RecordKind, &[u8]) -> StorageResult<()>,
+    ) -> StorageResult<u64> {
+        let end = self.disk.len();
+        let mut off = start;
+        let mut want = SCAN_WINDOW;
+        while off + FRAME_HEADER as u64 <= end {
+            let window = self.disk.read(off, want.min((end - off) as usize))?;
+            want = SCAN_WINDOW;
+            let mut pos = 0;
+            while let Some(header) = window.get(pos..pos + FRAME_HEADER) {
+                let lsn = off + pos as u64;
+                if header[..2] != MAGIC.to_le_bytes() {
+                    return Ok(lsn);
+                }
+                let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]);
+                let crc = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
+                let frame_len = FRAME_HEADER + len as usize;
+                if lsn + frame_len as u64 > end {
+                    return Ok(lsn); // truncated tail
+                }
+                let Some(body) = window.get(pos + FRAME_HEADER..pos + frame_len) else {
+                    want = frame_len.max(SCAN_WINDOW); // straddles the window: refill from `lsn`
+                    break;
+                };
+                if crc32(body) != crc {
+                    return Ok(lsn); // torn write
+                }
+                // Recovery must never panic: a checksummed body too short for
+                // its fixed prefix, or of unknown kind, is a corrupt frame.
+                let mut r = Reader::new(body);
+                let head = r
+                    .u64()
+                    .and_then(|txn| Ok((txn, RecordKind::from_byte(r.u8()?)?)));
+                let (txn, kind) = head.map_err(|e| StorageError::Corrupt {
+                    offset: lsn,
+                    detail: e.to_string(),
+                })?;
+                visit(lsn, txn, kind, &body[BODY_PREFIX..])?;
+                pos += frame_len;
+            }
+            off += pos as u64;
         }
-        Ok((records, off))
+        Ok(off)
     }
 }
 

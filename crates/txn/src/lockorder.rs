@@ -44,6 +44,7 @@ impl Held {
     /// Record the intent to acquire a guard of `class`, asserting every
     /// class already held by this thread ranks strictly below it.
     #[inline]
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub fn acquire(class: GuardClass) -> Held {
         #[cfg(debug_assertions)]
         HELD.with(|held| {
