@@ -33,7 +33,7 @@ use rrq_sim::schedule::CrashSchedule;
 use rrq_storage::codec::Encode;
 use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk};
 use rrq_storage::kv::{KvOptions, KvStore};
-use rrq_txn::{LockKey, LockMode};
+use rrq_txn::LockKey;
 use rrq_workload::arrivals::{bursty_arrivals, ZipfSelector};
 use rrq_workload::bank::{self, Transfer};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -108,14 +108,8 @@ fn main() {
     if run("e17") {
         e17_observability(&scale);
     }
-    if run("e18") {
-        e18_shard_contention(&scale, smoke);
-    }
     if run("e19") {
         e19_partitioned_wal(&scale, smoke);
-    }
-    if run("e20") {
-        e20_combining_dequeue(&scale, smoke);
     }
     if run("e21") {
         e21_partition_scaling(&scale, smoke);
@@ -1303,15 +1297,15 @@ fn e16_group_commit_and_index(scale: &Scale) {
     println!();
 
     // ------------------------------------------------------------------
-    // Part B: dequeue and depth latency vs. queue depth, ready index vs.
-    // storage scan. Dequeue takes the head either way (both page-bounded);
-    // depth() is where the scan pays O(depth) and the index answers O(1).
+    // Part B: dequeue and depth latency vs. queue depth. Dequeue takes the
+    // head from the ready index (one entry, however deep the queue);
+    // depth() answers O(1) from the index where the storage-scan reference
+    // (`depth_scan`) pays O(depth).
     // ------------------------------------------------------------------
-    println!("| depth | dequeue idx µs | dequeue scan µs | depth idx µs | depth scan µs |");
-    println!("|------:|---------------:|----------------:|-------------:|--------------:|");
+    println!("| depth | dequeue µs | depth idx µs | depth scan µs |");
+    println!("|------:|-----------:|-------------:|--------------:|");
     json.push_str("  \"dequeue\": [\n");
-    let mut first = true;
-    for depth in [100u64, 1_000, 10_000] {
+    for (row, depth) in [100u64, 1_000, 10_000].into_iter().enumerate() {
         let probes = depth.min(200);
         let repo = mk_repo(&format!("e16-d{depth}"), &["q"]);
         let (h, _) = repo.qm().register("q", "bench", false).unwrap();
@@ -1326,48 +1320,33 @@ fn e16_group_commit_and_index(scale: &Scale) {
             })
             .unwrap();
         }
-        let mut cells = Vec::new();
-        for indexed in [true, false] {
-            repo.qm().set_indexed_dequeue(indexed);
-            let t0 = Instant::now();
-            let mut taken = Vec::new();
-            for _ in 0..probes {
-                let e = repo
-                    .autocommit(|t| {
-                        repo.qm()
-                            .dequeue(t.id().raw(), &h, DequeueOptions::default())
-                    })
-                    .unwrap();
-                taken.push(e);
-            }
-            let deq_us = t0.elapsed().as_micros() as f64 / probes as f64;
-            let t0 = Instant::now();
-            for _ in 0..probes {
-                let _ = repo.qm().depth("q").unwrap();
-            }
-            let depth_us = t0.elapsed().as_micros() as f64 / probes as f64;
-            cells.push((deq_us, depth_us));
-            // Restore the queue for the other configuration.
-            for e in taken {
-                repo.autocommit(|t| {
-                    repo.qm()
-                        .enqueue(t.id().raw(), &h, &e.payload, EnqueueOptions::default())
-                })
-                .unwrap();
-            }
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            json.push_str(&format!(
-                "    {{\"depth\": {depth}, \"path\": \"{}\", \"dequeue_us\": {deq_us:.2}, \"depth_us\": {depth_us:.2}}}",
-                if indexed { "indexed" } else { "scan" }
-            ));
+        let per_probe = |t0: Instant| t0.elapsed().as_micros() as f64 / probes as f64;
+        let t0 = Instant::now();
+        for _ in 0..probes {
+            let _ = repo.qm().depth("q").unwrap();
         }
-        println!(
-            "| {depth:>5} | {:>14.2} | {:>15.2} | {:>12.2} | {:>13.2} |",
-            cells[0].0, cells[1].0, cells[0].1, cells[1].1
-        );
+        let depth_us = per_probe(t0);
+        let t0 = Instant::now();
+        for _ in 0..probes {
+            let _ = repo.qm().depth_scan("q").unwrap();
+        }
+        let scan_us = per_probe(t0);
+        let t0 = Instant::now();
+        for _ in 0..probes {
+            repo.autocommit(|t| {
+                repo.qm()
+                    .dequeue(t.id().raw(), &h, DequeueOptions::default())
+            })
+            .unwrap();
+        }
+        let deq_us = per_probe(t0);
+        if row > 0 {
+            json.push_str(",\n");
+        }
+        json.push_str(&format!(
+            "    {{\"depth\": {depth}, \"dequeue_us\": {deq_us:.2}, \"depth_us\": {depth_us:.2}, \"depth_scan_us\": {scan_us:.2}}}"
+        ));
+        println!("| {depth:>5} | {deq_us:>10.2} | {depth_us:>12.2} | {scan_us:>13.2} |");
     }
     json.push_str("\n  ]\n}\n");
     println!();
@@ -1467,8 +1446,8 @@ fn e17_observability(scale: &Scale) {
     // tells the ordering story E9 told with throughput numbers.
     // ------------------------------------------------------------------
     let elements = (100 * scale.n) as usize;
-    println!("| dequeuers | skip rate | lock skips | index hits | fifo waited grants | wait p50 ticks | wait p99 ticks |");
-    println!("|----------:|----------:|-----------:|-----------:|-------------------:|---------------:|---------------:|");
+    println!("| dequeuers | skip rate | lock skips | fifo waited grants | wait p50 ticks | wait p99 ticks |");
+    println!("|----------:|----------:|-----------:|-------------------:|---------------:|---------------:|");
     json.push_str("  \"dequeue\": [\n");
     let mut first = true;
     for threads in [1usize, 2, 4, 8] {
@@ -1523,14 +1502,13 @@ fn e17_observability(scale: &Scale) {
         let ops = skip.counter("qm.dequeue.ops");
         let skips = skip.counter("qm.dequeue.lock_skips");
         let skip_rate = skips as f64 / ops.max(1) as f64;
-        let hits = skip.counter("qm.dequeue.index_hits");
         let waited = fifo.counter("txn.lock.waited_grants");
         let (p50, p99) = fifo
             .histogram("txn.lock.wait_ticks")
             .map(|h| (h.quantile(0.5), h.quantile(0.99)))
             .unwrap_or((0, 0));
         println!(
-            "| {threads:>9} | {skip_rate:>9.3} | {skips:>10} | {hits:>10} | {waited:>18} | {p50:>14} | {p99:>14} |"
+            "| {threads:>9} | {skip_rate:>9.3} | {skips:>10} | {waited:>18} | {p50:>14} | {p99:>14} |"
         );
         if !first {
             json.push_str(",\n");
@@ -1545,220 +1523,6 @@ fn e17_observability(scale: &Scale) {
 
     std::fs::write("BENCH_PR4.json", &json).unwrap();
     println!("Series written to BENCH_PR4.json.\n");
-}
-
-// ======================================================================
-// E18 — striped coordination state: server-pool contention sweep
-// ======================================================================
-
-/// One E18 configuration: a server pool of `workers` over a shared-queue
-/// bank workload on a repository opened with `shards` stripes. The WAL
-/// pays a realistic force latency and requests think under their account
-/// locks, so commits and thinks from different workers can overlap — which
-/// is exactly the overlap a contended coordination mutex destroys.
-fn e18_run(name: &str, workers: usize, shards: usize, n: u64) -> (f64, rrq_obs::Snapshot) {
-    // Six accounts = three disjoint transfer classes: a 4-worker pool
-    // already queues on account locks (waiters are what the shards=1
-    // notify-everyone condvar turns into a thundering herd), while three
-    // runnable classes still leave room for the pool to scale 1 → 4.
-    const ACCOUNTS: u32 = 6;
-    // Handler "think" is spun, not slept: it models request computation, so
-    // it must consume CPU — at pool sizes that saturate the box, every
-    // spurious coordination wakeup then steals cycles straight from the
-    // served-request rate instead of hiding in scheduler idle time. The
-    // 1 → 4 scaling headroom comes from overlapping the slept WAL force.
-    let think = Duration::from_micros(100);
-    let session = rrq_obs::Session::start();
-    let opts = RepoOptions {
-        shards,
-        kv: KvOptions {
-            sync_on_commit: true,
-            group_commit: true,
-            group_commit_window: Duration::from_micros(100),
-        },
-        wal_sync_latency: Some(Duration::from_micros(100)),
-        wal_partitions: 1,
-        dequeue_combining: false,
-        repo_partitions: 1,
-        ..RepoOptions::default()
-    };
-    let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts).unwrap();
-    let repo = Arc::new(repo);
-    for q in ["req", "reply.c"] {
-        repo.create_queue_defaults(q).unwrap();
-    }
-    repo.qm()
-        .update_queue("req", |m| m.retry_limit = 0)
-        .unwrap();
-    repo.tm().set_lock_timeout(Duration::from_secs(60));
-    bank::seed_accounts(&repo, ACCOUNTS, 1_000_000).unwrap();
-    let inner = bank::single_txn_handler();
-    let handler: Handler = Arc::new(move |ctx, req| {
-        let out = inner(ctx, req)?; // both account locks held from here on
-        let t0 = Instant::now();
-        while t0.elapsed() < think {
-            std::hint::spin_loop();
-        }
-        Ok(out)
-    });
-
-    // A bank of parked transactions, each blocked in a 2PL wait on a lock a
-    // long-running holder keeps for the whole run — the paper's picture of
-    // a loaded server, where most requests sit in lock queues. They do no
-    // work; they only *exist*. With one stripe they share the hot path's
-    // condvar, so every commit's unlock wakes all of them to re-derive
-    // waits-for edges under the one mutex; striped, their key lives on its
-    // own stripe and the hot path never touches them.
-    const PARKED: u64 = 24;
-    const HOLDER: u64 = 9_000_000_000;
-    let hub = LockKey::new(999, *b"e18/parked-hub");
-    let locks = Arc::clone(repo.tm().locks());
-    locks.try_lock(HOLDER, &hub, LockMode::Exclusive).unwrap();
-    let parked: Vec<_> = (0..PARKED)
-        .map(|j| {
-            let locks = Arc::clone(&locks);
-            let hub = hub.clone();
-            rrq_core::threads::spawn_named(format!("e18-parked-{j}"), move || {
-                let txn = HOLDER + 1 + j;
-                let _ = locks.lock(txn, &hub, LockMode::Shared, Duration::from_secs(600));
-                locks.unlock_all(txn);
-            })
-        })
-        .collect();
-    // Pre-load the whole request bank before the pool starts, over disjoint
-    // consecutive account pairs — (0,1), (2,3), … — so a pool can actually
-    // run `ACCOUNTS / 2` requests concurrently (the sequential
-    // `i % accounts` pattern chains every adjacent request through a shared
-    // account and serializes the pool no matter how the coordination state
-    // is laid out). The driver's own enqueue transactions are off the
-    // clock: the measurement is the pool draining the bank.
-    let api = LocalQm::new(Arc::clone(&repo));
-    api.register("req", "c", false).unwrap();
-    api.register("reply.c", "c", false).unwrap();
-    for i in 0..n {
-        let from = ((i * 2) % u64::from(ACCOUNTS)) as u32;
-        let t = Transfer {
-            from,
-            to: from + 1,
-            amount: 10,
-        };
-        let req = Request::new(Rid::new("c", i + 1), "reply.c", "transfer", t.encode());
-        api.enqueue("req", "c", &req.encode_to_vec(), EnqueueOptions::default())
-            .unwrap();
-    }
-
-    let t0 = Instant::now();
-    let (_servers, handles, stop) = spawn_pool(&repo, "req", workers, handler).unwrap();
-    // Each served request commits its reply into reply.c atomically with the
-    // request dequeue, so the reply-queue depth counts completed requests
-    // without the driver adding its own forced-WAL reply transactions to
-    // the timed path.
-    while (repo.qm().depth("reply.c").unwrap() as u64) < n {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let rate = n as f64 / t0.elapsed().as_secs_f64();
-    // Snapshot before unparking the wait bank: its 2PL waits are granted
-    // (and their block times observed) only once the holder releases, so
-    // the wait histogram below covers workload transactions only.
-    let snap = session.snapshot();
-    stop.store(true, Ordering::Release);
-    locks.unlock_all(HOLDER);
-    for p in parked {
-        p.join().unwrap();
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    (rate, snap)
-}
-
-fn e18_shard_contention(scale: &Scale, smoke: bool) {
-    println!("## E18 — sharded coordination state under a server-pool sweep\n");
-    println!("Same repository, same bank workload, one knob: `RepoOptions::shards`.");
-    println!("`shards: 1` is the pre-PR5 coordination layer (one lock-table mutex,");
-    println!("one pending map, one whole-index lock); `shards: 16` is the striped");
-    println!("default. Workers think 100µs under their account locks and every");
-    println!("commit forces a 100µs WAL, so the available speedup is overlap —");
-    println!("which the single coordination mutex (and its wake-everyone condvar)");
-    println!("eats as the pool grows.\n");
-
-    let worker_counts: &[usize] = if smoke { &[4] } else { &[1, 2, 4, 8] };
-    let n = if smoke { 400 } else { 400 * scale.n };
-    let mut json = String::from("{\n  \"experiment\": \"E18\",\n  \"series\": [\n");
-    println!("| workers | shards=1 req/s | shards=16 req/s | striped/baseline | wait p99 ticks (1 → 16) | stripe contentions (1 → 16) |");
-    println!("|--------:|---------------:|----------------:|-----------------:|------------------------:|----------------------------:|");
-    let mut first = true;
-    let mut smoke_pair = (0.0f64, 0.0f64);
-    let mut striped_rates = Vec::new();
-    for &workers in worker_counts {
-        let mut row: Vec<(f64, u64, u64)> = Vec::new();
-        for shards in [1usize, 16] {
-            // Best of two trials: one-core schedulers are noisy enough to
-            // swamp a contention effect with a single sample.
-            let (mut rate, mut snap) =
-                e18_run(&format!("e18-w{workers}-s{shards}-a"), workers, shards, n);
-            let (rate_b, snap_b) =
-                e18_run(&format!("e18-w{workers}-s{shards}-b"), workers, shards, n);
-            if rate_b > rate {
-                rate = rate_b;
-                snap = snap_b;
-            }
-            let p99 = snap
-                .histogram("txn.lock.wait_ticks")
-                .map(|h| h.quantile(0.99))
-                .unwrap_or(0);
-            let contended = snap.counter("txn.lock.shard.contended")
-                + snap.counter("qm.pending.shard.contended")
-                + snap.counter("qm.qindex.shard.contended");
-            let forces = snap.counter("storage.wal.forces");
-            let per_force =
-                snap.counter("storage.wal.records_synced") as f64 / forces.max(1) as f64;
-            row.push((rate, p99, contended));
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            json.push_str(&format!(
-                "    {{\"workers\": {workers}, \"shards\": {shards}, \"req_per_sec\": {rate:.1}, \"lock_wait_p99_ticks\": {p99}, \"stripe_contentions\": {contended}, \"wal_forces\": {forces}, \"records_per_force\": {per_force:.2}}}"
-            ));
-        }
-        let (base, striped) = (row[0], row[1]);
-        striped_rates.push(striped.0);
-        if workers == 4 {
-            smoke_pair = (base.0, striped.0);
-        }
-        println!(
-            "| {workers:>7} | {} | {} | {:>15.2}x | {:>12} → {:>8} | {:>14} → {:>10} |",
-            fmt_rate(base.0),
-            fmt_rate(striped.0),
-            striped.0 / base.0,
-            base.1,
-            striped.1,
-            base.2,
-            striped.2
-        );
-    }
-    json.push_str("\n  ]\n}\n");
-    println!();
-
-    if smoke {
-        // CI gate: at 4 workers the striped layer must at least hold the
-        // baseline's throughput (small tolerance for a noisy shared box).
-        let (base, striped) = smoke_pair;
-        assert!(
-            striped >= 0.9 * base,
-            "E18 smoke: striped ({striped:.1} req/s) fell below shards=1 baseline ({base:.1} req/s) at 4 workers"
-        );
-        println!("E18 smoke: striped {striped:.1} req/s vs baseline {base:.1} req/s at 4 workers — ok.\n");
-        return;
-    }
-
-    std::fs::write("BENCH_PR5.json", &json).unwrap();
-    println!("Series written to BENCH_PR5.json.\n");
-    let monotone = striped_rates.windows(2).take(2).all(|w| w[1] >= w[0]);
-    if !monotone {
-        println!("WARNING: striped throughput not monotone over 1→4 workers: {striped_rates:?}\n");
-    }
 }
 
 // ======================================================================
@@ -1998,233 +1762,13 @@ fn e19_partitioned_wal(scale: &Scale, smoke: bool) {
     json.push_str("\n  ]\n}\n");
     println!();
 
-    // The `wal_partitions = 1` store must not tax the baseline: `open` and
-    // `open_partitioned(1)` are the same machinery, so this is a regression
-    // tripwire on the partitioned commit path itself.
-    let baseline = {
-        let (store, _) = KvStore::open(
-            Arc::new(LatencyDisk::new(
-                Arc::new(SimDisk::new()),
-                Duration::from_micros(100),
-            )),
-            Arc::new(SimDisk::new()),
-            KvOptions::default(),
-        )
-        .unwrap();
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let store = Arc::clone(&store);
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        let token = t as u64 * 1_000_000 + i + 1;
-                        store.begin(token).unwrap();
-                        store
-                            .put(token, &[b't', t as u8, (i % 64) as u8], b"v")
-                            .unwrap();
-                        store.commit(token).unwrap();
-                    }
-                });
-            }
-        });
-        threads as u64 as f64 * per_thread as f64 / t0.elapsed().as_secs_f64()
-    };
-    let partitioned_1 = e19_throughput(1, true, threads, per_thread);
-    println!(
-        "Single-partition store vs `KvStore::open` baseline: {} vs {} req/s.\n",
-        fmt_rate(partitioned_1),
-        fmt_rate(baseline)
-    );
     if smoke {
-        assert!(
-            partitioned_1 >= 0.95 * baseline,
-            "E19 smoke: wal_partitions=1 ({partitioned_1:.1} req/s) fell below 0.95x the open() baseline ({baseline:.1} req/s)"
-        );
-        println!("E19 smoke: parallel recovery and single-partition throughput gates — ok.\n");
+        println!("E19 smoke: parallel recovery gate — ok.\n");
         return;
     }
 
     std::fs::write("BENCH_PR7.json", &json).unwrap();
     println!("Series written to BENCH_PR7.json.\n");
-}
-
-// ======================================================================
-// E20 — flat-combining dequeue front end: hot-queue dequeuer sweep
-// ======================================================================
-
-/// One E20 cell: `dequeuers` threads drain `elements` preloaded elements
-/// from a single hot skip-locked queue, with the flat-combining dispenser
-/// on or off. Default (in-memory, unsynced) storage keeps commits cheap, so
-/// the measurement isolates the candidate-selection front end: the baseline
-/// pays one 64-key ready-index page per attempt per dequeuer plus a
-/// skip-grab on every candidate a peer already holds; combining pays one
-/// combiner pass handing out disjoint candidates. Threads exit when the
-/// queue reports empty; el/s is the drain rate.
-fn e20_run(
-    name: &str,
-    dequeuers: usize,
-    combining: bool,
-    elements: u64,
-) -> (f64, rrq_obs::Snapshot) {
-    let session = rrq_obs::Session::start();
-    let opts = RepoOptions {
-        dequeue_combining: combining,
-        ..RepoOptions::default()
-    };
-    let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts).unwrap();
-    let repo = Arc::new(repo);
-    repo.create_queue_defaults("hot").unwrap();
-    let (h, _) = repo.qm().register("hot", "filler", false).unwrap();
-    for i in 0..elements {
-        repo.autocommit(|t| {
-            repo.qm().enqueue(
-                t.id().raw(),
-                &h,
-                &i.to_le_bytes(),
-                EnqueueOptions::default(),
-            )
-        })
-        .unwrap();
-    }
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..dequeuers)
-        .map(|d| {
-            let repo = Arc::clone(&repo);
-            rrq_core::threads::spawn_named(format!("e20-d{d}"), move || {
-                let (h, _) = repo.qm().register("hot", &format!("d{d}"), false).unwrap();
-                while repo
-                    .autocommit(|t| {
-                        repo.qm()
-                            .dequeue(t.id().raw(), &h, DequeueOptions::default())
-                    })
-                    .is_ok()
-                {}
-            })
-        })
-        .collect();
-    for hd in handles {
-        hd.join().unwrap();
-    }
-    let rate = elements as f64 / t0.elapsed().as_secs_f64();
-    (rate, session.snapshot())
-}
-
-fn e20_skip_rate(snap: &rrq_obs::Snapshot) -> f64 {
-    snap.counter("qm.dequeue.lock_skips") as f64 / snap.counter("qm.dequeue.ops").max(1) as f64
-}
-
-fn e20_wait_p99(snap: &rrq_obs::Snapshot) -> u64 {
-    snap.histogram("qm.qindex.shard.acquire_wait_ticks")
-        .map(|h| h.quantile(0.99))
-        .unwrap_or(0)
-}
-
-fn e20_combining_dequeue(scale: &Scale, smoke: bool) {
-    println!("## E20 — flat-combining dequeue front end on one hot queue\n");
-    println!("One skip-locked queue, 1 → 64 dequeuers, same preloaded bank, one");
-    println!("knob: `RepoOptions::dequeue_combining`. Baseline dequeuers race the");
-    println!("per-queue ready index independently — each pages the BTreeMap and");
-    println!("skip-grabs candidates its peers already hold (E17 measured the skip");
-    println!("rate growing like n−1). Combining publishes the requests instead:");
-    println!("one combiner drains the map once and hands out disjoint candidates,");
-    println!("so skips collapse toward zero and the per-queue mutex stops being");
-    println!("the n-way convoy.\n");
-
-    let dequeuer_counts: &[usize] = if smoke {
-        &[8]
-    } else {
-        &[1, 2, 4, 8, 16, 32, 64]
-    };
-    let elements = if smoke { 6_000 } else { 2_000 * scale.n };
-    // Best-of-N trials, as in E18: a one-core scheduler is noisy enough to
-    // swamp a front-end effect with a single sample; the smoke gate takes an
-    // extra trial since an assertion hangs CI on one unlucky schedule.
-    let trials = if smoke { 3 } else { 2 };
-    let mut json = String::from("{\n  \"experiment\": \"E20\",\n  \"series\": [\n");
-    println!("| dequeuers | baseline el/s | combining el/s | comb/base | skip rate (base → comb) | qindex wait p99 ticks (base → comb) | ops/round p50 | batch p50 |");
-    println!("|----------:|--------------:|---------------:|----------:|------------------------:|------------------------------------:|--------------:|----------:|");
-    let mut first = true;
-    let mut smoke_cell = (0.0f64, 0.0f64, 0.0f64);
-    let mut combining_rates = Vec::new();
-    for &dequeuers in dequeuer_counts {
-        let mut row: Vec<(f64, rrq_obs::Snapshot)> = Vec::new();
-        for combining in [false, true] {
-            let tag = if combining { "comb" } else { "base" };
-            let mut best: Option<(f64, rrq_obs::Snapshot)> = None;
-            for t in 0..trials {
-                let cell = e20_run(
-                    &format!("e20-d{dequeuers}-{tag}-{t}"),
-                    dequeuers,
-                    combining,
-                    elements,
-                );
-                if best.as_ref().is_none_or(|(r, _)| cell.0 > *r) {
-                    best = Some(cell);
-                }
-            }
-            row.push(best.unwrap());
-        }
-        let (base_rate, base) = (&row[0].0, &row[0].1);
-        let (comb_rate, comb) = (&row[1].0, &row[1].1);
-        combining_rates.push(*comb_rate);
-        let (base_skip, comb_skip) = (e20_skip_rate(base), e20_skip_rate(comb));
-        let (base_p99, comb_p99) = (e20_wait_p99(base), e20_wait_p99(comb));
-        let rounds = comb.counter("qm.combine.rounds");
-        let ops_p50 = comb
-            .histogram("qm.combine.ops_per_round")
-            .map(|h| h.quantile(0.5))
-            .unwrap_or(0);
-        let batch_p50 = comb
-            .histogram("qm.combine.batch_size")
-            .map(|h| h.quantile(0.5))
-            .unwrap_or(0);
-        let invalidations = comb.counter("qm.combine.handout_invalidations");
-        if dequeuers == 8 {
-            smoke_cell = (*base_rate, *comb_rate, comb_skip);
-        }
-        println!(
-            "| {dequeuers:>9} | {} | {} | {:>8.2}x | {base_skip:>11.3} → {comb_skip:>7.3} | {base_p99:>17} → {comb_p99:>13} | {ops_p50:>13} | {batch_p50:>9} |",
-            fmt_rate(*base_rate),
-            fmt_rate(*comb_rate),
-            comb_rate / base_rate,
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str(&format!(
-            "    {{\"dequeuers\": {dequeuers}, \"baseline_el_per_sec\": {base_rate:.1}, \"combining_el_per_sec\": {comb_rate:.1}, \"baseline_skip_rate\": {base_skip:.3}, \"combining_skip_rate\": {comb_skip:.3}, \"baseline_qindex_wait_p99_ticks\": {base_p99}, \"combining_qindex_wait_p99_ticks\": {comb_p99}, \"combine_rounds\": {rounds}, \"ops_per_round_p50\": {ops_p50}, \"batch_size_p50\": {batch_p50}, \"handout_invalidations\": {invalidations}}}"
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    println!();
-
-    if smoke {
-        // CI gate: at 8 dequeuers combining must beat the baseline drain
-        // rate by 1.2x and hand out disjoint candidates (skip rate under
-        // 0.1 per successful dequeue, where the baseline runs near n−1).
-        let (base, comb, comb_skip) = smoke_cell;
-        assert!(
-            comb >= 1.2 * base,
-            "E20 smoke: combining ({comb:.1} el/s) below 1.2x baseline ({base:.1} el/s) at 8 dequeuers"
-        );
-        assert!(
-            comb_skip < 0.1,
-            "E20 smoke: combining skip rate {comb_skip:.3} not ≈ 0 at 8 dequeuers"
-        );
-        println!("E20 smoke: combining {comb:.1} el/s vs baseline {base:.1} el/s at 8 dequeuers, skip rate {comb_skip:.3} — ok.\n");
-        return;
-    }
-
-    std::fs::write("BENCH_PR8.json", &json).unwrap();
-    println!("Series written to BENCH_PR8.json.\n");
-    let from8 = &combining_rates[3..];
-    let monotone_down = from8.windows(2).all(|w| w[1] < w[0]);
-    if monotone_down {
-        println!(
-            "WARNING: combining el/s still monotone-decreasing over 8 → 64 dequeuers: {from8:?}\n"
-        );
-    }
 }
 
 // ======================================================================
@@ -2418,18 +1962,16 @@ fn e22_fill(repo: &Repository, seed: u64, n: u64, hot_pct: u64, accounts: u32) {
     }
 }
 
-/// Open an E22 repository: best-known locked configuration (flat-combining
-/// dequeues + group commit, PR 8/3) against the planned pool. No simulated
+/// Open an E22 repository: best-known locked configuration (group commit,
+/// PR 3) against the planned pool. No simulated
 /// WAL-force latency: with an expensive force the planned side's one-force-
 /// per-epoch amortization wins everywhere and hides the contention story
 /// this experiment is about. The request queue retries without limit so
 /// deadlock-victim redisposition (the thing being measured at high
 /// contention) never dead-letters an element.
 fn e22_repo(name: &str, mode: rrq_qm::repository::ExecMode) -> Arc<Repository> {
-    use rrq_qm::repository::ExecMode;
     let opts = RepoOptions {
         exec_mode: mode,
-        dequeue_combining: mode == ExecMode::Locked,
         kv: KvOptions {
             sync_on_commit: true,
             group_commit: true,
@@ -2448,8 +1990,8 @@ fn e22_repo(name: &str, mode: rrq_qm::repository::ExecMode) -> Arc<Repository> {
 
 /// Pre-PR control: the same drain on a repository opened through the plain
 /// [`Repository::create`] constructor (all-default options, so the locked
-/// 2PL path exactly as it ran before the `exec_mode` knob existed, without
-/// even the combining front end). The smoke gate holds the knob-opened
+/// 2PL path exactly as it ran before the `exec_mode` knob existed). The
+/// smoke gate holds the knob-opened
 /// locked cell to >= 0.95x of this — if the planned-mode machinery ever
 /// taxed the locked fast path, this is the tripwire.
 fn e22_baseline_run(name: &str, seed: u64, n: u64) -> f64 {
@@ -2524,7 +2066,7 @@ fn e22_planned_crossover(scale: &Scale, smoke: bool) {
     println!("Eight executors drain a pre-filled request queue of bank");
     println!("transfers; the hot column is the share of transfers confined to");
     println!("two accounts. The locked side is the repo's best 2PL stack");
-    println!("(flat-combining dequeues, group commit): at low contention its");
+    println!("(claim-marked dequeues, group commit): at low contention its");
     println!("servers run fully parallel, and conflicts only tax it as the hot");
     println!("share grows — lock waits, deadlock victims, redispositions. The");
     println!("planned side pays a fixed epoch toll (the serial plan phase, one");
@@ -2582,9 +2124,9 @@ fn e22_planned_crossover(scale: &Scale, smoke: bool) {
             "E22 smoke: planned ({p100:.1} req/s) below 1.2x locked ({l100m:.1} req/s) at 100% hot"
         );
         // Pre-PR regression tripwire, trials interleaved so both sides see
-        // the same machine weather. The knob-opened cell also runs the
-        // combining front end (PR 8), so it holds a structural margin over
-        // the plain pre-PR constructor; 0.95x leaves room for noise only.
+        // the same machine weather. The knob-opened cell differs from the
+        // plain constructor only by group commit; 0.95x leaves room for
+        // noise only.
         let (mut pre, mut knob) = (0.0f64, 0.0f64);
         for t in 0..3u64 {
             pre = pre.max(e22_baseline_run(&format!("e22-pre-{t}"), t, n));

@@ -187,7 +187,7 @@ pub struct PlannedPool {
 impl PlannedPool {
     /// Build a pool; registers with the request queue immediately. The
     /// repository must have been opened with [`ExecMode::Planned`] — on a
-    /// locked repository the deferral machinery would fight the dispensing
+    /// locked repository the deferral machinery would fight the dequeue-loop
     /// servers for the same elements.
     pub fn new(
         repo: Arc<Repository>,

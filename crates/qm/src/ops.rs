@@ -28,7 +28,6 @@
 //! Blocking dequeue on an empty queue uses the [`crate::notify`] versioning
 //! — the paper's "notify lock".
 
-use crate::combine::Dispenser;
 use crate::element::{Eid, Element, ElementRef, Priority};
 use crate::error::{QmError, QmResult};
 use crate::keys;
@@ -45,7 +44,7 @@ use rrq_txn::{
     LockKey, LockManager, LockMode, ResourceManager, TxnError, TxnId, TxnIdGen, TxnResult,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,6 +138,33 @@ enum Grab {
     Busy,
 }
 
+/// A ready-index entry a dequeue pass is about to try. When `held`, the
+/// pass claimed it ([`QueueIndex::next_after`]) and the mark is cleared on
+/// drop — every exit, `?` and unwind included — unless the element was taken
+/// ([`Claim::keep`]).
+struct Claim<'a> {
+    ix: &'a QueueIndex,
+    queue: &'a str,
+    key: Vec<u8>,
+    held: bool,
+}
+
+impl Claim<'_> {
+    /// The element was taken: the mark stays until commit removes the entry
+    /// or the abort fix-up re-inserts it.
+    fn keep(mut self) {
+        self.held = false;
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.held {
+            self.ix.unclaim(self.queue, &self.key);
+        }
+    }
+}
+
 /// An enqueue performed by a still-open transaction — enough to make the
 /// element visible to the ready index when the transaction commits, and to
 /// the transaction's *own* dequeues before then.
@@ -181,16 +207,6 @@ pub struct QueueManager {
     /// lock-step with the stores at commit/abort/kill/destroy boundaries and
     /// rebuilt from a storage scan on restart.
     qindex: QueueIndex,
-    /// When false, dequeue and depth fall back to paging the element
-    /// keyspace (the pre-index path, kept for benchmarks and verification).
-    use_index: AtomicBool,
-    /// Flat-combining front end for the ready index (DESIGN.md §24): one
-    /// combiner drains the BTreeMap per round and hands disjoint candidate
-    /// batches to every concurrently publishing dequeuer.
-    dispenser: Dispenser,
-    /// When true (and `use_index`), skip-locked non-predicate dequeues go
-    /// through the dispenser instead of each paging the index themselves.
-    use_combining: AtomicBool,
     /// Ids for internal system transactions (registration writes, abort-count
     /// maintenance). High floor keeps them disjoint from user transactions.
     sys_ids: TxnIdGen,
@@ -208,53 +224,36 @@ pub struct QueueManager {
     epoch_buf: Mutex<Vec<PendingTxn>>,
 }
 
-/// How many candidates a dequeue scan decodes per storage page.
-const SCAN_PAGE: usize = 64;
-
-/// Default stripe count for the pending-transaction map; matches the lock
-/// manager's default. `with_shards(.., 1)` restores the single-mutex
-/// behaviour for baselines and differential tests.
-pub const DEFAULT_PENDING_SHARDS: usize = 16;
+/// Stripe count of the pending-transaction map; matches the lock manager's
+/// default.
+const PENDING_SHARDS: usize = 16;
 
 impl QueueManager {
     /// Build a manager over a durable store and a volatile store, sharing the
-    /// node's lock manager, with the default pending-map stripe count.
+    /// node's lock manager.
     pub fn new(
         name: impl Into<String>,
         durable: Arc<KvStore>,
         volatile: Arc<KvStore>,
         locks: Arc<LockManager>,
     ) -> QmResult<Arc<Self>> {
-        Self::with_shards(name, durable, volatile, locks, DEFAULT_PENDING_SHARDS)
+        Self::with_epoch_base(name, durable, volatile, locks, 0)
     }
 
-    /// Build a manager striping the pending-transaction map `shards` ways
-    /// (`shards >= 1`). Bumps and persists the repository epoch (element
-    /// ids and sequence numbers from this incarnation sort after every
-    /// earlier one).
-    pub fn with_shards(
+    /// [`Self::new`] with an epoch *band*: a fresh store starts its epoch at
+    /// `epoch_base + 1` instead of `1`. Bumps and persists the repository
+    /// epoch (element ids and sequence numbers from this incarnation sort
+    /// after every earlier one). Repository partition *p* passes `p << 20`,
+    /// which keeps element ids — `(epoch << 40) | counter` — disjoint across
+    /// every partition of a cluster (2^20 restarts per partition before
+    /// bands could meet), so an eid names its element cluster-wide and
+    /// `Read`/`KillElement` can safely probe partitions. `epoch_base = 0` is
+    /// bit-for-bit the single-partition baseline.
+    pub fn with_epoch_base(
         name: impl Into<String>,
         durable: Arc<KvStore>,
         volatile: Arc<KvStore>,
         locks: Arc<LockManager>,
-        shards: usize,
-    ) -> QmResult<Arc<Self>> {
-        Self::with_shards_base(name, durable, volatile, locks, shards, 0)
-    }
-
-    /// [`Self::with_shards`] with an epoch *band*: a fresh store starts its
-    /// epoch at `epoch_base + 1` instead of `1`. Repository partition *p*
-    /// passes `p << 20`, which keeps element ids — `(epoch << 40) | counter`
-    /// — disjoint across every partition of a cluster (2^20 restarts per
-    /// partition before bands could meet), so an eid names its element
-    /// cluster-wide and `Read`/`KillElement` can safely probe partitions.
-    /// `epoch_base = 0` is bit-for-bit the single-partition baseline.
-    pub fn with_shards_base(
-        name: impl Into<String>,
-        durable: Arc<KvStore>,
-        volatile: Arc<KvStore>,
-        locks: Arc<LockManager>,
-        shards: usize,
         epoch_base: u64,
     ) -> QmResult<Arc<Self>> {
         let sys_ids = TxnIdGen::new(1 << 56);
@@ -290,14 +289,11 @@ impl QueueManager {
             volatile,
             locks,
             notifier: QueueNotifier::new(),
-            pending: (0..shards.max(1))
+            pending: (0..PENDING_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             qindex,
-            use_index: AtomicBool::new(true),
-            dispenser: Dispenser::new(),
-            use_combining: AtomicBool::new(false),
             sys_ids,
             epoch,
             counter: AtomicU64::new(0),
@@ -472,7 +468,6 @@ impl QueueManager {
         });
         if r.is_ok() {
             self.qindex.clear_queue(queue);
-            self.dispenser.forget_queue(queue);
         }
         r
     }
@@ -679,7 +674,14 @@ impl QueueManager {
         }
     }
 
-    /// One candidate-selection pass. `Ok(None)` means no candidate is
+    /// One candidate-selection pass: a cursor walk over the ready index,
+    /// merged in key order with this transaction's own uncommitted enqueues
+    /// (invisible to the committed-only index) and minus its own uncommitted
+    /// dequeues. A skip-locked dequeue with no predicate *claims* each index
+    /// entry it is offered, so concurrent dequeuers are never offered the
+    /// same one (see [`crate::qindex`], "Claim marks"); strict-FIFO blocks on
+    /// the head by design and predicate dequeues filter before locking, so
+    /// both walk without claiming. `Ok(None)` means no candidate is
     /// currently available.
     fn try_dequeue_once(
         &self,
@@ -689,29 +691,104 @@ impl QueueManager {
         opts: &DequeueOptions,
         deadline: Option<Instant>,
     ) -> QmResult<Option<Element>> {
-        if self.use_index.load(Ordering::Acquire) {
-            rrq_obs::counter_inc("qm.dequeue.index_hits");
-            // The combining front end covers the storm case E17 measured:
-            // many skip-locked dequeuers racing on one queue. Strict-FIFO
-            // blocks on the head by design and predicate dequeues filter
-            // requester-side, so both keep the direct index path.
-            if self.use_combining.load(Ordering::Acquire)
-                && meta.mode == OrderingMode::SkipLocked
-                && opts.predicate.is_none()
-            {
-                self.try_dequeue_once_combined(txn, handle, meta, opts, deadline)
-            } else {
-                self.try_dequeue_once_indexed(txn, handle, meta, opts, deadline)
+        let store = self.store_for(meta);
+        let ns = self.ns_of(&meta.name);
+        let strict = meta.mode == OrderingMode::StrictFifo;
+        let claim = !strict && opts.predicate.is_none();
+        // This transaction's own uncommitted overlay for the queue.
+        let (own_enq, own_deq) = {
+            let g = self.pending_shard(txn);
+            match g.get(&txn) {
+                None => (Vec::new(), HashSet::new()),
+                Some(p) => {
+                    let mut enq: Vec<Vec<u8>> = p
+                        .enqueued
+                        .iter()
+                        .filter(|e| e.queue == meta.name)
+                        .map(|e| e.elem_key.clone())
+                        .collect();
+                    enq.sort_unstable();
+                    let deq: HashSet<Vec<u8>> =
+                        p.dequeued.iter().map(|d| d.elem_key.clone()).collect();
+                    (enq, deq)
+                }
             }
-        } else {
-            rrq_obs::counter_inc("qm.dequeue.scan_fallbacks");
-            self.try_dequeue_once_scan(txn, handle, meta, opts, deadline)
+        };
+        // Cheap rejections before the element lock: already taken by this
+        // transaction, or failing the predicate.
+        let eligible = |ekey: &[u8]| -> QmResult<bool> {
+            if own_deq.contains(ekey) {
+                return Ok(false);
+            }
+            let Some(p) = &opts.predicate else {
+                return Ok(true);
+            };
+            let Some(raw) = store.get(Some(txn), ekey)? else {
+                return Ok(false);
+            };
+            let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
+            Ok(p.matches(&elem))
+        };
+        let grab =
+            |ekey: &[u8]| self.grab_element(txn, handle, meta, opts, deadline, ns, store, ekey);
+        'rescan: loop {
+            let mut own = own_enq.iter().peekable();
+            let mut cursor: Option<Vec<u8>> = None;
+            // The next index entry, fetched (and claimed) but not yet tried.
+            let mut next: Option<Claim<'_>> = None;
+            let mut index_dry = false;
+            loop {
+                if next.is_none() && !index_dry {
+                    next = self
+                        .qindex
+                        .next_after(&meta.name, cursor.as_deref(), claim)
+                        .map(|(key, _)| Claim {
+                            ix: &self.qindex,
+                            queue: &meta.name,
+                            key,
+                            held: claim,
+                        });
+                    index_dry = next.is_none();
+                }
+                // Own enqueues sorting before the next index entry go first.
+                // Nobody else can see, lock, or kill an uncommitted element,
+                // so the only outcomes are taken or filtered out.
+                if let Some(okey) = own.next_if(|o| next.as_ref().is_none_or(|c| **o < c.key)) {
+                    if eligible(okey)? {
+                        if let Grab::Taken(e) = grab(okey)? {
+                            if next.take().is_some_and(|c| c.held) {
+                                // The entry we claimed and did not need is
+                                // available again; a dequeuer that found it
+                                // claimed may have gone to sleep meanwhile.
+                                self.notifier.signal(&meta.name);
+                            }
+                            return Ok(Some(e));
+                        }
+                    }
+                    continue;
+                }
+                let Some(cand) = next.take() else {
+                    return Ok(None);
+                };
+                if eligible(&cand.key)? {
+                    match grab(&cand.key)? {
+                        Grab::Taken(e) => {
+                            cand.keep();
+                            return Ok(Some(e));
+                        }
+                        // Head is truly gone; restart the pass.
+                        Grab::Gone if strict => continue 'rescan,
+                        Grab::Busy if strict => return Ok(None),
+                        Grab::Gone | Grab::Tombstoned | Grab::Busy => {}
+                    }
+                }
+                // Not taken: `cand` drops here, clearing its mark.
+                cursor = Some(cand.key.clone());
+            }
         }
     }
 
-    /// Lock, re-validate, and take one candidate element. Shared tail of the
-    /// indexed and scan dequeue paths; candidate selection differs, what
-    /// happens once a candidate is chosen must not.
+    /// Lock, re-validate, and take one candidate element.
     #[allow(clippy::too_many_arguments)]
     fn grab_element(
         &self,
@@ -787,258 +864,6 @@ impl QueueManager {
         self.stats.lock().dequeues += 1;
         rrq_obs::counter_inc("qm.dequeue.ops");
         Ok(Grab::Taken(elem))
-    }
-
-    /// Candidate selection from the in-memory ready index: the committed
-    /// ready-list merged with this transaction's own uncommitted enqueues,
-    /// minus its own uncommitted dequeues — the same visibility the storage
-    /// scan derives from the transaction overlay, without paging the
-    /// keyspace.
-    fn try_dequeue_once_indexed(
-        &self,
-        txn: u64,
-        handle: &QueueHandle,
-        meta: &QueueMeta,
-        opts: &DequeueOptions,
-        deadline: Option<Instant>,
-    ) -> QmResult<Option<Element>> {
-        let store = self.store_for(meta);
-        let ns = self.ns_of(&meta.name);
-        // This transaction's own uncommitted overlay for the queue.
-        let (own_enq, own_deq) = {
-            let g = self.pending_shard(txn);
-            match g.get(&txn) {
-                None => (Vec::new(), HashSet::new()),
-                Some(p) => {
-                    let mut enq: Vec<(Vec<u8>, Eid)> = p
-                        .enqueued
-                        .iter()
-                        .filter(|e| e.queue == meta.name)
-                        .map(|e| (e.elem_key.clone(), e.eid))
-                        .collect();
-                    enq.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    let deq: HashSet<Vec<u8>> =
-                        p.dequeued.iter().map(|d| d.elem_key.clone()).collect();
-                    (enq, deq)
-                }
-            }
-        };
-        // One page buffer for the whole dequeue pass — `candidates_after_into`
-        // clears and refills it, so paging costs one allocation total and an
-        // empty page none at all.
-        let mut cands: Vec<(Vec<u8>, Eid)> = Vec::new();
-        'rescan: loop {
-            let mut after: Option<Vec<u8>> = None;
-            loop {
-                self.qindex.candidates_after_into(
-                    &meta.name,
-                    after.as_deref(),
-                    SCAN_PAGE,
-                    &mut cands,
-                );
-                let exhausted = cands.len() < SCAN_PAGE;
-                let hi = cands.last().map(|(k, _)| k.clone());
-                // Merge own enqueues falling inside this window so ordering
-                // across committed and own-pending elements is preserved.
-                for (k, eid) in &own_enq {
-                    let past_cursor = after.as_deref().is_none_or(|a| k.as_slice() > a);
-                    let in_window = exhausted || hi.as_deref().is_some_and(|h| k.as_slice() <= h);
-                    if past_cursor && in_window {
-                        cands.push((k.clone(), *eid));
-                    }
-                }
-                cands.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                cands.dedup_by(|a, b| a.0 == b.0);
-                for (ekey, _) in &cands {
-                    if own_deq.contains(ekey) {
-                        continue;
-                    }
-                    if let Some(p) = &opts.predicate {
-                        // Pre-filter without the lock, as the scan path does
-                        // from its page contents.
-                        let Some(raw) = store.get(Some(txn), ekey)? else {
-                            continue;
-                        };
-                        let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
-                        if !p.matches(&elem) {
-                            continue;
-                        }
-                    }
-                    match self.grab_element(txn, handle, meta, opts, deadline, ns, store, ekey)? {
-                        Grab::Taken(e) => return Ok(Some(e)),
-                        Grab::Gone => {
-                            if meta.mode == OrderingMode::StrictFifo {
-                                // Head is truly gone; restart the pass.
-                                continue 'rescan;
-                            }
-                            continue;
-                        }
-                        Grab::Tombstoned => continue,
-                        Grab::Busy => match meta.mode {
-                            OrderingMode::SkipLocked => continue,
-                            OrderingMode::StrictFifo => return Ok(None),
-                        },
-                    }
-                }
-                if exhausted {
-                    return Ok(None);
-                }
-                // Own enqueues at or below `hi` were already considered, so
-                // the cursor advances on the index's own pagination.
-                after = hi;
-            }
-        }
-    }
-
-    /// Candidate selection through the flat-combining dispenser (DESIGN.md
-    /// §24): publish a request slot, let the single combiner drain the ready
-    /// index once for every concurrently publishing dequeuer, and grab only
-    /// the disjoint candidates handed to this slot. Own uncommitted enqueues
-    /// are merged requester-side exactly as the direct index path does (they
-    /// are invisible to the committed-only index, hence to the combiner).
-    fn try_dequeue_once_combined(
-        &self,
-        txn: u64,
-        handle: &QueueHandle,
-        meta: &QueueMeta,
-        opts: &DequeueOptions,
-        deadline: Option<Instant>,
-    ) -> QmResult<Option<Element>> {
-        let store = self.store_for(meta);
-        let ns = self.ns_of(&meta.name);
-        // This transaction's own uncommitted overlay for the queue.
-        let (own_enq, own_deq) = {
-            let g = self.pending_shard(txn);
-            match g.get(&txn) {
-                None => (Vec::new(), HashSet::new()),
-                Some(p) => {
-                    let mut enq: Vec<(Vec<u8>, Eid)> = p
-                        .enqueued
-                        .iter()
-                        .filter(|e| e.queue == meta.name)
-                        .map(|e| (e.elem_key.clone(), e.eid))
-                        .collect();
-                    enq.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    let deq: HashSet<Vec<u8>> =
-                        p.dequeued.iter().map(|d| d.elem_key.clone()).collect();
-                    (enq, deq)
-                }
-            }
-        };
-        // Keys this pass already tried and failed on, plus own uncommitted
-        // dequeues: excluded from later handouts so a re-request advances
-        // past them instead of spinning on the same stale candidate.
-        let mut tried: HashSet<Vec<u8>> = own_deq;
-        loop {
-            let handout = self.dispenser.request(&self.qindex, &meta.name, 1, &tried);
-            // Merge own enqueues (invisible to the index) in key order so
-            // priority-then-FIFO holds across committed and own-pending
-            // elements.
-            let mut cands: Vec<(&Vec<u8>, Eid)> =
-                handout.candidates.iter().map(|(k, e)| (k, *e)).collect();
-            for (k, eid) in &own_enq {
-                if !tried.contains(k) {
-                    cands.push((k, *eid));
-                }
-            }
-            cands.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            cands.dedup_by(|a, b| a.0 == b.0);
-            let mut taken: Option<Element> = None;
-            let mut grab_err: Option<QmError> = None;
-            let mut consumed: Option<Vec<u8>> = None;
-            for (ekey, _) in &cands {
-                match self.grab_element(txn, handle, meta, opts, deadline, ns, store, ekey) {
-                    Ok(Grab::Taken(e)) => {
-                        consumed = Some((*ekey).clone());
-                        taken = Some(e);
-                        break;
-                    }
-                    // Stale, tombstoned, or locked by a non-combining path:
-                    // record and move on, exactly as skip-locked always has.
-                    Ok(_) => {
-                        tried.insert((*ekey).clone());
-                    }
-                    Err(e) => {
-                        grab_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            // Clear the handed marks for everything this slot did not take
-            // — on every exit path, including errors. The taken key stays
-            // marked until the commit/abort/kill that mutates its index
-            // entry invalidates it, so no other round can re-dispense an
-            // element whose taker still holds the element lock.
-            let unconsumed: Vec<Vec<u8>> = handout
-                .candidates
-                .iter()
-                .map(|(k, _)| k.clone())
-                .filter(|k| consumed.as_ref() != Some(k))
-                .collect();
-            self.dispenser.release(&meta.name, &unconsumed);
-            if let Some(e) = grab_err {
-                return Err(e);
-            }
-            if let Some(e) = taken {
-                return Ok(Some(e));
-            }
-            if handout.exhausted {
-                // The combiner ran the index dry for this slot's exclusions:
-                // nothing is available right now — same answer the direct
-                // skip-locked pass gives after paging to the tail.
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Candidate selection by paging the element keyspace — the pre-index
-    /// path, kept for benchmarking and as the verification baseline for the
-    /// index (`index_divergence`).
-    fn try_dequeue_once_scan(
-        &self,
-        txn: u64,
-        handle: &QueueHandle,
-        meta: &QueueMeta,
-        opts: &DequeueOptions,
-        deadline: Option<Instant>,
-    ) -> QmResult<Option<Element>> {
-        let store = self.store_for(meta);
-        let ns = self.ns_of(&meta.name);
-        let prefix = keys::element_prefix(&meta.name);
-        'rescan: loop {
-            let mut after: Option<Vec<u8>> = None;
-            loop {
-                let (page, cursor) =
-                    store.scan_prefix_page(Some(txn), &prefix, after.as_deref(), SCAN_PAGE)?;
-                for (ekey, raw) in &page {
-                    let elem = Element::decode_all(raw).map_err(QmError::Storage)?;
-                    if let Some(p) = &opts.predicate {
-                        if !p.matches(&elem) {
-                            continue;
-                        }
-                    }
-                    match self.grab_element(txn, handle, meta, opts, deadline, ns, store, ekey)? {
-                        Grab::Taken(e) => return Ok(Some(e)),
-                        Grab::Gone => {
-                            if meta.mode == OrderingMode::StrictFifo {
-                                // Head is truly gone; restart the scan.
-                                continue 'rescan;
-                            }
-                            continue;
-                        }
-                        Grab::Tombstoned => continue,
-                        Grab::Busy => match meta.mode {
-                            OrderingMode::SkipLocked => continue,
-                            OrderingMode::StrictFifo => return Ok(None),
-                        },
-                    }
-                }
-                match cursor {
-                    Some(c) => after = Some(c),
-                    None => return Ok(None),
-                }
-            }
-        }
     }
 
     /// Batch dequeue (§1: requests "can be captured reliably in a queue, and
@@ -1183,7 +1008,6 @@ impl QueueManager {
                     let killed = r?;
                     if killed {
                         self.qindex.remove(&queue, &ekey);
-                        self.dispenser.invalidate(&queue, &ekey);
                         rrq_obs::counter_inc("qm.element.dropped");
                         self.stats.lock().kills += 1;
                     }
@@ -1233,14 +1057,11 @@ impl QueueManager {
     /// ready index, no storage scan.
     pub fn depth(&self, queue: &str) -> QmResult<usize> {
         self.queue_meta(queue)?; // unknown queues still error
-        if self.use_index.load(Ordering::Acquire) {
-            return Ok(self.qindex.depth(queue));
-        }
-        self.depth_scan(queue)
+        Ok(self.qindex.depth(queue))
     }
 
-    /// Depth by paging the element keyspace — the pre-index path, kept for
-    /// benchmarking and as the index's verification baseline.
+    /// Depth by paging the element keyspace — the index's verification
+    /// baseline.
     pub fn depth_scan(&self, queue: &str) -> QmResult<usize> {
         let meta = self.queue_meta(queue)?;
         let store = self.store_for(&meta);
@@ -1255,31 +1076,6 @@ impl QueueManager {
                 None => return Ok(n),
             }
         }
-    }
-
-    /// Switch dequeue candidate selection and `depth` between the ready
-    /// index (the default) and the raw storage scan. Benchmarks A/B the two;
-    /// semantics are identical.
-    pub fn set_indexed_dequeue(&self, on: bool) {
-        self.use_index.store(on, Ordering::Release);
-    }
-
-    /// Whether the indexed hot path is active.
-    pub fn indexed_dequeue(&self) -> bool {
-        self.use_index.load(Ordering::Acquire)
-    }
-
-    /// Toggle the flat-combining dequeue front end (DESIGN.md §24). Clears
-    /// all combining state on either transition so handed-out marks from a
-    /// previous mode can never shadow live index entries.
-    pub fn set_dequeue_combining(&self, on: bool) {
-        self.dispenser.clear();
-        self.use_combining.store(on, Ordering::Release);
-    }
-
-    /// Whether skip-locked dequeues go through the combining dispenser.
-    pub fn dequeue_combining(&self) -> bool {
-        self.use_combining.load(Ordering::Acquire)
     }
 
     /// Mark `txn` as a planned-epoch member: its commit defers durability
@@ -1322,7 +1118,6 @@ impl QueueManager {
         );
         rrq_obs::counter_add("qm.enqueue.committed", pend.enqueued.len() as u64);
         for dq in &pend.dequeued {
-            self.dispenser.invalidate(&dq.queue, &dq.elem_key);
             rrq_obs::counter_inc("qm.dequeue.committed");
             rrq_obs::observe(
                 "qm.element.lock_hold_ticks",
@@ -1420,6 +1215,12 @@ impl QueueManager {
     /// The ready index's current contents: `queue → ordered (key, eid)`.
     pub fn index_snapshot(&self) -> IndexSnapshot {
         self.qindex.snapshot()
+    }
+
+    /// How many ready-index entries carry a dequeuer's claim mark. Zero at
+    /// any quiescent point and after every restart.
+    pub fn claimed_entries(&self) -> usize {
+        self.qindex.claimed()
     }
 
     /// The ready index's element total and the `qm.queue.depth` gauge
@@ -1705,12 +1506,6 @@ impl QueueManager {
                         self.notifier.signal(&d.queue);
                     }
                 }
-                // Every arm retired the dequeuer's claim on the old key, so
-                // its handed-out mark (if the combining front end dispensed
-                // it) falls with it — `Returned` re-inserts the *same* key,
-                // which without this would stay shadowed and never be
-                // dispensed again.
-                self.dispenser.invalidate(&d.queue, &d.elem_key);
                 rrq_obs::observe(
                     "qm.element.lock_hold_ticks",
                     rrq_obs::now().saturating_sub(d.grabbed_at),
@@ -1835,10 +1630,19 @@ impl ResourceManager for QueueManager {
             .pending_shard(txn.raw())
             .remove(&txn.raw())
             .unwrap_or_default();
+        let mut first_err = None;
         for d in &pend.dequeued {
-            self.handle_aborted_dequeue(d, 1)
-                .map_err(|e| TxnError::InvalidState(e.to_string()))?;
+            if let Err(e) = self.handle_aborted_dequeue(d, 1) {
+                // The disposition did not happen: the stored element is
+                // unchanged and the abort releases its lock, so it must be
+                // offered again — clear the claim this dequeue left on it.
+                self.qindex.unclaim(&d.queue, &d.elem_key);
+                first_err.get_or_insert(e);
+            }
         }
-        Ok(())
+        match first_err {
+            None => Ok(()),
+            Some(e) => Err(TxnError::InvalidState(e.to_string())),
+        }
     }
 }

@@ -15,7 +15,31 @@
 //! that every entry refers to an element that was visible to
 //! `scan_prefix(None, ..)` a moment ago. The element may still disappear
 //! between candidate selection and lock acquisition — dequeue re-reads under
-//! the element lock, exactly as the scan path always has.
+//! the element lock.
+//!
+//! ## Claim marks
+//!
+//! §10's relaxed ordering lets concurrent servers skip elements another
+//! dequeuer holds. Skipping by try-locking each held element costs every
+//! dequeuer one failed lock attempt per element ahead of it, so the index
+//! arbitrates instead: each entry carries a `claimed` bit, and
+//! [`QueueIndex::next_after`] with `claim` set returns the first *unclaimed*
+//! entry and marks it, so no two claimants are offered the same entry. Three
+//! invariants keep a mark from shadowing a live element:
+//!
+//! * the mark lives **in the entry** — every index mutation retires it
+//!   (`remove` drops it; `insert`, `fixup`, `apply_mirror` and the recovery
+//!   rebuild write a fresh unclaimed entry; `clear_queue` drops the lot);
+//! * it is set only **under the queue's mutex**, in the same critical
+//!   section that found the entry unclaimed;
+//! * the **claimant clears it** ([`QueueIndex::unclaim`]) on every exit that
+//!   did not take the element; a taken element stays marked until its
+//!   transaction's commit removes the entry or its abort re-inserts it.
+//!
+//! Marks are advisory: the element lock and the re-read under it remain the
+//! correctness backstop, and every reader other than a claiming `next_after`
+//! (`snapshot`, `depth`, `total`, `candidates_after`) ignores them — a
+//! claimed entry is still a committed, live element.
 //!
 //! ## Locking
 //!
@@ -49,6 +73,7 @@
 use crate::element::Eid;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 /// The queue-depth gauge. Updated strictly inside the per-queue (or
 /// whole-index) critical section so the gauge and `total()` can never be
@@ -58,7 +83,23 @@ use std::collections::{BTreeMap, HashMap};
 /// [`QueueIndex::fixup`]).
 const DEPTH_GAUGE: &str = "qm.queue.depth";
 
-type ReadyMap = BTreeMap<Vec<u8>, Eid>;
+/// One ready element: its eid and whether a skip-locked dequeuer has claimed
+/// it (see the module docs, "Claim marks").
+struct Entry {
+    eid: Eid,
+    claimed: bool,
+}
+
+impl Entry {
+    fn unclaimed(eid: Eid) -> Self {
+        Entry {
+            eid,
+            claimed: false,
+        }
+    }
+}
+
+type ReadyMap = BTreeMap<Vec<u8>, Entry>;
 type Ready = HashMap<String, Mutex<ReadyMap>>;
 
 /// Ordered ready-lists for every queue, keyed by element key.
@@ -83,12 +124,20 @@ fn enter_cell(cell: &Mutex<ReadyMap>) -> MutexGuard<'_, ReadyMap> {
     g
 }
 
+/// Range start for an exclusive cursor.
+fn lower_bound(after: Option<&[u8]>) -> Bound<&[u8]> {
+    match after {
+        Some(a) => Bound::Excluded(a),
+        None => Bound::Unbounded,
+    }
+}
+
 /// Insert under the outer write lock (cross-queue fix-up path).
 fn insert_locked(g: &mut Ready, queue: &str, elem_key: Vec<u8>, eid: Eid) {
     if g.entry(queue.to_string())
         .or_default()
         .get_mut()
-        .insert(elem_key, eid)
+        .insert(elem_key, Entry::unclaimed(eid))
         .is_none()
     {
         rrq_obs::gauge_add(DEPTH_GAUGE, 1);
@@ -143,7 +192,7 @@ impl QueueIndex {
     /// Record a committed element.
     pub fn insert(&self, queue: &str, elem_key: Vec<u8>, eid: Eid) {
         self.with_ready(queue, true, |m| {
-            if m.insert(elem_key, eid).is_none() {
+            if m.insert(elem_key, Entry::unclaimed(eid)).is_none() {
                 rrq_obs::gauge_add(DEPTH_GAUGE, 1);
             }
         });
@@ -229,6 +278,44 @@ impl QueueIndex {
         }
     }
 
+    /// The first entry strictly after `after` in dequeue order. With `claim`,
+    /// the first *unclaimed* one, marked claimed in the same critical section
+    /// — the caller owns the mark and must [`Self::unclaim`] it unless it
+    /// takes the element. One key clone, however deep the queue.
+    pub fn next_after(
+        &self,
+        queue: &str,
+        after: Option<&[u8]>,
+        claim: bool,
+    ) -> Option<(Vec<u8>, Eid)> {
+        self.with_ready(queue, false, |m| {
+            let (k, e) = m
+                .range_mut::<[u8], _>((lower_bound(after), Bound::Unbounded))
+                .find(|(_, e)| !(claim && e.claimed))?;
+            e.claimed |= claim;
+            Some((k.clone(), e.eid))
+        })
+        .flatten()
+    }
+
+    /// Clear the claim mark on `elem_key`, if the entry still exists.
+    pub fn unclaim(&self, queue: &str, elem_key: &[u8]) {
+        self.with_ready(queue, false, |m| {
+            if let Some(e) = m.get_mut(elem_key) {
+                e.claimed = false;
+            }
+        });
+    }
+
+    /// Number of entries currently claimed, across all queues. Zero at any
+    /// quiescent point and after every restart.
+    pub fn claimed(&self) -> usize {
+        let mut g = self.queues.write();
+        g.values_mut()
+            .map(|c| c.get_mut().values().filter(|e| e.claimed).count())
+            .sum()
+    }
+
     /// Up to `limit` candidates in dequeue order, strictly after `after`
     /// (exclusive cursor, like the storage page scan).
     pub fn candidates_after(
@@ -253,20 +340,15 @@ impl QueueIndex {
         limit: usize,
         out: &mut Vec<(Vec<u8>, Eid)>,
     ) {
-        use std::ops::Bound;
         out.clear();
         let _ = self.with_ready(queue, false, |m| {
             if m.is_empty() {
                 return;
             }
-            let lower = match after {
-                Some(a) => Bound::Excluded(a),
-                None => Bound::Unbounded,
-            };
             out.extend(
-                m.range::<[u8], _>((lower, Bound::Unbounded))
+                m.range::<[u8], _>((lower_bound(after), Bound::Unbounded))
                     .take(limit)
-                    .map(|(k, &eid)| (k.clone(), eid)),
+                    .map(|(k, e)| (k.clone(), e.eid)),
             );
         });
     }
@@ -281,7 +363,10 @@ impl QueueIndex {
                 if m.is_empty() {
                     return None;
                 }
-                Some((q.clone(), m.iter().map(|(k, &e)| (k.clone(), e)).collect()))
+                Some((
+                    q.clone(),
+                    m.iter().map(|(k, e)| (k.clone(), e.eid)).collect(),
+                ))
             })
             .collect()
     }
@@ -360,6 +445,69 @@ mod tests {
         ix.clear_queue("q");
         assert_eq!(ix.depth("q"), 0);
         assert_eq!(ix.total(), 1);
+    }
+
+    #[test]
+    fn claims_skip_marked_entries_and_every_mutation_retires_the_mark() {
+        let ix = QueueIndex::new();
+        let [a, b, c] = [1, 2, 3].map(|i| keys::element_key("q", 0, i));
+        for (i, k) in [&a, &b, &c].into_iter().enumerate() {
+            ix.insert("q", k.clone(), Eid(i as u64));
+        }
+        assert_eq!(ix.next_after("q", None, true), Some((a.clone(), Eid(0))));
+        assert_eq!(ix.next_after("q", None, true), Some((b.clone(), Eid(1))));
+        assert_eq!(ix.claimed(), 2);
+        // Readers that do not claim see every entry, marked or not.
+        assert_eq!(ix.next_after("q", None, false), Some((a.clone(), Eid(0))));
+        assert_eq!(ix.candidates_after("q", None, 10).len(), 3);
+        assert_eq!(ix.depth("q"), 3);
+        // The claimant clears its own mark ...
+        ix.unclaim("q", &a);
+        assert_eq!(ix.next_after("q", None, true), Some((a.clone(), Eid(0))));
+        // ... a re-insert (the abort fix-up's `Returned` arm) writes a fresh
+        // unclaimed entry under the same key ...
+        ix.fixup(None, Some(("q", b.clone(), Eid(1))));
+        assert_eq!(
+            ix.next_after("q", Some(&a), true),
+            Some((b.clone(), Eid(1)))
+        );
+        // ... and a remove drops the mark with the entry.
+        assert!(ix.remove("q", &a));
+        ix.insert("q", a.clone(), Eid(9));
+        assert_eq!(ix.next_after("q", None, true), Some((a.clone(), Eid(9))));
+        assert_eq!(ix.next_after("q", None, true), Some((c, Eid(2))));
+        assert_eq!(ix.next_after("q", None, true), None, "all three claimed");
+        ix.unclaim("q", b"no such key");
+        ix.unclaim("no such queue", &a);
+        assert_eq!(ix.claimed(), 3);
+        ix.clear_queue("q");
+        assert_eq!(ix.claimed(), 0);
+    }
+
+    #[test]
+    fn concurrent_claimants_get_distinct_entries() {
+        let ix = Arc::new(QueueIndex::new());
+        for i in 0..32u64 {
+            ix.insert("q", keys::element_key("q", 0, i), Eid(i));
+        }
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let ix = Arc::clone(&ix);
+                std::thread::spawn(move || {
+                    (0..4)
+                        .filter_map(|_| ix.next_after("q", None, true))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut all: Vec<(Vec<u8>, Eid)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 32, "every entry claimed exactly once");
+        assert_eq!(ix.claimed(), 32);
     }
 
     #[test]

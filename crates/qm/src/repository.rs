@@ -30,7 +30,7 @@ use rrq_storage::kv::{KvOptions, KvStore, MAX_WAL_PARTITIONS};
 use rrq_storage::recovery::RecoveryReport;
 use rrq_txn::{
     CoordinatorLog, KvResource, LockManager, ResourceManager, Txn, TxnId, TxnIdGen, TxnManager,
-    TxnResult, DEFAULT_LOCK_SHARDS,
+    TxnResult,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -153,18 +153,14 @@ pub enum ExecMode {
     /// per-key access queues in priority order, and the execute phase runs
     /// them lock-free — transactions commit speculatively (visible at
     /// once, durable at the epoch force) and the queue index applies in
-    /// one batch at epoch close. Requires `dequeue_combining: false`; the
-    /// planner replaces the dispenser as the dequeue arbiter.
+    /// one batch at epoch close.
     Planned,
 }
 
 /// Tuning knobs for [`Repository::open_with`]. `Default` is what
-/// [`Repository::open`] uses; `shards: 1` restores the pre-striping
-/// single-mutex coordination layer (the E18 baseline).
+/// [`Repository::open`] uses.
 #[derive(Debug, Clone)]
 pub struct RepoOptions {
-    /// Stripe count for the lock table and the pending-transaction map.
-    pub shards: usize,
     /// Durable-store options (group commit, sync policy).
     pub kv: KvOptions,
     /// When set, wrap each WAL device in a [`LatencyDisk`] charging this
@@ -175,11 +171,6 @@ pub struct RepoOptions {
     /// Number of per-shard WAL partitions (clamped to
     /// `1..=`[`MAX_WAL_PARTITIONS`]). `1` is the exact single-log baseline.
     pub wal_partitions: usize,
-    /// Route skip-locked dequeues through the flat-combining front end
-    /// (DESIGN.md §24): one combiner drains the ready index per round and
-    /// hands disjoint candidates to every concurrent dequeuer. `false` is
-    /// the per-queue-mutex baseline E20 measures against.
-    pub dequeue_combining: bool,
     /// Number of shared-nothing repository partitions (clamped to
     /// `1..=`[`MAX_REPO_PARTITIONS`]). Each owns the queues that hash to it
     /// plus its own store, WAL group, and lock manager; `1` is the exact
@@ -187,19 +178,16 @@ pub struct RepoOptions {
     pub repo_partitions: usize,
     /// Request execution mode. [`ExecMode::Locked`] (the default) is the
     /// exact 2PL baseline; [`ExecMode::Planned`] enables the epoch
-    /// planner's lock-free path and is rejected when combined with
-    /// `dequeue_combining` (both arbitrate dequeue candidates).
+    /// planner's lock-free path.
     pub exec_mode: ExecMode,
 }
 
 impl Default for RepoOptions {
     fn default() -> Self {
         RepoOptions {
-            shards: DEFAULT_LOCK_SHARDS,
             kv: KvOptions::default(),
             wal_sync_latency: None,
             wal_partitions: 1,
-            dequeue_combining: false,
             repo_partitions: 1,
             exec_mode: ExecMode::default(),
         }
@@ -286,18 +274,6 @@ impl Repository {
         let wal_partitions = opts.wal_partitions.clamp(1, MAX_WAL_PARTITIONS);
         let repo_partitions = opts.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
 
-        // The flat-combining dispenser and the epoch planner are both
-        // dequeue-candidate arbiters; planned execution bypasses the
-        // dispenser entirely, so composing them would silently disable one.
-        // Reject the combination up front (DESIGN.md §26).
-        if opts.dequeue_combining && opts.exec_mode == ExecMode::Planned {
-            return Err(QmError::IncompatibleOptions(
-                "dequeue_combining cannot be used with ExecMode::Planned \
-                 (the epoch plan, not the dispenser, arbitrates dequeues)"
-                    .into(),
-            ));
-        }
-
         // A planned transaction defers its home partition's WAL force to the
         // epoch close, but a sibling partition enlisted for a cross-partition
         // reply commits (and syncs) immediately — a crash inside the commit
@@ -341,7 +317,7 @@ impl Repository {
                 },
             )?;
 
-            let locks = Arc::new(LockManager::with_shards(opts.shards));
+            let locks = Arc::new(LockManager::new());
             let tm =
                 TxnManager::with_shared(Arc::clone(&locks), Some(Arc::clone(&coord)), ids.clone());
 
@@ -360,15 +336,13 @@ impl Repository {
                 0 => format!("qm/{name}"),
                 p => format!("qm/{name}/p{p}"),
             };
-            let qm = QueueManager::with_shards_base(
+            let qm = QueueManager::with_epoch_base(
                 qm_name,
                 Arc::clone(&store),
                 volatile,
                 locks,
-                opts.shards,
                 crate::route::epoch_band_base(p),
             )?;
-            qm.set_dequeue_combining(opts.dequeue_combining);
             parts.push((RepoPartition { qm, tm, store }, report));
         }
 
@@ -636,36 +610,6 @@ mod tests {
         let (repo2, _) = Repository::open("r3", disks).unwrap();
         // The queue still exists (metadata is durable) but is empty.
         assert_eq!(repo2.qm().depth("vol").unwrap(), 0);
-    }
-
-    #[test]
-    fn shards_one_baseline_still_works_end_to_end() {
-        let disks = RepoDisks::new();
-        let opts = RepoOptions {
-            shards: 1,
-            ..RepoOptions::default()
-        };
-        let (repo, _) = Repository::open_with("r5", disks.clone(), opts.clone()).unwrap();
-        repo.create_queue_defaults("q").unwrap();
-        let (h, _) = repo.qm().register("q", "c", true).unwrap();
-        repo.autocommit(|t| {
-            repo.qm()
-                .enqueue(t.id().raw(), &h, b"one", EnqueueOptions::default())
-        })
-        .unwrap();
-        drop(repo);
-        disks.crash();
-        let (repo2, _) = Repository::open_with("r5", disks, opts).unwrap();
-        assert_eq!(repo2.qm().depth("q").unwrap(), 1);
-        let (h, _) = repo2.qm().register("q", "s", false).unwrap();
-        let e = repo2
-            .autocommit(|t| {
-                repo2
-                    .qm()
-                    .dequeue(t.id().raw(), &h, DequeueOptions::default())
-            })
-            .unwrap();
-        assert_eq!(e.payload, b"one");
     }
 
     #[test]

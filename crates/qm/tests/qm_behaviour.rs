@@ -375,30 +375,114 @@ fn kill_element_too_late_after_commit() {
     assert!(!r.qm().kill_element(eid).unwrap(), "already processed");
 }
 
+/// Two concurrent skip-locked dequeuers are *offered* distinct elements (the
+/// second never touches the first's lock), and an aborted dequeue's element
+/// comes back unclaimed — under its old key, or under a fresh one on a
+/// requeue-at-back queue.
 #[test]
 fn skip_locked_dequeuers_get_distinct_elements() {
+    for requeue_at_back in [false, true] {
+        let r = repo();
+        let mut meta = QueueMeta::with_defaults("q");
+        meta.requeue_at_back_on_abort = requeue_at_back;
+        r.qm().create_queue(meta).unwrap();
+        let (h, _) = r.qm().register("q", "c", false).unwrap();
+        for i in 0..2u8 {
+            enq(&r, &h, &[i]);
+        }
+        let take = |t: &rrq_txn::Txn| {
+            r.qm()
+                .dequeue(t.id().raw(), &h, DequeueOptions::default())
+                .unwrap()
+        };
+        // First dequeuer holds its element uncommitted; the second is handed
+        // the other one without ever trying the held element's lock.
+        let t1 = r.begin().unwrap();
+        let e1 = take(&t1);
+        let t2 = r.begin().unwrap();
+        let e2 = take(&t2);
+        assert_ne!(e1.eid, e2.eid);
+        assert_eq!(r.qm().stats().lock_skips, 0);
+        assert_eq!(r.qm().claimed_entries(), 2);
+        // t1 aborts: its element is the only one a third dequeuer can get.
+        t1.abort().unwrap();
+        assert_eq!(r.qm().claimed_entries(), 1);
+        let t3 = r.begin().unwrap();
+        assert_eq!(take(&t3).eid, e1.eid);
+        assert_eq!(r.qm().stats().lock_skips, 0);
+        t2.commit().unwrap();
+        t3.commit().unwrap();
+        assert_eq!(r.qm().claimed_entries(), 0);
+        assert_eq!(r.qm().depth("q").unwrap(), 0);
+    }
+}
+
+/// Eight dequeuers drain one hot queue: every element goes to exactly one
+/// consumer, nothing is lost, and the index ends clean.
+#[test]
+fn concurrent_drain_hands_every_element_to_exactly_one_dequeuer() {
+    const ELEMENTS: usize = 400;
     let r = Arc::new(repo());
+    r.create_queue_defaults("hot").unwrap();
+    let (h, _) = r.qm().register("hot", "loader", false).unwrap();
+    for k in 0..ELEMENTS {
+        enq(&r, &h, format!("{k}").as_bytes());
+    }
+    let threads: Vec<_> = (0..8)
+        .map(|d| {
+            let r = Arc::clone(&r);
+            thread::spawn(move || {
+                let (h, _) = r.qm().register("hot", &format!("d{d}"), false).unwrap();
+                // Drain until the queue reports dry (every remaining element
+                // claimed by a peer counts as dry, as a locked one always has).
+                std::iter::from_fn(|| deq(&r, &h).ok()).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut all: Vec<Vec<u8>> = threads
+        .into_iter()
+        .flat_map(|t| t.join().unwrap())
+        .collect();
+    assert_eq!(all.len(), ELEMENTS, "lost or duplicated an element");
+    all.sort();
+    all.dedup();
+    assert_eq!(all.len(), ELEMENTS, "an element went to two dequeuers");
+    assert_eq!(r.qm().depth("hot").unwrap(), 0);
+    assert_eq!(r.qm().claimed_entries(), 0);
+    assert_eq!(r.qm().index_divergence().unwrap(), None);
+}
+
+/// A claim must not outlive a failed abort disposition: when the abort
+/// handler's system transaction cannot commit, the stored element is
+/// unchanged and unlocked, so the next dequeuer must be offered it.
+#[test]
+fn failed_abort_disposition_leaves_the_element_dequeuable() {
+    let disks = RepoDisks::new();
+    let (r, _) = Repository::open("fail-abort", disks.clone()).unwrap();
     r.create_queue_defaults("q").unwrap();
     let (h, _) = r.qm().register("q", "c", false).unwrap();
-    for i in 0..2u8 {
-        enq(&r, &h, &[i]);
-    }
-    // First dequeuer holds its element uncommitted.
+    let eid = enq(&r, &h, b"only");
     let t1 = r.begin().unwrap();
-    let e1 = r
-        .qm()
+    r.qm()
         .dequeue(t1.id().raw(), &h, DequeueOptions::default())
         .unwrap();
-    // Second dequeuer must skip the locked head and take the other element.
-    let t2 = r.begin().unwrap();
-    let e2 = r
-        .qm()
-        .dequeue(t2.id().raw(), &h, DequeueOptions::default())
+    assert_eq!(r.qm().claimed_entries(), 1);
+
+    // The device fails during the abort: the error surfaces from the queue
+    // manager (`Txn::abort` itself is best-effort and reports nothing) ...
+    disks.wal.fail();
+    let aborted = rrq_txn::ResourceManager::abort(r.qm().as_ref(), t1.id());
+    assert!(aborted.is_err(), "disposition could not be logged");
+    t1.abort().unwrap(); // releases the element lock
+    disks.wal.repair();
+
+    // ... and the element, untouched in storage, goes to the next dequeuer.
+    assert_eq!(r.qm().claimed_entries(), 0);
+    let e = r
+        .autocommit(|t| r.qm().dequeue(t.id().raw(), &h, DequeueOptions::default()))
         .unwrap();
-    assert_ne!(e1.eid, e2.eid);
-    assert!(r.qm().stats().lock_skips >= 1);
-    t1.commit().unwrap();
-    t2.commit().unwrap();
+    assert_eq!((e.eid, e.abort_count), (eid, 0));
+    assert_eq!(r.qm().index_divergence().unwrap(), None);
 }
 
 #[test]
@@ -693,6 +777,43 @@ fn enqueue_then_dequeue_same_transaction() {
         .unwrap();
     assert_eq!(got.payload, b"self");
     assert_eq!(r.qm().depth("q").unwrap(), 0);
+}
+
+/// A transaction's own uncommitted enqueue merges with the committed queue
+/// in key order: a higher-priority own element wins over the committed head,
+/// whose claim is released, and the committed head wins over a same-priority
+/// own element enqueued after it.
+#[test]
+fn own_enqueue_merges_with_committed_elements_in_key_order() {
+    let r = repo();
+    r.create_queue_defaults("q").unwrap();
+    let (h, _) = r.qm().register("q", "c", false).unwrap();
+    enq(&r, &h, b"committed");
+    let t1 = r.begin().unwrap();
+    let urgent = EnqueueOptions {
+        priority: 9,
+        ..EnqueueOptions::default()
+    };
+    let take = || {
+        r.qm()
+            .dequeue(t1.id().raw(), &h, DequeueOptions::default())
+            .map(|e| e.payload)
+    };
+    r.qm()
+        .enqueue(t1.id().raw(), &h, b"own-urgent", urgent)
+        .unwrap();
+    r.qm()
+        .enqueue(t1.id().raw(), &h, b"own-late", EnqueueOptions::default())
+        .unwrap();
+    assert_eq!(take().unwrap(), b"own-urgent");
+    assert_eq!(r.qm().claimed_entries(), 0, "unused claim released");
+    assert_eq!(take().unwrap(), b"committed");
+    assert_eq!(r.qm().claimed_entries(), 1);
+    assert_eq!(take().unwrap(), b"own-late");
+    assert!(matches!(take(), Err(QmError::Empty(_))));
+    t1.commit().unwrap();
+    assert_eq!(r.qm().claimed_entries(), 0);
+    assert_eq!(r.qm().index_divergence().unwrap(), None);
 }
 
 #[test]

@@ -90,10 +90,6 @@ pub struct ExplorerConfig {
     /// WAL partitions the server node runs with (1 = the monolithic log).
     /// Scripted per-log tears only bite when this is above one.
     pub wal_partitions: usize,
-    /// Run the server's dequeues through the flat-combining front end
-    /// (DESIGN.md §24). Persists across scripted crashes, so recovery
-    /// re-opens with combining still on — the crash-mid-combine case.
-    pub dequeue_combining: bool,
     /// Shared-nothing repository partitions (DESIGN.md S25). Above one, the
     /// node serves one RPC endpoint per partition, the clerk routes through
     /// [`RoutedQm`], `repo-crash` events strike a single partition's
@@ -113,7 +109,6 @@ impl Default for ExplorerConfig {
             bug: None,
             out_dir: None,
             wal_partitions: 1,
-            dequeue_combining: false,
             repo_partitions: 1,
             exec_mode: ExecMode::default(),
         }
@@ -371,7 +366,6 @@ pub fn run_script_with(
     let parts = cfg.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
     node.set_repo_options(RepoOptions {
         wal_partitions: cfg.wal_partitions,
-        dequeue_combining: cfg.dequeue_combining,
         repo_partitions: parts,
         exec_mode: cfg.exec_mode,
         ..RepoOptions::default()
@@ -804,7 +798,9 @@ pub struct SweepReport {
 
 /// Run `count` generated scripts starting at `first_seed` under one
 /// conformance session (reset per script). Failing scripts are persisted to
-/// [`ExplorerConfig::out_dir`] as replayable files.
+/// [`ExplorerConfig::out_dir`] as replayable files, each with its evidence
+/// beside it: `fail-seed-<n>.violations.txt` holds the violations, then the
+/// trace.
 pub fn run_sweep(first_seed: u64, count: u64, cfg: &ExplorerConfig) -> SweepReport {
     let (checker, _session) = Conformance::install();
     let mut digest = FNV_OFFSET;
@@ -816,7 +812,10 @@ pub fn run_sweep(first_seed: u64, count: u64, cfg: &ExplorerConfig) -> SweepRepo
         if outcome.failed() {
             let script_path = cfg.out_dir.as_ref().and_then(|d| {
                 let p = d.join(format!("fail-seed-{seed}.rrqs"));
-                script.write_to(&p).ok().map(|_| p)
+                script.write_to(&p).ok()?;
+                let evidence = [&outcome.violations[..], &outcome.trace[..]].concat();
+                let _ = std::fs::write(p.with_extension("violations.txt"), evidence.join("\n"));
+                Some(p)
             });
             failures.push(SweepFailure {
                 seed,

@@ -23,8 +23,8 @@
 //!   forces `OutsidePlan` aborts; the abort-and-replan path must converge
 //!   to the same correct final state while the stats record the retries.
 //!
-//! The `open_with` compatibility matrix (planned × combining, planned ×
-//! multi-partition → typed rejection) rides along as directed regressions.
+//! The one `open_with` rejection left (planned × multi-partition → typed
+//! error) rides along as a directed regression.
 
 use rrq_core::planned::{EpochWindow, PlannedConfig, PlannedPool};
 use rrq_core::request::{Reply, ReplyStatus, Request};
@@ -483,27 +483,11 @@ fn misspeculation_replans_and_converges() {
     assert_clean(&repo, "misspec");
 }
 
-/// Directed regressions for the `open_with` compatibility matrix: planned
-/// execution owns dequeue arbitration, so it cannot share a repository with
-/// the flat-combining dispenser (§24) or span shared-nothing partitions
-/// (S25, the epoch durability point covers only the home partition).
+/// Directed regression for the `open_with` compatibility matrix: planned
+/// execution cannot span shared-nothing partitions (S25, the epoch
+/// durability point covers only the home partition).
 #[test]
 fn planned_mode_rejects_incompatible_options() {
-    let combining = RepoOptions {
-        exec_mode: ExecMode::Planned,
-        dequeue_combining: true,
-        ..RepoOptions::default()
-    };
-    match Repository::open_with("bad-combine", RepoDisks::new(), combining) {
-        Err(QmError::IncompatibleOptions(msg)) => {
-            assert!(msg.contains("dequeue_combining"), "got: {msg}")
-        }
-        other => panic!(
-            "expected IncompatibleOptions, got {:?}",
-            other.err().map(|e| e.to_string())
-        ),
-    }
-
     let partitioned = RepoOptions {
         exec_mode: ExecMode::Planned,
         repo_partitions: 2,
@@ -520,7 +504,7 @@ fn planned_mode_rejects_incompatible_options() {
     }
 
     // And a pool on a locked repository is a construction error, not a
-    // silent fight with the dispensing servers.
+    // silent fight with the dequeue-loop servers.
     let locked = open("pool-on-locked", RepoDisks::new(), ExecMode::Locked);
     assert!(PlannedPool::new(
         Arc::clone(&locked),

@@ -197,6 +197,9 @@ fn failing_sweep_persists_a_replayable_script_file() {
     assert_eq!(script, failure.script);
     assert!(outcome.failed());
     assert_eq!(outcome.digest, failure.outcome.digest, "replay is exact");
+    let evidence = std::fs::read_to_string(path.with_extension("violations.txt")).unwrap();
+    let expected = [&failure.outcome.violations[..], &failure.outcome.trace[..]].concat();
+    assert_eq!(evidence, expected.join("\n"), "violations, then the trace");
 }
 
 #[test]
@@ -267,6 +270,24 @@ fn double_count_bug_is_caught_by_metrics_oracle_and_shrinks() {
     let again = run_script(&script, &buggy);
     assert_eq!(outcome.digest, again.digest);
     assert_eq!(outcome.violations, again.violations);
+}
+
+/// Three server crashes (one clean, two with torn WAL tails) while the
+/// server's dequeuers hold claimed elements. Claim marks are volatile:
+/// recovery rebuilds the index unclaimed, and the whole oracle battery
+/// (exactly-once effects, reply matching, money conservation, metrics
+/// conservation) must stay green.
+#[test]
+fn checked_in_crash_mid_dequeue_script_stays_green() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/crash-mid-dequeue.rrqs");
+    let (script, outcome) = explorer::replay_file(&path, &ExplorerConfig::default()).unwrap();
+    assert_eq!(script.events.len(), 3, "script should carry three crashes");
+    assert_eq!(
+        outcome.violations,
+        Vec::<String>::new(),
+        "trace:\n{:#?}",
+        outcome.trace
+    );
 }
 
 #[test]

@@ -5,8 +5,11 @@
 //! storage scan. The property this file checks: **after any crash schedule
 //! drawn from the explorer's script generator, the rebuilt index equals a
 //! fresh full scan** — same queues, same element keys in the same order,
-//! same eids — and every indexed element is unlocked (dequeue locks are
-//! in-memory, so a restart must leave none behind).
+//! same eids — and every indexed element is unlocked and unclaimed (dequeue
+//! locks and claim marks are in-memory, so a restart must leave none behind).
+//! Along the way every dequeue of the (sequential) workload is checked
+//! against the kept reference: it returns the head of `index_from_scan()`
+//! for its queue.
 //!
 //! The workload is a deterministic function of the script seed: enqueues
 //! with mixed priorities across queues with different abort policies
@@ -17,8 +20,9 @@
 //! inject them.
 
 use rrq_qm::meta::QueueMeta;
-use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
+use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::{RepoDisks, Repository};
+use rrq_qm::{Element, QmResult};
 use rrq_sim::script::{FaultEvent, FaultScript};
 use rrq_workload::arrivals::SplitMix;
 
@@ -46,9 +50,14 @@ fn assert_equivalent(repo: &Repository, ctx: &str) {
         let by_scan = repo.qm().depth_scan(q).unwrap();
         assert_eq!(by_index, by_scan, "{ctx}: depth mismatch on {q:?}");
     }
-    // Every indexed element must be free for the taking: dequeue locks are
-    // volatile, so nothing may survive a restart, and at a quiescent point
-    // nothing should be held either.
+    // Every indexed element must be free for the taking: dequeue locks and
+    // claim marks are volatile, so nothing may survive a restart, and at a
+    // quiescent point nothing should be held either.
+    assert_eq!(
+        repo.qm().claimed_entries(),
+        0,
+        "{ctx}: index entry left claimed"
+    );
     for (queue, entries) in repo.qm().index_snapshot() {
         for (ekey, eid) in entries {
             assert!(
@@ -58,6 +67,22 @@ fn assert_equivalent(repo: &Repository, ctx: &str) {
             );
         }
     }
+}
+
+/// Dequeue under `txn` and check the result against the storage-scan oracle:
+/// with no concurrent dequeuer, the element returned is the scan's head for
+/// the queue, and the dequeue fails only when the scan finds the queue empty.
+fn dequeue_head(repo: &Repository, txn: u64, h: &QueueHandle) -> QmResult<Element> {
+    let scan = repo.qm().index_from_scan().unwrap();
+    let head = scan.get(&h.queue).and_then(|es| es.first()).map(|e| e.1);
+    let got = repo.qm().dequeue(txn, h, DequeueOptions::default());
+    assert_eq!(
+        got.as_ref().ok().map(|e| e.eid),
+        head,
+        "dequeue on {:?} did not return the scan's head",
+        h.queue
+    );
+    got
 }
 
 /// One deterministic workload step against `repo`.
@@ -86,18 +111,13 @@ fn step(repo: &Repository, rng: &mut SplitMix, serial: u64) {
         }
         // Committed dequeue.
         2 => {
-            let _ = repo.autocommit(|t| {
-                repo.qm()
-                    .dequeue(t.id().raw(), &h, DequeueOptions::default())
-            });
+            let _ = repo.autocommit(|t| dequeue_head(repo, t.id().raw(), &h));
         }
         // Aborted dequeue: exercises return / requeue-at-back / error-queue
         // moves depending on the queue's policy and the element's history.
         3 => {
             if let Ok(txn) = repo.begin() {
-                let _ = repo
-                    .qm()
-                    .dequeue(txn.id().raw(), &h, DequeueOptions::default());
+                let _ = dequeue_head(repo, txn.id().raw(), &h);
                 let _ = txn.abort();
             }
         }
