@@ -25,6 +25,9 @@ pub const PAT_DOT_SYNC: &str = concat!(".sy", "nc()");
 pub const PAT_SYNC_THROUGH: &str = concat!("sync_th", "rough(");
 pub const PAT_FORCE_THROUGH: &str = concat!("force_th", "rough(");
 const PAT_APPEND: &str = concat!(".app", "end(");
+/// Laying a record into a batch of frames (`Frames::push`); the batch
+/// reaches the device in the `append_frames` that follows.
+const PAT_FRAME_PUSH: &str = concat!(".pu", "sh(");
 const PAT_KIND_COMMIT: &str = concat!("RecordKind::Com", "mit");
 const PAT_KIND_DECISION: &str = concat!("DECISION_", "KIND");
 const PAT_THREAD_SLEEP: &str = concat!("thread::sl", "eep");
@@ -233,7 +236,7 @@ pub enum EventKind {
     },
     /// A durability sync point (`.sync()` / `sync_through` / `force_through`).
     Sync,
-    /// A WAL commit-record append.
+    /// A WAL commit-record append (directly, or laid into a batch of frames).
     CommitMarker,
     /// A commit-point state mutation (index into catalogue mutations).
     Mutation { mutation: usize },
@@ -537,11 +540,11 @@ pub fn scan_file(path: &Path, rel: &str, cat: &Catalogue) -> io::Result<FileFact
                 evs.push((p, Ev::Drop(arg)));
                 spans.push((p, p + PAT_DROP.len()));
             }
-            if stripped.contains(PAT_APPEND)
-                && (stripped.contains(PAT_KIND_COMMIT) || stripped.contains(PAT_KIND_DECISION))
-            {
-                let p = stripped.find(PAT_APPEND).unwrap();
-                evs.push((p, Ev::Marker));
+            if stripped.contains(PAT_KIND_COMMIT) || stripped.contains(PAT_KIND_DECISION) {
+                let writes = [PAT_APPEND, PAT_FRAME_PUSH];
+                if let Some(p) = writes.iter().find_map(|pat| stripped.find(pat)) {
+                    evs.push((p, Ev::Marker));
+                }
             }
             for &(mi, pat) in &mutations {
                 for (p, _) in stripped.match_indices(pat) {

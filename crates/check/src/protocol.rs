@@ -7,8 +7,9 @@
 //! ([`CLIENT_TABLE`], [`SERVER_TABLE`]) and provides:
 //!
 //! * a lightweight observer hook ([`emit_client`] / [`emit_server`]) that
-//!   `rrq_core`'s clerk and server loop call at each transition — one
-//!   relaxed atomic load when no observer is installed;
+//!   `rrq_core`'s clerk and server loop call at each transition with a
+//!   closure that builds the event — one atomic load, and no event built,
+//!   when no observer is installed;
 //! * a [`Conformance`] checker that replays observed events against the
 //!   tables (plus the payload guards the tables cannot express, e.g. "the
 //!   reply's rid must match the outstanding request") and records every
@@ -306,25 +307,28 @@ fn lock_poison_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Emit a client event to the installed observer, if any.
-pub fn emit_client(client: &str, event: ClientEvent) {
+/// Emit a client event to the installed observer, if any. `event` runs only
+/// when one is installed, so a dormant hook never builds (or allocates for)
+/// the event it would have dropped.
+pub fn emit_client(client: &str, event: impl FnOnce() -> ClientEvent) {
     if !ACTIVE.load(Ordering::Acquire) {
         return;
     }
     let obs = lock_poison_ok(&OBSERVER).clone();
     if let Some(o) = obs {
-        o.on_client(client, event);
+        o.on_client(client, event());
     }
 }
 
-/// Emit a server event to the installed observer, if any.
-pub fn emit_server(server: &str, event: ServerEvent) {
+/// Emit a server event to the installed observer, if any; `event` as in
+/// [`emit_client`].
+pub fn emit_server(server: &str, event: impl FnOnce() -> ServerEvent) {
     if !ACTIVE.load(Ordering::Acquire) {
         return;
     }
     let obs = lock_poison_ok(&OBSERVER).clone();
     if let Some(o) = obs {
-        o.on_server(server, event);
+        o.on_server(server, event());
     }
 }
 
@@ -977,19 +981,20 @@ mod tests {
     }
 
     #[test]
-    fn observer_hook_is_inert_without_install() {
-        // Must not panic or deadlock.
-        emit_client("nobody", ClientEvent::Disconnect);
-        emit_server("nobody", ServerEvent::Commit);
+    fn a_dormant_hook_does_not_build_its_event() {
+        // Holding the session lock keeps every other test's observer out.
+        let _no_session = lock_poison_ok(&OBS_SESSION);
+        emit_client("nobody", || unreachable!("built with no observer"));
+        emit_server("nobody", || unreachable!("built with no observer"));
     }
 
     #[test]
     fn install_routes_events_and_uninstalls_on_drop() {
         let (checker, session) = Conformance::install();
-        emit_server("s9", ServerEvent::Dequeue { rid: "c1:1".into() });
+        emit_server("s9", || ServerEvent::Dequeue { rid: "c1:1".into() });
         assert_eq!(checker.events_seen(), (0, 1));
         drop(session);
-        emit_server("s9", ServerEvent::Commit);
+        emit_server("s9", || ServerEvent::Commit);
         // The post-drop event was not delivered (it would have violated).
         assert_eq!(checker.events_seen(), (0, 1));
         checker.assert_conformant();

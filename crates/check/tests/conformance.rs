@@ -155,9 +155,9 @@ fn e4_pool_run_with_aborts_is_conformant() {
 #[test]
 fn illegal_server_sequence_is_reported_with_trace() {
     let (conf, session) = Conformance::install();
-    emit_server("neg-s", ServerEvent::Dequeue { rid: "c:1".into() });
+    emit_server("neg-s", || ServerEvent::Dequeue { rid: "c:1".into() });
     // Dequeue while already Processing: no Fig 5 transition allows it.
-    emit_server("neg-s", ServerEvent::Dequeue { rid: "c:2".into() });
+    emit_server("neg-s", || ServerEvent::Dequeue { rid: "c:2".into() });
     let violations = conf.violations();
     assert_eq!(violations.len(), 1, "exactly one illegal transition");
     let rendered = violations[0].to_string();
@@ -173,13 +173,10 @@ fn illegal_server_sequence_is_reported_with_trace() {
 fn illegal_client_sequence_is_reported_with_trace() {
     let (conf, session) = Conformance::install();
     // Send without Connect: illegal from Disconnected (Fig 1).
-    emit_client(
-        "neg-c",
-        ClientEvent::Send {
-            rid: "neg-c:1".into(),
-            acked: true,
-        },
-    );
+    emit_client("neg-c", || ClientEvent::Send {
+        rid: "neg-c:1".into(),
+        acked: true,
+    });
     let violations = conf.violations();
     assert_eq!(violations.len(), 1);
     assert!(violations[0].to_string().contains("neg-c"));

@@ -127,10 +127,9 @@ impl Clerk {
     /// checker must stop predicting the stable tags until the next resync.
     fn note_net_failure<T>(&self, op: &str, r: CoreResult<T>) -> CoreResult<T> {
         if let Err(CoreError::Net(_)) = &r {
-            rrq_check::protocol::emit_client(
-                &self.cfg.client_id,
-                rrq_check::protocol::ClientEvent::OpFailed { op: op.into() },
-            );
+            rrq_check::protocol::emit_client(&self.cfg.client_id, || {
+                rrq_check::protocol::ClientEvent::OpFailed { op: op.into() }
+            });
         }
         r
     }
@@ -181,13 +180,12 @@ impl Clerk {
             rrq_obs::counter_inc("core.clerk.resyncs");
         }
         note_transition(&mut st);
-        rrq_check::protocol::emit_client(
-            &self.cfg.client_id,
+        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
             rrq_check::protocol::ClientEvent::Connect {
                 s_rid: info.s_rid.as_ref().map(|r| r.to_attr()),
                 r_rid: info.r_rid.as_ref().map(|r| r.to_attr()),
-            },
-        );
+            }
+        });
         Ok(info)
     }
 
@@ -207,10 +205,9 @@ impl Clerk {
                 .deregister(&self.cfg.reply_queue, &self.cfg.client_id),
         )?;
         *self.state.lock() = ClerkState::default();
-        rrq_check::protocol::emit_client(
-            &self.cfg.client_id,
-            rrq_check::protocol::ClientEvent::Disconnect,
-        );
+        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
+            rrq_check::protocol::ClientEvent::Disconnect
+        });
         Ok(())
     }
 
@@ -259,13 +256,12 @@ impl Clerk {
                 st.last_request_eid = None; // unknown until resync
             }
         }
-        rrq_check::protocol::emit_client(
-            &self.cfg.client_id,
+        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
             rrq_check::protocol::ClientEvent::Send {
                 rid: rid.to_attr(),
                 acked: self.cfg.send_mode == SendMode::Acked,
-            },
-        );
+            }
+        });
         rrq_obs::counter_inc("core.clerk.sends");
         note_transition(&mut st);
         st.last_send_rid = Some(rid);
@@ -302,12 +298,11 @@ impl Clerk {
             rrq_obs::counter_inc("core.clerk.receives");
             note_transition(&mut st);
         }
-        rrq_check::protocol::emit_client(
-            &self.cfg.client_id,
+        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
             rrq_check::protocol::ClientEvent::Receive {
                 rid: reply.rid.to_attr(),
-            },
-        );
+            }
+        });
         Ok(reply)
     }
 
@@ -320,12 +315,11 @@ impl Clerk {
         let reply =
             Reply::decode_all(&elem.payload).map_err(|e| CoreError::Malformed(e.to_string()))?;
         rrq_obs::counter_inc("core.clerk.rereceives");
-        rrq_check::protocol::emit_client(
-            &self.cfg.client_id,
+        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
             rrq_check::protocol::ClientEvent::Rereceive {
                 rid: reply.rid.to_attr(),
-            },
-        );
+            }
+        });
         Ok(reply)
     }
 

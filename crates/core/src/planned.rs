@@ -455,18 +455,14 @@ impl PlannedPool {
         }
         let Some(request) = &task.request else {
             // Undecodable payload: commit the dequeue with no reply.
-            rrq_check::protocol::emit_server(
-                source,
-                rrq_check::protocol::ServerEvent::DropMalformed,
-            );
+            rrq_check::protocol::emit_server(source, || {
+                rrq_check::protocol::ServerEvent::DropMalformed
+            });
             return self.commit_task(txn, source, false);
         };
-        rrq_check::protocol::emit_server(
-            source,
-            rrq_check::protocol::ServerEvent::Dequeue {
-                rid: request.rid.to_attr(),
-            },
-        );
+        rrq_check::protocol::emit_server(source, || rrq_check::protocol::ServerEvent::Dequeue {
+            rid: request.rid.to_attr(),
+        });
         let outcome = {
             let ctx = ServerCtx {
                 txn: &txn,
@@ -535,7 +531,7 @@ impl PlannedPool {
     fn abort_task(&self, txn: Txn, planned: bool, source: &str) -> TaskOutcome {
         let violations = txn.plan_violations();
         let _ = txn.abort();
-        rrq_check::protocol::emit_server(source, rrq_check::protocol::ServerEvent::Abort);
+        rrq_check::protocol::emit_server(source, || rrq_check::protocol::ServerEvent::Abort);
         rrq_obs::counter_inc("txn.plan.misspeculations");
         self.stats.lock().misspeculations += 1;
         if planned && !violations.is_empty() {
@@ -552,7 +548,9 @@ impl PlannedPool {
     fn commit_task(&self, txn: Txn, source: &str, count_reply: bool) -> TaskOutcome {
         match txn.commit() {
             Ok(()) => {
-                rrq_check::protocol::emit_server(source, rrq_check::protocol::ServerEvent::Commit);
+                rrq_check::protocol::emit_server(source, || {
+                    rrq_check::protocol::ServerEvent::Commit
+                });
                 self.stats.lock().committed += 1;
                 if count_reply {
                     rrq_obs::counter_inc("core.server.replies_committed");
@@ -561,13 +559,17 @@ impl PlannedPool {
             }
             Err(TxnError::InvalidState(_)) | Err(TxnError::PrepareFailed(_)) => {
                 // Poisoned by a cancel: the manager already aborted.
-                rrq_check::protocol::emit_server(source, rrq_check::protocol::ServerEvent::Abort);
+                rrq_check::protocol::emit_server(source, || {
+                    rrq_check::protocol::ServerEvent::Abort
+                });
                 rrq_obs::counter_inc("txn.plan.misspeculations");
                 self.stats.lock().misspeculations += 1;
                 TaskOutcome::Done
             }
             Err(_) => {
-                rrq_check::protocol::emit_server(source, rrq_check::protocol::ServerEvent::Abort);
+                rrq_check::protocol::emit_server(source, || {
+                    rrq_check::protocol::ServerEvent::Abort
+                });
                 rrq_obs::counter_inc("core.planned.task_errors");
                 TaskOutcome::Done
             }
@@ -596,12 +598,11 @@ impl PlannedPool {
             .and_then(|qm| qm.enqueue(txn.id().raw(), &h, &payload, opts))
         {
             Ok(_) | Err(QmError::NoSuchQueue(_)) => {
-                rrq_check::protocol::emit_server(
-                    source,
+                rrq_check::protocol::emit_server(source, || {
                     rrq_check::protocol::ServerEvent::Reply {
                         rid: reply.rid.to_attr(),
-                    },
-                );
+                    }
+                });
                 Ok(())
             }
             Err(e) => Err(e),
@@ -633,12 +634,11 @@ impl PlannedPool {
             .and_then(|qm| qm.enqueue(txn.id().raw(), &h, &payload, opts))
         {
             Ok(_) => {
-                rrq_check::protocol::emit_server(
-                    source,
+                rrq_check::protocol::emit_server(source, || {
                     rrq_check::protocol::ServerEvent::Forward {
                         rid: request.rid.to_attr(),
-                    },
-                );
+                    }
+                });
                 Ok(())
             }
             Err(e) => Err(e),

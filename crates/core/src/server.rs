@@ -294,35 +294,31 @@ impl Server {
             Err(e) => {
                 // Undecodable request: reject it permanently by committing
                 // the dequeue without a reply (nothing to match it to).
-                rrq_check::protocol::emit_server(
-                    &self.cfg.server_name,
-                    rrq_check::protocol::ServerEvent::DropMalformed,
-                );
+                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                    rrq_check::protocol::ServerEvent::DropMalformed
+                });
                 txn.commit()?;
-                rrq_check::protocol::emit_server(
-                    &self.cfg.server_name,
-                    rrq_check::protocol::ServerEvent::Commit,
-                );
+                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                    rrq_check::protocol::ServerEvent::Commit
+                });
                 return Err(CoreError::Malformed(format!(
                     "dropped undecodable request: {e}"
                 )));
             }
         };
-        rrq_check::protocol::emit_server(
-            &self.cfg.server_name,
+        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
             rrq_check::protocol::ServerEvent::Dequeue {
                 rid: request.rid.to_attr(),
-            },
-        );
+            }
+        });
 
         // Any error below unwinds the server transaction, so the observable
         // protocol transition is an abort.
         let served = self.serve_request(txn, &request, &elem);
         if served.is_err() {
-            rrq_check::protocol::emit_server(
-                &self.cfg.server_name,
-                rrq_check::protocol::ServerEvent::Abort,
-            );
+            rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                rrq_check::protocol::ServerEvent::Abort
+            });
         }
         served
     }
@@ -400,18 +396,16 @@ impl Server {
                 self.forward(&txn, &queue, &request)?;
                 match txn.commit_inheriting_locks(parked) {
                     Ok(()) => {
-                        rrq_check::protocol::emit_server(
-                            &self.cfg.server_name,
-                            rrq_check::protocol::ServerEvent::Commit,
-                        );
+                        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                            rrq_check::protocol::ServerEvent::Commit
+                        });
                         self.stats.lock().committed += 1;
                         Ok(Served::Committed)
                     }
                     Err(e) => {
-                        rrq_check::protocol::emit_server(
-                            &self.cfg.server_name,
-                            rrq_check::protocol::ServerEvent::Abort,
-                        );
+                        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                            rrq_check::protocol::ServerEvent::Abort
+                        });
                         self.stats.lock().rolled += 1;
                         let _ = e;
                         Ok(Served::Rolled)
@@ -433,10 +427,9 @@ impl Server {
             }
             Err(HandlerError::Abort(_)) => {
                 txn.abort()?;
-                rrq_check::protocol::emit_server(
-                    &self.cfg.server_name,
-                    rrq_check::protocol::ServerEvent::Abort,
-                );
+                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                    rrq_check::protocol::ServerEvent::Abort
+                });
                 self.stats.lock().aborted += 1;
                 rrq_obs::counter_inc("core.server.handler_aborts");
                 Ok(Served::Aborted)
@@ -463,12 +456,11 @@ impl Server {
             .enlist_queue(txn, self.home, &request.reply_queue)?;
         match qm.enqueue(txn.id().raw(), &h, &payload, opts) {
             Ok(_) | Err(QmError::NoSuchQueue(_)) => {
-                rrq_check::protocol::emit_server(
-                    &self.cfg.server_name,
+                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
                     rrq_check::protocol::ServerEvent::Reply {
                         rid: reply.rid.to_attr(),
-                    },
-                );
+                    }
+                });
                 Ok(())
             }
             Err(e) => Err(e.into()),
@@ -490,12 +482,11 @@ impl Server {
         };
         let qm = self.repo.enlist_queue(txn, self.home, queue)?;
         qm.enqueue(txn.id().raw(), &h, &payload, opts)?;
-        rrq_check::protocol::emit_server(
-            &self.cfg.server_name,
+        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
             rrq_check::protocol::ServerEvent::Forward {
                 rid: request.rid.to_attr(),
-            },
-        );
+            }
+        });
         Ok(())
     }
 
@@ -506,10 +497,9 @@ impl Server {
                 if xpart {
                     rrq_obs::counter_inc("txn.xpart.commits");
                 }
-                rrq_check::protocol::emit_server(
-                    &self.cfg.server_name,
-                    rrq_check::protocol::ServerEvent::Commit,
-                );
+                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                    rrq_check::protocol::ServerEvent::Commit
+                });
                 self.stats.lock().committed += 1;
                 Ok(Served::Committed)
             }
@@ -519,10 +509,9 @@ impl Server {
                 if xpart {
                     rrq_obs::counter_inc("txn.xpart.aborts");
                 }
-                rrq_check::protocol::emit_server(
-                    &self.cfg.server_name,
-                    rrq_check::protocol::ServerEvent::Abort,
-                );
+                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
+                    rrq_check::protocol::ServerEvent::Abort
+                });
                 self.stats.lock().rolled += 1;
                 Ok(Served::Rolled)
             }

@@ -56,10 +56,11 @@
 //! The store is reader-parallel: committed state lives in `mem` behind an
 //! `RwLock`, so `get`/`scan_prefix*` take a read lock and run concurrently
 //! with each other and with the logging half of a commit. Private overlays
-//! live in `txns` behind their own mutex; each log's append latch
-//! serializes record appends to that log. Commit forcing goes through the
-//! log's [`GroupCommit`] coordinator, which batches concurrent syncs into
-//! one device force per group.
+//! live in `txns`, striped by token so that two open transactions do not
+//! share a lock word; each log's append latch serializes appends to that
+//! log, and a commit point hands the device its records as one write.
+//! Commit forcing goes through the log's [`GroupCommit`] coordinator, which
+//! batches concurrent syncs into one device force per group.
 //!
 //! A transaction's write set exists once: `put` copies the caller's bytes
 //! into `TxnState::ops` (the read-your-writes overlay only indexes into it),
@@ -68,12 +69,13 @@
 //! commit moves the operations into `mem`. A commit-point operation that
 //! fails puts the state back, so the transaction stays open and retryable.
 //!
-//! Lock order: a thread holds at most one of {`txns`, `mem`, `latch`} at a
-//! time, except the apply step (`apply` → `mem.write`) and checkpointing,
-//! which holds the exclusive `ckpt_gate` and may take `mem.read` then a log
-//! latch. Commit-point record writers (commit / prepare / logged abort)
-//! hold `ckpt_gate.read` so a checkpoint can never truncate a log while a
-//! commit record is in flight between append and sync. The classes and
+//! Lock order: a thread holds at most one of {a `txns` stripe, `mem`,
+//! `latch`} at a time, except the apply step (`apply` → `mem.write`) and
+//! checkpointing, which holds the exclusive `ckpt_gate` and may take
+//! `mem.read` then a log latch. Commit-point record writers (commit /
+//! prepare / logged abort) hold `ckpt_gate.read` so a checkpoint can never
+//! truncate a log while a commit record is in flight between append and
+//! sync. The classes and
 //! their declared order live in `LOCKS.md` (kv-gate, kv-txns, kv-log,
 //! kv-apply, kv-mem); the rrq-analyze `lock-order` and
 //! `no-block-under-guard` rules check every path against them — in
@@ -86,9 +88,10 @@ use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
 use crate::group_commit::{GroupCommit, GroupCommitStats};
 use crate::recovery::{replay_partitioned, RecoveryReport};
-use crate::wal::{RecordKind, Wal};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::wal::{Frames, RecordKind, Wal};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -191,6 +194,80 @@ fn home_partition(ops: &[WriteOp], n: usize) -> usize {
     touched_partitions(ops, n).first().copied().unwrap_or(0)
 }
 
+/// Hasher of the store's own tables (`txns`, a transaction's overlay, the
+/// dirty set): one multiply per eight key bytes, where `std`'s SipHash works
+/// a byte at a time. Every written key is hashed three or four times between
+/// `put` and the next checkpoint (and once per replayed operation during
+/// recovery). Which bucket a key lands in is never observable (the tables
+/// are only probed, or drained into ordered collections), and whoever can
+/// choose keys to collide already holds the transaction interface, so the
+/// flooding protection of the default hasher buys nothing here. Not for
+/// placement: [`partition_for_key`] must stay stable across versions and
+/// keeps its own FNV.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// Multiply to 128 bits and fold the halves together, so every bit of
+    /// `word` reaches both the low bits of the state (a table's bucket index)
+    /// and its top seven (the tag a probe compares first). A plain 64-bit
+    /// multiply-rotate does not: the store's keys end in big-endian
+    /// counters, whose fast-moving byte is the *high* byte of the last word
+    /// and would move nothing but a few top bits.
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let m = u128::from(self.0 ^ word ^ 0x243f_6a88_85a3_08d3) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+impl Hasher for KeyHasher {
+    /// Whole words, the last one re-read from the key's final eight bytes
+    /// (it may overlap the word before; the length is hashed too, so equal
+    /// hashes still need equal bytes); shorter keys from two overlapping
+    /// halves or three bytes. No tail buffer, no copy loop.
+    #[inline]
+    fn write(&mut self, key: &[u8]) {
+        let word = |at: usize| u64::from_le_bytes(key[at..at + 8].try_into().expect("eight bytes"));
+        let half = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                key[at..at + 4].try_into().expect("four bytes"),
+            ))
+        };
+        let n = key.len();
+        if n >= 8 {
+            let mut at = 0;
+            while at + 8 < n {
+                self.mix(word(at));
+                at += 8;
+            }
+            self.mix(word(n - 8));
+        } else if n >= 4 {
+            self.mix(half(0) | half(n - 4) << 32);
+        } else if n > 0 {
+            self.mix(u64::from(key[0]) | u64::from(key[n / 2]) << 8 | u64::from(key[n - 1]) << 16);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
+
 /// Per-transaction private state.
 #[derive(Debug, Default)]
 struct TxnState {
@@ -204,7 +281,7 @@ struct TxnState {
     ops: Vec<WriteOp>,
     /// Overlay for read-your-writes: key → index in `ops` of the latest
     /// write to it.
-    overlay: HashMap<Vec<u8>, usize>,
+    overlay: KeyMap<Vec<u8>, usize>,
     /// Writes have been logged (prepare ran, or recovery found them).
     logged: bool,
     /// Prepare record is durable — the txn is in-doubt until resolved.
@@ -283,12 +360,21 @@ struct LogUnit {
 #[derive(Debug, Default)]
 struct ApplyState {
     applied: u64,
-    dirty: HashSet<Vec<u8>>,
+    dirty: KeySet<Vec<u8>>,
 }
 
 /// How many chain segments accumulate before the next checkpoint rewrites a
 /// full base instead of appending another delta.
 const SEGMENT_LIMIT: u64 = 8;
+
+/// Stripes of the open-transaction table (as the queue manager's pending
+/// map: tokens are handed out in sequence, so concurrent transactions land
+/// on different stripes).
+const TXN_STRIPES: usize = 16;
+
+/// One stripe, on a cache line of its own.
+#[repr(align(64))]
+struct TxnStripe(Mutex<KeyMap<u64, TxnState>>);
 
 /// Handle to an open transaction, used purely as documentation — all methods
 /// take the raw token so the transaction layer can drive many stores with
@@ -303,8 +389,10 @@ pub type ScanPage = (Vec<(Vec<u8>, Vec<u8>)>, Option<Vec<u8>>);
 pub struct KvStore {
     /// Committed state. Readers share; only the apply step writes.
     mem: RwLock<BTreeMap<Vec<u8>, Vec<u8>>>,
-    /// Open transactions' private buffers.
-    txns: Mutex<HashMap<u64, TxnState>>,
+    /// Open transactions' private buffers, striped by token so that two
+    /// transactions' reads and writes of their own buffers do not share a
+    /// lock word. A thread holds at most one stripe at a time.
+    txns: Box<[TxnStripe]>,
     /// The per-shard logs (length = `wal_partitions`).
     logs: Vec<LogUnit>,
     /// Global commit epoch: allocated under the home log's latch, stamped
@@ -395,14 +483,15 @@ impl KvStore {
             in_doubt: outcome.in_doubt.keys().copied().collect(),
         };
         let mut mem = chain.mem;
-        let mut dirty = HashSet::new();
+        let mut dirty = KeySet::default();
         for op in outcome.redo {
             // Replayed keys are durable in the logs but not in the chain:
             // they are dirty until the next checkpoint covers them.
             mark_dirty(&mut dirty, op.key());
             apply(&mut mem, op);
         }
-        let mut txns = HashMap::new();
+        let mut txns: Vec<KeyMap<u64, TxnState>> =
+            (0..TXN_STRIPES).map(|_| KeyMap::default()).collect();
         for (token, ops) in outcome.in_doubt {
             let mut st = TxnState {
                 internal: outcome.in_doubt_internal.get(&token).copied().unwrap_or(0),
@@ -413,7 +502,7 @@ impl KvStore {
             for op in ops {
                 st.write(op);
             }
-            txns.insert(token, st);
+            txns[token as usize % TXN_STRIPES].insert(token, st);
         }
         let logs: Vec<LogUnit> = wals
             .into_iter()
@@ -425,7 +514,7 @@ impl KvStore {
             .collect();
         let store = Arc::new(KvStore {
             mem: RwLock::new(mem),
-            txns: Mutex::new(txns),
+            txns: txns.into_iter().map(|t| TxnStripe(Mutex::new(t))).collect(),
             logs,
             epoch: AtomicU64::new(outcome.next_epoch),
             next_txn: AtomicU64::new(outcome.next_txn_id),
@@ -444,10 +533,19 @@ impl KvStore {
         Ok((store, report))
     }
 
+    /// The stripe of the open-transaction table that owns `txn`.
+    fn txn_stripe(&self, txn: KvTxn) -> MutexGuard<'_, KeyMap<u64, TxnState>> {
+        self.txn_stripe_at(txn as usize % TXN_STRIPES)
+    }
+
+    fn txn_stripe_at(&self, i: usize) -> MutexGuard<'_, KeyMap<u64, TxnState>> {
+        self.txns[i].0.lock()
+    }
+
     /// Begin a transaction under the caller's token.
     pub fn begin(&self, txn: KvTxn) -> StorageResult<()> {
         let internal = self.next_txn.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.txns.lock();
+        let mut g = self.txn_stripe(txn);
         if g.contains_key(&txn) {
             return Err(StorageError::InvalidState(format!(
                 "txn {txn} already open"
@@ -465,12 +563,12 @@ impl KvStore {
 
     /// True if `txn` is currently open (including recovered in-doubt ones).
     pub fn is_open(&self, txn: KvTxn) -> bool {
-        self.txns.lock().contains_key(&txn)
+        self.txn_stripe(txn).contains_key(&txn)
     }
 
     /// Buffer a put in `txn`.
     pub fn put(&self, txn: KvTxn, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        let mut g = self.txns.lock();
+        let mut g = self.txn_stripe(txn);
         let st = g.get_mut(&txn).ok_or(StorageError::UnknownTxn(txn))?;
         if st.prepared {
             return Err(StorageError::InvalidState(
@@ -486,7 +584,7 @@ impl KvStore {
 
     /// Buffer a delete in `txn`.
     pub fn delete(&self, txn: KvTxn, key: &[u8]) -> StorageResult<()> {
-        let mut g = self.txns.lock();
+        let mut g = self.txn_stripe(txn);
         let st = g.get_mut(&txn).ok_or(StorageError::UnknownTxn(txn))?;
         if st.prepared {
             return Err(StorageError::InvalidState(
@@ -501,7 +599,7 @@ impl KvStore {
     /// visible; with `None`, only committed state is read.
     pub fn get(&self, txn: Option<KvTxn>, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
         if let Some(t) = txn {
-            let g = self.txns.lock();
+            let g = self.txn_stripe(t);
             let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
             if let Some(v) = st.read(key) {
                 return Ok(v.cloned());
@@ -522,7 +620,7 @@ impl KvStore {
         type Overlay = Vec<(Vec<u8>, Option<Vec<u8>>)>;
         let overlay: Option<Overlay> = match txn {
             Some(t) => {
-                let g = self.txns.lock();
+                let g = self.txn_stripe(t);
                 let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
                 Some(
                     st.writes()
@@ -607,7 +705,7 @@ impl KvStore {
         // (start ..= cursor], or to the end of the prefix on the last page.
         // Beyond the raw page boundary, later pages will pick them up.
         let mut ov: Vec<(Vec<u8>, Option<Vec<u8>>)> = {
-            let g = self.txns.lock();
+            let g = self.txn_stripe(t);
             let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
             st.writes()
                 .filter(|(k, _)| {
@@ -682,7 +780,7 @@ impl KvStore {
         }
         // Back in on every path: after a failure unprepared, write set
         // intact, and the caller may retry.
-        self.txns.lock().insert(txn, st);
+        self.txn_stripe(txn).insert(txn, st);
         result
     }
 
@@ -695,17 +793,16 @@ impl KvStore {
         // log's data records are forced before it.
         self.log_siblings(&st.ops, id, home)?;
         let unit = &self.logs[home];
-        let target;
-        {
-            let mut frame = unit.latch.lock();
-            log_ops(&unit.wal, &mut frame, id, &st.ops, home, n)?;
+        let target = {
+            let mut latch = unit.latch.lock();
+            let mut frames = Frames::new(&mut latch);
+            frame_ops(&mut frames, id, &st.ops, home, n);
             // The prepare record's payload carries the caller's token:
             // recovery surfaces the in-doubt txn under the token the
             // coordinator knows, while the records stay keyed by `id`.
-            unit.wal
-                .append(id, RecordKind::Prepare, &txn.to_le_bytes())?;
-            target = unit.wal.len();
-        }
+            frames.push(id, RecordKind::Prepare, |buf| put::u64(buf, txn));
+            unit.wal.append_frames(frames)?
+        };
         // Prepare always forces, even for volatile stores: an in-doubt txn
         // must survive as in-doubt.
         self.force_through(unit, target)
@@ -715,7 +812,7 @@ impl KvStore {
     /// the module docs). Until the caller puts it back — prepare always, commit
     /// on failure — the token is unknown to every other call.
     fn checkout(&self, txn: KvTxn) -> StorageResult<TxnState> {
-        let st = self.txns.lock().remove(&txn);
+        let st = self.txn_stripe(txn).remove(&txn);
         st.ok_or(StorageError::UnknownTxn(txn))
     }
 
@@ -736,12 +833,12 @@ impl KvStore {
                 continue;
             }
             let unit = &self.logs[idx];
-            let target;
-            {
-                let mut frame = unit.latch.lock();
-                log_ops(&unit.wal, &mut frame, id, ops, idx, n)?;
-                target = unit.wal.len();
-            }
+            let target = {
+                let mut latch = unit.latch.lock();
+                let mut frames = Frames::new(&mut latch);
+                frame_ops(&mut frames, id, ops, idx, n);
+                unit.wal.append_frames(frames)?
+            };
             self.force_through(unit, target)?;
         }
         Ok(())
@@ -798,7 +895,7 @@ impl KvStore {
             Err(e) => {
                 // Whichever step failed — a sibling log, the home append,
                 // the force — the txn stays open with its write set intact.
-                self.txns.lock().insert(txn, st);
+                self.txn_stripe(txn).insert(txn, st);
                 Err(e)
             }
         }
@@ -817,20 +914,20 @@ impl KvStore {
         }
         let unit = &self.logs[home];
         let epoch;
-        let target;
         let appended;
         {
-            let mut frame = unit.latch.lock();
+            // The data records and the commit record reach the device as one
+            // write: all of the transaction is in the log, or none of it.
+            let mut latch = unit.latch.lock();
+            let mut frames = Frames::new(&mut latch);
             if !st.logged {
-                log_ops(&unit.wal, &mut frame, id, &st.ops, home, n)?;
+                frame_ops(&mut frames, id, &st.ops, home, n);
             }
             epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-            appended = unit
-                .wal
-                .append(id, RecordKind::Commit, &epoch.to_le_bytes());
-            target = unit.wal.len();
+            frames.push(id, RecordKind::Commit, |buf| put::u64(buf, epoch));
+            appended = unit.wal.append_frames(frames);
         }
-        if let Err(e) = appended.and_then(|_| self.sync_through(unit, target, sync)) {
+        if let Err(e) = appended.and_then(|target| self.sync_through(unit, target, sync)) {
             // Append or force failed after the epoch was allocated: keep the
             // retire line moving. Nothing is applied, and the caller sees the
             // device error.
@@ -890,8 +987,7 @@ impl KvStore {
     pub fn abort(&self, txn: KvTxn) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
         let st = self
-            .txns
-            .lock()
+            .txn_stripe(txn)
             .remove(&txn)
             .ok_or(StorageError::UnknownTxn(txn))?;
         if st.logged {
@@ -935,7 +1031,7 @@ impl KvStore {
     /// truncated underneath it.
     pub fn checkpoint(&self) -> StorageResult<()> {
         let _gate = self.ckpt_gate.write();
-        if self.txns.lock().values().any(|t| t.prepared) {
+        if (0..TXN_STRIPES).any(|i| self.txn_stripe_at(i).values().any(|t| t.prepared)) {
             return Err(StorageError::InvalidState(
                 "cannot checkpoint with prepared transactions pending".into(),
             ));
@@ -1033,26 +1129,18 @@ impl KvStore {
     }
 }
 
-/// Append a data record for each of `ops` that log `part` of `n` carries
-/// (with one log: all of them, unhashed), each encoded straight into the
-/// log's frame buffer.
-fn log_ops(
-    wal: &Wal,
-    frame: &mut Vec<u8>,
-    txn: u64,
-    ops: &[WriteOp],
-    part: usize,
-    n: usize,
-) -> StorageResult<()> {
+/// Lay a data record for each of `ops` that log `part` of `n` carries (with
+/// one log: all of them, unhashed) into `frames`, each encoded straight into
+/// the log's frame buffer.
+fn frame_ops(frames: &mut Frames<'_>, txn: u64, ops: &[WriteOp], part: usize, n: usize) {
     let mine = |op: &&WriteOp| partition_for_key(op.key(), n) == part;
     for op in ops.iter().filter(mine) {
         let kind = match op {
             WriteOp::Put { .. } => RecordKind::KvPut,
             WriteOp::Delete { .. } => RecordKind::KvDelete,
         };
-        wal.append_in(frame, txn, kind, |buf| op.encode_payload_into(buf))?;
+        frames.push(txn, kind, |buf| op.encode_payload_into(buf));
     }
-    Ok(())
 }
 
 fn apply(mem: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: WriteOp) {
@@ -1067,7 +1155,7 @@ fn apply(mem: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: WriteOp) {
 }
 
 /// Record `key` in a dirty set, copying it only the first time.
-fn mark_dirty(dirty: &mut HashSet<Vec<u8>>, key: &[u8]) {
+fn mark_dirty(dirty: &mut KeySet<Vec<u8>>, key: &[u8]) {
     if !dirty.contains(key) {
         dirty.insert(key.to_vec());
     }
@@ -1124,6 +1212,51 @@ mod tests {
             KvOptions::default(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn key_hasher_spreads_trailing_counters_over_buckets_and_tags() {
+        use std::hash::BuildHasher;
+        // The store's hot keys end in a big-endian counter (`e/<queue>/<ord>`,
+        // `x/<eid>`), at every alignment to the hasher's eight-byte words. A
+        // table indexes a bucket with the hash's low bits and pre-filters a
+        // probe with its top seven: 4 096 consecutive counters must fill
+        // both about as evenly as random values would (a multiply-rotate
+        // hasher left all of them on ONE tag for the 15-byte element key).
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        for prefix in [
+            &b"x/"[..],
+            b"e/req/\xff",
+            b"e/reply.c0/\xff",
+            b"",
+            b"0123456",
+        ] {
+            let mut buckets = HashSet::new();
+            let mut tags = HashSet::new();
+            for counter in (1u64 << 20)..(1 << 20) + 4096 {
+                let mut key = prefix.to_vec();
+                key.extend_from_slice(&counter.to_be_bytes());
+                let h = hasher.hash_one(key.as_slice());
+                assert_eq!(h, hasher.hash_one(&key), "a key hashes as its slice");
+                buckets.insert(h & 0xffff);
+                tags.insert(h >> 57);
+            }
+            // Random 16-bit values: about 3 970 distinct among 4 096 draws.
+            assert!(
+                buckets.len() > 3800,
+                "{prefix:?}: {} buckets",
+                buckets.len()
+            );
+            assert_eq!(tags.len(), 128, "{prefix:?}: every tag in use");
+        }
+        // Keys shorter than a word, and tokens.
+        let short: HashSet<u64> = (0..=255u8)
+            .flat_map(|b| [vec![b], vec![b, 0], vec![0, b, 0], vec![b; 5]])
+            .map(|k| hasher.hash_one(k.as_slice()))
+            .collect();
+        assert_eq!(short.len(), 4 * 256, "the length is hashed, too");
+        let tokens: HashSet<u64> = (0..4096u64).map(|t| hasher.hash_one(t) & 0xfff).collect();
+        assert!(tokens.len() > 2500, "{} of 4 096 buckets", tokens.len());
     }
 
     #[test]

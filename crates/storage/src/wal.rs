@@ -105,6 +105,49 @@ pub struct Wal {
     synced: AtomicU64,
 }
 
+/// Record frames laid end to end in a caller-owned buffer, for one
+/// [`Wal::append_frames`]. The buffer is cleared first and its capacity is
+/// what carries over from batch to batch.
+pub struct Frames<'a> {
+    buf: &'a mut Vec<u8>,
+    records: u64,
+    commit_records: u64,
+}
+
+impl<'a> Frames<'a> {
+    /// An empty batch over `buf`, whatever it held before.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        buf.clear();
+        Frames {
+            buf,
+            records: 0,
+            commit_records: 0,
+        }
+    }
+
+    /// Lay one record's frame behind those already in the batch, the payload
+    /// written in place by `payload` (which must only append). The frame —
+    /// header, `txn`, `kind`, payload — is laid out once; length and CRC are
+    /// patched into the header after the payload is known.
+    pub fn push(&mut self, txn: u64, kind: RecordKind, payload: impl FnOnce(&mut Vec<u8>)) {
+        let buf = &mut *self.buf;
+        let start = buf.len();
+        put::u16(buf, MAGIC);
+        put::u32(buf, 0); // body length, patched below
+        put::u32(buf, 0); // body crc, patched below
+        put::u64(buf, txn);
+        put::u8(buf, kind.to_byte());
+        payload(buf);
+        let body = start + FRAME_HEADER;
+        let body_len = (buf.len() - body) as u32;
+        buf[start + 2..start + 6].copy_from_slice(&body_len.to_le_bytes());
+        let crc = crc32(&buf[body..]);
+        buf[start + 6..body].copy_from_slice(&crc.to_le_bytes());
+        self.records += 1;
+        self.commit_records += u64::from(kind == RecordKind::Commit);
+    }
+}
+
 impl Wal {
     /// Open a log over a device. Existing contents are left untouched; call
     /// [`Wal::scan`] to read them back.
@@ -123,41 +166,27 @@ impl Wal {
 
     /// Append a record; returns its LSN. Not durable until [`Wal::sync`].
     pub fn append(&self, txn: u64, kind: RecordKind, payload: &[u8]) -> StorageResult<u64> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + BODY_PREFIX + payload.len());
-        self.append_in(&mut frame, txn, kind, |buf| buf.extend_from_slice(payload))
+        let len = FRAME_HEADER + BODY_PREFIX + payload.len();
+        let mut buf = Vec::with_capacity(len);
+        let mut frames = Frames::new(&mut buf);
+        frames.push(txn, kind, |buf| buf.extend_from_slice(payload));
+        Ok(self.append_frames(frames)? - len as u64)
     }
 
-    /// [`Wal::append`] with the frame built in the caller's scratch buffer,
-    /// whose capacity is reused from one record to the next, and the payload
-    /// written in place by `payload` (which must only append). The whole
-    /// frame — header, `txn`, `kind`, payload — is laid out once and handed
-    /// to the device as one slice; length and CRC are patched into the
-    /// header after the payload is known.
-    pub fn append_in(
-        &self,
-        frame: &mut Vec<u8>,
-        txn: u64,
-        kind: RecordKind,
-        payload: impl FnOnce(&mut Vec<u8>),
-    ) -> StorageResult<u64> {
-        frame.clear();
-        put::u16(frame, MAGIC);
-        put::u32(frame, 0); // body length, patched below
-        put::u32(frame, 0); // body crc, patched below
-        put::u64(frame, txn);
-        put::u8(frame, kind.to_byte());
-        payload(frame);
-        let body_len = (frame.len() - FRAME_HEADER) as u32;
-        frame[2..6].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&frame[FRAME_HEADER..]);
-        frame[6..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
-        let lsn = self.disk.append(frame)?;
-        self.appended.fetch_add(1, Ordering::AcqRel);
-        rrq_obs::counter_inc("storage.wal.appends");
-        if kind == RecordKind::Commit {
-            rrq_obs::counter_inc("storage.wal.commit_records");
+    /// Append a batch of records as one device write and return the offset
+    /// just past it (what a force must reach to cover the batch). The device
+    /// sees the same bytes, in the same order, as one [`Wal::append`] per
+    /// record would have written — the batch saves the device round trips,
+    /// not bytes — and either takes all of them or, on error, none. Not
+    /// durable until [`Wal::sync`].
+    pub fn append_frames(&self, frames: Frames<'_>) -> StorageResult<u64> {
+        let start = self.disk.append(frames.buf)?;
+        self.appended.fetch_add(frames.records, Ordering::AcqRel);
+        rrq_obs::counter_add("storage.wal.appends", frames.records);
+        if frames.commit_records > 0 {
+            rrq_obs::counter_add("storage.wal.commit_records", frames.commit_records);
         }
-        Ok(lsn)
+        Ok(start + frames.buf.len() as u64)
     }
 
     /// Force all appended records to stable storage.

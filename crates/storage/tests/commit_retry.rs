@@ -148,6 +148,32 @@ fn single_log_commit_retries_after_device_failure() {
 }
 
 #[test]
+fn a_failed_commit_append_leaves_nothing_of_the_transaction_in_the_log() {
+    // A commit hands the device its data records and its commit record as
+    // one write, so a device that refuses it holds no part of the
+    // transaction: no orphan data records for a later scan to carry.
+    let wal = SimDisk::new();
+    let ckpt = SimDisk::new();
+    let store = open(std::slice::from_ref(&wal), &ckpt);
+    store.begin(9).unwrap();
+    store.put(9, b"before", b"ok").unwrap();
+    store.commit(9).unwrap();
+    let (len, appends) = (wal.len(), wal.stats().appends);
+
+    write_all(&store, 1);
+    wal.fail();
+    assert_eq!(store.commit(1), Err(StorageError::DeviceFailed));
+    wal.repair();
+    assert_eq!(wal.len(), len, "not one byte of the failed commit landed");
+    assert_eq!(wal.stats().appends, appends);
+    assert_own_view_intact(&store, 1);
+
+    store.commit(1).unwrap();
+    assert_eq!(wal.stats().appends, appends + 1, "one write for the retry");
+    assert_committed(&store);
+}
+
+#[test]
 fn four_logs_commit_retries_after_home_device_failure() {
     let home = touched(4)[0];
     commit_survives_failure_of(4, home);

@@ -1,6 +1,7 @@
 //! Pins the on-disk log format and the scan's stopping rule.
 //!
-//! `Wal::append` builds each frame in one reused buffer and `Wal::scan` reads
+//! `Wal::append` builds each frame in one buffer (`Wal::append_frames`: a
+//! whole commit's frames end to end, one device write) and `Wal::scan` reads
 //! the device in windows; both replaced simpler code (two buffers per frame,
 //! two device reads per record) that this file keeps as test-only references.
 //! A log written by either encoder must read back identically through either
@@ -11,7 +12,7 @@ use rrq_storage::checksum::crc32;
 use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk, TornWriteMode};
 use rrq_storage::kv::{KvOptions, KvStore, WriteOp};
 use rrq_storage::recovery::replay;
-use rrq_storage::wal::{RecordKind, Wal, SCAN_WINDOW};
+use rrq_storage::wal::{Frames, RecordKind, Wal, SCAN_WINDOW};
 use rrq_storage::{StorageError, StorageResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -118,16 +119,54 @@ fn a_fixed_record_frames_to_pinned_bytes() {
         old_frame(0x0102_0304_0506_0708, RecordKind::KvPut, b"k=v"),
         pinned
     );
-    // The scratch-buffer entry point frames the same bytes, whatever the
-    // buffer held before.
+    // The batch entry point frames the same bytes, whatever the buffer held
+    // before.
     let disk2 = SimDisk::new();
     let wal2 = Wal::new(Arc::new(disk2.clone()));
-    let mut frame = vec![0xEE; 100];
-    wal2.append_in(&mut frame, 0x0102_0304_0506_0708, RecordKind::KvPut, |b| {
+    let mut buf = vec![0xEE; 100];
+    let mut frames = Frames::new(&mut buf);
+    frames.push(0x0102_0304_0506_0708, RecordKind::KvPut, |b| {
         b.extend_from_slice(b"k=v")
-    })
-    .unwrap();
+    });
+    assert_eq!(wal2.append_frames(frames).unwrap(), pinned.len() as u64);
     assert_eq!(image(&disk2), pinned);
+}
+
+#[test]
+fn a_batch_is_one_device_write_of_the_bytes_its_records_make_one_by_one() {
+    let big = vec![0x3C; 5000];
+    let del = WriteOp::Delete {
+        key: b"alpha".to_vec(),
+    };
+    let records = [
+        (7, RecordKind::KvPut, put_payload(b"alpha", &big)),
+        (7, RecordKind::KvDelete, del.encode_payload()),
+        (7, RecordKind::KvPut, put_payload(b"", b"")),
+        (7, RecordKind::Commit, 41u64.to_le_bytes().to_vec()),
+    ];
+    let (one_by_one, batched) = (SimDisk::new(), SimDisk::new());
+    // Both logs start behind an earlier record, so offsets are not zero-based.
+    let wal_a = Wal::new(Arc::new(one_by_one.clone()));
+    let wal_b = Wal::new(Arc::new(batched.clone()));
+    wal_a.append(1, RecordKind::Abort, b"").unwrap();
+    wal_b.append(1, RecordKind::Abort, b"").unwrap();
+
+    for (txn, kind, payload) in &records {
+        wal_a.append(*txn, *kind, payload).unwrap();
+    }
+    let mut buf = Vec::new();
+    let mut frames = Frames::new(&mut buf);
+    for (txn, kind, payload) in &records {
+        frames.push(*txn, *kind, |b| b.extend_from_slice(payload));
+    }
+    let end = wal_b.append_frames(frames).unwrap();
+
+    assert_eq!(image(&batched), image(&one_by_one));
+    assert_eq!(end, batched.len(), "the offset a force must reach");
+    assert_eq!(wal_b.records_appended(), wal_a.records_appended());
+    assert_eq!(one_by_one.stats().appends, 1 + records.len() as u64);
+    assert_eq!(batched.stats().appends, 2);
+    assert_eq!(new_scan(&wal_b, 0), new_scan(&wal_a, 0));
 }
 
 #[test]
@@ -169,6 +208,10 @@ fn the_store_writes_the_log_the_old_encoder_would() {
     want.extend(old_frame(2, RecordKind::Prepare, &78u64.to_le_bytes()));
     want.extend(old_frame(2, RecordKind::Commit, &1u64.to_le_bytes()));
     assert_eq!(image(&wal), want);
+    // One device write per commit point: the first commit (three data records
+    // and the commit record), the prepare (one data record and the prepare
+    // record), the second commit (its record alone).
+    assert_eq!(wal.stats().appends, 3);
 }
 
 #[test]
