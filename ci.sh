@@ -35,11 +35,6 @@ echo "== perf package tests (smoke workloads, BENCHMARK.json == spec.rs)"
 # [workspace]), so the workspace test run above never reaches it.
 cargo test --release --manifest-path perf/Cargo.toml
 
-echo "== E19 partitioned-WAL smoke (parallel recovery)"
-# Asserts recovery over 4 shard logs is >= 2x faster than the monolithic
-# scan on per-read-latency devices (full sweep: experiments -- e19).
-cargo run --release -p rrq-bench --bin experiments -q -- e19 --smoke
-
 echo "== E21 repo-partition smoke (shared-nothing scaling, 4 vs 1 partitions)"
 # Asserts 4 shared-nothing repository partitions push >= 1.5x the 1-partition
 # rate on the bank workload at 0% cross-partition traffic, every commit
@@ -52,19 +47,12 @@ echo "== E22 planned-execution smoke (contention crossover)"
 # ratio itself is not gated (full sweep: experiments -- e22).
 cargo run --release -p rrq-bench --bin experiments -q -- e22 --smoke
 
-echo "== explorer smoke sweep (200 fixed-seed fault scripts)"
+echo "== explorer smoke sweep (400 fixed-seed fault scripts)"
 # Deterministic: any failure prints the seed and a replayable script path
 # (replay with: cargo run --release -p rrq-bench --bin explore -- --replay <path>);
 # the violations and trace land beside it as fail-seed-<n>.violations.txt.
 cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 200 --seed 1 --budget-secs 240 --out target/explorer-failures
-
-echo "== explorer partitioned sweep (200 scripts, wal_partitions=4, per-log torn tails)"
-# Same fixed seeds, four shard logs: scripts tear random log subsets and the
-# conservation oracles must stay green across every recovery.
-cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 200 --seed 1 --budget-secs 240 --wal-partitions 4 \
-  --out target/explorer-failures-p4
+  --scripts 400 --seed 1 --budget-secs 480 --out target/explorer-failures
 
 echo "== explorer shared-nothing sweep (200 scripts, repo_partitions=4)"
 # Same fixed seeds against four shared-nothing repository partitions: clerks

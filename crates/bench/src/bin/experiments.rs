@@ -109,7 +109,7 @@ fn main() {
         e17_observability(&scale);
     }
     if run("e19") {
-        e19_partitioned_wal(&scale, smoke);
+        e19_checkpoint_recovery();
     }
     if run("e21") {
         e21_partition_scaling(&scale, smoke);
@@ -1526,33 +1526,23 @@ fn e17_observability(scale: &Scale) {
 }
 
 // ======================================================================
-// E19 — partitioned WAL: recovery time and commit throughput
+// E19 — incremental checkpoints: recovery time vs history length
 // ======================================================================
 
 /// Per-sector device latency for the recovery measurements (`LatencyDisk`
 /// charges it per 512 bytes a read delivers: 2.5 MB/s, a disk of the paper's
-/// day, and slow enough that device time, not the serial merge, dominates).
-/// That makes recovery wall time proportional to the *bytes a log device must
-/// deliver* — the real-world cost — instead of to single-core CPU time, where
-/// N scan threads on this box would show nothing. Reads on one device queue
-/// behind each other; reads on different shard logs overlap, which is exactly
-/// the claim the parallel-recovery measurement needs to test.
+/// day). That makes recovery wall time proportional to the *bytes the log
+/// device must deliver* — the real-world cost — instead of to CPU time.
 const E19_READ_LATENCY: Duration = Duration::from_micros(200);
 
-/// Commit `commits` single-key transactions over `partitions` shard logs,
-/// checkpointing every `ckpt_every` commits if asked, then crash every
-/// device (clean power loss: volatile bytes drop, synced bytes survive).
-fn e19_history(
-    partitions: usize,
-    commits: u64,
-    ckpt_every: Option<u64>,
-) -> (Vec<SimDisk>, SimDisk) {
-    let wals: Vec<SimDisk> = (0..partitions).map(|_| SimDisk::new()).collect();
+/// Commit `commits` single-key transactions, checkpointing every
+/// `ckpt_every` commits if asked, then crash both devices (clean power loss:
+/// volatile bytes drop, synced bytes survive).
+fn e19_history(commits: u64, ckpt_every: Option<u64>) -> (SimDisk, SimDisk) {
+    let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let (store, _) = KvStore::open_partitioned(
-        wals.iter()
-            .map(|d| Arc::new(d.clone()) as Arc<dyn Disk>)
-            .collect(),
+    let (store, _) = KvStore::open(
+        Arc::new(wal.clone()),
         Arc::new(ckpt.clone()),
         KvOptions::default(),
     )
@@ -1560,7 +1550,6 @@ fn e19_history(
     for i in 0..commits {
         let token = i + 1;
         store.begin(token).unwrap();
-        // A rolling keyspace: hashes spread keys across every shard log.
         let key = [b'k', (i % 251) as u8, (i / 251) as u8];
         store.put(token, &key, &i.to_le_bytes()).unwrap();
         store.commit(token).unwrap();
@@ -1571,102 +1560,46 @@ fn e19_history(
         }
     }
     drop(store);
-    for d in &wals {
-        d.crash(CrashStyle::DropVolatile);
-    }
+    wal.crash(CrashStyle::DropVolatile);
     ckpt.crash(CrashStyle::DropVolatile);
-    (wals, ckpt)
+    (wal, ckpt)
 }
 
-/// Reopen crashed devices with per-read latency on the logs and time the
+/// Reopen crashed devices with per-read latency on the log and time the
 /// recovery. Returns (wall time, redo records replayed).
-fn e19_recover(wals: &[SimDisk], ckpt: &SimDisk) -> (Duration, usize) {
-    let disks: Vec<Arc<dyn Disk>> = wals
-        .iter()
-        .map(|d| {
-            Arc::new(
-                LatencyDisk::new(Arc::new(d.clone()), Duration::ZERO)
-                    .with_read_latency(E19_READ_LATENCY),
-            ) as Arc<dyn Disk>
-        })
-        .collect();
+fn e19_recover(wal: &SimDisk, ckpt: &SimDisk) -> (Duration, usize) {
+    let wal =
+        LatencyDisk::new(Arc::new(wal.clone()), Duration::ZERO).with_read_latency(E19_READ_LATENCY);
     let t0 = Instant::now();
     let (store, report) =
-        KvStore::open_partitioned(disks, Arc::new(ckpt.clone()), KvOptions::default()).unwrap();
+        KvStore::open(Arc::new(wal), Arc::new(ckpt.clone()), KvOptions::default()).unwrap();
     let elapsed = t0.elapsed();
     drop(store);
     (elapsed, report.replayed)
 }
 
-/// Commit-throughput cell: `threads` committers of single-key transactions
-/// over `partitions` logs, each log a 100µs-per-force device. Returns req/s.
-fn e19_throughput(partitions: usize, group: bool, threads: usize, per_thread: u64) -> f64 {
-    let wals: Vec<Arc<dyn Disk>> = (0..partitions)
-        .map(|_| {
-            Arc::new(LatencyDisk::new(
-                Arc::new(SimDisk::new()),
-                Duration::from_micros(100),
-            )) as Arc<dyn Disk>
-        })
-        .collect();
-    let opts = KvOptions {
-        sync_on_commit: true,
-        group_commit: group,
-        group_commit_window: Duration::from_micros(100),
-    };
-    let (store, _) = KvStore::open_partitioned(wals, Arc::new(SimDisk::new()), opts).unwrap();
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let store = Arc::clone(&store);
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    let token = t as u64 * 1_000_000 + i + 1;
-                    store.begin(token).unwrap();
-                    // Thread-private keys: the measurement is log-device
-                    // bandwidth, not write-write conflicts.
-                    let key = [b't', t as u8, (i % 64) as u8];
-                    store.put(token, &key, b"v").unwrap();
-                    store.commit(token).unwrap();
-                }
-            });
-        }
-    });
-    threads as u64 as f64 * per_thread as f64 / t0.elapsed().as_secs_f64()
-}
-
-fn e19_partitioned_wal(scale: &Scale, smoke: bool) {
-    println!("## E19 — partitioned WAL: recovery and throughput\n");
-    println!("Three questions about the shard-log design. (a) Do incremental");
-    println!("checkpoints bound recovery by the delta since the last checkpoint");
-    println!("rather than by history length? (b) Does scanning N logs in parallel");
-    println!("beat one monolithic scan when log reads cost device time? (c) What");
-    println!("does partitioning do to commit throughput when every force pays a");
-    println!("100µs device delay — with and without group commit?\n");
+fn e19_checkpoint_recovery() {
+    println!("## E19 — incremental checkpoints: recovery vs history length\n");
+    println!("Do incremental checkpoints bound recovery by the delta since the last");
+    println!("checkpoint rather than by history length?\n");
 
     let mut json = String::from("{\n  \"experiment\": \"E19\",\n  \"recovery\": [\n");
-    let mut first = true;
 
-    // ---- (a) recovery vs history length, with and without checkpoints ----
     // Lengths ≡ 100 (mod 250): every history ends 100 commits past its last
     // checkpoint, so the checkpointed store has the *same* delta to replay
     // at every length — the flat line is the claim.
-    let histories: &[u64] = if smoke {
-        &[600, 2100]
-    } else {
-        &[600, 2100, 8100]
-    };
+    let histories: &[u64] = &[600, 2100, 8100];
     let ckpt_every = 250;
-    println!("### Recovery time vs history length (partitions = 4, 200µs/sector read)\n");
+    println!("### Recovery time vs history length (one log, 200µs/sector read)\n");
     println!("| committed txns | no ckpt: recovery | no ckpt: redo | ckpt every {ckpt_every}: recovery | ckpt: redo |");
     println!("|---------------:|------------------:|--------------:|--------------------------:|-----------:|");
     let mut flat = Vec::new();
     let mut growing = Vec::new();
-    for &n in histories {
-        let (wals, ckpt) = e19_history(4, n, None);
-        let (t_none, redo_none) = e19_recover(&wals, &ckpt);
-        let (wals, ckpt) = e19_history(4, n, Some(ckpt_every));
-        let (t_ckpt, redo_ckpt) = e19_recover(&wals, &ckpt);
+    for (i, &n) in histories.iter().enumerate() {
+        let (wal, ckpt) = e19_history(n, None);
+        let (t_none, redo_none) = e19_recover(&wal, &ckpt);
+        let (wal, ckpt) = e19_history(n, Some(ckpt_every));
+        let (t_ckpt, redo_ckpt) = e19_recover(&wal, &ckpt);
         growing.push(t_none);
         flat.push(t_ckpt);
         println!(
@@ -1674,10 +1607,9 @@ fn e19_partitioned_wal(scale: &Scale, smoke: bool) {
             t_none.as_secs_f64() * 1e3,
             t_ckpt.as_secs_f64() * 1e3
         );
-        if !first {
+        if i > 0 {
             json.push_str(",\n");
         }
-        first = false;
         json.push_str(&format!(
             "    {{\"commits\": {n}, \"no_ckpt_ms\": {:.2}, \"no_ckpt_redo\": {redo_none}, \"ckpt_ms\": {:.2}, \"ckpt_redo\": {redo_ckpt}}}",
             t_none.as_secs_f64() * 1e3,
@@ -1696,76 +1628,7 @@ fn e19_partitioned_wal(scale: &Scale, smoke: bool) {
         "uncheckpointed grows {:.1}x.\n",
         growing.last().unwrap().as_secs_f64() / growing[0].as_secs_f64().max(1e-9)
     );
-
-    // ---- (b) parallel scan vs monolithic scan ----
-    let n = 4000;
-    println!("### Parallel recovery: one scan thread per shard log ({n} txns, no checkpoints)\n");
-    println!("| partitions | recovery | speedup vs 1 |");
-    println!("|-----------:|---------:|-------------:|");
-    let mut mono_t = Duration::ZERO;
-    json.push_str("\n  ],\n  \"parallel_recovery\": [\n");
-    first = true;
-    let parts: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
-    for &p in parts {
-        let (wals, ckpt) = e19_history(p, n, None);
-        let (t, _) = e19_recover(&wals, &ckpt);
-        if p == 1 {
-            mono_t = t;
-        }
-        let speedup = mono_t.as_secs_f64() / t.as_secs_f64().max(1e-9);
-        println!(
-            "| {p:>10} | {:>6.1}ms | {speedup:>11.2}x |",
-            t.as_secs_f64() * 1e3
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str(&format!(
-            "    {{\"partitions\": {p}, \"recovery_ms\": {:.2}, \"speedup\": {speedup:.2}}}",
-            t.as_secs_f64() * 1e3
-        ));
-        if smoke && p == 4 {
-            assert!(
-                speedup >= 2.0,
-                "E19 smoke: parallel recovery over 4 logs only {speedup:.2}x faster than monolithic (wanted >= 2x)"
-            );
-        }
-    }
-    println!();
-
-    // ---- (c) commit throughput vs partition count ----
-    let threads = 8;
-    let per_thread = if smoke { 50 } else { 100 * scale.n };
-    println!("### Commit throughput: {threads} committers, 100µs per force, single-key txns\n");
-    println!("| partitions | per-commit sync req/s | group commit req/s |");
-    println!("|-----------:|----------------------:|-------------------:|");
-    json.push_str("\n  ],\n  \"throughput\": [\n");
-    first = true;
-    let tput_parts: &[usize] = if smoke { &[1] } else { &[1, 2, 4, 8] };
-    for &p in tput_parts {
-        let solo = e19_throughput(p, false, threads, per_thread);
-        let grouped = e19_throughput(p, true, threads, per_thread);
-        println!(
-            "| {p:>10} | {:>21} | {:>18} |",
-            fmt_rate(solo),
-            fmt_rate(grouped)
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str(&format!(
-            "    {{\"partitions\": {p}, \"per_commit_req_per_sec\": {solo:.1}, \"group_commit_req_per_sec\": {grouped:.1}}}"
-        ));
-    }
     json.push_str("\n  ]\n}\n");
-    println!();
-
-    if smoke {
-        println!("E19 smoke: parallel recovery gate — ok.\n");
-        return;
-    }
 
     std::fs::write("BENCH_PR7.json", &json).unwrap();
     println!("Series written to BENCH_PR7.json.\n");

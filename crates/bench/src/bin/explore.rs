@@ -6,7 +6,6 @@
 //!     --seed 1 --budget-secs 240 --out target/explorer-failures
 //! cargo run --release -p rrq-bench --bin explore -- --replay path.rrqs
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 50 --bug
-//! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --wal-partitions 4
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --repo-partitions 4
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --exec-mode planned
 //! ```
@@ -36,7 +35,6 @@ struct Args {
     out: PathBuf,
     replay: Option<PathBuf>,
     bug: Option<InjectedBug>,
-    wal_partitions: usize,
     repo_partitions: usize,
     exec_mode: ExecMode,
 }
@@ -49,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         out: PathBuf::from("target/explorer-failures"),
         replay: None,
         bug: None,
-        wal_partitions: 1,
         repo_partitions: 1,
         exec_mode: ExecMode::default(),
     };
@@ -63,11 +60,6 @@ fn parse_args() -> Result<Args, String> {
                 args.budget_secs = val("--budget-secs")?.parse().map_err(|e| format!("{e}"))?
             }
             "--out" => args.out = PathBuf::from(val("--out")?),
-            "--wal-partitions" => {
-                args.wal_partitions = val("--wal-partitions")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
             "--repo-partitions" => {
                 args.repo_partitions = val("--repo-partitions")?
                     .parse()
@@ -116,7 +108,6 @@ fn main() -> ExitCode {
     let cfg = ExplorerConfig {
         bug: args.bug,
         out_dir: Some(args.out.clone()),
-        wal_partitions: args.wal_partitions,
         repo_partitions: args.repo_partitions,
         exec_mode: args.exec_mode,
         ..ExplorerConfig::default()

@@ -11,11 +11,12 @@
 //! With `RepoOptions { repo_partitions: N > 1 }` the repository becomes a
 //! shared-nothing *cluster* of N partitions (DESIGN.md S25): each partition
 //! owns the queues [`crate::route::partition_of`] hashes to it and runs its
-//! own durable store (own WAL group + checkpoint device), queue manager,
-//! and lock manager. Only two pieces are shared, both append-only: the 2PC
-//! coordinator log (one decision record covers every partition a
-//! transaction touched) and the transaction-id generator (ids key lock
-//! tables and store tokens, so they must be cluster-unique). A transaction
+//! own durable store (own log + checkpoint device), queue manager, and lock
+//! manager — a partition is the unit of logging and of recovery. Only two
+//! pieces are shared, both append-only: the 2PC coordinator log (one
+//! decision record covers every partition a transaction touched) and the
+//! transaction-id generator (ids key lock tables and store tokens, so they
+//! must be cluster-unique). A transaction
 //! homed on one partition that never touches another partition's queues is
 //! the paper's common case and pays zero cross-partition coordination; one
 //! that does touch a sibling enlists it as a second resource manager and
@@ -26,8 +27,9 @@ use crate::meta::QueueMeta;
 use crate::ops::QueueManager;
 use crate::route::{partition_of, MAX_REPO_PARTITIONS};
 use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk, TornWriteMode};
-use rrq_storage::kv::{KvOptions, KvStore, MAX_WAL_PARTITIONS};
+use rrq_storage::kv::{KvOptions, KvStore};
 use rrq_storage::recovery::RecoveryReport;
+use rrq_storage::StorageError;
 use rrq_txn::{
     CoordinatorLog, KvResource, LockManager, ResourceManager, Txn, TxnId, TxnIdGen, TxnManager,
     TxnResult,
@@ -39,25 +41,24 @@ use std::time::Duration;
 /// crash and reopen the "same disks" in tests and simulations.
 ///
 /// Devices come in [`MAX_REPO_PARTITIONS`] groups — one per possible
-/// repository partition, each with [`MAX_WAL_PARTITIONS`] WAL devices and a
-/// checkpoint device; a repository opened with `repo_partitions = P,
-/// wal_partitions = N` uses the first `N` WALs of the first `P` groups. The
-/// legacy fields alias group 0 (SimDisk clones share state), so single-
+/// repository partition, each a log device and a checkpoint device; a
+/// repository opened with `repo_partitions = P` uses the first `P` groups.
+/// The legacy fields alias group 0 (SimDisk clones share state), so single-
 /// partition code keeps working unchanged. The coordinator log is a single
 /// shared device: it is the one piece of 2PC state every partition's
 /// recovery consults.
 #[derive(Debug, Clone)]
 pub struct RepoDisks {
-    /// Write-ahead log device of partition 0's log 0 (aliases
-    /// `wal_groups[0][0]`).
+    /// Partition 0's write-ahead log device (aliases `wal_groups[0][0]`).
     pub wal: SimDisk,
-    /// Partition 0's write-ahead log devices (aliases `wal_groups[0]`).
-    pub wals: Vec<SimDisk>,
     /// Partition 0's checkpoint device (aliases `ckpts[0]`).
     pub ckpt: SimDisk,
     /// Two-phase-commit coordinator log device (cluster-shared).
     pub coord: SimDisk,
-    /// Per-repository-partition WAL device groups.
+    /// Per-repository-partition log devices: exactly one per group, since a
+    /// partition's store writes one log. The nesting is what the benchmark
+    /// package under `perf/` compiles against (`wal_groups.iter().flatten()`),
+    /// and flattening it to `Vec<SimDisk>` has to be a benchmark change.
     pub wal_groups: Vec<Vec<SimDisk>>,
     /// Per-repository-partition checkpoint devices.
     pub ckpts: Vec<SimDisk>,
@@ -66,12 +67,11 @@ pub struct RepoDisks {
 impl Default for RepoDisks {
     fn default() -> Self {
         let wal_groups: Vec<Vec<SimDisk>> = (0..MAX_REPO_PARTITIONS)
-            .map(|_| (0..MAX_WAL_PARTITIONS).map(|_| SimDisk::new()).collect())
+            .map(|_| vec![SimDisk::new()])
             .collect();
         let ckpts: Vec<SimDisk> = (0..MAX_REPO_PARTITIONS).map(|_| SimDisk::new()).collect();
         RepoDisks {
             wal: wal_groups[0][0].clone(),
-            wals: wal_groups[0].clone(),
             ckpt: ckpts[0].clone(),
             coord: SimDisk::new(),
             wal_groups,
@@ -98,45 +98,26 @@ impl RepoDisks {
     /// tail there models nothing the protocol can see — they always drop
     /// volatile cleanly.
     pub fn crash_with(&self, torn: Option<TornWriteMode>) {
-        self.crash_torn_logs(torn, 0);
-    }
-
-    /// Crash all devices, tearing only the WAL log indexes selected by
-    /// `mask` (bit *i* = log *i* of every partition group; `0` = all of
-    /// them — the [`Self::crash_with`] behaviour). Unselected logs drop
-    /// their volatile bytes cleanly, which models per-device torn writes:
-    /// each log is its own platter, so a power cut can tear some logs'
-    /// in-flight frames and not others'.
-    pub fn crash_torn_logs(&self, torn: Option<TornWriteMode>, mask: u8) {
-        for group in &self.wal_groups {
-            crash_group(group, torn, mask);
-        }
-        for c in &self.ckpts {
-            c.crash(CrashStyle::DropVolatile);
+        for part in 0..self.wal_groups.len() {
+            self.crash_partition(part, torn);
         }
         self.coord.crash(CrashStyle::DropVolatile);
     }
 
-    /// Crash only repository partition `part`'s devices (its WAL group and
+    /// Crash only repository partition `part`'s devices (its log and
     /// checkpoint device), leaving every sibling partition's devices — and
     /// the shared coordinator log — untouched. This is the partition-scoped
     /// failure of a shared-nothing cluster: one node loses power while the
-    /// rest keep their state. `torn`/`mask` follow
-    /// [`Self::crash_torn_logs`], scoped to the one group.
-    pub fn crash_partition(&self, part: usize, torn: Option<TornWriteMode>, mask: u8) {
+    /// rest keep their state. `torn` follows [`Self::crash_with`].
+    pub fn crash_partition(&self, part: usize, torn: Option<TornWriteMode>) {
         let part = part % self.wal_groups.len().max(1);
-        crash_group(&self.wal_groups[part], torn, mask);
-        self.ckpts[part].crash(CrashStyle::DropVolatile);
-    }
-}
-
-fn crash_group(group: &[SimDisk], torn: Option<TornWriteMode>, mask: u8) {
-    for (i, w) in group.iter().enumerate() {
-        let selected = mask == 0 || (i < u8::BITS as usize && mask & (1 << i) != 0);
-        match torn {
-            Some(mode) if selected => w.crash_torn(mode),
-            _ => w.crash(CrashStyle::DropVolatile),
+        for w in &self.wal_groups[part] {
+            match torn {
+                Some(mode) => w.crash_torn(mode),
+                None => w.crash(CrashStyle::DropVolatile),
+            }
         }
+        self.ckpts[part].crash(CrashStyle::DropVolatile);
     }
 }
 
@@ -165,15 +146,12 @@ pub struct RepoOptions {
     pub kv: KvOptions,
     /// When set, wrap each WAL device in a [`LatencyDisk`] charging this
     /// much per force — models real storage devices for contention
-    /// experiments. With several partitions each log gets its *own* latency
-    /// wrapper, so forces on different logs proceed in parallel.
+    /// experiments. Each partition's log gets its *own* latency wrapper, so
+    /// forces on different partitions proceed in parallel.
     pub wal_sync_latency: Option<Duration>,
-    /// Number of per-shard WAL partitions (clamped to
-    /// `1..=`[`MAX_WAL_PARTITIONS`]). `1` is the exact single-log baseline.
-    pub wal_partitions: usize,
     /// Number of shared-nothing repository partitions (clamped to
     /// `1..=`[`MAX_REPO_PARTITIONS`]). Each owns the queues that hash to it
-    /// plus its own store, WAL group, and lock manager; `1` is the exact
+    /// plus its own store, log, and lock manager; `1` is the exact
     /// single-repository baseline.
     pub repo_partitions: usize,
     /// Request execution mode. [`ExecMode::Locked`] (the default) is the
@@ -187,7 +165,6 @@ impl Default for RepoOptions {
         RepoOptions {
             kv: KvOptions::default(),
             wal_sync_latency: None,
-            wal_partitions: 1,
             repo_partitions: 1,
             exec_mode: ExecMode::default(),
         }
@@ -259,19 +236,19 @@ impl Repository {
 
     /// Open (or recover) the repository on `disks` with explicit tuning.
     ///
-    /// Partitions recover independently (each replays only its own WAL
-    /// group), then resolve their in-doubt transactions against the shared
-    /// coordinator log — so a cross-partition transaction prepared
-    /// everywhere but only decided in the coordinator log commits on every
-    /// partition, and one never decided aborts on every partition
-    /// (presumed abort). The returned report aggregates all partitions.
+    /// Partitions recover independently and concurrently (each replays only
+    /// its own log, on a thread of its own), then resolve their in-doubt
+    /// transactions, in partition order, against the shared coordinator log
+    /// — so a cross-partition transaction prepared everywhere but only
+    /// decided in the coordinator log commits on every partition, and one
+    /// never decided aborts on every partition (presumed abort). The
+    /// returned report aggregates all partitions.
     pub fn open_with(
         name: impl Into<String>,
         disks: RepoDisks,
         opts: RepoOptions,
     ) -> QmResult<(Self, RecoveryReport)> {
         let name = name.into();
-        let wal_partitions = opts.wal_partitions.clamp(1, MAX_WAL_PARTITIONS);
         let repo_partitions = opts.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
 
         // A planned transaction defers its home partition's WAL force to the
@@ -292,21 +269,43 @@ impl Repository {
         let coord = Arc::new(CoordinatorLog::new(Arc::new(disks.coord.clone())));
         let ids = Arc::new(TxnIdGen::new(1));
 
-        let mut parts = Vec::with_capacity(repo_partitions);
-        for p in 0..repo_partitions {
-            let wals: Vec<Arc<dyn Disk>> = disks.wal_groups[p]
-                .iter()
-                .take(wal_partitions)
-                .map(|d| match opts.wal_sync_latency {
-                    Some(cost) => {
-                        Arc::new(LatencyDisk::new(Arc::new(d.clone()), cost)) as Arc<dyn Disk>
-                    }
-                    None => Arc::new(d.clone()) as Arc<dyn Disk>,
+        // Each partition owns its log and its checkpoint chain, so the
+        // stores recover side by side: partition 0 on this thread, every
+        // other one on a named thread of its own (so a single-partition
+        // repository starts none). What touches shared state — in-doubt
+        // resolution against the coordinator log, queue-manager
+        // construction — stays serial below, in partition order, so a
+        // simulator run does not depend on the threads' timing.
+        let open_store = |p: usize| {
+            let wal = Arc::new(disks.wal_groups[p][0].clone());
+            let wal: Arc<dyn Disk> = match opts.wal_sync_latency {
+                Some(cost) => Arc::new(LatencyDisk::new(wal, cost)),
+                None => wal,
+            };
+            KvStore::open(wal, Arc::new(disks.ckpts[p].clone()), opts.kv)
+        };
+        let recovered = std::thread::scope(|s| {
+            let siblings = (1..repo_partitions)
+                .map(|p| {
+                    std::thread::Builder::new()
+                        .name(format!("rrq-recover-{p}"))
+                        .spawn_scoped(s, move || open_store(p))
                 })
-                .collect();
-            let (store, report) =
-                KvStore::open_partitioned(wals, Arc::new(disks.ckpts[p].clone()), opts.kv)?;
+                .collect::<std::io::Result<Vec<_>>>()
+                .map_err(|e| StorageError::InvalidState(format!("recovery thread: {e}")))?;
+            let mut recovered = vec![open_store(0)?];
+            for h in siblings {
+                let joined = h
+                    .join()
+                    .map_err(|_| StorageError::InvalidState("recovery thread panicked".into()))?;
+                recovered.push(joined?);
+            }
+            Ok::<_, StorageError>(recovered)
+        })?;
 
+        let mut parts = Vec::with_capacity(repo_partitions);
+        let mut total = RecoveryReport::default();
+        for (p, (store, report)) in recovered.into_iter().enumerate() {
             // Volatile queues: a brand-new in-memory store each incarnation.
             let (volatile, _) = KvStore::open(
                 Arc::new(SimDisk::new()),
@@ -343,19 +342,13 @@ impl Repository {
                 locks,
                 crate::route::epoch_band_base(p),
             )?;
-            parts.push((RepoPartition { qm, tm, store }, report));
+            parts.push(RepoPartition { qm, tm, store });
+            total.replayed += report.replayed;
+            total.committed_txns += report.committed_txns;
+            total.aborted_txns += report.aborted_txns;
+            total.in_doubt.extend(report.in_doubt);
         }
-
-        let report = parts
-            .iter()
-            .fold(RecoveryReport::default(), |mut acc, (_, r)| {
-                acc.replayed += r.replayed;
-                acc.committed_txns += r.committed_txns;
-                acc.aborted_txns += r.aborted_txns;
-                acc.in_doubt.extend_from_slice(&r.in_doubt);
-                acc
-            });
-        let parts: Vec<RepoPartition> = parts.into_iter().map(|(p, _)| p).collect();
+        total.in_doubt.sort_unstable();
 
         Ok((
             Repository {
@@ -364,7 +357,7 @@ impl Repository {
                 disks,
                 exec_mode: opts.exec_mode,
             },
-            report,
+            total,
         ))
     }
 

@@ -87,9 +87,6 @@ pub struct ExplorerConfig {
     pub bug: Option<InjectedBug>,
     /// Where failing scripts are persisted as replayable files.
     pub out_dir: Option<PathBuf>,
-    /// WAL partitions the server node runs with (1 = the monolithic log).
-    /// Scripted per-log tears only bite when this is above one.
-    pub wal_partitions: usize,
     /// Shared-nothing repository partitions (DESIGN.md S25). Above one, the
     /// node serves one RPC endpoint per partition, the clerk routes through
     /// [`RoutedQm`], `repo-crash` events strike a single partition's
@@ -108,7 +105,6 @@ impl Default for ExplorerConfig {
             initial_balance: 10_000,
             bug: None,
             out_dir: None,
-            wal_partitions: 1,
             repo_partitions: 1,
             exec_mode: ExecMode::default(),
         }
@@ -365,7 +361,6 @@ pub fn run_script_with(
     }
     let parts = cfg.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
     node.set_repo_options(RepoOptions {
-        wal_partitions: cfg.wal_partitions,
         repo_partitions: parts,
         exec_mode: cfg.exec_mode,
         ..RepoOptions::default()
@@ -582,17 +577,10 @@ pub fn run_script_with(
                     continue;
                 }
                 let crashed = match *ev {
-                    FaultEvent::ServerCrash {
-                        serial: es,
-                        torn,
-                        torn_logs,
-                    } if es <= serial => {
+                    FaultEvent::ServerCrash { serial: es, torn } if es <= serial => {
                         rpc.clear();
-                        node.crash_torn_logs(torn, torn_logs);
+                        node.crash_with(torn);
                         trace.push(match torn {
-                            Some(m) if torn_logs != 0 => {
-                                format!("server-crash torn={} logs={torn_logs:#04x}", m.name())
-                            }
                             Some(m) => format!("server-crash torn={}", m.name()),
                             None => "server-crash".into(),
                         });

@@ -167,27 +167,20 @@ impl ServerNodeSim {
     /// Crash the node; with `Some(mode)` the WAL keeps a torn tail that
     /// recovery must reject (see `RepoDisks::crash_with`).
     pub fn crash_with(&mut self, torn: Option<TornWriteMode>) {
-        self.crash_torn_logs(torn, 0);
-    }
-
-    /// Crash the node with the tear aimed at a subset of WAL partitions:
-    /// bit `i` of `mask` tears log `i`, the rest lose only volatile bytes.
-    /// `mask == 0` tears every log (see `RepoDisks::crash_torn_logs`).
-    pub fn crash_torn_logs(&mut self, torn: Option<TornWriteMode>, mask: u8) {
         self.halt();
-        self.disks.crash_torn_logs(torn, mask);
+        self.disks.crash_with(torn);
         self.crashes += 1;
     }
 
     /// Partition-scoped crash: only repository partition `part`'s devices
-    /// (its WAL group + checkpoint) lose their volatile bytes — siblings
+    /// (its log + checkpoint) lose their volatile bytes — siblings
     /// and the shared coordinator log keep theirs. Server threads still die
     /// (they share the process), so [`ServerNodeSim::start`] reboots the
     /// whole cluster; sibling partitions recover from intact logs while the
     /// crashed one must resolve any prepared cross-partition transactions.
     pub fn crash_partition(&mut self, part: usize, torn: Option<TornWriteMode>) {
         self.halt();
-        self.disks.crash_partition(part, torn, 0);
+        self.disks.crash_partition(part, torn);
         self.crashes += 1;
     }
 

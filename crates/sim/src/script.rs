@@ -79,11 +79,6 @@ pub enum FaultEvent {
         serial: u64,
         /// Torn-write mode for the WAL devices, if any.
         torn: Option<TornWriteMode>,
-        /// Which WAL partitions the tear strikes: bit *i* = log *i*, `0` =
-        /// every log. Each log is its own device, so a power cut can tear
-        /// some logs' in-flight frames while others lose their volatile
-        /// bytes cleanly. Only meaningful when `torn` is set.
-        torn_logs: u8,
     },
     /// The client↔QM link is cut before the send of `serial` and heals
     /// after `ops` failed client operations.
@@ -153,18 +148,7 @@ impl FaultEvent {
             FaultEvent::ClientCrash { serial, point } => {
                 format!("client-crash {serial} {}", point_name(point))
             }
-            FaultEvent::ServerCrash {
-                serial,
-                torn,
-                torn_logs,
-            } => match torn {
-                Some(mode) if torn_logs != 0 => {
-                    let logs: Vec<String> = (0..u8::BITS)
-                        .filter(|i| torn_logs & (1 << i) != 0)
-                        .map(|i| i.to_string())
-                        .collect();
-                    format!("server-crash {serial} {}@{}", mode.name(), logs.join(","))
-                }
+            FaultEvent::ServerCrash { serial, torn } => match torn {
                 Some(mode) => format!("server-crash {serial} {}", mode.name()),
                 None => format!("server-crash {serial}"),
             },
@@ -242,18 +226,7 @@ impl FaultScript {
                         2 => Some(TornWriteMode::FullLengthCorrupt),
                         _ => Some(TornWriteMode::HeaderOnly),
                     };
-                    // A third of torn crashes strike a random subset of log
-                    // partitions; the rest (and untorn crashes) hit them all.
-                    let torn_logs = if torn.is_some() && rng.next_u64().is_multiple_of(3) {
-                        1 + (rng.next_u64() % 15) as u8
-                    } else {
-                        0
-                    };
-                    FaultEvent::ServerCrash {
-                        serial,
-                        torn,
-                        torn_logs,
-                    }
+                    FaultEvent::ServerCrash { serial, torn }
                 }
                 6..=8 => FaultEvent::Partition {
                     serial,
@@ -349,36 +322,14 @@ impl FaultScript {
                 }
                 "server-crash" => {
                     let serial = num("serial")?;
-                    let (torn, torn_logs) = match w.next() {
-                        None => (None, 0),
-                        Some(token) => {
-                            // `mode@0,2` tears only the listed logs; a bare
-                            // mode (legacy scripts included) tears them all.
-                            let (name, logs) = match token.split_once('@') {
-                                Some((name, list)) => {
-                                    let mut mask = 0u8;
-                                    for part in list.split(',') {
-                                        let i = part
-                                            .parse::<u32>()
-                                            .ok()
-                                            .filter(|i| *i < u8::BITS)
-                                            .ok_or_else(|| bad(line, "bad torn log index"))?;
-                                        mask |= 1 << i;
-                                    }
-                                    (name, mask)
-                                }
-                                None => (token, 0),
-                            };
-                            let mode = TornWriteMode::from_name(name)
-                                .ok_or_else(|| bad(line, "unknown torn mode"))?;
-                            (Some(mode), logs)
-                        }
+                    let torn = match w.next() {
+                        None => None,
+                        Some(name) => Some(
+                            TornWriteMode::from_name(name)
+                                .ok_or_else(|| bad(line, "unknown torn mode"))?,
+                        ),
                     };
-                    events.push(FaultEvent::ServerCrash {
-                        serial,
-                        torn,
-                        torn_logs,
-                    });
+                    events.push(FaultEvent::ServerCrash { serial, torn });
                 }
                 "partition" => {
                     let serial = num("serial")?;
@@ -509,17 +460,10 @@ mod tests {
                 FaultEvent::ServerCrash {
                     serial: 2,
                     torn: None,
-                    torn_logs: 0,
                 },
                 FaultEvent::ServerCrash {
                     serial: 3,
                     torn: Some(TornWriteMode::HeaderOnly),
-                    torn_logs: 0,
-                },
-                FaultEvent::ServerCrash {
-                    serial: 3,
-                    torn: Some(TornWriteMode::Midway),
-                    torn_logs: 0b0101,
                 },
                 FaultEvent::Partition {
                     serial: 4,

@@ -29,24 +29,8 @@ fn weakenings(ev: &FaultEvent) -> Vec<FaultEvent> {
     match *ev {
         FaultEvent::ServerCrash {
             serial,
-            torn: torn @ Some(_),
-            torn_logs,
-        } => {
-            // First weaken the per-log targeting (tear every log) …
-            if torn_logs != 0 {
-                out.push(FaultEvent::ServerCrash {
-                    serial,
-                    torn,
-                    torn_logs: 0,
-                });
-            }
-            // … then the tear itself.
-            out.push(FaultEvent::ServerCrash {
-                serial,
-                torn: None,
-                torn_logs: 0,
-            });
-        }
+            torn: Some(_),
+        } => out.push(FaultEvent::ServerCrash { serial, torn: None }),
         FaultEvent::Partition {
             serial,
             direction,

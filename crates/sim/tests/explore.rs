@@ -54,7 +54,6 @@ fn all_fault_dimensions_in_one_script_stay_clean_and_replay_identically() {
             FaultEvent::ServerCrash {
                 serial: 3,
                 torn: Some(TornWriteMode::Midway),
-                torn_logs: 0,
             },
             FaultEvent::Partition {
                 serial: 4,
@@ -117,7 +116,6 @@ fn injected_bug_is_caught_persisted_shrunk_and_replayable() {
             FaultEvent::ServerCrash {
                 serial: 1,
                 torn: Some(TornWriteMode::Midway),
-                torn_logs: 0,
             },
             FaultEvent::Delay {
                 serial: 1,

@@ -215,8 +215,8 @@ fn run_pair(seed: u64) {
                 // its whole node; the partitioned side loses one partition's
                 // devices while its siblings keep even unsynced bytes.
                 Some(p) => {
-                    disks_m.crash_partition(0, torn, 0);
-                    disks_p.crash_partition(p % 4, torn, 0);
+                    disks_m.crash_partition(0, torn);
+                    disks_p.crash_partition(p % 4, torn);
                 }
             }
             mono = Repository::open_with("req-mono", disks_m.clone(), opts(1))

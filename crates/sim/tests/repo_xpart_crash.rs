@@ -105,7 +105,7 @@ fn prepared_xpart_move_resolves_abort_after_home_partition_crash() {
         let _ = prepare_xpart_move(&repo, &qa, &qb);
     }
     let home = partition_of(&qa, 4);
-    disks.crash_partition(home, None, 0);
+    disks.crash_partition(home, None);
 
     let (repo2, report) = Repository::open_with(
         "xa",
@@ -156,7 +156,7 @@ fn prepared_xpart_move_resolves_commit_after_home_partition_crash() {
         .log_decision(rrq_txn::TxnId(txn_raw), true)
         .unwrap();
     let home = partition_of(&qa, 4);
-    disks.crash_partition(home, None, 0);
+    disks.crash_partition(home, None);
 
     let (repo2, report) = Repository::open_with(
         "xc",

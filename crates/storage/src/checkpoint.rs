@@ -12,19 +12,17 @@
 //! Crash atomicity: a crash mid-base leaves the previous contents intact
 //! (the swap is atomic); a crash mid-delta leaves a torn tail that fails its
 //! CRC, so [`load_chain`] stops at the previous complete segment — and the
-//! store only truncates its logs *after* the segment write returns, so the
-//! logs still hold everything the lost delta described. A chain whose first
+//! store only truncates its log *after* the segment write returns, so the
+//! log still holds everything the lost delta described. A chain whose first
 //! segment is not a valid base (including the pre-segment full-snapshot
 //! format) is treated as absent.
 //!
-//! Every segment carries the store's **covered-epoch watermark**: one past
-//! the highest commit epoch whose effects the chain describes. Replay skips
-//! commit records with epochs below the newest valid segment's watermark —
-//! they are stale survivors of a crash that interrupted the per-log
-//! truncation after the segment was already durable, and re-applying one
-//! could regress a key whose newer value lives only in the chain (its own
-//! commit record having been in an already-truncated sibling log). See
-//! [`crate::recovery::replay_partitioned`].
+//! A segment does not say which commits it covers. The store forces its one
+//! log before it writes a segment and truncates it with a single atomic
+//! device swap afterwards, so the log that a crash leaves beside a durable
+//! segment is either whole or empty, and a whole log replayed in order over
+//! the chain that covers it yields the chain's tree again (see
+//! [`crate::kv`]).
 
 use crate::checksum::crc32;
 use crate::codec::{put, Reader};
@@ -54,10 +52,6 @@ pub struct CheckpointChain {
     /// Byte offset where the valid chain ends. Bytes past it are a stale or
     /// torn segment and must be discarded before the next delta is appended.
     pub valid_end: u64,
-    /// Covered-epoch watermark of the newest valid segment: every commit
-    /// with an epoch below this is fully described by `mem`. Replay must
-    /// not re-apply such commits (0 = empty chain, nothing covered).
-    pub covered_epoch: u64,
 }
 
 fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
@@ -72,15 +66,9 @@ fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
 }
 
 /// Serialize the whole tree as a base segment and atomically swap it onto
-/// `disk`, starting a fresh chain. `covered_epoch` is the commit-epoch
-/// watermark the snapshot describes. Durable when this returns.
-pub fn write_base(
-    disk: &dyn Disk,
-    mem: &BTreeMap<Vec<u8>, Vec<u8>>,
-    covered_epoch: u64,
-) -> StorageResult<()> {
+/// `disk`, starting a fresh chain. Durable when this returns.
+pub fn write_base(disk: &dyn Disk, mem: &BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<()> {
     let mut body = Vec::new();
-    put::u64(&mut body, covered_epoch);
     put::u64(&mut body, mem.len() as u64);
     for (k, v) in mem {
         put::bytes(&mut body, k);
@@ -90,15 +78,12 @@ pub fn write_base(
 }
 
 /// Append one delta segment — the dirtied keys with their current committed
-/// values (`None` = tombstone) stamped with the commit-epoch watermark the
-/// chain now covers — and force it. Durable when this returns.
+/// values (`None` = tombstone) — and force it. Durable when this returns.
 pub fn append_delta(
     disk: &dyn Disk,
     delta: &BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    covered_epoch: u64,
 ) -> StorageResult<()> {
     let mut body = Vec::new();
-    put::u64(&mut body, covered_epoch);
     put::u64(&mut body, delta.len() as u64);
     for (k, v) in delta {
         put::bytes(&mut body, k);
@@ -114,9 +99,8 @@ pub fn append_delta(
     disk.sync()
 }
 
-fn apply_base(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<u64> {
+fn apply_base(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<()> {
     let mut r = Reader::new(body);
-    let covered_epoch = r.u64()?;
     let count = r.u64()?;
     mem.clear();
     for _ in 0..count {
@@ -124,12 +108,11 @@ fn apply_base(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResul
         let v = r.bytes()?;
         mem.insert(k, v);
     }
-    Ok(covered_epoch)
+    Ok(())
 }
 
-fn apply_delta(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<u64> {
+fn apply_delta(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<()> {
     let mut r = Reader::new(body);
-    let covered_epoch = r.u64()?;
     let count = r.u64()?;
     for _ in 0..count {
         let k = r.bytes()?;
@@ -143,7 +126,7 @@ fn apply_delta(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResu
             }
         }
     }
-    Ok(covered_epoch)
+    Ok(())
 }
 
 /// Walk the segment chain from offset 0, applying base + deltas in order.
@@ -187,10 +170,9 @@ pub fn load_chain(disk: &dyn Disk) -> StorageResult<CheckpointChain> {
         } else {
             apply_delta(body, &mut chain.mem)
         };
-        let Ok(covered_epoch) = applied else {
+        if applied.is_err() {
             break; // a crc-valid but undecodable segment: stop, don't fail
-        };
-        chain.covered_epoch = chain.covered_epoch.max(covered_epoch);
+        }
         chain.segments += 1;
         off = frame_end;
         chain.valid_end = off;
@@ -198,7 +180,6 @@ pub fn load_chain(disk: &dyn Disk) -> StorageResult<CheckpointChain> {
     if chain.segments == 0 {
         chain.mem.clear();
         chain.valid_end = 0;
-        chain.covered_epoch = 0;
     }
     Ok(chain)
 }
@@ -220,12 +201,11 @@ mod tests {
     fn base_roundtrip() {
         let d = MemDisk::new();
         let m = sample();
-        write_base(&d, &m, 42).unwrap();
+        write_base(&d, &m).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.mem, m);
         assert_eq!(chain.segments, 1);
         assert_eq!(chain.valid_end, d.len());
-        assert_eq!(chain.covered_epoch, 42);
     }
 
     #[test]
@@ -234,25 +214,23 @@ mod tests {
         let chain = load_chain(&d).unwrap();
         assert!(chain.mem.is_empty());
         assert_eq!(chain.segments, 0);
-        assert_eq!(chain.covered_epoch, 0);
     }
 
     #[test]
     fn deltas_apply_in_order_over_base() {
         let d = MemDisk::new();
-        write_base(&d, &sample(), 10).unwrap();
+        write_base(&d, &sample()).unwrap();
         let mut d1 = BTreeMap::new();
         d1.insert(b"alpha".to_vec(), Some(b"2".to_vec()));
         d1.insert(b"gamma".to_vec(), Some(b"3".to_vec()));
-        append_delta(&d, &d1, 20).unwrap();
+        append_delta(&d, &d1).unwrap();
         let mut d2 = BTreeMap::new();
         d2.insert(b"beta".to_vec(), None); // tombstone
         d2.insert(b"alpha".to_vec(), Some(b"4".to_vec()));
-        append_delta(&d, &d2, 30).unwrap();
+        append_delta(&d, &d2).unwrap();
 
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 3);
-        assert_eq!(chain.covered_epoch, 30, "newest segment's watermark wins");
         assert_eq!(chain.mem.get(b"alpha".as_slice()), Some(&b"4".to_vec()));
         assert_eq!(chain.mem.get(b"beta".as_slice()), None);
         assert_eq!(chain.mem.get(b"gamma".as_slice()), Some(&b"3".to_vec()));
@@ -266,17 +244,17 @@ mod tests {
     #[test]
     fn torn_delta_falls_back_to_previous_chain() {
         let d = MemDisk::new();
-        write_base(&d, &sample(), 5).unwrap();
+        write_base(&d, &sample()).unwrap();
         let mut d1 = BTreeMap::new();
         d1.insert(b"alpha".to_vec(), Some(b"2".to_vec()));
-        append_delta(&d, &d1, 8).unwrap();
+        append_delta(&d, &d1).unwrap();
         let good_end = d.len();
 
         // A second delta whose tail is torn: drop its last byte (the CRC
         // cannot validate).
         let mut d2 = BTreeMap::new();
         d2.insert(b"alpha".to_vec(), Some(b"99".to_vec()));
-        append_delta(&d, &d2, 12).unwrap();
+        append_delta(&d, &d2).unwrap();
         let raw = d.read(0, d.len() as usize).unwrap();
         d.reset(raw[..raw.len() - 1].to_vec()).unwrap();
 
@@ -284,16 +262,12 @@ mod tests {
         assert_eq!(chain.segments, 2, "stops at the previous complete segment");
         assert_eq!(chain.valid_end, good_end);
         assert_eq!(chain.mem.get(b"alpha".as_slice()), Some(&b"2".to_vec()));
-        assert_eq!(
-            chain.covered_epoch, 8,
-            "torn segment's watermark must not count — its epochs are only in the logs"
-        );
     }
 
     #[test]
     fn corrupt_base_treated_as_absent() {
         let d = MemDisk::new();
-        write_base(&d, &sample(), 7).unwrap();
+        write_base(&d, &sample()).unwrap();
         let raw = d.read(0, d.len() as usize).unwrap();
         let mut bad = raw.clone();
         bad[10] ^= 0xFF;
@@ -302,7 +276,6 @@ mod tests {
         assert!(chain.mem.is_empty());
         assert_eq!(chain.segments, 0);
         assert_eq!(chain.valid_end, 0);
-        assert_eq!(chain.covered_epoch, 0);
     }
 
     #[test]
@@ -310,11 +283,10 @@ mod tests {
         let d = MemDisk::new();
         let mut d1 = BTreeMap::new();
         d1.insert(b"k".to_vec(), Some(b"v".to_vec()));
-        append_delta(&d, &d1, 9).unwrap();
+        append_delta(&d, &d1).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 0);
         assert!(chain.mem.is_empty());
-        assert_eq!(chain.covered_epoch, 0);
     }
 
     #[test]
@@ -329,23 +301,22 @@ mod tests {
     #[test]
     fn new_base_replaces_previous_chain() {
         let d = MemDisk::new();
-        write_base(&d, &sample(), 3).unwrap();
+        write_base(&d, &sample()).unwrap();
         let mut d1 = BTreeMap::new();
         d1.insert(b"x".to_vec(), Some(b"y".to_vec()));
-        append_delta(&d, &d1, 6).unwrap();
+        append_delta(&d, &d1).unwrap();
         let mut m2 = BTreeMap::new();
         m2.insert(b"only".to_vec(), b"one".to_vec());
-        write_base(&d, &m2, 11).unwrap();
+        write_base(&d, &m2).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 1);
         assert_eq!(chain.mem, m2);
-        assert_eq!(chain.covered_epoch, 11);
     }
 
     #[test]
     fn empty_tree_roundtrips() {
         let d = MemDisk::new();
-        write_base(&d, &BTreeMap::new(), 0).unwrap();
+        write_base(&d, &BTreeMap::new()).unwrap();
         let chain = load_chain(&d).unwrap();
         assert!(chain.mem.is_empty());
         assert_eq!(chain.segments, 1);

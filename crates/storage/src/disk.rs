@@ -211,6 +211,7 @@ struct SimInner {
     durable: Vec<u8>,
     volatile: Vec<u8>,
     failed: bool,
+    resets_failed: bool,
     stats: DiskStats,
 }
 
@@ -276,9 +277,18 @@ impl SimDisk {
         self.inner.lock().failed = true;
     }
 
-    /// Clear a [`SimDisk::fail`] condition.
+    /// Make only [`Disk::reset`] fail (the rename of a write-temp-then-rename
+    /// swap is refused) until [`SimDisk::repair`]; appends, reads and syncs
+    /// keep working.
+    pub fn fail_resets(&self) {
+        self.inner.lock().resets_failed = true;
+    }
+
+    /// Clear a [`SimDisk::fail`] or [`SimDisk::fail_resets`] condition.
     pub fn repair(&self) {
-        self.inner.lock().failed = false;
+        let mut g = self.inner.lock();
+        g.failed = false;
+        g.resets_failed = false;
     }
 
     /// Number of bytes currently durable (synced).
@@ -353,6 +363,9 @@ impl Disk for SimDisk {
     fn reset(&self, contents: Vec<u8>) -> StorageResult<()> {
         let mut g = self.inner.lock();
         self.check(&g)?;
+        if g.resets_failed {
+            return Err(StorageError::DeviceFailed);
+        }
         g.durable = contents;
         g.volatile.clear();
         Ok(())

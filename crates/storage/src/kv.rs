@@ -25,31 +25,29 @@
 //! Concurrency control (locking) is the responsibility of the transaction
 //! layer above; this store guarantees atomicity and durability only.
 //!
-//! ## Partitioned logging and the epoch scheme
+//! ## One store, one log
 //!
-//! The write-ahead log is split into `wal_partitions` per-shard logs (see
-//! [`KvStore::open_partitioned`]; [`KvStore::open`] is the one-log
-//! baseline). A key always hashes to the same log
-//! ([`partition_for_key`]), each log has its own append latch, its own
-//! [`GroupCommit`] coordinator, and — in the simulator — its own latency
-//! device, so commits touching different shards force different devices in
-//! parallel.
+//! A store writes one write-ahead log, with one append latch and one
+//! [`GroupCommit`] coordinator. A commit point lays the transaction's data
+//! records and its `Commit` record into the latch's frame buffer and hands
+//! them to the device as one write, so the order of commit records in the log
+//! *is* commit order and recovery replays the log as it scans it (see
+//! [`crate::recovery::replay`]). Forces run outside the latch, so two
+//! committers can return from their forces in either order; the retire line
+//! applies their writes to the shared tree in the order of the sequence
+//! numbers they drew under the latch, which keeps the live tree equal to
+//! what recovery would rebuild. Scaling past one log is the job of the layer
+//! above: a repository partition is a whole store with its own log.
 //!
-//! Commit order across logs is preserved by a global **epoch**: the commit
-//! point allocates a monotonically increasing epoch under the *home* log's
-//! latch (the lowest-indexed log the transaction touches) and stamps it
-//! into the commit record's payload. A multi-key transaction appends and
-//! *forces* its data records in every sibling log before the home commit
-//! record exists at all — unconditionally, even when `sync_on_commit` is
-//! off, because the home log can always be forced incidentally by another
-//! transaction — so a durable commit record implies durable data, and
-//! recovery replays committed transactions in epoch order (see
-//! [`crate::recovery::replay_partitioned`]). The retire line applies writes
-//! to the shared tree in the same epoch order, so the live tree always
-//! equals what recovery would rebuild. Checkpoint segments carry the
-//! **covered-epoch watermark** (the retire line's position when the segment
-//! was cut); replay skips commits below it, which is what makes the
-//! per-log, non-atomic log truncation after a checkpoint crash-safe.
+//! A checkpoint forces the log, makes its chain segment durable, and then
+//! resets the log with one atomic device swap ([`Wal::reset`]). A crash
+//! between the last two leaves the *whole* log beside a chain that already
+//! covers it, and replaying all of it, in order, over that chain rebuilds the
+//! same tree: every key the log writes ends at the log's last value for it,
+//! which is the value the chain recorded. The force is what makes the log
+//! whole — a chain over commits whose records were still volatile would be
+//! replayed over by a shorter log. So nothing on disk says which commits a
+//! segment covers.
 //!
 //! ## Internal locking
 //!
@@ -57,10 +55,10 @@
 //! `RwLock`, so `get`/`scan_prefix*` take a read lock and run concurrently
 //! with each other and with the logging half of a commit. Private overlays
 //! live in `txns`, striped by token so that two open transactions do not
-//! share a lock word; each log's append latch serializes appends to that
-//! log, and a commit point hands the device its records as one write.
-//! Commit forcing goes through the log's [`GroupCommit`] coordinator, which
-//! batches concurrent syncs into one device force per group.
+//! share a lock word; the log's append latch serializes appends, and a
+//! commit point hands the device its records as one write. Commit forcing
+//! goes through the log's [`GroupCommit`] coordinator, which batches
+//! concurrent syncs into one device force per group.
 //!
 //! A transaction's write set exists once: `put` copies the caller's bytes
 //! into `TxnState::ops` (the read-your-writes overlay only indexes into it),
@@ -72,22 +70,21 @@
 //! Lock order: a thread holds at most one of {a `txns` stripe, `mem`,
 //! `latch`} at a time, except the apply step (`apply` → `mem.write`) and
 //! checkpointing, which holds the exclusive `ckpt_gate` and may take
-//! `mem.read` then a log latch. Commit-point record writers (commit /
+//! `mem.read` then the log latch. Commit-point record writers (commit /
 //! prepare / logged abort) hold `ckpt_gate.read` so a checkpoint can never
-//! truncate a log while a commit record is in flight between append and
-//! sync. The classes and
-//! their declared order live in `LOCKS.md` (kv-gate, kv-txns, kv-log,
-//! kv-apply, kv-mem); the rrq-analyze `lock-order` and
+//! truncate the log while a commit record is in flight between append and
+//! sync. The classes and their declared order live in `LOCKS.md` (kv-gate,
+//! kv-txns, kv-log, kv-apply, kv-mem); the rrq-analyze `lock-order` and
 //! `no-block-under-guard` rules check every path against them — in
-//! particular the per-log latch is a no-block class, so device forces
-//! happen outside it (see [`KvStore::checkpoint`]).
+//! particular the log latch is a no-block class, so device forces happen
+//! outside it (see [`KvStore::checkpoint`]).
 
 use crate::checkpoint::{append_delta, load_chain, write_base};
 use crate::codec::{put, Reader};
 use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
 use crate::group_commit::{GroupCommit, GroupCommitStats};
-use crate::recovery::{replay_partitioned, RecoveryReport};
+use crate::recovery::{replay, RecoveryReport};
 use crate::wal::{Frames, RecordKind, Wal};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -156,44 +153,6 @@ impl WriteOp {
     }
 }
 
-/// Most partitions any store will reasonably use; callers pre-allocating
-/// per-log devices (the simulator's `RepoDisks`) size against this.
-pub const MAX_WAL_PARTITIONS: usize = 8;
-
-/// Stable key → log mapping: FNV-1a over the key bytes, mod the partition
-/// count. Exposed so tests and fault scripts can aim at a specific log.
-pub fn partition_for_key(key: &[u8], partitions: usize) -> usize {
-    if partitions <= 1 {
-        return 0;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h % partitions as u64) as usize
-}
-
-fn touched_partitions(ops: &[WriteOp], n: usize) -> Vec<usize> {
-    let mut seen = vec![false; n];
-    for op in ops {
-        seen[partition_for_key(op.key(), n)] = true;
-    }
-    (0..n).filter(|&i| seen[i]).collect()
-}
-
-/// The *home* log of a transaction: the lowest-indexed log it touches (log 0
-/// for empty transactions). The commit, prepare, and abort markers all go to
-/// the home log, so recovery finds a transaction's outcome in exactly one
-/// place. Deterministic in the op *set*, so a recovered in-doubt transaction
-/// resolves through the same log it prepared through.
-fn home_partition(ops: &[WriteOp], n: usize) -> usize {
-    if n <= 1 {
-        return 0;
-    }
-    touched_partitions(ops, n).first().copied().unwrap_or(0)
-}
-
 /// Hasher of the store's own tables (`txns`, a transaction's overlay, the
 /// dirty set): one multiply per eight key bytes, where `std`'s SipHash works
 /// a byte at a time. Every written key is hashed three or four times between
@@ -201,9 +160,7 @@ fn home_partition(ops: &[WriteOp], n: usize) -> usize {
 /// recovery). Which bucket a key lands in is never observable (the tables
 /// are only probed, or drained into ordered collections), and whoever can
 /// choose keys to collide already holds the transaction interface, so the
-/// flooding protection of the default hasher buys nothing here. Not for
-/// placement: [`partition_for_key`] must stay stable across versions and
-/// keeps its own FNV.
+/// flooding protection of the default hasher buys nothing here.
 #[derive(Debug, Default, Clone, Copy)]
 struct KeyHasher(u64);
 
@@ -272,7 +229,7 @@ type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
 #[derive(Debug, Default)]
 struct TxnState {
     /// Unique incarnation id stamped into this transaction's log records.
-    /// Never reused (the counter resumes past every id found in the logs),
+    /// Never reused (the counter resumes past every id found in the log),
     /// so a recycled caller token can never splice a dead incarnation's
     /// records into a later outcome during replay.
     internal: u64,
@@ -342,19 +299,18 @@ impl Default for KvOptions {
     }
 }
 
-/// One log partition: its WAL, its group-commit coordinator (each log has
-/// its own durable watermark — truncating one log must never make a sibling
-/// log's records look durable), and the append latch serializing appends.
-/// The latch owns the log's frame buffer: whoever may append may build a
-/// frame in it, and its capacity carries over from record to record.
+/// The store's log: its WAL, its group-commit coordinator, and the append
+/// latch serializing appends. The latch owns the log's frame buffer: whoever
+/// may append may build a frame in it, and its capacity carries over from
+/// record to record.
 struct LogUnit {
     wal: Wal,
     group: GroupCommit,
     latch: Mutex<Vec<u8>>,
 }
 
-/// The retire line: the commit with epoch `e` may touch the shared tree only
-/// once every earlier epoch has retired. `dirty` accumulates the keys
+/// The retire line: the commit with sequence number `n` may touch the shared
+/// tree only once every earlier one has retired. `dirty` accumulates the keys
 /// written since the last checkpoint — the next incremental checkpoint's
 /// delta segment is exactly this set.
 #[derive(Debug, Default)]
@@ -393,21 +349,18 @@ pub struct KvStore {
     /// transactions' reads and writes of their own buffers do not share a
     /// lock word. A thread holds at most one stripe at a time.
     txns: Box<[TxnStripe]>,
-    /// The per-shard logs (length = `wal_partitions`).
-    logs: Vec<LogUnit>,
-    /// Global commit epoch: allocated under the home log's latch, stamped
-    /// into the commit record, never reset (checkpoints truncate logs but
-    /// epochs keep rising; on recovery the counter is floored at the
-    /// chain's covered-epoch watermark, and stale un-truncated records —
-    /// epochs below the watermark — are skipped by replay, not re-applied).
-    epoch: AtomicU64,
+    log: LogUnit,
+    /// Commit sequence: drawn under the append latch, so it numbers commit
+    /// records in log order. It is the retire line's ticket and nothing
+    /// else — never written to disk, restarting at zero with every open.
+    commit_seq: AtomicU64,
     /// Incarnation-id allocator (see [`TxnState::internal`]).
     next_txn: AtomicU64,
     /// Retire line for in-order application of committed writes.
     apply: Mutex<ApplyState>,
     apply_cv: Condvar,
-    /// Commit-point writers hold `read`; checkpoint holds `write` so no log
-    /// is ever truncated under an in-flight commit record.
+    /// Commit-point writers hold `read`; checkpoint holds `write` so the
+    /// log is never truncated under an in-flight commit record.
     ckpt_gate: RwLock<()>,
     ckpt: Arc<dyn Disk>,
     /// Valid segments on the checkpoint device (0 = no usable chain).
@@ -419,35 +372,18 @@ pub struct KvStore {
 }
 
 impl KvStore {
-    /// Open (or recover) a store over a single log device and a checkpoint
-    /// device — the `wal_partitions = 1` baseline.
+    /// Open (or recover) a store over a log device and a checkpoint device.
+    ///
+    /// Recovery loads the last complete checkpoint chain (base + deltas),
+    /// replays every committed transaction of the log in log order, and
+    /// re-materializes prepared but unresolved transactions as in-doubt
+    /// (listed in the returned [`RecoveryReport`]; resolve them with
+    /// [`KvStore::commit`] / [`KvStore::abort`]).
     pub fn open(
         wal_disk: Arc<dyn Disk>,
         ckpt_disk: Arc<dyn Disk>,
         opts: KvOptions,
     ) -> StorageResult<(Arc<KvStore>, RecoveryReport)> {
-        Self::open_partitioned(vec![wal_disk], ckpt_disk, opts)
-    }
-
-    /// Open (or recover) a store over one log device per partition plus a
-    /// checkpoint device.
-    ///
-    /// Recovery loads the last complete checkpoint chain (base + deltas),
-    /// replays every committed transaction from all logs — scanned in
-    /// parallel, merged in epoch order — and re-materializes prepared but
-    /// unresolved transactions as in-doubt (listed in the returned
-    /// [`RecoveryReport`]; resolve them with [`KvStore::commit`] /
-    /// [`KvStore::abort`]).
-    pub fn open_partitioned(
-        wal_disks: Vec<Arc<dyn Disk>>,
-        ckpt_disk: Arc<dyn Disk>,
-        opts: KvOptions,
-    ) -> StorageResult<(Arc<KvStore>, RecoveryReport)> {
-        if wal_disks.is_empty() {
-            return Err(StorageError::InvalidState(
-                "at least one wal partition required".into(),
-            ));
-        }
         let chain = load_chain(ckpt_disk.as_ref())?;
         if chain.valid_end < ckpt_disk.len() {
             // A crash mid-checkpoint left a torn or stale segment: drop it
@@ -456,36 +392,35 @@ impl KvStore {
             rrq_obs::counter_inc("storage.ckpt.stale_segments_dropped");
         }
 
-        let wals: Vec<Wal> = wal_disks.into_iter().map(Wal::new).collect();
-        // Commits with epochs below the chain's watermark are resolved but
-        // not replayed: their effects are in the chain, and a crash mid-log-
-        // truncation may have erased the newer commits that superseded them.
-        let outcome = replay_partitioned(&wals, chain.covered_epoch)?;
+        let wal = Wal::new(wal_disk);
+        // A log that survived a crash between "segment durable" and "log
+        // reset" is replayed whole over the chain that covers it (see the
+        // module docs).
+        let outcome = replay(&wal)?;
         rrq_obs::counter_inc("storage.recovery.runs");
         rrq_obs::counter_add("storage.recovery.redo_records", outcome.redo.len() as u64);
         rrq_obs::counter_add("storage.recovery.in_doubt", outcome.in_doubt.len() as u64);
-        rrq_obs::gauge_set("storage.wal.partitions", wals.len() as i64);
 
-        // Discard torn tails (a crash mid-append left corrupt bytes on a
-        // platter). Future appends must start at each log's valid prefix, or
+        // Discard a torn tail (a crash mid-append left corrupt bytes on the
+        // platter). Future appends must start at the log's valid prefix, or
         // the next recovery's scan would stop at the old tear and lose them.
-        for (wal, valid_end) in wals.iter().zip(outcome.valid_ends.iter()) {
-            if *valid_end < wal.len() {
-                wal.disk().truncate(*valid_end)?;
-                rrq_obs::counter_inc("storage.recovery.torn_tail_truncations");
-            }
+        if outcome.valid_end < wal.len() {
+            wal.disk().truncate(outcome.valid_end)?;
+            rrq_obs::counter_inc("storage.recovery.torn_tail_truncations");
         }
 
+        let mut in_doubt: Vec<u64> = outcome.in_doubt.keys().copied().collect();
+        in_doubt.sort_unstable();
         let report = RecoveryReport {
             replayed: outcome.redo.len(),
             committed_txns: outcome.committed_txns,
             aborted_txns: outcome.aborted_txns,
-            in_doubt: outcome.in_doubt.keys().copied().collect(),
+            in_doubt,
         };
         let mut mem = chain.mem;
         let mut dirty = KeySet::default();
         for op in outcome.redo {
-            // Replayed keys are durable in the logs but not in the chain:
+            // Replayed keys are durable in the log but not in the chain:
             // they are dirty until the next checkpoint covers them.
             mark_dirty(&mut dirty, op.key());
             apply(&mut mem, op);
@@ -504,24 +439,17 @@ impl KvStore {
             }
             txns[token as usize % TXN_STRIPES].insert(token, st);
         }
-        let logs: Vec<LogUnit> = wals
-            .into_iter()
-            .map(|wal| LogUnit {
-                wal,
-                group: GroupCommit::new(opts.group_commit_window),
-                latch: Mutex::new(Vec::new()),
-            })
-            .collect();
         let store = Arc::new(KvStore {
             mem: RwLock::new(mem),
             txns: txns.into_iter().map(|t| TxnStripe(Mutex::new(t))).collect(),
-            logs,
-            epoch: AtomicU64::new(outcome.next_epoch),
+            log: LogUnit {
+                wal,
+                group: GroupCommit::new(opts.group_commit_window),
+                latch: Mutex::new(Vec::new()),
+            },
+            commit_seq: AtomicU64::new(0),
             next_txn: AtomicU64::new(outcome.next_txn_id),
-            apply: Mutex::new(ApplyState {
-                applied: outcome.next_epoch,
-                dirty,
-            }),
+            apply: Mutex::new(ApplyState { applied: 0, dirty }),
             apply_cv: Condvar::new(),
             ckpt_gate: RwLock::new(()),
             ckpt: ckpt_disk,
@@ -786,26 +714,19 @@ impl KvStore {
 
     fn log_prepare(&self, txn: KvTxn, st: &TxnState) -> StorageResult<()> {
         let id = st.internal;
-        let n = self.logs.len();
-        let home = home_partition(&st.ops, n);
-        // Sibling logs first: after the home log's prepare record is durable
-        // the whole transaction must survive as in-doubt, so every other
-        // log's data records are forced before it.
-        self.log_siblings(&st.ops, id, home)?;
-        let unit = &self.logs[home];
         let target = {
-            let mut latch = unit.latch.lock();
+            let mut latch = self.log.latch.lock();
             let mut frames = Frames::new(&mut latch);
-            frame_ops(&mut frames, id, &st.ops, home, n);
+            frame_ops(&mut frames, id, &st.ops);
             // The prepare record's payload carries the caller's token:
             // recovery surfaces the in-doubt txn under the token the
             // coordinator knows, while the records stay keyed by `id`.
             frames.push(id, RecordKind::Prepare, |buf| put::u64(buf, txn));
-            unit.wal.append_frames(frames)?
+            self.log.wal.append_frames(frames)?
         };
         // Prepare always forces, even for volatile stores: an in-doubt txn
         // must survive as in-doubt.
-        self.force_through(unit, target)
+        self.force_through(target)
     }
 
     /// Take `txn`'s state out of the table for a commit-point operation (see
@@ -816,44 +737,13 @@ impl KvStore {
         st.ok_or(StorageError::UnknownTxn(txn))
     }
 
-    /// Append and force a transaction's data records in every log it touches
-    /// other than `home`. The force is unconditional (not `sync_through`):
-    /// even with `sync_on_commit` off, the home log can be forced
-    /// incidentally — another transaction's prepare or group commit — making
-    /// this transaction's outcome record durable. Outcome-record-durable ⇒
-    /// data-durable must hold structurally, not only when the options ask
-    /// for a sync.
-    fn log_siblings(&self, ops: &[WriteOp], id: u64, home: usize) -> StorageResult<()> {
-        let n = self.logs.len();
-        if n <= 1 {
-            return Ok(());
-        }
-        for idx in touched_partitions(ops, n) {
-            if idx == home {
-                continue;
-            }
-            let unit = &self.logs[idx];
-            let target = {
-                let mut latch = unit.latch.lock();
-                let mut frames = Frames::new(&mut latch);
-                frame_ops(&mut frames, id, ops, idx, n);
-                unit.wal.append_frames(frames)?
-            };
-            self.force_through(unit, target)?;
-        }
-        Ok(())
-    }
-
     /// Commit `txn`: make its writes durable and visible.
     ///
     /// One-phase path (no prior [`KvStore::prepare`]): writes + `Commit`
-    /// record are logged and forced together. Data records for sibling logs
-    /// are appended and forced *first*, so the commit record in the home log
-    /// is never durable while any of the transaction's data is not. The
-    /// force goes through the home log's group-commit coordinator (when
-    /// enabled), so concurrent committers on the same log share one device
-    /// sync; writes reach the shared tree only after the force returns, in
-    /// global epoch order (the epoch allocated under the home append latch).
+    /// record are logged and forced together. The force goes through the
+    /// log's group-commit coordinator (when enabled), so concurrent
+    /// committers share one device sync; writes reach the shared tree only
+    /// after the force returns, in the order of their commit records.
     pub fn commit(&self, txn: KvTxn) -> StorageResult<()> {
         self.commit_inner(txn, true)
     }
@@ -868,33 +758,30 @@ impl KvStore {
         self.commit_inner(txn, false)
     }
 
-    /// Force every log partition through its current end. This is the epoch
-    /// durability point for [`KvStore::commit_deferred`]: after it returns,
-    /// every previously committed transaction survives a crash.
+    /// Force the log through its current end. This is the epoch durability
+    /// point for [`KvStore::commit_deferred`]: after it returns, every
+    /// previously committed transaction survives a crash.
     pub fn force_wal(&self) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
-        for unit in &self.logs {
-            let target = {
-                let _latch = unit.latch.lock();
-                unit.wal.len()
-            };
-            self.force_through(unit, target)?;
-        }
-        Ok(())
+        let target = {
+            let _latch = self.log.latch.lock();
+            self.log.wal.len()
+        };
+        self.force_through(target)
     }
 
     fn commit_inner(&self, txn: KvTxn, sync: bool) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
         let st = self.checkout(txn)?;
         match self.log_commit(&st, sync) {
-            Ok(epoch) => {
-                self.retire(epoch, st.ops);
+            Ok(seq) => {
+                self.retire(seq, st.ops);
                 self.commits.fetch_add(1, Ordering::AcqRel);
                 Ok(())
             }
             Err(e) => {
-                // Whichever step failed — a sibling log, the home append,
-                // the force — the txn stays open with its write set intact.
+                // Whichever step failed — the append or the force — the txn
+                // stays open with its write set intact.
                 self.txn_stripe(txn).insert(txn, st);
                 Err(e)
             }
@@ -902,69 +789,63 @@ impl KvStore {
     }
 
     /// Make `st`'s commit durable (as far as `sync` and the options ask) and
-    /// return its epoch; the caller owes the retire line that epoch's turn.
-    /// On error nothing is owed: no epoch was allocated, or its turn has
-    /// already been passed on empty.
+    /// return its sequence number; the caller owes the retire line that
+    /// number's turn. On error nothing is owed: the turn has already been
+    /// passed on empty.
     fn log_commit(&self, st: &TxnState, sync: bool) -> StorageResult<u64> {
         let id = st.internal;
-        let n = self.logs.len();
-        let home = home_partition(&st.ops, n);
-        if !st.logged {
-            self.log_siblings(&st.ops, id, home)?;
-        }
-        let unit = &self.logs[home];
-        let epoch;
+        let seq;
         let appended;
         {
             // The data records and the commit record reach the device as one
             // write: all of the transaction is in the log, or none of it.
-            let mut latch = unit.latch.lock();
+            let mut latch = self.log.latch.lock();
             let mut frames = Frames::new(&mut latch);
             if !st.logged {
-                frame_ops(&mut frames, id, &st.ops, home, n);
+                frame_ops(&mut frames, id, &st.ops);
             }
-            epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-            frames.push(id, RecordKind::Commit, |buf| put::u64(buf, epoch));
-            appended = unit.wal.append_frames(frames);
+            seq = self.commit_seq.fetch_add(1, Ordering::SeqCst);
+            frames.push(id, RecordKind::Commit, |_| {});
+            appended = self.log.wal.append_frames(frames);
         }
-        if let Err(e) = appended.and_then(|target| self.sync_through(unit, target, sync)) {
-            // Append or force failed after the epoch was allocated: keep the
+        if let Err(e) = appended.and_then(|target| self.sync_through(target, sync)) {
+            // Append or force failed after the number was drawn: keep the
             // retire line moving. Nothing is applied, and the caller sees the
             // device error.
-            self.retire(epoch, Vec::new());
+            self.retire(seq, Vec::new());
             return Err(e);
         }
-        Ok(epoch)
+        Ok(seq)
     }
 
-    /// Force `unit`'s log through `target` for a commit point, honoring the
+    /// Force the log through `target` for a commit point, honoring the
     /// store's durability options. `want: false` is the deferred-commit
     /// path: like `sync_on_commit: false`, the force is someone else's
     /// responsibility — here the epoch close's [`KvStore::force_wal`], which
     /// must run before the commit's effects are externalized.
-    fn sync_through(&self, unit: &LogUnit, target: u64, want: bool) -> StorageResult<()> {
+    fn sync_through(&self, target: u64, want: bool) -> StorageResult<()> {
         if !want || !self.opts.sync_on_commit {
             return Ok(());
         }
-        self.force_through(unit, target)
+        self.force_through(target)
     }
 
     /// Unconditional force (prepare, checkpoint): batched when group commit
     /// is on, a direct device sync otherwise.
-    fn force_through(&self, unit: &LogUnit, target: u64) -> StorageResult<()> {
+    fn force_through(&self, target: u64) -> StorageResult<()> {
         if self.opts.group_commit {
-            unit.group.sync_through(&unit.wal, target)
+            self.log.group.sync_through(&self.log.wal, target)
         } else {
-            unit.wal.sync()
+            self.log.wal.sync()
         }
     }
 
     /// Wait for our turn on the retire line, move `ops` into the shared tree,
-    /// and pass the baton. Applying in epoch order keeps the live tree
-    /// identical to what recovery would rebuild (epoch-merged replay).
-    fn retire(&self, epoch: u64, ops: Vec<WriteOp>) {
+    /// and pass the baton. Applying in commit-record order keeps the live
+    /// tree identical to what recovery would rebuild.
+    fn retire(&self, seq: u64, ops: Vec<WriteOp>) {
         let mut g = self.apply.lock();
-        while g.applied != epoch {
+        while g.applied != seq {
             self.apply_cv.wait(&mut g);
         }
         if !ops.is_empty() {
@@ -982,8 +863,8 @@ impl KvStore {
 
     /// Abort `txn`: discard its buffered writes.
     ///
-    /// If the transaction was prepared, an `Abort` record is logged (to its
-    /// home log) so recovery stops considering it in-doubt.
+    /// If the transaction was prepared, an `Abort` record is logged so
+    /// recovery stops considering it in-doubt.
     pub fn abort(&self, txn: KvTxn) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
         let st = self
@@ -991,9 +872,8 @@ impl KvStore {
             .remove(&txn)
             .ok_or(StorageError::UnknownTxn(txn))?;
         if st.logged {
-            let unit = &self.logs[home_partition(&st.ops, self.logs.len())];
-            let _latch = unit.latch.lock();
-            unit.wal.append(st.internal, RecordKind::Abort, &[])?;
+            let _latch = self.log.latch.lock();
+            self.log.wal.append(st.internal, RecordKind::Abort, &[])?;
             // No sync needed: if the abort record is lost, recovery treats the
             // txn as in-doubt and the coordinator aborts it again (presumed
             // abort would also work).
@@ -1002,32 +882,27 @@ impl KvStore {
         Ok(())
     }
 
-    /// Write a checkpoint and truncate the logs.
+    /// Write a checkpoint and truncate the log.
     ///
     /// Checkpoints are *incremental*: the first one (or one following
     /// [`SEGMENT_LIMIT`] accumulated segments) writes a full base snapshot
     /// with an atomic device swap; later ones append a crc-checked delta
     /// segment holding only the keys dirtied since the previous checkpoint,
-    /// then force it. Either way the chain is durable before any log is
+    /// then force it. Either way the chain is durable before the log is
     /// truncated — a crash mid-checkpoint leaves a torn delta that recovery
     /// discards, falling back to the previous complete chain plus the
-    /// still-untruncated logs. Open transactions are unaffected (their
+    /// still-untruncated log. Open transactions are unaffected (their
     /// writes are not yet in `mem`), but prepared transactions block
-    /// checkpointing — their redo records live only in the logs.
+    /// checkpointing — their redo records live only in the log.
     ///
-    /// Each segment is stamped with the **covered-epoch watermark** — the
-    /// retire line's position, one past the highest epoch reflected in `mem`
-    /// and hence in the chain. The log truncations below are per-log, not
-    /// atomic across logs: a crash partway through can leave a newer
-    /// transaction's commit record erased (its home log already truncated)
-    /// while an older transaction's data and commit records for the same
-    /// keys survive in a not-yet-truncated sibling. The watermark is what
-    /// makes that window safe — replay skips every commit below it instead
-    /// of regressing keys to pre-checkpoint values, so the order in which
-    /// the logs are truncated does not matter.
+    /// The log is forced before the segment is written and truncated with one
+    /// atomic device swap, so a crash after the segment is durable leaves the
+    /// whole log or none of it; recovery replays a surviving log in full over
+    /// the chain that already covers it and arrives at the same tree (see the
+    /// module docs).
     ///
     /// Holds the checkpoint gate exclusively, so no commit record can sit
-    /// appended-but-unforced (or forced-but-unapplied) while a log is
+    /// appended-but-unforced (or forced-but-unapplied) while the log is
     /// truncated underneath it.
     pub fn checkpoint(&self) -> StorageResult<()> {
         let _gate = self.ckpt_gate.write();
@@ -1036,19 +911,21 @@ impl KvStore {
                 "cannot checkpoint with prepared transactions pending".into(),
             ));
         }
-        // The exclusive gate means no commit is in flight: every allocated
-        // epoch has retired, so `applied` is exactly the watermark the new
-        // segment may claim — all epochs below it are reflected in `mem`.
-        let (dirty, covered_epoch) = {
+        // The exclusive gate means no commit is in flight: every logged
+        // commit has retired, so `mem` reflects the whole log. Its tail may
+        // still be volatile (deferred commits, `sync_on_commit: false`):
+        // force it before the chain claims those commits.
+        self.force_through(self.log.wal.len())?;
+        let dirty = {
             let mut ag = self.apply.lock();
-            (std::mem::take(&mut ag.dirty), ag.applied)
+            std::mem::take(&mut ag.dirty)
         };
         let segments = self.ckpt_segments.load(Ordering::SeqCst);
         let wrote = (|| {
             if segments == 0 || segments >= SEGMENT_LIMIT {
                 {
                     let mem = self.mem.read();
-                    write_base(self.ckpt.as_ref(), &mem, covered_epoch)?;
+                    write_base(self.ckpt.as_ref(), &mem)?;
                 }
                 self.ckpt_segments.store(1, Ordering::SeqCst);
                 rrq_obs::counter_inc("storage.ckpt.base_segments");
@@ -1060,7 +937,7 @@ impl KvStore {
                         .map(|k| (k.clone(), mem.get(k).cloned()))
                         .collect()
                 };
-                append_delta(self.ckpt.as_ref(), &delta, covered_epoch)?;
+                append_delta(self.ckpt.as_ref(), &delta)?;
                 self.ckpt_segments.fetch_add(1, Ordering::SeqCst);
                 rrq_obs::counter_inc("storage.ckpt.delta_segments");
             }
@@ -1070,7 +947,7 @@ impl KvStore {
         })();
         if let Err(e) = wrote {
             // The segment never became durable: the taken dirty keys are
-            // still covered only by the logs — put them back for the next
+            // still covered only by the log — put them back for the next
             // checkpoint attempt.
             {
                 let mut ag = self.apply.lock();
@@ -1078,34 +955,25 @@ impl KvStore {
             }
             return Err(e);
         }
-        for unit in &self.logs {
-            {
-                // The append latch covers only the truncate + marker append;
-                // the device force and the coordinator reset run after it
-                // drops (kv-log is a no-block class — the exclusive gate
-                // already excludes every appender, so nothing can slip in
-                // between).
-                let _latch = unit.latch.lock();
-                unit.wal.reset()?;
-                unit.wal.append(0, RecordKind::Checkpoint, &[])?;
-            }
-            unit.wal.sync()?;
-            // This log's offsets restarted; its coordinator's watermark must
-            // too — and only its own (sibling logs keep their watermarks).
-            unit.group.on_truncate();
+        {
+            // The append latch covers only the truncate + marker append;
+            // the device force and the coordinator reset run after it
+            // drops (kv-log is a no-block class — the exclusive gate
+            // already excludes every appender, so nothing can slip in
+            // between).
+            let _latch = self.log.latch.lock();
+            self.log.wal.reset()?;
+            self.log.wal.append(0, RecordKind::Checkpoint, &[])?;
         }
+        self.log.wal.sync()?;
+        // The log's offsets restarted; its coordinator's watermark must too.
+        self.log.group.on_truncate();
         Ok(())
     }
 
-    /// Total log length in bytes across all partitions (drives checkpoint
-    /// policy).
+    /// Log length in bytes (drives checkpoint policy).
     pub fn wal_len(&self) -> u64 {
-        self.logs.iter().map(|u| u.wal.len()).sum()
-    }
-
-    /// Number of log partitions this store was opened with.
-    pub fn wal_partitions(&self) -> usize {
-        self.logs.len()
+        self.log.wal.len()
     }
 
     /// (commits, aborts) counters.
@@ -1116,25 +984,16 @@ impl KvStore {
         )
     }
 
-    /// Group-commit batching counters (requests vs. device syncs), summed
-    /// across the per-log coordinators.
+    /// Group-commit batching counters (requests vs. device syncs).
     pub fn group_commit_stats(&self) -> GroupCommitStats {
-        let mut total = GroupCommitStats::default();
-        for unit in &self.logs {
-            let s = unit.group.stats();
-            total.requests += s.requests;
-            total.groups += s.groups;
-        }
-        total
+        self.log.group.stats()
     }
 }
 
-/// Lay a data record for each of `ops` that log `part` of `n` carries (with
-/// one log: all of them, unhashed) into `frames`, each encoded straight into
-/// the log's frame buffer.
-fn frame_ops(frames: &mut Frames<'_>, txn: u64, ops: &[WriteOp], part: usize, n: usize) {
-    let mine = |op: &&WriteOp| partition_for_key(op.key(), n) == part;
-    for op in ops.iter().filter(mine) {
+/// Lay a data record for each of `ops` into `frames`, each encoded straight
+/// into the log's frame buffer.
+fn frame_ops(frames: &mut Frames<'_>, txn: u64, ops: &[WriteOp]) {
+    for op in ops {
         let kind = match op {
             WriteOp::Put { .. } => RecordKind::KvPut,
             WriteOp::Delete { .. } => RecordKind::KvDelete,
@@ -1182,32 +1041,6 @@ mod tests {
     fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
         KvStore::open(
             Arc::new(wal.clone()),
-            Arc::new(ckpt.clone()),
-            KvOptions::default(),
-        )
-        .unwrap()
-    }
-
-    fn fresh_partitioned(n: usize) -> (Arc<KvStore>, Vec<SimDisk>, SimDisk) {
-        let wals: Vec<SimDisk> = (0..n).map(|_| SimDisk::new()).collect();
-        let ckpt = SimDisk::new();
-        let (store, report) = KvStore::open_partitioned(
-            wals.iter()
-                .map(|d| Arc::new(d.clone()) as Arc<dyn Disk>)
-                .collect(),
-            Arc::new(ckpt.clone()),
-            KvOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(report.replayed, 0);
-        (store, wals, ckpt)
-    }
-
-    fn reopen_partitioned(wals: &[SimDisk], ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
-        KvStore::open_partitioned(
-            wals.iter()
-                .map(|d| Arc::new(d.clone()) as Arc<dyn Disk>)
-                .collect(),
             Arc::new(ckpt.clone()),
             KvOptions::default(),
         )
@@ -1305,24 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn force_wal_covers_every_partition() {
-        let (store, wals, ckpt) = fresh_partitioned(3);
-        store.begin(1).unwrap();
-        for i in 0..9u8 {
-            store.put(1, &[b'k', i], &[i]).unwrap();
-        }
-        store.commit_deferred(1).unwrap();
-        store.force_wal().unwrap();
-        for d in &wals {
-            d.crash(CrashStyle::DropVolatile);
-        }
-        let (store2, _) = reopen_partitioned(&wals, &ckpt);
-        for i in 0..9u8 {
-            assert_eq!(store2.get(None, &[b'k', i]).unwrap(), Some(vec![i]));
-        }
-    }
-
-    #[test]
     fn uncommitted_writes_invisible_and_lost() {
         let (store, wal, ckpt) = fresh();
         store.begin(1).unwrap();
@@ -1409,6 +1224,20 @@ mod tests {
         wal.crash(CrashStyle::DropVolatile);
         let (store3, _) = reopen(&wal, &ckpt);
         assert_eq!(store3.get(None, b"x").unwrap(), Some(b"1".to_vec()));
+    }
+
+    #[test]
+    fn in_doubt_tokens_are_reported_sorted() {
+        let (store, wal, ckpt) = fresh();
+        let tokens = [9u64, 3, 7, 14, 1, 12, 5, 16, 2, 11, 8, 15, 4, 13, 6, 10];
+        for t in tokens {
+            store.begin(t).unwrap();
+            store.put(t, &t.to_be_bytes(), b"v").unwrap();
+            store.prepare(t).unwrap();
+        }
+        wal.crash(CrashStyle::DropVolatile);
+        let (_, report) = reopen(&wal, &ckpt);
+        assert_eq!(report.in_doubt, (1..=16).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1625,118 +1454,6 @@ mod tests {
         let (store2, _) = reopen(&wal, &ckpt);
         assert_eq!(store2.get(None, b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(store2.get(None, b"b").unwrap(), None);
-    }
-
-    #[test]
-    fn partition_for_key_is_stable_and_in_range() {
-        for n in 1..=MAX_WAL_PARTITIONS {
-            for key in [&b"a"[..], b"q/elem/0001", b"", b"acct/42"] {
-                let p = partition_for_key(key, n);
-                assert!(p < n);
-                assert_eq!(p, partition_for_key(key, n), "deterministic");
-            }
-        }
-        assert_eq!(partition_for_key(b"anything", 1), 0);
-    }
-
-    #[test]
-    fn partitioned_multi_key_txn_survives_crash() {
-        let (store, wals, ckpt) = fresh_partitioned(4);
-        assert_eq!(store.wal_partitions(), 4);
-        store.begin(1).unwrap();
-        // Enough keys that several partitions are touched.
-        for i in 0..16u32 {
-            store
-                .put(1, format!("k/{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        store.commit(1).unwrap();
-        let touched = wals.iter().filter(|w| w.durable_len() > 0).count();
-        assert!(touched > 1, "a 16-key txn must span multiple logs");
-
-        for w in &wals {
-            w.crash(CrashStyle::DropVolatile);
-        }
-        let (store2, report) = reopen_partitioned(&wals, &ckpt);
-        assert_eq!(report.committed_txns, 1);
-        for i in 0..16u32 {
-            assert_eq!(
-                store2.get(None, format!("k/{i}").as_bytes()).unwrap(),
-                Some(format!("v{i}").into_bytes())
-            );
-        }
-    }
-
-    #[test]
-    fn partitioned_commit_order_respected_across_logs() {
-        let (store, wals, ckpt) = fresh_partitioned(4);
-        // Many txns over a few keys: the final value of each key is decided
-        // by global commit (epoch) order, which replay must reproduce.
-        for t in 1..=40u64 {
-            store.begin(t).unwrap();
-            let key = format!("k/{}", t % 5);
-            store
-                .put(t, key.as_bytes(), format!("v{t}").as_bytes())
-                .unwrap();
-            store.commit(t).unwrap();
-        }
-        let live: Vec<_> = store.scan_prefix(None, b"k/").unwrap();
-        for w in &wals {
-            w.crash(CrashStyle::DropVolatile);
-        }
-        let (store2, _) = reopen_partitioned(&wals, &ckpt);
-        assert_eq!(store2.scan_prefix(None, b"k/").unwrap(), live);
-    }
-
-    #[test]
-    fn partitioned_incremental_checkpoint_bounds_replay() {
-        let (store, wals, ckpt) = fresh_partitioned(4);
-        for t in 1..=20u64 {
-            store.begin(t).unwrap();
-            store.put(t, format!("k/{t}").as_bytes(), b"v").unwrap();
-            store.commit(t).unwrap();
-        }
-        store.checkpoint().unwrap(); // base
-        for t in 21..=25u64 {
-            store.begin(t).unwrap();
-            store.put(t, format!("k/{t}").as_bytes(), b"w").unwrap();
-            store.commit(t).unwrap();
-        }
-        store.checkpoint().unwrap(); // delta: 5 keys, not 25
-        for w in &wals {
-            w.crash(CrashStyle::DropVolatile);
-        }
-        let (store2, report) = reopen_partitioned(&wals, &ckpt);
-        assert_eq!(report.replayed, 0, "all state came from the chain");
-        assert_eq!(store2.committed_len(), 25);
-        assert_eq!(store2.get(None, b"k/25").unwrap(), Some(b"w".to_vec()));
-        assert_eq!(store2.get(None, b"k/1").unwrap(), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn partitioned_prepare_commits_after_recovery() {
-        let (store, wals, ckpt) = fresh_partitioned(4);
-        store.begin(9).unwrap();
-        for i in 0..8u32 {
-            store.put(9, format!("p/{i}").as_bytes(), b"x").unwrap();
-        }
-        store.prepare(9).unwrap();
-        for w in &wals {
-            w.crash(CrashStyle::DropVolatile);
-        }
-        let (store2, report) = reopen_partitioned(&wals, &ckpt);
-        assert_eq!(report.in_doubt, vec![9]);
-        store2.commit(9).unwrap();
-        for w in &wals {
-            w.crash(CrashStyle::DropVolatile);
-        }
-        let (store3, _) = reopen_partitioned(&wals, &ckpt);
-        for i in 0..8u32 {
-            assert_eq!(
-                store3.get(None, format!("p/{i}").as_bytes()).unwrap(),
-                Some(b"x".to_vec())
-            );
-        }
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub use checkpoint::{load_chain, CheckpointChain};
 pub use disk::{Disk, LatencyDisk, MemDisk, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use group_commit::{GroupCommit, GroupCommitStats};
-pub use kv::{partition_for_key, KvStore, KvTxn, WriteOp, MAX_WAL_PARTITIONS};
-pub use recovery::{replay_partitioned, PartitionedOutcome, RecoveryReport};
+pub use kv::{KvStore, KvTxn, WriteOp};
+pub use recovery::{replay, RecoveryReport, ReplayOutcome};
 pub use wal::{LogRecord, RecordKind, Wal};

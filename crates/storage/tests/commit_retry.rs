@@ -4,12 +4,11 @@
 //!
 //! Commit and prepare check the transaction's state out of the store and move
 //! the write set into the tree on success; these tests pin that every failure
-//! exit (a sibling log's append, the home log's append, the force) checks the
-//! state back in. `partitioned_wal.rs` covers the other half: that a failed
-//! commit leaves nothing *behind* in the tree or the logs' committed state.
+//! exit (the append, the force) checks the state back in, and that a failed
+//! commit leaves nothing *behind* in the tree or the log's committed state.
 
 use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk};
-use rrq_storage::kv::{partition_for_key, KvOptions, KvStore};
+use rrq_storage::kv::{KvOptions, KvStore};
 use rrq_storage::{StorageError, StorageResult};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,23 +57,14 @@ fn value(i: u32) -> Vec<u8> {
     format!("value-{i}").into_bytes()
 }
 
-fn open(wals: &[SimDisk], ckpt: &SimDisk) -> Arc<KvStore> {
-    let disks = wals
-        .iter()
-        .map(|d| Arc::new(d.clone()) as Arc<dyn Disk>)
-        .collect();
-    KvStore::open_partitioned(disks, Arc::new(ckpt.clone()), KvOptions::default())
-        .unwrap()
-        .0
-}
-
-/// The logs a transaction writing every key of `0..KEYS` touches, lowest
-/// (its home log) first.
-fn touched(n: usize) -> Vec<usize> {
-    let mut t: Vec<usize> = (0..KEYS).map(|i| partition_for_key(&key(i), n)).collect();
-    t.sort_unstable();
-    t.dedup();
-    t
+fn open(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
+    KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        KvOptions::default(),
+    )
+    .unwrap()
+    .0
 }
 
 fn write_all(store: &KvStore, txn: u64) {
@@ -109,20 +99,21 @@ fn assert_committed(store: &KvStore) {
     }
 }
 
-/// Fail log `victim` during the commit, repair it, commit the same token.
-fn commit_survives_failure_of(n: usize, victim: usize) {
-    let wals: Vec<SimDisk> = (0..n).map(|_| SimDisk::new()).collect();
+/// Fail the log during the commit, repair it, commit the same token.
+#[test]
+fn commit_retries_after_device_failure() {
+    let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let store = open(&wals, &ckpt);
+    let store = open(&wal, &ckpt);
     write_all(&store, 1);
 
-    wals[victim].fail();
+    wal.fail();
     assert_eq!(store.commit(1), Err(StorageError::DeviceFailed));
     assert_own_view_intact(&store, 1);
     // The write set is still writable, too.
     store.put(1, b"k/extra", b"late").unwrap();
 
-    wals[victim].repair();
+    wal.repair();
     store.commit(1).unwrap();
     assert!(!store.is_open(1));
     assert_committed(&store);
@@ -133,18 +124,11 @@ fn commit_survives_failure_of(n: usize, victim: usize) {
     store.put(2, b"after", b"ok").unwrap();
     store.commit(2).unwrap();
 
-    for d in &wals {
-        d.crash(CrashStyle::DropVolatile);
-    }
-    let store = open(&wals, &ckpt);
+    wal.crash(CrashStyle::DropVolatile);
+    let store = open(&wal, &ckpt);
     assert_committed(&store);
     assert_eq!(store.get(None, b"k/extra").unwrap(), Some(b"late".to_vec()));
     assert_eq!(store.get(None, b"after").unwrap(), Some(b"ok".to_vec()));
-}
-
-#[test]
-fn single_log_commit_retries_after_device_failure() {
-    commit_survives_failure_of(1, 0);
 }
 
 #[test]
@@ -154,7 +138,7 @@ fn a_failed_commit_append_leaves_nothing_of_the_transaction_in_the_log() {
     // transaction: no orphan data records for a later scan to carry.
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let store = open(std::slice::from_ref(&wal), &ckpt);
+    let store = open(&wal, &ckpt);
     store.begin(9).unwrap();
     store.put(9, b"before", b"ok").unwrap();
     store.commit(9).unwrap();
@@ -174,94 +158,61 @@ fn a_failed_commit_append_leaves_nothing_of_the_transaction_in_the_log() {
 }
 
 #[test]
-fn four_logs_commit_retries_after_home_device_failure() {
-    let home = touched(4)[0];
-    commit_survives_failure_of(4, home);
-}
-
-#[test]
-fn four_logs_commit_retries_after_sibling_device_failure() {
-    let t = touched(4);
-    assert!(t.len() > 1, "16 keys must span several logs");
-    for &sibling in &t[1..] {
-        commit_survives_failure_of(4, sibling);
-    }
-}
-
-#[test]
 fn commit_retries_after_a_failed_force() {
     // The commit record lands in the volatile log, then the force fails: the
     // retry logs the write set and a second commit record behind it, and
     // recovery must still see one committed transaction with the right state.
-    for n in [1, 4] {
-        let sims: Vec<SimDisk> = (0..n).map(|_| SimDisk::new()).collect();
-        let flaky: Vec<Arc<ForceFails>> = sims
-            .iter()
-            .map(|d| {
-                Arc::new(ForceFails {
-                    disk: d.clone(),
-                    failing: AtomicBool::new(false),
-                })
-            })
-            .collect();
-        let ckpt = SimDisk::new();
-        let disks = flaky.iter().map(|d| d.clone() as Arc<dyn Disk>).collect();
-        let (store, _) =
-            KvStore::open_partitioned(disks, Arc::new(ckpt.clone()), KvOptions::default()).unwrap();
-        write_all(&store, 1);
+    let wal = SimDisk::new();
+    let flaky = Arc::new(ForceFails {
+        disk: wal.clone(),
+        failing: AtomicBool::new(false),
+    });
+    let ckpt = SimDisk::new();
+    let (store, _) =
+        KvStore::open(flaky.clone(), Arc::new(ckpt.clone()), KvOptions::default()).unwrap();
+    write_all(&store, 1);
 
-        let home = touched(n)[0];
-        flaky[home].failing.store(true, Ordering::SeqCst);
-        assert_eq!(store.commit(1), Err(StorageError::DeviceFailed));
-        assert_own_view_intact(&store, 1);
+    flaky.failing.store(true, Ordering::SeqCst);
+    assert_eq!(store.commit(1), Err(StorageError::DeviceFailed));
+    assert_own_view_intact(&store, 1);
 
-        flaky[home].failing.store(false, Ordering::SeqCst);
-        store.commit(1).unwrap();
-        assert_committed(&store);
+    flaky.failing.store(false, Ordering::SeqCst);
+    store.commit(1).unwrap();
+    assert_committed(&store);
 
-        for d in &sims {
-            d.crash(CrashStyle::DropVolatile);
-        }
-        let (store, report) = {
-            let disks = sims
-                .iter()
-                .map(|d| Arc::new(d.clone()) as Arc<dyn Disk>)
-                .collect();
-            KvStore::open_partitioned(disks, Arc::new(ckpt.clone()), KvOptions::default()).unwrap()
-        };
-        assert_eq!(report.committed_txns, 1);
-        assert_committed(&store);
-    }
+    wal.crash(CrashStyle::DropVolatile);
+    let (store, report) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        KvOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(report.committed_txns, 1);
+    assert_committed(&store);
 }
 
 #[test]
 fn prepare_retries_after_device_failure() {
-    for n in [1, 4] {
-        for &victim in &touched(n) {
-            let wals: Vec<SimDisk> = (0..n).map(|_| SimDisk::new()).collect();
-            let ckpt = SimDisk::new();
-            let store = open(&wals, &ckpt);
-            write_all(&store, 7);
+    let wal = SimDisk::new();
+    let ckpt = SimDisk::new();
+    let store = open(&wal, &ckpt);
+    write_all(&store, 7);
 
-            wals[victim].fail();
-            assert_eq!(store.prepare(7), Err(StorageError::DeviceFailed));
-            assert_own_view_intact(&store, 7);
-            // Not prepared: the write set is still open for writes.
-            store.put(7, b"k/extra", b"late").unwrap();
+    wal.fail();
+    assert_eq!(store.prepare(7), Err(StorageError::DeviceFailed));
+    assert_own_view_intact(&store, 7);
+    // Not prepared: the write set is still open for writes.
+    store.put(7, b"k/extra", b"late").unwrap();
 
-            wals[victim].repair();
-            store.prepare(7).unwrap();
-            assert!(store.put(7, b"k/no", b"x").is_err(), "prepared now");
+    wal.repair();
+    store.prepare(7).unwrap();
+    assert!(store.put(7, b"k/no", b"x").is_err(), "prepared now");
 
-            // In doubt across a crash, with the whole write set.
-            for d in &wals {
-                d.crash(CrashStyle::DropVolatile);
-            }
-            let store = open(&wals, &ckpt);
-            assert!(store.is_open(7));
-            store.commit(7).unwrap();
-            assert_committed(&store);
-            assert_eq!(store.get(None, b"k/extra").unwrap(), Some(b"late".to_vec()));
-        }
-    }
+    // In doubt across a crash, with the whole write set.
+    wal.crash(CrashStyle::DropVolatile);
+    let store = open(&wal, &ckpt);
+    assert!(store.is_open(7));
+    store.commit(7).unwrap();
+    assert_committed(&store);
+    assert_eq!(store.get(None, b"k/extra").unwrap(), Some(b"late".to_vec()));
 }

@@ -171,9 +171,9 @@ fn a_batch_is_one_device_write_of_the_bytes_its_records_make_one_by_one() {
 
 #[test]
 fn the_store_writes_the_log_the_old_encoder_would() {
-    // Internal ids start at 1 and epochs at 0 on a fresh store, so the exact
-    // image is predictable: data records in op order, then the commit record
-    // with its epoch; prepare carries the caller's token.
+    // Internal ids start at 1 on a fresh store, so the exact image is
+    // predictable: data records in op order, then the commit record (no
+    // payload); prepare carries the caller's token.
     let wal = SimDisk::new();
     let (store, _) = KvStore::open(
         Arc::new(wal.clone()),
@@ -203,10 +203,10 @@ fn the_store_writes_the_log_the_old_encoder_would() {
         key: b"alpha".to_vec(),
     };
     want.extend(old_frame(1, RecordKind::KvDelete, &del.encode_payload()));
-    want.extend(old_frame(1, RecordKind::Commit, &0u64.to_le_bytes()));
+    want.extend(old_frame(1, RecordKind::Commit, b""));
     want.extend(old_frame(2, RecordKind::KvPut, &put_payload(b"gamma", b"")));
     want.extend(old_frame(2, RecordKind::Prepare, &78u64.to_le_bytes()));
-    want.extend(old_frame(2, RecordKind::Commit, &1u64.to_le_bytes()));
+    want.extend(old_frame(2, RecordKind::Commit, b""));
     assert_eq!(image(&wal), want);
     // One device write per commit point: the first commit (three data records
     // and the commit record), the prepare (one data record and the prepare
