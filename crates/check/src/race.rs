@@ -20,7 +20,8 @@
 //!
 //! The detector is off by default; a [`Session`] turns it on and serializes
 //! concurrent detector tests in one process. Every hook starts with one
-//! relaxed atomic load, so dormant instrumentation is effectively free.
+//! atomic load, and the cell hooks take their cell's name as a closure that
+//! only a live session calls, so dormant instrumentation builds nothing.
 
 use crate::clock::VectorClock;
 use std::backtrace::Backtrace;
@@ -231,14 +232,17 @@ fn record(d: &mut Detector, slot: usize, cell: &str, kind: AccessKind) {
     d.threads[slot].tick(slot);
 }
 
-/// Report a read of the tracked cell `cell`.
-pub fn on_read(cell: &str) {
-    hooked(|d, slot| record(d, slot, cell, AccessKind::Read));
+/// Report a read of the tracked cell `cell` names. The closure runs only
+/// while a session is live, so a call site on a hot path may `format!` its
+/// cell name inside it for free.
+pub fn on_read(cell: impl FnOnce() -> String) {
+    hooked(|d, slot| record(d, slot, &cell(), AccessKind::Read));
 }
 
-/// Report a write of the tracked cell `cell`.
-pub fn on_write(cell: &str) {
-    hooked(|d, slot| record(d, slot, cell, AccessKind::Write));
+/// Report a write of the tracked cell `cell` names; `cell` as in
+/// [`on_read`].
+pub fn on_write(cell: impl FnOnce() -> String) {
+    hooked(|d, slot| record(d, slot, &cell(), AccessKind::Write));
 }
 
 /// A read of `cell` that the storage layer serializes internally (per-key
@@ -246,23 +250,20 @@ pub fn on_write(cell: &str) {
 /// records. Accesses through this hook are mutually ordered; a direct
 /// [`on_read`]/[`on_write`] on the same cell that bypasses the latch still
 /// races and is reported.
-pub fn serialized_read(cell: &str) {
-    hooked(|d, slot| {
-        let latch = format!("ser:{cell}");
-        join_acquire(d, slot, latch.clone());
-        record(d, slot, cell, AccessKind::Read);
-        join_release(d, slot, latch);
-    });
+pub fn serialized_read(cell: impl FnOnce() -> String) {
+    hooked(|d, slot| serialized(d, slot, &cell(), AccessKind::Read));
 }
 
 /// Write counterpart of [`serialized_read`].
-pub fn serialized_write(cell: &str) {
-    hooked(|d, slot| {
-        let latch = format!("ser:{cell}");
-        join_acquire(d, slot, latch.clone());
-        record(d, slot, cell, AccessKind::Write);
-        join_release(d, slot, latch);
-    });
+pub fn serialized_write(cell: impl FnOnce() -> String) {
+    hooked(|d, slot| serialized(d, slot, &cell(), AccessKind::Write));
+}
+
+fn serialized(d: &mut Detector, slot: usize, cell: &str, kind: AccessKind) {
+    let latch = format!("ser:{cell}");
+    join_acquire(d, slot, latch.clone());
+    record(d, slot, cell, kind);
+    join_release(d, slot, latch);
 }
 
 /// A value with instrumented accesses. Reads and writes are reported to the
@@ -290,20 +291,20 @@ impl<T> Tracked<T> {
 
     /// Instrumented read access.
     pub fn read(&self) -> &T {
-        on_read(&self.name);
+        on_read(|| self.name.clone());
         &self.value
     }
 
     /// Instrumented write access through interior mutability (the caller
     /// mutates via `&T`, e.g. an atomic or a mutex-wrapped value).
     pub fn write(&self) -> &T {
-        on_write(&self.name);
+        on_write(|| self.name.clone());
         &self.value
     }
 
     /// Instrumented exclusive write access.
     pub fn get_mut(&mut self) -> &mut T {
-        on_write(&self.name);
+        on_write(|| self.name.clone());
         &mut self.value
     }
 
@@ -358,6 +359,49 @@ impl Drop for Session {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    // The tests name their cells with literals.
+    fn on_read(cell: &str) {
+        super::on_read(|| cell.to_string());
+    }
+    fn on_write(cell: &str) {
+        super::on_write(|| cell.to_string());
+    }
+    fn serialized_read(cell: &str) {
+        super::serialized_read(|| cell.to_string());
+    }
+    fn serialized_write(cell: &str) {
+        super::serialized_write(|| cell.to_string());
+    }
+
+    #[test]
+    fn a_dormant_hook_does_not_build_its_cell_name() {
+        // Holding the session mutex without starting a session keeps every
+        // other test's session, and with it `ENABLED`, out of the way.
+        let _no_session = lock_poison_ok(&SESSION);
+        let built = Cell::new(0);
+        let name = || {
+            built.set(built.get() + 1);
+            String::from("cell/dormant")
+        };
+        super::on_read(name);
+        super::on_write(name);
+        super::serialized_read(name);
+        super::serialized_write(name);
+        assert_eq!(built.get(), 0);
+    }
+
+    #[test]
+    fn a_live_hook_builds_its_cell_name_once() {
+        let s = Session::start();
+        let built = Cell::new(0);
+        super::serialized_write(|| {
+            built.set(built.get() + 1);
+            String::from("cell/live")
+        });
+        assert_eq!(built.get(), 1);
+        assert!(s.take_reports().is_empty());
+    }
 
     #[test]
     fn same_thread_accesses_are_ordered() {

@@ -85,6 +85,33 @@ fn no_block_fixture_reports_the_blocking_op_and_acquisition_site() {
 }
 
 #[test]
+fn catalog_lock_fixture_flags_the_force_under_the_guard_and_not_the_fill() {
+    // The workspace's `qm-catalog` class, on both acquisition forms: the
+    // read-lock probe and the fill's store read under the write lock are
+    // clean, the invalidation that holds the write lock across the system
+    // transaction's log force is the one finding.
+    let out = analyze::run(&fixture("catalog-lock")).unwrap();
+    assert_eq!(out.findings.len(), 1, "{:#?}", out.findings);
+    let f = &out.findings[0];
+    assert_eq!(f.rule, analyze::RULE_NO_BLOCK);
+    assert_eq!(f.file, LIB);
+    assert_eq!(f.line, 18);
+    assert_eq!(
+        f.message,
+        format!(
+            "blocking operation `{}` while `qm-catalog` (no-block) is held",
+            concat!(".sy", "nc()")
+        )
+    );
+    assert_eq!(
+        f.chain,
+        vec![format!(
+            "`qm-catalog` acquired at {LIB}:16 in fn `update_queue_bad`"
+        )]
+    );
+}
+
+#[test]
 fn durability_fixture_reports_undominated_mutation_and_unsynced_append() {
     let out = analyze::run(&fixture("durability")).unwrap();
     assert_eq!(out.findings.len(), 2, "{:#?}", out.findings);

@@ -81,7 +81,7 @@ fn unlocked_account_write_is_flagged() {
     // would NOT do as the rogue — draining the reply queue ordered it after
     // every server write via the queue edge, which is exactly the
     // happens-before reasoning the detector encodes.)
-    std::thread::spawn(|| race::on_write(&bank::account_cell(0)))
+    std::thread::spawn(|| race::on_write(|| bank::account_cell(0)))
         .join()
         .unwrap();
 

@@ -27,6 +27,32 @@
 //! [`OrderingMode::StrictFifo`] it blocks behind the head element's lock.
 //! Blocking dequeue on an empty queue uses the [`crate::notify`] versioning
 //! — the paper's "notify lock".
+//!
+//! ## The queue catalog
+//!
+//! A queue's metadata is the queue database's catalog (Gray, *Queues Are
+//! Databases*), and it changes only through `update_queue` and
+//! `destroy_queue`; every request reads it several times. The manager
+//! therefore keeps each queue's `m/<queue>` record decoded, beside the
+//! queue's lock namespace, in an `Arc` behind one `RwLock`
+//! ([`QueueManager::queue_info`]): a request takes the read lock, clones
+//! the `Arc`, and neither touches the store nor decodes anything. Coherence
+//! needs two rules, both about the catalog's *write* lock. A miss is filled
+//! under it, the store read inside it; and `update_queue`/`destroy_queue`
+//! drop the entry under it *after* their system transaction has committed.
+//! A fill that read the old record finished inserting it before the drop
+//! could begin, and any fill that begins after the drop reads the new
+//! record — so the first operation to start after `update_queue` returns
+//! sees the update. Operations already past their lookup finish with the
+//! metadata they started with, as they did when each lookup read the
+//! store. A queue that does not exist has no entry, so `create_queue` has
+//! nothing to drop.
+//!
+//! Two more per-commit store reads are gated the same way, by counters
+//! instead of copies: the number of unfired triggers in `t/` and of kill
+//! tombstones in `k/`, counted at open. Each is raised *before* the system
+//! transaction that writes a record commits and lowered *after* the one that
+//! retires it, so a reader that finds zero knows the store holds none.
 
 use crate::element::{Eid, Element, ElementRef, Priority};
 use crate::error::{QmError, QmResult};
@@ -37,14 +63,14 @@ use crate::qindex::QueueIndex;
 use crate::registration::{LastOp, Registration};
 use crate::retrieval::Predicate;
 use crate::trigger::Trigger;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use rrq_storage::codec::{put, Decode, Encode, Reader};
 use rrq_storage::kv::KvStore;
 use rrq_txn::{
     LockKey, LockManager, LockMode, ResourceManager, TxnError, TxnId, TxnIdGen, TxnResult,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,6 +137,68 @@ pub struct QmStats {
     pub alerts: u64,
     /// Triggers fired.
     pub triggers_fired: u64,
+}
+
+/// [`QmStats`] as it is counted: one atomic per field, so the request path
+/// adds to a counter without taking a lock.
+#[derive(Debug, Default)]
+struct QmCounters {
+    enqueues: AtomicU64,
+    dequeues: AtomicU64,
+    reads: AtomicU64,
+    lock_skips: AtomicU64,
+    aborted_dequeues: AtomicU64,
+    error_moves: AtomicU64,
+    kills: AtomicU64,
+    alerts: AtomicU64,
+    triggers_fired: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::AcqRel);
+}
+
+/// Lower a count of stored records by one, never below zero: a count left
+/// too high only costs its readers a store probe, one wrapped past zero
+/// would hide a record.
+fn lower(count: &AtomicUsize) {
+    let _ = count.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
+}
+
+/// What the request path needs to know about a queue: its decoded `m/`
+/// record and the namespace of its element locks.
+#[derive(Debug)]
+struct QueueInfo {
+    meta: QueueMeta,
+    ns: u32,
+}
+
+/// One queue name's place in the catalog. The namespace is handed out once
+/// and outlives every invalidation: element locks taken under it before an
+/// `update_queue` must still exclude those taken after.
+#[derive(Debug)]
+struct CatalogSlot {
+    ns: u32,
+    /// `None` until the first lookup, and again after the record changed.
+    info: Option<Arc<QueueInfo>>,
+}
+
+/// The queue catalog (see the module docs).
+#[derive(Debug)]
+struct Catalog {
+    slots: HashMap<String, CatalogSlot>,
+    next_ns: u32,
+}
+
+impl Catalog {
+    fn slot(&mut self, queue: &str) -> &mut CatalogSlot {
+        let next_ns = &mut self.next_ns;
+        self.slots.entry(queue.to_string()).or_insert_with(|| {
+            let ns = *next_ns;
+            *next_ns += 1;
+            CatalogSlot { ns, info: None }
+        })
+    }
 }
 
 /// A dequeue performed by a still-open transaction.
@@ -212,10 +300,18 @@ pub struct QueueManager {
     sys_ids: TxnIdGen,
     epoch: u64,
     counter: AtomicU64,
-    ns_map: Mutex<HashMap<String, u32>>,
-    next_ns: AtomicU32,
-    stats: Mutex<QmStats>,
-    /// Queues whose alert threshold was crossed (drained by `take_alerts`).
+    /// Decoded queue metadata and lock namespaces (see the module docs). A
+    /// leaf: nothing is acquired under it but the store's own locks, and
+    /// those only by the fill's one committed read.
+    catalog: RwLock<Catalog>,
+    /// Unfired trigger records in `t/`; zero lets an enqueue-commit skip
+    /// the scan for them.
+    unfired_triggers: AtomicUsize,
+    /// Kill tombstones in `k/`; zero lets a dequeue skip the probe for one.
+    kill_marks: AtomicUsize,
+    stats: QmCounters,
+    /// Queues whose depth crossed their alert threshold since the last
+    /// `take_alerts`, each at most once.
     alerts: Mutex<Vec<String>>,
     /// Committed-but-unapplied effect mirrors of planned transactions,
     /// buffered until the epoch force (`apply_epoch`). Volatile by design:
@@ -227,6 +323,10 @@ pub struct QueueManager {
 /// Stripe count of the pending-transaction map; matches the lock manager's
 /// default.
 const PENDING_SHARDS: usize = 16;
+
+/// Lock namespace of trigger records (`t/<id>`); queues' namespaces count
+/// up from 1.
+const TRIGGER_NS: u32 = 0;
 
 impl QueueManager {
     /// Build a manager over a durable store and a volatile store, sharing the
@@ -282,6 +382,13 @@ impl QueueManager {
                 rrq_obs::counter_inc("qm.recovery.index_rebuild");
             }
         }
+        let mut unfired_triggers = 0;
+        for (_, raw) in durable.scan_prefix(None, b"t/")? {
+            if !Trigger::decode_all(&raw).map_err(QmError::Storage)?.fired {
+                unfired_triggers += 1;
+            }
+        }
+        let kill_marks = durable.scan_prefix(None, b"k/")?.len();
 
         Ok(Arc::new(QueueManager {
             name: name.into(),
@@ -297,9 +404,13 @@ impl QueueManager {
             sys_ids,
             epoch,
             counter: AtomicU64::new(0),
-            ns_map: Mutex::new(HashMap::new()),
-            next_ns: AtomicU32::new(1),
-            stats: Mutex::new(QmStats::default()),
+            catalog: RwLock::new(Catalog {
+                slots: HashMap::new(),
+                next_ns: 1,
+            }),
+            unfired_triggers: AtomicUsize::new(unfired_triggers),
+            kill_marks: AtomicUsize::new(kill_marks),
+            stats: QmCounters::default(),
             alerts: Mutex::new(Vec::new()),
             epoch_buf: Mutex::new(Vec::new()),
         }))
@@ -340,13 +451,37 @@ impl QueueManager {
 
     /// Counter snapshot.
     pub fn stats(&self) -> QmStats {
-        *self.stats.lock()
+        let c = &self.stats;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Acquire);
+        QmStats {
+            enqueues: read(&c.enqueues),
+            dequeues: read(&c.dequeues),
+            reads: read(&c.reads),
+            lock_skips: read(&c.lock_skips),
+            aborted_dequeues: read(&c.aborted_dequeues),
+            error_moves: read(&c.error_moves),
+            kills: read(&c.kills),
+            alerts: read(&c.alerts),
+            triggers_fired: read(&c.triggers_fired),
+        }
     }
 
     /// Drain the queue names whose alert thresholds were crossed since the
-    /// last call (§9 "alert thresholds").
+    /// last call (§9 "alert thresholds"), each named once however often it
+    /// crossed.
     pub fn take_alerts(&self) -> Vec<String> {
         std::mem::take(&mut *self.alerts.lock())
+    }
+
+    /// `(unfired triggers, kill tombstones)` as the manager counts them —
+    /// what gates the trigger scan at enqueue-commit and the tombstone probe
+    /// at dequeue. At any quiescent point they equal the `t/` and `k/`
+    /// records a scan of the store would find.
+    pub fn gated_records(&self) -> (usize, usize) {
+        (
+            self.unfired_triggers.load(Ordering::Acquire),
+            self.kill_marks.load(Ordering::Acquire),
+        )
     }
 
     /// The shared lock manager.
@@ -354,14 +489,49 @@ impl QueueManager {
         &self.locks
     }
 
-    fn ns_of(&self, queue: &str) -> u32 {
-        let mut g = self.ns_map.lock();
-        if let Some(&n) = g.get(queue) {
-            return n;
+    /// The catalog entry of `queue`: a shared-lock map probe and an `Arc`
+    /// clone when it is there, one committed store read and a decode, under
+    /// the catalog's write lock, when it is not (see the module docs).
+    fn queue_info(&self, queue: &str) -> QmResult<Arc<QueueInfo>> {
+        if let Some(info) = self
+            .catalog
+            .read()
+            .slots
+            .get(queue)
+            .and_then(|s| s.info.clone())
+        {
+            return Ok(info);
         }
-        let n = self.next_ns.fetch_add(1, Ordering::AcqRel);
-        g.insert(queue.to_string(), n);
-        n
+        let mut catalog = self.catalog.write();
+        if let Some(info) = catalog.slots.get(queue).and_then(|s| s.info.clone()) {
+            return Ok(info);
+        }
+        let raw = self
+            .durable
+            .get(None, &keys::meta_key(queue))?
+            .ok_or_else(|| QmError::NoSuchQueue(queue.to_string()))?;
+        let meta = QueueMeta::decode_all(&raw).map_err(QmError::Storage)?;
+        let slot = catalog.slot(queue);
+        let info = Arc::new(QueueInfo { meta, ns: slot.ns });
+        slot.info = Some(Arc::clone(&info));
+        Ok(info)
+    }
+
+    /// Drop `queue`'s decoded record; call after the system transaction that
+    /// changed it has committed.
+    fn invalidate(&self, queue: &str) {
+        if let Some(slot) = self.catalog.write().slots.get_mut(queue) {
+            slot.info = None;
+        }
+    }
+
+    /// Lock namespace of `queue`'s elements, whether or not the queue
+    /// (still) exists: an element index entry can outlive its queue.
+    fn ns_of(&self, queue: &str) -> u32 {
+        if let Some(slot) = self.catalog.read().slots.get(queue) {
+            return slot.ns;
+        }
+        self.catalog.write().slot(queue).ns
     }
 
     fn next_eid(&self) -> (Eid, u64) {
@@ -413,15 +583,13 @@ impl QueueManager {
 
     /// Fetch a queue's metadata.
     pub fn queue_meta(&self, queue: &str) -> QmResult<QueueMeta> {
-        match self.durable.get(None, &keys::meta_key(queue))? {
-            Some(raw) => Ok(QueueMeta::decode_all(&raw).map_err(QmError::Storage)?),
-            None => Err(QmError::NoSuchQueue(queue.to_string())),
-        }
+        Ok(self.queue_info(queue)?.meta.clone())
     }
 
     /// Update a queue's metadata in place (start/stop, redirect, thresholds…).
+    /// The first operation to start after this returns sees the update.
     pub fn update_queue(&self, queue: &str, f: impl FnOnce(&mut QueueMeta)) -> QmResult<QueueMeta> {
-        self.system_txn(|t| {
+        let updated = self.system_txn(|t| {
             let key = keys::meta_key(queue);
             let raw = self
                 .durable
@@ -432,13 +600,16 @@ impl QueueManager {
             meta.name = queue.to_string(); // the name is immutable
             self.durable.put(t, &key, &meta.encode_to_vec())?;
             Ok(meta)
-        })
+        });
+        self.invalidate(queue);
+        updated
     }
 
     /// Destroy a queue and all of its live elements and registrations.
     pub fn destroy_queue(&self, queue: &str) -> QmResult<()> {
-        let meta = self.queue_meta(queue)?;
-        let store = Arc::clone(self.store_for(&meta));
+        let info = self.queue_info(queue)?;
+        let meta = &info.meta;
+        let store = Arc::clone(self.store_for(meta));
         let r = self.system_txn(|t| {
             // Volatile elements live in the other store; handle both.
             if !meta.durable {
@@ -466,6 +637,7 @@ impl QueueManager {
             self.durable.delete(t, &keys::meta_key(queue))?;
             Ok(())
         });
+        self.invalidate(queue);
         if r.is_ok() {
             self.qindex.clear_queue(queue);
         }
@@ -495,7 +667,7 @@ impl QueueManager {
         registrant: &str,
         stable: bool,
     ) -> QmResult<(QueueHandle, Registration)> {
-        self.queue_meta(queue)?; // must exist
+        self.queue_info(queue)?; // must exist
         let handle = QueueHandle {
             queue: queue.to_string(),
             registrant: registrant.to_string(),
@@ -504,15 +676,15 @@ impl QueueManager {
         // Registration records are serialized by the KV store itself, not
         // by a lock-manager lock; report them through the store-latch hooks
         // so any future direct access that bypasses this path is flagged.
-        let cell = reg_cell(queue, registrant);
-        rrq_check::race::serialized_read(&cell);
+        let cell = || reg_cell(queue, registrant);
+        rrq_check::race::serialized_read(cell);
         if let Some(raw) = self.durable.get(None, &key)? {
             let reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
             return Ok((handle, reg));
         }
         let reg = Registration::new(registrant, queue, stable);
         let reg2 = reg.clone();
-        rrq_check::race::serialized_write(&cell);
+        rrq_check::race::serialized_write(cell);
         self.system_txn(move |t| {
             self.durable.put(t, &key, &reg2.encode_to_vec())?;
             Ok(())
@@ -523,7 +695,7 @@ impl QueueManager {
     /// `Deregister` — destroys all registration information (§4.3).
     pub fn deregister(&self, handle: &QueueHandle) -> QmResult<()> {
         let key = keys::registration_key(&handle.queue, &handle.registrant);
-        rrq_check::race::serialized_write(&reg_cell(&handle.queue, &handle.registrant));
+        rrq_check::race::serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
         self.system_txn(|t| {
             if self.durable.get(Some(t), &key)?.is_none() {
                 return Err(QmError::NotRegistered(handle.registrant.clone()));
@@ -547,7 +719,7 @@ impl QueueManager {
         let key = keys::registration_key(&handle.queue, &handle.registrant);
         // Read-modify-write of the registration record under the store's
         // internal serialization (see `register`).
-        rrq_check::race::serialized_write(&reg_cell(&handle.queue, &handle.registrant));
+        rrq_check::race::serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
         let raw = self
             .durable
             .get(Some(txn), &key)?
@@ -568,13 +740,12 @@ impl QueueManager {
     // ------------------------------------------------------------------
 
     /// Resolve §9 queue redirection, guarding against cycles.
-    fn resolve_queue(&self, queue: &str) -> QmResult<QueueMeta> {
-        let mut name = queue.to_string();
+    fn resolve_queue(&self, queue: &str) -> QmResult<Arc<QueueInfo>> {
+        let mut info = self.queue_info(queue)?;
         for _ in 0..32 {
-            let meta = self.queue_meta(&name)?;
-            match &meta.redirect_to {
-                Some(t) if t != &meta.name => name = t.clone(),
-                _ => return Ok(meta),
+            match &info.meta.redirect_to {
+                Some(t) if t != &info.meta.name => info = self.queue_info(t)?,
+                _ => return Ok(info),
             }
         }
         Err(QmError::RedirectCycle(queue.to_string()))
@@ -589,11 +760,12 @@ impl QueueManager {
         payload: &[u8],
         opts: EnqueueOptions,
     ) -> QmResult<Eid> {
-        let meta = self.resolve_queue(&handle.queue)?;
+        let info = self.resolve_queue(&handle.queue)?;
+        let meta = &info.meta;
         if !meta.started {
             return Err(QmError::QueueStopped(meta.name.clone()));
         }
-        let store = self.store_for(&meta);
+        let store = self.store_for(meta);
         let (eid, seq) = self.next_eid();
         let elem = ElementRef {
             eid,
@@ -608,7 +780,7 @@ impl QueueManager {
         store.put(txn, &ekey, &elem.encode_to_vec())?;
         // Tracked for the race detector; the matching dequeue-side access
         // is ordered by the queue's enqueue→dequeue happens-before edge.
-        rrq_check::race::on_write(&format!("qm/elem/{eid}"));
+        rrq_check::race::on_write(|| elem_cell(eid));
         // Live-element index: eid → (queue, element key). Always durable so
         // Read/Kill can find volatile elements too? No — volatile elements
         // index in the volatile store, consistent with their lifetime.
@@ -634,7 +806,7 @@ impl QueueManager {
             p.enqueued_queues.insert(meta.name.clone());
         }
         rrq_check::race::queue_enqueued(&meta.name);
-        self.stats.lock().enqueues += 1;
+        bump(&self.stats.enqueues);
         rrq_obs::counter_inc("qm.enqueue.ops");
         Ok(eid)
     }
@@ -648,14 +820,15 @@ impl QueueManager {
         handle: &QueueHandle,
         opts: DequeueOptions,
     ) -> QmResult<Element> {
-        let meta = self.queue_meta(&handle.queue)?;
+        let info = self.queue_info(&handle.queue)?;
+        let meta = &info.meta;
         if !meta.started {
             return Err(QmError::QueueStopped(meta.name.clone()));
         }
         let deadline = opts.block.map(|d| Instant::now() + d);
         loop {
             let seen = self.notifier.version(&meta.name);
-            match self.try_dequeue_once(txn, handle, &meta, &opts, deadline)? {
+            match self.try_dequeue_once(txn, handle, &info, &opts, deadline)? {
                 Some(elem) => return Ok(elem),
                 None => {
                     let Some(dl) = deadline else {
@@ -687,12 +860,13 @@ impl QueueManager {
         &self,
         txn: u64,
         handle: &QueueHandle,
-        meta: &QueueMeta,
+        info: &QueueInfo,
         opts: &DequeueOptions,
         deadline: Option<Instant>,
     ) -> QmResult<Option<Element>> {
+        let meta = &info.meta;
         let store = self.store_for(meta);
-        let ns = self.ns_of(&meta.name);
+        let ns = info.ns;
         let strict = meta.mode == OrderingMode::StrictFifo;
         let claim = !strict && opts.predicate.is_none();
         // This transaction's own uncommitted overlay for the queue.
@@ -815,7 +989,7 @@ impl QueueManager {
         match acquired {
             Ok(()) => {}
             Err(TxnError::LockTimeout) => {
-                self.stats.lock().lock_skips += 1;
+                bump(&self.stats.lock_skips);
                 rrq_obs::counter_inc("qm.dequeue.lock_skips");
                 return Ok(Grab::Busy);
             }
@@ -828,14 +1002,14 @@ impl QueueManager {
         };
         let elem = Element::decode_all(&raw2).map_err(QmError::Storage)?;
         // A kill tombstone means a cancel is racing; skip.
-        if self.durable.get(None, &keys::kill_key(elem.eid))?.is_some() {
+        if self.kill_marked(elem.eid)? {
             return Ok(Grab::Tombstoned);
         }
         // Join the queue's happens-before edge, then touch the tracked
         // element cell (we hold its element lock, so this is also
         // lock-ordered).
         rrq_check::race::queue_dequeued(&meta.name);
-        rrq_check::race::on_write(&format!("qm/elem/{}", elem.eid));
+        rrq_check::race::on_write(|| elem_cell(elem.eid));
         store.delete(txn, ekey)?;
         store.delete(txn, &keys::index_key(elem.eid))?;
         // Retain the element contents for Read/Rereceive.
@@ -861,7 +1035,7 @@ impl QueueManager {
                 error_queue: opts.error_queue.clone(),
                 grabbed_at: rrq_obs::now(),
             });
-        self.stats.lock().dequeues += 1;
+        bump(&self.stats.dequeues);
         rrq_obs::counter_inc("qm.dequeue.ops");
         Ok(Grab::Taken(elem))
     }
@@ -967,7 +1141,7 @@ impl QueueManager {
     /// `Read(h, e)` — return the element with `eid` without modifying it.
     /// Works for live elements and for retained (already dequeued) ones.
     pub fn read(&self, eid: Eid) -> QmResult<Element> {
-        self.stats.lock().reads += 1;
+        bump(&self.stats.reads);
         for store in [&self.durable, &self.volatile] {
             if let Some(raw) = store.get(None, &keys::index_key(eid))? {
                 let (_, ekey) = decode_index(&raw)?;
@@ -1009,17 +1183,25 @@ impl QueueManager {
                     if killed {
                         self.qindex.remove(&queue, &ekey);
                         rrq_obs::counter_inc("qm.element.dropped");
-                        self.stats.lock().kills += 1;
+                        bump(&self.stats.kills);
                     }
                     return Ok(killed);
                 }
                 Err(_) => {
                     // Held by an in-flight dequeuer: poison it and leave a
-                    // tombstone for its abort path.
-                    self.system_txn(|t| {
-                        self.durable.put(t, &keys::kill_key(eid), &[1])?;
-                        Ok(())
-                    })?;
+                    // tombstone for its abort path. Counted before it can
+                    // be read; not counted at all if it adds no record.
+                    let tomb = keys::kill_key(eid);
+                    self.kill_marks.fetch_add(1, Ordering::AcqRel);
+                    let added = self.system_txn(|t| {
+                        let fresh = self.durable.get(Some(t), &tomb)?.is_none();
+                        self.durable.put(t, &tomb, &[1])?;
+                        Ok(fresh)
+                    });
+                    if !matches!(added, Ok(true)) {
+                        lower(&self.kill_marks);
+                    }
+                    added?;
                     // Walk the stripes one at a time; a dequeuer lives in
                     // exactly one, and holding two guards is never needed.
                     for i in 0..self.pending.len() {
@@ -1030,7 +1212,7 @@ impl QueueManager {
                             }
                         }
                     }
-                    self.stats.lock().kills += 1;
+                    bump(&self.stats.kills);
                     return Ok(true);
                 }
             }
@@ -1053,18 +1235,27 @@ impl QueueManager {
         Ok(still_there)
     }
 
+    /// Is there a kill tombstone for `eid`? The store is probed only while
+    /// tombstones exist at all.
+    fn kill_marked(&self, eid: Eid) -> QmResult<bool> {
+        if self.kill_marks.load(Ordering::Acquire) == 0 {
+            return Ok(false);
+        }
+        Ok(self.durable.get(None, &keys::kill_key(eid))?.is_some())
+    }
+
     /// Number of live (committed) elements in `queue` — answered from the
     /// ready index, no storage scan.
     pub fn depth(&self, queue: &str) -> QmResult<usize> {
-        self.queue_meta(queue)?; // unknown queues still error
+        self.queue_info(queue)?; // unknown queues still error
         Ok(self.qindex.depth(queue))
     }
 
     /// Depth by paging the element keyspace — the index's verification
     /// baseline.
     pub fn depth_scan(&self, queue: &str) -> QmResult<usize> {
-        let meta = self.queue_meta(queue)?;
-        let store = self.store_for(&meta);
+        let info = self.queue_info(queue)?;
+        let store = self.store_for(&info.meta);
         let prefix = keys::element_prefix(queue);
         let mut after: Option<Vec<u8>> = None;
         let mut n = 0usize;
@@ -1129,14 +1320,18 @@ impl QueueManager {
             // available element, never the herd (see `notify`).
             let newly = pend.enqueued.iter().filter(|e| &e.queue == q).count();
             self.notifier.signal_n(q, newly);
-            // Alert thresholds (§9).
-            if let Ok(meta) = self.queue_meta(q) {
-                if let Some(thresh) = meta.alert_threshold {
-                    if let Ok(d) = self.depth(q) {
-                        if d as u64 >= thresh {
-                            self.alerts.lock().push(q.clone());
-                            self.stats.lock().alerts += 1;
-                        }
+            // Alert thresholds (§9): raised by the commit whose inserts
+            // carried the depth across the threshold, not by every commit
+            // that finds it there.
+            let threshold = self.queue_info(q).ok().and_then(|i| i.meta.alert_threshold);
+            if let Some(threshold) = threshold {
+                let after = self.qindex.depth(q) as u64;
+                let before = after.saturating_sub(newly as u64);
+                if before < threshold && threshold <= after {
+                    bump(&self.stats.alerts);
+                    let mut pending = self.alerts.lock();
+                    if !pending.contains(q) {
+                        pending.push(q.clone());
                     }
                 }
             }
@@ -1151,7 +1346,8 @@ impl QueueManager {
     /// concurrent committed dequeues; [`QueueManager::dequeue_planned`]
     /// revalidates against storage when the element is actually taken.
     pub fn ready_batch(&self, queue: &str, max: usize) -> QmResult<Vec<(Vec<u8>, Eid)>> {
-        let meta = self.queue_meta(queue)?;
+        let info = self.queue_info(queue)?;
+        let meta = &info.meta;
         if !meta.started {
             return Err(QmError::QueueStopped(meta.name.clone()));
         }
@@ -1174,24 +1370,25 @@ impl QueueManager {
         handle: &QueueHandle,
         ekey: &[u8],
     ) -> QmResult<Option<Element>> {
-        let meta = self.queue_meta(&handle.queue)?;
+        let info = self.queue_info(&handle.queue)?;
+        let meta = &info.meta;
         if !meta.started {
             return Err(QmError::QueueStopped(meta.name.clone()));
         }
-        let store = self.store_for(&meta);
+        let store = self.store_for(meta);
         let Some(raw) = store.get(Some(txn), ekey)? else {
             return Ok(None);
         };
         let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
         // A kill tombstone means a cancel is racing; leave it for the kill.
-        if self.durable.get(None, &keys::kill_key(elem.eid))?.is_some() {
+        if self.kill_marked(elem.eid)? {
             return Ok(None);
         }
         // Join the queue's happens-before edge, then touch the tracked
         // element cell (the plan orders all access to this element, the way
         // the element lock does on the locked path).
         rrq_check::race::queue_dequeued(&meta.name);
-        rrq_check::race::on_write(&format!("qm/elem/{}", elem.eid));
+        rrq_check::race::on_write(|| elem_cell(elem.eid));
         store.delete(txn, ekey)?;
         store.delete(txn, &keys::index_key(elem.eid))?;
         // Retain the element contents for Read/Rereceive.
@@ -1207,7 +1404,7 @@ impl QueueManager {
                 error_queue: None,
                 grabbed_at: rrq_obs::now(),
             });
-        self.stats.lock().dequeues += 1;
+        bump(&self.stats.dequeues);
         rrq_obs::counter_inc("qm.dequeue.ops");
         Ok(Some(elem))
     }
@@ -1302,8 +1499,8 @@ impl QueueManager {
 
     /// Read-only content query over a queue's live elements.
     pub fn query(&self, queue: &str, predicate: &Predicate) -> QmResult<Vec<Element>> {
-        let meta = self.queue_meta(queue)?;
-        let store = self.store_for(&meta);
+        let info = self.queue_info(queue)?;
+        let store = self.store_for(&info.meta);
         let rows = store.scan_prefix(None, &keys::element_prefix(queue))?;
         let mut out = Vec::new();
         for (_, raw) in rows {
@@ -1337,58 +1534,97 @@ impl QueueManager {
     /// attributes) among the live elements of `join_queue`, enqueue `payload`
     /// into `target_queue` exactly once.
     pub fn set_trigger(&self, trigger: Trigger) -> QmResult<()> {
-        self.system_txn(|t| {
-            self.durable
-                .put(t, &keys::trigger_key(&trigger.id), &trigger.encode_to_vec())?;
-            Ok(())
-        })
+        let key = keys::trigger_key(&trigger.id);
+        // Counted before it can be read; the count is of unfired records,
+        // so the raise is given back unless this call added one.
+        self.unfired_triggers.fetch_add(1, Ordering::AcqRel);
+        let replaced_unfired = self.system_txn(|t| {
+            let unfired = match self.durable.get(Some(t), &key)? {
+                Some(raw) => !Trigger::decode_all(&raw).map_err(QmError::Storage)?.fired,
+                None => false,
+            };
+            self.durable.put(t, &key, &trigger.encode_to_vec())?;
+            Ok(unfired)
+        });
+        if trigger.fired || !matches!(replaced_unfired, Ok(false)) {
+            lower(&self.unfired_triggers);
+        }
+        replaced_unfired.map(|_| ())
     }
 
     /// Evaluate triggers watching `queue`; fire those whose join condition
     /// is now satisfied.
     fn check_triggers(&self, queue: &str) -> QmResult<()> {
-        let rows = self.durable.scan_prefix(None, b"t/")?;
-        for (tkey, raw) in rows {
-            let mut trig = Trigger::decode_all(&raw).map_err(QmError::Storage)?;
+        if self.unfired_triggers.load(Ordering::Acquire) == 0 {
+            return Ok(());
+        }
+        for (tkey, raw) in self.durable.scan_prefix(None, b"t/")? {
+            let trig = Trigger::decode_all(&raw).map_err(QmError::Storage)?;
             if trig.fired || trig.join_queue != queue {
                 continue;
             }
-            let live = self.query(queue, &Predicate::True)?;
-            let present: HashSet<&str> = live.iter().filter_map(|e| e.attr("rid")).collect();
-            if trig
-                .required_rids
-                .iter()
-                .all(|r| present.contains(r.as_str()))
-            {
-                trig.fired = true;
-                let target = trig.target_queue.clone();
-                let payload = trig.payload.clone();
-                let raw2 = trig.encode_to_vec();
-                self.system_txn(|t| {
-                    self.durable.put(t, &tkey, &raw2)?;
-                    Ok(())
-                })?;
-                // Fire via a normal system enqueue (outside the user txn).
-                let sys = self.sys_ids.next().raw();
-                self.begin(TxnId(sys)).map_err(QmError::Txn)?;
-                let h = QueueHandle {
-                    queue: target,
-                    registrant: format!("trigger/{}", trig.id),
-                };
-                let r = self.enqueue(sys, &h, &payload, EnqueueOptions::default());
-                match r {
-                    Ok(_) => {
-                        ResourceManager::commit(self, TxnId(sys)).map_err(QmError::Txn)?;
-                        self.stats.lock().triggers_fired += 1;
-                    }
-                    Err(e) => {
-                        let _ = ResourceManager::abort(self, TxnId(sys));
-                        return Err(e);
-                    }
+            // Evaluations of one trigger take turns under its record's
+            // lock: of two commits that complete a join together, exactly
+            // one finds the record unfired, so the continuation is sent
+            // once and the unfired count comes down once.
+            let turn = self.sys_ids.next().raw();
+            let lk = LockKey::new(TRIGGER_NS, tkey.clone());
+            self.locks
+                .lock(turn, &lk, LockMode::Exclusive, Duration::from_secs(5))
+                .map_err(QmError::Txn)?;
+            let joined = self.mark_fired_if_joined(&tkey);
+            self.locks.unlock_all(turn);
+            let Some(trig) = joined? else {
+                continue;
+            };
+            // Fire via a normal system enqueue (outside the user txn).
+            let sys = self.sys_ids.next().raw();
+            self.begin(TxnId(sys)).map_err(QmError::Txn)?;
+            let h = QueueHandle {
+                queue: trig.target_queue,
+                registrant: format!("trigger/{}", trig.id),
+            };
+            match self.enqueue(sys, &h, &trig.payload, EnqueueOptions::default()) {
+                Ok(_) => {
+                    ResourceManager::commit(self, TxnId(sys)).map_err(QmError::Txn)?;
+                    bump(&self.stats.triggers_fired);
+                }
+                Err(e) => {
+                    let _ = ResourceManager::abort(self, TxnId(sys));
+                    return Err(e);
                 }
             }
         }
         Ok(())
+    }
+
+    /// With the trigger's lock held: if the record at `tkey` is still
+    /// unfired and every required rid is among its join queue's live
+    /// elements, commit it as fired and return it.
+    fn mark_fired_if_joined(&self, tkey: &[u8]) -> QmResult<Option<Trigger>> {
+        let Some(raw) = self.durable.get(None, tkey)? else {
+            return Ok(None);
+        };
+        let mut trig = Trigger::decode_all(&raw).map_err(QmError::Storage)?;
+        if trig.fired {
+            return Ok(None);
+        }
+        let live = self.query(&trig.join_queue, &Predicate::True)?;
+        let present: HashSet<&str> = live.iter().filter_map(|e| e.attr("rid")).collect();
+        if !trig
+            .required_rids
+            .iter()
+            .all(|r| present.contains(r.as_str()))
+        {
+            return Ok(None);
+        }
+        trig.fired = true;
+        self.system_txn(|t| {
+            self.durable.put(t, tkey, &trig.encode_to_vec())?;
+            Ok(())
+        })?;
+        lower(&self.unfired_triggers);
+        Ok(Some(trig))
     }
 
     // ------------------------------------------------------------------
@@ -1412,11 +1648,12 @@ impl QueueManager {
             /// Returned to its queue under its original key.
             Returned,
         }
-        self.stats.lock().aborted_dequeues += 1;
-        let meta = self.queue_meta(&d.queue)?;
-        let store = Arc::clone(self.store_for(&meta));
+        bump(&self.stats.aborted_dequeues);
+        let info = self.queue_info(&d.queue)?;
+        let meta = &info.meta;
+        let store = Arc::clone(self.store_for(meta));
         let tomb = keys::kill_key(d.eid);
-        let killed = self.durable.get(None, &tomb)?.is_some();
+        let killed = self.kill_marked(d.eid)?;
 
         let sys = self.sys_ids.next().raw();
         store.begin(sys)?;
@@ -1477,6 +1714,7 @@ impl QueueManager {
                         self.durable.delete(t, &tomb)?;
                         Ok(())
                     })?;
+                    lower(&self.kill_marks);
                 }
                 // The dequeue never committed, so the old key is still in
                 // the ready index; fix it up to match the outcome, then
@@ -1492,7 +1730,7 @@ impl QueueManager {
                     AbortOutcome::Moved { queue, ekey } => {
                         self.qindex
                             .fixup(Some((&d.queue, &d.elem_key)), Some((&queue, ekey, d.eid)));
-                        self.stats.lock().error_moves += 1;
+                        bump(&self.stats.error_moves);
                         self.notifier.signal(&queue);
                     }
                     AbortOutcome::Requeued { ekey } => {
@@ -1520,7 +1758,7 @@ impl QueueManager {
     }
 
     fn ensure_error_queue(&self, name: &str) -> QmResult<()> {
-        if self.queue_meta(name).is_ok() {
+        if self.queue_info(name).is_ok() {
             return Ok(());
         }
         let mut meta = QueueMeta::with_defaults(name);
@@ -1535,6 +1773,11 @@ impl QueueManager {
 /// Race-detector cell name of a §4.3 registration record.
 fn reg_cell(queue: &str, registrant: &str) -> String {
     format!("qm/reg/{queue}/{registrant}")
+}
+
+/// Race-detector cell name of an element.
+fn elem_cell(eid: Eid) -> String {
+    format!("qm/elem/{eid}")
 }
 
 fn encode_index(queue: &str, ekey: &[u8]) -> Vec<u8> {

@@ -76,6 +76,7 @@ fn abort_dispositions_keep_gauge_and_index_in_lockstep() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let (observing_tx, observing) = std::sync::mpsc::channel();
     let observer = {
         let repo = Arc::clone(&repo);
         let stop = Arc::clone(&stop);
@@ -85,10 +86,16 @@ fn abort_dispositions_keep_gauge_and_index_in_lockstep() {
                 let (total, gauge) = repo.qm().depth_accounting();
                 assert_eq!(total as i64, gauge, "gauge fell out of the index mutex");
                 checks += 1;
+                if checks == 1 {
+                    observing_tx.send(()).unwrap();
+                }
             }
             checks
         })
     };
+    // The aborts below take a few hundred microseconds in all: start them
+    // only once the observer is checking.
+    observing.recv().unwrap();
 
     // Abort every dequeue: each abort runs a disposition fix-up (requeue /
     // rotate / error-queue move once the retry limit is hit).

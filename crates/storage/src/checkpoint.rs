@@ -4,10 +4,17 @@
 //! device holds a *chain* of crc32-framed segments — one **base** snapshot
 //! (written with an atomic device swap, [`crate::disk::Disk::reset`],
 //! modelling write-temp-then-rename) followed by zero or more **delta**
-//! segments, each carrying only the keys dirtied since the previous segment
+//! segments, each carrying only the keys written since the previous segment
 //! (appended, then forced with [`crate::disk::Disk::sync`]). Restart cost is
 //! therefore bounded by data touched since the last checkpoint, not by
 //! history length.
+//!
+//! Which keys those are is read off the tree itself: every entry is
+//! [`Stamped`] with the checkpoint generation that last wrote it, so a delta
+//! is the entries carrying the current generation plus a tombstone for each
+//! key deleted since and still absent ([`delta_since`]). Nothing is recorded
+//! per write beyond the stamp, and a checkpoint that fails before its segment
+//! is durable has nothing to put back.
 //!
 //! Crash atomicity: a crash mid-base leaves the previous contents intact
 //! (the swap is atomic); a crash mid-delta leaves a torn tail that fails its
@@ -42,11 +49,31 @@ const SEG_TRAILER: usize = 4;
 const KIND_BASE: u8 = 0;
 const KIND_DELTA: u8 = 1;
 
+/// A committed value and the checkpoint generation that last wrote it. The
+/// store's generation starts at 1 and moves on each time a segment becomes
+/// durable; entries loaded from the chain carry 0, which no later generation
+/// equals, and an entry whose stamp is the current generation is owed to the
+/// next delta.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stamped {
+    /// Value bytes.
+    pub value: Vec<u8>,
+    /// Checkpoint generation of the last write.
+    pub gen: u64,
+}
+
+/// The store's committed tree.
+pub type Tree = BTreeMap<Vec<u8>, Stamped>;
+
+/// Generation of entries that came from the chain.
+const CHAIN_GEN: u64 = 0;
+
 /// What [`load_chain`] found on the checkpoint device.
 #[derive(Debug, Default)]
 pub struct CheckpointChain {
-    /// The tree described by the valid chain prefix (base + deltas applied).
-    pub mem: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// The tree described by the valid chain prefix (base + deltas applied),
+    /// every entry stamped with generation 0.
+    pub mem: Tree,
     /// Number of valid segments (0 = no usable checkpoint).
     pub segments: u64,
     /// Byte offset where the valid chain ends. Bytes past it are a stale or
@@ -67,17 +94,39 @@ fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
 
 /// Serialize the whole tree as a base segment and atomically swap it onto
 /// `disk`, starting a fresh chain. Durable when this returns.
-pub fn write_base(disk: &dyn Disk, mem: &BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<()> {
+pub fn write_base(disk: &dyn Disk, mem: &Tree) -> StorageResult<()> {
     let mut body = Vec::new();
     put::u64(&mut body, mem.len() as u64);
     for (k, v) in mem {
         put::bytes(&mut body, k);
-        put::bytes(&mut body, v);
+        put::bytes(&mut body, &v.value);
     }
     disk.reset(frame(KIND_BASE, &body))
 }
 
-/// Append one delta segment — the dirtied keys with their current committed
+/// The next delta segment's contents: every entry of `mem` stamped `gen`
+/// with its value, and a tombstone for every key of `deleted` that `mem` no
+/// longer holds (a key deleted and written again is an entry stamped `gen`).
+/// One pass over the whole tree: the price of recording nothing per write.
+pub fn delta_since(
+    mem: &Tree,
+    gen: u64,
+    deleted: &[Vec<u8>],
+) -> BTreeMap<Vec<u8>, Option<Vec<u8>>> {
+    let mut delta: BTreeMap<Vec<u8>, Option<Vec<u8>>> = mem
+        .iter()
+        .filter(|(_, v)| v.gen == gen)
+        .map(|(k, v)| (k.clone(), Some(v.value.clone())))
+        .collect();
+    for k in deleted {
+        if !mem.contains_key(k) {
+            delta.insert(k.clone(), None);
+        }
+    }
+    delta
+}
+
+/// Append one delta segment — the written keys with their current committed
 /// values (`None` = tombstone) — and force it. Durable when this returns.
 pub fn append_delta(
     disk: &dyn Disk,
@@ -99,19 +148,26 @@ pub fn append_delta(
     disk.sync()
 }
 
-fn apply_base(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<()> {
+fn from_chain(value: Vec<u8>) -> Stamped {
+    Stamped {
+        value,
+        gen: CHAIN_GEN,
+    }
+}
+
+fn apply_base(body: &[u8], mem: &mut Tree) -> StorageResult<()> {
     let mut r = Reader::new(body);
     let count = r.u64()?;
     mem.clear();
     for _ in 0..count {
         let k = r.bytes()?;
         let v = r.bytes()?;
-        mem.insert(k, v);
+        mem.insert(k, from_chain(v));
     }
     Ok(())
 }
 
-fn apply_delta(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResult<()> {
+fn apply_delta(body: &[u8], mem: &mut Tree) -> StorageResult<()> {
     let mut r = Reader::new(body);
     let count = r.u64()?;
     for _ in 0..count {
@@ -122,7 +178,7 @@ fn apply_delta(body: &[u8], mem: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> StorageResu
             }
             _ => {
                 let v = r.bytes()?;
-                mem.insert(k, v);
+                mem.insert(k, from_chain(v));
             }
         }
     }
@@ -189,12 +245,24 @@ mod tests {
     use super::*;
     use crate::disk::MemDisk;
 
-    fn sample() -> BTreeMap<Vec<u8>, Vec<u8>> {
-        let mut m = BTreeMap::new();
-        m.insert(b"alpha".to_vec(), b"1".to_vec());
-        m.insert(b"beta".to_vec(), vec![0u8; 1024]);
-        m.insert(Vec::new(), b"empty-key".to_vec());
-        m
+    /// A tree as the chain loads it: every entry stamped with generation 0.
+    fn tree<const N: usize>(pairs: [(&[u8], &[u8]); N]) -> Tree {
+        pairs
+            .into_iter()
+            .map(|(k, v)| (k.to_vec(), from_chain(v.to_vec())))
+            .collect()
+    }
+
+    fn sample() -> Tree {
+        tree([
+            (b"alpha", b"1"),
+            (b"beta", &[0u8; 1024]),
+            (b"", b"empty-key"),
+        ])
+    }
+
+    fn value<'a>(mem: &'a Tree, key: &[u8]) -> Option<&'a [u8]> {
+        mem.get(key).map(|v| v.value.as_slice())
     }
 
     #[test]
@@ -231,12 +299,12 @@ mod tests {
 
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 3);
-        assert_eq!(chain.mem.get(b"alpha".as_slice()), Some(&b"4".to_vec()));
-        assert_eq!(chain.mem.get(b"beta".as_slice()), None);
-        assert_eq!(chain.mem.get(b"gamma".as_slice()), Some(&b"3".to_vec()));
+        assert_eq!(value(&chain.mem, b"alpha"), Some(&b"4"[..]));
+        assert_eq!(value(&chain.mem, b"beta"), None);
+        assert_eq!(value(&chain.mem, b"gamma"), Some(&b"3"[..]));
         assert_eq!(
-            chain.mem.get(b"".as_slice()),
-            Some(&b"empty-key".to_vec()),
+            value(&chain.mem, b""),
+            Some(&b"empty-key"[..]),
             "untouched base key survives"
         );
     }
@@ -261,7 +329,7 @@ mod tests {
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 2, "stops at the previous complete segment");
         assert_eq!(chain.valid_end, good_end);
-        assert_eq!(chain.mem.get(b"alpha".as_slice()), Some(&b"2".to_vec()));
+        assert_eq!(value(&chain.mem, b"alpha"), Some(&b"2"[..]));
     }
 
     #[test]
@@ -305,8 +373,7 @@ mod tests {
         let mut d1 = BTreeMap::new();
         d1.insert(b"x".to_vec(), Some(b"y".to_vec()));
         append_delta(&d, &d1).unwrap();
-        let mut m2 = BTreeMap::new();
-        m2.insert(b"only".to_vec(), b"one".to_vec());
+        let m2 = tree([(b"only", b"one")]);
         write_base(&d, &m2).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 1);
@@ -314,9 +381,42 @@ mod tests {
     }
 
     #[test]
+    fn a_delta_is_the_current_generation_plus_tombstones_for_absent_deleted_keys() {
+        let mut mem = tree([(b"old", b"0"), (b"rewritten", b"1"), (b"recreated", b"2")]);
+        for k in [&b"rewritten"[..], b"recreated", b"new"] {
+            mem.insert(
+                k.to_vec(),
+                Stamped {
+                    value: b"now".to_vec(),
+                    gen: 3,
+                },
+            );
+        }
+        mem.get_mut(&b"old"[..]).expect("loaded above").gen = 2;
+        let deleted = [
+            b"recreated".to_vec(),
+            b"gone".to_vec(),
+            b"never-there".to_vec(),
+            b"gone".to_vec(),
+        ];
+        let delta = delta_since(&mem, 3, &deleted);
+        let now = Some(b"now".to_vec());
+        let want: BTreeMap<Vec<u8>, Option<Vec<u8>>> = [
+            (b"gone".to_vec(), None),
+            (b"never-there".to_vec(), None),
+            (b"new".to_vec(), now.clone()),
+            (b"recreated".to_vec(), now.clone()),
+            (b"rewritten".to_vec(), now),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(delta, want, "an entry of an earlier generation stays out");
+    }
+
+    #[test]
     fn empty_tree_roundtrips() {
         let d = MemDisk::new();
-        write_base(&d, &BTreeMap::new()).unwrap();
+        write_base(&d, &Tree::new()).unwrap();
         let chain = load_chain(&d).unwrap();
         assert!(chain.mem.is_empty());
         assert_eq!(chain.segments, 1);

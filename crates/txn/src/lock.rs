@@ -16,10 +16,14 @@
 //! with its own mutex + condvar and its own slice of the per-txn held-sets,
 //! so concurrent servers working on unrelated keys no longer serialize on one
 //! global mutex (§2's contention argument, measured by E18). The waits-for
-//! graph and the counters stay behind one small separate lock — deadlock
-//! detection must see edges across every shard to find cross-shard cycles,
-//! and victim selection at block time is unchanged. Lock order is strictly
-//! shard → meta, and no path ever holds two shard guards at once. The
+//! graph stays behind one small separate lock — deadlock detection must see
+//! edges across every shard to find cross-shard cycles, and victim selection
+//! at block time is unchanged — which only a request that blocks, and a
+//! release while somebody is blocked, ever take; the counters are atomics.
+//! Lock order is strictly shard → meta, and no path ever holds two shard
+//! guards at once. A release costs what the transaction held: each stripe
+//! publishes how many transactions hold locks on it, and
+//! [`LockManager::unlock_all`] enters only stripes where that is not zero. The
 //! discipline is enforced twice: statically by `rrq-analyze` (classes
 //! `txn-stripe` / `txn-meta` in `LOCKS.md`, checked inter-procedurally
 //! across the workspace) and dynamically by the [`crate::lockorder`]
@@ -33,6 +37,7 @@ use crate::lockorder::{GuardClass, Held};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Default stripe count for [`LockManager::new`]. Sixteen keeps the
@@ -102,6 +107,16 @@ struct ShardState {
 struct Shard {
     state: Mutex<ShardState>,
     cv: Condvar,
+    /// `state.held.len()`: how many transactions hold locks on this stripe.
+    /// Stored only under the stripe's mutex, after every change to `held`
+    /// ([`Shard::publish_occupancy`]); read without it by
+    /// [`LockManager::unlock_all`] to pass by a stripe nobody holds on. A
+    /// transaction's own grants are stored before its release reads (same
+    /// thread, or whatever handed the transaction to the releasing thread),
+    /// and from its first grant on a stripe to its release there `held`
+    /// never empties, so no later store can show it zero: a transaction
+    /// never skips a stripe it holds on.
+    occupied: AtomicUsize,
 }
 
 /// A stripe guard: the shard mutex plus the debug-build order token. Derefs
@@ -177,15 +192,34 @@ impl Shard {
             inner: g,
         }
     }
+
+    /// Publish the number of held-sets after adding or removing one under
+    /// `g`, this stripe's guard (see [`Shard::occupied`]).
+    fn publish_occupancy(&self, g: &StripeGuard<'_>) {
+        self.occupied.store(g.held.len(), Ordering::Release);
+    }
 }
 
 /// Global state shared by every shard: the waits-for graph (deadlock cycles
-/// may span shards, so edges must live in one graph) and the counters.
-/// Always acquired *after* a shard guard, never before.
+/// may span shards, so edges must live in one graph). Always acquired
+/// *after* a shard guard, never before.
 #[derive(Default)]
 struct Meta {
     waits: WaitsForGraph,
-    stats: LockStats,
+}
+
+/// [`LockStats`] as it is counted: one atomic per field, so a grant that
+/// never waited adds one without taking any lock.
+#[derive(Default)]
+struct LockCounters {
+    immediate_grants: AtomicU64,
+    waited_grants: AtomicU64,
+    deadlocks: AtomicU64,
+    timeouts: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::AcqRel);
 }
 
 /// The lock manager. One instance guards one node's resources; share it via
@@ -193,6 +227,13 @@ struct Meta {
 pub struct LockManager {
     shards: Box<[Shard]>,
     meta: Mutex<Meta>,
+    /// Transactions with edges in `meta.waits`, stored under `meta` after
+    /// every change to the graph. A blocked request records its edges while
+    /// it holds the stripe of the key it wants, so a holder that releases
+    /// that stripe afterwards reads the count the waiter stored; zero means
+    /// the graph is empty and a release has nothing to clear from it.
+    waiting: AtomicUsize,
+    counters: LockCounters,
 }
 
 impl Default for LockManager {
@@ -215,12 +256,15 @@ impl LockManager {
             .map(|_| Shard {
                 state: Mutex::new(ShardState::default()),
                 cv: Condvar::new(),
+                occupied: AtomicUsize::new(0),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
         LockManager {
             shards,
             meta: Mutex::new(Meta::default()),
+            waiting: AtomicUsize::new(0),
+            counters: LockCounters::default(),
         }
     }
 
@@ -250,16 +294,23 @@ impl LockManager {
         &self.shards[self.shard_id(key)]
     }
 
-    /// Acquire the meta lock (waits-for graph + counters), order-checked:
-    /// legal with a stripe guard or nothing held, never under another meta
-    /// guard. This accessor is also the `txn-meta` acquisition pattern the
-    /// static analyzer classifies (see `LOCKS.md`).
+    /// Acquire the meta lock (the waits-for graph), order-checked: legal
+    /// with a stripe guard or nothing held, never under another meta guard.
+    /// This accessor is also the `txn-meta` acquisition pattern the static
+    /// analyzer classifies (see `LOCKS.md`).
     fn meta(&self) -> MetaGuard<'_> {
         let order = Held::acquire(GuardClass::Meta);
         MetaGuard {
             _order: order,
             inner: self.meta.lock(),
         }
+    }
+
+    /// Publish the graph's size after changing it (see
+    /// [`LockManager::waiting`]); called with the meta guard held.
+    fn publish_waiting(&self, m: &MetaGuard<'_>) {
+        self.waiting
+            .store(m.waits.waiter_count(), Ordering::Release);
     }
 
     /// Acquire `key` in `mode` for `txn`, blocking up to `timeout`.
@@ -310,16 +361,14 @@ impl LockManager {
                     entry.waiters.retain(|w| *w != txn);
                 }
                 g.held.entry(txn).or_default().insert(key.clone());
-                {
-                    let mut m = self.meta();
-                    if waited {
-                        m.waits.clear_waiter(txn);
-                        m.stats.waited_grants += 1;
-                    } else {
-                        m.stats.immediate_grants += 1;
-                    }
-                }
+                shard.publish_occupancy(&g);
                 if waited {
+                    {
+                        let mut m = self.meta();
+                        m.waits.clear_waiter(txn);
+                        self.publish_waiting(&m);
+                    }
+                    bump(&self.counters.waited_grants);
                     rrq_obs::counter_inc("txn.lock.waited_grants");
                     if let Some(start) = wait_start {
                         rrq_obs::observe(
@@ -328,6 +377,7 @@ impl LockManager {
                         );
                     }
                 } else {
+                    bump(&self.counters.immediate_grants);
                     rrq_obs::counter_inc("txn.lock.immediate_grants");
                 }
                 rrq_check::race::lock_acquired(key.ns, &key.key);
@@ -351,15 +401,15 @@ impl LockManager {
                 for h in &conflicters {
                     m.waits.add_edge(txn, *h);
                 }
-                if m.waits.has_cycle_through(txn) {
+                let cycle = m.waits.has_cycle_through(txn);
+                if cycle {
                     m.waits.clear_waiter(txn);
-                    m.stats.deadlocks += 1;
-                    true
-                } else {
-                    false
                 }
+                self.publish_waiting(&m);
+                cycle
             };
             if deadlocked {
+                bump(&self.counters.deadlocks);
                 if let Some(e) = g.table.get_mut(key) {
                     e.waiters.retain(|w| *w != txn);
                 }
@@ -387,8 +437,9 @@ impl LockManager {
         {
             let mut m = self.meta();
             m.waits.clear_waiter(txn);
-            m.stats.timeouts += 1;
+            self.publish_waiting(&m);
         }
+        bump(&self.counters.timeouts);
         if let Some(e) = g.table.get_mut(key) {
             e.waiters.retain(|w| *w != txn);
         }
@@ -406,13 +457,21 @@ impl LockManager {
     /// Shards are visited one at a time (never two guards at once); only
     /// shards that actually held something for `txn` get a wakeup, so with
     /// striping a commit no longer thunders every waiter in the process.
+    /// A stripe on which no transaction holds anything is not entered at
+    /// all ([`Shard::occupied`]), and the waits-for graph is taken only
+    /// when it has edges ([`LockManager::waiting`], read after the last
+    /// stripe): a transaction alone in the table pays for the stripes it
+    /// locked on and nothing else.
     pub fn unlock_all(&self, txn: u64) {
         for shard in self.shards.iter() {
+            if shard.occupied.load(Ordering::Acquire) == 0 {
+                continue;
+            }
             let mut g = shard.enter();
-            let keys = match g.held.remove(&txn) {
-                Some(k) if !k.is_empty() => k,
-                _ => continue,
+            let Some(keys) = g.held.remove(&txn) else {
+                continue;
             };
+            shard.publish_occupancy(&g);
             for k in keys {
                 if let Some(e) = g.table.get_mut(&k) {
                     e.holders.remove(&txn);
@@ -424,9 +483,12 @@ impl LockManager {
             }
             shard.cv.notify_all();
         }
-        let mut m = self.meta();
-        m.waits.clear_waiter(txn);
-        m.waits.clear_target(txn);
+        if self.waiting.load(Ordering::Acquire) != 0 {
+            let mut m = self.meta();
+            m.waits.clear_waiter(txn);
+            m.waits.clear_target(txn);
+            self.publish_waiting(&m);
+        }
     }
 
     /// §6 lock inheritance: transfer every lock held by `from` to `to`
@@ -438,10 +500,12 @@ impl LockManager {
             return;
         }
         for shard in self.shards.iter() {
+            if shard.occupied.load(Ordering::Acquire) == 0 {
+                continue;
+            }
             let mut g = shard.enter();
-            let keys = match g.held.remove(&from) {
-                Some(k) if !k.is_empty() => k,
-                _ => continue,
+            let Some(keys) = g.held.remove(&from) else {
+                continue;
             };
             for k in &keys {
                 if let Some(e) = g.table.get_mut(k) {
@@ -462,11 +526,16 @@ impl LockManager {
                 rrq_check::race::lock_transferred(k.ns, &k.key);
             }
             g.held.entry(to).or_default().extend(keys);
+            shard.publish_occupancy(&g);
             // Wake this shard's waiters so their block-time edge refresh
             // re-targets `to` (PR 1 lost-wakeup audit; transfer_wakeup.rs).
             shard.cv.notify_all();
         }
-        self.meta().waits.clear_target(from);
+        if self.waiting.load(Ordering::Acquire) != 0 {
+            let mut m = self.meta();
+            m.waits.clear_target(from);
+            self.publish_waiting(&m);
+        }
     }
 
     /// Number of locks currently held by `txn`.
@@ -491,7 +560,23 @@ impl LockManager {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> LockStats {
-        self.meta().stats
+        let c = &self.counters;
+        LockStats {
+            immediate_grants: c.immediate_grants.load(Ordering::Acquire),
+            waited_grants: c.waited_grants.load(Ordering::Acquire),
+            deadlocks: c.deadlocks.load(Ordering::Acquire),
+            timeouts: c.timeouts.load(Ordering::Acquire),
+        }
+    }
+
+    /// How many transactions hold locks on each stripe, as published to
+    /// [`LockManager::unlock_all`]. All zero whenever no transaction holds a
+    /// lock.
+    pub fn stripe_occupancy(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| s.occupied.load(Ordering::Acquire))
+            .collect()
     }
 }
 
@@ -648,6 +733,72 @@ mod tests {
         let lm = LockManager::new();
         lm.unlock_all(42);
         assert_eq!(lm.held_count(42), 0);
+    }
+
+    /// `want` keys of namespace 0 that hash to `want` different stripes.
+    fn keys_on_distinct_stripes(lm: &LockManager, want: usize) -> Vec<LockKey> {
+        let mut seen = HashSet::new();
+        (0..=255u8)
+            .map(|b| key(&[b]))
+            .filter(|k| seen.insert(lm.shard_id(k)))
+            .take(want)
+            .collect()
+    }
+
+    #[test]
+    fn unlock_all_enters_only_the_stripes_the_transaction_holds_on() {
+        let lm = Arc::new(LockManager::new());
+        let held = keys_on_distinct_stripes(&lm, 3);
+        assert_eq!(held.len(), 3);
+        for k in &held {
+            lm.lock(1, k, LockMode::Exclusive, T).unwrap();
+        }
+        let on: HashSet<usize> = held.iter().map(|k| lm.shard_id(k)).collect();
+        // Every other stripe's mutex, and the waits-for graph's, is taken
+        // by this thread for the length of the release: entering any of
+        // them would hang it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        {
+            let _meta = lm.meta.lock();
+            let _others: Vec<_> = (0..lm.shard_count())
+                .filter(|i| !on.contains(i))
+                .map(|i| lm.shards[i].state.lock())
+                .collect();
+            let releaser = Arc::clone(&lm);
+            let h = thread::spawn(move || {
+                releaser.unlock_all(1);
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(T)
+                .expect("unlock_all entered a stripe it held nothing on, or the graph");
+            h.join().unwrap();
+        }
+        assert_eq!(lm.held_count(1), 0);
+        assert_eq!(lm.stripe_occupancy(), vec![0; lm.shard_count()]);
+        for k in &held {
+            assert!(lm.try_lock(2, k, LockMode::Exclusive).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_release_clears_the_graph_when_somebody_waits() {
+        let lm = Arc::new(LockManager::new());
+        lm.lock(1, &key(b"a"), LockMode::Exclusive, T).unwrap();
+        let waiter = {
+            let lm = Arc::clone(&lm);
+            thread::spawn(move || lm.lock(2, &key(b"a"), LockMode::Exclusive, T))
+        };
+        // The waiter's edge is in the graph once the count says so.
+        while lm.waiting.load(Ordering::Acquire) == 0 {
+            thread::yield_now();
+        }
+        lm.unlock_all(1);
+        waiter.join().unwrap().unwrap();
+        assert_eq!(lm.meta.lock().waits.waiter_count(), 0);
+        assert_eq!(lm.waiting.load(Ordering::Acquire), 0);
+        lm.unlock_all(2);
+        assert_eq!(lm.stripe_occupancy(), vec![0; lm.shard_count()]);
     }
 
     #[test]

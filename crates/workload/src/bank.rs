@@ -154,14 +154,14 @@ fn adjust(ctx: &ServerCtx<'_>, account: u32, delta: i64) -> Result<(), HandlerEr
         .lock_exclusive(&LockKey::new(BANK_NS, key.clone()))
         .map_err(|e| HandlerError::Abort(e.to_string()))?;
     let txn = ctx.txn.id().raw();
-    rrq_check::race::on_read(&account_cell(account));
+    rrq_check::race::on_read(|| account_cell(account));
     let bal = ctx
         .store()
         .get(Some(txn), &key)
         .map_err(|e| HandlerError::Abort(e.to_string()))?
         .map(|raw| i64::from_le_bytes(raw.try_into().unwrap_or([0; 8])))
         .unwrap_or(0);
-    rrq_check::race::on_write(&account_cell(account));
+    rrq_check::race::on_write(|| account_cell(account));
     ctx.store()
         .put(txn, &key, &(bal + delta).to_le_bytes())
         .map_err(|e| HandlerError::Abort(e.to_string()))?;
