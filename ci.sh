@@ -41,18 +41,14 @@ echo "== E21 repo-partition smoke (shared-nothing scaling, 4 vs 1 partitions)"
 # forcing a 100us WAL write (full sweep: experiments -- e21).
 cargo run --release -p rrq-bench --bin experiments -q -- e21 --smoke
 
-echo "== E22 planned-execution smoke (contention crossover)"
-# Drains five alternating locked/planned pairs at 100% hot-pair traffic and
-# reports the median planned/locked ratio; the drains must complete, the
-# ratio itself is not gated (full sweep: experiments -- e22).
-cargo run --release -p rrq-bench --bin experiments -q -- e22 --smoke
-
-echo "== explorer smoke sweep (400 fixed-seed fault scripts)"
+echo "== explorer smoke sweep (600 fixed-seed fault scripts)"
 # Deterministic: any failure prints the seed and a replayable script path
 # (replay with: cargo run --release -p rrq-bench --bin explore -- --replay <path>);
 # the violations and trace land beside it as fail-seed-<n>.violations.txt.
+# The node's servers run the epoch loop (one force per epoch), so this is
+# also the sweep of that loop; it took over the retired planned sweep's budget.
 cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 400 --seed 1 --budget-secs 480 --out target/explorer-failures
+  --scripts 600 --seed 1 --budget-secs 720 --out target/explorer-failures
 
 echo "== explorer shared-nothing sweep (200 scripts, repo_partitions=4)"
 # Same fixed seeds against four shared-nothing repository partitions: clerks
@@ -61,13 +57,5 @@ echo "== explorer shared-nothing sweep (200 scripts, repo_partitions=4)"
 cargo run --release -p rrq-bench --bin explore -- \
   --scripts 200 --seed 1 --budget-secs 240 --repo-partitions 4 \
   --out target/explorer-failures-repo4
-
-echo "== explorer planned-execution sweep (200 scripts, exec_mode=planned)"
-# Same fixed seeds with the dequeue-loop servers replaced by the epoch-
-# batched planned pool: crashes land inside plan, execute, and epoch-commit
-# windows and the oracle battery must stay green across every recovery.
-cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 200 --seed 1 --budget-secs 240 --exec-mode planned \
-  --out target/explorer-failures-planned
 
 echo "CI OK"

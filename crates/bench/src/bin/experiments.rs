@@ -21,7 +21,7 @@ use rrq_core::pipeline::{Pipeline, Serializability, StageFn, StageResult};
 use rrq_core::remote::{QmRpcServer, RemoteQm};
 use rrq_core::request::{Reply, Request};
 use rrq_core::rid::Rid;
-use rrq_core::server::{spawn_pool, Handler, HandlerError, HandlerOutcome};
+use rrq_core::server::{spawn_pool, Handler, HandlerError, HandlerOutcome, Server, ServerConfig};
 use rrq_net::NetworkBus;
 use rrq_qm::meta::{OrderingMode, QueueMeta};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
@@ -115,7 +115,7 @@ fn main() {
         e21_partition_scaling(&scale, smoke);
     }
     if run("e22") {
-        e22_planned_crossover(&scale, smoke);
+        e22_epoch_commit(&scale);
     }
 }
 
@@ -1668,7 +1668,6 @@ fn e21_run(name: &str, parts: usize, cross_pct: u64, per_worker: u64) -> f64 {
             ..KvOptions::default()
         },
         wal_sync_latency: Some(Duration::from_micros(100)),
-        ..RepoOptions::default()
     };
     let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts).unwrap();
     let repo = Arc::new(repo);
@@ -1790,13 +1789,12 @@ fn e21_partition_scaling(scale: &Scale, smoke: bool) {
 }
 
 // ======================================================================
-// E22 — planned vs locked execution: the contention crossover
+// E22 — epoch commit vs per-request commit on the server loop
 // ======================================================================
 
 /// Deterministic E22 workload: `hot_pct`% of transfers draw both accounts
-/// from a 2-account hot set (the 2PL pathology — every pair conflicts and
-/// half the lock orders can deadlock), the rest spread uniformly over the
-/// cold majority.
+/// from a 2-account hot set (every pair conflicts and half the lock orders
+/// can deadlock), the rest spread uniformly over the cold majority.
 fn e22_fill(repo: &Repository, seed: u64, n: u64, hot_pct: u64, accounts: u32) {
     use rrq_workload::arrivals::SplitMix;
     let mut rng = SplitMix::new(seed ^ 0x9E37_79B9_7F4A_7C15);
@@ -1813,176 +1811,108 @@ fn e22_fill(repo: &Repository, seed: u64, n: u64, hot_pct: u64, accounts: u32) {
             amount: 1 + (rng.next_u64() % 50) as i64,
         };
         let req = Request::new(Rid::new("c1", serial), "reply.c1", "transfer", t.encode());
+        let payload = req.encode_to_vec();
         repo.autocommit(|tx| {
-            repo.qm().enqueue(
-                tx.id().raw(),
-                &h,
-                &req.encode_to_vec(),
-                EnqueueOptions::default(),
-            )
+            repo.qm()
+                .enqueue(tx.id().raw(), &h, &payload, EnqueueOptions::default())
         })
         .unwrap();
     }
 }
 
-/// Open an E22 repository: best-known locked configuration (group commit,
-/// PR 3) against the planned pool. No simulated
-/// WAL-force latency: with an expensive force the planned side's one-force-
-/// per-epoch amortization wins everywhere and hides the contention story
-/// this experiment is about. The request queue retries without limit so
-/// deadlock-victim redisposition (the thing being measured at high
-/// contention) never dead-letters an element.
-fn e22_repo(name: &str, mode: rrq_qm::repository::ExecMode) -> Arc<Repository> {
+/// One E22 cell: two servers drain `n` pre-filled transfers, through the
+/// `spawn` loop (`epoch`) or through a bare `run_once` loop. Returns
+/// (requests per second, deadlocks, log forces) of the drain. The request
+/// queue retries without limit so a deadlock victim is never dead-lettered.
+fn e22_run(
+    epoch: bool,
+    force: Option<Duration>,
+    seed: u64,
+    n: u64,
+    hot_pct: u64,
+) -> (f64, u64, u64) {
+    const ACCOUNTS: u32 = 64;
     let opts = RepoOptions {
-        exec_mode: mode,
-        kv: KvOptions {
-            sync_on_commit: true,
-            group_commit: true,
-            ..KvOptions::default()
-        },
+        wal_sync_latency: force,
         ..RepoOptions::default()
     };
-    let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts).unwrap();
+    let (repo, _) = Repository::open_with("e22", RepoDisks::new(), opts).unwrap();
     let repo = Arc::new(repo);
     let mut req = QueueMeta::with_defaults("req");
     req.retry_limit = 0;
     repo.qm().create_queue(req).unwrap();
     repo.create_queue_defaults("reply.c1").unwrap();
-    repo
-}
-
-/// One E22 cell: `n` pre-filled transfers drained to the reply queue by
-/// eight locked servers or an eight-worker planned pool. Returns requests
-/// per second of the drain.
-fn e22_run(name: &str, planned: bool, seed: u64, n: u64, hot_pct: u64) -> f64 {
-    use rrq_core::planned::{PlannedConfig, PlannedPool};
-    use rrq_qm::repository::ExecMode;
-    const ACCOUNTS: u32 = 64;
-    let mode = if planned {
-        ExecMode::Planned
-    } else {
-        ExecMode::Locked
-    };
-    let repo = e22_repo(name, mode);
     bank::seed_accounts(&repo, ACCOUNTS, 100_000).unwrap();
     e22_fill(&repo, seed, n, hot_pct, ACCOUNTS);
 
+    let stop = Arc::new(AtomicBool::new(false));
+    let forces = || repo.disks().wal_groups[0][0].stats().syncs;
+    let forces_before = forces();
     let t0 = Instant::now();
-    let (threads, stop) = if planned {
-        let mut cfg = PlannedConfig::new("e22-pl", "req");
-        cfg.workers = 8;
-        cfg.batch_max = 64;
-        let pool = PlannedPool::new(
-            Arc::clone(&repo),
-            cfg,
-            bank::single_txn_handler(),
-            bank::transfer_access(),
-        )
-        .unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        (pool.spawn(Arc::clone(&stop)), stop)
-    } else {
-        let (_, handles, stop) = spawn_pool(&repo, "req", 8, bank::single_txn_handler()).unwrap();
-        (handles, stop)
-    };
+    let threads: Vec<_> = (0..2)
+        .map(|i| {
+            let cfg = ServerConfig::new(format!("e22-s{i}"), "req");
+            let server = Server::new(Arc::clone(&repo), cfg, bank::single_txn_handler()).unwrap();
+            let stop = Arc::clone(&stop);
+            if epoch {
+                return server.spawn(stop);
+            }
+            rrq_core::threads::spawn_named(format!("e22-once-{i}"), move || {
+                while !stop.load(Ordering::Acquire) {
+                    let _ = server.run_once();
+                }
+            })
+        })
+        .collect();
     while repo.qm().depth("reply.c1").unwrap() < n as usize {
         std::thread::sleep(Duration::from_micros(200));
     }
     let elapsed = t0.elapsed();
+    let forced = forces() - forces_before;
     stop.store(true, Ordering::Release);
     for t in threads {
         let _ = t.join();
     }
     assert_eq!(repo.qm().depth("req").unwrap(), 0);
-    n as f64 / elapsed.as_secs_f64()
+    let deadlocks = repo.tm().locks().stats().deadlocks;
+    (n as f64 / elapsed.as_secs_f64(), deadlocks, forced)
 }
 
-fn e22_planned_crossover(scale: &Scale, smoke: bool) {
-    println!("## E22 — planned vs locked execution: contention crossover\n");
-    println!("Eight executors drain a pre-filled request queue of bank");
-    println!("transfers; the hot column is the share of transfers confined to");
-    println!("two accounts. The locked side is the repo's best 2PL stack");
-    println!("(claim-marked dequeues, group commit): at low contention its");
-    println!("servers run fully parallel, and conflicts only tax it as the hot");
-    println!("share grows — lock waits, deadlock victims, redispositions. The");
-    println!("planned side pays a fixed epoch toll (the serial plan phase, one");
-    println!("WAL force and one index apply per batch) regardless of");
-    println!("contention: per-key queues serialize hot transfers without ever");
-    println!("blocking or deadlocking. The claim is the crossover, not a");
-    println!("uniform win.\n");
-
-    if smoke {
-        // Five pairs at 100 % hot, the side that runs first alternating, and
-        // the median of the five ratios: one pair of single-shot cells moves
-        // with the machine (1.06x to 2.12x across five runs of one commit).
-        // The ratio is reported, not gated: it prices a design point, and
-        // every speed-up of the locked path moves it (EXPERIMENTS.md E22).
-        let n = 1500;
-        let mut ratios = Vec::new();
-        for t in 0..5u64 {
-            let cell = |planned: bool| {
-                let side = if planned { 'p' } else { 'l' };
-                e22_run(&format!("e22-{side}-h100-{t}"), planned, 100 + t, n, 100)
+fn e22_epoch_commit(scale: &Scale) {
+    println!("## E22 — epoch commit vs per-request commit on the server loop\n");
+    println!("Two servers drain a pre-filled queue of bank transfers, once through");
+    println!("a bare `run_once` loop (one forced commit per request) and once");
+    println!("through `spawn` (one force per epoch). Ten pairs per cell, the side");
+    println!("that runs first alternating; median (min–max) req/s, then the");
+    println!("deadlocks and log forces of the median run.\n");
+    println!("| force | hot % | run_once req/s | deadlocks | forces | spawn req/s | deadlocks | forces | spawn / run_once |");
+    println!("|------:|------:|---------------:|----------:|-------:|------------:|----------:|-------:|-----------------:|");
+    let n = 1500 * scale.n;
+    for force in [None, Some(Duration::from_micros(100))] {
+        for hot in [0u64, 50, 100] {
+            let mut runs: [Vec<(f64, u64, u64)>; 2] = [Vec::new(), Vec::new()];
+            for pair in 0..10u64 {
+                for side in [pair % 2, 1 - pair % 2] {
+                    runs[side as usize].push(e22_run(side == 1, force, hot + pair, n, hot));
+                }
+            }
+            let cell = |r: &mut Vec<(f64, u64, u64)>| {
+                r.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let (rate, deadlocks, forces) = r[5];
+                format!(
+                    "{rate:.0} ({:.0}–{:.0}) | {deadlocks} | {forces}",
+                    r[0].0, r[9].0
+                )
             };
-            let (locked, planned) = if t % 2 == 0 {
-                let locked = cell(false);
-                (locked, cell(true))
-            } else {
-                let planned = cell(true);
-                (cell(false), planned)
-            };
+            let [once, epoch] = &mut runs;
             println!(
-                "pair {t}: locked {} req/s, planned {} req/s, {:.2}x",
-                fmt_rate(locked),
-                fmt_rate(planned),
-                planned / locked
+                "| {} us | {hot} | {} | {} | {:.2}x |",
+                force.map_or(0, |d| d.as_micros()),
+                cell(once),
+                cell(epoch),
+                epoch[5].0 / once[5].0
             );
-            ratios.push(planned / locked);
         }
-        ratios.sort_by(f64::total_cmp);
-        println!(
-            "\nE22 smoke: planned / locked at 100% hot, median of five alternating pairs: {:.2}x (min {:.2}x, max {:.2}x) — ok.\n",
-            ratios[2], ratios[0], ratios[4]
-        );
-        return;
     }
-
-    let hots: &[u64] = &[0, 25, 50, 75, 100];
-    let n = 1200 * scale.n;
-    let trials = 3;
-    println!("| hot % | locked req/s | planned req/s | planned / locked |");
-    println!("|------:|-------------:|--------------:|-----------------:|");
-    let mut json = String::from("{\n  \"experiment\": \"E22\",\n  \"series\": [\n");
-    let mut first = true;
-    for &hot in hots {
-        let (mut locked, mut planned) = (0.0f64, 0.0f64);
-        for t in 0..trials {
-            locked = locked.max(e22_run(
-                &format!("e22-l-h{hot}-{t}"),
-                false,
-                hot + t,
-                n,
-                hot,
-            ));
-            planned = planned.max(e22_run(&format!("e22-p-h{hot}-{t}"), true, hot + t, n, hot));
-        }
-        println!(
-            "| {hot:>5} | {:>12} | {:>13} | {:>15.2}x |",
-            fmt_rate(locked),
-            fmt_rate(planned),
-            planned / locked
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str(&format!(
-            "    {{\"hot_pct\": {hot}, \"locked_req_per_sec\": {locked:.1}, \"planned_req_per_sec\": {planned:.1}}}"
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
     println!();
-
-    std::fs::write("BENCH_PR10.json", &json).unwrap();
-    println!("Series written to BENCH_PR10.json.\n");
 }

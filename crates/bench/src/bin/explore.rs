@@ -7,7 +7,6 @@
 //! cargo run --release -p rrq-bench --bin explore -- --replay path.rrqs
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 50 --bug
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --repo-partitions 4
-//! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --exec-mode planned
 //! ```
 //!
 //! Runs seeded [`rrq_sim::script::FaultScript`]s through the explorer,
@@ -20,7 +19,6 @@
 //! failures — proving the oracle battery bites — then shrink the first
 //! failure.
 
-use rrq_qm::repository::ExecMode;
 use rrq_sim::explorer::{self, ExplorerConfig, InjectedBug};
 use rrq_sim::script::FaultScript;
 use rrq_sim::shrink;
@@ -36,7 +34,6 @@ struct Args {
     replay: Option<PathBuf>,
     bug: Option<InjectedBug>,
     repo_partitions: usize,
-    exec_mode: ExecMode,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -48,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         replay: None,
         bug: None,
         repo_partitions: 1,
-        exec_mode: ExecMode::default(),
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(flag) = it.next() {
@@ -64,13 +60,6 @@ fn parse_args() -> Result<Args, String> {
                 args.repo_partitions = val("--repo-partitions")?
                     .parse()
                     .map_err(|e| format!("{e}"))?
-            }
-            "--exec-mode" => {
-                args.exec_mode = match val("--exec-mode")?.as_str() {
-                    "locked" => ExecMode::Locked,
-                    "planned" => ExecMode::Planned,
-                    other => return Err(format!("unknown exec mode {other}")),
-                }
             }
             "--replay" => args.replay = Some(PathBuf::from(val("--replay")?)),
             "--bug" => {
@@ -109,7 +98,6 @@ fn main() -> ExitCode {
         bug: args.bug,
         out_dir: Some(args.out.clone()),
         repo_partitions: args.repo_partitions,
-        exec_mode: args.exec_mode,
         ..ExplorerConfig::default()
     };
 

@@ -1,16 +1,4 @@
-//! Shared scaffolding for the benchmarks and the experiment harness.
-
-use rrq_qm::repository::Repository;
-use std::sync::Arc;
-
-/// A fresh repository with `queues` created.
-pub fn repo_with(name: &str, queues: &[&str]) -> Arc<Repository> {
-    let repo = Arc::new(Repository::create(name).expect("create repository"));
-    for q in queues {
-        repo.create_queue_defaults(q).expect("create queue");
-    }
-    repo
-}
+//! Shared scaffolding for the experiment harness.
 
 /// Format a rate as a fixed-width table cell.
 pub fn fmt_rate(v: f64) -> String {

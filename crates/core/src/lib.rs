@@ -16,7 +16,8 @@
 //!   the `rrq-sim` oracles under crash and partition schedules.
 //! * **The System Model** (§5, Figs 4–5): [`server::Server`] runs the
 //!   dequeue → process → enqueue-reply → commit loop; multiple servers share
-//!   one request queue for load sharing (§1).
+//!   one request queue for load sharing (§1). A spawned server commits in
+//!   epochs: one log force covers every request it served back to back.
 //! * **Multi-transaction requests** (§6, Fig 6): [`pipeline`] chains stage
 //!   servers over intermediate queues, carrying request state in the
 //!   elements; request-level serializability is available via §6 lock
@@ -45,7 +46,6 @@ pub mod device;
 pub mod error;
 pub mod interactive;
 pub mod pipeline;
-pub mod planned;
 pub mod remote;
 pub mod request;
 pub mod rid;
@@ -60,7 +60,6 @@ pub use api::{LocalQm, QmApi};
 pub use clerk::{Clerk, ClerkConfig, ConnectInfo, SendMode};
 pub use client::{ClientRuntime, ResyncAction};
 pub use error::{CoreError, CoreResult};
-pub use planned::{AccessFn, EpochWindow, PlannedConfig, PlannedPool};
 pub use request::{Reply, ReplyStatus, Request};
 pub use rid::Rid;
 pub use route::RoutedQm;

@@ -14,6 +14,19 @@
 //! * a handler that returns [`HandlerError::Reject`] commits a `Failed`
 //!   reply immediately (the request *was* processed exactly once: the
 //!   processing concluded "don't do it").
+//!
+//! **Epoch commit.** [`Server::run_once`] is Fig 5 verbatim: one request, one
+//! forced commit. The [`Server::spawn`] loop serves requests back to back —
+//! each still its own transaction under 2PL, its locks released when its
+//! commit record is appended — and forces the log once for all of them
+//! ([`Server::run_epoch`]): a lone request costs one force, a backlog one per
+//! epoch. Until that force no clerk can dequeue (or be woken for) any of the
+//! epoch's replies, so a reply a client has seen is always durable. A crash
+//! before the force returns every request of the epoch to its queue with no
+//! reply; exactly-once holds because dequeue, effects and reply are one
+//! commit record. Transactions that enlist anything besides the home queue
+//! manager (a reply queue on another partition, application resource
+//! managers) commit two-phase and force at once, inside the epoch or not.
 
 use crate::error::{CoreError, CoreResult};
 use crate::request::{Reply, Request};
@@ -128,6 +141,11 @@ impl ServerConfig {
         }
     }
 }
+
+/// Most requests one epoch serves before it forces the log. Bounds how long
+/// the first reply of a backlog waits for its force and how much work a
+/// crash can return to the queue; a shorter queue closes the epoch sooner.
+const EPOCH_MAX: usize = 64;
 
 /// What one `run_once` iteration did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,18 +276,80 @@ impl Server {
         self.cfg.server_name.starts_with("!failed!")
     }
 
-    /// One iteration of the Fig 5 loop.
+    /// One iteration of the Fig 5 loop: the commit is forced before this
+    /// returns and the reply is visible at once.
     pub fn run_once(&self) -> CoreResult<Served> {
+        self.serve(Some(self.cfg.block), false)
+    }
+
+    /// One iteration of the Fig 5 loop whose commit is *deferred*: its
+    /// commit record is appended and its locks are released, but the force —
+    /// and with it the reply's visibility — waits for the caller's
+    /// [`Server::close_epoch`]. `block: None` returns [`Served::Idle`] at
+    /// once on an empty queue.
+    pub fn serve_deferred(&self, block: Option<Duration>) -> CoreResult<Served> {
+        self.serve(block, true)
+    }
+
+    /// Force the log and show every reply committed deferred so far (by this
+    /// or any other server of the home partition). On a failed force nothing
+    /// is shown and a later close retries.
+    pub fn close_epoch(&self) -> CoreResult<()> {
+        let from = rrq_obs::now();
+        if self.repo.qm_at(self.home).close_epoch()? > 0 {
+            rrq_obs::observe(
+                "core.epoch.commit_wait_ticks",
+                rrq_obs::now().saturating_sub(from),
+            );
+        }
+        Ok(())
+    }
+
+    /// One epoch of the [`Server::spawn`] loop: wait up to the configured
+    /// window for a first request, serve what the queue holds back to back —
+    /// at most `EPOCH_MAX` requests, stopping at the first empty dequeue —
+    /// then close. Returns how many requests were served. The epoch is closed
+    /// on every exit, an error or a panicking handler included, so commits
+    /// already appended never stay invisible behind a dead thread.
+    pub fn run_epoch(&self) -> CoreResult<usize> {
+        struct Close<'a>(&'a Server);
+        impl Drop for Close<'_> {
+            fn drop(&mut self) {
+                // A failed force leaves the mirrors buffered; the next
+                // epoch's close (idle ones included) retries it.
+                let _ = self.0.close_epoch();
+            }
+        }
+        let _close = Close(self);
+        let mut served = 0;
+        let mut block = Some(self.cfg.block);
+        while served < EPOCH_MAX {
+            match self.serve_deferred(block) {
+                Ok(Served::Idle) => break,
+                // Aborts and rollbacks count: an element that keeps coming
+                // back must not hold earlier replies invisible forever.
+                Ok(_) | Err(CoreError::Malformed(_)) => served += 1,
+                Err(e) => return Err(e),
+            }
+            block = None;
+        }
+        Ok(served)
+    }
+
+    fn serve(&self, block: Option<Duration>, defer: bool) -> CoreResult<Served> {
         rrq_obs::counter_inc("core.server.loop_iterations");
         let txn = self.repo.begin_on_part(self.home)?;
         for rm in &self.app_rms {
             txn.enlist(Arc::clone(rm))?;
         }
+        if defer {
+            self.repo.qm_at(self.home).defer_commit(txn.id().raw());
+        }
         let elem = match self.repo.qm_at(self.home).dequeue(
             txn.id().raw(),
             &self.handle,
             DequeueOptions {
-                block: Some(self.cfg.block),
+                block,
                 ..Default::default()
             },
         ) {
@@ -519,16 +599,14 @@ impl Server {
         }
     }
 
-    /// Run the loop on a thread until `stop` is set.
+    /// Run the loop on a thread, one epoch at a time, until `stop` is set.
     pub fn spawn(self: &Arc<Self>, stop: Arc<AtomicBool>) -> JoinHandle<()> {
         let me = Arc::clone(self);
         let name = format!("rrq-server-{}", self.cfg.server_name);
         crate::threads::spawn_named(name, move || {
             while !stop.load(Ordering::Acquire) {
-                match me.run_once() {
-                    Ok(_) => {}
-                    Err(CoreError::Malformed(_)) => {} // dropped bad request
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                if me.run_epoch().is_err() {
+                    std::thread::sleep(Duration::from_millis(10));
                 }
             }
         })

@@ -1,6 +1,7 @@
 //! Properties of the metrics layer: bucket geometry, exact histogram
-//! bookkeeping for arbitrary value sequences, merge-as-concatenation, text
-//! round-trips, and counter monotonicity under concurrent incrementers.
+//! bookkeeping for arbitrary value sequences, merge-as-concatenation and
+//! text round-trips. (Counter monotonicity under concurrent incrementers is
+//! in `obs_concurrent.rs`.)
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -126,67 +127,6 @@ proptest! {
         let want: u64 = late.iter().map(|&d| u64::from(d)).sum();
         prop_assert_eq!(delta.counter("prop.diff"), want);
     }
-}
-
-#[test]
-fn counter_snapshots_are_monotone_across_concurrent_incrementers() {
-    const THREADS: usize = 8;
-    const PER_THREAD: u64 = 20_000;
-
-    let session = Session::start();
-    let workers: Vec<_> = (0..THREADS)
-        .map(|_| {
-            std::thread::spawn(|| {
-                for _ in 0..PER_THREAD {
-                    rrq_obs::counter_inc("prop.concurrent");
-                }
-            })
-        })
-        .collect();
-
-    // Snapshots taken mid-flight must read a non-decreasing sequence.
-    let mut last = 0u64;
-    let mut observed = 0usize;
-    while observed < 200 {
-        let now = rrq_obs::snapshot().counter("prop.concurrent");
-        assert!(
-            now >= last,
-            "counter went backwards: {now} after {last} (snapshot {observed})"
-        );
-        last = now;
-        observed += 1;
-    }
-    for w in workers {
-        w.join().unwrap();
-    }
-    assert_eq!(
-        session.snapshot().counter("prop.concurrent"),
-        THREADS as u64 * PER_THREAD,
-        "no increment lost"
-    );
-    drop(session);
-
-    // Disabled registry: hooks are inert, the last session's numbers stay.
-    rrq_obs::counter_inc("prop.concurrent");
-    let v = rrq_obs::snapshot().counter("prop.concurrent");
-    assert_eq!(v, THREADS as u64 * PER_THREAD);
-
-    // Gauges accept concurrent churn too: +1/-1 pairs always net zero.
-    let session = Session::start();
-    let churners: Vec<_> = (0..4)
-        .map(|_| {
-            std::thread::spawn(|| {
-                for _ in 0..10_000 {
-                    rrq_obs::gauge_add("prop.churn", 1);
-                    rrq_obs::gauge_add("prop.churn", -1);
-                }
-            })
-        })
-        .collect();
-    for c in churners {
-        c.join().unwrap();
-    }
-    assert_eq!(session.snapshot().gauge("prop.churn"), 0);
 }
 
 #[test]

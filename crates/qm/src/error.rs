@@ -34,9 +34,6 @@ pub enum QmError {
     Storage(StorageError),
     /// API misuse or internal inconsistency.
     Invalid(String),
-    /// Two [`crate::repository::RepoOptions`] knobs cannot be combined;
-    /// raised by `Repository::open_with` before any device is touched.
-    IncompatibleOptions(String),
 }
 
 impl fmt::Display for QmError {
@@ -53,7 +50,6 @@ impl fmt::Display for QmError {
             QmError::Txn(e) => write!(f, "transaction error: {e}"),
             QmError::Storage(e) => write!(f, "storage error: {e}"),
             QmError::Invalid(m) => write!(f, "invalid queue operation: {m}"),
-            QmError::IncompatibleOptions(m) => write!(f, "incompatible repository options: {m}"),
         }
     }
 }

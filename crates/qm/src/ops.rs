@@ -271,11 +271,11 @@ struct PendingTxn {
     /// Set by KillElement when this transaction holds a cancelled element:
     /// the transaction must abort (§7).
     poisoned: Option<Eid>,
-    /// Marked by the planned executor (`mark_planned`): commit defers both
-    /// durability (the WAL force) and the ready-index/notification mirror to
-    /// the epoch close (`apply_epoch`), so speculative results stay
-    /// invisible to clerks until the whole epoch is durable.
-    planned: bool,
+    /// Set by [`QueueManager::defer_commit`], cleared by `prepare`: a
+    /// one-phase commit appends its commit record without forcing it and
+    /// parks this mirror in `epoch_buf`; [`QueueManager::close_epoch`]
+    /// forces the log and only then shows the effects to dequeuers.
+    deferred: bool,
 }
 
 /// The queue manager for one repository.
@@ -313,10 +313,10 @@ pub struct QueueManager {
     /// Queues whose depth crossed their alert threshold since the last
     /// `take_alerts`, each at most once.
     alerts: Mutex<Vec<String>>,
-    /// Committed-but-unapplied effect mirrors of planned transactions,
-    /// buffered until the epoch force (`apply_epoch`). Volatile by design:
-    /// a crash mid-epoch drops the buffer along with the (unforced)
-    /// commits it mirrors, and recovery rebuilds the index from storage.
+    /// Effect mirrors of deferred commits whose commit records are appended
+    /// but not yet forced, waiting for a `close_epoch`. Volatile by design:
+    /// a crash drops the buffer along with the unforced commits it mirrors,
+    /// and recovery rebuilds the index from storage.
     epoch_buf: Mutex<Vec<PendingTxn>>,
 }
 
@@ -905,60 +905,59 @@ impl QueueManager {
         };
         let grab =
             |ekey: &[u8]| self.grab_element(txn, handle, meta, opts, deadline, ns, store, ekey);
-        'rescan: loop {
-            let mut own = own_enq.iter().peekable();
-            let mut cursor: Option<Vec<u8>> = None;
-            // The next index entry, fetched (and claimed) but not yet tried.
-            let mut next: Option<Claim<'_>> = None;
-            let mut index_dry = false;
-            loop {
-                if next.is_none() && !index_dry {
-                    next = self
-                        .qindex
-                        .next_after(&meta.name, cursor.as_deref(), claim)
-                        .map(|(key, _)| Claim {
-                            ix: &self.qindex,
-                            queue: &meta.name,
-                            key,
-                            held: claim,
-                        });
-                    index_dry = next.is_none();
-                }
-                // Own enqueues sorting before the next index entry go first.
-                // Nobody else can see, lock, or kill an uncommitted element,
-                // so the only outcomes are taken or filtered out.
-                if let Some(okey) = own.next_if(|o| next.as_ref().is_none_or(|c| **o < c.key)) {
-                    if eligible(okey)? {
-                        if let Grab::Taken(e) = grab(okey)? {
-                            if next.take().is_some_and(|c| c.held) {
-                                // The entry we claimed and did not need is
-                                // available again; a dequeuer that found it
-                                // claimed may have gone to sleep meanwhile.
-                                self.notifier.signal(&meta.name);
-                            }
-                            return Ok(Some(e));
-                        }
-                    }
-                    continue;
-                }
-                let Some(cand) = next.take() else {
-                    return Ok(None);
-                };
-                if eligible(&cand.key)? {
-                    match grab(&cand.key)? {
-                        Grab::Taken(e) => {
-                            cand.keep();
-                            return Ok(Some(e));
-                        }
-                        // Head is truly gone; restart the pass.
-                        Grab::Gone if strict => continue 'rescan,
-                        Grab::Busy if strict => return Ok(None),
-                        Grab::Gone | Grab::Tombstoned | Grab::Busy => {}
-                    }
-                }
-                // Not taken: `cand` drops here, clearing its mark.
-                cursor = Some(cand.key.clone());
+        let mut own = own_enq.iter().peekable();
+        let mut cursor: Option<Vec<u8>> = None;
+        // The next index entry, fetched (and claimed) but not yet tried.
+        let mut next: Option<Claim<'_>> = None;
+        let mut index_dry = false;
+        loop {
+            if next.is_none() && !index_dry {
+                next = self
+                    .qindex
+                    .next_after(&meta.name, cursor.as_deref(), claim)
+                    .map(|(key, _)| Claim {
+                        ix: &self.qindex,
+                        queue: &meta.name,
+                        key,
+                        held: claim,
+                    });
+                index_dry = next.is_none();
             }
+            // Own enqueues sorting before the next index entry go first.
+            // Nobody else can see, lock, or kill an uncommitted element,
+            // so the only outcomes are taken or filtered out.
+            if let Some(okey) = own.next_if(|o| next.as_ref().is_none_or(|c| **o < c.key)) {
+                if eligible(okey)? {
+                    if let Grab::Taken(e) = grab(okey)? {
+                        if next.take().is_some_and(|c| c.held) {
+                            // The entry we claimed and did not need is
+                            // available again; a dequeuer that found it
+                            // claimed may have gone to sleep meanwhile.
+                            self.notifier.signal(&meta.name);
+                        }
+                        return Ok(Some(e));
+                    }
+                }
+                continue;
+            }
+            let Some(cand) = next.take() else {
+                return Ok(None);
+            };
+            if eligible(&cand.key)? {
+                match grab(&cand.key)? {
+                    Grab::Taken(e) => {
+                        cand.keep();
+                        return Ok(Some(e));
+                    }
+                    Grab::Busy if strict => return Ok(None),
+                    // `Gone`: a committed dequeue whose entry is still
+                    // indexed — a deferred commit keeps it until its
+                    // `close_epoch`. The entry after it is the head.
+                    Grab::Gone | Grab::Tombstoned | Grab::Busy => {}
+                }
+            }
+            // Not taken: `cand` drops here, clearing its mark.
+            cursor = Some(cand.key.clone());
         }
     }
 
@@ -1269,35 +1268,58 @@ impl QueueManager {
         }
     }
 
-    /// Mark `txn` as a planned-epoch member: its commit defers durability
-    /// (the WAL force) and the index/notification mirror to the next
-    /// [`QueueManager::apply_epoch`]. Call right after enlisting the queue
-    /// manager, before the transaction touches any element.
-    pub fn mark_planned(&self, txn: u64) {
-        self.pending_shard(txn).entry(txn).or_default().planned = true;
+    /// Defer `txn`'s durability: when it commits one-phase, its commit
+    /// record is appended but not forced, its locks are released, and its
+    /// enqueues and dequeues stay out of the ready index (no clerk can
+    /// dequeue its reply, no wakeup fires) until [`Self::close_epoch`]. A
+    /// transaction that goes through `prepare` — anything enlisted beyond
+    /// this queue manager — loses the mark and commits forced, as ever.
+    /// Call right after enlisting, before the transaction touches an element.
+    pub fn defer_commit(&self, txn: u64) {
+        self.pending_shard(txn).entry(txn).or_default().deferred = true;
     }
 
-    /// Mirror every buffered planned commit into the ready index and fire
-    /// the deferred wakeups/alerts — the qindex batch application at epoch
-    /// close. The caller must force the durable store's WAL first
-    /// ([`rrq_storage::kv::KvStore::force_wal`]): a clerk woken here may
-    /// immediately read its reply, which therefore must already be durable.
-    pub fn apply_epoch(&self) {
-        let buffered = {
+    /// Make every deferred commit so far durable, then visible: take the
+    /// buffered mirrors, force the log, apply them to the ready index and
+    /// fire their wakeups and alerts. Returns how many commits it showed.
+    /// Taking *first* is what lets any number of callers close concurrently:
+    /// a mirror is buffered after its commit record is appended, so every
+    /// mirror taken here is covered by the force that follows, whoever
+    /// buffered it. If the force fails nothing is applied and the mirrors go
+    /// back for a later close.
+    pub fn close_epoch(&self) -> QmResult<usize> {
+        let taken = {
             let mut buf = self.epoch_buf.lock();
             std::mem::take(&mut *buf)
         };
-        for pend in &buffered {
+        if taken.is_empty() {
+            return Ok(0);
+        }
+        if let Err(e) = self.durable.force_wal() {
+            let mut buf = self.epoch_buf.lock();
+            let later = std::mem::replace(&mut *buf, taken);
+            buf.extend(later);
+            return Err(e.into());
+        }
+        for pend in &taken {
             self.apply_committed(pend);
         }
+        Ok(taken.len())
+    }
+
+    /// Deferred commits waiting for a [`Self::close_epoch`]. Zero at any
+    /// quiescent point.
+    pub fn deferred_commits(&self) -> usize {
+        self.epoch_buf.lock().len()
     }
 
     /// Mirror one committed transaction's effects into the ready index
     /// *before* waking anyone: a dequeuer signalled below must find the new
     /// entries. The index application itself is the batch
     /// [`QueueIndex::apply_mirror`] — by the time this runs, the
-    /// transaction's commit record is already appended (and, per the
-    /// caller's protocol, forced), so the mirror redoes durable effects.
+    /// transaction's commit record is forced (by its own commit, or by
+    /// `close_epoch` for a deferred one), so the mirror redoes durable
+    /// effects.
     fn apply_committed(&self, pend: &PendingTxn) {
         self.qindex.apply_mirror(
             pend.enqueued
@@ -1338,75 +1360,6 @@ impl QueueManager {
             // Fork/join triggers (§6).
             let _ = self.check_triggers(q);
         }
-    }
-
-    /// The first `max` committed ready elements of `queue`, in dequeue
-    /// order — the epoch batch former. Purely a read of the ready index:
-    /// nothing is locked, consumed, or handed out. Entries may race with
-    /// concurrent committed dequeues; [`QueueManager::dequeue_planned`]
-    /// revalidates against storage when the element is actually taken.
-    pub fn ready_batch(&self, queue: &str, max: usize) -> QmResult<Vec<(Vec<u8>, Eid)>> {
-        let info = self.queue_info(queue)?;
-        let meta = &info.meta;
-        if !meta.started {
-            return Err(QmError::QueueStopped(meta.name.clone()));
-        }
-        let mut cands = Vec::new();
-        self.qindex
-            .candidates_after_into(&meta.name, None, max, &mut cands);
-        Ok(cands)
-    }
-
-    /// Take the specific element the epoch plan assigned to `txn`,
-    /// *without* the element-lock backstop: the plan already guarantees no
-    /// concurrent transaction was handed this key, so the try-lock that
-    /// `grab_element` uses to arbitrate racing dequeuers has nothing to
-    /// arbitrate. `Ok(None)` means the element is gone (consumed by an
-    /// earlier epoch, moved by abort disposition, or tombstoned by a racing
-    /// kill) — the caller drops the task from the plan.
-    pub fn dequeue_planned(
-        &self,
-        txn: u64,
-        handle: &QueueHandle,
-        ekey: &[u8],
-    ) -> QmResult<Option<Element>> {
-        let info = self.queue_info(&handle.queue)?;
-        let meta = &info.meta;
-        if !meta.started {
-            return Err(QmError::QueueStopped(meta.name.clone()));
-        }
-        let store = self.store_for(meta);
-        let Some(raw) = store.get(Some(txn), ekey)? else {
-            return Ok(None);
-        };
-        let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
-        // A kill tombstone means a cancel is racing; leave it for the kill.
-        if self.kill_marked(elem.eid)? {
-            return Ok(None);
-        }
-        // Join the queue's happens-before edge, then touch the tracked
-        // element cell (the plan orders all access to this element, the way
-        // the element lock does on the locked path).
-        rrq_check::race::queue_dequeued(&meta.name);
-        rrq_check::race::on_write(|| elem_cell(elem.eid));
-        store.delete(txn, ekey)?;
-        store.delete(txn, &keys::index_key(elem.eid))?;
-        // Retain the element contents for Read/Rereceive.
-        store.put(txn, &keys::retained_key(elem.eid), &raw)?;
-        self.pending_shard(txn)
-            .entry(txn)
-            .or_default()
-            .dequeued
-            .push(DequeuedRef {
-                queue: meta.name.clone(),
-                elem_key: ekey.to_vec(),
-                eid: elem.eid,
-                error_queue: None,
-                grabbed_at: rrq_obs::now(),
-            });
-        bump(&self.stats.dequeues);
-        rrq_obs::counter_inc("qm.dequeue.ops");
-        Ok(Some(elem))
     }
 
     /// The ready index's current contents: `queue → ordered (key, eid)`.
@@ -1813,13 +1766,17 @@ impl ResourceManager for QueueManager {
 
     fn prepare(&self, txn: TxnId) -> TxnResult<()> {
         {
-            let g = self.pending_shard(txn.raw());
-            if let Some(p) = g.get(&txn.raw()) {
+            let mut g = self.pending_shard(txn.raw());
+            if let Some(p) = g.get_mut(&txn.raw()) {
                 if let Some(eid) = p.poisoned {
                     return Err(TxnError::InvalidState(format!(
                         "element {eid} cancelled; transaction must abort"
                     )));
                 }
+                // Another participant commits and forces on its own; an
+                // unforced commit here could lose this half of the
+                // transaction in a crash the other half survives.
+                p.deferred = false;
             }
         }
         self.durable.prepare(txn.raw())?;
@@ -1829,23 +1786,17 @@ impl ResourceManager for QueueManager {
 
     fn commit(&self, txn: TxnId) -> TxnResult<()> {
         // One-phase path: the poison check runs here too.
-        {
+        let deferred = {
             let g = self.pending_shard(txn.raw());
-            if let Some(p) = g.get(&txn.raw()) {
-                if let Some(eid) = p.poisoned {
-                    return Err(TxnError::InvalidState(format!(
-                        "element {eid} cancelled; transaction must abort"
-                    )));
-                }
+            let pend = g.get(&txn.raw());
+            if let Some(eid) = pend.and_then(|p| p.poisoned) {
+                return Err(TxnError::InvalidState(format!(
+                    "element {eid} cancelled; transaction must abort"
+                )));
             }
-        }
-        let planned = {
-            let g = self.pending_shard(txn.raw());
-            g.get(&txn.raw()).is_some_and(|p| p.planned)
+            pend.is_some_and(|p| p.deferred)
         };
-        if planned {
-            // Speculative epoch commit: visible at once, durable at the
-            // epoch force (`apply_epoch` is preceded by a WAL force).
+        if deferred {
             self.durable.commit_deferred(txn.raw())?;
         } else {
             self.durable.commit(txn.raw())?;
@@ -1855,10 +1806,9 @@ impl ResourceManager for QueueManager {
             .pending_shard(txn.raw())
             .remove(&txn.raw())
             .unwrap_or_default();
-        if pend.planned {
-            // Defer the index/notification mirror to epoch close: clerks
-            // must not observe (or be woken for) a reply whose durability
-            // is still pending the epoch force.
+        if deferred {
+            // Buffered only now, after the commit record's append: whoever
+            // takes this mirror forces the log afterwards (`close_epoch`).
             self.epoch_buf.lock().push(pend);
             return Ok(());
         }

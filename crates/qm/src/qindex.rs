@@ -211,14 +211,14 @@ impl QueueIndex {
     }
 
     /// Batch mirror of one committed transaction: its enqueue inserts, then
-    /// its dequeue removes — the commit-boundary (and planned-mode
-    /// epoch-close) index application. Insert-then-remove keeps an
+    /// its dequeue removes — the index application at the commit boundary
+    /// and at `close_epoch`. Insert-then-remove keeps an
     /// enqueue-then-dequeue of the same element within one transaction a
     /// net no-op. Durability contract (see LOCKS.md, Durability): callers
-    /// mirror only transactions whose commit records are already appended —
-    /// the locked path syncs per commit, the planned path's `apply_epoch`
-    /// runs after the epoch `force_wal` — so like the recovery rebuild this
-    /// redoes already-durable effects.
+    /// mirror only transactions whose commit records are forced — a plain
+    /// commit forces its own, `QueueManager::close_epoch` takes the deferred
+    /// mirrors and then forces the log before applying them — so like the
+    /// recovery rebuild this redoes already-durable effects.
     pub fn apply_mirror<'a>(
         &self,
         inserts: impl IntoIterator<Item = (&'a str, Vec<u8>, Eid)>,
@@ -318,39 +318,20 @@ impl QueueIndex {
 
     /// Up to `limit` candidates in dequeue order, strictly after `after`
     /// (exclusive cursor, like the storage page scan).
-    pub fn candidates_after(
+    #[cfg(test)]
+    fn candidates_after(
         &self,
         queue: &str,
         after: Option<&[u8]>,
         limit: usize,
     ) -> Vec<(Vec<u8>, Eid)> {
-        let mut out = Vec::new();
-        self.candidates_after_into(queue, after, limit, &mut out);
-        out
-    }
-
-    /// [`Self::candidates_after`] into a caller-owned buffer: `out` is
-    /// cleared and refilled, so a paging loop reuses one allocation across
-    /// pages, and an empty page (queue unknown, index empty, or cursor past
-    /// the tail) costs no allocation at all.
-    pub fn candidates_after_into(
-        &self,
-        queue: &str,
-        after: Option<&[u8]>,
-        limit: usize,
-        out: &mut Vec<(Vec<u8>, Eid)>,
-    ) {
-        out.clear();
-        let _ = self.with_ready(queue, false, |m| {
-            if m.is_empty() {
-                return;
-            }
-            out.extend(
-                m.range::<[u8], _>((lower_bound(after), Bound::Unbounded))
-                    .take(limit)
-                    .map(|(k, e)| (k.clone(), e.eid)),
-            );
-        });
+        self.with_ready(queue, false, |m| {
+            m.range::<[u8], _>((lower_bound(after), Bound::Unbounded))
+                .take(limit)
+                .map(|(k, e)| (k.clone(), e.eid))
+                .collect()
+        })
+        .unwrap_or_default()
     }
 
     /// Full ordered dump, sorted by queue name — the comparison shape used

@@ -121,23 +121,6 @@ impl RepoDisks {
     }
 }
 
-/// How servers execute requests against this repository.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The untouched 2PL baseline: every server transaction takes element
-    /// and application locks through the striped lock manager, and each
-    /// commit is its own durability point.
-    #[default]
-    Locked,
-    /// Deterministic planned execution (DESIGN.md §26): requests are
-    /// batched into epochs, a plan phase partitions each batch into
-    /// per-key access queues in priority order, and the execute phase runs
-    /// them lock-free — transactions commit speculatively (visible at
-    /// once, durable at the epoch force) and the queue index applies in
-    /// one batch at epoch close.
-    Planned,
-}
-
 /// Tuning knobs for [`Repository::open_with`]. `Default` is what
 /// [`Repository::open`] uses.
 #[derive(Debug, Clone)]
@@ -154,10 +137,6 @@ pub struct RepoOptions {
     /// plus its own store, log, and lock manager; `1` is the exact
     /// single-repository baseline.
     pub repo_partitions: usize,
-    /// Request execution mode. [`ExecMode::Locked`] (the default) is the
-    /// exact 2PL baseline; [`ExecMode::Planned`] enables the epoch
-    /// planner's lock-free path.
-    pub exec_mode: ExecMode,
 }
 
 impl Default for RepoOptions {
@@ -166,7 +145,6 @@ impl Default for RepoOptions {
             kv: KvOptions::default(),
             wal_sync_latency: None,
             repo_partitions: 1,
-            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -225,7 +203,6 @@ pub struct Repository {
     name: String,
     parts: Vec<RepoPartition>,
     disks: RepoDisks,
-    exec_mode: ExecMode,
 }
 
 impl Repository {
@@ -250,20 +227,6 @@ impl Repository {
     ) -> QmResult<(Self, RecoveryReport)> {
         let name = name.into();
         let repo_partitions = opts.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
-
-        // A planned transaction defers its home partition's WAL force to the
-        // epoch close, but a sibling partition enlisted for a cross-partition
-        // reply commits (and syncs) immediately — a crash inside the commit
-        // window would then leave a durable reply for a dequeue that never
-        // happened, breaking exactly-once. Until the epoch force spans every
-        // enlisted partition, planned execution is single-partition only.
-        if repo_partitions > 1 && opts.exec_mode == ExecMode::Planned {
-            return Err(QmError::IncompatibleOptions(
-                "repo_partitions > 1 cannot be used with ExecMode::Planned \
-                 (the epoch durability point covers only the home partition)"
-                    .into(),
-            ));
-        }
 
         // Cluster-shared pieces: one decision log, one id space.
         let coord = Arc::new(CoordinatorLog::new(Arc::new(disks.coord.clone())));
@@ -350,15 +313,7 @@ impl Repository {
         }
         total.in_doubt.sort_unstable();
 
-        Ok((
-            Repository {
-                name,
-                parts,
-                disks,
-                exec_mode: opts.exec_mode,
-            },
-            total,
-        ))
+        Ok((Repository { name, parts, disks }, total))
     }
 
     /// Open on fresh devices.
@@ -375,11 +330,6 @@ impl Repository {
     /// Number of shared-nothing partitions in this cluster.
     pub fn partitions(&self) -> usize {
         self.parts.len()
-    }
-
-    /// The execution mode this repository was opened with.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// The partition that owns `queue`.

@@ -18,8 +18,7 @@ pub const MAX_REPO_PARTITIONS: usize = 8;
 /// Element ids compose as `(epoch << 40) | counter` and every repository
 /// open bumps the epoch, so partition `p` seeds its queue managers at epoch
 /// `(p << EPOCH_BAND_BITS) + restarts` — the single definition of the band
-/// arithmetic that `Repository::open_with` and the planned-execution epoch
-/// ids both use. A band of 2^20 epochs means ids from different partitions
+/// arithmetic that `Repository::open_with` uses. A band of 2^20 epochs means ids from different partitions
 /// can only collide after a million restarts of one partition; the
 /// `partition_bands_never_collide` proptest pins the disjointness for every
 /// `repo_partitions <= MAX_REPO_PARTITIONS`.

@@ -54,10 +54,6 @@ fn an_update_is_seen_by_the_first_operation_after_it_returns() {
         Err(QmError::QueueStopped(_))
     ));
     assert!(matches!(deq(&r, &h), Err(QmError::QueueStopped(_))));
-    assert!(matches!(
-        r.qm().ready_batch("q", 8),
-        Err(QmError::QueueStopped(_))
-    ));
     r.qm().update_queue("q", |m| m.started = true).unwrap();
     enq(&r, &h, b"2");
 

@@ -15,7 +15,7 @@
 //! trace — so a failing seed replays bit-identically.
 
 use crate::driver::CrashPoint;
-use crate::node::{PlannedSpec, ServerFactory, ServerNodeSim};
+use crate::node::{ServerFactory, ServerNodeSim};
 use crate::oracle::{metrics_conservation, EffectLedger, ReplyMatcher};
 use crate::script::{point_name, FaultEvent, FaultScript, PartitionDirection};
 use rrq_check::protocol::Conformance;
@@ -30,7 +30,7 @@ use rrq_core::route::RoutedQm;
 use rrq_core::server::{Server, ServerConfig};
 use rrq_net::rpc::ServerGuard;
 use rrq_net::{FaultPlan, NetworkBus};
-use rrq_qm::repository::{ExecMode, RepoOptions, Repository};
+use rrq_qm::repository::{RepoOptions, Repository};
 use rrq_qm::route::MAX_REPO_PARTITIONS;
 use rrq_workload::bank::{self, Transfer};
 use std::path::{Path, PathBuf};
@@ -92,10 +92,6 @@ pub struct ExplorerConfig {
     /// [`RoutedQm`], `repo-crash` events strike a single partition's
     /// devices, and `part-partition` events cut one endpoint's link only.
     pub repo_partitions: usize,
-    /// Execution mode (DESIGN.md §26). `Planned` replaces the dequeue-loop
-    /// server with an epoch-batched planned pool, so scripted crashes land
-    /// inside plan, execute, and epoch-commit windows.
-    pub exec_mode: ExecMode,
 }
 
 impl Default for ExplorerConfig {
@@ -106,7 +102,6 @@ impl Default for ExplorerConfig {
             bug: None,
             out_dir: None,
             repo_partitions: 1,
-            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -330,13 +325,7 @@ pub fn run_script_with(
     // reused name would trip the checker on the next boot.
     let incarnation_counter = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&incarnation_counter);
-    let planned_mode = cfg.exec_mode == ExecMode::Planned;
     let factory: ServerFactory = Arc::new(move |repo| {
-        if planned_mode {
-            // The planned pool (below) replaces the dequeue-loop server.
-            let _ = repo;
-            return Ok(Vec::new());
-        }
         let i = counter.fetch_add(1, Ordering::AcqRel);
         let scfg = ServerConfig::new(format!("srv-i{i}"), REQ_QUEUE);
         Ok(vec![Server::new(
@@ -350,19 +339,9 @@ pub fn run_script_with(
         vec![REQ_QUEUE.into(), format!("reply.{CLIENT_ID}")],
         factory,
     );
-    if planned_mode {
-        node.set_planned(PlannedSpec {
-            queue: REQ_QUEUE.into(),
-            workers: 2,
-            batch_max: 32,
-            handler_factory: Arc::new(|| EffectLedger::instrument(bank::single_txn_handler())),
-            access: bank::transfer_access(),
-        });
-    }
     let parts = cfg.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
     node.set_repo_options(RepoOptions {
         repo_partitions: parts,
-        exec_mode: cfg.exec_mode,
         ..RepoOptions::default()
     });
     node.start().expect("initial server boot failed");

@@ -7,7 +7,6 @@
 //! executable.
 
 use rrq_core::error::CoreResult;
-use rrq_core::planned::{AccessFn, PlannedConfig, PlannedPool};
 use rrq_core::server::{Handler, Server, ServerConfig};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use rrq_storage::disk::TornWriteMode;
@@ -20,37 +19,16 @@ use std::thread::JoinHandle;
 pub type ServerFactory =
     Arc<dyn Fn(&Arc<Repository>) -> CoreResult<Vec<Arc<Server>>> + Send + Sync>;
 
-/// Planned-execution pool the node runs instead of (or alongside) its
-/// dequeue-loop servers. Requires `RepoOptions { exec_mode: Planned }`.
-#[derive(Clone)]
-pub struct PlannedSpec {
-    /// Request queue the pool drains.
-    pub queue: String,
-    /// Execute-phase workers (1 = deterministic inline execution).
-    pub workers: usize,
-    /// Largest epoch batch.
-    pub batch_max: usize,
-    /// Fresh handler per boot (mirrors [`ServerNodeSim::new`]'s factory).
-    pub handler_factory: Arc<dyn Fn() -> Handler + Send + Sync>,
-    /// The planner's access-set oracle.
-    pub access: AccessFn,
-}
-
 /// A crash-restartable server node.
 pub struct ServerNodeSim {
     disks: RepoDisks,
     opts: RepoOptions,
     name: String,
     server_factory: ServerFactory,
-    planned: Option<PlannedSpec>,
     repo: Option<Arc<Repository>>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     crashes: u64,
-    /// Boots so far — planned pool names are per-incarnation unique, like
-    /// server names, so the conformance checker never sees a name reused by
-    /// a thread that died mid-request.
-    boots: u64,
     /// Queues to create on first boot.
     initial_queues: Vec<String>,
 }
@@ -91,21 +69,12 @@ impl ServerNodeSim {
             opts: RepoOptions::default(),
             name: name.into(),
             server_factory,
-            planned: None,
             repo: None,
             stop: Arc::new(AtomicBool::new(false)),
             threads: Vec::new(),
             crashes: 0,
-            boots: 0,
             initial_queues: queues,
         }
-    }
-
-    /// Run a planned-execution pool on every boot (requires
-    /// `RepoOptions { exec_mode: ExecMode::Planned }` via
-    /// [`ServerNodeSim::set_repo_options`]).
-    pub fn set_planned(&mut self, spec: PlannedSpec) {
-        self.planned = Some(spec);
     }
 
     /// Repository tuning used on every boot (partitioned WAL in particular).
@@ -126,24 +95,8 @@ impl ServerNodeSim {
             repo.create_queue_defaults(q)?;
         }
         self.stop = Arc::new(AtomicBool::new(false));
-        self.boots += 1;
         for server in (self.server_factory)(&repo)? {
             self.threads.push(server.spawn(Arc::clone(&self.stop)));
-        }
-        if let Some(spec) = &self.planned {
-            let mut pcfg = PlannedConfig::new(
-                format!("{}-pl-i{}", self.name, self.boots),
-                spec.queue.clone(),
-            );
-            pcfg.workers = spec.workers;
-            pcfg.batch_max = spec.batch_max;
-            let pool = PlannedPool::new(
-                Arc::clone(&repo),
-                pcfg,
-                (spec.handler_factory)(),
-                Arc::clone(&spec.access),
-            )?;
-            self.threads.extend(pool.spawn(Arc::clone(&self.stop)));
         }
         self.repo = Some(repo);
         Ok(report)

@@ -14,17 +14,18 @@
 //!    compared: eids carry the partition epoch band, so keys differ by
 //!    construction while the logical queue content may not.
 //!
-//! 2. **Explorer lockstep.** The same generated fault scripts run through
-//!    the full clerk↔RPC↔server stack at one and at four partitions; the
-//!    oracle battery (exactly-once ledger, reply matching, money
-//!    conservation, balances vs model, metrics laws) must stay silent in
-//!    both, and the client must observe the same replies — asserted via the
-//!    shared balance model, which both runs must hit exactly.
+//! 2. **Explorer lockstep** (`repo_partition_scripts.rs`, a process of its
+//!    own because the explorer installs the process-global observers). The
+//!    same generated fault scripts run through the full clerk↔RPC↔server
+//!    stack at one and at four partitions; the oracle battery (exactly-once
+//!    ledger, reply matching, money conservation, balances vs model, metrics
+//!    laws) must stay silent in both, and the client must observe the same
+//!    replies — asserted via the shared balance model, which both runs must
+//!    hit exactly.
 
 use rrq_qm::meta::QueueMeta;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
-use rrq_sim::explorer::{run_script, ExplorerConfig};
 use rrq_sim::script::{FaultEvent, FaultScript};
 use rrq_workload::arrivals::SplitMix;
 use std::collections::BTreeMap;
@@ -257,28 +258,5 @@ fn run_pair(seed: u64) {
 fn partitioned_repository_matches_monolithic_across_crash_schedules() {
     for seed in 0..16 {
         run_pair(seed);
-    }
-}
-
-/// Full-stack lockstep: the same generated fault scripts must leave the
-/// oracle battery silent at one *and* at four repository partitions — same
-/// replies (both runs hit the same balance model exactly), same ledger
-/// (exactly-once in both), money conserved in both.
-#[test]
-fn generated_scripts_pass_oracles_at_one_and_four_partitions() {
-    for seed in 1..=10u64 {
-        let script = FaultScript::generate(seed);
-        for parts in [1usize, 4] {
-            let cfg = ExplorerConfig {
-                repo_partitions: parts,
-                ..ExplorerConfig::default()
-            };
-            let outcome = run_script(&script, &cfg);
-            assert_eq!(
-                outcome.violations,
-                Vec::<String>::new(),
-                "seed {seed} at {parts} partition(s) tripped the oracle battery"
-            );
-        }
     }
 }

@@ -783,7 +783,7 @@ impl KvStore {
     /// commit record is appended, but no force is issued even when
     /// `sync_on_commit` is on. The caller owns the durability point and must
     /// call [`KvStore::force_wal`] before externalizing the result (the
-    /// planned-execution epoch close). A crash before that force loses the
+    /// queue manager's `close_epoch`). A crash before that force loses the
     /// commit exactly as a `sync_on_commit: false` store would.
     pub fn commit_deferred(&self, txn: KvTxn) -> StorageResult<()> {
         self.commit_inner(txn, false)

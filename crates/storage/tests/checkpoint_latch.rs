@@ -332,7 +332,7 @@ fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
 }
 
 /// The same window with the log's tail still volatile when the checkpoint
-/// starts: a deferred commit (the planned-execution path) that no force has
+/// starts: a deferred commit (the server loop's epoch path) that no force has
 /// covered yet. The checkpoint must force the log before its segment claims
 /// that commit. If it did not, the crash would leave a chain holding the
 /// deferred commit beside a log that ends before it, and replaying that

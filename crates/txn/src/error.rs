@@ -24,10 +24,6 @@ pub enum TxnError {
     Storage(StorageError),
     /// The transaction was already aborted (e.g. by a cancellation).
     Aborted,
-    /// A planned-execution transaction touched a lock it never declared.
-    /// The executor aborts and replans with the widened access set (the
-    /// violating keys are recorded on the transaction's plan scope).
-    OutsidePlan(String),
 }
 
 impl fmt::Display for TxnError {
@@ -39,7 +35,6 @@ impl fmt::Display for TxnError {
             TxnError::PrepareFailed(msg) => write!(f, "prepare failed: {msg}"),
             TxnError::Storage(e) => write!(f, "storage error: {e}"),
             TxnError::Aborted => write!(f, "transaction aborted"),
-            TxnError::OutsidePlan(msg) => write!(f, "access outside declared plan scope: {msg}"),
         }
     }
 }

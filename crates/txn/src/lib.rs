@@ -26,7 +26,6 @@ pub mod ids;
 pub mod lock;
 pub mod lockorder;
 pub mod manager;
-pub mod plan;
 pub mod rm;
 pub mod twophase;
 
@@ -34,6 +33,5 @@ pub use error::{TxnError, TxnResult};
 pub use ids::{TxnId, TxnIdGen};
 pub use lock::{LockKey, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
 pub use manager::{Txn, TxnManager};
-pub use plan::EpochPlan;
 pub use rm::{KvResource, ResourceManager};
 pub use twophase::CoordinatorLog;

@@ -120,7 +120,6 @@ impl TxnManager {
             id: self.inner.ids.next(),
             mgr: self.clone(),
             rms: Mutex::new(Vec::new()),
-            plan: Mutex::new(None),
             finished: false,
         }
     }
@@ -139,7 +138,6 @@ impl TxnManager {
             id,
             mgr: self.clone(),
             rms: Mutex::new(Vec::new()),
-            plan: Mutex::new(None),
             finished: false,
         }
     }
@@ -186,19 +184,6 @@ impl TxnManager {
     }
 }
 
-/// Declared access scope of a planned-execution transaction.
-///
-/// When present, the epoch planner (`crate::plan`) has already serialized
-/// this transaction against every conflicting one via per-key execution
-/// queues, so `lock_exclusive`/`lock_shared` degrade to a membership check:
-/// a declared key is admitted without touching the lock manager at all (the
-/// lock-free fast path), an undeclared key is recorded as a violation and
-/// refused — the executor aborts and replans with the widened set.
-struct PlanScope {
-    allowed: std::collections::HashSet<LockKey>,
-    violations: Vec<LockKey>,
-}
-
 /// An open transaction. Consumed by [`Txn::commit`] / [`Txn::abort`];
 /// dropping it without either aborts (so a panicking server thread releases
 /// its locks and its dequeues are undone — the paper's crash behaviour).
@@ -209,8 +194,6 @@ pub struct Txn {
     /// only `&Txn` (e.g. a server handler touching a remote repository
     /// partition) can still enlist.
     rms: Mutex<Vec<Arc<dyn ResourceManager>>>,
-    /// `Some` iff this transaction executes under an epoch plan.
-    plan: Mutex<Option<PlanScope>>,
     finished: bool,
 }
 
@@ -237,58 +220,8 @@ impl Txn {
         self.rms.lock().len()
     }
 
-    /// Declare this transaction's access scope for planned execution. From
-    /// now on `lock_exclusive`/`lock_shared` check the key against `keys`
-    /// instead of acquiring 2PL locks — the epoch plan, not the lock
-    /// manager, is what serializes conflicting transactions.
-    pub fn set_plan_scope(&self, keys: impl IntoIterator<Item = LockKey>) {
-        *self.plan.lock() = Some(PlanScope {
-            allowed: keys.into_iter().collect(),
-            violations: Vec::new(),
-        });
-    }
-
-    /// Whether this transaction runs under a declared plan scope.
-    pub fn has_plan_scope(&self) -> bool {
-        self.plan.lock().is_some()
-    }
-
-    /// Keys this transaction touched without declaring (planned mode only).
-    /// Non-empty after an [`TxnError::OutsidePlan`] abort; the executor
-    /// replans with `declared ∪ violations`.
-    pub fn plan_violations(&self) -> Vec<LockKey> {
-        self.plan
-            .lock()
-            .as_ref()
-            .map(|s| s.violations.clone())
-            .unwrap_or_default()
-    }
-
-    /// Planned-mode admission check. `None` when no plan scope is set (take
-    /// real locks); otherwise the declaration verdict for `key`.
-    fn plan_check(&self, key: &LockKey) -> Option<TxnResult<()>> {
-        let mut g = self.plan.lock();
-        let scope = g.as_mut()?;
-        Some(if scope.allowed.contains(key) {
-            Ok(())
-        } else {
-            scope.violations.push(key.clone());
-            rrq_obs::counter_inc("txn.plan.scope_violations");
-            Err(TxnError::OutsidePlan(format!(
-                "ns {} key {:?}",
-                key.ns,
-                String::from_utf8_lossy(&key.key)
-            )))
-        })
-    }
-
     /// Acquire an exclusive lock, blocking up to the manager's timeout.
-    /// Under a plan scope (planned execution) no lock is taken: the key is
-    /// checked against the declared access set instead.
     pub fn lock_exclusive(&self, key: &LockKey) -> TxnResult<()> {
-        if let Some(verdict) = self.plan_check(key) {
-            return verdict;
-        }
         self.mgr.inner.locks.lock(
             self.id.raw(),
             key,
@@ -297,12 +230,8 @@ impl Txn {
         )
     }
 
-    /// Acquire a shared lock, blocking up to the manager's timeout. Checks
-    /// the plan scope instead when one is declared (see `lock_exclusive`).
+    /// Acquire a shared lock, blocking up to the manager's timeout.
     pub fn lock_shared(&self, key: &LockKey) -> TxnResult<()> {
-        if let Some(verdict) = self.plan_check(key) {
-            return verdict;
-        }
         self.mgr.inner.locks.lock(
             self.id.raw(),
             key,
@@ -616,26 +545,6 @@ mod tests {
         txn.enlist(Arc::clone(&rm)).unwrap();
         txn.enlist(Arc::clone(&rm)).unwrap(); // second begin would error if not deduped
         txn.commit().unwrap();
-    }
-
-    #[test]
-    fn plan_scope_admits_declared_and_refuses_undeclared() {
-        let mgr = TxnManager::single_node();
-        let txn = mgr.begin();
-        let a = LockKey::new(1, "a");
-        let b = LockKey::new(1, "b");
-        txn.set_plan_scope([a.clone()]);
-        assert!(txn.has_plan_scope());
-        txn.lock_exclusive(&a).unwrap();
-        // Lock-free: no 2PL lock was actually taken on the declared key.
-        assert_eq!(mgr.locks().held_count(txn.id().raw()), 0);
-        assert!(mgr.locks().try_lock(999, &a, LockMode::Exclusive).is_ok());
-        mgr.locks().unlock_all(999);
-
-        let err = txn.lock_shared(&b).unwrap_err();
-        assert!(matches!(err, TxnError::OutsidePlan(_)));
-        assert_eq!(txn.plan_violations(), vec![b]);
-        txn.abort().unwrap();
     }
 
     #[test]

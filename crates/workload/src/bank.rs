@@ -128,26 +128,6 @@ pub fn account_cell(i: u32) -> String {
     format!("bank/acct/{i:08}")
 }
 
-/// The lock key [`adjust`] takes for one account — the unit the planned
-/// executor's access sets are made of.
-pub fn account_lock_key(i: u32) -> LockKey {
-    LockKey::new(BANK_NS, account_key(i))
-}
-
-/// Access-set oracle for the `transfer` op (planned execution): the exact
-/// lock keys [`single_txn_handler`] will touch, derived from the request
-/// alone. Requests with other ops (or undecodable bodies) return `None` —
-/// unplannable, so the executor runs them solo with real locks.
-pub fn transfer_access() -> rrq_core::planned::AccessFn {
-    Arc::new(|req: &Request| {
-        if req.op != "transfer" {
-            return None;
-        }
-        let t = Transfer::decode(&req.body).ok()?;
-        Some(vec![account_lock_key(t.from), account_lock_key(t.to)])
-    })
-}
-
 fn adjust(ctx: &ServerCtx<'_>, account: u32, delta: i64) -> Result<(), HandlerError> {
     let key = account_key(account);
     ctx.txn
