@@ -35,27 +35,16 @@ echo "== perf package tests (smoke workloads, BENCHMARK.json == spec.rs)"
 # [workspace]), so the workspace test run above never reaches it.
 cargo test --release --manifest-path perf/Cargo.toml
 
-echo "== E21 repo-partition smoke (shared-nothing scaling, 4 vs 1 partitions)"
-# Asserts 4 shared-nothing repository partitions push >= 1.5x the 1-partition
-# rate on the bank workload at 0% cross-partition traffic, every commit
-# forcing a 100us WAL write (full sweep: experiments -- e21).
-cargo run --release -p rrq-bench --bin experiments -q -- e21 --smoke
-
-echo "== explorer smoke sweep (600 fixed-seed fault scripts)"
-# Deterministic: any failure prints the seed and a replayable script path
-# (replay with: cargo run --release -p rrq-bench --bin explore -- --replay <path>);
-# the violations and trace land beside it as fail-seed-<n>.violations.txt.
-# The node's servers run the epoch loop (one force per epoch), so this is
-# also the sweep of that loop; it took over the retired planned sweep's budget.
+echo "== explorer sweep (800 fixed-seed fault scripts; every fourth on 4 repo partitions)"
+# Deterministic: any failure prints the seed, the partition count it ran on
+# and a replayable script path (replay with: cargo run --release -p rrq-bench
+# --bin explore -- --replay <path> --repo-partitions <n>); the violations and
+# trace land beside it as fail-seed-<n>.violations.txt. 600 scripts run
+# against one repository and 200 against four shared-nothing partitions
+# (clerks route per queue, partition-scoped crashes and single-pair cuts land
+# mid protocol). The node's servers run the epoch loop (one force per epoch),
+# so this is also the sweep of that loop.
 cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 600 --seed 1 --budget-secs 720 --out target/explorer-failures
-
-echo "== explorer shared-nothing sweep (200 scripts, repo_partitions=4)"
-# Same fixed seeds against four shared-nothing repository partitions: clerks
-# route per queue, partition-scoped crashes and single-pair cuts land mid
-# protocol, and the oracle battery must stay green across every recovery.
-cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 200 --seed 1 --budget-secs 240 --repo-partitions 4 \
-  --out target/explorer-failures-repo4
+  --scripts 800 --seed 1 --budget-secs 960 --out target/explorer-failures
 
 echo "CI OK"

@@ -6,21 +6,24 @@
 //!     --seed 1 --budget-secs 240 --out target/explorer-failures
 //! cargo run --release -p rrq-bench --bin explore -- --replay path.rrqs
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 50 --bug
-//! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --repo-partitions 4
+//! cargo run --release -p rrq-bench --bin explore -- --replay path.rrqs --repo-partitions 4
 //! ```
 //!
 //! Runs seeded [`rrq_sim::script::FaultScript`]s through the explorer,
-//! prints progress and the sweep digest, re-verifies the first few seeds for
-//! digest stability, and exits non-zero if any oracle fired (printing the
-//! failing seed and the persisted script path; the violations and trace are
-//! written beside the script as `fail-seed-<n>.violations.txt`).
+//! every fourth seed on a four-partition repository and the rest on one
+//! ([`rrq_sim::explorer::sweep_partitions`]), prints progress and the sweep
+//! digest, re-verifies the first few seeds for digest stability, and exits
+//! non-zero if any oracle fired (printing the failing seed, the partition
+//! count it ran on and the persisted script path; the violations and trace
+//! are written beside the script as `fail-seed-<n>.violations.txt`).
+//! `--repo-partitions N` runs everything on N partitions: give a replay the
+//! count its failure was printed with.
 //! `--bug [skip-rereceive]` injects the deliberate skip-rereceive client
 //! bug, `--bug double-count` the metrics double-count bug; both *expect*
 //! failures — proving the oracle battery bites — then shrink the first
 //! failure.
 
 use rrq_sim::explorer::{self, ExplorerConfig, InjectedBug};
-use rrq_sim::script::FaultScript;
 use rrq_sim::shrink;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,7 +36,7 @@ struct Args {
     out: PathBuf,
     replay: Option<PathBuf>,
     bug: Option<InjectedBug>,
-    repo_partitions: usize,
+    repo_partitions: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -44,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
         out: PathBuf::from("target/explorer-failures"),
         replay: None,
         bug: None,
-        repo_partitions: 1,
+        repo_partitions: None,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(flag) = it.next() {
@@ -57,9 +60,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = PathBuf::from(val("--out")?),
             "--repo-partitions" => {
-                args.repo_partitions = val("--repo-partitions")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
+                args.repo_partitions = Some(
+                    val("--repo-partitions")?
+                        .parse()
+                        .map_err(|e| format!("{e}"))?,
+                )
             }
             "--replay" => args.replay = Some(PathBuf::from(val("--replay")?)),
             "--bug" => {
@@ -147,8 +152,9 @@ fn main() -> ExitCode {
         digests.push(report.digest_of_digests);
         for f in &report.failures {
             eprintln!(
-                "FAIL seed {} ({} violations) script -> {:?}",
+                "FAIL seed {} on {} repo partition(s) ({} violations) script -> {:?}",
                 f.seed,
+                f.repo_partitions,
                 f.outcome.violations.len(),
                 f.script_path
             );
@@ -170,29 +176,18 @@ fn main() -> ExitCode {
         }
     }
 
-    // Digest stability: re-run the first seeds and compare.
-    let verify_n = 3.min(run_count);
+    // Digest stability: re-run the first seeds (one of each four is a
+    // four-partition run) twice and compare.
+    let verify_n = 4.min(run_count);
     if verify_n > 0 {
-        let again = explorer::run_sweep(args.seed, verify_n, &cfg);
-        let first: Vec<u64> = (args.seed..args.seed + verify_n)
-            .map(|s| {
-                let script = FaultScript::generate(s);
-                explorer::run_script(&script, &cfg).digest
-            })
-            .collect();
-        let reagain: Vec<u64> = (args.seed..args.seed + verify_n)
-            .map(|s| {
-                let script = FaultScript::generate(s);
-                explorer::run_script(&script, &cfg).digest
-            })
-            .collect();
-        if first != reagain {
-            eprintln!("explore: NONDETERMINISM: re-run digests differ: {first:x?} vs {reagain:x?}");
+        let first = explorer::run_sweep(args.seed, verify_n, &cfg).digest_of_digests;
+        let again = explorer::run_sweep(args.seed, verify_n, &cfg).digest_of_digests;
+        if first != again {
+            eprintln!("explore: NONDETERMINISM: re-run digests differ: {first:x} vs {again:x}");
             return ExitCode::FAILURE;
         }
         println!(
-            "determinism check: first {verify_n} seeds re-ran identically (chunk digest {:016x})",
-            again.digest_of_digests
+            "determinism check: first {verify_n} seeds re-ran identically (chunk digest {first:016x})"
         );
     }
 
@@ -217,6 +212,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         let first = &failures[0];
+        let cfg = ExplorerConfig {
+            repo_partitions: Some(first.repo_partitions),
+            ..cfg
+        };
         let report = shrink::shrink(&first.script, &cfg);
         let path = args.out.join(format!("shrunk-seed-{}.rrqs", first.seed));
         if let Err(e) = report.script.write_to(&path) {

@@ -93,16 +93,11 @@ impl AppLockTable {
 mod tests {
     use super::*;
     use rrq_storage::disk::SimDisk;
-    use rrq_storage::kv::KvOptions;
 
     fn store() -> Arc<KvStore> {
-        KvStore::open(
-            Arc::new(SimDisk::new()),
-            Arc::new(SimDisk::new()),
-            KvOptions::default(),
-        )
-        .unwrap()
-        .0
+        KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new()))
+            .unwrap()
+            .0
     }
 
     #[test]

@@ -337,6 +337,13 @@ impl QmApi for RemoteQm {
     }
 
     fn dequeue(&self, queue: &str, registrant: &str, opts: DequeueOptions) -> CoreResult<Element> {
+        if opts.predicate.is_some() {
+            // The wire format carries no predicate: the server would hand
+            // back the head element, matching or not.
+            return Err(CoreError::Protocol(
+                "predicate dequeue is not supported over RPC".into(),
+            ));
+        }
         let deadline = opts.block.map(|b| Instant::now() + b);
         loop {
             let mut buf = vec![OP_DEQUEUE];
@@ -393,6 +400,7 @@ impl QmApi for RemoteQm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrq_qm::retrieval::Predicate;
 
     fn setup() -> (NetworkBus, Arc<Repository>, ServerGuard, RemoteQm) {
         let bus = NetworkBus::new(7);
@@ -425,6 +433,27 @@ mod tests {
             remote.dequeue("q", "c", DequeueOptions::default()),
             Err(CoreError::Qm(QmError::Empty(_)))
         ));
+    }
+
+    #[test]
+    fn remote_predicate_dequeue_is_refused_before_any_rpc() {
+        let (_bus, repo, _guard, remote) = setup();
+        remote.register("q", "c", false).unwrap();
+        remote
+            .enqueue("q", "c", b"no-match", EnqueueOptions::default())
+            .unwrap();
+        let sent = remote.message_counts();
+        let r = remote.dequeue(
+            "q",
+            "c",
+            DequeueOptions {
+                predicate: Some(Predicate::PayloadContains(b"other".to_vec())),
+                ..Default::default()
+            },
+        );
+        assert!(matches!(r, Err(CoreError::Protocol(_))), "{r:?}");
+        assert_eq!(remote.message_counts(), sent, "refused client-side");
+        assert_eq!(repo.qm().depth("q").unwrap(), 1, "the head stays queued");
     }
 
     #[test]

@@ -282,6 +282,10 @@ struct PendingTxn {
 pub struct QueueManager {
     name: String,
     durable: Arc<KvStore>,
+    /// The main-memory store of this incarnation's volatile queues (§10):
+    /// born empty with the manager, gone with it. Every transaction begins
+    /// on `durable`; it joins this store at its first touch of a volatile
+    /// queue ([`QueueManager::store_for`]).
     volatile: Arc<KvStore>,
     locks: Arc<LockManager>,
     notifier: QueueNotifier,
@@ -329,15 +333,13 @@ const PENDING_SHARDS: usize = 16;
 const TRIGGER_NS: u32 = 0;
 
 impl QueueManager {
-    /// Build a manager over a durable store and a volatile store, sharing the
-    /// node's lock manager.
+    /// Build a manager over a durable store, sharing the node's lock manager.
     pub fn new(
         name: impl Into<String>,
         durable: Arc<KvStore>,
-        volatile: Arc<KvStore>,
         locks: Arc<LockManager>,
     ) -> QmResult<Arc<Self>> {
-        Self::with_epoch_base(name, durable, volatile, locks, 0)
+        Self::with_epoch_base(name, durable, locks, 0)
     }
 
     /// [`Self::new`] with an epoch *band*: a fresh store starts its epoch at
@@ -352,7 +354,6 @@ impl QueueManager {
     pub fn with_epoch_base(
         name: impl Into<String>,
         durable: Arc<KvStore>,
-        volatile: Arc<KvStore>,
         locks: Arc<LockManager>,
         epoch_base: u64,
     ) -> QmResult<Arc<Self>> {
@@ -370,17 +371,15 @@ impl QueueManager {
         // Rebuild the ready index from the committed element keyspace. The
         // caller resolves in-doubt transactions before constructing the
         // manager, so `scan_prefix(None, ..)` is exactly the post-recovery
-        // committed truth. (The volatile store is empty after a restart.)
+        // committed truth. (Volatile queues come back empty.)
         let qindex = QueueIndex::new();
-        for store in [&durable, &volatile] {
-            for (k, raw) in store.scan_prefix(None, b"e/")? {
-                let Some(queue) = keys::parse_element_key(&k) else {
-                    continue;
-                };
-                let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
-                qindex.insert(queue, k.clone(), elem.eid);
-                rrq_obs::counter_inc("qm.recovery.index_rebuild");
-            }
+        for (k, raw) in durable.scan_prefix(None, b"e/")? {
+            let Some(queue) = keys::parse_element_key(&k) else {
+                continue;
+            };
+            let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
+            qindex.insert(queue, k.clone(), elem.eid);
+            rrq_obs::counter_inc("qm.recovery.index_rebuild");
         }
         let mut unfired_triggers = 0;
         for (_, raw) in durable.scan_prefix(None, b"t/")? {
@@ -393,7 +392,7 @@ impl QueueManager {
         Ok(Arc::new(QueueManager {
             name: name.into(),
             durable,
-            volatile,
+            volatile: KvStore::volatile(),
             locks,
             notifier: QueueNotifier::new(),
             pending: (0..PENDING_SHARDS)
@@ -489,6 +488,12 @@ impl QueueManager {
         &self.locks
     }
 
+    /// The main-memory store behind this manager's volatile queues
+    /// (diagnostics: its `txn_counts` say how many transactions joined it).
+    pub fn volatile_store(&self) -> &Arc<KvStore> {
+        &self.volatile
+    }
+
     /// The catalog entry of `queue`: a shared-lock map probe and an `Arc`
     /// clone when it is there, one committed store read and a decode, under
     /// the catalog's write lock, when it is not (see the module docs).
@@ -541,12 +546,24 @@ impl QueueManager {
         (eid, eid.raw())
     }
 
-    fn store_for(&self, meta: &QueueMeta) -> &Arc<KvStore> {
+    /// The store that holds `meta`'s elements.
+    fn store_of(&self, meta: &QueueMeta) -> &Arc<KvStore> {
         if meta.durable {
             &self.durable
         } else {
             &self.volatile
         }
+    }
+
+    /// [`Self::store_of`] for an operation of the user transaction `txn`,
+    /// which joins the main-memory store here, at its first touch of a
+    /// volatile queue; `prepare`/`commit`/`abort` pass by a store the
+    /// transaction never joined.
+    fn store_for(&self, txn: u64, meta: &QueueMeta) -> QmResult<&Arc<KvStore>> {
+        if !meta.durable && !self.volatile.is_open(txn) {
+            self.volatile.begin(txn)?;
+        }
+        Ok(self.store_of(meta))
     }
 
     /// Run `f` inside a fresh system transaction on the durable store.
@@ -609,7 +626,7 @@ impl QueueManager {
     pub fn destroy_queue(&self, queue: &str) -> QmResult<()> {
         let info = self.queue_info(queue)?;
         let meta = &info.meta;
-        let store = Arc::clone(self.store_for(meta));
+        let store = Arc::clone(self.store_of(meta));
         let r = self.system_txn(|t| {
             // Volatile elements live in the other store; handle both.
             if !meta.durable {
@@ -765,7 +782,7 @@ impl QueueManager {
         if !meta.started {
             return Err(QmError::QueueStopped(meta.name.clone()));
         }
-        let store = self.store_for(meta);
+        let store = self.store_for(txn, meta)?;
         let (eid, seq) = self.next_eid();
         let elem = ElementRef {
             eid,
@@ -865,7 +882,7 @@ impl QueueManager {
         deadline: Option<Instant>,
     ) -> QmResult<Option<Element>> {
         let meta = &info.meta;
-        let store = self.store_for(meta);
+        let store = self.store_for(txn, meta)?;
         let ns = info.ns;
         let strict = meta.mode == OrderingMode::StrictFifo;
         let claim = !strict && opts.predicate.is_none();
@@ -1254,7 +1271,7 @@ impl QueueManager {
     /// baseline.
     pub fn depth_scan(&self, queue: &str) -> QmResult<usize> {
         let info = self.queue_info(queue)?;
-        let store = self.store_for(&info.meta);
+        let store = self.store_of(&info.meta);
         let prefix = keys::element_prefix(queue);
         let mut after: Option<Vec<u8>> = None;
         let mut n = 0usize;
@@ -1453,7 +1470,7 @@ impl QueueManager {
     /// Read-only content query over a queue's live elements.
     pub fn query(&self, queue: &str, predicate: &Predicate) -> QmResult<Vec<Element>> {
         let info = self.queue_info(queue)?;
-        let store = self.store_for(&info.meta);
+        let store = self.store_of(&info.meta);
         let rows = store.scan_prefix(None, &keys::element_prefix(queue))?;
         let mut out = Vec::new();
         for (_, raw) in rows {
@@ -1604,7 +1621,7 @@ impl QueueManager {
         bump(&self.stats.aborted_dequeues);
         let info = self.queue_info(&d.queue)?;
         let meta = &info.meta;
-        let store = Arc::clone(self.store_for(meta));
+        let store = Arc::clone(self.store_of(meta));
         let tomb = keys::kill_key(d.eid);
         let killed = self.kill_marked(d.eid)?;
 
@@ -1758,7 +1775,6 @@ impl ResourceManager for QueueManager {
 
     fn begin(&self, txn: TxnId) -> TxnResult<()> {
         self.durable.begin(txn.raw())?;
-        self.volatile.begin(txn.raw())?;
         self.pending_shard(txn.raw())
             .insert(txn.raw(), PendingTxn::default());
         Ok(())
@@ -1780,7 +1796,9 @@ impl ResourceManager for QueueManager {
             }
         }
         self.durable.prepare(txn.raw())?;
-        self.volatile.prepare(txn.raw())?;
+        if self.volatile.is_open(txn.raw()) {
+            self.volatile.prepare(txn.raw())?;
+        }
         Ok(())
     }
 
@@ -1801,7 +1819,11 @@ impl ResourceManager for QueueManager {
         } else {
             self.durable.commit(txn.raw())?;
         }
-        self.volatile.commit(txn.raw())?;
+        // The transaction is committed. What is left cannot fail and leave
+        // the mirror below unapplied: the main-memory store has no device.
+        if self.volatile.is_open(txn.raw()) {
+            self.volatile.commit(txn.raw())?;
+        }
         let pend = self
             .pending_shard(txn.raw())
             .remove(&txn.raw())
@@ -1818,7 +1840,9 @@ impl ResourceManager for QueueManager {
 
     fn abort(&self, txn: TxnId) -> TxnResult<()> {
         self.durable.abort(txn.raw())?;
-        self.volatile.abort(txn.raw())?;
+        if self.volatile.is_open(txn.raw()) {
+            self.volatile.abort(txn.raw())?;
+        }
         let pend = self
             .pending_shard(txn.raw())
             .remove(&txn.raw())

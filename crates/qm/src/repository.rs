@@ -4,9 +4,10 @@
 //!
 //! [`Repository::open`] is the restart entry point: it recovers the durable
 //! store from checkpoint + log, resolves in-doubt two-phase-commit
-//! participants against the coordinator log, re-creates the volatile store
-//! empty (volatile queues lose their contents on a node failure, §10), and
-//! hands back a ready [`QueueManager`] + [`TxnManager`] pair.
+//! participants against the coordinator log, and hands back a ready
+//! [`QueueManager`] + [`TxnManager`] pair. Each queue manager is born with an
+//! empty main-memory store for its volatile queues, which lose their contents
+//! on a node failure (§10).
 //!
 //! With `RepoOptions { repo_partitions: N > 1 }` the repository becomes a
 //! shared-nothing *cluster* of N partitions (DESIGN.md S25): each partition
@@ -27,7 +28,7 @@ use crate::meta::QueueMeta;
 use crate::ops::QueueManager;
 use crate::route::{partition_of, MAX_REPO_PARTITIONS};
 use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk, TornWriteMode};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use rrq_storage::StorageError;
 use rrq_txn::{
@@ -125,8 +126,6 @@ impl RepoDisks {
 /// [`Repository::open`] uses.
 #[derive(Debug, Clone)]
 pub struct RepoOptions {
-    /// Durable-store options (group commit, sync policy).
-    pub kv: KvOptions,
     /// When set, wrap each WAL device in a [`LatencyDisk`] charging this
     /// much per force — models real storage devices for contention
     /// experiments. Each partition's log gets its *own* latency wrapper, so
@@ -142,7 +141,6 @@ pub struct RepoOptions {
 impl Default for RepoOptions {
     fn default() -> Self {
         RepoOptions {
-            kv: KvOptions::default(),
             wal_sync_latency: None,
             repo_partitions: 1,
         }
@@ -245,7 +243,7 @@ impl Repository {
                 Some(cost) => Arc::new(LatencyDisk::new(wal, cost)),
                 None => wal,
             };
-            KvStore::open(wal, Arc::new(disks.ckpts[p].clone()), opts.kv)
+            KvStore::open(wal, Arc::new(disks.ckpts[p].clone()))
         };
         let recovered = std::thread::scope(|s| {
             let siblings = (1..repo_partitions)
@@ -269,16 +267,6 @@ impl Repository {
         let mut parts = Vec::with_capacity(repo_partitions);
         let mut total = RecoveryReport::default();
         for (p, (store, report)) in recovered.into_iter().enumerate() {
-            // Volatile queues: a brand-new in-memory store each incarnation.
-            let (volatile, _) = KvStore::open(
-                Arc::new(SimDisk::new()),
-                Arc::new(SimDisk::new()),
-                KvOptions {
-                    sync_on_commit: false,
-                    ..KvOptions::default()
-                },
-            )?;
-
             let locks = Arc::new(LockManager::new());
             let tm =
                 TxnManager::with_shared(Arc::clone(&locks), Some(Arc::clone(&coord)), ids.clone());
@@ -301,7 +289,6 @@ impl Repository {
             let qm = QueueManager::with_epoch_base(
                 qm_name,
                 Arc::clone(&store),
-                volatile,
                 locks,
                 crate::route::epoch_band_base(p),
             )?;

@@ -11,7 +11,7 @@
 use parking_lot::Mutex;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle, QueueManager};
 use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::StorageResult;
 use rrq_txn::{LockManager, ResourceManager, TxnManager};
 use std::sync::Arc;
@@ -61,15 +61,9 @@ struct Node {
 }
 
 fn boot(wal: &Arc<HookDisk>, ckpt: &SimDisk) -> Node {
-    let open = |wal: Arc<dyn Disk>, ckpt: SimDisk| {
-        KvStore::open(wal, Arc::new(ckpt), KvOptions::default())
-            .unwrap()
-            .0
-    };
-    let durable = open(Arc::clone(wal) as _, ckpt.clone());
-    let volatile = open(Arc::new(SimDisk::new()), SimDisk::new());
+    let (durable, _) = KvStore::open(Arc::clone(wal) as _, Arc::new(ckpt.clone())).unwrap();
     let locks = Arc::new(LockManager::new());
-    let qm = QueueManager::new("qm", durable, volatile, Arc::clone(&locks)).unwrap();
+    let qm = QueueManager::new("qm", durable, Arc::clone(&locks)).unwrap();
     match qm.create_queue(rrq_qm::meta::QueueMeta::with_defaults("q")) {
         Ok(()) | Err(rrq_qm::QmError::QueueExists(_)) => {}
         Err(e) => panic!("{e}"),

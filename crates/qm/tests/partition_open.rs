@@ -8,7 +8,7 @@ use rrq_qm::keys;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use rrq_storage::disk::{Disk, SimDisk};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use rrq_txn::{CoordinatorLog, KvResource, LockManager, ResourceManager, TxnManager};
 use std::sync::Arc;
@@ -124,7 +124,6 @@ fn concurrent_partition_recovery_equals_serial() {
         let (store, part) = KvStore::open(
             Arc::new(disks.wal_groups[p][0].clone()),
             Arc::new(disks.ckpts[p].clone()),
-            KvOptions::default(),
         )
         .unwrap();
         assert_eq!(part.in_doubt.len(), 2, "partition {p}: {part:?}");

@@ -91,7 +91,9 @@ pub struct ExplorerConfig {
     /// node serves one RPC endpoint per partition, the clerk routes through
     /// [`RoutedQm`], `repo-crash` events strike a single partition's
     /// devices, and `part-partition` events cut one endpoint's link only.
-    pub repo_partitions: usize,
+    /// `None` runs a single script on one partition and lets a sweep choose
+    /// per seed ([`sweep_partitions`]).
+    pub repo_partitions: Option<usize>,
 }
 
 impl Default for ExplorerConfig {
@@ -101,7 +103,7 @@ impl Default for ExplorerConfig {
             initial_balance: 10_000,
             bug: None,
             out_dir: None,
-            repo_partitions: 1,
+            repo_partitions: None,
         }
     }
 }
@@ -339,7 +341,10 @@ pub fn run_script_with(
         vec![REQ_QUEUE.into(), format!("reply.{CLIENT_ID}")],
         factory,
     );
-    let parts = cfg.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
+    let parts = cfg
+        .repo_partitions
+        .unwrap_or(1)
+        .clamp(1, MAX_REPO_PARTITIONS);
     node.set_repo_options(RepoOptions {
         repo_partitions: parts,
         ..RepoOptions::default()
@@ -742,6 +747,8 @@ pub fn run_script_with(
 pub struct SweepFailure {
     /// The script's generation seed.
     pub seed: u64,
+    /// The partition count it ran on (the `repo_partitions` to replay with).
+    pub repo_partitions: usize,
     /// The failing run.
     pub outcome: RunOutcome,
     /// The script itself.
@@ -763,6 +770,19 @@ pub struct SweepReport {
     pub failures: Vec<SweepFailure>,
 }
 
+/// The partition count a sweep runs `seed`'s script on when the
+/// configuration names none: every fourth seed gets a four-partition
+/// repository, so one sweep covers the single repository and the
+/// shared-nothing cluster in the 3 : 1 proportion of the two sweeps it
+/// replaced.
+pub fn sweep_partitions(seed: u64) -> usize {
+    if seed.is_multiple_of(4) {
+        4
+    } else {
+        1
+    }
+}
+
 /// Run `count` generated scripts starting at `first_seed` under one
 /// conformance session (reset per script). Failing scripts are persisted to
 /// [`ExplorerConfig::out_dir`] as replayable files, each with its evidence
@@ -772,9 +792,14 @@ pub fn run_sweep(first_seed: u64, count: u64, cfg: &ExplorerConfig) -> SweepRepo
     let (checker, _session) = Conformance::install();
     let mut digest = FNV_OFFSET;
     let mut failures = Vec::new();
+    let mut run_cfg = cfg.clone();
     for seed in first_seed..first_seed.saturating_add(count) {
         let script = FaultScript::generate(seed);
-        let outcome = run_script_with(&script, cfg, &checker);
+        let repo_partitions = cfg
+            .repo_partitions
+            .unwrap_or_else(|| sweep_partitions(seed));
+        run_cfg.repo_partitions = Some(repo_partitions);
+        let outcome = run_script_with(&script, &run_cfg, &checker);
         digest = fnv1a(digest, &outcome.digest.to_le_bytes());
         if outcome.failed() {
             let script_path = cfg.out_dir.as_ref().and_then(|d| {
@@ -786,6 +811,7 @@ pub fn run_sweep(first_seed: u64, count: u64, cfg: &ExplorerConfig) -> SweepRepo
             });
             failures.push(SweepFailure {
                 seed,
+                repo_partitions,
                 outcome,
                 script: script.clone(),
                 script_path,

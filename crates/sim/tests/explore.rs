@@ -191,6 +191,13 @@ fn failing_sweep_persists_a_replayable_script_file() {
     assert_eq!(report.failures.len(), 1);
     let failure = &report.failures[0];
     let path = failure.script_path.as_ref().expect("script persisted");
+    // A sweep picks the partition count per seed and reports it with the
+    // failure; the replay is told.
+    assert_eq!(failure.repo_partitions, explorer::sweep_partitions(seed));
+    let cfg = ExplorerConfig {
+        repo_partitions: Some(failure.repo_partitions),
+        ..cfg
+    };
     let (script, outcome) = explorer::replay_file(path, &cfg).unwrap();
     assert_eq!(script, failure.script);
     assert!(outcome.failed());

@@ -17,7 +17,7 @@ fn generated_scripts_pass_oracles_at_one_and_four_partitions() {
         let script = FaultScript::generate(seed);
         for parts in [1usize, 4] {
             let cfg = ExplorerConfig {
-                repo_partitions: parts,
+                repo_partitions: Some(parts),
                 ..ExplorerConfig::default()
             };
             let outcome = run_script(&script, &cfg);

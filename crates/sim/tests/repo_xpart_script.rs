@@ -21,7 +21,7 @@ fn checked_in_repo_crash_script_stays_green_across_xpart_commits() {
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/repo-crash-xpart.rrqs");
     let cfg = ExplorerConfig {
-        repo_partitions: PARTS,
+        repo_partitions: Some(PARTS),
         ..ExplorerConfig::default()
     };
     let (script, outcome) = explorer::replay_file(&path, &cfg).unwrap();

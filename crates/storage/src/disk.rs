@@ -389,14 +389,15 @@ impl Disk for SimDisk {
 /// A device wrapper that charges a fixed latency per [`Disk::sync`] (and,
 /// opt-in, per [`READ_SECTOR`] bytes a [`Disk::read`] delivers).
 ///
-/// [`SimDisk`]'s sync is a memcpy, so per-commit and group-commit forcing
-/// cost the same and a benchmark cannot see batching win. Real log devices
-/// pay a rotation / flush delay per force — this wrapper models that cost so
-/// experiments (E16) measure the sync *count* the way hardware would.
+/// [`SimDisk`]'s sync is a memcpy, so a force per commit and a force per
+/// group cost the same and a benchmark cannot see batching win. Real log
+/// devices pay a rotation / flush delay per force — this wrapper models that
+/// cost so experiments (E21, E22) measure the sync *count* the way hardware
+/// would.
 ///
 /// Forces are serialized: a log device has one flush channel, so two threads
 /// syncing "at the same time" still pay two delays back to back. Without
-/// that, per-commit syncing would scale linearly with committer threads and
+/// that, unbatched syncing would scale linearly with committer threads and
 /// no benchmark could see why group commit exists. Reads, when given a
 /// latency via [`LatencyDisk::with_read_latency`], go through the same
 /// single command channel — which is what lets a recovery benchmark see the

@@ -11,10 +11,12 @@
 //! offset `target` calls [`GroupCommit::sync_through`]; if the watermark
 //! already covers `target` the force it needed happened on someone else's
 //! sync and it returns immediately. Otherwise the first arrival becomes the
-//! *leader*: it optionally dallies for the configured window (letting more
-//! committers append their records), issues one [`Wal::sync`], and advances
-//! the watermark past every record appended before the sync. Followers park
-//! on a condition variable and wake when the watermark passes their target.
+//! *leader*: it issues one [`Wal::sync`] and advances the watermark past every
+//! record appended before the sync. Followers park on a condition variable
+//! and wake when the watermark passes their target. Batching is purely
+//! opportunistic — whoever arrives while the leader is inside `sync` rides
+//! the next group; the leader never waits for company (a server that wants
+//! more commits per force defers them and closes an epoch, DESIGN.md S26).
 //!
 //! The write-ahead rule is untouched: `sync_through` returns only once the
 //! caller's commit record is durable, and the store applies writes to the
@@ -26,7 +28,6 @@
 use crate::error::StorageResult;
 use crate::wal::Wal;
 use parking_lot::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Counters exposed for benchmarks: `requests / groups` is the achieved
 /// batching factor.
@@ -44,29 +45,22 @@ struct GcState {
     durable: u64,
     /// Record count known durable (metrics: per-group batch sizes).
     durable_records: u64,
-    /// A leader is currently dallying or syncing.
+    /// A leader is currently syncing.
     leader_active: bool,
     stats: GroupCommitStats,
 }
 
 /// Batches concurrent log forces into one device sync per group.
+#[derive(Default)]
 pub struct GroupCommit {
-    /// How long a leader dallies before syncing, letting followers join.
-    /// Zero means purely opportunistic batching: whoever arrives while the
-    /// leader is inside `sync` rides the next group.
-    window: Duration,
     state: Mutex<GcState>,
     cv: Condvar,
 }
 
 impl GroupCommit {
-    /// New coordinator with the given dally window.
-    pub fn new(window: Duration) -> Self {
-        GroupCommit {
-            window,
-            state: Mutex::new(GcState::default()),
-            cv: Condvar::new(),
-        }
+    /// New coordinator: nothing durable yet, no leader.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Block until log bytes `[0, target)` are durable, forcing the device at
@@ -95,9 +89,6 @@ impl GroupCommit {
             if !g.leader_active {
                 g.leader_active = true;
                 drop(g);
-                if !self.window.is_zero() {
-                    std::thread::sleep(self.window);
-                }
                 // Everything appended before this point is covered by the
                 // sync below: the device moves its whole volatile tail to
                 // stable storage in one force.
@@ -149,15 +140,16 @@ impl GroupCommit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::{Disk, SimDisk};
+    use crate::disk::{Disk, LatencyDisk, SimDisk};
     use crate::wal::RecordKind;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn single_caller_syncs_once() {
         let disk = SimDisk::new();
         let wal = Wal::new(Arc::new(disk.clone()));
-        let gc = GroupCommit::new(Duration::ZERO);
+        let gc = GroupCommit::new();
         wal.append(1, RecordKind::Commit, &[]).unwrap();
         gc.sync_through(&wal, wal.len()).unwrap();
         assert_eq!(disk.stats().syncs, 1);
@@ -170,7 +162,7 @@ mod tests {
     fn covered_target_returns_without_new_sync() {
         let disk = SimDisk::new();
         let wal = Wal::new(Arc::new(disk.clone()));
-        let gc = GroupCommit::new(Duration::ZERO);
+        let gc = GroupCommit::new();
         wal.append(1, RecordKind::Commit, &[]).unwrap();
         let t = wal.len();
         gc.sync_through(&wal, t).unwrap();
@@ -179,17 +171,23 @@ mod tests {
     }
 
     #[test]
-    fn dally_window_batches_concurrent_committers() {
+    fn slow_force_batches_concurrent_committers() {
+        // Eight committers append and ask for durability together; a force
+        // takes 5 ms, so whoever is not the first leader piles up behind its
+        // sync and is covered by the next one.
         let disk = SimDisk::new();
-        let wal = Arc::new(Wal::new(Arc::new(disk.clone())));
-        let gc = Arc::new(GroupCommit::new(Duration::from_millis(30)));
+        let slow = LatencyDisk::new(Arc::new(disk.clone()), Duration::from_millis(5));
+        let wal = Arc::new(Wal::new(Arc::new(slow)));
+        let gc = Arc::new(GroupCommit::new());
+        let start = Arc::new(Barrier::new(8));
         let handles: Vec<_> = (0..8u64)
             .map(|i| {
-                let (wal, gc) = (Arc::clone(&wal), Arc::clone(&gc));
+                let (wal, gc, start) = (Arc::clone(&wal), Arc::clone(&gc), Arc::clone(&start));
                 let disk = disk.clone();
                 std::thread::spawn(move || {
                     wal.append(i, RecordKind::Commit, &[]).unwrap();
                     let target = wal.len();
+                    start.wait();
                     gc.sync_through(&wal, target).unwrap();
                     assert!(disk.durable_len() >= target, "durable on return");
                 })
@@ -201,7 +199,7 @@ mod tests {
         let s = gc.stats();
         assert!(
             s.groups < s.requests,
-            "8 committers within a 30ms window must share groups: {s:?}"
+            "8 committers behind a 5ms force must share groups: {s:?}"
         );
     }
 
@@ -209,7 +207,7 @@ mod tests {
     fn truncate_resets_watermark() {
         let disk = SimDisk::new();
         let wal = Wal::new(Arc::new(disk.clone()));
-        let gc = GroupCommit::new(Duration::ZERO);
+        let gc = GroupCommit::new();
         wal.append(1, RecordKind::Commit, &[]).unwrap();
         gc.sync_through(&wal, wal.len()).unwrap();
         wal.reset().unwrap();
@@ -229,10 +227,7 @@ mod tests {
         let (disk_a, disk_b) = (SimDisk::new(), SimDisk::new());
         let wal_a = Wal::new(Arc::new(disk_a.clone()));
         let wal_b = Wal::new(Arc::new(disk_b.clone()));
-        let (gc_a, gc_b) = (
-            GroupCommit::new(Duration::ZERO),
-            GroupCommit::new(Duration::ZERO),
-        );
+        let (gc_a, gc_b) = (GroupCommit::new(), GroupCommit::new());
         wal_b.append(1, RecordKind::Commit, &[]).unwrap();
         let b_target = wal_b.len();
         gc_b.sync_through(&wal_b, b_target).unwrap();
@@ -262,7 +257,7 @@ mod tests {
     fn sync_error_is_surfaced_not_swallowed() {
         let disk = SimDisk::new();
         let wal = Wal::new(Arc::new(disk.clone()));
-        let gc = GroupCommit::new(Duration::ZERO);
+        let gc = GroupCommit::new();
         wal.append(1, RecordKind::Commit, &[]).unwrap();
         let target = wal.len();
         disk.fail();

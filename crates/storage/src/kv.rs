@@ -25,6 +25,16 @@
 //! Concurrency control (locking) is the responsibility of the transaction
 //! layer above; this store guarantees atomicity and durability only.
 //!
+//! ## The main-memory store
+//!
+//! [`KvStore::volatile`] is the store of the paper's *volatile queues*
+//! (§10): the same transactions, overlay, tree and retire line with no log,
+//! group-commit coordinator or checkpoint chain behind them. Its commit
+//! point is the draw of a retire-line number; `prepare` only marks the
+//! transaction, `force_wal` has nothing to force and `checkpoint` is refused.
+//! It encodes no frame, computes no checksum and retains no byte per commit,
+//! and its contents die with the process.
+//!
 //! ## One store, one log
 //!
 //! A store writes one write-ahead log, with one append latch and one
@@ -92,7 +102,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A single redo operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -271,40 +280,37 @@ impl TxnState {
     }
 }
 
-/// Tuning knobs for a [`KvStore`].
-#[derive(Debug, Clone, Copy)]
-pub struct KvOptions {
-    /// Force the log on commit (the write-ahead rule). Turning this off
-    /// models the paper's *volatile queues* (§10): cheap, but contents are
-    /// lost on a crash.
-    pub sync_on_commit: bool,
-    /// Route commit-point forces through the group-commit coordinator so
-    /// concurrent committers share one device sync. Off = the per-commit
-    /// sync baseline (one force per transaction).
-    pub group_commit: bool,
-    /// How long a group leader dallies before syncing, letting more
-    /// committers join the group. Zero = opportunistic batching only.
-    pub group_commit_window: Duration,
-}
-
-impl Default for KvOptions {
-    fn default() -> Self {
-        KvOptions {
-            sync_on_commit: true,
-            group_commit: true,
-            group_commit_window: Duration::ZERO,
-        }
-    }
-}
-
-/// The store's log: its WAL, its group-commit coordinator, and the append
-/// latch serializing appends. The latch owns the log's frame buffer: whoever
-/// may append may build a frame in it, and its capacity carries over from
-/// record to record.
+/// What makes a store recoverable: its WAL, its group-commit coordinator, the
+/// append latch serializing appends, and the checkpoint chain. The latch owns
+/// the log's frame buffer: whoever may append may build a frame in it, and its
+/// capacity carries over from record to record.
 struct LogUnit {
     wal: Wal,
     group: GroupCommit,
     latch: Mutex<Vec<u8>>,
+    ckpt: Arc<dyn Disk>,
+    /// Valid segments on the checkpoint device (0 = no usable chain).
+    /// Mutated only under the exclusive checkpoint gate.
+    ckpt_segments: AtomicU64,
+}
+
+impl LogUnit {
+    /// Force the log through `target` for a commit point. `want: false` is
+    /// the deferred-commit path: the force is the epoch close's
+    /// [`KvStore::force_wal`], which must run before the commit's effects
+    /// are externalized.
+    fn sync_through(&self, target: u64, want: bool) -> StorageResult<()> {
+        if !want {
+            return Ok(());
+        }
+        self.force_through(target)
+    }
+
+    /// Unconditional force (prepare, checkpoint, epoch close); concurrent
+    /// callers share one device sync per group.
+    fn force_through(&self, target: u64) -> StorageResult<()> {
+        self.group.sync_through(&self.wal, target)
+    }
 }
 
 /// The retire line: the commit with sequence number `n` may touch the shared
@@ -375,7 +381,8 @@ pub struct KvStore {
     /// transactions' reads and writes of their own buffers do not share a
     /// lock word. A thread holds at most one stripe at a time.
     txns: Box<[TxnStripe]>,
-    log: LogUnit,
+    /// `None` in the main-memory store ([`KvStore::volatile`]).
+    log: Option<LogUnit>,
     /// Commit sequence: drawn under the append latch, so it numbers commit
     /// records in log order. It is the retire line's ticket and nothing
     /// else — never written to disk, restarting at zero with every open.
@@ -388,11 +395,6 @@ pub struct KvStore {
     /// Commit-point writers hold `read`; checkpoint holds `write` so the
     /// log is never truncated under an in-flight commit record.
     ckpt_gate: RwLock<()>,
-    ckpt: Arc<dyn Disk>,
-    /// Valid segments on the checkpoint device (0 = no usable chain).
-    /// Mutated only under the exclusive checkpoint gate.
-    ckpt_segments: AtomicU64,
-    opts: KvOptions,
     commits: AtomicU64,
     aborts: AtomicU64,
 }
@@ -408,7 +410,6 @@ impl KvStore {
     pub fn open(
         wal_disk: Arc<dyn Disk>,
         ckpt_disk: Arc<dyn Disk>,
-        opts: KvOptions,
     ) -> StorageResult<(Arc<KvStore>, RecoveryReport)> {
         let chain = load_chain(ckpt_disk.as_ref())?;
         if chain.valid_end < ckpt_disk.len() {
@@ -443,21 +444,27 @@ impl KvStore {
             aborted_txns: outcome.aborted_txns,
             in_doubt,
         };
-        let mut mem = chain.mem;
-        let mut applied = ApplyState {
-            applied: 0,
-            gen: 1,
-            deleted: Vec::new(),
-            unsaved_ops: 0,
-        };
-        for op in outcome.redo {
-            // Replayed writes are durable in the log but not in the chain:
-            // stamped with the live generation over the chain's 0, they are
-            // owed to the next checkpoint like any write since.
-            applied.apply(&mut mem, op);
+        let store = KvStore::new(
+            chain.mem,
+            Some(LogUnit {
+                wal,
+                group: GroupCommit::new(),
+                latch: Mutex::new(Vec::new()),
+                ckpt: ckpt_disk,
+                ckpt_segments: AtomicU64::new(chain.segments),
+            }),
+            outcome.next_txn_id,
+        );
+        {
+            let mut applied = store.apply.lock();
+            let mut mem = store.mem.write();
+            for op in outcome.redo {
+                // Replayed writes are durable in the log but not in the
+                // chain: stamped with the live generation over the chain's 0,
+                // they are owed to the next checkpoint like any write since.
+                applied.apply(&mut mem, op);
+            }
         }
-        let mut txns: Vec<KeyMap<u64, TxnState>> =
-            (0..TXN_STRIPES).map(|_| KeyMap::default()).collect();
         for (token, ops) in outcome.in_doubt {
             let mut st = TxnState {
                 internal: outcome.in_doubt_internal.get(&token).copied().unwrap_or(0),
@@ -468,28 +475,38 @@ impl KvStore {
             for op in ops {
                 st.write(op);
             }
-            txns[token as usize % TXN_STRIPES].insert(token, st);
+            store.txn_stripe(token).insert(token, st);
         }
-        let store = Arc::new(KvStore {
+        Ok((Arc::new(store), report))
+    }
+
+    /// The main-memory store of the paper's volatile queues (§10): empty,
+    /// with nothing behind it (see the module docs). Same transaction
+    /// interface as a store from [`KvStore::open`].
+    pub fn volatile() -> Arc<KvStore> {
+        Arc::new(KvStore::new(Tree::new(), None, 1))
+    }
+
+    fn new(mem: Tree, log: Option<LogUnit>, next_txn: u64) -> KvStore {
+        KvStore {
             mem: RwLock::new(mem),
-            txns: txns.into_iter().map(|t| TxnStripe(Mutex::new(t))).collect(),
-            log: LogUnit {
-                wal,
-                group: GroupCommit::new(opts.group_commit_window),
-                latch: Mutex::new(Vec::new()),
-            },
+            txns: (0..TXN_STRIPES)
+                .map(|_| TxnStripe(Mutex::new(KeyMap::default())))
+                .collect(),
+            log,
             commit_seq: AtomicU64::new(0),
-            next_txn: AtomicU64::new(outcome.next_txn_id),
-            apply: Mutex::new(applied),
+            next_txn: AtomicU64::new(next_txn),
+            apply: Mutex::new(ApplyState {
+                applied: 0,
+                gen: 1,
+                deleted: Vec::new(),
+                unsaved_ops: 0,
+            }),
             apply_cv: Condvar::new(),
             ckpt_gate: RwLock::new(()),
-            ckpt: ckpt_disk,
-            ckpt_segments: AtomicU64::new(chain.segments),
-            opts,
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
-        });
-        Ok((store, report))
+        }
     }
 
     /// The stripe of the open-transaction table that owns `txn`.
@@ -722,7 +739,8 @@ impl KvStore {
 
     /// Phase 1 of two-phase commit: force the transaction's redo records and
     /// a `Prepare` marker to the log. After this returns, the transaction
-    /// will survive a crash as in-doubt.
+    /// will survive a crash as in-doubt. (The main-memory store has no crash
+    /// to survive: there, prepare only closes the transaction to writes.)
     pub fn prepare(&self, txn: KvTxn) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
         // Checked out, no write can slip in unlogged between the logging and
@@ -744,20 +762,21 @@ impl KvStore {
     }
 
     fn log_prepare(&self, txn: KvTxn, st: &TxnState) -> StorageResult<()> {
+        let Some(log) = &self.log else {
+            return Ok(());
+        };
         let id = st.internal;
         let target = {
-            let mut latch = self.log.latch.lock();
+            let mut latch = log.latch.lock();
             let mut frames = Frames::new(&mut latch);
             frame_ops(&mut frames, id, &st.ops);
             // The prepare record's payload carries the caller's token:
             // recovery surfaces the in-doubt txn under the token the
             // coordinator knows, while the records stay keyed by `id`.
             frames.push(id, RecordKind::Prepare, |buf| put::u64(buf, txn));
-            self.log.wal.append_frames(frames)?
+            log.wal.append_frames(frames)?
         };
-        // Prepare always forces, even for volatile stores: an in-doubt txn
-        // must survive as in-doubt.
-        self.force_through(target)
+        log.force_through(target)
     }
 
     /// Take `txn`'s state out of the table for a commit-point operation (see
@@ -772,33 +791,36 @@ impl KvStore {
     ///
     /// One-phase path (no prior [`KvStore::prepare`]): writes + `Commit`
     /// record are logged and forced together. The force goes through the
-    /// log's group-commit coordinator (when enabled), so concurrent
-    /// committers share one device sync; writes reach the shared tree only
-    /// after the force returns, in the order of their commit records.
+    /// log's group-commit coordinator, so concurrent committers share one
+    /// device sync; writes reach the shared tree only after the force
+    /// returns, in the order of their commit records.
     pub fn commit(&self, txn: KvTxn) -> StorageResult<()> {
         self.commit_inner(txn, true)
     }
 
     /// Commit `txn` with durability deferred: writes become visible and the
-    /// commit record is appended, but no force is issued even when
-    /// `sync_on_commit` is on. The caller owns the durability point and must
-    /// call [`KvStore::force_wal`] before externalizing the result (the
-    /// queue manager's `close_epoch`). A crash before that force loses the
-    /// commit exactly as a `sync_on_commit: false` store would.
+    /// commit record is appended, but no force is issued. The caller owns
+    /// the durability point and must call [`KvStore::force_wal`] before
+    /// externalizing the result (the queue manager's `close_epoch`). A crash
+    /// before that force loses the commit.
     pub fn commit_deferred(&self, txn: KvTxn) -> StorageResult<()> {
         self.commit_inner(txn, false)
     }
 
     /// Force the log through its current end. This is the epoch durability
     /// point for [`KvStore::commit_deferred`]: after it returns, every
-    /// previously committed transaction survives a crash.
+    /// previously committed transaction survives a crash. (Nothing to do in
+    /// the main-memory store.)
     pub fn force_wal(&self) -> StorageResult<()> {
+        let Some(log) = &self.log else {
+            return Ok(());
+        };
         let _gate = self.ckpt_gate.read();
         let target = {
-            let _latch = self.log.latch.lock();
-            self.log.wal.len()
+            let _latch = log.latch.lock();
+            log.wal.len()
         };
-        self.force_through(target)
+        log.force_through(target)
     }
 
     fn commit_inner(&self, txn: KvTxn, sync: bool) -> StorageResult<()> {
@@ -819,27 +841,31 @@ impl KvStore {
         }
     }
 
-    /// Make `st`'s commit durable (as far as `sync` and the options ask) and
-    /// return its sequence number; the caller owes the retire line that
-    /// number's turn. On error nothing is owed: the turn has already been
-    /// passed on empty.
+    /// Make `st`'s commit durable (unless `sync` leaves the force to a later
+    /// [`KvStore::force_wal`]) and return its sequence number; the caller owes
+    /// the retire line that number's turn. On error nothing is owed: the turn
+    /// has already been passed on empty.
     fn log_commit(&self, st: &TxnState, sync: bool) -> StorageResult<u64> {
+        let Some(log) = &self.log else {
+            // The main-memory store's commit point: a place on the retire line.
+            return Ok(self.commit_seq.fetch_add(1, Ordering::SeqCst));
+        };
         let id = st.internal;
         let seq;
         let appended;
         {
             // The data records and the commit record reach the device as one
             // write: all of the transaction is in the log, or none of it.
-            let mut latch = self.log.latch.lock();
+            let mut latch = log.latch.lock();
             let mut frames = Frames::new(&mut latch);
             if !st.logged {
                 frame_ops(&mut frames, id, &st.ops);
             }
             seq = self.commit_seq.fetch_add(1, Ordering::SeqCst);
             frames.push(id, RecordKind::Commit, |_| {});
-            appended = self.log.wal.append_frames(frames);
+            appended = log.wal.append_frames(frames);
         }
-        if let Err(e) = appended.and_then(|target| self.sync_through(target, sync)) {
+        if let Err(e) = appended.and_then(|target| log.sync_through(target, sync)) {
             // Append or force failed after the number was drawn: keep the
             // retire line moving. Nothing is applied, and the caller sees the
             // device error.
@@ -847,28 +873,6 @@ impl KvStore {
             return Err(e);
         }
         Ok(seq)
-    }
-
-    /// Force the log through `target` for a commit point, honoring the
-    /// store's durability options. `want: false` is the deferred-commit
-    /// path: like `sync_on_commit: false`, the force is someone else's
-    /// responsibility — here the epoch close's [`KvStore::force_wal`], which
-    /// must run before the commit's effects are externalized.
-    fn sync_through(&self, target: u64, want: bool) -> StorageResult<()> {
-        if !want || !self.opts.sync_on_commit {
-            return Ok(());
-        }
-        self.force_through(target)
-    }
-
-    /// Unconditional force (prepare, checkpoint): batched when group commit
-    /// is on, a direct device sync otherwise.
-    fn force_through(&self, target: u64) -> StorageResult<()> {
-        if self.opts.group_commit {
-            self.log.group.sync_through(&self.log.wal, target)
-        } else {
-            self.log.wal.sync()
-        }
     }
 
     /// Wait for our turn on the retire line, move `ops` into the shared tree,
@@ -899,9 +903,9 @@ impl KvStore {
             .txn_stripe(txn)
             .remove(&txn)
             .ok_or(StorageError::UnknownTxn(txn))?;
-        if st.logged {
-            let _latch = self.log.latch.lock();
-            self.log.wal.append(st.internal, RecordKind::Abort, &[])?;
+        if let (true, Some(log)) = (st.logged, &self.log) {
+            let _latch = log.latch.lock();
+            log.wal.append(st.internal, RecordKind::Abort, &[])?;
             // No sync needed: if the abort record is lost, recovery treats the
             // txn as in-doubt and the coordinator aborts it again (presumed
             // abort would also work).
@@ -937,7 +941,14 @@ impl KvStore {
     /// Holds the checkpoint gate exclusively, so no commit record can sit
     /// appended-but-unforced (or forced-but-unapplied) while the log is
     /// truncated underneath it.
+    ///
+    /// The main-memory store has no chain to write and refuses.
     pub fn checkpoint(&self) -> StorageResult<()> {
+        let Some(log) = &self.log else {
+            return Err(StorageError::InvalidState(
+                "a main-memory store has no checkpoint".into(),
+            ));
+        };
         let _gate = self.ckpt_gate.write();
         if (0..TXN_STRIPES).any(|i| self.txn_stripe_at(i).values().any(|t| t.prepared)) {
             return Err(StorageError::InvalidState(
@@ -946,16 +957,16 @@ impl KvStore {
         }
         // The exclusive gate means no commit is in flight: every logged
         // commit has retired, so `mem` reflects the whole log. Its tail may
-        // still be volatile (deferred commits, `sync_on_commit: false`):
-        // force it before the chain claims those commits.
-        self.force_through(self.log.wal.len())?;
-        let segments = self.ckpt_segments.load(Ordering::SeqCst);
+        // still be volatile (deferred commits): force it before the chain
+        // claims those commits.
+        log.force_through(log.wal.len())?;
+        let segments = log.ckpt_segments.load(Ordering::SeqCst);
         if segments == 0 || segments >= SEGMENT_LIMIT {
             {
                 let mem = self.mem.read();
-                write_base(self.ckpt.as_ref(), &mem)?;
+                write_base(log.ckpt.as_ref(), &mem)?;
             }
-            self.ckpt_segments.store(1, Ordering::SeqCst);
+            log.ckpt_segments.store(1, Ordering::SeqCst);
             rrq_obs::counter_inc("storage.ckpt.base_segments");
         } else {
             // The retire line is idle under the exclusive gate; its lock is
@@ -966,8 +977,8 @@ impl KvStore {
                 (ag.unsaved_ops > 0).then(|| delta_since(&self.mem.read(), ag.gen, &ag.deleted))
             };
             if let Some(delta) = delta {
-                append_delta(self.ckpt.as_ref(), &delta)?;
-                self.ckpt_segments.fetch_add(1, Ordering::SeqCst);
+                append_delta(log.ckpt.as_ref(), &delta)?;
+                log.ckpt_segments.fetch_add(1, Ordering::SeqCst);
                 rrq_obs::counter_inc("storage.ckpt.delta_segments");
             }
             // Nothing written and a valid chain: the chain already describes
@@ -989,19 +1000,20 @@ impl KvStore {
             // drops (kv-log is a no-block class — the exclusive gate
             // already excludes every appender, so nothing can slip in
             // between).
-            let _latch = self.log.latch.lock();
-            self.log.wal.reset()?;
-            self.log.wal.append(0, RecordKind::Checkpoint, &[])?;
+            let _latch = log.latch.lock();
+            log.wal.reset()?;
+            log.wal.append(0, RecordKind::Checkpoint, &[])?;
         }
-        self.log.wal.sync()?;
+        log.wal.sync()?;
         // The log's offsets restarted; its coordinator's watermark must too.
-        self.log.group.on_truncate();
+        log.group.on_truncate();
         Ok(())
     }
 
-    /// Log length in bytes (drives checkpoint policy).
+    /// Log length in bytes (drives checkpoint policy); zero in the
+    /// main-memory store, always.
     pub fn wal_len(&self) -> u64 {
-        self.log.wal.len()
+        self.log.as_ref().map_or(0, |log| log.wal.len())
     }
 
     /// (commits, aborts) counters.
@@ -1012,9 +1024,13 @@ impl KvStore {
         )
     }
 
-    /// Group-commit batching counters (requests vs. device syncs).
+    /// Group-commit batching counters (requests vs. device syncs); zeros in
+    /// the main-memory store, which forces nothing.
     pub fn group_commit_stats(&self) -> GroupCommitStats {
-        self.log.group.stats()
+        self.log
+            .as_ref()
+            .map(|log| log.group.stats())
+            .unwrap_or_default()
     }
 }
 
@@ -1039,23 +1055,13 @@ mod tests {
     fn fresh() -> (Arc<KvStore>, SimDisk, SimDisk) {
         let wal = SimDisk::new();
         let ckpt = SimDisk::new();
-        let (store, report) = KvStore::open(
-            Arc::new(wal.clone()),
-            Arc::new(ckpt.clone()),
-            KvOptions::default(),
-        )
-        .unwrap();
+        let (store, report) = reopen(&wal, &ckpt);
         assert_eq!(report.replayed, 0);
         (store, wal, ckpt)
     }
 
     fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
-        KvStore::open(
-            Arc::new(wal.clone()),
-            Arc::new(ckpt.clone()),
-            KvOptions::default(),
-        )
-        .unwrap()
+        KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
     }
 
     #[test]
@@ -1343,25 +1349,77 @@ mod tests {
     }
 
     #[test]
-    fn volatile_mode_loses_data_on_crash() {
-        let wal = SimDisk::new();
-        let ckpt = SimDisk::new();
-        let (store, _) = KvStore::open(
-            Arc::new(wal.clone()),
-            Arc::new(ckpt.clone()),
-            KvOptions {
-                sync_on_commit: false,
-                ..KvOptions::default()
-            },
-        )
-        .unwrap();
+    fn volatile_store_commits_aborts_and_scans_like_a_logged_one() {
+        let store = KvStore::volatile();
+        store.begin(1).unwrap();
+        store.put(1, b"q/1", b"a").unwrap();
+        store.put(1, b"q/2", b"b").unwrap();
+        assert_eq!(store.get(None, b"q/1").unwrap(), None, "not yet committed");
+        assert_eq!(store.get(Some(1), b"q/1").unwrap(), Some(b"a".to_vec()));
+        store.commit(1).unwrap();
+        store.begin(2).unwrap();
+        store.delete(2, b"q/1").unwrap();
+        store.put(2, b"q/3", b"c").unwrap();
+        assert_eq!(store.scan_prefix(Some(2), b"q/").unwrap().len(), 2);
+        store.abort(2).unwrap();
+        store.begin(3).unwrap();
+        store.delete(3, b"q/2").unwrap();
+        store.commit_deferred(3).unwrap();
+        store.force_wal().unwrap();
+        assert_eq!(
+            store.scan_prefix(None, b"q/").unwrap(),
+            vec![(b"q/1".to_vec(), b"a".to_vec())]
+        );
+        assert_eq!(store.txn_counts(), (2, 1));
+        assert!(!store.is_open(2));
+    }
+
+    #[test]
+    fn volatile_store_prepare_marks_without_a_log() {
+        let store = KvStore::volatile();
         store.begin(1).unwrap();
         store.put(1, b"a", b"1").unwrap();
+        store.prepare(1).unwrap();
+        store.prepare(1).unwrap(); // idempotent, as on a logged store
+        assert!(store.put(1, b"b", b"2").is_err(), "write after prepare");
+        assert!(store.delete(1, b"a").is_err(), "write after prepare");
+        assert_eq!(
+            store.get(None, b"a").unwrap(),
+            None,
+            "prepared, not visible"
+        );
         store.commit(1).unwrap();
         assert_eq!(store.get(None, b"a").unwrap(), Some(b"1".to_vec()));
-        wal.crash(CrashStyle::DropVolatile);
-        let (store2, _) = reopen(&wal, &ckpt);
-        assert_eq!(store2.get(None, b"a").unwrap(), None, "volatile queue lost");
+        // A prepared transaction aborts with no record to write either.
+        store.begin(2).unwrap();
+        store.put(2, b"a", b"2").unwrap();
+        store.prepare(2).unwrap();
+        store.abort(2).unwrap();
+        assert_eq!(store.get(None, b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(store.group_commit_stats(), GroupCommitStats::default());
+        assert_eq!(store.wal_len(), 0);
+    }
+
+    #[test]
+    fn volatile_store_refuses_checkpoint_and_retains_no_log_bytes() {
+        let store = KvStore::volatile();
+        for t in 1..=10_000u64 {
+            store.begin(t).unwrap();
+            store.put(t, b"slot", &t.to_le_bytes()).unwrap();
+            store.commit(t).unwrap();
+        }
+        assert_eq!(store.wal_len(), 0, "10 000 commits, no byte retained");
+        assert_eq!(store.committed_len(), 1);
+        assert_eq!(store.txn_counts(), (10_000, 0));
+        assert!(matches!(
+            store.checkpoint(),
+            Err(StorageError::InvalidState(_))
+        ));
+        assert_eq!(
+            store.get(None, b"slot").unwrap(),
+            Some(10_000u64.to_le_bytes().to_vec()),
+            "a refused checkpoint leaves the store as it was"
+        );
     }
 
     #[test]

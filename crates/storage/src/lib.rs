@@ -17,15 +17,16 @@
 //!   scan-until-corruption recovery.
 //! * [`kv`] — a transactional main-memory B-tree keyed store that buffers
 //!   uncommitted writes per transaction, forces log records at commit, and
-//!   rebuilds itself from checkpoint + log on restart.
+//!   rebuilds itself from checkpoint + log on restart; without a log behind
+//!   it ([`kv::KvStore::volatile`]) it is the store of volatile queues.
 //! * [`group_commit`] — the leader/follower coordinator that batches
 //!   concurrent commit-point log forces into one device sync per group.
 //! * [`checkpoint`] / [`recovery`] — snapshotting and the redo pass.
 //! * [`codec`] / [`checksum`] — the self-contained binary record format.
 //!
 //! Everything is deterministic by default: no background threads, and the
-//! only wall-clock timing is opt-in (a non-zero group-commit dally window,
-//! or the benchmark-only [`disk::LatencyDisk`] sync cost).
+//! only wall-clock timing is opt-in (the benchmark-only
+//! [`disk::LatencyDisk`] sync cost).
 
 pub mod checkpoint;
 pub mod checksum;

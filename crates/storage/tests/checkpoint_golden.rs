@@ -16,18 +16,13 @@
 
 use rrq_storage::checksum::crc32;
 use rrq_storage::disk::{CrashStyle, Disk, SimDisk};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::load_chain;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
-    let (store, _) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        KvOptions::default(),
-    )
-    .unwrap();
+    let (store, _) = KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap();
     store
 }
 

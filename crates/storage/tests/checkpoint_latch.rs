@@ -6,18 +6,13 @@
 //! racing a storm of committers neither deadlock nor lose a committed write.
 
 use rrq_storage::disk::{CrashStyle, Disk, SimDisk, TornWriteMode};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, rrq_storage::recovery::RecoveryReport) {
-    KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        KvOptions::default(),
-    )
-    .unwrap()
+    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
 }
 
 fn dump(store: &KvStore) -> BTreeMap<Vec<u8>, Vec<u8>> {

@@ -8,7 +8,7 @@
 //! commit leaves nothing *behind* in the tree or the log's committed state.
 
 use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::{StorageError, StorageResult};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,13 +58,9 @@ fn value(i: u32) -> Vec<u8> {
 }
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
-    KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        KvOptions::default(),
-    )
-    .unwrap()
-    .0
+    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone()))
+        .unwrap()
+        .0
 }
 
 fn write_all(store: &KvStore, txn: u64) {
@@ -168,8 +164,7 @@ fn commit_retries_after_a_failed_force() {
         failing: AtomicBool::new(false),
     });
     let ckpt = SimDisk::new();
-    let (store, _) =
-        KvStore::open(flaky.clone(), Arc::new(ckpt.clone()), KvOptions::default()).unwrap();
+    let (store, _) = KvStore::open(flaky.clone(), Arc::new(ckpt.clone())).unwrap();
     write_all(&store, 1);
 
     flaky.failing.store(true, Ordering::SeqCst);
@@ -181,12 +176,7 @@ fn commit_retries_after_a_failed_force() {
     assert_committed(&store);
 
     wal.crash(CrashStyle::DropVolatile);
-    let (store, report) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        KvOptions::default(),
-    )
-    .unwrap();
+    let (store, report) = KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap();
     assert_eq!(report.committed_txns, 1);
     assert_committed(&store);
 }

@@ -8,29 +8,16 @@
 //! Symmetrically, an abort whose record is still volatile must never come
 //! back as committed.
 
-use rrq_storage::disk::{CrashStyle, Disk, SimDisk, TornWriteMode};
+use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk, TornWriteMode};
 use rrq_storage::group_commit::GroupCommit;
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::replay;
 use rrq_storage::wal::{RecordKind, Wal};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-fn grouped_opts(window_ms: u64) -> KvOptions {
-    KvOptions {
-        sync_on_commit: true,
-        group_commit: true,
-        group_commit_window: Duration::from_millis(window_ms),
-    }
-}
-
 fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, rrq_storage::recovery::RecoveryReport) {
-    KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        KvOptions::default(),
-    )
-    .unwrap()
+    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
 }
 
 /// The exact window from the issue, driven deterministically at the WAL
@@ -40,7 +27,7 @@ fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, rrq_storage::recovery
 fn crash_between_group_sync_and_follower_ack_loses_nothing() {
     let disk = SimDisk::new();
     let wal = Wal::new(Arc::new(disk.clone()));
-    let gc = GroupCommit::new(Duration::ZERO);
+    let gc = GroupCommit::new();
 
     // Two committers reach their commit point; both records are appended.
     let put = |txn: u64, key: &[u8]| {
@@ -74,26 +61,26 @@ fn crash_between_group_sync_and_follower_ack_loses_nothing() {
     gc.sync_through(&wal, follower_target).unwrap();
 }
 
-/// A storm of concurrent committers over a dallying coordinator: after every
-/// thread's commit() returns and the machine crashes, every transaction is
-/// recovered — and the disk saw fewer syncs than commits (groups formed).
+/// A storm of concurrent committers over a log whose force takes 3 ms, so
+/// the committers that are not leading pile up behind the leader's sync:
+/// after every thread's commit() returns and the machine crashes, every
+/// transaction is recovered — and the disk saw fewer syncs than commits
+/// (groups formed).
 #[test]
 fn concurrent_commit_storm_survives_crash() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 5;
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let (store, _) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        grouped_opts(1),
-    )
-    .unwrap();
+    let slow = LatencyDisk::new(Arc::new(wal.clone()), Duration::from_millis(3));
+    let (store, _) = KvStore::open(Arc::new(slow), Arc::new(ckpt.clone())).unwrap();
 
+    let start = Arc::new(Barrier::new(THREADS as usize));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let store = Arc::clone(&store);
+            let (store, start) = (Arc::clone(&store), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.wait();
                 for i in 0..PER_THREAD {
                     let txn = t * 1000 + i + 1;
                     store.begin(txn).unwrap();
@@ -141,12 +128,7 @@ fn concurrent_commit_storm_survives_crash() {
 fn aborted_txn_is_not_resurrected_by_a_group_neighbor() {
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let (store, _) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        grouped_opts(0),
-    )
-    .unwrap();
+    let (store, _) = reopen(&wal, &ckpt);
 
     // Txn 7 prepares (its writes are forced to the log), then aborts; the
     // abort record stays volatile.
@@ -181,12 +163,7 @@ fn aborted_txn_is_not_resurrected_by_a_group_neighbor() {
 fn prepared_then_aborted_txn_stays_dead_across_crash() {
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let (store, _) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        grouped_opts(0),
-    )
-    .unwrap();
+    let (store, _) = reopen(&wal, &ckpt);
     store.begin(9).unwrap();
     store.put(9, b"zombie", b"no").unwrap();
     store.prepare(9).unwrap();

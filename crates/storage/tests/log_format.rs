@@ -10,7 +10,7 @@
 
 use rrq_storage::checksum::crc32;
 use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk, TornWriteMode};
-use rrq_storage::kv::{KvOptions, KvStore, WriteOp};
+use rrq_storage::kv::{KvStore, WriteOp};
 use rrq_storage::recovery::replay;
 use rrq_storage::wal::{Frames, RecordKind, Wal, SCAN_WINDOW};
 use rrq_storage::{StorageError, StorageResult};
@@ -175,12 +175,7 @@ fn the_store_writes_the_log_the_old_encoder_would() {
     // predictable: data records in op order, then the commit record (no
     // payload); prepare carries the caller's token.
     let wal = SimDisk::new();
-    let (store, _) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(SimDisk::new()),
-        KvOptions::default(),
-    )
-    .unwrap();
+    let (store, _) = KvStore::open(Arc::new(wal.clone()), Arc::new(SimDisk::new())).unwrap();
     let big = vec![0xA5; 5000];
     store.begin(77).unwrap();
     store.put(77, b"alpha", b"1").unwrap();

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rrq_storage::disk::{CrashStyle, SimDisk, TornWriteMode};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -65,12 +65,7 @@ fn apply(tree: &mut Tree, writes: PendingWrites) {
 }
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
-    KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        KvOptions::default(),
-    )
-    .unwrap()
+    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
 }
 
 fn crash(wal: &SimDisk, ckpt: &SimDisk, torn: Option<TornWriteMode>) {

@@ -5,17 +5,12 @@
 
 use rrq_obs::Session;
 use rrq_storage::disk::{CrashStyle, Disk, SimDisk, TornWriteMode};
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use std::sync::Arc;
 
 fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
-    KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        KvOptions::default(),
-    )
-    .unwrap()
+    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
 }
 
 /// Two synced commits, an unsynced garbage tail, then a torn crash: every

@@ -8,7 +8,7 @@
 //! `recovery::replay` must redo only the durable transaction.
 
 use rrq_storage::disk::{Disk, SimDisk, TornWriteMode};
-use rrq_storage::kv::{KvOptions, KvStore, WriteOp};
+use rrq_storage::kv::{KvStore, WriteOp};
 use rrq_storage::recovery::replay;
 use rrq_storage::wal::{RecordKind, Wal};
 use std::sync::Arc;
@@ -97,14 +97,8 @@ fn kvstore_discards_torn_tail_so_later_commits_survive() {
     for mode in TornWriteMode::ALL {
         let wal_disk = SimDisk::new();
         let ckpt_disk = SimDisk::new();
-        let open = || {
-            KvStore::open(
-                Arc::new(wal_disk.clone()),
-                Arc::new(ckpt_disk.clone()),
-                KvOptions::default(),
-            )
-            .unwrap()
-        };
+        let open =
+            || KvStore::open(Arc::new(wal_disk.clone()), Arc::new(ckpt_disk.clone())).unwrap();
 
         // Incarnation 1: one durable commit, one unsynced commit, torn crash.
         let (store, _) = open();

@@ -352,16 +352,12 @@ mod tests {
     use super::*;
     use crate::rm::KvResource;
     use rrq_storage::disk::{CrashStyle, SimDisk};
-    use rrq_storage::kv::{KvOptions, KvStore};
+    use rrq_storage::kv::KvStore;
 
     fn kv_on(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
-        KvStore::open(
-            Arc::new(wal.clone()),
-            Arc::new(ckpt.clone()),
-            KvOptions::default(),
-        )
-        .unwrap()
-        .0
+        KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone()))
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -467,12 +463,7 @@ mod tests {
         w1.crash(CrashStyle::DropVolatile);
 
         // Recovery: store reports in-doubt; coordinator decisions resolve it.
-        let (s1b, report) = KvStore::open(
-            Arc::new(w1.clone()),
-            Arc::new(c1.clone()),
-            KvOptions::default(),
-        )
-        .unwrap();
+        let (s1b, report) = KvStore::open(Arc::new(w1.clone()), Arc::new(c1.clone())).unwrap();
         assert_eq!(report.in_doubt.len(), 1);
         let mgr2 = TxnManager::new(
             Arc::new(LockManager::new()),
@@ -493,12 +484,7 @@ mod tests {
         s1.put(7, b"x", b"1").unwrap();
         s1.prepare(7).unwrap();
         w1.crash(CrashStyle::DropVolatile);
-        let (s1b, report) = KvStore::open(
-            Arc::new(w1.clone()),
-            Arc::new(c1.clone()),
-            KvOptions::default(),
-        )
-        .unwrap();
+        let (s1b, report) = KvStore::open(Arc::new(w1.clone()), Arc::new(c1.clone())).unwrap();
         let mgr = TxnManager::new(
             Arc::new(LockManager::new()),
             Some(CoordinatorLog::new(Arc::new(SimDisk::new()))),

@@ -81,15 +81,9 @@ impl ResourceManager for KvResource {
 mod tests {
     use super::*;
     use rrq_storage::disk::SimDisk;
-    use rrq_storage::kv::KvOptions;
 
     fn store() -> Arc<KvStore> {
-        let (s, _) = KvStore::open(
-            Arc::new(SimDisk::new()),
-            Arc::new(SimDisk::new()),
-            KvOptions::default(),
-        )
-        .unwrap();
+        let (s, _) = KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new())).unwrap();
         s
     }
 

@@ -2,19 +2,15 @@
 //! movements under 2PL, and deadlock-victim liveness.
 
 use rrq_storage::disk::SimDisk;
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_txn::{KvResource, LockKey, ResourceManager, TxnError, TxnManager};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn store() -> Arc<KvStore> {
-    KvStore::open(
-        Arc::new(SimDisk::new()),
-        Arc::new(SimDisk::new()),
-        KvOptions::default(),
-    )
-    .unwrap()
-    .0
+    KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new()))
+        .unwrap()
+        .0
 }
 
 fn balance(store: &KvStore, key: &[u8]) -> i64 {

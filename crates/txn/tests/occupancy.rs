@@ -4,7 +4,7 @@
 //! strand its holder's locks for good.
 
 use rrq_storage::disk::SimDisk;
-use rrq_storage::kv::{KvOptions, KvStore};
+use rrq_storage::kv::KvStore;
 use rrq_txn::{KvResource, LockKey, LockManager, LockMode, ResourceManager, TxnManager};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,12 +71,7 @@ fn occupancy_follows_a_transfer() {
 #[test]
 fn occupancy_survives_commit_inheriting_locks() {
     let mgr = TxnManager::single_node();
-    let (store, _) = KvStore::open(
-        Arc::new(SimDisk::new()),
-        Arc::new(SimDisk::new()),
-        KvOptions::default(),
-    )
-    .unwrap();
+    let (store, _) = KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new())).unwrap();
     let rm: Arc<dyn ResourceManager> = Arc::new(KvResource::new("db", Arc::clone(&store)));
     let keys: Vec<LockKey> = (0..40).map(key).collect();
 
