@@ -25,6 +25,13 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --release
 
+echo "== cargo test, debug build (storage + queue manager)"
+# The tier-1 command as ROADMAP.md writes it is a debug build; the release
+# run above compiles `debug_assert!` out (record kinds, eid counters) and
+# turns overflow checks off. These two crates own the log format and the
+# key layout, where those assertions live.
+cargo test -q -p rrq-storage -p rrq-qm
+
 echo "== parking_lot shim tests (spin-then-park locks, counted condvar waiters)"
 # vendor/ is in the workspace `exclude`, so the workspace test run never
 # reaches the shims; every lock in the workspace goes through this one.

@@ -179,12 +179,27 @@ mod tests {
             .unwrap();
         assert_eq!(api.depth("q").unwrap(), 1);
         assert_eq!(api.read(eid).unwrap().payload, b"x");
-        let e = api.dequeue("q", "c", DequeueOptions::default()).unwrap();
+        let tagged = DequeueOptions {
+            tag: Some(b"t".to_vec()),
+            ..Default::default()
+        };
+        let e = api.dequeue("q", "c", tagged).unwrap();
         assert_eq!(e.eid, eid);
         assert_eq!(api.depth("q").unwrap(), 0);
-        // Retained read still works after dequeue.
+        // A stable registration's tagged dequeue retains the element...
+        assert_eq!(api.read(eid).unwrap().payload, b"x");
+        // ...an untagged one does not.
+        let gone = api
+            .enqueue("q", "c", b"y", EnqueueOptions::default())
+            .unwrap();
+        api.dequeue("q", "c", DequeueOptions::default()).unwrap();
+        assert!(matches!(
+            api.read(gone),
+            Err(crate::error::CoreError::Qm(QmError::NoSuchElement(_)))
+        ));
         assert_eq!(api.read(eid).unwrap().payload, b"x");
         api.deregister("q", "c").unwrap();
+        assert!(api.read(eid).is_err(), "deregistered: nothing retained");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | `m/<queue>`                | [`crate::meta::QueueMeta`] |
 //! | `e/<queue>/<ord>`          | live [`crate::element::Element`]s, ordered |
 //! | `x/<eid-be>`               | eid → element key (live-element index) |
-//! | `d/<eid-be>`               | retained (dequeued) elements, for `Read`/`Rereceive` |
+//! | `d/<eid-be>`               | the element a stable registration's last tagged dequeue retained, for `Read`/`Rereceive`; at most one per registration |
 //! | `k/<eid-be>`               | kill tombstones (§7 cancellation in flight) |
 //! | `r/<queue>/<registrant>`   | [`crate::registration::Registration`] |
 //! | `t/<trigger>`              | [`crate::trigger::Trigger`] |
@@ -76,7 +76,7 @@ pub fn index_key(eid: Eid) -> Vec<u8> {
     k
 }
 
-/// Key of the retained (dequeued) copy of `eid`.
+/// Key `eid`'s element moves to when a tagged dequeue retains it.
 pub fn retained_key(eid: Eid) -> Vec<u8> {
     let mut k = Vec::with_capacity(10);
     k.extend_from_slice(b"d/");
@@ -90,6 +90,12 @@ pub fn kill_key(eid: Eid) -> Vec<u8> {
     k.extend_from_slice(b"k/");
     k.extend_from_slice(&eid.raw().to_be_bytes());
     k
+}
+
+/// The eid an `x/`, `d/` or `k/` key ends in.
+pub fn eid_of(key: &[u8]) -> Option<Eid> {
+    let raw = key.get(2..)?.try_into().ok()?;
+    Some(Eid(u64::from_be_bytes(raw)))
 }
 
 /// Key of a registration record.
@@ -163,6 +169,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn eid_keys_give_their_eid_back() {
+        let eid = Eid::compose(3, 77);
+        for key in [index_key(eid), retained_key(eid), kill_key(eid)] {
+            assert_eq!(eid_of(&key), Some(eid));
+        }
+        assert_eq!(eid_of(b"x/short"), None);
+        assert_eq!(eid_of(b"x"), None);
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //!   it to the queue's *error queue* (with the abort code recorded), which is
 //!   what guarantees a poisoned request cannot cyclically restart a server
 //!   forever (§5's termination argument).
-//! * A **dequeued element is retained** (keyed by eid) until purged, so
-//!   `Read` works "even if the last operation was a Dequeue" (§4.3) — the
-//!   basis of the clerk's `Rereceive`.
+//! * A **tagged dequeue by a stable registration retains its element**: the
+//!   row moves from `e/<queue>/<ord>` to `d/<eid>` — a key-only log record,
+//!   the body is not logged again — so `Read` works "even if the last
+//!   operation was a Dequeue" (§4.3), the basis of the clerk's `Rereceive`.
+//!   The retained row belongs to that registration and is deleted in the
+//!   transaction of its next tagged operation, of its `Deregister`, or of
+//!   its queue's `destroy_queue`. Any other dequeue deletes the element.
 //!
 //! ## Concurrency (§10)
 //!
@@ -568,15 +572,41 @@ impl QueueManager {
 
     /// Run `f` inside a fresh system transaction on the durable store.
     fn system_txn<R>(&self, f: impl FnOnce(u64) -> QmResult<R>) -> QmResult<R> {
+        self.system_txn_on(&self.durable, f)
+    }
+
+    /// Run `f` inside a fresh system transaction on the durable store that
+    /// also writes `store`'s rows — the main-memory store joins it when
+    /// `store` is that one.
+    fn system_txn_on<R>(
+        &self,
+        store: &Arc<KvStore>,
+        f: impl FnOnce(u64) -> QmResult<R>,
+    ) -> QmResult<R> {
+        let joined = Arc::ptr_eq(store, &self.volatile);
         let t = self.sys_ids.next().raw();
         self.durable.begin(t)?;
-        match f(t) {
+        let run = || {
+            if joined {
+                self.volatile.begin(t)?;
+            }
+            let r = f(t)?;
+            self.durable.commit(t)?;
+            Ok(r)
+        };
+        match run() {
             Ok(r) => {
-                self.durable.commit(t)?;
+                // Committed: the main-memory store has no device to fail on.
+                if joined {
+                    self.volatile.commit(t)?;
+                }
                 Ok(r)
             }
             Err(e) => {
                 let _ = self.durable.abort(t);
+                if joined {
+                    let _ = self.volatile.abort(t);
+                }
                 Err(e)
             }
         }
@@ -622,33 +652,25 @@ impl QueueManager {
         updated
     }
 
-    /// Destroy a queue and all of its live elements and registrations.
+    /// Destroy a queue with all of its live elements, its registrations and
+    /// the elements those retain.
     pub fn destroy_queue(&self, queue: &str) -> QmResult<()> {
         let info = self.queue_info(queue)?;
-        let meta = &info.meta;
-        let store = Arc::clone(self.store_of(meta));
-        let r = self.system_txn(|t| {
-            // Volatile elements live in the other store; handle both.
-            if !meta.durable {
-                store.begin(t).ok(); // may double-begin if same store
-            }
-            let rows = self
-                .durable
-                .scan_prefix(Some(t), &keys::element_prefix(queue))?;
-            for (k, _) in rows {
-                self.durable.delete(t, &k)?;
-            }
-            if !meta.durable {
-                let vrows = store.scan_prefix(None, &keys::element_prefix(queue))?;
-                for (k, _) in vrows {
-                    store.delete(t, &k)?;
-                }
-                store.commit(t).ok();
+        let store = self.store_of(&info.meta);
+        let r = self.system_txn_on(store, |t| {
+            for (k, raw) in store.scan_prefix(Some(t), &keys::element_prefix(queue))? {
+                let eid = Element::decode_all(&raw).map_err(QmError::Storage)?.eid;
+                store.delete(t, &k)?;
+                store.delete(t, &keys::index_key(eid))?;
             }
             let regs = self
                 .durable
                 .scan_prefix(Some(t), format!("r/{queue}/").as_bytes())?;
-            for (k, _) in regs {
+            for (k, raw) in regs {
+                let reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
+                if let Some(eid) = reg.retained() {
+                    store.delete(t, &keys::retained_key(eid))?;
+                }
                 self.durable.delete(t, &k)?;
             }
             self.durable.delete(t, &keys::meta_key(queue))?;
@@ -709,13 +731,27 @@ impl QueueManager {
         Ok((handle, reg))
     }
 
-    /// `Deregister` — destroys all registration information (§4.3).
+    /// `Deregister` — destroys all registration information (§4.3), the
+    /// retained element of the registrant's last tagged dequeue included.
     pub fn deregister(&self, handle: &QueueHandle) -> QmResult<()> {
         let key = keys::registration_key(&handle.queue, &handle.registrant);
         rrq_check::race::serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
-        self.system_txn(|t| {
-            if self.durable.get(Some(t), &key)?.is_none() {
-                return Err(QmError::NotRegistered(handle.registrant.clone()));
+        let info = match self.queue_info(&handle.queue) {
+            // A destroyed queue took its registrations with it.
+            Err(QmError::NoSuchQueue(_)) => {
+                return Err(QmError::NotRegistered(handle.registrant.clone()))
+            }
+            info => info?,
+        };
+        let store = self.store_of(&info.meta);
+        self.system_txn_on(store, |t| {
+            let raw = self
+                .durable
+                .get(Some(t), &key)?
+                .ok_or_else(|| QmError::NotRegistered(handle.registrant.clone()))?;
+            let reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
+            if let Some(eid) = reg.retained() {
+                store.delete(t, &keys::retained_key(eid))?;
             }
             self.durable.delete(t, &key)?;
             Ok(())
@@ -723,16 +759,17 @@ impl QueueManager {
     }
 
     /// Update the registrant's stable last-operation record inside the user
-    /// transaction `txn` — atomic with the tagged operation.
+    /// transaction `txn` — atomic with the tagged operation — and delete the
+    /// retained element the superseded record owned. Returns whether the
+    /// registration keeps such a record at all.
     fn record_op(
         &self,
         txn: u64,
         handle: &QueueHandle,
         op: LastOp,
-        tag: Option<&[u8]>,
+        tag: &[u8],
         eid: Eid,
-        payload: &[u8],
-    ) -> QmResult<()> {
+    ) -> QmResult<bool> {
         let key = keys::registration_key(&handle.queue, &handle.registrant);
         // Read-modify-write of the registration record under the store's
         // internal serialization (see `register`).
@@ -741,15 +778,20 @@ impl QueueManager {
             .durable
             .get(Some(txn), &key)?
             .ok_or_else(|| QmError::NotRegistered(handle.registrant.clone()))?;
-        // Only the record's head is read back: the previous tag and element
-        // copy are about to be replaced, the new ones are encoded from the
-        // caller's slices.
-        if let Some(recorded) =
-            Registration::recorded(&raw, op, tag, eid, payload).map_err(QmError::Storage)?
-        {
-            self.durable.put(txn, &key, &recorded)?;
+        let Some(recorded) =
+            Registration::recorded(&raw, op, Some(tag), eid).map_err(QmError::Storage)?
+        else {
+            return Ok(false);
+        };
+        self.durable.put(txn, &key, &recorded.raw)?;
+        if let Some(retired) = recorded.retired {
+            // Retained where it was dequeued: in the store of the
+            // registration's own queue, whatever this operation resolved to.
+            let own = self.queue_info(&handle.queue)?;
+            self.store_for(txn, &own.meta)?
+                .delete(txn, &keys::retained_key(retired))?;
         }
-        Ok(())
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -802,15 +844,8 @@ impl QueueManager {
         // Read/Kill can find volatile elements too? No — volatile elements
         // index in the volatile store, consistent with their lifetime.
         store.put(txn, &keys::index_key(eid), &encode_index(&meta.name, &ekey))?;
-        if opts.tag.is_some() {
-            self.record_op(
-                txn,
-                handle,
-                LastOp::Enqueue,
-                opts.tag.as_deref(),
-                eid,
-                payload,
-            )?;
+        if let Some(tag) = &opts.tag {
+            self.record_op(txn, handle, LastOp::Enqueue, tag, eid)?;
         }
         {
             let mut g = self.pending_shard(txn);
@@ -1026,19 +1061,18 @@ impl QueueManager {
         // lock-ordered).
         rrq_check::race::queue_dequeued(&meta.name);
         rrq_check::race::on_write(|| elem_cell(elem.eid));
-        store.delete(txn, ekey)?;
+        // A stable registration's tagged dequeue keeps the element readable
+        // (`Read`, `Rereceive`) until its next tagged operation: the row
+        // changes keys. Every other dequeue is the end of the element.
+        let retained = match &opts.tag {
+            Some(tag) => self.record_op(txn, handle, LastOp::Dequeue, tag, elem.eid)?,
+            None => false,
+        };
         store.delete(txn, &keys::index_key(elem.eid))?;
-        // Retain the element contents for Read/Rereceive.
-        store.put(txn, &keys::retained_key(elem.eid), &raw2)?;
-        if opts.tag.is_some() {
-            self.record_op(
-                txn,
-                handle,
-                LastOp::Dequeue,
-                opts.tag.as_deref(),
-                elem.eid,
-                &elem.payload,
-            )?;
+        if retained {
+            store.rename(txn, ekey, &keys::retained_key(elem.eid))?;
+        } else {
+            store.delete(txn, ekey)?;
         }
         self.pending_shard(txn)
             .entry(txn)
@@ -1155,7 +1189,8 @@ impl QueueManager {
     }
 
     /// `Read(h, e)` — return the element with `eid` without modifying it.
-    /// Works for live elements and for retained (already dequeued) ones.
+    /// Works for live elements and for the one a stable registration's last
+    /// tagged dequeue retained.
     pub fn read(&self, eid: Eid) -> QmResult<Element> {
         bump(&self.stats.reads);
         for store in [&self.durable, &self.volatile] {
@@ -1467,6 +1502,46 @@ impl QueueManager {
         Ok(Some("index != storage".into()))
     }
 
+    /// `None` when the retained rows and the live-element index are what the
+    /// registrations and the elements say they should be: every `d/<eid>`
+    /// row is named by exactly one stable registration whose last tagged
+    /// operation was that dequeue, and every `x/<eid>` row points at an
+    /// element that is there. Otherwise a description of the first
+    /// divergence. Meaningful at a quiescent point, like
+    /// [`Self::index_divergence`].
+    pub fn retention_divergence(&self) -> QmResult<Option<String>> {
+        let mut owners: HashMap<Eid, Vec<String>> = HashMap::new();
+        for (_, raw) in self.durable.scan_prefix(None, b"r/")? {
+            let reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
+            if let Some(eid) = reg.retained() {
+                owners
+                    .entry(eid)
+                    .or_default()
+                    .push(format!("{}/{}", reg.queue, reg.registrant));
+            }
+        }
+        for store in [&self.durable, &self.volatile] {
+            for (k, _) in store.scan_prefix(None, b"d/")? {
+                let eid = keys::eid_of(&k).ok_or_else(|| bad_key(&k))?;
+                match owners.get(&eid).map_or(&[][..], Vec::as_slice) {
+                    [_] => {}
+                    [] => return Ok(Some(format!("retained {eid} belongs to no registration"))),
+                    many => return Ok(Some(format!("retained {eid} belongs to {many:?}"))),
+                }
+            }
+            for (k, raw) in store.scan_prefix(None, b"x/")? {
+                let (queue, ekey) = decode_index(&raw)?;
+                if store.get(None, &ekey)?.is_none() {
+                    let eid = keys::eid_of(&k).ok_or_else(|| bad_key(&k))?;
+                    return Ok(Some(format!(
+                        "index row of {eid} points at no element of {queue:?}"
+                    )));
+                }
+            }
+        }
+        Ok(None)
+    }
+
     /// Read-only content query over a queue's live elements.
     pub fn query(&self, queue: &str, predicate: &Predicate) -> QmResult<Vec<Element>> {
         let info = self.queue_info(queue)?;
@@ -1480,20 +1555,6 @@ impl QueueManager {
             }
         }
         Ok(out)
-    }
-
-    /// Drop the retained copy of a processed element (garbage collection for
-    /// the `Read`-after-dequeue guarantee; "the reply is retained until the
-    /// client says to delete it", §2).
-    pub fn purge_retained(&self, eid: Eid) -> QmResult<bool> {
-        self.system_txn(|t| {
-            let key = keys::retained_key(eid);
-            if self.durable.get(Some(t), &key)?.is_none() {
-                return Ok(false);
-            }
-            self.durable.delete(t, &key)?;
-            Ok(true)
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1748,6 +1809,10 @@ fn reg_cell(queue: &str, registrant: &str) -> String {
 /// Race-detector cell name of an element.
 fn elem_cell(eid: Eid) -> String {
     format!("qm/elem/{eid}")
+}
+
+fn bad_key(key: &[u8]) -> QmError {
+    QmError::Invalid(format!("malformed eid key {key:?}"))
 }
 
 fn encode_index(queue: &str, ekey: &[u8]) -> Vec<u8> {

@@ -6,11 +6,16 @@
 //! implicitly deregister it". For a registrant that asked for stability, the
 //! QM keeps a durable copy of the **tag**, **eid**, **operation type**, and
 //! **element contents** of the registrant's most recent tagged operation,
-//! updated *in the same transaction* as the operation itself. Re-registering
-//! after a failure returns that record — this is the whole basis of the
-//! client's connect-time resynchronization (Fig 2): the tag carries the
-//! clerk's rid/ckpt state, so the QM performs the client's checkpoint for
-//! free (§2).
+//! updated *in the same transaction* as the operation itself. The record
+//! holds the first three; the contents are the element itself, found by
+//! `Read(eid)`: live in its queue after a tagged Enqueue, and after a tagged
+//! Dequeue *retained* under the registration's name — a row this record owns
+//! until the registrant's next tagged operation, its `Deregister`, or the
+//! queue's destruction deletes it ([`Registration::retained`]).
+//! Re-registering after a failure returns the record — this is the whole
+//! basis of the client's connect-time resynchronization (Fig 2): the tag
+//! carries the clerk's rid/ckpt state, so the QM performs the client's
+//! checkpoint for free (§2).
 
 use crate::element::Eid;
 use rrq_storage::codec::{put, Decode, Encode, Reader};
@@ -61,8 +66,16 @@ pub struct Registration {
     pub tag: Option<Vec<u8>>,
     /// Eid of the element operated on.
     pub eid: Option<Eid>,
-    /// Stable copy of that element's contents (payload only).
-    pub element_copy: Option<Vec<u8>>,
+}
+
+/// What a tagged operation makes of an encoded registration
+/// ([`Registration::recorded`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Recorded {
+    /// The record's new encoding.
+    pub raw: Vec<u8>,
+    /// The retained element the superseded record owned.
+    pub retired: Option<Eid>,
 }
 
 impl Registration {
@@ -75,35 +88,41 @@ impl Registration {
             last_op: LastOp::None,
             tag: None,
             eid: None,
-            element_copy: None,
         }
     }
 
     /// Record a tagged operation (only kept when `stable`).
-    pub fn record(&mut self, op: LastOp, tag: Option<&[u8]>, eid: Eid, payload: &[u8]) {
+    pub fn record(&mut self, op: LastOp, tag: Option<&[u8]>, eid: Eid) {
         if !self.stable {
             return;
         }
         self.last_op = op;
         self.tag = tag.map(|t| t.to_vec());
         self.eid = Some(eid);
-        self.element_copy = Some(payload.to_vec());
+    }
+
+    /// The retained (`d/<eid>`) element this record owns: the one its last
+    /// tagged operation dequeued.
+    pub fn retained(&self) -> Option<Eid> {
+        match self.last_op {
+            LastOp::Dequeue if self.stable => self.eid,
+            _ => None,
+        }
     }
 
     /// The encoding `raw` (an encoded registration) takes once a tagged
-    /// operation is recorded in it, or `None` when the registration does not
-    /// keep a stable record. Equal to decode → [`Registration::record`] →
-    /// encode, but the superseded tag and element copy are never decoded and
-    /// the new ones are written straight from the caller's slices — the
-    /// element copy is as large as the element, and this runs inside every
+    /// operation is recorded in it, with the retained element the old record
+    /// owned, or `None` when the registration does not keep a stable record.
+    /// Equal to decode → [`Registration::retained`] → [`Registration::record`]
+    /// → encode, but the superseded tag is never copied and the new one is
+    /// written straight from the caller's slice: this runs inside every
     /// tagged enqueue and dequeue.
     pub fn recorded(
         raw: &[u8],
         op: LastOp,
         tag: Option<&[u8]>,
         eid: Eid,
-        payload: &[u8],
-    ) -> StorageResult<Option<Vec<u8>>> {
+    ) -> StorageResult<Option<Recorded>> {
         let mut r = Reader::new(raw);
         r.bytes_ref()?; // registrant
         r.bytes_ref()?; // queue
@@ -111,34 +130,32 @@ impl Registration {
             return Ok(None);
         }
         let head = &raw[..raw.len() - r.remaining()];
-        let mut buf =
-            Vec::with_capacity(head.len() + tag.map_or(0, <[u8]>::len) + payload.len() + 24);
+        let was = LastOp::from_byte(r.u8()?)?;
+        if r.u8()? != 0 {
+            r.bytes_ref()?; // tag
+        }
+        let retired = match (decode_eid(&mut r)?, was) {
+            (Some(eid), LastOp::Dequeue) => Some(eid),
+            _ => None,
+        };
+        let mut buf = Vec::with_capacity(head.len() + tag.map_or(0, <[u8]>::len) + 16);
         buf.extend_from_slice(head);
-        encode_last_op(&mut buf, op, tag, Some(eid), Some(payload));
-        Ok(Some(buf))
+        encode_last_op(&mut buf, op, tag, Some(eid));
+        Ok(Some(Recorded { raw: buf, retired }))
     }
 }
 
 /// The record's tail — everything a tagged operation replaces. The head
 /// (registrant, queue, stable flag) never changes after `Register`.
-fn encode_last_op(
-    buf: &mut Vec<u8>,
-    last_op: LastOp,
-    tag: Option<&[u8]>,
-    eid: Option<Eid>,
-    element_copy: Option<&[u8]>,
-) {
-    fn opt_bytes(buf: &mut Vec<u8>, v: Option<&[u8]>) {
-        match v {
-            None => put::u8(buf, 0),
-            Some(b) => {
-                put::u8(buf, 1);
-                put::bytes(buf, b);
-            }
+fn encode_last_op(buf: &mut Vec<u8>, last_op: LastOp, tag: Option<&[u8]>, eid: Option<Eid>) {
+    put::u8(buf, last_op.to_byte());
+    match tag {
+        None => put::u8(buf, 0),
+        Some(b) => {
+            put::u8(buf, 1);
+            put::bytes(buf, b);
         }
     }
-    put::u8(buf, last_op.to_byte());
-    opt_bytes(buf, tag);
     match eid {
         None => put::u8(buf, 0),
         Some(e) => {
@@ -146,7 +163,14 @@ fn encode_last_op(
             put::u64(buf, e.raw());
         }
     }
-    opt_bytes(buf, element_copy);
+}
+
+fn decode_eid(r: &mut Reader<'_>) -> StorageResult<Option<Eid>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(Eid(r.u64()?))),
+        b => Err(StorageError::Decode(format!("bad eid tag {b}"))),
+    }
 }
 
 impl Encode for Registration {
@@ -154,13 +178,7 @@ impl Encode for Registration {
         put::string(buf, &self.registrant);
         put::string(buf, &self.queue);
         put::bool(buf, self.stable);
-        encode_last_op(
-            buf,
-            self.last_op,
-            self.tag.as_deref(),
-            self.eid,
-            self.element_copy.as_deref(),
-        );
+        encode_last_op(buf, self.last_op, self.tag.as_deref(), self.eid);
     }
 }
 
@@ -171,12 +189,7 @@ impl Decode for Registration {
         let stable = r.bool()?;
         let last_op = LastOp::from_byte(r.u8()?)?;
         let tag = Option::<Vec<u8>>::decode(r)?;
-        let eid = match r.u8()? {
-            0 => None,
-            1 => Some(Eid(r.u64()?)),
-            b => return Err(StorageError::Decode(format!("bad eid tag {b}"))),
-        };
-        let element_copy = Option::<Vec<u8>>::decode(r)?;
+        let eid = decode_eid(r)?;
         Ok(Registration {
             registrant,
             queue,
@@ -184,7 +197,6 @@ impl Decode for Registration {
             last_op,
             tag,
             eid,
-            element_copy,
         })
     }
 }
@@ -197,36 +209,37 @@ mod tests {
     fn fresh_registration_has_no_history() {
         let r = Registration::new("client-1", "req", true);
         assert_eq!(r.last_op, LastOp::None);
-        assert!(r.tag.is_none() && r.eid.is_none() && r.element_copy.is_none());
+        assert!(r.tag.is_none() && r.eid.is_none() && r.retained().is_none());
     }
 
     #[test]
     fn record_updates_stable_registration() {
         let mut r = Registration::new("c", "q", true);
-        r.record(LastOp::Enqueue, Some(b"rid-42"), Eid(9), b"body");
+        r.record(LastOp::Enqueue, Some(b"rid-42"), Eid(9));
         assert_eq!(r.last_op, LastOp::Enqueue);
         assert_eq!(r.tag.as_deref(), Some(b"rid-42".as_slice()));
         assert_eq!(r.eid, Some(Eid(9)));
-        assert_eq!(r.element_copy.as_deref(), Some(b"body".as_slice()));
+        assert_eq!(
+            r.retained(),
+            None,
+            "an enqueued element is live, not retained"
+        );
+        r.record(LastOp::Dequeue, None, Eid(10));
+        assert_eq!(r.retained(), Some(Eid(10)));
     }
 
     #[test]
     fn record_is_ignored_without_stable_flag() {
         let mut r = Registration::new("c", "q", false);
-        r.record(LastOp::Dequeue, Some(b"t"), Eid(1), b"x");
+        r.record(LastOp::Dequeue, Some(b"t"), Eid(1));
         assert_eq!(r.last_op, LastOp::None);
-        assert!(r.tag.is_none());
+        assert!(r.tag.is_none() && r.retained().is_none());
     }
 
     #[test]
     fn roundtrip_full() {
         let mut r = Registration::new("client-7", "reply", true);
-        r.record(
-            LastOp::Dequeue,
-            Some(b"ckpt:3"),
-            Eid::compose(2, 5),
-            b"reply!",
-        );
+        r.record(LastOp::Dequeue, Some(b"ckpt:3"), Eid::compose(2, 5));
         let d = Registration::decode_all(&r.encode_to_vec()).unwrap();
         assert_eq!(d, r);
     }
@@ -241,28 +254,35 @@ mod tests {
     #[test]
     fn recorded_equals_decode_record_encode() {
         let mut reg = Registration::new("client-7", "reply", true);
-        reg.record(LastOp::Enqueue, Some(b"old-tag"), Eid(1), &[7; 300]);
-        let raw = reg.encode_to_vec();
-        for tag in [None, Some(b"ckpt:4".as_slice())] {
-            let got = Registration::recorded(&raw, LastOp::Dequeue, tag, Eid(9), b"new body")
+        reg.record(LastOp::Enqueue, Some(b"old-tag"), Eid(1));
+        let mut raw = reg.encode_to_vec();
+        for (op, tag) in [
+            (LastOp::Dequeue, None),
+            (LastOp::Dequeue, Some(b"ckpt:4".as_slice())),
+            (LastOp::Enqueue, Some(b"rid".as_slice())),
+            (LastOp::Enqueue, None),
+        ] {
+            let got = Registration::recorded(&raw, op, tag, Eid(9))
                 .unwrap()
                 .expect("stable registration records");
-            reg.record(LastOp::Dequeue, tag, Eid(9), b"new body");
-            assert_eq!(got, reg.encode_to_vec());
-            assert_eq!(Registration::decode_all(&got).unwrap(), reg);
+            assert_eq!(got.retired, reg.retained(), "before {op:?}");
+            reg.record(op, tag, Eid(9));
+            assert_eq!(got.raw, reg.encode_to_vec());
+            assert_eq!(Registration::decode_all(&got.raw).unwrap(), reg);
+            raw = got.raw;
         }
         let unstable = Registration::new("c", "q", false).encode_to_vec();
         assert_eq!(
-            Registration::recorded(&unstable, LastOp::Enqueue, None, Eid(1), b"x").unwrap(),
+            Registration::recorded(&unstable, LastOp::Enqueue, None, Eid(1)).unwrap(),
             None
         );
-        assert!(Registration::recorded(&raw[..5], LastOp::Enqueue, None, Eid(1), b"x").is_err());
+        assert!(Registration::recorded(&raw[..5], LastOp::Enqueue, None, Eid(1)).is_err());
     }
 
     #[test]
     fn record_with_no_tag() {
         let mut r = Registration::new("c", "q", true);
-        r.record(LastOp::Enqueue, None, Eid(3), b"p");
+        r.record(LastOp::Enqueue, None, Eid(3));
         assert_eq!(r.tag, None);
         let d = Registration::decode_all(&r.encode_to_vec()).unwrap();
         assert_eq!(d, r);

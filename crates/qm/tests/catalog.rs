@@ -377,6 +377,7 @@ fn a_kill_of_a_held_element_is_counted_until_its_abort_clears_it() {
     assert_eq!(deq(&r, &h).unwrap(), b"keep-me");
     assert!(!r.qm().kill_element(spared).unwrap(), "too late");
     assert!(r.qm().index_divergence().unwrap().is_none());
+    assert!(r.qm().retention_divergence().unwrap().is_none());
 }
 
 #[test]
@@ -438,4 +439,5 @@ fn no_enqueue_is_accepted_after_a_stop_returned() {
         "enqueues accepted after a stop returned"
     );
     assert!(r.qm().index_divergence().unwrap().is_none());
+    assert!(r.qm().retention_divergence().unwrap().is_none());
 }

@@ -119,6 +119,7 @@ fn abort_dispositions_keep_gauge_and_index_in_lockstep() {
     // Quiescent: the index and a fresh storage scan agree exactly, and the
     // law-A arithmetic holds for the session's counters.
     assert_eq!(repo.qm().index_divergence().unwrap(), None);
+    assert_eq!(repo.qm().retention_divergence().unwrap(), None);
     let snap = session.snapshot();
     let flow = snap.counter("qm.enqueue.committed") as i64
         - snap.counter("qm.dequeue.committed") as i64

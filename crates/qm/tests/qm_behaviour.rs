@@ -201,20 +201,71 @@ fn dequeue_error_queue_override_is_honoured() {
     assert_eq!(r.qm().depth("custom.dead").unwrap(), 1);
 }
 
+fn deq_tagged(repo: &Repository, h: &QueueHandle, tag: &[u8]) -> Eid {
+    repo.autocommit(|t| {
+        let opts = DequeueOptions {
+            tag: Some(tag.to_vec()),
+            ..Default::default()
+        };
+        repo.qm().dequeue(t.id().raw(), h, opts).map(|e| e.eid)
+    })
+    .unwrap()
+}
+
 #[test]
 fn read_works_for_live_and_dequeued_elements() {
     let r = repo();
     r.create_queue_defaults("q").unwrap();
-    let (h, _) = r.qm().register("q", "c", false).unwrap();
-    let eid = enq(&r, &h, b"body");
-    assert_eq!(r.qm().read(eid).unwrap().payload, b"body");
-    deq(&r, &h).unwrap();
-    // Retained after dequeue (§4.3: Read works "even if the last operation
-    // was a Dequeue").
-    assert_eq!(r.qm().read(eid).unwrap().payload, b"body");
-    // Until purged.
-    assert!(r.qm().purge_retained(eid).unwrap());
-    assert!(matches!(r.qm().read(eid), Err(QmError::NoSuchElement(_))));
+    let (stable, _) = r.qm().register("q", "stable", true).unwrap();
+    let (unstable, _) = r.qm().register("q", "unstable", false).unwrap();
+    let first = enq(&r, &stable, b"first");
+    let second = enq(&r, &stable, b"second");
+    let third = enq(&r, &stable, b"third");
+    let fourth = enq(&r, &stable, b"fourth");
+    assert_eq!(r.qm().read(first).unwrap().payload, b"first");
+
+    // Tagged, by a stable registration: retained (§4.3: Read works "even if
+    // the last operation was a Dequeue")...
+    assert_eq!(deq_tagged(&r, &stable, b"t1"), first);
+    assert_eq!(r.qm().read(first).unwrap().payload, b"first");
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
+    // ...until that registration's next tagged operation, which retains its
+    // own element instead.
+    assert_eq!(deq_tagged(&r, &stable, b"t2"), second);
+    assert!(matches!(r.qm().read(first), Err(QmError::NoSuchElement(_))));
+    assert_eq!(r.qm().read(second).unwrap().payload, b"second");
+
+    // Untagged (every server dequeue), or tagged by a registration that
+    // keeps no stable record: the element is gone with the dequeue.
+    assert_eq!(deq(&r, &stable).unwrap(), b"third");
+    assert!(matches!(r.qm().read(third), Err(QmError::NoSuchElement(_))));
+    assert_eq!(deq_tagged(&r, &unstable, b"t3"), fourth);
+    assert!(matches!(
+        r.qm().read(fourth),
+        Err(QmError::NoSuchElement(_))
+    ));
+    assert_eq!(r.qm().read(second).unwrap().payload, b"second");
+
+    // A tagged enqueue is a tagged operation, too; and so the store holds
+    // the new element, its index row, the queue and two registrations.
+    let fifth = r
+        .autocommit(|t| {
+            let opts = EnqueueOptions {
+                tag: Some(b"t4".to_vec()),
+                ..Default::default()
+            };
+            r.qm().enqueue(t.id().raw(), &stable, b"fifth", opts)
+        })
+        .unwrap();
+    assert!(matches!(
+        r.qm().read(second),
+        Err(QmError::NoSuchElement(_))
+    ));
+    assert_eq!(r.qm().read(fifth).unwrap().payload, b"fifth");
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
+    assert_eq!(r.qm().index_divergence().unwrap(), None);
+    assert!(r.store().scan_prefix(None, b"d/").unwrap().is_empty());
+    assert_eq!(r.store().scan_prefix(None, b"x/").unwrap().len(), 1);
 }
 
 #[test]
@@ -224,30 +275,43 @@ fn registration_tags_survive_and_return_on_reregister() {
     r.create_queue_defaults("req").unwrap();
     let (h, reg) = r.qm().register("req", "client-1", true).unwrap();
     assert_eq!(reg.last_op, LastOp::None);
-    r.autocommit(|t| {
-        r.qm().enqueue(
-            t.id().raw(),
-            &h,
-            b"request-body",
-            EnqueueOptions {
-                tag: Some(b"rid-7".to_vec()),
-                ..Default::default()
-            },
-        )
-    })
-    .unwrap();
+    let eid = r
+        .autocommit(|t| {
+            r.qm().enqueue(
+                t.id().raw(),
+                &h,
+                b"request-body",
+                EnqueueOptions {
+                    tag: Some(b"rid-7".to_vec()),
+                    ..Default::default()
+                },
+            )
+        })
+        .unwrap();
 
-    // Crash the node, reopen, re-register: the tag comes back.
+    // Crash the node, reopen, re-register: tag, eid and operation come back,
+    // and the contents are the element's, for as long as it is live.
     drop(r);
     disks.crash();
-    let (r2, _) = Repository::open("t", disks).unwrap();
-    let (_, reg2) = r2.qm().register("req", "client-1", true).unwrap();
+    let (r2, _) = Repository::open("t", disks.clone()).unwrap();
+    let (h2, reg2) = r2.qm().register("req", "client-1", true).unwrap();
     assert_eq!(reg2.last_op, LastOp::Enqueue);
     assert_eq!(reg2.tag.as_deref(), Some(b"rid-7".as_slice()));
-    assert_eq!(
-        reg2.element_copy.as_deref(),
-        Some(b"request-body".as_slice())
-    );
+    assert_eq!(reg2.eid, Some(eid));
+    assert_eq!(r2.qm().read(eid).unwrap().payload, b"request-body");
+
+    // The same after a tagged dequeue: the contents are the retained row.
+    assert_eq!(deq_tagged(&r2, &h2, b"ckpt-1"), eid);
+    drop(r2);
+    disks.crash();
+    let (r3, _) = Repository::open("t", disks).unwrap();
+    let (_, reg3) = r3.qm().register("req", "client-1", true).unwrap();
+    assert_eq!(reg3.last_op, LastOp::Dequeue);
+    assert_eq!(reg3.tag.as_deref(), Some(b"ckpt-1".as_slice()));
+    assert_eq!(reg3.eid, Some(eid));
+    assert_eq!(reg3.retained(), Some(eid));
+    assert_eq!(r3.qm().read(eid).unwrap().payload, b"request-body");
+    assert_eq!(r3.qm().retention_divergence().unwrap(), None);
 }
 
 #[test]
@@ -292,7 +356,15 @@ fn deregister_destroys_registration() {
         )
     })
     .unwrap();
+    // What the registration retains goes with it.
+    let retained = deq_tagged(&r, &h, b"t2");
+    assert!(r.qm().read(retained).is_ok());
     r.qm().deregister(&h).unwrap();
+    assert!(matches!(
+        r.qm().read(retained),
+        Err(QmError::NoSuchElement(_))
+    ));
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
     let (_, reg) = r.qm().register("q", "c", true).unwrap();
     assert_eq!(reg.tag, None, "re-register after deregister starts fresh");
     assert!(matches!(
@@ -450,6 +522,7 @@ fn concurrent_drain_hands_every_element_to_exactly_one_dequeuer() {
     assert_eq!(r.qm().depth("hot").unwrap(), 0);
     assert_eq!(r.qm().claimed_entries(), 0);
     assert_eq!(r.qm().index_divergence().unwrap(), None);
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
 }
 
 /// A claim must not outlive a failed abort disposition: when the abort
@@ -483,6 +556,7 @@ fn failed_abort_disposition_leaves_the_element_dequeuable() {
         .unwrap();
     assert_eq!((e.eid, e.abort_count), (eid, 0));
     assert_eq!(r.qm().index_divergence().unwrap(), None);
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
 }
 
 #[test]
@@ -751,12 +825,21 @@ fn destroy_queue_removes_everything() {
     let r = repo();
     r.create_queue_defaults("q").unwrap();
     let (h, _) = r.qm().register("q", "c", true).unwrap();
+    enq(&r, &h, b"retained");
     enq(&r, &h, b"x");
+    deq_tagged(&r, &h, b"t");
     r.qm().destroy_queue("q").unwrap();
     assert!(matches!(
         r.qm().queue_meta("q"),
         Err(QmError::NoSuchQueue(_))
     ));
+    // Not a row of the queue is left: no element, no index row pointing at
+    // one, no registration and nothing one retained.
+    for prefix in [&b"e/"[..], b"x/", b"d/", b"r/", b"m/"] {
+        let rows = r.store().scan_prefix(None, prefix).unwrap();
+        assert!(rows.is_empty(), "{:?}", String::from_utf8_lossy(prefix));
+    }
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
     assert!(matches!(
         r.qm().register("q", "c", true),
         Err(QmError::NoSuchQueue(_))
@@ -814,6 +897,7 @@ fn own_enqueue_merges_with_committed_elements_in_key_order() {
     t1.commit().unwrap();
     assert_eq!(r.qm().claimed_entries(), 0);
     assert_eq!(r.qm().index_divergence().unwrap(), None);
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
 }
 
 #[test]

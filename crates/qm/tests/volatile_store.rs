@@ -84,6 +84,7 @@ fn one_transaction_over_both_stores_commits_and_aborts_as_one() {
     assert_eq!(repo.qm().depth("dur").unwrap(), 1);
     assert_eq!(repo.qm().depth("vol").unwrap(), 1);
     assert_eq!(repo.qm().index_divergence().unwrap(), None);
+    assert_eq!(repo.qm().retention_divergence().unwrap(), None);
     assert_eq!(repo.qm().volatile_store().txn_counts(), (1, 1));
     assert_eq!(try_dequeue(&repo, &hv).as_deref(), Some(&b"v"[..]));
     assert_eq!(try_dequeue(&repo, &hd).as_deref(), Some(&b"d"[..]));
@@ -110,6 +111,7 @@ fn deferred_commit_offers_the_volatile_element_only_after_close_epoch() {
     assert_eq!(try_dequeue(&repo, &hv).as_deref(), Some(&b"v"[..]));
     assert_eq!(try_dequeue(&repo, &hd).as_deref(), Some(&b"d"[..]));
     assert_eq!(repo.qm().index_divergence().unwrap(), None);
+    assert_eq!(repo.qm().retention_divergence().unwrap(), None);
 }
 
 #[test]
@@ -136,6 +138,7 @@ fn crash_keeps_the_durable_element_and_the_volatile_queue_but_not_its_contents()
     assert!(!meta.durable, "still a volatile queue");
     assert_eq!(meta.alert_threshold, Some(7), "metadata is durable");
     assert_eq!(repo.qm().index_divergence().unwrap(), None);
+    assert_eq!(repo.qm().retention_divergence().unwrap(), None);
     assert_eq!(try_dequeue(&repo, &hd).as_deref(), Some(&b"kept"[..]));
     assert_eq!(try_dequeue(&repo, &hv), None);
     // The queue works again in the new incarnation.

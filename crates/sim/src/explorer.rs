@@ -16,7 +16,7 @@
 
 use crate::driver::CrashPoint;
 use crate::node::{ServerFactory, ServerNodeSim};
-use crate::oracle::{metrics_conservation, EffectLedger, ReplyMatcher};
+use crate::oracle::{metrics_conservation, store_self_checks, EffectLedger, ReplyMatcher};
 use crate::script::{point_name, FaultEvent, FaultScript, PartitionDirection};
 use rrq_check::protocol::Conformance;
 use rrq_core::api::QmApi;
@@ -701,11 +701,13 @@ pub fn run_script_with(
             }
             trace.push(format!("balance {i}={}", model[i as usize]));
         }
-        // Metrics conservation, only on otherwise-clean runs: violation
-        // paths (livelock in particular) leave servers mid-flight, where a
-        // counter snapshot is not a quiescent point and its noise would make
-        // the digest nondeterministic.
+        // Metrics conservation and the stores' self-checks, only on
+        // otherwise-clean runs: violation paths (livelock in particular)
+        // leave servers mid-flight, where a counter snapshot is not a
+        // quiescent point and its noise would make the digest
+        // nondeterministic.
         if violations.is_empty() {
+            violations.extend(store_self_checks(&repo));
             let ledger_total = EffectLedger::counts(&repo)
                 .map(|c| c.values().map(|&n| u64::from(n)).sum::<u64>())
                 .unwrap_or(0);

@@ -9,6 +9,7 @@
 use rrq_core::error::CoreResult;
 use rrq_core::server::{Handler, Server, ServerConfig};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::QmError;
 use rrq_storage::disk::TornWriteMode;
 use rrq_storage::recovery::RecoveryReport;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -91,6 +92,13 @@ impl ServerNodeSim {
         let (repo, report) =
             Repository::open_with(self.name.clone(), self.disks.clone(), self.opts.clone())?;
         let repo = Arc::new(repo);
+        // What recovery rebuilt must pass the queue managers' self-checks
+        // before a server touches it: this is the one moment after a crash
+        // when nothing is in flight.
+        let diverged = crate::oracle::store_self_checks(&repo);
+        if !diverged.is_empty() {
+            return Err(QmError::Invalid(diverged.join("; ")).into());
+        }
         for q in &self.initial_queues {
             repo.create_queue_defaults(q)?;
         }

@@ -147,6 +147,29 @@ impl ReplyMatcher {
     }
 }
 
+/// The queue managers' own self-checks, partition by partition: the ready
+/// index equals a scan of the stored elements, every retained element
+/// belongs to exactly one stable registration, and no index row points at a
+/// missing element. Meaningful where nothing is in flight: on a repository
+/// just reopened, before its servers start, and at a script's quiescent end.
+pub fn store_self_checks(repo: &Repository) -> Vec<String> {
+    let mut bad = Vec::new();
+    for p in 0..repo.partitions() {
+        let qm = repo.qm_at(p);
+        for (check, found) in [
+            ("index", qm.index_divergence()),
+            ("retention", qm.retention_divergence()),
+        ] {
+            match found {
+                Ok(None) => {}
+                Ok(Some(d)) => bad.push(format!("{check} divergence on partition {p}: {d}")),
+                Err(e) => bad.push(format!("{check} check unreadable on partition {p}: {e}")),
+            }
+        }
+    }
+    bad
+}
+
 /// The metrics oracle: conservation laws over the production counters,
 /// checked at a quiescent point (every request answered, clerk disconnected,
 /// servers idle on empty queues) against the per-script [`rrq_obs::Session`]

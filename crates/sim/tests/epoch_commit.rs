@@ -88,6 +88,7 @@ fn assert_quiescent(repo: &Repository, tag: &str) {
         assert_eq!(qm.claimed_entries(), 0, "{tag}: claim marks left on p{p}");
         assert_eq!(qm.deferred_commits(), 0, "{tag}: mirrors left on p{p}");
         assert_eq!(qm.index_divergence().unwrap(), None, "{tag}: p{p}");
+        assert_eq!(qm.retention_divergence().unwrap(), None, "{tag}: p{p}");
     }
 }
 

@@ -45,6 +45,11 @@ fn create_queues(repo: &Repository) {
 fn assert_equivalent(repo: &Repository, ctx: &str) {
     let divergence = repo.qm().index_divergence().unwrap();
     assert_eq!(divergence, None, "{ctx}: index diverged from storage");
+    let divergence = repo.qm().retention_divergence().unwrap();
+    assert_eq!(
+        divergence, None,
+        "{ctx}: retained rows or index rows astray"
+    );
     for q in QUEUES {
         let by_index = repo.qm().depth(q).unwrap();
         let by_scan = repo.qm().depth_scan(q).unwrap();

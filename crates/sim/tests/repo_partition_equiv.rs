@@ -110,6 +110,11 @@ fn assert_pair_equivalent(mono: &Repository, part: &Repository, ctx: &str) {
                 None,
                 "{ctx}: {label} p{p} index diverged from its storage"
             );
+            assert_eq!(
+                repo.qm_at(p).retention_divergence().unwrap(),
+                None,
+                "{ctx}: {label} p{p} retains what no registration names"
+            );
         }
         for q in QUEUES {
             assert_eq!(

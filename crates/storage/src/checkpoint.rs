@@ -24,12 +24,14 @@
 //! segment is not a valid base (including the pre-segment full-snapshot
 //! format) is treated as absent.
 //!
-//! A segment does not say which commits it covers. The store forces its one
-//! log before it writes a segment and truncates it with a single atomic
-//! device swap afterwards, so the log that a crash leaves beside a durable
-//! segment is either whole or empty, and a whole log replayed in order over
-//! the chain that covers it yields the chain's tree again (see
-//! [`crate::kv`]).
+//! A segment does not say which commits it covers; the log does. Before a
+//! segment is written the store appends a `Checkpoint` record naming the
+//! chain that segment will complete — a [`ChainMark`], the chain's length and
+//! its last segment's CRC — and forces it with the rest of the log. The log
+//! is truncated only once the segment is durable, so a crash in between
+//! leaves the log whole beside a chain that already covers it up to that
+//! record: recovery finds the record naming the chain it loaded and replays
+//! only what follows (see [`crate::recovery`]).
 
 use crate::checksum::crc32;
 use crate::codec::{put, Reader};
@@ -79,29 +81,118 @@ pub struct CheckpointChain {
     /// Byte offset where the valid chain ends. Bytes past it are a stale or
     /// torn segment and must be discarded before the next delta is appended.
     pub valid_end: u64,
+    /// Trailing CRC-32 of the last valid segment (0 for no chain).
+    pub tail_crc: u32,
 }
 
-fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(SEG_HEADER + body.len() + SEG_TRAILER);
-    put::u32(&mut buf, SEG_MAGIC);
-    put::u8(&mut buf, kind);
-    put::u64(&mut buf, body.len() as u64);
-    buf.extend_from_slice(body);
-    let crc = crc32(&buf);
-    put::u32(&mut buf, crc);
-    buf
-}
-
-/// Serialize the whole tree as a base segment and atomically swap it onto
-/// `disk`, starting a fresh chain. Durable when this returns.
-pub fn write_base(disk: &dyn Disk, mem: &Tree) -> StorageResult<()> {
-    let mut body = Vec::new();
-    put::u64(&mut body, mem.len() as u64);
-    for (k, v) in mem {
-        put::bytes(&mut body, k);
-        put::bytes(&mut body, &v.value);
+impl CheckpointChain {
+    /// The name a `Checkpoint` record in the log knows this chain by.
+    pub fn mark(&self) -> ChainMark {
+        ChainMark {
+            end: self.valid_end,
+            crc: self.tail_crc,
+        }
     }
-    disk.reset(frame(KIND_BASE, &body))
+}
+
+/// Names one state of a chain: where it ends and the CRC its last segment
+/// closes with. Two states of one device differ in it — a delta moves the
+/// end, and a rewritten base of the very same length still has to collide
+/// with the old tail's CRC (the protection a torn segment gets).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChainMark {
+    /// Byte offset where the chain ends.
+    pub end: u64,
+    /// Trailing CRC-32 of the segment that ends there (0 for no chain).
+    pub crc: u32,
+}
+
+impl ChainMark {
+    /// Append as a `Checkpoint` record's payload.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        put::u64(buf, self.end);
+        put::u32(buf, self.crc);
+    }
+
+    /// Does a `Checkpoint` record's payload name this chain? (The record
+    /// that opens a truncated log has an empty payload and names none.)
+    pub fn named_by(&self, payload: &[u8]) -> bool {
+        let mut name = Vec::with_capacity(12);
+        self.encode_into(&mut name);
+        name == payload
+    }
+}
+
+/// One framed segment, built in memory before either device is touched so
+/// that the log can be told which chain it completes.
+pub struct Segment {
+    frame: Vec<u8>,
+    base: bool,
+}
+
+impl Segment {
+    fn framed(kind: u8, body: &[u8]) -> Segment {
+        let mut frame = Vec::with_capacity(SEG_HEADER + body.len() + SEG_TRAILER);
+        put::u32(&mut frame, SEG_MAGIC);
+        put::u8(&mut frame, kind);
+        put::u64(&mut frame, body.len() as u64);
+        frame.extend_from_slice(body);
+        let crc = crc32(&frame);
+        put::u32(&mut frame, crc);
+        Segment {
+            frame,
+            base: kind == KIND_BASE,
+        }
+    }
+
+    /// The whole tree as a base segment, which starts a fresh chain.
+    pub fn base(mem: &Tree) -> Segment {
+        let mut body = Vec::new();
+        put::u64(&mut body, mem.len() as u64);
+        for (k, v) in mem {
+            put::bytes(&mut body, k);
+            put::bytes(&mut body, &v.value);
+        }
+        Segment::framed(KIND_BASE, &body)
+    }
+
+    /// A delta segment: the written keys with their current committed values
+    /// (`None` = tombstone).
+    pub fn delta(delta: &BTreeMap<Vec<u8>, Option<Vec<u8>>>) -> Segment {
+        let mut body = Vec::new();
+        put::u64(&mut body, delta.len() as u64);
+        for (k, v) in delta {
+            put::bytes(&mut body, k);
+            match v {
+                Some(val) => {
+                    put::u8(&mut body, 1);
+                    put::bytes(&mut body, val);
+                }
+                None => put::u8(&mut body, 0),
+            }
+        }
+        Segment::framed(KIND_DELTA, &body)
+    }
+
+    /// The chain `disk` holds once this segment is written to it.
+    pub fn completes(&self, disk: &dyn Disk) -> ChainMark {
+        let before = if self.base { 0 } else { disk.len() };
+        let tail = &self.frame[self.frame.len() - SEG_TRAILER..];
+        ChainMark {
+            end: before + self.frame.len() as u64,
+            crc: u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]),
+        }
+    }
+
+    /// Make the segment durable on `disk`: a base with one atomic device
+    /// swap, a delta appended and forced.
+    pub fn write(self, disk: &dyn Disk) -> StorageResult<()> {
+        if self.base {
+            return disk.reset(self.frame);
+        }
+        disk.append(&self.frame)?;
+        disk.sync()
+    }
 }
 
 /// The next delta segment's contents: every entry of `mem` stamped `gen`
@@ -124,28 +215,6 @@ pub fn delta_since(
         }
     }
     delta
-}
-
-/// Append one delta segment — the written keys with their current committed
-/// values (`None` = tombstone) — and force it. Durable when this returns.
-pub fn append_delta(
-    disk: &dyn Disk,
-    delta: &BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-) -> StorageResult<()> {
-    let mut body = Vec::new();
-    put::u64(&mut body, delta.len() as u64);
-    for (k, v) in delta {
-        put::bytes(&mut body, k);
-        match v {
-            Some(val) => {
-                put::u8(&mut body, 1);
-                put::bytes(&mut body, val);
-            }
-            None => put::u8(&mut body, 0),
-        }
-    }
-    disk.append(&frame(KIND_DELTA, &body))?;
-    disk.sync()
 }
 
 fn from_chain(value: Vec<u8>) -> Stamped {
@@ -232,10 +301,12 @@ pub fn load_chain(disk: &dyn Disk) -> StorageResult<CheckpointChain> {
         chain.segments += 1;
         off = frame_end;
         chain.valid_end = off;
+        chain.tail_crc = expect;
     }
     if chain.segments == 0 {
         chain.mem.clear();
         chain.valid_end = 0;
+        chain.tail_crc = 0;
     }
     Ok(chain)
 }
@@ -269,7 +340,7 @@ mod tests {
     fn base_roundtrip() {
         let d = MemDisk::new();
         let m = sample();
-        write_base(&d, &m).unwrap();
+        Segment::base(&m).write(&d).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.mem, m);
         assert_eq!(chain.segments, 1);
@@ -287,15 +358,15 @@ mod tests {
     #[test]
     fn deltas_apply_in_order_over_base() {
         let d = MemDisk::new();
-        write_base(&d, &sample()).unwrap();
+        Segment::base(&sample()).write(&d).unwrap();
         let mut d1 = BTreeMap::new();
         d1.insert(b"alpha".to_vec(), Some(b"2".to_vec()));
         d1.insert(b"gamma".to_vec(), Some(b"3".to_vec()));
-        append_delta(&d, &d1).unwrap();
+        Segment::delta(&d1).write(&d).unwrap();
         let mut d2 = BTreeMap::new();
         d2.insert(b"beta".to_vec(), None); // tombstone
         d2.insert(b"alpha".to_vec(), Some(b"4".to_vec()));
-        append_delta(&d, &d2).unwrap();
+        Segment::delta(&d2).write(&d).unwrap();
 
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 3);
@@ -312,17 +383,17 @@ mod tests {
     #[test]
     fn torn_delta_falls_back_to_previous_chain() {
         let d = MemDisk::new();
-        write_base(&d, &sample()).unwrap();
+        Segment::base(&sample()).write(&d).unwrap();
         let mut d1 = BTreeMap::new();
         d1.insert(b"alpha".to_vec(), Some(b"2".to_vec()));
-        append_delta(&d, &d1).unwrap();
+        Segment::delta(&d1).write(&d).unwrap();
         let good_end = d.len();
 
         // A second delta whose tail is torn: drop its last byte (the CRC
         // cannot validate).
         let mut d2 = BTreeMap::new();
         d2.insert(b"alpha".to_vec(), Some(b"99".to_vec()));
-        append_delta(&d, &d2).unwrap();
+        Segment::delta(&d2).write(&d).unwrap();
         let raw = d.read(0, d.len() as usize).unwrap();
         d.reset(raw[..raw.len() - 1].to_vec()).unwrap();
 
@@ -335,7 +406,7 @@ mod tests {
     #[test]
     fn corrupt_base_treated_as_absent() {
         let d = MemDisk::new();
-        write_base(&d, &sample()).unwrap();
+        Segment::base(&sample()).write(&d).unwrap();
         let raw = d.read(0, d.len() as usize).unwrap();
         let mut bad = raw.clone();
         bad[10] ^= 0xFF;
@@ -351,7 +422,7 @@ mod tests {
         let d = MemDisk::new();
         let mut d1 = BTreeMap::new();
         d1.insert(b"k".to_vec(), Some(b"v".to_vec()));
-        append_delta(&d, &d1).unwrap();
+        Segment::delta(&d1).write(&d).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 0);
         assert!(chain.mem.is_empty());
@@ -369,12 +440,12 @@ mod tests {
     #[test]
     fn new_base_replaces_previous_chain() {
         let d = MemDisk::new();
-        write_base(&d, &sample()).unwrap();
+        Segment::base(&sample()).write(&d).unwrap();
         let mut d1 = BTreeMap::new();
         d1.insert(b"x".to_vec(), Some(b"y".to_vec()));
-        append_delta(&d, &d1).unwrap();
+        Segment::delta(&d1).write(&d).unwrap();
         let m2 = tree([(b"only", b"one")]);
-        write_base(&d, &m2).unwrap();
+        Segment::base(&m2).write(&d).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.segments, 1);
         assert_eq!(chain.mem, m2);
@@ -416,7 +487,7 @@ mod tests {
     #[test]
     fn empty_tree_roundtrips() {
         let d = MemDisk::new();
-        write_base(&d, &Tree::new()).unwrap();
+        Segment::base(&Tree::new()).write(&d).unwrap();
         let chain = load_chain(&d).unwrap();
         assert!(chain.mem.is_empty());
         assert_eq!(chain.segments, 1);

@@ -366,7 +366,17 @@ impl Disk for SimDisk {
         if g.resets_failed {
             return Err(StorageError::DeviceFailed);
         }
-        g.durable = contents;
+        // The device keeps its medium: an image that fits is copied over it,
+        // so putting one image back again and again (a benchmark's rounds, a
+        // test's crash loop) allocates nothing that outlives this call — a
+        // device-sized block adopted on every reset and freed on the next
+        // leaves the allocator a fresh hole each time.
+        if contents.len() <= g.durable.capacity() {
+            g.durable.clear();
+            g.durable.extend_from_slice(&contents);
+        } else {
+            g.durable = contents;
+        }
         g.volatile.clear();
         Ok(())
     }

@@ -14,13 +14,17 @@
 //!   on the tree and crash recovery is redo-only.
 //! * Reads within a transaction see the transaction's own writes (the buffer
 //!   is an overlay over the tree).
+//! * [`KvStore::rename`] moves a value to another key without copying it or
+//!   logging it again: its redo record ([`WriteOp::Move`]) carries the two
+//!   keys.
 //! * [`KvStore::prepare`] forces the transaction's redo records plus a
 //!   `Prepare` record — phase 1 of two-phase commit. A prepared transaction
 //!   survives a crash as *in-doubt* and can be resolved either way by the
 //!   coordinator after recovery.
 //! * [`KvStore::commit`] forces a `Commit` record (logging the writes first
 //!   if `prepare` was skipped, the one-phase fast path) and only then applies
-//!   the writes to the tree.
+//!   the writes to the tree. A transaction that wrote nothing and was never
+//!   prepared commits without a record or a force.
 //!
 //! Concurrency control (locking) is the responsibility of the transaction
 //! layer above; this store guarantees atomicity and durability only.
@@ -49,15 +53,17 @@
 //! what recovery would rebuild. Scaling past one log is the job of the layer
 //! above: a repository partition is a whole store with its own log.
 //!
-//! A checkpoint forces the log, makes its chain segment durable, and then
-//! resets the log with one atomic device swap ([`Wal::reset`]). A crash
-//! between the last two leaves the *whole* log beside a chain that already
-//! covers it, and replaying all of it, in order, over that chain rebuilds the
-//! same tree: every key the log writes ends at the log's last value for it,
-//! which is the value the chain recorded. The force is what makes the log
-//! whole — a chain over commits whose records were still volatile would be
-//! replayed over by a shorter log. So nothing on disk says which commits a
-//! segment covers.
+//! A checkpoint appends a `Checkpoint` record naming the chain its segment
+//! will complete, forces the log, makes the segment durable, and then resets
+//! the log with one atomic device swap ([`Wal::reset`]). A crash between the
+//! last two leaves the *whole* log beside a chain that already covers it up
+//! to that record, and recovery replays only what follows the record naming
+//! the chain it loaded. Replaying the covered part again would rebuild the
+//! same tree from puts and deletes — every key would end at the log's last
+//! value for it, which the chain recorded — but not from a move, which reads
+//! the tree it is replayed over. The force is what makes the covered part
+//! whole: a chain over commits whose records were still volatile would be
+//! followed by a log that ends before them.
 //!
 //! ## Internal locking
 //!
@@ -89,7 +95,7 @@
 //! particular the log latch is a no-block class, so device forces happen
 //! outside it (see [`KvStore::checkpoint`]).
 
-use crate::checkpoint::{append_delta, delta_since, load_chain, write_base, Stamped, Tree};
+use crate::checkpoint::{delta_since, load_chain, Segment, Stamped, Tree};
 use crate::codec::{put, Reader};
 use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
@@ -97,6 +103,7 @@ use crate::group_commit::{GroupCommit, GroupCommitStats};
 use crate::recovery::{replay, RecoveryReport};
 use crate::wal::{Frames, RecordKind, Wal};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
@@ -118,16 +125,18 @@ pub enum WriteOp {
         /// Key bytes.
         key: Vec<u8>,
     },
+    /// Rename `from` to `to`, replacing whatever `to` held: the value stays
+    /// where it is, in the tree and in the log (moving an absent key is a
+    /// logged no-op that leaves `to` alone).
+    Move {
+        /// The key the value leaves.
+        from: Vec<u8>,
+        /// The key it is found under afterwards.
+        to: Vec<u8>,
+    },
 }
 
 impl WriteOp {
-    /// The key this operation touches.
-    pub fn key(&self) -> &[u8] {
-        match self {
-            WriteOp::Put { key, .. } | WriteOp::Delete { key } => key,
-        }
-    }
-
     /// Append this operation's WAL payload to `buf`.
     pub fn encode_payload_into(&self, buf: &mut Vec<u8>) {
         match self {
@@ -136,6 +145,10 @@ impl WriteOp {
                 put::bytes(buf, value);
             }
             WriteOp::Delete { key } => put::bytes(buf, key),
+            WriteOp::Move { from, to } => {
+                put::bytes(buf, from);
+                put::bytes(buf, to);
+            }
         }
     }
 
@@ -159,6 +172,14 @@ impl WriteOp {
         let mut r = Reader::new(payload);
         let key = r.bytes()?;
         Ok(WriteOp::Delete { key })
+    }
+
+    /// Decode a `KvMove` payload.
+    pub fn decode_move(payload: &[u8]) -> StorageResult<WriteOp> {
+        let mut r = Reader::new(payload);
+        let from = r.bytes()?;
+        let to = r.bytes()?;
+        Ok(WriteOp::Move { from, to })
     }
 }
 
@@ -252,30 +273,87 @@ struct TxnState {
     prepared: bool,
 }
 
+/// What a transaction's own writes say about one key. Borrowed from the
+/// transaction's state under its `txns` stripe; [`Own::into_owned`] takes it
+/// out from under the stripe to be resolved under `mem` (a thread holds one
+/// of the two at a time).
+enum Own<'a> {
+    /// Put here, with this value.
+    Value(Cow<'a, [u8]>),
+    /// Deleted, or moved away, here.
+    Absent,
+    /// Moved here from this key of the committed tree, where the value still
+    /// is: nothing of the transaction is applied before its commit.
+    TreeValueOf(Cow<'a, [u8]>),
+}
+
+impl Own<'_> {
+    fn into_owned(self) -> Own<'static> {
+        match self {
+            Own::Value(v) => Own::Value(Cow::Owned(v.into_owned())),
+            Own::Absent => Own::Absent,
+            Own::TreeValueOf(from) => Own::TreeValueOf(Cow::Owned(from.into_owned())),
+        }
+    }
+
+    /// The key's value as the transaction sees it, over the committed `mem`.
+    fn resolve(self, mem: &Tree) -> Option<Vec<u8>> {
+        match self {
+            Own::Value(v) => Some(v.into_owned()),
+            Own::Absent => None,
+            Own::TreeValueOf(from) => mem.get(from.as_ref()).map(|v| v.value.clone()),
+        }
+    }
+}
+
 impl TxnState {
-    fn write(&mut self, op: WriteOp) {
-        self.overlay.insert(op.key().to_vec(), self.ops.len());
-        self.ops.push(op);
+    fn buffer_put(&mut self, key: Vec<u8>, value: Vec<u8>) {
+        self.overlay.insert(key.clone(), self.ops.len());
+        self.ops.push(WriteOp::Put { key, value });
     }
 
-    /// The transaction's own view of `key`: `None` = not written here,
-    /// `Some(None)` = deleted here.
-    fn read(&self, key: &[u8]) -> Option<Option<&Vec<u8>>> {
-        self.overlay.get(key).map(|&i| Self::written(&self.ops[i]))
+    fn buffer_delete(&mut self, key: Vec<u8>) {
+        self.overlay.insert(key.clone(), self.ops.len());
+        self.ops.push(WriteOp::Delete { key });
     }
 
-    /// Every key written here with its latest value (`None` = deleted),
-    /// unordered.
-    fn writes(&self) -> impl Iterator<Item = (&Vec<u8>, Option<&Vec<u8>>)> {
+    /// Record a move of `from`, a key this transaction has not written, to
+    /// `to`. `in_tree`: the committed tree holds `from` — otherwise the move
+    /// will find nothing to move, and the transaction's view of `to` stays
+    /// what it was.
+    fn buffer_move(&mut self, from: Vec<u8>, to: Vec<u8>, in_tree: bool) {
+        let at = self.ops.len();
+        self.overlay.insert(from.clone(), at);
+        if in_tree {
+            self.overlay.insert(to.clone(), at);
+        }
+        self.ops.push(WriteOp::Move { from, to });
+    }
+
+    /// The transaction's own view of `key`: `None` = not written here.
+    fn read(&self, key: &[u8]) -> Option<Own<'_>> {
+        self.overlay
+            .get(key)
+            .map(|&i| Self::written(&self.ops[i], key))
+    }
+
+    /// Every key written here with the transaction's view of it, unordered.
+    fn writes(&self) -> impl Iterator<Item = (&Vec<u8>, Own<'_>)> {
         self.overlay
             .iter()
-            .map(|(k, &i)| (k, Self::written(&self.ops[i])))
+            .map(|(k, &i)| (k, Self::written(&self.ops[i], k)))
     }
 
-    fn written(op: &WriteOp) -> Option<&Vec<u8>> {
+    /// What `op`, the latest write to `key`, left under it.
+    fn written<'a>(op: &'a WriteOp, key: &[u8]) -> Own<'a> {
         match op {
-            WriteOp::Put { value, .. } => Some(value),
-            WriteOp::Delete { .. } => None,
+            WriteOp::Put { value, .. } => Own::Value(Cow::Borrowed(value)),
+            WriteOp::Delete { .. } => Own::Absent,
+            // `to` first: a key moved onto itself keeps its value.
+            WriteOp::Move { from, to } if key == to.as_slice() => {
+                Own::TreeValueOf(Cow::Borrowed(from))
+            }
+            WriteOp::Move { .. } => Own::Absent,
         }
     }
 }
@@ -317,7 +395,8 @@ impl LogUnit {
 /// tree only once every earlier one has retired. It also owns what the next
 /// incremental checkpoint needs to find its delta, kept so that a commit pays
 /// for its own write set and nothing else: a put stamps its entry with `gen`,
-/// a delete moves its key — already owned, no copy, no hash — onto `deleted`.
+/// a delete moves its key — already owned, no copy, no hash — onto `deleted`,
+/// and a move does both, one to each of its keys.
 #[derive(Debug)]
 struct ApplyState {
     applied: u64,
@@ -345,6 +424,14 @@ impl ApplyState {
             WriteOp::Delete { key } => {
                 mem.remove(&key);
                 self.deleted.push(key);
+            }
+            WriteOp::Move { from, to } => {
+                // The node changes keys; its value is not copied.
+                if let Some(mut moved) = mem.remove(&from) {
+                    moved.gen = self.gen;
+                    mem.insert(to, moved);
+                }
+                self.deleted.push(from);
             }
         }
     }
@@ -421,9 +508,9 @@ impl KvStore {
 
         let wal = Wal::new(wal_disk);
         // A log that survived a crash between "segment durable" and "log
-        // reset" is replayed whole over the chain that covers it (see the
-        // module docs).
-        let outcome = replay(&wal)?;
+        // reset" names the chain that covers it, and is replayed from there
+        // (see the module docs).
+        let outcome = replay(&wal, chain.mark())?;
         rrq_obs::counter_inc("storage.recovery.runs");
         rrq_obs::counter_add("storage.recovery.redo_records", outcome.redo.len() as u64);
         rrq_obs::counter_add("storage.recovery.in_doubt", outcome.in_doubt.len() as u64);
@@ -473,7 +560,19 @@ impl KvStore {
                 ..Default::default()
             };
             for op in ops {
-                st.write(op);
+                match op {
+                    WriteOp::Put { key, value } => st.buffer_put(key, value),
+                    WriteOp::Delete { key } => st.buffer_delete(key),
+                    WriteOp::Move { from, to } => {
+                        // As `KvStore::rename` recorded it: a key-only move
+                        // of a key the transaction had not written before.
+                        let in_tree = {
+                            let mem = store.mem.read();
+                            mem.contains_key(&from)
+                        };
+                        st.buffer_move(from, to, in_tree);
+                    }
+                }
             }
             store.txn_stripe(token).insert(token, st);
         }
@@ -545,43 +644,65 @@ impl KvStore {
     /// Buffer a put in `txn`.
     pub fn put(&self, txn: KvTxn, key: &[u8], value: &[u8]) -> StorageResult<()> {
         let mut g = self.txn_stripe(txn);
-        let st = g.get_mut(&txn).ok_or(StorageError::UnknownTxn(txn))?;
-        if st.prepared {
-            return Err(StorageError::InvalidState(
-                "cannot write after prepare".into(),
-            ));
-        }
-        st.write(WriteOp::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
+        writable(&mut g, txn)?.buffer_put(key.to_vec(), value.to_vec());
         Ok(())
     }
 
     /// Buffer a delete in `txn`.
     pub fn delete(&self, txn: KvTxn, key: &[u8]) -> StorageResult<()> {
         let mut g = self.txn_stripe(txn);
-        let st = g.get_mut(&txn).ok_or(StorageError::UnknownTxn(txn))?;
-        if st.prepared {
-            return Err(StorageError::InvalidState(
-                "cannot write after prepare".into(),
-            ));
-        }
-        st.write(WriteOp::Delete { key: key.to_vec() });
+        writable(&mut g, txn)?.buffer_delete(key.to_vec());
         Ok(())
+    }
+
+    /// Buffer a rename in `txn`: at commit the value under `from` is found
+    /// under `to` (replacing what `to` held) and `from` is gone. The redo
+    /// record carries the two keys only — the value was logged when it was
+    /// put, and the tree node changes keys without being copied. Renaming a
+    /// key that holds nothing is a logged no-op, like deleting one. A `from`
+    /// this transaction wrote itself has no logged value yet, so its rename
+    /// is buffered as the delete and the put it amounts to.
+    pub fn rename(&self, txn: KvTxn, from: &[u8], to: &[u8]) -> StorageResult<()> {
+        // Read before the stripe is taken (one internal lock at a time);
+        // the caller's lock on `from` keeps the answer true until commit.
+        let in_tree = {
+            let mem = self.mem.read();
+            mem.contains_key(from)
+        };
+        {
+            let mut g = self.txn_stripe(txn);
+            let st = writable(&mut g, txn)?;
+            if !st.overlay.contains_key(from) {
+                st.buffer_move(from.to_vec(), to.to_vec(), in_tree);
+                return Ok(());
+            }
+        }
+        let own = self.get(Some(txn), from)?;
+        self.delete(txn, from)?;
+        match own {
+            Some(value) => self.put(txn, to, &value),
+            None => Ok(()),
+        }
     }
 
     /// Read `key`. With `Some(txn)`, the transaction's own writes are
     /// visible; with `None`, only committed state is read.
     pub fn get(&self, txn: Option<KvTxn>, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        // The tree key that holds the value: `key`, unless `txn` moved it.
+        let mut moved_from = None;
         if let Some(t) = txn {
             let g = self.txn_stripe(t);
             let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
-            if let Some(v) = st.read(key) {
-                return Ok(v.cloned());
+            match st.read(key) {
+                Some(Own::Value(v)) => return Ok(Some(v.into_owned())),
+                Some(Own::Absent) => return Ok(None),
+                Some(Own::TreeValueOf(from)) => moved_from = Some(from.into_owned()),
+                None => {}
             }
         }
-        Ok(self.mem.read().get(key).map(|v| v.value.clone()))
+        let mem = self.mem.read();
+        let at = moved_from.as_deref().unwrap_or(key);
+        Ok(mem.get(at).map(|v| v.value.clone()))
     }
 
     /// Scan all committed keys with `prefix`, merged with the transaction's
@@ -593,36 +714,30 @@ impl KvStore {
     ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         // Overlay first (own-thread data, brief txns lock), tree second —
         // never two internal locks at once.
-        type Overlay = Vec<(Vec<u8>, Option<Vec<u8>>)>;
-        let overlay: Option<Overlay> = match txn {
+        let overlay: Vec<(Vec<u8>, Own<'static>)> = match txn {
             Some(t) => {
                 let g = self.txn_stripe(t);
                 let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
-                Some(
-                    st.writes()
-                        .filter(|(k, _)| k.starts_with(prefix))
-                        .map(|(k, v)| (k.clone(), v.cloned()))
-                        .collect(),
-                )
+                st.writes()
+                    .filter(|(k, _)| k.starts_with(prefix))
+                    .map(|(k, own)| (k.clone(), own.into_owned()))
+                    .collect()
             }
-            None => None,
+            None => Vec::new(),
         };
-        let mut out: BTreeMap<Vec<u8>, Vec<u8>> = {
-            let mem = self.mem.read();
-            mem.range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .map(|(k, v)| (k.clone(), v.value.clone()))
-                .collect()
-        };
-        if let Some(ov) = overlay {
-            for (k, v) in ov {
-                match v {
-                    Some(val) => {
-                        out.insert(k, val);
-                    }
-                    None => {
-                        out.remove(&k);
-                    }
+        let mem = self.mem.read();
+        let mut out: BTreeMap<Vec<u8>, Vec<u8>> = mem
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.clone(), v.value.clone()))
+            .collect();
+        for (k, own) in overlay {
+            match own.resolve(&mem) {
+                Some(val) => {
+                    out.insert(k, val);
+                }
+                None => {
+                    out.remove(&k);
                 }
             }
         }
@@ -680,7 +795,7 @@ impl KvStore {
         // Overlay entries inside this page's window: keys in
         // (start ..= cursor], or to the end of the prefix on the last page.
         // Beyond the raw page boundary, later pages will pick them up.
-        let mut ov: Vec<(Vec<u8>, Option<Vec<u8>>)> = {
+        let own: Vec<(Vec<u8>, Own<'static>)> = {
             let g = self.txn_stripe(t);
             let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
             st.writes()
@@ -689,12 +804,18 @@ impl KvStore {
                         && k.as_slice() >= start.as_slice()
                         && cursor.as_ref().is_none_or(|c| *k <= c)
                 })
-                .map(|(k, v)| (k.clone(), v.cloned()))
+                .map(|(k, own)| (k.clone(), own.into_owned()))
                 .collect()
         };
-        if ov.is_empty() {
+        if own.is_empty() {
             return Ok((raw, cursor));
         }
+        let mut ov: Vec<(Vec<u8>, Option<Vec<u8>>)> = {
+            let mem = self.mem.read();
+            own.into_iter()
+                .map(|(k, own)| (k, own.resolve(&mem)))
+                .collect()
+        };
         ov.sort_unstable_by(|a, b| a.0.cmp(&b.0));
 
         // Two-pointer merge: both sides sorted, overlay wins on equal keys,
@@ -826,6 +947,13 @@ impl KvStore {
     fn commit_inner(&self, txn: KvTxn, sync: bool) -> StorageResult<()> {
         let _gate = self.ckpt_gate.read();
         let st = self.checkout(txn)?;
+        if !st.logged && st.ops.is_empty() {
+            // Nothing written and nothing in the log to resolve: no record,
+            // no force, no turn on the retire line. (A prepared transaction
+            // is logged, and still logs its outcome.)
+            self.commits.fetch_add(1, Ordering::AcqRel);
+            return Ok(());
+        }
         match self.log_commit(&st, sync) {
             Ok(seq) => {
                 self.retire(seq, st.ops);
@@ -932,10 +1060,11 @@ impl KvStore {
     /// writes are not yet in `mem`), but prepared transactions block
     /// checkpointing — their redo records live only in the log.
     ///
-    /// The log is forced before the segment is written and truncated with one
-    /// atomic device swap, so a crash after the segment is durable leaves the
-    /// whole log or none of it; recovery replays a surviving log in full over
-    /// the chain that already covers it and arrives at the same tree (see the
+    /// The log is told which chain is about to cover it (a `Checkpoint`
+    /// record naming that chain), forced before the segment is written, and
+    /// truncated with one atomic device swap, so a crash after the segment
+    /// is durable leaves the whole log or none of it; recovery replays a
+    /// surviving log from the record that names the chain it loaded (see the
     /// module docs).
     ///
     /// Holds the checkpoint gate exclusively, so no commit record can sit
@@ -959,30 +1088,40 @@ impl KvStore {
         // commit has retired, so `mem` reflects the whole log. Its tail may
         // still be volatile (deferred commits): force it before the chain
         // claims those commits.
-        log.force_through(log.wal.len())?;
         let segments = log.ckpt_segments.load(Ordering::SeqCst);
-        if segments == 0 || segments >= SEGMENT_LIMIT {
-            {
-                let mem = self.mem.read();
-                write_base(log.ckpt.as_ref(), &mem)?;
-            }
-            log.ckpt_segments.store(1, Ordering::SeqCst);
-            rrq_obs::counter_inc("storage.ckpt.base_segments");
+        let rewrite = segments == 0 || segments >= SEGMENT_LIMIT;
+        let segment = if rewrite {
+            Some(Segment::base(&self.mem.read()))
         } else {
             // The retire line is idle under the exclusive gate; its lock is
-            // taken for the delta's inputs and dropped before the device is
-            // touched.
-            let delta = {
-                let ag = self.apply.lock();
-                (ag.unsaved_ops > 0).then(|| delta_since(&self.mem.read(), ag.gen, &ag.deleted))
-            };
-            if let Some(delta) = delta {
-                append_delta(log.ckpt.as_ref(), &delta)?;
+            // taken for the delta's inputs and dropped before a device is
+            // touched. Nothing applied since the last segment: the chain
+            // already describes the whole tree, and only the log truncation
+            // below is needed.
+            let ag = self.apply.lock();
+            (ag.unsaved_ops > 0)
+                .then(|| Segment::delta(&delta_since(&self.mem.read(), ag.gen, &ag.deleted)))
+        };
+        if let Some(segment) = &segment {
+            // The log is told which chain will cover it up to here before
+            // that chain exists: should the truncation below never happen,
+            // recovery replays only what follows this record.
+            let mark = segment.completes(log.ckpt.as_ref());
+            let _latch = log.latch.lock();
+            let mut payload = Vec::new();
+            mark.encode_into(&mut payload);
+            log.wal.append(0, RecordKind::Checkpoint, &payload)?;
+        }
+        log.force_through(log.wal.len())?;
+        if let Some(segment) = segment {
+            segment.write(log.ckpt.as_ref())?;
+            if rewrite {
+                log.ckpt_segments.store(1, Ordering::SeqCst);
+                rrq_obs::counter_inc("storage.ckpt.base_segments");
+            } else {
                 log.ckpt_segments.fetch_add(1, Ordering::SeqCst);
                 rrq_obs::counter_inc("storage.ckpt.delta_segments");
             }
-            // Nothing written and a valid chain: the chain already describes
-            // the whole tree, so only the log truncation below is needed.
         }
         {
             // The chain covers everything applied so far: what retires from
@@ -1034,6 +1173,17 @@ impl KvStore {
     }
 }
 
+/// `txn`'s state in its stripe `g`, for a write: open and not yet prepared.
+fn writable(g: &mut KeyMap<u64, TxnState>, txn: KvTxn) -> StorageResult<&mut TxnState> {
+    let st = g.get_mut(&txn).ok_or(StorageError::UnknownTxn(txn))?;
+    if st.prepared {
+        return Err(StorageError::InvalidState(
+            "cannot write after prepare".into(),
+        ));
+    }
+    Ok(st)
+}
+
 /// Lay a data record for each of `ops` into `frames`, each encoded straight
 /// into the log's frame buffer.
 fn frame_ops(frames: &mut Frames<'_>, txn: u64, ops: &[WriteOp]) {
@@ -1041,6 +1191,7 @@ fn frame_ops(frames: &mut Frames<'_>, txn: u64, ops: &[WriteOp]) {
         let kind = match op {
             WriteOp::Put { .. } => RecordKind::KvPut,
             WriteOp::Delete { .. } => RecordKind::KvDelete,
+            WriteOp::Move { .. } => RecordKind::KvMove,
         };
         frames.push(txn, kind, |buf| op.encode_payload_into(buf));
     }
@@ -1194,6 +1345,102 @@ mod tests {
         assert_eq!(store.get(None, b"k").unwrap(), Some(b"v".to_vec()));
         store.commit(2).unwrap();
         assert_eq!(store.get(None, b"k").unwrap(), None);
+    }
+
+    #[test]
+    fn rename_moves_the_value_and_reads_its_own_write() {
+        let (store, wal, ckpt) = fresh();
+        store.begin(1).unwrap();
+        store.put(1, b"e/1", b"body").unwrap();
+        store.put(1, b"d/9", b"stale").unwrap();
+        store.commit(1).unwrap();
+
+        store.begin(2).unwrap();
+        store.rename(2, b"e/1", b"d/9").unwrap();
+        assert_eq!(store.get(Some(2), b"e/1").unwrap(), None);
+        assert_eq!(store.get(Some(2), b"d/9").unwrap(), Some(b"body".to_vec()));
+        assert_eq!(
+            store.scan_prefix(Some(2), b"").unwrap(),
+            vec![(b"d/9".to_vec(), b"body".to_vec())]
+        );
+        assert_eq!(
+            store.get(None, b"e/1").unwrap(),
+            Some(b"body".to_vec()),
+            "not visible outside before commit"
+        );
+        // A later write to either key is the transaction's latest word on it.
+        store.put(2, b"e/1", b"again").unwrap();
+        assert_eq!(store.get(Some(2), b"e/1").unwrap(), Some(b"again".to_vec()));
+        assert_eq!(store.get(Some(2), b"d/9").unwrap(), Some(b"body".to_vec()));
+        store.commit(2).unwrap();
+        let want = vec![
+            (b"d/9".to_vec(), b"body".to_vec()),
+            (b"e/1".to_vec(), b"again".to_vec()),
+        ];
+        assert_eq!(store.scan_prefix(None, b"").unwrap(), want);
+
+        wal.crash(CrashStyle::DropVolatile);
+        let (store2, _) = reopen(&wal, &ckpt);
+        assert_eq!(store2.scan_prefix(None, b"").unwrap(), want);
+    }
+
+    #[test]
+    fn rename_of_an_absent_key_leaves_the_target_alone() {
+        let (store, wal, ckpt) = fresh();
+        store.begin(1).unwrap();
+        store.put(1, b"to", b"kept").unwrap();
+        store.commit(1).unwrap();
+        let before = store.wal_len();
+        store.begin(2).unwrap();
+        store.rename(2, b"nothing", b"to").unwrap();
+        assert_eq!(store.get(Some(2), b"to").unwrap(), Some(b"kept".to_vec()));
+        store.commit(2).unwrap();
+        assert!(store.wal_len() > before, "a logged no-op, like a delete");
+        assert_eq!(store.get(None, b"to").unwrap(), Some(b"kept".to_vec()));
+        wal.crash(CrashStyle::DropVolatile);
+        let (store2, _) = reopen(&wal, &ckpt);
+        assert_eq!(store2.get(None, b"to").unwrap(), Some(b"kept".to_vec()));
+        assert_eq!(store2.committed_len(), 1);
+    }
+
+    #[test]
+    fn rename_of_a_key_written_in_the_same_transaction_is_a_delete_and_a_put() {
+        let (store, wal, ckpt) = fresh();
+        store.begin(1).unwrap();
+        store.put(1, b"a", b"fresh").unwrap();
+        store.rename(1, b"a", b"b").unwrap();
+        assert_eq!(store.get(Some(1), b"a").unwrap(), None);
+        assert_eq!(store.get(Some(1), b"b").unwrap(), Some(b"fresh".to_vec()));
+        // A chain of renames: the second one's source is the first one's
+        // target, written here.
+        store.rename(1, b"b", b"c").unwrap();
+        store.commit(1).unwrap();
+        let want = vec![(b"c".to_vec(), b"fresh".to_vec())];
+        assert_eq!(store.scan_prefix(None, b"").unwrap(), want);
+        wal.crash(CrashStyle::DropVolatile);
+        let (store2, _) = reopen(&wal, &ckpt);
+        assert_eq!(store2.scan_prefix(None, b"").unwrap(), want);
+    }
+
+    #[test]
+    fn a_commit_that_wrote_nothing_appends_and_forces_nothing() {
+        let (store, wal, _) = fresh();
+        let (len, syncs) = (store.wal_len(), wal.stats().syncs);
+        store.begin(1).unwrap();
+        assert_eq!(store.get(Some(1), b"k").unwrap(), None);
+        store.commit(1).unwrap();
+        store.begin(2).unwrap();
+        store.commit_deferred(2).unwrap();
+        assert_eq!(store.wal_len(), len);
+        assert_eq!(wal.stats().syncs, syncs);
+        assert_eq!(store.txn_counts(), (2, 0));
+        assert!(!store.is_open(1));
+        // A prepared transaction is in the log: it logs its outcome, even
+        // with an empty write set, or it would come back in doubt.
+        store.begin(3).unwrap();
+        store.prepare(3).unwrap();
+        store.commit(3).unwrap();
+        assert!(store.wal_len() > len);
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //! A store has one log, and a commit point appends its `Commit` record under
 //! the log's append latch, so the order in which the scan meets commit
 //! records *is* commit order: [`replay`] emits transactions' operations in
-//! the order it met their commit records and needs no sort. The whole log is
-//! always replayed. A checkpoint forces the log, makes its chain segment
-//! durable, and only then resets the log with one atomic device swap, so a
-//! crash leaves either the whole log (beside a chain that may already cover
-//! it — replaying it in order over that chain rebuilds the same tree) or the
-//! reset one.
+//! the order it met their commit records and needs no sort. A checkpoint
+//! appends a `Checkpoint` record naming the chain its segment will complete,
+//! forces the log, makes the segment durable, and only then resets the log
+//! with one atomic device swap, so a crash leaves either the reset log or
+//! the whole one — and in the whole one, the record that names the chain
+//! [`replay`] is handed marks how far that chain covers it. Replay starts
+//! there: a move reads the tree it is applied to, so replaying it over a
+//! chain that already holds its effect would move something else.
 //!
 //! Records are grouped by the *internal incarnation id* the store stamps
 //! into each record's txn field — unique per transaction incarnation, never
@@ -25,6 +27,7 @@
 //! records carry the caller's token in their payload, so in-doubt
 //! transactions still surface under the token the coordinator knows.
 
+use crate::checkpoint::ChainMark;
 use crate::codec::Reader;
 use crate::error::StorageResult;
 use crate::kv::WriteOp;
@@ -70,11 +73,36 @@ pub struct RecoveryReport {
     pub in_doubt: Vec<u64>,
 }
 
-/// Scan the log once and classify every transaction's fate.
-pub fn replay(wal: &Wal) -> StorageResult<ReplayOutcome> {
+/// One transaction's data records, in append order.
+#[derive(Default)]
+struct Logged {
+    ops: Vec<WriteOp>,
+    /// A `Prepare` or `Commit` record followed them: the write set is whole.
+    /// Data records after that belong to a retry (the first attempt's force
+    /// failed), and a retry logs the whole write set again.
+    sealed: bool,
+}
+
+impl Logged {
+    fn push(&mut self, op: WriteOp) {
+        if self.sealed {
+            // Only the last attempt is the transaction: a superseded put or
+            // delete would replay to the same tree, a superseded move would
+            // not.
+            self.ops.clear();
+            self.sealed = false;
+        }
+        self.ops.push(op);
+    }
+}
+
+/// Scan the log once and classify every transaction's fate. `chain` names
+/// the checkpoint chain the result will be applied over: a `Checkpoint`
+/// record naming it says that chain covers the log up to there, and the scan
+/// starts over from that record (the default mark names no chain).
+pub fn replay(wal: &Wal, chain: ChainMark) -> StorageResult<ReplayOutcome> {
     let mut out = ReplayOutcome::default();
-    // Data records per transaction, in append order.
-    let mut ops: HashMap<u64, Vec<WriteOp>> = HashMap::new();
+    let mut logged: HashMap<u64, Logged> = HashMap::new();
     let mut committed: HashSet<u64> = HashSet::new();
     // Committed transactions in the order the scan met their commit records.
     // Emitted after the scan: freeing per-txn vectors mid-scan scatters later
@@ -85,7 +113,7 @@ pub fn replay(wal: &Wal) -> StorageResult<ReplayOutcome> {
     // falling back to the id itself for payload-less hand-built records).
     let mut prepared: Vec<(u64, u64)> = Vec::new();
     let mut max_txn = 0u64;
-    // Payloads are borrowed from the scan window: a data record's key and
+    // Payloads are borrowed from the scan window: a data record's keys and
     // value are copied out once, into the `WriteOp` that replay will move
     // into the tree.
     out.valid_end = wal.scan_with(0, |_lsn, txn, kind, payload| {
@@ -93,15 +121,22 @@ pub fn replay(wal: &Wal) -> StorageResult<ReplayOutcome> {
         match kind {
             RecordKind::KvPut => {
                 let op = WriteOp::decode_put(payload)?;
-                ops.entry(txn).or_default().push(op);
+                logged.entry(txn).or_default().push(op);
             }
             RecordKind::KvDelete => {
                 let op = WriteOp::decode_delete(payload)?;
-                ops.entry(txn).or_default().push(op);
+                logged.entry(txn).or_default().push(op);
+            }
+            RecordKind::KvMove => {
+                let op = WriteOp::decode_move(payload)?;
+                logged.entry(txn).or_default().push(op);
             }
             RecordKind::Prepare => {
                 let token = Reader::new(payload).u64().unwrap_or(txn);
                 prepared.push((txn, token));
+                if let Some(l) = logged.get_mut(&txn) {
+                    l.sealed = true;
+                }
             }
             RecordKind::Commit => {
                 // A commit retried after a failed force left two records;
@@ -110,33 +145,47 @@ pub fn replay(wal: &Wal) -> StorageResult<ReplayOutcome> {
                     commit_order.retain(|t| *t != txn);
                 }
                 commit_order.push(txn);
+                if let Some(l) = logged.get_mut(&txn) {
+                    l.sealed = true;
+                }
             }
             RecordKind::Abort => {
                 aborted.insert(txn);
             }
-            RecordKind::Checkpoint | RecordKind::Custom(_) => {
-                // Checkpoint markers carry no redo info; custom records are
-                // scanned by their owners via `Wal::scan` directly.
+            RecordKind::Checkpoint => {
+                // No transaction straddles a checkpoint: it runs with every
+                // commit point shut out and refuses while one is prepared.
+                if chain.named_by(payload) {
+                    logged.clear();
+                    committed.clear();
+                    commit_order.clear();
+                    aborted.clear();
+                    prepared.clear();
+                }
+            }
+            RecordKind::Custom(_) => {
+                // Scanned by their owners via `Wal::scan` directly.
             }
         }
         Ok(())
     })?;
+    let mut ops_of = |txn| logged.remove(&txn).map(|l| l.ops).unwrap_or_default();
     for txn in commit_order {
-        out.redo.extend(ops.remove(&txn).unwrap_or_default());
+        out.redo.extend(ops_of(txn));
     }
     out.committed_txns = committed.len();
     out.aborted_txns = aborted.difference(&committed).count();
     out.next_txn_id = max_txn + 1;
     for (id, token) in prepared {
-        if committed.contains(&id) || aborted.contains(&id) {
+        // (A prepare retried after a failed force left two records.)
+        if committed.contains(&id) || aborted.contains(&id) || out.in_doubt.contains_key(&token) {
             continue;
         }
-        out.in_doubt
-            .insert(token, ops.remove(&id).unwrap_or_default());
+        out.in_doubt.insert(token, ops_of(id));
         out.in_doubt_internal.insert(token, id);
     }
     // Writes without prepare or outcome simply vanish (the crash hit before
-    // commit); the leftovers in `ops` are dropped here.
+    // commit); the leftovers in `logged` are dropped here.
     Ok(out)
 }
 
@@ -165,7 +214,7 @@ mod tests {
             .unwrap();
         w.append(1, RecordKind::Commit, &[]).unwrap();
         w.sync().unwrap();
-        let out = replay(&w).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.committed_txns, 1);
         assert_eq!(out.redo.len(), 1);
         assert!(out.in_doubt.is_empty());
@@ -177,7 +226,7 @@ mod tests {
         w.append(1, RecordKind::KvPut, &put_payload(b"a", b"1"))
             .unwrap();
         w.sync().unwrap();
-        let out = replay(&w).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
         assert!(out.redo.is_empty());
         assert!(out.in_doubt.is_empty());
     }
@@ -189,7 +238,7 @@ mod tests {
             .unwrap();
         w.append(1, RecordKind::Abort, &[]).unwrap();
         w.sync().unwrap();
-        let out = replay(&w).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
         assert!(out.redo.is_empty());
         assert_eq!(out.aborted_txns, 1);
     }
@@ -201,7 +250,7 @@ mod tests {
             .unwrap();
         w.append(5, RecordKind::Prepare, &[]).unwrap();
         w.sync().unwrap();
-        let out = replay(&w).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.in_doubt.len(), 1);
         assert_eq!(out.in_doubt[&5].len(), 1);
     }
@@ -216,7 +265,7 @@ mod tests {
         w.append(2, RecordKind::Commit, &[]).unwrap();
         w.append(1, RecordKind::Commit, &[]).unwrap();
         w.sync().unwrap();
-        let out = replay(&w).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.redo.len(), 2);
         // txn 2 committed first, so txn 1's write must come last.
         match &out.redo[1] {
@@ -241,7 +290,7 @@ mod tests {
             .unwrap();
         w.append(1, RecordKind::Commit, &[]).unwrap();
         w.sync().unwrap();
-        let out = replay(&w).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.committed_txns, 2);
         match out.redo.last() {
             Some(WriteOp::Put { value, .. }) => assert_eq!(value, b"one"),
@@ -250,12 +299,85 @@ mod tests {
     }
 
     #[test]
+    fn a_retried_commit_replays_only_its_last_attempt() {
+        // The first attempt's force failed after its records landed; the
+        // retry logged the write set again. Replaying both would run the
+        // move twice: the second time `a` is gone, and `b` would keep the
+        // put's value instead of the moved one.
+        let w = wal();
+        let mv = WriteOp::Move {
+            from: b"a".to_vec(),
+            to: b"b".to_vec(),
+        };
+        for _attempt in 0..2 {
+            w.append(1, RecordKind::KvPut, &put_payload(b"b", b"put"))
+                .unwrap();
+            w.append(1, RecordKind::KvMove, &mv.encode_payload())
+                .unwrap();
+            w.append(1, RecordKind::Commit, &[]).unwrap();
+        }
+        w.sync().unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
+        assert_eq!(out.committed_txns, 1);
+        assert_eq!(out.redo.len(), 2);
+        assert_eq!(out.redo[1], mv);
+    }
+
+    #[test]
+    fn a_retried_prepare_is_in_doubt_once_with_its_write_set() {
+        let w = wal();
+        for _attempt in 0..2 {
+            w.append(5, RecordKind::KvPut, &put_payload(b"x", b"9"))
+                .unwrap();
+            w.append(5, RecordKind::Prepare, &77u64.to_le_bytes())
+                .unwrap();
+        }
+        w.sync().unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
+        assert_eq!(out.in_doubt.len(), 1);
+        assert_eq!(out.in_doubt[&77].len(), 1);
+        assert_eq!(out.in_doubt_internal[&77], 5);
+    }
+
+    #[test]
+    fn a_checkpoint_record_naming_the_chain_starts_the_replay_over() {
+        let w = wal();
+        let chain = ChainMark { end: 65, crc: 7 };
+        let mut named = Vec::new();
+        chain.encode_into(&mut named);
+        let mut other = Vec::new();
+        ChainMark { end: 65, crc: 8 }.encode_into(&mut other);
+        w.append(1, RecordKind::KvPut, &put_payload(b"a", b"covered"))
+            .unwrap();
+        w.append(1, RecordKind::Commit, &[]).unwrap();
+        w.append(0, RecordKind::Checkpoint, &named).unwrap();
+        w.append(2, RecordKind::KvPut, &put_payload(b"b", b"after"))
+            .unwrap();
+        w.append(2, RecordKind::Commit, &[]).unwrap();
+        // A later attempt whose segment never became durable names a chain
+        // that does not exist, and the record that opens a truncated log
+        // names none.
+        w.append(0, RecordKind::Checkpoint, &other).unwrap();
+        w.append(0, RecordKind::Checkpoint, &[]).unwrap();
+        w.sync().unwrap();
+        let out = replay(&w, chain).unwrap();
+        assert_eq!(out.committed_txns, 1);
+        assert_eq!(
+            out.redo,
+            vec![WriteOp::decode_put(&put_payload(b"b", b"after")).unwrap()]
+        );
+        assert_eq!(out.next_txn_id, 3, "ids stay unique past the covered part");
+        // Over no chain, or another one, the whole log replays.
+        assert_eq!(replay(&w, ChainMark::default()).unwrap().redo.len(), 2);
+    }
+
+    #[test]
     fn custom_and_checkpoint_records_ignored() {
         let w = wal();
         w.append(0, RecordKind::Checkpoint, &[]).unwrap();
         w.append(9, RecordKind::Custom(0x81), b"opaque").unwrap();
         w.sync().unwrap();
-        let out = replay(&w).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
         assert!(out.redo.is_empty());
         assert!(out.in_doubt.is_empty());
     }

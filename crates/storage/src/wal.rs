@@ -28,7 +28,7 @@ pub const SCAN_WINDOW: usize = 64 * 1024;
 
 /// The kind of a log record.
 ///
-/// `KvPut`/`KvDelete` carry redo information for the key-value store;
+/// `KvPut`/`KvDelete`/`KvMove` carry redo information for the key-value store;
 /// `Prepare`/`Commit`/`Abort` delimit transaction outcomes; `Custom` lets
 /// higher layers (the queue manager, the saga log) write their own records
 /// through the same recovery machinery.
@@ -38,6 +38,9 @@ pub enum RecordKind {
     KvPut,
     /// A key-value deletion (redo).
     KvDelete,
+    /// A key-value rename (redo): the payload is the two keys, the value
+    /// stays where the log already has it.
+    KvMove,
     /// The transaction's writes are all logged; it may commit (2PC phase 1).
     Prepare,
     /// The transaction committed; its logged writes must be applied.
@@ -59,6 +62,7 @@ impl RecordKind {
             RecordKind::Commit => 4,
             RecordKind::Abort => 5,
             RecordKind::Checkpoint => 6,
+            RecordKind::KvMove => 7,
             RecordKind::Custom(b) => {
                 debug_assert!(b >= 0x80, "custom subtypes live in 0x80..=0xFF");
                 b
@@ -74,6 +78,7 @@ impl RecordKind {
             4 => Ok(RecordKind::Commit),
             5 => Ok(RecordKind::Abort),
             6 => Ok(RecordKind::Checkpoint),
+            7 => Ok(RecordKind::KvMove),
             b if b >= 0x80 => Ok(RecordKind::Custom(b)),
             b => Err(StorageError::Decode(format!("unknown record kind {b}"))),
         }
@@ -410,6 +415,7 @@ mod tests {
         for k in [
             RecordKind::KvPut,
             RecordKind::KvDelete,
+            RecordKind::KvMove,
             RecordKind::Prepare,
             RecordKind::Commit,
             RecordKind::Abort,
@@ -419,7 +425,7 @@ mod tests {
             assert_eq!(RecordKind::from_byte(k.to_byte()).unwrap(), k);
         }
         assert!(RecordKind::from_byte(0).is_err());
-        assert!(RecordKind::from_byte(7).is_err());
+        assert!(RecordKind::from_byte(8).is_err());
     }
 
     #[test]

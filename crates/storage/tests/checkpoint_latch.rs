@@ -265,10 +265,11 @@ fn prepared_txn_with_log_tear_resurfaces_in_doubt_and_commits() {
 
 /// `checkpoint()` fails after its segment is durable and before the log is
 /// reset (the log device refuses the swap), then the node crashes: recovery
-/// finds the *whole* log beside a chain that already covers it. Replaying
-/// all of it in order over that chain must rebuild the pre-crash tree — for
-/// a base segment and for a delta — and must not resurrect a transaction the
-/// log itself resolves.
+/// finds the *whole* log beside a chain that already covers it. The log's
+/// `Checkpoint` record names that chain, so replay starts behind it — for a
+/// base segment and for a delta. Replaying the covered part again would not
+/// be harmless: a rename reads the tree, and over the newer chain it finds
+/// `ghost` where the live store found nothing to move.
 #[test]
 fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
     for delta in [false, true] {
@@ -291,30 +292,40 @@ fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
         store.begin(5).unwrap();
         store.delete(5, b"b").unwrap();
         store.put(5, b"a", b"3").unwrap();
+        store.rename(5, b"ghost", b"moved").unwrap(); // nothing there yet
         store.commit(5).unwrap();
-        let want = dump(&store);
-        assert_eq!(want.get(b"a".as_slice()), Some(&b"3".to_vec()));
+        commit(&store, 6, b"ghost", b"late");
 
         let (log_len, chain_len) = (wal.len(), ckpt.durable_len());
-        wal.fail();
+        wal.fail_resets();
         assert!(store.checkpoint().is_err(), "the log reset must fail");
         wal.repair();
         assert!(
             ckpt.durable_len() > chain_len,
             "segment durable (delta: {delta})"
         );
-        assert_eq!(wal.len(), log_len, "log untouched (delta: {delta})");
+        // One record more: the one that names the chain (frame header 10,
+        // txn and kind 9, chain end and crc 12).
+        assert_eq!(wal.len(), log_len + 31, "delta: {delta}");
+        // The store carries on over the log it could not truncate.
+        commit(&store, 7, b"b", b"back");
+        let want = dump(&store);
+        assert_eq!(want.get(b"a".as_slice()), Some(&b"3".to_vec()));
+        assert_eq!(want.get(b"moved".as_slice()), None);
         drop(store);
         wal.crash(CrashStyle::DropVolatile);
         ckpt.crash(CrashStyle::DropVolatile);
 
         let (recovered, report) = open(&wal, &ckpt);
-        assert!(report.replayed >= 6, "the whole log was replayed");
+        assert_eq!(
+            report.replayed, 1,
+            "transaction 7, and nothing the chain has"
+        );
         assert_eq!(report.in_doubt, Vec::<u64>::new(), "txn 4 is resolved");
         assert_eq!(dump(&recovered), want, "delta: {delta}");
 
         // The chain and the log keep working from here.
-        commit(&recovered, 6, b"a", b"4");
+        commit(&recovered, 8, b"a", b"4");
         recovered.checkpoint().unwrap();
         wal.crash(CrashStyle::DropVolatile);
         ckpt.crash(CrashStyle::DropVolatile);

@@ -52,7 +52,7 @@ fn crash_between_group_sync_and_follower_ack_loses_nothing() {
     // CRASH: the follower never got to call sync_through (no ack).
     disk.crash(CrashStyle::DropVolatile);
 
-    let out = replay(&wal).unwrap();
+    let out = replay(&wal, Default::default()).unwrap();
     assert_eq!(out.committed_txns, 2, "follower's commit was in the group");
     assert_eq!(out.redo.len(), 2);
 

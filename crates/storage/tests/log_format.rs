@@ -28,6 +28,7 @@ fn kind_byte(kind: RecordKind) -> u8 {
         RecordKind::Commit => 4,
         RecordKind::Abort => 5,
         RecordKind::Checkpoint => 6,
+        RecordKind::KvMove => 7,
         RecordKind::Custom(b) => b,
     }
 }
@@ -133,6 +134,56 @@ fn a_fixed_record_frames_to_pinned_bytes() {
 }
 
 #[test]
+fn a_move_record_frames_to_pinned_bytes_and_carries_no_value() {
+    // `rename` logs the two keys and nothing else, whatever the value's size.
+    let wal = SimDisk::new();
+    let (store, _) = KvStore::open(Arc::new(wal.clone()), Arc::new(SimDisk::new())).unwrap();
+    store.begin(5).unwrap();
+    store.put(5, b"e/q", &[0x77; 4096]).unwrap();
+    store.commit(5).unwrap();
+    let before = wal.len();
+    store.begin(6).unwrap();
+    store.rename(6, b"e/q", b"d/1").unwrap();
+    store.commit(6).unwrap();
+    #[rustfmt::skip]
+    let pinned: [u8; 52] = [
+        0xCB, 0x51,                                     // magic
+        0x17, 0x00, 0x00, 0x00,                         // body length 23
+        0x12, 0x8F, 0xDE, 0x4F,                         // crc32(body)
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // txn (incarnation 2)
+        0x07,                                           // kind KvMove
+        0x03, 0x00, 0x00, 0x00, 0x65, 0x2F, 0x71,       // from: len 3, "e/q"
+        0x03, 0x00, 0x00, 0x00, 0x64, 0x2F, 0x31,       // to: len 3, "d/1"
+        0xCB, 0x51,                                     // magic
+        0x09, 0x00, 0x00, 0x00,                         // body length 9
+        0x31, 0xF8, 0x92, 0xCF,                         // crc32(body)
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // txn
+        0x04,                                           // kind Commit
+    ];
+    let tail = wal.read(before, (wal.len() - before) as usize).unwrap();
+    let op = WriteOp::Move {
+        from: b"e/q".to_vec(),
+        to: b"d/1".to_vec(),
+    };
+    let mut want = old_frame(2, RecordKind::KvMove, &op.encode_payload());
+    want.extend(old_frame(2, RecordKind::Commit, b""));
+    assert_eq!(tail, want, "the reference encoder agrees");
+    assert_eq!(tail, pinned);
+    assert_eq!(WriteOp::decode_move(&op.encode_payload()).unwrap(), op);
+    // The frame checksum covers both keys: flip a byte of `to` and the scan
+    // stops at the record instead of replaying a move to somewhere else.
+    let image = image(&wal);
+    let corrupt = SimDisk::new();
+    let mut bytes = image.clone();
+    bytes[before as usize + 32] ^= 0x01;
+    corrupt.append(&bytes).unwrap();
+    corrupt.sync().unwrap();
+    let (records, valid_end) = Wal::new(Arc::new(corrupt)).scan(0).unwrap();
+    assert_eq!(valid_end, before);
+    assert_eq!(records.len(), 2, "the put and its commit");
+}
+
+#[test]
 fn a_batch_is_one_device_write_of_the_bytes_its_records_make_one_by_one() {
     let big = vec![0x3C; 5000];
     let del = WriteOp::Delete {
@@ -233,7 +284,7 @@ fn an_old_encoder_image_scans_and_replays_identically() {
     // From a midpoint, too.
     assert_eq!(new_scan(&wal, old[3].0), (old[3..].to_vec(), old_end));
 
-    let out = replay(&wal).unwrap();
+    let out = replay(&wal, Default::default()).unwrap();
     assert_eq!(out.valid_end, old_end);
     assert_eq!(out.committed_txns, 2);
     assert_eq!(
@@ -260,7 +311,7 @@ fn a_checksummed_frame_that_cannot_be_a_record_is_an_error_not_a_panic() {
     // or names a kind nobody writes: not a torn tail (the CRC vouches for
     // the bytes), so the scan reports corruption at that frame's offset.
     let good = old_frame(1, RecordKind::KvPut, b"ok");
-    for body in [&[1u8, 2, 3][..], &[0, 0, 0, 0, 0, 0, 0, 0, 7][..]] {
+    for body in [&[1u8, 2, 3][..], &[0, 0, 0, 0, 0, 0, 0, 0, 8][..]] {
         let disk = SimDisk::new();
         disk.append(&good).unwrap();
         let mut frame = Vec::new();

@@ -11,7 +11,9 @@ use rrq_storage::recovery::RecoveryReport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// A scripted action against the store. `CommitDeferred` is
+/// A scripted action against the store. `Rename` is `KvStore::rename` (a
+/// key-only log record when the transaction has not written `from` itself,
+/// a delete and a put when it has). `CommitDeferred` is
 /// `commit_deferred`: no force of its own, durable once anything later forces
 /// the log. With `reset_fails` the log device refuses a checkpoint's
 /// truncating swap, so the call fails after its segment is durable and the
@@ -20,6 +22,7 @@ use std::sync::Arc;
 enum Action {
     Put { txn: u8, key: u8, val: u16 },
     Delete { txn: u8, key: u8 },
+    Rename { txn: u8, from: u8, to: u8 },
     Prepare { txn: u8 },
     Commit { txn: u8 },
     CommitDeferred { txn: u8 },
@@ -32,6 +35,8 @@ fn action_strategy() -> impl Strategy<Value = Action> {
         4 => (0u8..4, 0u8..16, any::<u16>())
             .prop_map(|(txn, key, val)| Action::Put { txn, key, val }),
         2 => (0u8..4, 0u8..16).prop_map(|(txn, key)| Action::Delete { txn, key }),
+        3 => (0u8..4, 0u8..16, 0u8..16)
+            .prop_map(|(txn, from, to)| Action::Rename { txn, from, to }),
         1 => (0u8..4).prop_map(|txn| Action::Prepare { txn }),
         3 => (0u8..4).prop_map(|txn| Action::Commit { txn }),
         2 => (0u8..4).prop_map(|txn| Action::CommitDeferred { txn }),
@@ -52,16 +57,79 @@ fn crash_strategy() -> impl Strategy<Value = Option<TornWriteMode>> {
 }
 
 type Tree = BTreeMap<Vec<u8>, Vec<u8>>;
-/// key -> Some(value) for puts, None for deletes, in program order.
-type PendingWrites = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
-fn apply(tree: &mut Tree, writes: PendingWrites) {
-    for (k, v) in writes {
-        match v {
-            Some(v) => tree.insert(k, v),
-            None => tree.remove(&k),
-        };
+/// One buffered write of the reference model.
+#[derive(Debug, Clone)]
+enum Write {
+    Put(u8, Vec<u8>),
+    Delete(u8),
+    Rename(u8, u8),
+}
+
+impl Write {
+    fn keys(&self) -> Vec<u8> {
+        match *self {
+            Write::Put(k, _) | Write::Delete(k) => vec![k],
+            Write::Rename(from, to) => vec![from, to],
+        }
     }
+}
+
+/// A transaction's writes in program order.
+type PendingWrites = Vec<Write>;
+
+/// The model's meaning of a write set: each write, in order, against the
+/// tree as the ones before it left it. A rename of a key that holds nothing
+/// changes nothing.
+fn apply(tree: &mut Tree, writes: &[Write]) {
+    for w in writes {
+        match w {
+            Write::Put(k, v) => {
+                tree.insert(vec![*k], v.clone());
+            }
+            Write::Delete(k) => {
+                tree.remove(&vec![*k]);
+            }
+            Write::Rename(from, to) => {
+                if let Some(v) = tree.remove(&vec![*from]) {
+                    tree.insert(vec![*to], v);
+                }
+            }
+        }
+    }
+}
+
+/// Read-your-writes: `token` must see the committed tree with its own writes
+/// on top, through point reads and through both scans.
+fn assert_own_view(store: &KvStore, token: u64, committed: &Tree, own: &[Write]) {
+    let mut want = committed.clone();
+    apply(&mut want, own);
+    for k in 0u8..16 {
+        assert_eq!(
+            store.get(Some(token), &[k]).unwrap().as_ref(),
+            want.get(&vec![k]),
+            "key {k} as seen by {token} after {own:?}"
+        );
+    }
+    let scanned: Tree = store
+        .scan_prefix(Some(token), b"")
+        .unwrap()
+        .into_iter()
+        .collect();
+    assert_eq!(scanned, want, "scan as seen by {token}");
+    let mut paged = Tree::new();
+    let mut after: Option<Vec<u8>> = None;
+    loop {
+        let (page, cursor) = store
+            .scan_prefix_page(Some(token), b"", after.as_deref(), 5)
+            .unwrap();
+        paged.extend(page);
+        match cursor {
+            Some(c) => after = Some(c),
+            None => break,
+        }
+    }
+    assert_eq!(paged, want, "paged scan as seen by {token}");
 }
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
@@ -111,9 +179,30 @@ fn run_script(actions: Vec<Action>, crash_after: usize, torn: Option<TornWriteMo
             break;
         }
         match act {
-            Action::Put { txn, .. } | Action::Delete { txn, .. } => {
+            Action::Put { txn, .. } | Action::Delete { txn, .. } | Action::Rename { txn, .. } => {
                 if prepared.contains(txn) {
                     continue; // no writes after prepare
+                }
+                let write = match act {
+                    Action::Put { key, val, .. } => Write::Put(*key, val.to_le_bytes().to_vec()),
+                    Action::Delete { key, .. } => Write::Delete(*key),
+                    Action::Rename { from, to, .. } => Write::Rename(*from, *to),
+                    _ => unreachable!(),
+                };
+                // The store leaves isolation to the layer above it. Blind
+                // writes may race (commit order decides), but a rename reads:
+                // it gets what a lock on its two keys would give it — no
+                // other open transaction writes them, before or after.
+                let renames = matches!(write, Write::Rename(..));
+                let conflict = pending.iter().any(|(other, writes)| {
+                    other != txn
+                        && writes.iter().any(|w| {
+                            (renames || matches!(w, Write::Rename(..)))
+                                && w.keys().iter().any(|k| write.keys().contains(k))
+                        })
+                });
+                if conflict {
+                    continue;
                 }
                 let token = *open_txns.entry(*txn).or_insert_with(|| {
                     let t = next_token;
@@ -121,19 +210,14 @@ fn run_script(actions: Vec<Action>, crash_after: usize, torn: Option<TornWriteMo
                     store.begin(t).unwrap();
                     t
                 });
-                let write = match act {
-                    Action::Put { key, val, .. } => {
-                        let v = val.to_le_bytes().to_vec();
-                        store.put(token, &[*key], &v).unwrap();
-                        (vec![*key], Some(v))
-                    }
-                    Action::Delete { key, .. } => {
-                        store.delete(token, &[*key]).unwrap();
-                        (vec![*key], None)
-                    }
-                    _ => unreachable!(),
-                };
-                pending.entry(*txn).or_default().push(write);
+                match &write {
+                    Write::Put(k, v) => store.put(token, &[*k], v).unwrap(),
+                    Write::Delete(k) => store.delete(token, &[*k]).unwrap(),
+                    Write::Rename(from, to) => store.rename(token, &[*from], &[*to]).unwrap(),
+                }
+                let own = pending.entry(*txn).or_default();
+                own.push(write);
+                assert_own_view(&store, token, &committed, own);
             }
             Action::Prepare { txn } => {
                 if let Some(token) = open_txns.get(txn) {
@@ -155,7 +239,7 @@ fn run_script(actions: Vec<Action>, crash_after: usize, torn: Option<TornWriteMo
                     } else {
                         store.commit_deferred(token).unwrap();
                     }
-                    apply(&mut committed, pending.remove(txn).unwrap_or_default());
+                    apply(&mut committed, &pending.remove(txn).unwrap_or_default());
                     if forced {
                         survivable.clear();
                     }
@@ -221,11 +305,16 @@ fn run_script(actions: Vec<Action>, crash_after: usize, torn: Option<TornWriteMo
     for token in resurfaced {
         recovered.abort(token).unwrap();
     }
+    // An in-doubt transaction came back with its whole write set.
+    for txn in &prepared {
+        let own = pending.get(txn).map_or(&[][..], Vec::as_slice);
+        assert_own_view(&recovered, open_txns[txn], &committed, own);
+    }
     for txn in prepared {
         let token = open_txns[&txn];
         if token.is_multiple_of(2) {
             recovered.commit(token).unwrap();
-            apply(&mut committed, pending.remove(&txn).unwrap_or_default());
+            apply(&mut committed, &pending.remove(&txn).unwrap_or_default());
         } else {
             recovered.abort(token).unwrap();
         }
@@ -270,6 +359,23 @@ proptest! {
     ) {
         let n = actions.len();
         run_script(actions, n + 1, None);
+    }
+}
+
+proptest! {
+    // Each case runs its script once per cut, some twenty times.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A crash between any two actions of one script — so after every commit
+    /// point, forced or deferred, every prepare and every checkpoint in it.
+    #[test]
+    fn recovery_matches_reference_model_at_every_cut(
+        actions in proptest::collection::vec(action_strategy(), 1..40),
+        torn in crash_strategy(),
+    ) {
+        for crash_after in 0..=actions.len() {
+            run_script(actions.clone(), crash_after, torn);
+        }
     }
 }
 

@@ -39,7 +39,7 @@ fn torn_log(mode: TornWriteMode) -> (SimDisk, Wal) {
 
 /// The shared oracle: recovery redoes exactly the durable transaction.
 fn assert_only_durable_survives(wal: &Wal, mode: TornWriteMode) {
-    let out = replay(wal).unwrap();
+    let out = replay(wal, Default::default()).unwrap();
     assert_eq!(out.committed_txns, 1, "{mode:?}");
     assert_eq!(out.redo.len(), 1, "{mode:?}");
     match &out.redo[0] {
@@ -149,7 +149,7 @@ fn every_mode_keeps_the_log_appendable_after_recovery() {
             .unwrap();
         wal.append(3, RecordKind::Commit, &[]).unwrap();
         wal.sync().unwrap();
-        let out = replay(&wal).unwrap();
+        let out = replay(&wal, Default::default()).unwrap();
         assert_eq!(out.committed_txns, 2, "{mode:?}");
         assert_eq!(out.redo.len(), 2, "{mode:?}");
     }

@@ -88,6 +88,7 @@ fn assert_drained(repo: &Repository, at: &str) {
         "{at}: a claim mark outlived the drain"
     );
     assert_eq!(qm.index_divergence().unwrap(), None, "{at}");
+    assert_eq!(qm.retention_divergence().unwrap(), None, "{at}");
 }
 
 fn pool_drains_the_queue(servers: usize) {
