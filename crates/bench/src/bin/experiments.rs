@@ -23,6 +23,7 @@ use rrq_core::request::{Reply, Request};
 use rrq_core::rid::Rid;
 use rrq_core::server::{spawn_pool, Handler, HandlerError, HandlerOutcome, Server, ServerConfig};
 use rrq_net::NetworkBus;
+use rrq_obs::Obs;
 use rrq_qm::meta::{OrderingMode, QueueMeta};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
@@ -1202,7 +1203,12 @@ const E19_READ_LATENCY: Duration = Duration::from_micros(200);
 fn e19_history(commits: u64, ckpt_every: Option<u64>) -> (SimDisk, SimDisk) {
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let (store, _) = KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap();
+    let (store, _) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        Obs::default(),
+    )
+    .unwrap();
     for i in 0..commits {
         let token = i + 1;
         store.begin(token).unwrap();
@@ -1227,7 +1233,8 @@ fn e19_recover(wal: &SimDisk, ckpt: &SimDisk) -> (Duration, usize) {
     let wal =
         LatencyDisk::new(Arc::new(wal.clone()), Duration::ZERO).with_read_latency(E19_READ_LATENCY);
     let t0 = Instant::now();
-    let (store, report) = KvStore::open(Arc::new(wal), Arc::new(ckpt.clone())).unwrap();
+    let (store, report) =
+        KvStore::open(Arc::new(wal), Arc::new(ckpt.clone()), Obs::default()).unwrap();
     let elapsed = t0.elapsed();
     drop(store);
     (elapsed, report.replayed)
@@ -1320,7 +1327,7 @@ fn e21_run(name: &str, parts: usize, cross_pct: u64, per_worker: u64) -> f64 {
         repo_partitions: parts,
         wal_sync_latency: Some(Duration::from_micros(100)),
     };
-    let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts).unwrap();
+    let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts, Obs::default()).unwrap();
     let repo = Arc::new(repo);
     let locals: Vec<String> = (0..WORKERS)
         .map(|w| e21_queue_on(&repo, w % parts, &format!("l{w}")))
@@ -1469,7 +1476,7 @@ fn e22_run(
         wal_sync_latency: force,
         ..RepoOptions::default()
     };
-    let (repo, _) = Repository::open_with("e22", RepoDisks::new(), opts).unwrap();
+    let (repo, _) = Repository::open_with("e22", RepoDisks::new(), opts, Obs::default()).unwrap();
     let repo = Arc::new(repo);
     let mut req = QueueMeta::with_defaults("req");
     req.retry_limit = 0;

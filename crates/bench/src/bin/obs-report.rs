@@ -12,25 +12,30 @@
 //! production crates, so what prints here is exactly what the explorer's
 //! metrics-conservation oracle sees.
 
-use rrq_obs::{Session, Snapshot};
+use rrq_obs::{Obs, Snapshot};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
-use rrq_qm::repository::{RepoDisks, Repository};
+use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use rrq_storage::disk::TornWriteMode;
 use std::sync::Arc;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let session = Session::start();
+    // One handle across both incarnations, so the recovery shows up too.
+    let obs = Obs::default();
+    obs.start();
+    let open = |disks: RepoDisks| {
+        Repository::open_with("obs-report", disks, RepoOptions::default(), obs.clone()).unwrap()
+    };
 
     let disks = RepoDisks::new();
-    let (repo, _) = Repository::open("obs-report", disks.clone()).unwrap();
+    let (repo, _) = open(disks.clone());
     let repo = Arc::new(repo);
     repo.create_queue_defaults("q").unwrap();
     let (h, _) = repo.qm().register("q", "reporter", false).unwrap();
 
-    let mut prev = session.snapshot();
+    let mut prev = obs.snapshot();
     let phase = |title: &str, prev: &mut Snapshot| {
-        let now = session.snapshot();
+        let now = obs.snapshot();
         println!("== {title} ==");
         let rendered = now.diff(prev).render();
         if rendered.is_empty() {
@@ -80,7 +85,7 @@ fn main() {
     // and the index rebuild re-arming the depth gauge.
     disks.crash_with(Some(TornWriteMode::Midway));
     drop(repo);
-    let (repo2, report) = Repository::open("obs-report", disks).unwrap();
+    let (repo2, report) = open(disks);
     phase("torn crash + recovery", &mut prev);
     let (total, gauge) = repo2.qm().depth_accounting();
     println!(
@@ -90,6 +95,6 @@ fn main() {
 
     if full {
         println!("== cumulative ==");
-        print!("{}", session.snapshot().render());
+        print!("{}", obs.snapshot().render());
     }
 }

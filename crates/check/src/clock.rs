@@ -1,7 +1,7 @@
 //! Vector clocks over dense thread slots.
 //!
 //! The race detector assigns each participating OS thread a small integer
-//! slot for the lifetime of a [`crate::race::Session`], so a clock is just
+//! slot for the lifetime of a [`crate::race::Detector`], so a clock is just
 //! a growable vector of counters — component `i` is the most recent event
 //! of thread-slot `i` that the clock's owner has (transitively) observed.
 

@@ -1,7 +1,9 @@
 //! Correctness tooling for the recoverable-request workspace (S18).
 //!
-//! Three independent layers, all zero-dependency so every production crate
-//! can link the hooks:
+//! The two runtime checkers are sinks of an `rrq_obs::Obs` handle: the
+//! production crates emit through the handle their owner gave them and link
+//! only `rrq-obs`; a test (or the explorer) attaches a checker to the handle
+//! of the instance it watches.
 //!
 //! * [`race`] — a vector-clock happens-before race detector. The lock
 //!   manager, the queue manager, and instrumented shared state report
@@ -23,9 +25,8 @@
 //!   `crates/obs`. It supersedes the old `commit-sync` and
 //!   `shard-lock-order` lints.
 //!
-//! All runtime hooks are compiled in permanently but gated behind one
-//! atomic load, so production code pays one predictable branch when no
-//! checker is active.
+//! The hooks are compiled in permanently; on a handle with no checker
+//! attached each costs one relaxed load and a predictable branch.
 
 pub mod analyze;
 pub mod clock;

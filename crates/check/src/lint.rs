@@ -1,6 +1,6 @@
 //! Source-level workspace lints (plain line scanning, no parsing).
 //!
-//! Four rules over every `.rs` file under `crates/*/src`, skipping
+//! Five rules over every `.rs` file under `crates/*/src`, skipping
 //! `#[cfg(test)]` items and `//` comment lines:
 //!
 //! * **no-unwrap-in-recovery** — `unwrap()`/`expect(` are banned in the
@@ -15,15 +15,19 @@
 //!   take time from its driver or deadlines passed in by the caller, and
 //!   the metrics layer's clock is logical ticks by construction — a
 //!   wall-clock read in either would silently break replay determinism.
-//! * **metric-catalogue** — every metric name used at an `rrq_obs` call
-//!   site (`counter_add`/`counter_inc`/`gauge_add`/`gauge_set`/`observe`/
-//!   `span`) must be declared exactly once in the table in
-//!   `crates/obs/METRICS.md`, so a typo'd name fails CI instead of
-//!   silently splitting a series. Names are read as the first string
-//!   literal after the call's opening paren (same line, or the next for
-//!   wrapped calls); an identifier argument is resolved through a
-//!   same-file `const NAME: &str = "…";`. `crates/obs/src` itself is out
-//!   of scope — the crate defines the hooks, it doesn't own names.
+//! * **metric-catalogue** — every metric name used at an `rrq_obs::Obs`
+//!   handle call (`.counter_add(`/`.counter_inc(`/`.gauge_add(`/`.observe(`)
+//!   must be declared exactly once in the table in `crates/obs/METRICS.md`,
+//!   so a typo'd name fails CI instead of silently splitting a series.
+//!   Names are read as the first string literal after the call's opening
+//!   paren (same line, or the next for wrapped calls); an identifier
+//!   argument is resolved through a same-file `const NAME: &str = "…";`.
+//!   `crates/obs/src` itself is out of scope — the crate defines the hooks,
+//!   it doesn't own names.
+//! * **no-global-state** — no `static` of an atomic, `Mutex`, `RwLock`,
+//!   `OnceLock` or `Cell` type (nor a `static mut`) and no `thread_local!`:
+//!   observers and every other piece of state belong to an instance and
+//!   its handle, so two instances in one process never share anything.
 //!
 //! Two former rules were retired in favour of [`crate::analyze`], which
 //! reasons about whole functions and the cross-crate call graph instead
@@ -50,16 +54,18 @@ const PAT_EXPECT: &str = concat!(".exp", "ect(");
 const PAT_SPAWN: &str = concat!("thread::", "spawn(");
 const PAT_INSTANT: &str = concat!("Instant::", "now");
 const PAT_SYSTIME: &str = concat!("SystemTime::", "now");
+const PAT_TLS: &str = concat!("thread_", "local!");
 
-/// The `rrq_obs` recording entry points whose first argument is a metric
-/// name. `obs::` matches both `rrq_obs::f(` and a `use rrq_obs as obs` alias.
+/// The interior-mutable types a `static` must not have.
+const GLOBAL_STATE_TYPES: &[&str] = &["Atomic", "Mutex", "RwLock", "OnceLock", "Cell"];
+
+/// The `rrq_obs::Obs` recording methods whose first argument is a metric
+/// name.
 const OBS_CALL_PATS: &[&str] = &[
-    concat!("obs::", "counter_add("),
-    concat!("obs::", "counter_inc("),
-    concat!("obs::", "gauge_add("),
-    concat!("obs::", "gauge_set("),
-    concat!("obs::", "observe("),
-    concat!("obs::", "span("),
+    concat!(".counter_", "add("),
+    concat!(".counter_", "inc("),
+    concat!(".gauge_", "add("),
+    concat!(".obs", "erve("),
 ];
 
 /// Path (relative to the workspace root) of the metric-name catalogue.
@@ -71,6 +77,7 @@ pub const LINTS: &[&str] = &[
     "no-raw-spawn",
     "no-wallclock-in-sim",
     "metric-catalogue",
+    "no-global-state",
 ];
 
 /// One lint hit.
@@ -231,10 +238,20 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
         rel.ends_with("storage/src/recovery.rs") || rel.ends_with("storage/src/wal.rs");
     let spawn_exempt = rel.ends_with("core/src/threads.rs");
     let sim_path = rel.contains("crates/sim/src") || rel.contains("crates/obs/src");
+    let mut in_tls = false;
 
     for (i, &line) in lines.iter().enumerate() {
         if !scannable(i) {
             continue;
+        }
+        // A `thread_local!` is one finding; the statics it declares are it.
+        if line.contains(PAT_TLS) {
+            push(out, "no-global-state", i);
+            in_tls = !line.trim_end().ends_with(';');
+        } else if in_tls {
+            in_tls = line.trim() != "}";
+        } else if global_static(line) {
+            push(out, "no-global-state", i);
         }
         if recovery_path && (line.contains(PAT_UNWRAP) || line.contains(PAT_EXPECT)) {
             push(out, "no-unwrap-in-recovery", i);
@@ -246,6 +263,19 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
             push(out, "no-wallclock-in-sim", i);
         }
     }
+}
+
+/// A `static` (or `static mut`) declaration of process-global mutable state.
+fn global_static(line: &str) -> bool {
+    let decl = line.trim_start();
+    let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
+    let decl = decl.strip_prefix("pub ").unwrap_or(decl);
+    let Some(rest) = decl.strip_prefix("static ") else {
+        return false;
+    };
+    let ty = rest.split_once(':').map_or("", |(_, ty)| ty);
+    let ty = ty.split('=').next().unwrap_or("");
+    rest.starts_with("mut ") || GLOBAL_STATE_TYPES.iter().any(|t| ty.contains(t))
 }
 
 /// Cross-file pass for the `metric-catalogue` rule: collect every metric
@@ -303,7 +333,7 @@ fn catalogue_row_name(line: &str) -> Option<String> {
     }
 }
 
-/// Metric names used at `rrq_obs` call sites in `text`, as
+/// Metric names used at `rrq_obs::Obs` call sites in `text`, as
 /// `(line, name, trimmed source line)` — one entry per use. The name is
 /// the first string literal after the call's opening paren, read from the
 /// same line or (for a wrapped call) the next; an identifier argument is
@@ -537,7 +567,7 @@ mod tests {
     #[test]
     fn undeclared_metric_name_is_flagged() {
         let root = TempRoot::new();
-        let src = format!("fn f() {{ rrq_{}\"qm.typo\"); }}\n", OBS_CALL_PATS[1]);
+        let src = format!("fn f() {{ obs{}\"qm.typo\"); }}\n", OBS_CALL_PATS[1]);
         root.write("crates/qm/src/ops.rs", &src);
         root.write("crates/obs/METRICS.md", &catalogue(&["qm.real"]));
         let out = run(&root.0).unwrap();
@@ -548,14 +578,31 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_metric_name_at_a_handle_call_is_flagged() {
+        let root = TempRoot::new();
+        let src = format!(
+            "fn f(&self) {{\n    self.obs{pat}\"qm.typo\");\n    not_a_handle{pat_fn}\"qm.other\");\n}}\n",
+            pat = OBS_CALL_PATS[1],
+            pat_fn = OBS_CALL_PATS[1].replace('.', "_"),
+        );
+        root.write("crates/qm/src/ops.rs", &src);
+        root.write("crates/obs/METRICS.md", &catalogue(&["qm.real"]));
+        let out = run(&root.0).unwrap();
+        assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
+        assert_eq!(out.findings[0].lint, "metric-catalogue");
+        assert_eq!(out.findings[0].line, 2);
+        assert!(out.findings[0].excerpt.contains("qm.typo"));
+    }
+
+    #[test]
     fn declared_names_satisfy_the_catalogue_rule() {
         let root = TempRoot::new();
         // All three extraction paths: a same-line literal, a wrapped call
         // with the literal on the next line, and a const-routed name.
         let src = format!(
-            "const DEPTH: &str = \"qm.depth\";\nfn f() {{\n    rrq_{pinc}\"qm.ops\");\n    rrq_{pobs}\n        \"qm.ticks\", 3);\n    rrq_{pgauge}DEPTH, 1);\n}}\n",
+            "const DEPTH: &str = \"qm.depth\";\nfn f() {{\n    obs{pinc}\"qm.ops\");\n    self.obs{pobs}\n        \"qm.ticks\", 3);\n    obs{pgauge}DEPTH, 1);\n}}\n",
             pinc = OBS_CALL_PATS[1],
-            pobs = OBS_CALL_PATS[4],
+            pobs = OBS_CALL_PATS[3],
             pgauge = OBS_CALL_PATS[2],
         );
         root.write("crates/qm/src/ops.rs", &src);
@@ -571,8 +618,8 @@ mod tests {
     fn wrapped_and_const_routed_names_are_still_checked() {
         let root = TempRoot::new();
         let src = format!(
-            "const DEPTH: &str = \"qm.depth\";\nfn f() {{\n    rrq_{pobs}\n        \"qm.ticks\", 3);\n    rrq_{pgauge}DEPTH, 1);\n}}\n",
-            pobs = OBS_CALL_PATS[4],
+            "const DEPTH: &str = \"qm.depth\";\nfn f() {{\n    obs{pobs}\n        \"qm.ticks\", 3);\n    obs{pgauge}DEPTH, 1);\n}}\n",
+            pobs = OBS_CALL_PATS[3],
             pgauge = OBS_CALL_PATS[2],
         );
         root.write("crates/qm/src/ops.rs", &src);
@@ -598,10 +645,7 @@ mod tests {
     #[test]
     fn obs_crate_sources_are_out_of_catalogue_scope() {
         let root = TempRoot::new();
-        let src = format!(
-            "fn f() {{ rrq_{}\"doc.example\", 1); }}\n",
-            OBS_CALL_PATS[0]
-        );
+        let src = format!("fn f() {{ obs{}\"doc.example\", 1); }}\n", OBS_CALL_PATS[0]);
         root.write("crates/obs/src/lib.rs", &src);
         root.write("crates/obs/METRICS.md", &catalogue(&["qm.real"]));
         let out = run(&root.0).unwrap();

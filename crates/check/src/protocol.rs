@@ -6,14 +6,13 @@
 //! Fig 5. This module encodes both transition relations **as data**
 //! ([`CLIENT_TABLE`], [`SERVER_TABLE`]) and provides:
 //!
-//! * a lightweight observer hook ([`emit_client`] / [`emit_server`]) that
-//!   `rrq_core`'s clerk and server loop call at each transition with a
-//!   closure that builds the event — one atomic load, and no event built,
-//!   when no observer is installed;
-//! * a [`Conformance`] checker that replays observed events against the
-//!   tables (plus the payload guards the tables cannot express, e.g. "the
-//!   reply's rid must match the outstanding request") and records every
-//!   violation together with the offending entity's full event trace.
+//! * a [`Conformance`] checker — a [`ProtocolSink`] attached to an
+//!   `rrq_obs::Obs` handle, whose `client_event` / `server_event` hooks
+//!   `rrq_core`'s clerk and server loop call at each transition — that
+//!   replays the events against the tables (plus the payload guards the
+//!   tables cannot express, e.g. "the reply's rid must match the
+//!   outstanding request") and records every violation together with the
+//!   offending entity's full event trace.
 //!
 //! A `Connect` is legal from *any* state: a crash is indistinguishable
 //! from a slow client, so the protocol's only entry point after failure is
@@ -22,69 +21,15 @@
 //! `Send` and `r_rid` the last delivered reply (both `None` after a clean
 //! `Disconnect`, which destroys the registration).
 
+use rrq_obs::Obs;
+pub use rrq_obs::{ClientEvent, ProtocolSink, ServerEvent};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------
-// Events
+// Event kinds
 // ---------------------------------------------------------------------
-
-/// An observable client (clerk) transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientEvent {
-    /// `Connect` returned the resynchronization triple `(s_rid, r_rid)`.
-    Connect {
-        /// Tag of the last acknowledged `Send`, if any.
-        s_rid: Option<String>,
-        /// Tag of the last delivered reply, if any.
-        r_rid: Option<String>,
-    },
-    /// A request was enqueued. `acked` is true when the send was tagged
-    /// (recoverable); an unacknowledged send leaves no resync trace.
-    Send {
-        /// The request id.
-        rid: String,
-        /// Whether the send updated the stable registration tag.
-        acked: bool,
-    },
-    /// A reply was received (and the receive tagged).
-    Receive {
-        /// Rid of the request the reply answers.
-        rid: String,
-    },
-    /// The already-delivered reply was obtained again (Fig 2 line 8).
-    Rereceive {
-        /// Rid of the request the reply answers.
-        rid: String,
-    },
-    /// The client deregistered, destroying its resynchronization state.
-    Disconnect,
-    /// An operation failed client-side (network error): whether it took
-    /// effect at the QM is unknown — an acked `Send` or a `Receive` that
-    /// timed out on the wire may still have committed server-side and
-    /// advanced the stable tags. The client's state does not change, but the
-    /// checker can no longer predict the next resync triple.
-    OpFailed {
-        /// Which operation failed (e.g. "send", "receive").
-        op: String,
-    },
-}
-
-impl ClientEvent {
-    /// The table-lookup kind of this event.
-    pub fn kind(&self) -> ClientEventKind {
-        match self {
-            ClientEvent::Connect { .. } => ClientEventKind::Connect,
-            ClientEvent::Send { .. } => ClientEventKind::Send,
-            ClientEvent::Receive { .. } => ClientEventKind::Receive,
-            ClientEvent::Rereceive { .. } => ClientEventKind::Rereceive,
-            ClientEvent::Disconnect => ClientEventKind::Disconnect,
-            ClientEvent::OpFailed { .. } => ClientEventKind::OpFailed,
-        }
-    }
-}
 
 /// Client event discriminant, used in [`CLIENT_TABLE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,43 +48,15 @@ pub enum ClientEventKind {
     OpFailed,
 }
 
-/// An observable server-loop transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServerEvent {
-    /// A request was dequeued and decoded.
-    Dequeue {
-        /// The request id.
-        rid: String,
-    },
-    /// A malformed element was dequeued; it will be consumed (§3: a
-    /// request that cannot be parsed must not poison the queue).
-    DropMalformed,
-    /// The reply (final, intermediate, or rejection) was enqueued.
-    Reply {
-        /// Rid of the request being answered.
-        rid: String,
-    },
-    /// The request was forwarded to the next queue instead of answered.
-    Forward {
-        /// Rid of the forwarded request.
-        rid: String,
-    },
-    /// The server transaction committed.
-    Commit,
-    /// The server transaction aborted (the request returns to its queue).
-    Abort,
-}
-
-impl ServerEvent {
-    /// The table-lookup kind of this event.
-    pub fn kind(&self) -> ServerEventKind {
-        match self {
-            ServerEvent::Dequeue { .. } => ServerEventKind::Dequeue,
-            ServerEvent::DropMalformed => ServerEventKind::DropMalformed,
-            ServerEvent::Reply { .. } => ServerEventKind::Reply,
-            ServerEvent::Forward { .. } => ServerEventKind::Forward,
-            ServerEvent::Commit => ServerEventKind::Commit,
-            ServerEvent::Abort => ServerEventKind::Abort,
+impl From<&ClientEvent> for ClientEventKind {
+    fn from(event: &ClientEvent) -> Self {
+        match event {
+            ClientEvent::Connect { .. } => ClientEventKind::Connect,
+            ClientEvent::Send { .. } => ClientEventKind::Send,
+            ClientEvent::Receive { .. } => ClientEventKind::Receive,
+            ClientEvent::Rereceive { .. } => ClientEventKind::Rereceive,
+            ClientEvent::Disconnect => ClientEventKind::Disconnect,
+            ClientEvent::OpFailed { .. } => ClientEventKind::OpFailed,
         }
     }
 }
@@ -159,6 +76,19 @@ pub enum ServerEventKind {
     Commit,
     /// See [`ServerEvent::Abort`].
     Abort,
+}
+
+impl From<&ServerEvent> for ServerEventKind {
+    fn from(event: &ServerEvent) -> Self {
+        match event {
+            ServerEvent::Dequeue { .. } => ServerEventKind::Dequeue,
+            ServerEvent::DropMalformed => ServerEventKind::DropMalformed,
+            ServerEvent::Reply { .. } => ServerEventKind::Reply,
+            ServerEvent::Forward { .. } => ServerEventKind::Forward,
+            ServerEvent::Commit => ServerEventKind::Commit,
+            ServerEvent::Abort => ServerEventKind::Abort,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -287,71 +217,8 @@ pub const SERVER_TABLE: &[(ServerState, ServerEventKind, ServerState)] = &[
     ),
 ];
 
-// ---------------------------------------------------------------------
-// Observer hook
-// ---------------------------------------------------------------------
-
-/// Receives every protocol event emitted by instrumented code.
-pub trait ProtocolObserver: Send + Sync {
-    /// A clerk transition for client `client`.
-    fn on_client(&self, client: &str, event: ClientEvent);
-    /// A server-loop transition for server `server`.
-    fn on_server(&self, server: &str, event: ServerEvent);
-}
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static OBSERVER: Mutex<Option<Arc<dyn ProtocolObserver>>> = Mutex::new(None);
-static OBS_SESSION: Mutex<()> = Mutex::new(());
-
 fn lock_poison_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Emit a client event to the installed observer, if any. `event` runs only
-/// when one is installed, so a dormant hook never builds (or allocates for)
-/// the event it would have dropped.
-pub fn emit_client(client: &str, event: impl FnOnce() -> ClientEvent) {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return;
-    }
-    let obs = lock_poison_ok(&OBSERVER).clone();
-    if let Some(o) = obs {
-        o.on_client(client, event());
-    }
-}
-
-/// Emit a server event to the installed observer, if any; `event` as in
-/// [`emit_client`].
-pub fn emit_server(server: &str, event: impl FnOnce() -> ServerEvent) {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return;
-    }
-    let obs = lock_poison_ok(&OBSERVER).clone();
-    if let Some(o) = obs {
-        o.on_server(server, event());
-    }
-}
-
-/// RAII installation of an observer; drop uninstalls it. Sessions
-/// serialize on a process-wide mutex so parallel tests cannot see each
-/// other's traffic.
-pub struct ObserverSession {
-    _guard: MutexGuard<'static, ()>,
-}
-
-/// Install `observer` for the lifetime of the returned session.
-pub fn install(observer: Arc<dyn ProtocolObserver>) -> ObserverSession {
-    let guard = lock_poison_ok(&OBS_SESSION);
-    *lock_poison_ok(&OBSERVER) = Some(observer);
-    ACTIVE.store(true, Ordering::SeqCst);
-    ObserverSession { _guard: guard }
-}
-
-impl Drop for ObserverSession {
-    fn drop(&mut self) {
-        ACTIVE.store(false, Ordering::SeqCst);
-        *lock_poison_ok(&OBSERVER) = None;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -392,7 +259,6 @@ struct ClientMachine {
     // agree with our own bookkeeping.
     tags_known: bool,
     trace: Vec<String>,
-    dropped: u64,
 }
 
 impl ClientMachine {
@@ -405,7 +271,6 @@ impl ClientMachine {
             last_receive: None,
             tags_known: false,
             trace: Vec::new(),
-            dropped: 0,
         }
     }
 }
@@ -414,7 +279,6 @@ struct ServerMachine {
     state: ServerState,
     current: Option<String>,
     trace: Vec<String>,
-    dropped: u64,
 }
 
 impl ServerMachine {
@@ -423,7 +287,6 @@ impl ServerMachine {
             state: ServerState::Waiting,
             current: None,
             trace: Vec::new(),
-            dropped: 0,
         }
     }
 }
@@ -443,21 +306,20 @@ pub struct Conformance {
     inner: Mutex<ConfState>,
 }
 
-fn push_trace(trace: &mut Vec<String>, dropped: &mut u64, line: String) {
+fn push_trace(trace: &mut Vec<String>, line: String) {
     if trace.len() >= TRACE_CAP {
         trace.remove(0);
-        *dropped += 1;
     }
     trace.push(line);
 }
 
 impl Conformance {
-    /// Create a checker and install it; events flow until the session
-    /// guard drops.
-    pub fn install() -> (Arc<Conformance>, ObserverSession) {
+    /// A fresh checker attached to `obs`: it sees the transitions emitted
+    /// through that handle, and no other's.
+    pub fn attach(obs: &Obs) -> Arc<Conformance> {
         let checker = Arc::new(Conformance::default());
-        let session = install(Arc::clone(&checker) as Arc<dyn ProtocolObserver>);
-        (checker, session)
+        obs.attach_protocol(Arc::clone(&checker) as Arc<dyn ProtocolSink>);
+        checker
     }
 
     /// All violations recorded so far.
@@ -466,10 +328,8 @@ impl Conformance {
     }
 
     /// Forget every tracked machine, violation, and counter while staying
-    /// installed. Sweeps that run many independent scenarios reuse one
-    /// observer session (installation takes a process-wide lock) and call
-    /// this between runs so state from one scenario cannot leak into the
-    /// verdict of the next.
+    /// attached, so state from one scenario cannot leak into the verdict of
+    /// the next one observed through the same handle.
     pub fn reset(&self) {
         *lock_poison_ok(&self.inner) = ConfState::default();
     }
@@ -502,7 +362,7 @@ impl Conformance {
     }
 }
 
-impl ProtocolObserver for Conformance {
+impl ProtocolSink for Conformance {
     fn on_client(&self, client: &str, event: ClientEvent) {
         let mut g = lock_poison_ok(&self.inner);
         g.client_events += 1;
@@ -511,11 +371,11 @@ impl ProtocolObserver for Conformance {
             .entry(client.to_string())
             .or_insert_with(ClientMachine::new);
         let line = format!("[{:?}] {:?}", m.state, event);
-        push_trace(&mut m.trace, &mut m.dropped, line);
+        push_trace(&mut m.trace, line);
 
         let row = CLIENT_TABLE
             .iter()
-            .find(|(s, k, _)| *s == m.state && *k == event.kind());
+            .find(|(s, k, _)| *s == m.state && *k == (&event).into());
         let Some((_, _, target)) = row else {
             let detail = format!("illegal client event {:?} in state {:?}", event, m.state);
             let trace = m.trace.clone();
@@ -630,11 +490,11 @@ impl ProtocolObserver for Conformance {
             .entry(server.to_string())
             .or_insert_with(ServerMachine::new);
         let line = format!("[{:?}] {:?}", m.state, event);
-        push_trace(&mut m.trace, &mut m.dropped, line);
+        push_trace(&mut m.trace, line);
 
         let row = SERVER_TABLE
             .iter()
-            .find(|(s, k, _)| *s == m.state && *k == event.kind());
+            .find(|(s, k, _)| *s == m.state && *k == (&event).into());
         let Some((_, _, target)) = row else {
             let detail = format!("illegal server event {:?} in state {:?}", event, m.state);
             let trace = m.trace.clone();
@@ -982,20 +842,19 @@ mod tests {
 
     #[test]
     fn a_dormant_hook_does_not_build_its_event() {
-        // Holding the session lock keeps every other test's observer out.
-        let _no_session = lock_poison_ok(&OBS_SESSION);
-        emit_client("nobody", || unreachable!("built with no observer"));
-        emit_server("nobody", || unreachable!("built with no observer"));
+        let obs = Obs::default();
+        obs.client_event("nobody", || unreachable!("built with no observer"));
+        obs.server_event("nobody", || unreachable!("built with no observer"));
     }
 
     #[test]
-    fn install_routes_events_and_uninstalls_on_drop() {
-        let (checker, session) = Conformance::install();
-        emit_server("s9", || ServerEvent::Dequeue { rid: "c1:1".into() });
-        assert_eq!(checker.events_seen(), (0, 1));
-        drop(session);
-        emit_server("s9", || ServerEvent::Commit);
-        // The post-drop event was not delivered (it would have violated).
+    fn an_attached_checker_sees_only_its_handles_events() {
+        let (mine, sibling) = (Obs::default(), Obs::default());
+        let checker = Conformance::attach(&mine);
+        mine.server_event("s9", || ServerEvent::Dequeue { rid: "c1:1".into() });
+        // The sibling's event never reaches this checker, where a second
+        // Dequeue in Processing would have been a violation.
+        sibling.server_event("s9", || ServerEvent::Dequeue { rid: "c1:2".into() });
         assert_eq!(checker.events_seen(), (0, 1));
         checker.assert_conformant();
     }

@@ -1,53 +1,33 @@
 //! Happens-before race detection over instrumented shared state.
 //!
-//! Production crates report three kinds of synchronization edges:
+//! [`Detector`] is a [`RaceSink`]: attached to an `rrq_obs::Obs` handle, it
+//! receives the three kinds of synchronization edge the production crates
+//! report through that handle —
 //!
-//! * lock edges — [`lock_acquired`] / [`lock_released`] from
-//!   `rrq_txn::lock::LockManager` grant and release points (and
-//!   [`lock_transferred`] for §5 lock inheritance);
-//! * queue edges — [`queue_enqueued`] / [`queue_dequeued`] from the queue
+//! * lock edges — `lock_acquired` / `lock_released` from
+//!   `rrq_txn::lock::LockManager` grant and release points (a §5 lock
+//!   transfer is an acquire by the inheriting thread);
+//! * queue edges — `queue_enqueued` / `queue_dequeued` from the queue
 //!   manager: a dequeue observes everything the enqueuing transaction did
 //!   before enqueuing, which is exactly the paper's recoverable-request
 //!   ordering;
-//! * store-latch edges — [`serialized_read`] / [`serialized_write`] for
-//!   records (like §4.3 registrations) that are serialized by the KV
-//!   store's internal latch rather than by an explicit lock.
+//! * store-latch edges — `serialized_read` / `serialized_write` for records
+//!   (like §4.3 registrations) that are serialized by the KV store's
+//!   internal latch rather than by an explicit lock —
 //!
-//! Tracked cells ([`on_read`] / [`on_write`], or the [`Tracked`] wrapper)
-//! are checked against the resulting happens-before order: two conflicting
-//! accesses (at least one write) with neither ordered before the other are
-//! reported with both access backtraces.
-//!
-//! The detector is off by default; a [`Session`] turns it on and serializes
-//! concurrent detector tests in one process. Every hook starts with one
-//! atomic load, and the cell hooks take their cell's name as a closure that
-//! only a live session calls, so dormant instrumentation builds nothing.
+//! and checks tracked-cell accesses (`on_read` / `on_write`) against the
+//! resulting happens-before order: two conflicting accesses (at least one
+//! write) with neither ordered before the other are reported with both
+//! access backtraces. A detector sees its handle's events and no other's,
+//! and gives each thread it hears from a vector-clock slot of its own.
 
 use crate::clock::VectorClock;
+use rrq_obs::{Obs, RaceSink};
 use std::backtrace::Backtrace;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SESSION: Mutex<()> = Mutex::new(());
-
-fn detector() -> &'static Mutex<Detector> {
-    static D: OnceLock<Mutex<Detector>> = OnceLock::new();
-    D.get_or_init(|| Mutex::new(Detector::default()))
-}
-
-fn lock_poison_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-thread_local! {
-    // (session epoch, thread slot) — a slot is only valid for the session
-    // that allocated it.
-    static SLOT: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-}
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
 
 /// Read or write, for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +43,7 @@ pub enum AccessKind {
 pub struct Access {
     /// Read or write.
     pub kind: AccessKind,
-    /// Thread slot within the session.
+    /// The accessing thread's slot in its detector.
     pub thread: usize,
     /// The accessing thread's own clock component at access time; the
     /// access happens-before thread `t` iff `C_t[thread] >= tick`.
@@ -102,94 +82,49 @@ struct CellState {
 }
 
 #[derive(Default)]
-struct Detector {
-    epoch: u64,
+struct State {
+    /// Each thread's clock slot, in order of first appearance.
+    slots: HashMap<ThreadId, usize>,
     threads: Vec<VectorClock>,
     resources: HashMap<String, VectorClock>,
     cells: HashMap<String, CellState>,
     reports: Vec<RaceReport>,
 }
 
-impl Detector {
-    fn reset(&mut self) {
-        self.epoch += 1;
-        self.threads.clear();
-        self.resources.clear();
-        self.cells.clear();
-        self.reports.clear();
-    }
-}
-
-/// Allocate (or look up) the calling thread's slot for the current epoch.
-fn slot_of(d: &mut Detector) -> usize {
-    SLOT.with(|c| match c.get() {
-        Some((epoch, slot)) if epoch == d.epoch => slot,
-        _ => {
-            let slot = d.threads.len();
+impl State {
+    /// The calling thread's slot, allocated on its first event.
+    fn slot(&mut self) -> usize {
+        let next = self.slots.len();
+        let slot = *self
+            .slots
+            .entry(std::thread::current().id())
+            .or_insert(next);
+        if slot == self.threads.len() {
             let mut clock = VectorClock::new();
             clock.tick(slot);
-            d.threads.push(clock);
-            c.set(Some((d.epoch, slot)));
-            slot
+            self.threads.push(clock);
         }
-    })
-}
-
-fn hooked(f: impl FnOnce(&mut Detector, usize)) {
-    if !ENABLED.load(Ordering::Acquire) {
-        return;
+        slot
     }
-    let mut d = lock_poison_ok(detector());
-    let slot = slot_of(&mut d);
-    f(&mut d, slot);
 }
 
-fn join_acquire(d: &mut Detector, slot: usize, resource: String) {
-    if let Some(r) = d.resources.get(&resource) {
+fn join_acquire(d: &mut State, slot: usize, resource: &str) {
+    if let Some(r) = d.resources.get(resource) {
         let r = r.clone();
         d.threads[slot].join(&r);
     }
 }
 
-fn join_release(d: &mut Detector, slot: usize, resource: String) {
+fn join_release(d: &mut State, slot: usize, resource: &str) {
     let t = d.threads[slot].clone();
-    d.resources.entry(resource).or_default().join(&t);
+    d.resources
+        .entry(resource.to_string())
+        .or_default()
+        .join(&t);
     d.threads[slot].tick(slot);
 }
 
-fn lock_resource(ns: u32, key: &[u8]) -> String {
-    format!("lock:{ns}:{}", String::from_utf8_lossy(key))
-}
-
-/// The calling thread was granted the lock `(ns, key)`: it now observes
-/// everything done under any previous holding of that lock.
-pub fn lock_acquired(ns: u32, key: &[u8]) {
-    hooked(|d, slot| join_acquire(d, slot, lock_resource(ns, key)));
-}
-
-/// The calling thread released the lock `(ns, key)`.
-pub fn lock_released(ns: u32, key: &[u8]) {
-    hooked(|d, slot| join_release(d, slot, lock_resource(ns, key)));
-}
-
-/// §5 lock inheritance: the calling thread (the inheriting transaction's
-/// thread) adopts the lock without the holder ever releasing it.
-pub fn lock_transferred(ns: u32, key: &[u8]) {
-    hooked(|d, slot| join_acquire(d, slot, lock_resource(ns, key)));
-}
-
-/// Release-like edge: everything the enqueuing transaction did so far is
-/// published to whoever later dequeues from `queue`.
-pub fn queue_enqueued(queue: &str) {
-    hooked(|d, slot| join_release(d, slot, format!("queue:{queue}")));
-}
-
-/// Acquire-like edge: the dequeuer observes all publishes into `queue`.
-pub fn queue_dequeued(queue: &str) {
-    hooked(|d, slot| join_acquire(d, slot, format!("queue:{queue}")));
-}
-
-fn record(d: &mut Detector, slot: usize, cell: &str, kind: AccessKind) {
+fn record(d: &mut State, slot: usize, cell: &str, kind: AccessKind) {
     let me = d.threads[slot].clone();
     let cur = Access {
         kind,
@@ -232,108 +167,41 @@ fn record(d: &mut Detector, slot: usize, cell: &str, kind: AccessKind) {
     d.threads[slot].tick(slot);
 }
 
-/// Report a read of the tracked cell `cell` names. The closure runs only
-/// while a session is live, so a call site on a hot path may `format!` its
-/// cell name inside it for free.
-pub fn on_read(cell: impl FnOnce() -> String) {
-    hooked(|d, slot| record(d, slot, &cell(), AccessKind::Read));
-}
-
-/// Report a write of the tracked cell `cell` names; `cell` as in
-/// [`on_read`].
-pub fn on_write(cell: impl FnOnce() -> String) {
-    hooked(|d, slot| record(d, slot, &cell(), AccessKind::Write));
-}
-
-/// A read of `cell` that the storage layer serializes internally (per-key
-/// latch) without an explicit lock-manager lock — e.g. §4.3 registration
-/// records. Accesses through this hook are mutually ordered; a direct
-/// [`on_read`]/[`on_write`] on the same cell that bypasses the latch still
-/// races and is reported.
-pub fn serialized_read(cell: impl FnOnce() -> String) {
-    hooked(|d, slot| serialized(d, slot, &cell(), AccessKind::Read));
-}
-
-/// Write counterpart of [`serialized_read`].
-pub fn serialized_write(cell: impl FnOnce() -> String) {
-    hooked(|d, slot| serialized(d, slot, &cell(), AccessKind::Write));
-}
-
-fn serialized(d: &mut Detector, slot: usize, cell: &str, kind: AccessKind) {
+fn serialized(d: &mut State, slot: usize, cell: &str, kind: AccessKind) {
     let latch = format!("ser:{cell}");
-    join_acquire(d, slot, latch.clone());
+    join_acquire(d, slot, &latch);
     record(d, slot, cell, kind);
-    join_release(d, slot, latch);
+    join_release(d, slot, &latch);
 }
 
-/// A value with instrumented accesses. Reads and writes are reported to the
-/// active [`Session`]'s detector under the cell's name; with no session
-/// active the accessors are plain passthroughs.
-#[derive(Debug)]
-pub struct Tracked<T> {
-    name: String,
-    value: T,
+/// A happens-before detector attached to one handle (see the module docs).
+#[derive(Default)]
+pub struct Detector {
+    state: Mutex<State>,
 }
 
-impl<T> Tracked<T> {
-    /// Wrap `value` under the tracked-cell name `name`.
-    pub fn new(name: impl Into<String>, value: T) -> Self {
-        Tracked {
-            name: name.into(),
-            value,
-        }
-    }
-
-    /// The cell name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Instrumented read access.
-    pub fn read(&self) -> &T {
-        on_read(|| self.name.clone());
-        &self.value
-    }
-
-    /// Instrumented write access through interior mutability (the caller
-    /// mutates via `&T`, e.g. an atomic or a mutex-wrapped value).
-    pub fn write(&self) -> &T {
-        on_write(|| self.name.clone());
-        &self.value
-    }
-
-    /// Instrumented exclusive write access.
-    pub fn get_mut(&mut self) -> &mut T {
-        on_write(|| self.name.clone());
-        &mut self.value
-    }
-
-    /// Unwrap without reporting an access.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
+fn lock_poison_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// An active detector session. Construction enables the hooks and clears
-/// all prior state; drop disables them. Sessions serialize on a process-
-/// wide mutex so `cargo test`'s threaded runner cannot interleave two
-/// detector tests.
-pub struct Session {
-    _guard: MutexGuard<'static, ()>,
-}
+impl Detector {
+    /// A fresh detector attached to `obs`.
+    pub fn attach(obs: &Obs) -> Arc<Detector> {
+        let detector = Arc::new(Detector::default());
+        obs.attach_race(Arc::clone(&detector) as Arc<dyn RaceSink>);
+        detector
+    }
 
-impl Session {
-    /// Enable the detector (blocking until any other session ends).
-    pub fn start() -> Session {
-        let guard = lock_poison_ok(&SESSION);
-        lock_poison_ok(detector()).reset();
-        ENABLED.store(true, Ordering::SeqCst);
-        Session { _guard: guard }
+    /// Run `f` on the state with the calling thread's slot.
+    fn with(&self, f: impl FnOnce(&mut State, usize)) {
+        let mut d = lock_poison_ok(&self.state);
+        let slot = d.slot();
+        f(&mut d, slot);
     }
 
     /// Drain the race reports accumulated so far.
     pub fn take_reports(&self) -> Vec<RaceReport> {
-        std::mem::take(&mut lock_poison_ok(detector()).reports)
+        std::mem::take(&mut lock_poison_ok(&self.state).reports)
     }
 
     /// Panic with every report if any race was observed.
@@ -349,78 +217,108 @@ impl Session {
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
+impl RaceSink for Detector {
+    fn acquired(&self, resource: &str) {
+        self.with(|d, slot| join_acquire(d, slot, resource));
+    }
+
+    fn released(&self, resource: &str) {
+        self.with(|d, slot| join_release(d, slot, resource));
+    }
+
+    fn accessed(&self, cell: &str, write: bool, latched: bool) {
+        let kind = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        self.with(|d, slot| {
+            if latched {
+                serialized(d, slot, cell, kind)
+            } else {
+                record(d, slot, cell, kind)
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::cell::Cell;
+
+    /// A handle with a fresh detector attached.
+    fn attached() -> (Obs, Arc<Detector>) {
+        let obs = Obs::default();
+        let d = Detector::attach(&obs);
+        (obs, d)
+    }
 
     // The tests name their cells with literals.
-    fn on_read(cell: &str) {
-        super::on_read(|| cell.to_string());
+    fn on_read(obs: &Obs, cell: &str) {
+        obs.on_read(|| cell.to_string());
     }
-    fn on_write(cell: &str) {
-        super::on_write(|| cell.to_string());
+    fn on_write(obs: &Obs, cell: &str) {
+        obs.on_write(|| cell.to_string());
     }
-    fn serialized_read(cell: &str) {
-        super::serialized_read(|| cell.to_string());
+    fn serialized_read(obs: &Obs, cell: &str) {
+        obs.serialized_read(|| cell.to_string());
     }
-    fn serialized_write(cell: &str) {
-        super::serialized_write(|| cell.to_string());
+    fn serialized_write(obs: &Obs, cell: &str) {
+        obs.serialized_write(|| cell.to_string());
+    }
+
+    /// Run `f` on a thread of its own with a clone of `obs`, and join it.
+    fn on_thread(obs: &Obs, f: impl FnOnce(&Obs) + Send + 'static) {
+        let obs = obs.clone();
+        std::thread::spawn(move || f(&obs)).join().unwrap();
     }
 
     #[test]
     fn a_dormant_hook_does_not_build_its_cell_name() {
-        // Holding the session mutex without starting a session keeps every
-        // other test's session, and with it `ENABLED`, out of the way.
-        let _no_session = lock_poison_ok(&SESSION);
+        let obs = Obs::default();
         let built = Cell::new(0);
         let name = || {
             built.set(built.get() + 1);
             String::from("cell/dormant")
         };
-        super::on_read(name);
-        super::on_write(name);
-        super::serialized_read(name);
-        super::serialized_write(name);
+        obs.on_read(name);
+        obs.on_write(name);
+        obs.serialized_read(name);
+        obs.serialized_write(name);
         assert_eq!(built.get(), 0);
     }
 
     #[test]
     fn a_live_hook_builds_its_cell_name_once() {
-        let s = Session::start();
+        let (obs, d) = attached();
         let built = Cell::new(0);
-        super::serialized_write(|| {
+        obs.serialized_write(|| {
             built.set(built.get() + 1);
             String::from("cell/live")
         });
         assert_eq!(built.get(), 1);
-        assert!(s.take_reports().is_empty());
+        assert!(d.take_reports().is_empty());
     }
 
     #[test]
     fn same_thread_accesses_are_ordered() {
-        let s = Session::start();
-        on_write("cell/a");
-        on_read("cell/a");
-        on_write("cell/a");
-        assert!(s.take_reports().is_empty());
+        let (obs, d) = attached();
+        on_write(&obs, "cell/a");
+        on_read(&obs, "cell/a");
+        on_write(&obs, "cell/a");
+        assert!(d.take_reports().is_empty());
     }
 
     #[test]
     fn unsynchronized_cross_thread_writes_are_flagged() {
-        let s = Session::start();
+        let (obs, d) = attached();
         // The detector models only the edges it is told about: a thread
         // join is real synchronization, but nothing reported it, so these
         // two writes must surface as a race.
-        std::thread::spawn(|| on_write("cell/b")).join().unwrap();
-        on_write("cell/b");
-        let reports = s.take_reports();
+        on_thread(&obs, |obs| on_write(obs, "cell/b"));
+        on_write(&obs, "cell/b");
+        let reports = d.take_reports();
         assert_eq!(reports.len(), 1, "expected exactly one race");
         assert_eq!(reports[0].cell, "cell/b");
         assert_eq!(reports[0].earlier.kind, AccessKind::Write);
@@ -429,49 +327,45 @@ mod tests {
 
     #[test]
     fn lock_edges_order_cross_thread_writes() {
-        let s = Session::start();
-        std::thread::spawn(|| {
-            lock_acquired(9, b"k");
-            on_write("cell/c");
-            lock_released(9, b"k");
-        })
-        .join()
-        .unwrap();
-        lock_acquired(9, b"k");
-        on_write("cell/c");
-        lock_released(9, b"k");
-        s.assert_race_free();
+        let (obs, d) = attached();
+        on_thread(&obs, |obs| {
+            obs.lock_acquired(9, b"k");
+            on_write(obs, "cell/c");
+            obs.lock_released(9, b"k");
+        });
+        obs.lock_acquired(9, b"k");
+        on_write(&obs, "cell/c");
+        obs.lock_released(9, b"k");
+        d.assert_race_free();
     }
 
     #[test]
     fn queue_edges_order_producer_and_consumer() {
-        let s = Session::start();
-        on_write("cell/d");
-        queue_enqueued("q");
-        std::thread::spawn(|| {
-            queue_dequeued("q");
-            on_read("cell/d");
-            on_write("cell/d");
-        })
-        .join()
-        .unwrap();
-        s.assert_race_free();
+        let (obs, d) = attached();
+        on_write(&obs, "cell/d");
+        obs.queue_enqueued("q");
+        on_thread(&obs, |obs| {
+            obs.queue_dequeued("q");
+            on_read(obs, "cell/d");
+            on_write(obs, "cell/d");
+        });
+        d.assert_race_free();
     }
 
     #[test]
     fn read_read_is_not_a_race() {
-        let s = Session::start();
-        std::thread::spawn(|| on_read("cell/e")).join().unwrap();
-        on_read("cell/e");
-        assert!(s.take_reports().is_empty());
+        let (obs, d) = attached();
+        on_thread(&obs, |obs| on_read(obs, "cell/e"));
+        on_read(&obs, "cell/e");
+        assert!(d.take_reports().is_empty());
     }
 
     #[test]
     fn unordered_read_write_is_a_race() {
-        let s = Session::start();
-        std::thread::spawn(|| on_read("cell/f")).join().unwrap();
-        on_write("cell/f");
-        let reports = s.take_reports();
+        let (obs, d) = attached();
+        on_thread(&obs, |obs| on_read(obs, "cell/f"));
+        on_write(&obs, "cell/f");
+        let reports = d.take_reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].earlier.kind, AccessKind::Read);
         assert_eq!(reports[0].later.kind, AccessKind::Write);
@@ -479,62 +373,43 @@ mod tests {
 
     #[test]
     fn serialized_accesses_do_not_race_each_other() {
-        let s = Session::start();
-        std::thread::spawn(|| serialized_write("reg/q/c"))
-            .join()
-            .unwrap();
-        serialized_write("reg/q/c");
-        serialized_read("reg/q/c");
-        assert!(s.take_reports().is_empty());
+        let (obs, d) = attached();
+        on_thread(&obs, |obs| serialized_write(obs, "reg/q/c"));
+        serialized_write(&obs, "reg/q/c");
+        serialized_read(&obs, "reg/q/c");
+        assert!(d.take_reports().is_empty());
     }
 
     #[test]
     fn bypassing_the_store_latch_is_flagged() {
-        let s = Session::start();
-        std::thread::spawn(|| serialized_write("reg/q/d"))
-            .join()
-            .unwrap();
+        let (obs, d) = attached();
+        on_thread(&obs, |obs| serialized_write(obs, "reg/q/d"));
         // Direct write without the latch: unordered with the latched write.
-        on_write("reg/q/d");
-        assert_eq!(s.take_reports().len(), 1);
-    }
-
-    #[test]
-    fn tracked_wrapper_reports_accesses() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let s = Session::start();
-        let cell = Arc::new(Tracked::new("cell/t", AtomicU64::new(0)));
-        let c2 = Arc::clone(&cell);
-        std::thread::spawn(move || c2.write().store(1, Ordering::SeqCst))
-            .join()
-            .unwrap();
-        cell.write().store(2, Ordering::SeqCst);
-        assert_eq!(s.take_reports().len(), 1);
-        let cell = Arc::into_inner(cell).expect("no other refs remain");
-        assert_eq!(cell.into_inner().into_inner(), 2);
+        on_write(&obs, "reg/q/d");
+        assert_eq!(d.take_reports().len(), 1);
     }
 
     #[test]
     fn transfer_edge_orders_inheritor() {
-        let s = Session::start();
-        std::thread::spawn(|| {
-            lock_acquired(3, b"x");
-            on_write("cell/g");
+        let (obs, d) = attached();
+        on_thread(&obs, |obs| {
+            obs.lock_acquired(3, b"x");
+            on_write(obs, "cell/g");
             // Parked without releasing: inheritance hands the lock over.
-            lock_released(3, b"x");
-        })
-        .join()
-        .unwrap();
-        lock_transferred(3, b"x");
-        on_write("cell/g");
-        s.assert_race_free();
+            obs.lock_released(3, b"x");
+        });
+        // The inheritor adopts the lock: an acquire on its thread.
+        obs.lock_acquired(3, b"x");
+        on_write(&obs, "cell/g");
+        d.assert_race_free();
     }
 
     #[test]
     fn disabled_hooks_are_inert() {
-        // No session: nothing recorded, nothing panics.
-        on_write("cell/z");
-        let s = Session::start();
-        assert!(s.take_reports().is_empty());
+        // No detector yet: nothing recorded, nothing panics.
+        let obs = Obs::default();
+        on_write(&obs, "cell/z");
+        let d = Detector::attach(&obs);
+        assert!(d.take_reports().is_empty());
     }
 }

@@ -1,14 +1,15 @@
 //! End-to-end protocol conformance: the Fig 1 / Fig 5 state machines must
 //! hold over real E1-style (client crash sweep) and E4-style (server pool
-//! throughput) runs, with the checker installed as the protocol observer.
+//! throughput) runs, with a checker attached to the repository's handle.
 
-use rrq_check::protocol::{emit_client, emit_server, ClientEvent, Conformance, ServerEvent};
+use rrq_check::protocol::{ClientEvent, Conformance, ServerEvent};
 use rrq_core::api::{LocalQm, QmApi};
 use rrq_core::clerk::{Clerk, ClerkConfig};
 use rrq_core::device::TicketPrinter;
 use rrq_core::request::{Reply, Request};
 use rrq_core::rid::Rid;
-use rrq_core::server::{spawn_pool, HandlerOutcome};
+use rrq_core::server::{spawn_pool, Handler, HandlerOutcome};
+use rrq_obs::Obs;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::repository::Repository;
 use rrq_sim::driver::{ClientCrashDriver, CrashPoint};
@@ -38,8 +39,8 @@ fn mk_clerk(repo: &Arc<Repository>, client: &str) -> Clerk {
 /// One E1-style run: a crash driver against a 2-server pool, with the
 /// conformance observer watching every clerk and server transition.
 fn e1_run(name: &str, schedule: CrashSchedule, n: u64) {
-    let (conf, session) = Conformance::install();
     let repo = mk_repo(name, &["req", "reply.c"]);
+    let conf = Conformance::attach(repo.obs());
     let handler: rrq_core::server::Handler = Arc::new(|_ctx, req| {
         Ok(HandlerOutcome::Reply(
             format!("r{}", req.rid.serial).into_bytes(),
@@ -60,7 +61,6 @@ fn e1_run(name: &str, schedule: CrashSchedule, n: u64) {
     assert!(client_events > 0, "clerk transitions were observed");
     assert!(server_events > 0, "server transitions were observed");
     conf.assert_conformant();
-    drop(session);
 }
 
 #[test]
@@ -104,8 +104,8 @@ fn e1_random_crash_sweep_is_conformant() {
 /// abort/retry path (flaky handler), all under the conformance observer.
 #[test]
 fn e4_pool_run_with_aborts_is_conformant() {
-    let (conf, session) = Conformance::install();
     let repo = mk_repo("conf-e4", &["req", "reply.c"]);
+    let conf = Conformance::attach(repo.obs());
     bank::seed_accounts(&repo, 8, 10_000).unwrap();
     let (_servers, handles, stop) =
         spawn_pool(&repo, "req", 4, bank::flaky_transfer_handler(3)).unwrap();
@@ -147,17 +147,50 @@ fn e4_pool_run_with_aborts_is_conformant() {
     let (_, server_events) = conf.events_seen();
     assert!(server_events > 0, "server transitions were observed");
     conf.assert_conformant();
-    drop(session);
+}
+
+/// Two nodes in one process, each with a clerk named `c1` and a checker of
+/// its own, serving side by side: each checker hears its own node's clerk
+/// and servers only, so neither sees a `Receive` from a `c1` it never saw
+/// connect.
+#[test]
+fn same_named_clerks_on_two_nodes_are_checked_apart() {
+    let run = |name: &str| {
+        let repo = mk_repo(name, &["req", "reply.c1"]);
+        let conf = Conformance::attach(repo.obs());
+        let echo: Handler = Arc::new(|_ctx, req| Ok(HandlerOutcome::Reply(req.body.clone())));
+        let (_servers, handles, stop) = spawn_pool(&repo, "req", 1, echo).unwrap();
+        let clerk = mk_clerk(&repo, "c1");
+        clerk.connect().unwrap();
+        for serial in 1..=20 {
+            let rid = Rid::new("c1", serial);
+            let reply = clerk.transceive("echo", vec![], rid.clone(), b"").unwrap();
+            assert_eq!(reply.rid, rid);
+        }
+        clerk.disconnect().unwrap();
+        stop.store(true, Ordering::Relaxed);
+        for h in handles {
+            h.join().unwrap();
+        }
+        // Connect, 20 sends, 20 receives, disconnect: this clerk's alone.
+        assert_eq!(conf.events_seen().0, 42);
+        conf.assert_conformant();
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| run("conf-twin-a"));
+        s.spawn(|| run("conf-twin-b"));
+    });
 }
 
 /// Negative control: an illegal emitted sequence must be reported, and the
 /// violation must carry the offending event trace.
 #[test]
 fn illegal_server_sequence_is_reported_with_trace() {
-    let (conf, session) = Conformance::install();
-    emit_server("neg-s", || ServerEvent::Dequeue { rid: "c:1".into() });
+    let obs = Obs::default();
+    let conf = Conformance::attach(&obs);
+    obs.server_event("neg-s", || ServerEvent::Dequeue { rid: "c:1".into() });
     // Dequeue while already Processing: no Fig 5 transition allows it.
-    emit_server("neg-s", || ServerEvent::Dequeue { rid: "c:2".into() });
+    obs.server_event("neg-s", || ServerEvent::Dequeue { rid: "c:2".into() });
     let violations = conf.violations();
     assert_eq!(violations.len(), 1, "exactly one illegal transition");
     let rendered = violations[0].to_string();
@@ -166,19 +199,18 @@ fn illegal_server_sequence_is_reported_with_trace() {
         rendered.contains("event trace"),
         "violation dumps the offending trace: {rendered}"
     );
-    drop(session);
 }
 
 #[test]
 fn illegal_client_sequence_is_reported_with_trace() {
-    let (conf, session) = Conformance::install();
+    let obs = Obs::default();
+    let conf = Conformance::attach(&obs);
     // Send without Connect: illegal from Disconnected (Fig 1).
-    emit_client("neg-c", || ClientEvent::Send {
+    obs.client_event("neg-c", || ClientEvent::Send {
         rid: "neg-c:1".into(),
         acked: true,
     });
     let violations = conf.violations();
     assert_eq!(violations.len(), 1);
     assert!(violations[0].to_string().contains("neg-c"));
-    drop(session);
 }

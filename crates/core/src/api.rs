@@ -12,6 +12,7 @@
 //! network ([`crate::remote::RemoteQm`]).
 
 use crate::error::CoreResult;
+use rrq_obs::Obs;
 use rrq_qm::element::{Eid, Element};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::registration::Registration;
@@ -61,6 +62,10 @@ pub trait QmApi: Send + Sync {
 
     /// Live depth of a queue (diagnostics, batching decisions).
     fn depth(&self, queue: &str) -> CoreResult<usize>;
+
+    /// The observation handle of the clerk's side of this transport: the
+    /// repository's for a local one, the bus's for a remote one.
+    fn obs(&self) -> &Obs;
 }
 
 /// In-process implementation over a [`Repository`].
@@ -160,6 +165,10 @@ impl QmApi for LocalQm {
 
     fn depth(&self, queue: &str) -> CoreResult<usize> {
         Ok(self.repo.qm_for(queue).depth(queue)?)
+    }
+
+    fn obs(&self) -> &Obs {
+        self.repo.obs()
     }
 }
 

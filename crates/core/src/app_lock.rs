@@ -95,9 +95,13 @@ mod tests {
     use rrq_storage::disk::SimDisk;
 
     fn store() -> Arc<KvStore> {
-        KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new()))
-            .unwrap()
-            .0
+        KvStore::open(
+            Arc::new(SimDisk::new()),
+            Arc::new(SimDisk::new()),
+            rrq_obs::Obs::default(),
+        )
+        .unwrap()
+        .0
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::request::{Reply, Request};
 use crate::rid::Rid;
 use crate::tagcodec::{decode_tag, encode_receive_tag, encode_send_tag, ClerkTag};
 use parking_lot::Mutex;
+use rrq_obs::{ClientEvent, Obs};
 use rrq_qm::element::Eid;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::registration::LastOp;
@@ -90,9 +91,9 @@ struct ClerkState {
 /// Record how long the clerk dwelt in its current Fig 1 state, in logical
 /// ticks, then restart the dwell clock. Called with the state lock held so
 /// the dwell series is per-transition exact.
-fn note_transition(st: &mut ClerkState) {
-    let now = rrq_obs::now();
-    rrq_obs::observe(
+fn note_transition(obs: &Obs, st: &mut ClerkState) {
+    let now = obs.now();
+    obs.observe(
         "core.clerk.state_dwell_ticks",
         now.saturating_sub(st.last_transition_tick),
     );
@@ -105,12 +106,16 @@ pub struct Clerk {
     api: Arc<dyn QmApi>,
     cfg: ClerkConfig,
     state: Mutex<ClerkState>,
+    /// Its transport's handle ([`QmApi::obs`]).
+    obs: Obs,
 }
 
 impl Clerk {
-    /// Build a clerk over any QM transport.
+    /// Build a clerk over any QM transport; it reports to the transport's
+    /// observation handle.
     pub fn new(api: Arc<dyn QmApi>, cfg: ClerkConfig) -> Self {
         Clerk {
+            obs: api.obs().clone(),
             api,
             cfg,
             state: Mutex::new(ClerkState::default()),
@@ -122,14 +127,17 @@ impl Clerk {
         &self.cfg
     }
 
+    /// Report a Fig 1 transition of this client to its handle.
+    fn event(&self, event: impl FnOnce() -> ClientEvent) {
+        self.obs.client_event(&self.cfg.client_id, event);
+    }
+
     /// Report a network-failed operation to the protocol observer. Whether
     /// the operation committed at the QM is unknown to this client, so the
     /// checker must stop predicting the stable tags until the next resync.
     fn note_net_failure<T>(&self, op: &str, r: CoreResult<T>) -> CoreResult<T> {
         if let Err(CoreError::Net(_)) = &r {
-            rrq_check::protocol::emit_client(&self.cfg.client_id, || {
-                rrq_check::protocol::ClientEvent::OpFailed { op: op.into() }
-            });
+            self.event(|| ClientEvent::OpFailed { op: op.into() });
         }
         r
     }
@@ -173,18 +181,16 @@ impl Clerk {
             }
         }
         st.connected = true;
-        rrq_obs::counter_inc("core.clerk.connects");
+        self.obs.counter_inc("core.clerk.connects");
         if info.s_rid.is_some() || info.r_rid.is_some() {
             // The stable tags reconstructed a prior incarnation's state —
             // this connect is a Fig 2 resynchronization.
-            rrq_obs::counter_inc("core.clerk.resyncs");
+            self.obs.counter_inc("core.clerk.resyncs");
         }
-        note_transition(&mut st);
-        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
-            rrq_check::protocol::ClientEvent::Connect {
-                s_rid: info.s_rid.as_ref().map(|r| r.to_attr()),
-                r_rid: info.r_rid.as_ref().map(|r| r.to_attr()),
-            }
+        note_transition(&self.obs, &mut st);
+        self.event(|| ClientEvent::Connect {
+            s_rid: info.s_rid.as_ref().map(|r| r.to_attr()),
+            r_rid: info.r_rid.as_ref().map(|r| r.to_attr()),
         });
         Ok(info)
     }
@@ -205,9 +211,7 @@ impl Clerk {
                 .deregister(&self.cfg.reply_queue, &self.cfg.client_id),
         )?;
         *self.state.lock() = ClerkState::default();
-        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
-            rrq_check::protocol::ClientEvent::Disconnect
-        });
+        self.event(|| ClientEvent::Disconnect);
         Ok(())
     }
 
@@ -256,14 +260,12 @@ impl Clerk {
                 st.last_request_eid = None; // unknown until resync
             }
         }
-        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
-            rrq_check::protocol::ClientEvent::Send {
-                rid: rid.to_attr(),
-                acked: self.cfg.send_mode == SendMode::Acked,
-            }
+        self.event(|| ClientEvent::Send {
+            rid: rid.to_attr(),
+            acked: self.cfg.send_mode == SendMode::Acked,
         });
-        rrq_obs::counter_inc("core.clerk.sends");
-        note_transition(&mut st);
+        self.obs.counter_inc("core.clerk.sends");
+        note_transition(&self.obs, &mut st);
         st.last_send_rid = Some(rid);
         Ok(())
     }
@@ -295,13 +297,11 @@ impl Clerk {
         {
             let mut st = self.state.lock();
             st.last_reply_eid = Some(elem.eid);
-            rrq_obs::counter_inc("core.clerk.receives");
-            note_transition(&mut st);
+            self.obs.counter_inc("core.clerk.receives");
+            note_transition(&self.obs, &mut st);
         }
-        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
-            rrq_check::protocol::ClientEvent::Receive {
-                rid: reply.rid.to_attr(),
-            }
+        self.event(|| ClientEvent::Receive {
+            rid: reply.rid.to_attr(),
         });
         Ok(reply)
     }
@@ -314,11 +314,9 @@ impl Clerk {
         let elem = self.note_net_failure("rereceive", self.api.read(eid))?;
         let reply =
             Reply::decode_all(&elem.payload).map_err(|e| CoreError::Malformed(e.to_string()))?;
-        rrq_obs::counter_inc("core.clerk.rereceives");
-        rrq_check::protocol::emit_client(&self.cfg.client_id, || {
-            rrq_check::protocol::ClientEvent::Rereceive {
-                rid: reply.rid.to_attr(),
-            }
+        self.obs.counter_inc("core.clerk.rereceives");
+        self.event(|| ClientEvent::Rereceive {
+            rid: reply.rid.to_attr(),
         });
         Ok(reply)
     }

@@ -395,6 +395,10 @@ impl QmApi for RemoteQm {
         let mut r = Reader::new(&resp);
         Ok(r.u64().map_err(|e| CoreError::Malformed(e.to_string()))? as usize)
     }
+
+    fn obs(&self) -> &rrq_obs::Obs {
+        self.client.obs()
+    }
 }
 
 #[cfg(test)]

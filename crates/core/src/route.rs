@@ -37,7 +37,7 @@ impl RoutedQm {
     }
 
     fn api_for(&self, queue: &str) -> &Arc<dyn QmApi> {
-        rrq_obs::counter_inc("route.lookups");
+        self.obs().counter_inc("route.lookups");
         &self.parts[partition_of(queue, self.parts.len())]
     }
 }
@@ -108,6 +108,11 @@ impl QmApi for RoutedQm {
     fn depth(&self, queue: &str) -> CoreResult<usize> {
         self.api_for(queue).depth(queue)
     }
+
+    /// The first endpoint's: every endpoint of one clerk shares its side.
+    fn obs(&self) -> &rrq_obs::Obs {
+        self.parts[0].obs()
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +130,7 @@ mod tests {
                 repo_partitions: 4,
                 ..RepoOptions::default()
             },
+            rrq_obs::Obs::default(),
         )
         .unwrap();
         let repo = Arc::new(repo);
@@ -157,6 +163,7 @@ mod tests {
                 repo_partitions: 4,
                 ..RepoOptions::default()
             },
+            rrq_obs::Obs::default(),
         )
         .unwrap();
         let repo = Arc::new(repo);

@@ -32,6 +32,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::request::{Reply, Request};
 use crate::rid::Rid;
 use parking_lot::Mutex;
+use rrq_obs::ServerEvent;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::Repository;
 use rrq_qm::QmError;
@@ -272,6 +273,11 @@ impl Server {
         &self.repo
     }
 
+    /// Report a Fig 5 transition of this server to its repository's handle.
+    fn event(&self, event: impl FnOnce() -> ServerEvent) {
+        self.repo.obs().server_event(&self.cfg.server_name, event);
+    }
+
     fn reply_failed_sentinel(&self) -> bool {
         self.cfg.server_name.starts_with("!failed!")
     }
@@ -295,11 +301,12 @@ impl Server {
     /// or any other server of the home partition). On a failed force nothing
     /// is shown and a later close retries.
     pub fn close_epoch(&self) -> CoreResult<()> {
-        let from = rrq_obs::now();
+        let obs = self.repo.obs();
+        let from = obs.now();
         if self.repo.qm_at(self.home).close_epoch()? > 0 {
-            rrq_obs::observe(
+            obs.observe(
                 "core.epoch.commit_wait_ticks",
-                rrq_obs::now().saturating_sub(from),
+                obs.now().saturating_sub(from),
             );
         }
         Ok(())
@@ -337,7 +344,7 @@ impl Server {
     }
 
     fn serve(&self, block: Option<Duration>, defer: bool) -> CoreResult<Served> {
-        rrq_obs::counter_inc("core.server.loop_iterations");
+        self.repo.obs().counter_inc("core.server.loop_iterations");
         let txn = self.repo.begin_on_part(self.home)?;
         for rm in &self.app_rms {
             txn.enlist(Arc::clone(rm))?;
@@ -374,31 +381,23 @@ impl Server {
             Err(e) => {
                 // Undecodable request: reject it permanently by committing
                 // the dequeue without a reply (nothing to match it to).
-                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                    rrq_check::protocol::ServerEvent::DropMalformed
-                });
+                self.event(|| ServerEvent::DropMalformed);
                 txn.commit()?;
-                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                    rrq_check::protocol::ServerEvent::Commit
-                });
+                self.event(|| ServerEvent::Commit);
                 return Err(CoreError::Malformed(format!(
                     "dropped undecodable request: {e}"
                 )));
             }
         };
-        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-            rrq_check::protocol::ServerEvent::Dequeue {
-                rid: request.rid.to_attr(),
-            }
+        self.event(|| ServerEvent::Dequeue {
+            rid: request.rid.to_attr(),
         });
 
         // Any error below unwinds the server transaction, so the observable
         // protocol transition is an abort.
         let served = self.serve_request(txn, &request, &elem);
         if served.is_err() {
-            rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                rrq_check::protocol::ServerEvent::Abort
-            });
+            self.event(|| ServerEvent::Abort);
         }
         served
     }
@@ -438,7 +437,7 @@ impl Server {
                 self.enqueue_reply(&txn, request, Reply::ok(request.rid.clone(), body))?;
                 let served = self.commit(txn);
                 if matches!(served, Ok(Served::Committed)) {
-                    rrq_obs::counter_inc("core.server.replies_committed");
+                    self.repo.obs().counter_inc("core.server.replies_committed");
                 }
                 served
             }
@@ -467,7 +466,9 @@ impl Server {
                 // forward; the next stage re-acquires its locks (DESIGN.md
                 // S25).
                 if self.repo.partition_of(&queue) != self.home {
-                    rrq_obs::counter_inc("route.forward_inherit.downgraded");
+                    self.repo
+                        .obs()
+                        .counter_inc("route.forward_inherit.downgraded");
                     self.forward(&txn, &queue, &request)?;
                     return self.commit(txn);
                 }
@@ -476,16 +477,12 @@ impl Server {
                 self.forward(&txn, &queue, &request)?;
                 match txn.commit_inheriting_locks(parked) {
                     Ok(()) => {
-                        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                            rrq_check::protocol::ServerEvent::Commit
-                        });
+                        self.event(|| ServerEvent::Commit);
                         self.stats.lock().committed += 1;
                         Ok(Served::Committed)
                     }
                     Err(e) => {
-                        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                            rrq_check::protocol::ServerEvent::Abort
-                        });
+                        self.event(|| ServerEvent::Abort);
                         self.stats.lock().rolled += 1;
                         let _ = e;
                         Ok(Served::Rolled)
@@ -501,17 +498,15 @@ impl Server {
                 self.stats.lock().rejected += 1;
                 let served = self.commit(txn);
                 if matches!(served, Ok(Served::Committed)) {
-                    rrq_obs::counter_inc("core.server.replies_committed");
+                    self.repo.obs().counter_inc("core.server.replies_committed");
                 }
                 served
             }
             Err(HandlerError::Abort(_)) => {
                 txn.abort()?;
-                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                    rrq_check::protocol::ServerEvent::Abort
-                });
+                self.event(|| ServerEvent::Abort);
                 self.stats.lock().aborted += 1;
-                rrq_obs::counter_inc("core.server.handler_aborts");
+                self.repo.obs().counter_inc("core.server.handler_aborts");
                 Ok(Served::Aborted)
             }
         }
@@ -536,10 +531,8 @@ impl Server {
             .enlist_queue(txn, self.home, &request.reply_queue)?;
         match qm.enqueue(txn.id().raw(), &h, &payload, opts) {
             Ok(_) | Err(QmError::NoSuchQueue(_)) => {
-                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                    rrq_check::protocol::ServerEvent::Reply {
-                        rid: reply.rid.to_attr(),
-                    }
+                self.event(|| ServerEvent::Reply {
+                    rid: reply.rid.to_attr(),
                 });
                 Ok(())
             }
@@ -562,10 +555,8 @@ impl Server {
         };
         let qm = self.repo.enlist_queue(txn, self.home, queue)?;
         qm.enqueue(txn.id().raw(), &h, &payload, opts)?;
-        rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-            rrq_check::protocol::ServerEvent::Forward {
-                rid: request.rid.to_attr(),
-            }
+        self.event(|| ServerEvent::Forward {
+            rid: request.rid.to_attr(),
         });
         Ok(())
     }
@@ -575,11 +566,9 @@ impl Server {
         match txn.commit() {
             Ok(()) => {
                 if xpart {
-                    rrq_obs::counter_inc("txn.xpart.commits");
+                    self.repo.obs().counter_inc("txn.xpart.commits");
                 }
-                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                    rrq_check::protocol::ServerEvent::Commit
-                });
+                self.event(|| ServerEvent::Commit);
                 self.stats.lock().committed += 1;
                 Ok(Served::Committed)
             }
@@ -587,11 +576,9 @@ impl Server {
                 // Poisoned by a cancel, or a participant failed to prepare:
                 // the manager already aborted everything.
                 if xpart {
-                    rrq_obs::counter_inc("txn.xpart.aborts");
+                    self.repo.obs().counter_inc("txn.xpart.aborts");
                 }
-                rrq_check::protocol::emit_server(&self.cfg.server_name, || {
-                    rrq_check::protocol::ServerEvent::Abort
-                });
+                self.event(|| ServerEvent::Abort);
                 self.stats.lock().rolled += 1;
                 Ok(Served::Rolled)
             }

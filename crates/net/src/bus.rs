@@ -5,6 +5,7 @@ use crate::error::{NetError, NetResult};
 use crate::faults::{FaultPlan, Verdict};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use rrq_obs::Obs;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,6 +29,7 @@ struct BusInner {
     endpoints: Mutex<HashMap<String, Sender<Envelope>>>,
     faults: FaultPlan,
     delivered: Mutex<u64>,
+    obs: Obs,
 }
 
 /// The shared network. Cheap to clone.
@@ -37,15 +39,21 @@ pub struct NetworkBus {
 }
 
 impl NetworkBus {
-    /// A bus with fault decisions seeded by `seed`.
+    /// A bus with fault decisions seeded by `seed` and a dormant handle.
     pub fn new(seed: u64) -> Self {
         NetworkBus {
             inner: Arc::new(BusInner {
                 endpoints: Mutex::new(HashMap::new()),
                 faults: FaultPlan::new(seed),
                 delivered: Mutex::new(0),
+                obs: Obs::default(),
             }),
         }
+    }
+
+    /// The client side's handle: the bus, its RPC clients and their clerks.
+    pub fn obs(&self) -> &Obs {
+        &self.inner.obs
     }
 
     /// The fault-injection controls.
@@ -85,7 +93,7 @@ impl NetworkBus {
         let delay = match self.inner.faults.judge_verdict(&env.from, &env.to) {
             Verdict::Deliver(d) => d,
             Verdict::DroppedByPartition => {
-                rrq_obs::counter_inc("net.partition.drops");
+                self.obs().counter_inc("net.partition.drops");
                 return if self.inner.faults.fail_fast() {
                     Err(NetError::Partitioned)
                 } else {
@@ -93,7 +101,7 @@ impl NetworkBus {
                 };
             }
             Verdict::DroppedByChance => {
-                rrq_obs::counter_inc("net.chance.drops");
+                self.obs().counter_inc("net.chance.drops");
                 return Ok(()); // dropped: sender can't tell
             }
         };

@@ -38,6 +38,11 @@ impl RpcClient {
         self.endpoint.name()
     }
 
+    /// Its bus's observation handle.
+    pub fn obs(&self) -> &rrq_obs::Obs {
+        self.endpoint.bus().obs()
+    }
+
     /// (rpc calls, one-way sends) so far.
     pub fn counts(&self) -> (u64, u64) {
         (
@@ -51,14 +56,14 @@ impl RpcClient {
     /// discarded.
     pub fn call(&self, to: &str, payload: Vec<u8>, timeout: Duration) -> NetResult<Vec<u8>> {
         self.calls.fetch_add(1, Ordering::AcqRel);
-        rrq_obs::counter_inc("net.rpc.calls");
+        self.obs().counter_inc("net.rpc.calls");
         let corr = self.next_corr.fetch_add(1, Ordering::AcqRel);
         self.endpoint.send_to(to, corr, false, payload)?;
         let deadline = Instant::now() + timeout;
         loop {
             let now = Instant::now();
             if now >= deadline {
-                rrq_obs::counter_inc("net.rpc.timeouts");
+                self.obs().counter_inc("net.rpc.timeouts");
                 return Err(NetError::Timeout);
             }
             let env = self.endpoint.recv(deadline - now)?;

@@ -1,54 +1,61 @@
-//! rrq-obs: deterministic metrics and lightweight trace spans.
+//! rrq-obs: one observation handle per instance.
 //!
 //! The paper's performance arguments (§10: group-commit batching, skip-locked
 //! dequeue, main-memory queues) are about *rates* — commits per force, skips
-//! per dequeue, lock hold times. This crate gives every production crate a
-//! place to report those rates without taking a dependency on anything above
-//! the bottom of the workspace graph:
+//! per dequeue, lock hold times — and its guarantee (exactly-once request
+//! processing, Figs 1, 2, 5) is checked by observers of the running system.
+//! An [`Obs`] is where a component reports both, and it is the only thing a
+//! production crate needs to link: a cloneable handle (one `Arc`) holding
 //!
-//! * lock-free-ish **counters** and **gauges** (atomic cells behind a
-//!   read-mostly registry map);
-//! * fixed-bucket power-of-two **histograms** with an exact text codec;
-//! * **trace spans** that time themselves against the registry's logical
-//!   tick clock and feed a histogram plus a bounded span log.
+//! * a metrics registry — counters and gauges (atomic cells behind a
+//!   read-mostly map) and fixed-bucket power-of-two **histograms** with an
+//!   exact text codec — and its logical clock;
+//! * the double-count drill ([`Obs::double_count`]) that proves the
+//!   explorer's conservation laws bite;
+//! * two optional sinks: a [`ProtocolSink`] for the clerk's Fig 1 and the
+//!   server loop's Fig 5 transitions, and a [`RaceSink`] for lock, queue and
+//!   cell edges (`rrq-check` implements both).
 //!
-//! Time is the registry's own logical clock: every instrumented event
+//! Whoever owns an instance creates its handle — a repository, a simulated
+//! node, a network bus — and hands it to every component at construction.
+//! Nothing is process-global, so two instances in one process (two tests in
+//! one binary) never see each other's events.
+//!
+//! Everything is dormant until asked for: [`Obs::start`] turns the metrics
+//! on, attaching a sink turns its hooks on, and every hook begins with one
+//! relaxed load of the handle's switch, so a dormant hook costs that load
+//! and nothing else — the protocol and cell hooks take their event or cell
+//! name as a closure that only a live sink calls.
+//!
+//! Time is the handle's own logical clock: every recorded metric event
 //! advances it by one tick, so durations are "events elapsed", never
 //! wall-clock (the rrq-lint no-wallclock rule covers this crate). Under a
 //! fixed seed the counters are exactly reproducible, which is what lets
 //! `rrq_sim`'s explorer assert conservation laws over them after every
 //! fault script.
 //!
-//! Like the `rrq_check::race` hooks (S18), everything is off by default: a
-//! [`Session`] turns the registry on and serializes concurrent metric tests
-//! in one process, and every hook starts with one relaxed atomic load so
-//! dormant instrumentation is effectively free.
-//!
 //! Every metric name used by a production crate must be declared exactly
 //! once in `crates/obs/METRICS.md`; the `metric-catalogue` rrq-lint rule
 //! enforces this.
 
+mod sink;
+
+pub use sink::{ClientEvent, ProtocolSink, RaceSink, ServerEvent};
+
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of histogram buckets: one for zero, one per power of two up to
 /// `2^30`, and a final catch-all.
 pub const BUCKETS: usize = 32;
 
-/// Bounded span log size; spans past the cap still feed their histogram.
-const SPAN_CAP: usize = 65_536;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SESSION: Mutex<()> = Mutex::new(());
-static TICKS: AtomicU64 = AtomicU64::new(0);
-
-// Deliberate-bug knob for the explorer's metrics-conservation oracle: when
-// armed, deltas to the named counter are applied twice. Test-only by
-// construction — it can only be set through an active `Session`.
-static BUG_ARMED: AtomicBool = AtomicBool::new(false);
-static DOUBLED: Mutex<Option<&'static str>> = Mutex::new(None);
+// Bits of the handle's one switch, `Inner::live`.
+const METRICS: u8 = 1;
+const DOUBLE: u8 = 2;
+const PROTOCOL: u8 = 4;
+const RACE: u8 = 8;
 
 fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -62,6 +69,7 @@ fn write_ok<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|p| p.into_inner())
 }
 
+#[derive(Default)]
 struct Histo {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
@@ -69,14 +77,6 @@ struct Histo {
 }
 
 impl Histo {
-    fn new() -> Histo {
-        Histo {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
     fn observe(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed); // wrapping by construction
@@ -92,195 +92,256 @@ impl Histo {
     }
 }
 
-/// One completed trace span, in logical ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Span (and histogram) name.
-    pub name: &'static str,
-    /// Logical tick at which the span was opened.
-    pub start: u64,
-    /// Logical tick at which the span was dropped.
-    pub end: u64,
-}
+/// Named metric cells of one kind.
+type Cells<T> = RwLock<HashMap<&'static str, Arc<T>>>;
 
-struct Registry {
-    counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
-    gauges: RwLock<HashMap<&'static str, Arc<AtomicI64>>>,
-    histograms: RwLock<HashMap<&'static str, Arc<Histo>>>,
-    spans: Mutex<Vec<SpanRecord>>,
-}
-
-fn registry() -> &'static Registry {
-    static R: OnceLock<Registry> = OnceLock::new();
-    R.get_or_init(|| Registry {
-        counters: RwLock::new(HashMap::new()),
-        gauges: RwLock::new(HashMap::new()),
-        histograms: RwLock::new(HashMap::new()),
-        spans: Mutex::new(Vec::new()),
-    })
-}
-
-fn reset_registry() {
-    let r = registry();
-    write_ok(&r.counters).clear();
-    write_ok(&r.gauges).clear();
-    write_ok(&r.histograms).clear();
-    lock_ok(&r.spans).clear();
-    TICKS.store(0, Ordering::SeqCst);
-}
-
-/// Advance the logical clock by one event and return the new reading.
-fn tick() -> u64 {
-    TICKS.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-/// Current logical-clock reading (does not advance the clock).
-pub fn now() -> u64 {
-    TICKS.load(Ordering::Relaxed)
-}
-
-/// Advance the logical clock by `n` ticks — for simulators that want dwell
-/// times to reflect simulated progress rather than raw event counts.
-pub fn advance(n: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    TICKS.fetch_add(n, Ordering::Relaxed);
-}
-
-fn counter_cell(name: &'static str) -> Arc<AtomicU64> {
-    let r = registry();
-    if let Some(c) = read_ok(&r.counters).get(name) {
+/// The cell `name` in `cells`, created on first use.
+fn cell<T: Default>(cells: &Cells<T>, name: &'static str) -> Arc<T> {
+    if let Some(c) = read_ok(cells).get(name) {
         return Arc::clone(c);
     }
-    Arc::clone(
-        write_ok(&r.counters)
-            .entry(name)
-            .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-    )
+    Arc::clone(write_ok(cells).entry(name).or_default())
 }
 
-fn gauge_cell(name: &'static str) -> Arc<AtomicI64> {
-    let r = registry();
-    if let Some(c) = read_ok(&r.gauges).get(name) {
-        return Arc::clone(c);
+#[derive(Default)]
+struct Inner {
+    /// The handle's one switch: which of `METRICS`, `DOUBLE`, `PROTOCOL` and
+    /// `RACE` are live. The first (and, dormant, the only) load of every
+    /// hook.
+    live: AtomicU8,
+    /// The logical clock.
+    ticks: AtomicU64,
+    counters: Cells<AtomicU64>,
+    gauges: Cells<AtomicI64>,
+    histograms: Cells<Histo>,
+    /// The counter whose deltas the double-count drill applies twice.
+    doubled: Mutex<Option<&'static str>>,
+    protocol: OnceLock<Arc<dyn ProtocolSink>>,
+    race: OnceLock<Arc<dyn RaceSink>>,
+}
+
+/// One instance's observation handle; see the crate docs. `Default` is a
+/// dormant handle. Clones share everything: a component keeps the clone it
+/// was built with and never clones it per request.
+#[derive(Clone, Default)]
+pub struct Obs(Arc<Inner>);
+
+impl Obs {
+    /// Is `bit` live? The one relaxed load a dormant hook costs.
+    fn live(&self, bit: u8) -> bool {
+        self.0.live.load(Ordering::Relaxed) & bit != 0
     }
-    Arc::clone(
-        write_ok(&r.gauges)
-            .entry(name)
-            .or_insert_with(|| Arc::new(AtomicI64::new(0))),
-    )
-}
 
-fn hist_cell(name: &'static str) -> Arc<Histo> {
-    let r = registry();
-    if let Some(c) = read_ok(&r.histograms).get(name) {
-        return Arc::clone(c);
+    fn switch(&self, bit: u8, on: bool) {
+        if on {
+            self.0.live.fetch_or(bit, Ordering::SeqCst);
+        } else {
+            self.0.live.fetch_and(!bit, Ordering::SeqCst);
+        }
     }
-    Arc::clone(
-        write_ok(&r.histograms)
-            .entry(name)
-            .or_insert_with(|| Arc::new(Histo::new())),
-    )
-}
 
-/// Add `delta` to the named counter. No-op without an active [`Session`].
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    /// Clear the metrics and the clock, disarm the drill, and record from
+    /// here on.
+    pub fn start(&self) {
+        self.reset();
+        self.double_count(None);
+        self.switch(METRICS, true);
     }
-    tick();
-    let delta = if BUG_ARMED.load(Ordering::Relaxed) && lock_ok(&DOUBLED).as_deref() == Some(name) {
-        delta.wrapping_mul(2)
-    } else {
-        delta
-    };
-    counter_cell(name).fetch_add(delta, Ordering::Relaxed);
-}
 
-/// Add one to the named counter. No-op without an active [`Session`].
-pub fn counter_inc(name: &'static str) {
-    counter_add(name, 1);
-}
-
-/// Add `delta` (possibly negative) to the named gauge. No-op without an
-/// active [`Session`].
-pub fn gauge_add(name: &'static str, delta: i64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    /// Clear every metric and the clock; a started handle keeps recording.
+    pub fn reset(&self) {
+        write_ok(&self.0.counters).clear();
+        write_ok(&self.0.gauges).clear();
+        write_ok(&self.0.histograms).clear();
+        self.0.ticks.store(0, Ordering::SeqCst);
     }
-    tick();
-    gauge_cell(name).fetch_add(delta, Ordering::Relaxed);
-}
 
-/// Set the named gauge to `value`. No-op without an active [`Session`].
-pub fn gauge_set(name: &'static str, value: i64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    /// Drill: apply every delta to the counter `name` twice (`None`
+    /// disarms) — an instrumentation bug the explorer's metrics oracle must
+    /// catch.
+    pub fn double_count(&self, name: Option<&'static str>) {
+        *lock_ok(&self.0.doubled) = name;
+        self.switch(DOUBLE, name.is_some());
     }
-    tick();
-    gauge_cell(name).store(value, Ordering::Relaxed);
-}
 
-/// Record `value` into the named histogram. No-op without an active
-/// [`Session`].
-pub fn observe(name: &'static str, value: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    /// Advance the logical clock by one event.
+    fn tick(&self) {
+        self.0.ticks.fetch_add(1, Ordering::Relaxed);
     }
-    tick();
-    hist_cell(name).observe(value);
-}
 
-/// Open a trace span; dropping it records its duration (in logical ticks)
-/// into the histogram of the same name and appends to the bounded span log.
-pub fn span(name: &'static str) -> Span {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return Span {
-            name,
-            start: 0,
-            live: false,
-        };
+    /// Current logical-clock reading (does not advance the clock).
+    pub fn now(&self) -> u64 {
+        self.0.ticks.load(Ordering::Relaxed)
     }
-    Span {
-        name,
-        start: tick(),
-        live: true,
-    }
-}
 
-/// An open trace span; see [`span`].
-#[must_use = "a span measures until it is dropped"]
-pub struct Span {
-    name: &'static str,
-    start: u64,
-    live: bool,
-}
-
-impl Span {
-    /// The tick at which this span was opened (0 when recorded while the
-    /// registry was disabled).
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.live || !ENABLED.load(Ordering::Relaxed) {
+    /// Add `delta` to the named counter.
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
+        if !self.live(METRICS) {
             return;
         }
-        let end = tick();
-        hist_cell(self.name).observe(end.saturating_sub(self.start));
-        let mut spans = lock_ok(&registry().spans);
-        if spans.len() < SPAN_CAP {
-            spans.push(SpanRecord {
-                name: self.name,
-                start: self.start,
-                end,
-            });
+        self.tick();
+        let doubled = self.live(DOUBLE) && *lock_ok(&self.0.doubled) == Some(name);
+        let delta = if doubled {
+            delta.wrapping_mul(2)
+        } else {
+            delta
+        };
+        cell(&self.0.counters, name).fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Add one to the named counter.
+    pub fn counter_inc(&self, name: &'static str) {
+        self.counter_add(name, 1);
+    }
+
+    /// Add `delta` (possibly negative) to the named gauge.
+    pub fn gauge_add(&self, name: &'static str, delta: i64) {
+        if !self.live(METRICS) {
+            return;
+        }
+        self.tick();
+        cell(&self.0.gauges, name).fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Record `value` into the named histogram.
+    pub fn observe(&self, name: &'static str, value: u64) {
+        if !self.live(METRICS) {
+            return;
+        }
+        self.tick();
+        cell(&self.0.histograms, name).observe(value);
+    }
+
+    /// Copy the registry. On a handle that never started it is empty.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut entries: Vec<(String, Value)> = Vec::new();
+        for (name, c) in read_ok(&self.0.counters).iter() {
+            entries.push((name.to_string(), Value::Counter(c.load(Ordering::SeqCst))));
+        }
+        for (name, g) in read_ok(&self.0.gauges).iter() {
+            entries.push((name.to_string(), Value::Gauge(g.load(Ordering::SeqCst))));
+        }
+        for (name, h) in read_ok(&self.0.histograms).iter() {
+            entries.push((name.to_string(), Value::Histogram(h.snapshot())));
+        }
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        Snapshot { entries }
+    }
+
+    /// The sink in `slot` while `bit` is live.
+    fn sink<'a, S: ?Sized>(&'a self, bit: u8, slot: &'a OnceLock<Arc<S>>) -> Option<&'a Arc<S>> {
+        if self.live(bit) {
+            slot.get()
+        } else {
+            None
         }
     }
+
+    /// Send this handle's clerk and server-loop transitions to `sink`. A
+    /// handle takes one protocol sink for life; one sink may serve several
+    /// handles (a node's and its clients' bus).
+    pub fn attach_protocol(&self, sink: Arc<dyn ProtocolSink>) {
+        assert!(
+            self.0.protocol.set(sink).is_ok(),
+            "this handle already has a protocol sink"
+        );
+        self.switch(PROTOCOL, true);
+    }
+
+    /// Report a clerk transition; `event` runs only when a sink is attached,
+    /// so a dormant hook builds (and allocates for) nothing.
+    pub fn client_event(&self, client: &str, event: impl FnOnce() -> ClientEvent) {
+        if let Some(s) = self.sink(PROTOCOL, &self.0.protocol) {
+            s.on_client(client, event());
+        }
+    }
+
+    /// Report a server-loop transition; `event` as in [`Obs::client_event`].
+    pub fn server_event(&self, server: &str, event: impl FnOnce() -> ServerEvent) {
+        if let Some(s) = self.sink(PROTOCOL, &self.0.protocol) {
+            s.on_server(server, event());
+        }
+    }
+
+    /// Send this handle's lock, queue and cell edges to `sink` (one per
+    /// handle, for life).
+    pub fn attach_race(&self, sink: Arc<dyn RaceSink>) {
+        assert!(
+            self.0.race.set(sink).is_ok(),
+            "this handle already has a race sink"
+        );
+        self.switch(RACE, true);
+    }
+
+    fn race(&self) -> Option<&Arc<dyn RaceSink>> {
+        self.sink(RACE, &self.0.race)
+    }
+
+    /// The calling thread was granted the lock `(ns, key)` — or inherited it
+    /// (§5 lock transfer): it observes everything done under any previous
+    /// holding of that lock.
+    pub fn lock_acquired(&self, ns: u32, key: &[u8]) {
+        if let Some(r) = self.race() {
+            r.acquired(&lock_resource(ns, key));
+        }
+    }
+
+    /// The calling thread released the lock `(ns, key)`.
+    pub fn lock_released(&self, ns: u32, key: &[u8]) {
+        if let Some(r) = self.race() {
+            r.released(&lock_resource(ns, key));
+        }
+    }
+
+    /// Everything the enqueuing transaction did so far is published to
+    /// whoever later dequeues from `queue`.
+    pub fn queue_enqueued(&self, queue: &str) {
+        if let Some(r) = self.race() {
+            r.released(&format!("queue:{queue}"));
+        }
+    }
+
+    /// The dequeuer observes all publishes into `queue`.
+    pub fn queue_dequeued(&self, queue: &str) {
+        if let Some(r) = self.race() {
+            r.acquired(&format!("queue:{queue}"));
+        }
+    }
+
+    /// A read of the tracked cell `cell` names. The closure runs only while
+    /// a race sink is attached, so a hot path may `format!` inside it.
+    pub fn on_read(&self, cell: impl FnOnce() -> String) {
+        if let Some(r) = self.race() {
+            r.accessed(&cell(), false, false);
+        }
+    }
+
+    /// A write of the tracked cell `cell` names; `cell` as in
+    /// [`Obs::on_read`].
+    pub fn on_write(&self, cell: impl FnOnce() -> String) {
+        if let Some(r) = self.race() {
+            r.accessed(&cell(), true, false);
+        }
+    }
+
+    /// A read of a cell the store serializes with its per-key latch rather
+    /// than a lock-manager lock (§4.3 registration records).
+    pub fn serialized_read(&self, cell: impl FnOnce() -> String) {
+        if let Some(r) = self.race() {
+            r.accessed(&cell(), false, true);
+        }
+    }
+
+    /// Write counterpart of [`Obs::serialized_read`].
+    pub fn serialized_write(&self, cell: impl FnOnce() -> String) {
+        if let Some(r) = self.race() {
+            r.accessed(&cell(), true, true);
+        }
+    }
+}
+
+fn lock_resource(ns: u32, key: &[u8]) -> String {
+    format!("lock:{ns}:{}", String::from_utf8_lossy(key))
 }
 
 /// Index of the histogram bucket for `v`: bucket 0 holds zeros, bucket
@@ -357,16 +418,6 @@ impl HistogramSnapshot {
         }
         bucket_bound(BUCKETS - 1)
     }
-
-    /// Mean of observed values (0 for an empty histogram). Meaningless if
-    /// `sum` has wrapped.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// One snapshotted metric value.
@@ -392,24 +443,6 @@ pub enum Value {
 pub struct Snapshot {
     /// Sorted `(name, value)` entries.
     pub entries: Vec<(String, Value)>,
-}
-
-/// Copy the current registry contents. Usable at any time; between
-/// sessions it reports whatever the last session left behind.
-pub fn snapshot() -> Snapshot {
-    let r = registry();
-    let mut entries: Vec<(String, Value)> = Vec::new();
-    for (name, c) in read_ok(&r.counters).iter() {
-        entries.push((name.to_string(), Value::Counter(c.load(Ordering::SeqCst))));
-    }
-    for (name, g) in read_ok(&r.gauges).iter() {
-        entries.push((name.to_string(), Value::Gauge(g.load(Ordering::SeqCst))));
-    }
-    for (name, h) in read_ok(&r.histograms).iter() {
-        entries.push((name.to_string(), Value::Histogram(h.snapshot())));
-    }
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    Snapshot { entries }
 }
 
 impl Snapshot {
@@ -556,84 +589,38 @@ impl Snapshot {
     }
 }
 
-/// Enables the metric hooks for its lifetime, clearing all prior state;
-/// drop disables them. Sessions serialize on a process-wide mutex, exactly
-/// like `rrq_check::race::Session`, so concurrent `cargo test` threads
-/// never share a registry.
-pub struct Session {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl Session {
-    /// Reset the registry and enable the hooks.
-    pub fn start() -> Session {
-        let guard = lock_ok(&SESSION);
-        reset_registry();
-        BUG_ARMED.store(false, Ordering::SeqCst);
-        *lock_ok(&DOUBLED) = None;
-        ENABLED.store(true, Ordering::SeqCst);
-        Session { _guard: guard }
-    }
-
-    /// Clear all metrics and the clock but keep the session active — used
-    /// by sweep drivers that check one script at a time.
-    pub fn reset(&self) {
-        reset_registry();
-    }
-
-    /// Copy the current registry contents.
-    pub fn snapshot(&self) -> Snapshot {
-        snapshot()
-    }
-
-    /// Drain the span log.
-    pub fn take_spans(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *lock_ok(&registry().spans))
-    }
-
-    /// Test knob: double every delta applied to the named counter (`None`
-    /// disarms). This models a double-count instrumentation bug so the
-    /// explorer can prove its metrics-conservation oracle bites.
-    pub fn double_count(&self, name: Option<&'static str>) {
-        *lock_ok(&DOUBLED) = name;
-        BUG_ARMED.store(name.is_some(), Ordering::SeqCst);
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
-        BUG_ARMED.store(false, Ordering::SeqCst);
-        *lock_ok(&DOUBLED) = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn started() -> Obs {
+        let obs = Obs::default();
+        obs.start();
+        obs
+    }
+
     #[test]
     fn hooks_are_inert_without_a_session() {
-        counter_add("t.inert", 5);
-        gauge_add("t.inert.g", 2);
-        observe("t.inert.h", 7);
-        let s = Session::start(); // resets registry
-        assert_eq!(s.snapshot().counter("t.inert"), 0);
-        assert_eq!(s.snapshot().gauge("t.inert.g"), 0);
-        assert!(s.snapshot().histogram("t.inert.h").is_none());
+        // A handle records nothing until `start` opens its metrics session.
+        let obs = Obs::default();
+        obs.counter_add("t.inert", 5);
+        obs.gauge_add("t.inert.g", 2);
+        obs.observe("t.inert.h", 7);
+        assert_eq!(obs.snapshot(), Snapshot::default());
+        assert_eq!(obs.now(), 0);
     }
 
     #[test]
     fn counters_gauges_and_histograms_record() {
-        let s = Session::start();
-        counter_add("t.c", 2);
-        counter_inc("t.c");
-        gauge_add("t.g", 5);
-        gauge_add("t.g", -2);
-        observe("t.h", 0);
-        observe("t.h", 3);
-        observe("t.h", 1024);
-        let snap = s.snapshot();
+        let obs = started();
+        obs.counter_add("t.c", 2);
+        obs.counter_inc("t.c");
+        obs.gauge_add("t.g", 5);
+        obs.gauge_add("t.g", -2);
+        obs.observe("t.h", 0);
+        obs.observe("t.h", 3);
+        obs.observe("t.h", 1024);
+        let snap = obs.snapshot();
         assert_eq!(snap.counter("t.c"), 3);
         assert_eq!(snap.gauge("t.g"), 3);
         let h = snap.histogram("t.h").unwrap();
@@ -642,6 +629,7 @@ mod tests {
         assert_eq!(h.buckets[bucket_of(0)], 1);
         assert_eq!(h.buckets[bucket_of(3)], 1);
         assert_eq!(h.buckets[bucket_of(1024)], 1);
+        assert_eq!(obs.now(), 7, "one tick per recorded event");
     }
 
     #[test]
@@ -662,31 +650,14 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_histogram_and_log() {
-        let s = Session::start();
-        {
-            let _sp = span("t.span");
-            counter_inc("t.work"); // one tick inside the span
-        }
-        let snap = s.snapshot();
-        let h = snap.histogram("t.span").unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 1, "span covered at least the inner event");
-        let spans = s.take_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "t.span");
-        assert!(spans[0].end > spans[0].start);
-    }
-
-    #[test]
     fn render_parse_round_trips() {
-        let s = Session::start();
-        counter_add("t.rt.c", 42);
-        gauge_add("t.rt.g", -7);
+        let obs = started();
+        obs.counter_add("t.rt.c", 42);
+        obs.gauge_add("t.rt.g", -7);
         for v in [0u64, 1, 2, 3, 9, 1 << 20, u64::MAX] {
-            observe("t.rt.h", v);
+            obs.observe("t.rt.h", v);
         }
-        let snap = s.snapshot();
+        let snap = obs.snapshot();
         let text = snap.render();
         let back = Snapshot::parse(&text).unwrap();
         assert_eq!(back, snap);
@@ -695,14 +666,14 @@ mod tests {
 
     #[test]
     fn diff_subtracts_counters_and_histograms() {
-        let s = Session::start();
-        counter_add("t.d.c", 10);
-        observe("t.d.h", 4);
-        let before = s.snapshot();
-        counter_add("t.d.c", 5);
-        observe("t.d.h", 4);
-        gauge_set("t.d.g", 9);
-        let after = s.snapshot();
+        let obs = started();
+        obs.counter_add("t.d.c", 10);
+        obs.observe("t.d.h", 4);
+        let before = obs.snapshot();
+        obs.counter_add("t.d.c", 5);
+        obs.observe("t.d.h", 4);
+        obs.gauge_add("t.d.g", 9);
+        let after = obs.snapshot();
         let d = after.diff(&before);
         assert_eq!(d.counter("t.d.c"), 5);
         assert_eq!(d.histogram("t.d.h").unwrap().count, 1);
@@ -711,26 +682,26 @@ mod tests {
 
     #[test]
     fn double_count_knob_doubles_one_counter_only() {
-        let s = Session::start();
-        s.double_count(Some("t.bug.target"));
-        counter_add("t.bug.target", 3);
-        counter_add("t.bug.other", 3);
-        let snap = s.snapshot();
+        let obs = started();
+        obs.double_count(Some("t.bug.target"));
+        obs.counter_add("t.bug.target", 3);
+        obs.counter_add("t.bug.other", 3);
+        let snap = obs.snapshot();
         assert_eq!(snap.counter("t.bug.target"), 6);
         assert_eq!(snap.counter("t.bug.other"), 3);
-        s.double_count(None);
-        counter_add("t.bug.target", 1);
-        assert_eq!(s.snapshot().counter("t.bug.target"), 7);
+        obs.double_count(None);
+        obs.counter_add("t.bug.target", 1);
+        assert_eq!(obs.snapshot().counter("t.bug.target"), 7);
     }
 
     #[test]
     fn session_reset_clears_state_but_stays_enabled() {
-        let s = Session::start();
-        counter_inc("t.reset");
-        s.reset();
-        assert_eq!(s.snapshot().counter("t.reset"), 0);
-        counter_inc("t.reset");
-        assert_eq!(s.snapshot().counter("t.reset"), 1);
+        let obs = started();
+        obs.counter_inc("t.reset");
+        obs.reset();
+        assert_eq!(obs.snapshot().counter("t.reset"), 0);
+        obs.counter_inc("t.reset");
+        assert_eq!(obs.snapshot().counter("t.reset"), 1);
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Properties of the metrics layer: bucket geometry, exact histogram
-//! bookkeeping for arbitrary value sequences, merge-as-concatenation and
-//! text round-trips. (Counter monotonicity under concurrent incrementers is
-//! in `obs_concurrent.rs`.)
+//! bookkeeping for arbitrary value sequences, merge-as-concatenation, text
+//! round-trips, counter monotonicity under concurrent incrementers — and
+//! that two handles in one process share nothing.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rrq_obs::{bucket_bound, bucket_of, HistogramSnapshot, Session, Snapshot, Value, BUCKETS};
+use rrq_obs::{bucket_bound, bucket_of, HistogramSnapshot, Obs, Snapshot, Value, BUCKETS};
+
+fn started() -> Obs {
+    let obs = Obs::default();
+    obs.start();
+    obs
+}
 
 fn ground_truth(values: &[u64]) -> HistogramSnapshot {
     let mut h = HistogramSnapshot::default();
@@ -79,22 +85,22 @@ proptest! {
         counter_increments in vec(any::<u32>(), 0..40),
         gauge_moves in vec(any::<i32>(), 0..40),
     ) {
-        // One registry session per case: counters start from zero.
-        let session = Session::start();
+        // One handle per case: counters start from zero.
+        let obs = started();
         for &v in &values {
-            rrq_obs::observe("prop.hist", v);
+            obs.observe("prop.hist", v);
         }
         let mut want_counter = 0u64;
         for &d in &counter_increments {
-            rrq_obs::counter_add("prop.counter", u64::from(d));
+            obs.counter_add("prop.counter", u64::from(d));
             want_counter += u64::from(d);
         }
         let mut want_gauge = 0i64;
         for &d in &gauge_moves {
-            rrq_obs::gauge_add("prop.gauge", i64::from(d));
+            obs.gauge_add("prop.gauge", i64::from(d));
             want_gauge += i64::from(d);
         }
-        let snap = session.snapshot();
+        let snap = obs.snapshot();
 
         // The registry recorded exactly the ground truth.
         let got = snap.histogram("prop.hist").cloned().unwrap_or_default();
@@ -114,15 +120,15 @@ proptest! {
         early in vec(any::<u32>(), 0..30),
         late in vec(any::<u32>(), 0..30),
     ) {
-        let session = Session::start();
+        let obs = started();
         for &d in &early {
-            rrq_obs::counter_add("prop.diff", u64::from(d));
+            obs.counter_add("prop.diff", u64::from(d));
         }
-        let before = session.snapshot();
+        let before = obs.snapshot();
         for &d in &late {
-            rrq_obs::counter_add("prop.diff", u64::from(d));
+            obs.counter_add("prop.diff", u64::from(d));
         }
-        let after = session.snapshot();
+        let after = obs.snapshot();
         let delta = after.diff(&before);
         let want: u64 = late.iter().map(|&d| u64::from(d)).sum();
         prop_assert_eq!(delta.counter("prop.diff"), want);
@@ -149,4 +155,89 @@ fn parse_rejects_malformed_lines() {
     assert_eq!(s.counter("a"), 1);
     assert_eq!(s.counter("b"), 2);
     assert!(matches!(s.get("a"), Some(Value::Counter(1))));
+}
+
+#[test]
+fn counter_snapshots_are_monotone_across_concurrent_incrementers() {
+    const THREADS: usize = 8;
+    const PER_THREAD: u64 = 20_000;
+
+    let obs = started();
+    // A dormant sibling in the same process, taking the same traffic.
+    let dormant = Obs::default();
+    let workers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (obs, dormant) = (obs.clone(), dormant.clone());
+            std::thread::spawn(move || {
+                for _ in 0..PER_THREAD {
+                    obs.counter_inc("prop.concurrent");
+                    dormant.counter_inc("prop.concurrent");
+                }
+            })
+        })
+        .collect();
+
+    // Snapshots taken mid-flight must read a non-decreasing sequence.
+    let mut last = 0u64;
+    for observed in 0..200 {
+        let now = obs.snapshot().counter("prop.concurrent");
+        assert!(
+            now >= last,
+            "counter went backwards: {now} after {last} (snapshot {observed})"
+        );
+        last = now;
+    }
+    for w in workers {
+        w.join().unwrap();
+    }
+    assert_eq!(
+        obs.snapshot().counter("prop.concurrent"),
+        THREADS as u64 * PER_THREAD,
+        "no increment lost"
+    );
+    assert_eq!(
+        dormant.snapshot(),
+        Snapshot::default(),
+        "dormant hooks are inert"
+    );
+
+    // Gauges accept concurrent churn too: +1/-1 pairs always net zero.
+    let churners: Vec<_> = (0..4)
+        .map(|_| {
+            let obs = obs.clone();
+            std::thread::spawn(move || {
+                for _ in 0..10_000 {
+                    obs.gauge_add("prop.churn", 1);
+                    obs.gauge_add("prop.churn", -1);
+                }
+            })
+        })
+        .collect();
+    for c in churners {
+        c.join().unwrap();
+    }
+    assert_eq!(obs.snapshot().gauge("prop.churn"), 0);
+}
+
+/// The double-count drill is armed per handle: a sibling handle counting
+/// the same name at the same time stays exact.
+#[test]
+fn double_count_on_one_handle_leaves_a_sibling_exact() {
+    let (armed, sibling) = (started(), started());
+    armed.double_count(Some("prop.enqueued"));
+    let threads: Vec<_> = [armed.clone(), sibling.clone()]
+        .into_iter()
+        .map(|obs| {
+            std::thread::spawn(move || {
+                for _ in 0..1_000 {
+                    obs.counter_add("prop.enqueued", 3);
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    assert_eq!(armed.snapshot().counter("prop.enqueued"), 6_000);
+    assert_eq!(sibling.snapshot().counter("prop.enqueued"), 3_000);
 }

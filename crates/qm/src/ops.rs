@@ -68,6 +68,7 @@ use crate::registration::{LastOp, Registration};
 use crate::retrieval::Predicate;
 use crate::trigger::Trigger;
 use parking_lot::{Mutex, MutexGuard, RwLock};
+use rrq_obs::Obs;
 use rrq_storage::codec::{put, Decode, Encode, Reader};
 use rrq_storage::kv::KvStore;
 use rrq_txn::{
@@ -326,6 +327,7 @@ pub struct QueueManager {
     /// a crash drops the buffer along with the unforced commits it mirrors,
     /// and recovery rebuilds the index from storage.
     epoch_buf: Mutex<Vec<PendingTxn>>,
+    obs: Obs,
 }
 
 /// Stripe count of the pending-transaction map; matches the lock manager's
@@ -354,13 +356,15 @@ impl QueueManager {
     /// every partition of a cluster (2^20 restarts per partition before
     /// bands could meet), so an eid names its element cluster-wide and
     /// `Read`/`KillElement` can safely probe partitions. `epoch_base = 0` is
-    /// bit-for-bit the single-partition baseline.
+    /// bit-for-bit the single-partition baseline. The manager and its ready
+    /// index report to the lock manager's handle.
     pub fn with_epoch_base(
         name: impl Into<String>,
         durable: Arc<KvStore>,
         locks: Arc<LockManager>,
         epoch_base: u64,
     ) -> QmResult<Arc<Self>> {
+        let obs = locks.obs().clone();
         let sys_ids = TxnIdGen::new(1 << 56);
         // Bump the epoch in a system transaction.
         let t = sys_ids.next().raw();
@@ -376,14 +380,14 @@ impl QueueManager {
         // caller resolves in-doubt transactions before constructing the
         // manager, so `scan_prefix(None, ..)` is exactly the post-recovery
         // committed truth. (Volatile queues come back empty.)
-        let qindex = QueueIndex::new();
+        let qindex = QueueIndex::with_obs(obs.clone());
         for (k, raw) in durable.scan_prefix(None, b"e/")? {
             let Some(queue) = keys::parse_element_key(&k) else {
                 continue;
             };
             let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
             qindex.insert(queue, k.clone(), elem.eid);
-            rrq_obs::counter_inc("qm.recovery.index_rebuild");
+            obs.counter_inc("qm.recovery.index_rebuild");
         }
         let mut unfired_triggers = 0;
         for (_, raw) in durable.scan_prefix(None, b"t/")? {
@@ -416,6 +420,7 @@ impl QueueManager {
             stats: QmCounters::default(),
             alerts: Mutex::new(Vec::new()),
             epoch_buf: Mutex::new(Vec::new()),
+            obs,
         }))
     }
 
@@ -436,18 +441,18 @@ impl QueueManager {
 
     /// Acquire stripe `i` of the pending map, counting contended
     /// acquisitions (one extra CAS on the uncontended path; the metrics are
-    /// no-ops unless a Session is installed).
+    /// no-ops on a dormant handle).
     fn pending_shard_at(&self, i: usize) -> MutexGuard<'_, HashMap<u64, PendingTxn>> {
         let m = &self.pending[i];
         if let Some(g) = m.try_lock() {
             return g;
         }
-        rrq_obs::counter_inc("qm.pending.shard.contended");
-        let start = rrq_obs::now();
+        self.obs.counter_inc("qm.pending.shard.contended");
+        let start = self.obs.now();
         let g = m.lock();
-        rrq_obs::observe(
+        self.obs.observe(
             "qm.pending.shard.acquire_wait_ticks",
-            rrq_obs::now().saturating_sub(start),
+            self.obs.now().saturating_sub(start),
         );
         g
     }
@@ -716,14 +721,14 @@ impl QueueManager {
         // by a lock-manager lock; report them through the store-latch hooks
         // so any future direct access that bypasses this path is flagged.
         let cell = || reg_cell(queue, registrant);
-        rrq_check::race::serialized_read(cell);
+        self.obs.serialized_read(cell);
         if let Some(raw) = self.durable.get(None, &key)? {
             let reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
             return Ok((handle, reg));
         }
         let reg = Registration::new(registrant, queue, stable);
         let reg2 = reg.clone();
-        rrq_check::race::serialized_write(cell);
+        self.obs.serialized_write(cell);
         self.system_txn(move |t| {
             self.durable.put(t, &key, &reg2.encode_to_vec())?;
             Ok(())
@@ -735,7 +740,8 @@ impl QueueManager {
     /// retained element of the registrant's last tagged dequeue included.
     pub fn deregister(&self, handle: &QueueHandle) -> QmResult<()> {
         let key = keys::registration_key(&handle.queue, &handle.registrant);
-        rrq_check::race::serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
+        self.obs
+            .serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
         let info = match self.queue_info(&handle.queue) {
             // A destroyed queue took its registrations with it.
             Err(QmError::NoSuchQueue(_)) => {
@@ -773,7 +779,8 @@ impl QueueManager {
         let key = keys::registration_key(&handle.queue, &handle.registrant);
         // Read-modify-write of the registration record under the store's
         // internal serialization (see `register`).
-        rrq_check::race::serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
+        self.obs
+            .serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
         let raw = self
             .durable
             .get(Some(txn), &key)?
@@ -839,7 +846,7 @@ impl QueueManager {
         store.put(txn, &ekey, &elem.encode_to_vec())?;
         // Tracked for the race detector; the matching dequeue-side access
         // is ordered by the queue's enqueue→dequeue happens-before edge.
-        rrq_check::race::on_write(|| elem_cell(eid));
+        self.obs.on_write(|| elem_cell(eid));
         // Live-element index: eid → (queue, element key). Always durable so
         // Read/Kill can find volatile elements too? No — volatile elements
         // index in the volatile store, consistent with their lifetime.
@@ -857,9 +864,9 @@ impl QueueManager {
             });
             p.enqueued_queues.insert(meta.name.clone());
         }
-        rrq_check::race::queue_enqueued(&meta.name);
+        self.obs.queue_enqueued(&meta.name);
         bump(&self.stats.enqueues);
-        rrq_obs::counter_inc("qm.enqueue.ops");
+        self.obs.counter_inc("qm.enqueue.ops");
         Ok(eid)
     }
 
@@ -1041,7 +1048,7 @@ impl QueueManager {
             Ok(()) => {}
             Err(TxnError::LockTimeout) => {
                 bump(&self.stats.lock_skips);
-                rrq_obs::counter_inc("qm.dequeue.lock_skips");
+                self.obs.counter_inc("qm.dequeue.lock_skips");
                 return Ok(Grab::Busy);
             }
             Err(e) => return Err(e.into()),
@@ -1059,8 +1066,8 @@ impl QueueManager {
         // Join the queue's happens-before edge, then touch the tracked
         // element cell (we hold its element lock, so this is also
         // lock-ordered).
-        rrq_check::race::queue_dequeued(&meta.name);
-        rrq_check::race::on_write(|| elem_cell(elem.eid));
+        self.obs.queue_dequeued(&meta.name);
+        self.obs.on_write(|| elem_cell(elem.eid));
         // A stable registration's tagged dequeue keeps the element readable
         // (`Read`, `Rereceive`) until its next tagged operation: the row
         // changes keys. Every other dequeue is the end of the element.
@@ -1083,10 +1090,10 @@ impl QueueManager {
                 elem_key: ekey.to_vec(),
                 eid: elem.eid,
                 error_queue: opts.error_queue.clone(),
-                grabbed_at: rrq_obs::now(),
+                grabbed_at: self.obs.now(),
             });
         bump(&self.stats.dequeues);
-        rrq_obs::counter_inc("qm.dequeue.ops");
+        self.obs.counter_inc("qm.dequeue.ops");
         Ok(Grab::Taken(elem))
     }
 
@@ -1233,7 +1240,7 @@ impl QueueManager {
                     let killed = r?;
                     if killed {
                         self.qindex.remove(&queue, &ekey);
-                        rrq_obs::counter_inc("qm.element.dropped");
+                        self.obs.counter_inc("qm.element.dropped");
                         bump(&self.stats.kills);
                     }
                     return Ok(killed);
@@ -1381,12 +1388,13 @@ impl QueueManager {
                 .iter()
                 .map(|dq| (dq.queue.as_str(), dq.elem_key.as_slice())),
         );
-        rrq_obs::counter_add("qm.enqueue.committed", pend.enqueued.len() as u64);
+        self.obs
+            .counter_add("qm.enqueue.committed", pend.enqueued.len() as u64);
         for dq in &pend.dequeued {
-            rrq_obs::counter_inc("qm.dequeue.committed");
-            rrq_obs::observe(
+            self.obs.counter_inc("qm.dequeue.committed");
+            self.obs.observe(
                 "qm.element.lock_hold_ticks",
-                rrq_obs::now().saturating_sub(dq.grabbed_at),
+                self.obs.now().saturating_sub(dq.grabbed_at),
             );
         }
         for q in &pend.enqueued_queues {
@@ -1756,7 +1764,7 @@ impl QueueManager {
                 match outcome {
                     AbortOutcome::Dropped => {
                         self.qindex.fixup(Some((&d.queue, &d.elem_key)), None);
-                        rrq_obs::counter_inc("qm.element.dropped");
+                        self.obs.counter_inc("qm.element.dropped");
                     }
                     AbortOutcome::Moved { queue, ekey } => {
                         self.qindex
@@ -1775,9 +1783,9 @@ impl QueueManager {
                         self.notifier.signal(&d.queue);
                     }
                 }
-                rrq_obs::observe(
+                self.obs.observe(
                     "qm.element.lock_hold_ticks",
-                    rrq_obs::now().saturating_sub(d.grabbed_at),
+                    self.obs.now().saturating_sub(d.grabbed_at),
                 );
                 Ok(())
             }

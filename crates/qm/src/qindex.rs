@@ -72,6 +72,7 @@
 
 use crate::element::Eid;
 use parking_lot::{Mutex, MutexGuard, RwLock};
+use rrq_obs::Obs;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -106,20 +107,21 @@ type Ready = HashMap<String, Mutex<ReadyMap>>;
 #[derive(Default)]
 pub struct QueueIndex {
     queues: RwLock<Ready>,
+    obs: Obs,
 }
 
 /// Acquire one queue's mutex, counting contended acquisitions (no-op cost —
-/// one CAS — unless the lock is busy or a metrics session is installed).
-fn enter_cell(cell: &Mutex<ReadyMap>) -> MutexGuard<'_, ReadyMap> {
+/// one CAS — unless the lock is busy).
+fn enter_cell<'a>(obs: &Obs, cell: &'a Mutex<ReadyMap>) -> MutexGuard<'a, ReadyMap> {
     if let Some(g) = cell.try_lock() {
         return g;
     }
-    rrq_obs::counter_inc("qm.qindex.shard.contended");
-    let start = rrq_obs::now();
+    obs.counter_inc("qm.qindex.shard.contended");
+    let start = obs.now();
     let g = cell.lock();
-    rrq_obs::observe(
+    obs.observe(
         "qm.qindex.shard.acquire_wait_ticks",
-        rrq_obs::now().saturating_sub(start),
+        obs.now().saturating_sub(start),
     );
     g
 }
@@ -133,33 +135,41 @@ fn lower_bound(after: Option<&[u8]>) -> Bound<&[u8]> {
 }
 
 /// Insert under the outer write lock (cross-queue fix-up path).
-fn insert_locked(g: &mut Ready, queue: &str, elem_key: Vec<u8>, eid: Eid) {
+fn insert_locked(obs: &Obs, g: &mut Ready, queue: &str, elem_key: Vec<u8>, eid: Eid) {
     if g.entry(queue.to_string())
         .or_default()
         .get_mut()
         .insert(elem_key, Entry::unclaimed(eid))
         .is_none()
     {
-        rrq_obs::gauge_add(DEPTH_GAUGE, 1);
+        obs.gauge_add(DEPTH_GAUGE, 1);
     }
 }
 
 /// Remove under the outer write lock (cross-queue fix-up path).
-fn remove_locked(g: &mut Ready, queue: &str, elem_key: &[u8]) -> bool {
+fn remove_locked(obs: &Obs, g: &mut Ready, queue: &str, elem_key: &[u8]) -> bool {
     let Some(m) = g.get_mut(queue) else {
         return false;
     };
     let hit = m.get_mut().remove(elem_key).is_some();
     if hit {
-        rrq_obs::gauge_add(DEPTH_GAUGE, -1);
+        obs.gauge_add(DEPTH_GAUGE, -1);
     }
     hit
 }
 
 impl QueueIndex {
-    /// Empty index.
+    /// Empty index with a dormant observation handle.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty index reporting to its queue manager's handle.
+    pub fn with_obs(obs: Obs) -> Self {
+        QueueIndex {
+            queues: RwLock::default(),
+            obs,
+        }
     }
 
     /// Run `f` inside `queue`'s own critical section: outer read lock +
@@ -175,7 +185,7 @@ impl QueueIndex {
         {
             let g = self.queues.read();
             if let Some(cell) = g.get(queue) {
-                let mut m = enter_cell(cell);
+                let mut m = enter_cell(&self.obs, cell);
                 return Some(f(&mut m));
             }
         }
@@ -193,7 +203,7 @@ impl QueueIndex {
     pub fn insert(&self, queue: &str, elem_key: Vec<u8>, eid: Eid) {
         self.with_ready(queue, true, |m| {
             if m.insert(elem_key, Entry::unclaimed(eid)).is_none() {
-                rrq_obs::gauge_add(DEPTH_GAUGE, 1);
+                self.obs.gauge_add(DEPTH_GAUGE, 1);
             }
         });
     }
@@ -203,7 +213,7 @@ impl QueueIndex {
         self.with_ready(queue, false, |m| {
             let hit = m.remove(elem_key).is_some();
             if hit {
-                rrq_obs::gauge_add(DEPTH_GAUGE, -1);
+                self.obs.gauge_add(DEPTH_GAUGE, -1);
             }
             hit
         })
@@ -245,22 +255,23 @@ impl QueueIndex {
     ) -> bool {
         let mut g = self.queues.write();
         let hit = match remove {
-            Some((q, k)) => remove_locked(&mut g, q, k),
+            Some((q, k)) => remove_locked(&self.obs, &mut g, q, k),
             None => false,
         };
         if let Some((q, k, eid)) = insert {
-            insert_locked(&mut g, q, k, eid);
+            insert_locked(&self.obs, &mut g, q, k, eid);
         }
         hit
     }
 
     /// `(total(), depth-gauge reading)` observed in one critical section —
-    /// they must always be equal while a metrics session is active and the
-    /// whole index lifetime falls inside it.
+    /// they must always be equal while the index's handle is started and
+    /// the whole index lifetime falls inside it (and the handle serves no
+    /// other index: a repository's partitions share one gauge).
     pub fn depth_accounting(&self) -> (usize, i64) {
         let mut g = self.queues.write();
         let total = g.values_mut().map(|c| c.get_mut().len()).sum();
-        let gauge = rrq_obs::snapshot().gauge(DEPTH_GAUGE);
+        let gauge = self.obs.snapshot().gauge(DEPTH_GAUGE);
         (total, gauge)
     }
 
@@ -274,7 +285,7 @@ impl QueueIndex {
     pub fn clear_queue(&self, queue: &str) {
         let mut g = self.queues.write();
         if let Some(mut m) = g.remove(queue) {
-            rrq_obs::gauge_add(DEPTH_GAUGE, -(m.get_mut().len() as i64));
+            self.obs.gauge_add(DEPTH_GAUGE, -(m.get_mut().len() as i64));
         }
     }
 
@@ -361,12 +372,11 @@ impl QueueIndex {
 
 impl Drop for QueueIndex {
     fn drop(&mut self) {
-        // Retire this index's contribution to the process-wide depth gauge
-        // (a crashed node's surviving elements re-enter through the rebuild
+        // Retire this index's contribution to its handle's depth gauge (a
+        // crashed node's surviving elements re-enter through the rebuild
         // scan of its successor, so crash + restart nets zero for them).
-        let mut g = self.queues.write();
-        let total: usize = g.values_mut().map(|c| c.get_mut().len()).sum();
-        rrq_obs::gauge_add(DEPTH_GAUGE, -(total as i64));
+        let total = self.total();
+        self.obs.gauge_add(DEPTH_GAUGE, -(total as i64));
     }
 }
 

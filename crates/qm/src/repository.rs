@@ -27,13 +27,14 @@ use crate::error::{QmError, QmResult};
 use crate::meta::QueueMeta;
 use crate::ops::QueueManager;
 use crate::route::{partition_of, MAX_REPO_PARTITIONS};
+use rrq_obs::Obs;
 use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk, TornWriteMode};
 use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use rrq_storage::StorageError;
 use rrq_txn::{
     CoordinatorLog, KvResource, LockManager, ResourceManager, Txn, TxnId, TxnIdGen, TxnManager,
-    TxnResult,
+    TxnResult, DEFAULT_LOCK_SHARDS,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -201,15 +202,20 @@ pub struct Repository {
     name: String,
     parts: Vec<RepoPartition>,
     disks: RepoDisks,
+    obs: Obs,
 }
 
 impl Repository {
-    /// Open (or recover) the repository on `disks` with default options.
+    /// Open (or recover) the repository on `disks` with default options and
+    /// a handle of its own, dormant until someone starts it.
     pub fn open(name: impl Into<String>, disks: RepoDisks) -> QmResult<(Self, RecoveryReport)> {
-        Self::open_with(name, disks, RepoOptions::default())
+        Self::open_with(name, disks, RepoOptions::default(), Obs::default())
     }
 
-    /// Open (or recover) the repository on `disks` with explicit tuning.
+    /// Open (or recover) the repository on `disks` with explicit tuning,
+    /// every partition's store, lock manager and queue manager reporting to
+    /// `obs` — recovery included, so an owner that outlives the repository
+    /// (a simulated node across crashes) passes its own.
     ///
     /// Partitions recover independently and concurrently (each replays only
     /// its own log, on a thread of its own), then resolve their in-doubt
@@ -222,6 +228,7 @@ impl Repository {
         name: impl Into<String>,
         disks: RepoDisks,
         opts: RepoOptions,
+        obs: Obs,
     ) -> QmResult<(Self, RecoveryReport)> {
         let name = name.into();
         let repo_partitions = opts.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
@@ -243,7 +250,7 @@ impl Repository {
                 Some(cost) => Arc::new(LatencyDisk::new(wal, cost)),
                 None => wal,
             };
-            KvStore::open(wal, Arc::new(disks.ckpts[p].clone()))
+            KvStore::open(wal, Arc::new(disks.ckpts[p].clone()), obs.clone())
         };
         let recovered = std::thread::scope(|s| {
             let siblings = (1..repo_partitions)
@@ -267,7 +274,7 @@ impl Repository {
         let mut parts = Vec::with_capacity(repo_partitions);
         let mut total = RecoveryReport::default();
         for (p, (store, report)) in recovered.into_iter().enumerate() {
-            let locks = Arc::new(LockManager::new());
+            let locks = Arc::new(LockManager::with_shards(DEFAULT_LOCK_SHARDS, obs.clone()));
             let tm =
                 TxnManager::with_shared(Arc::clone(&locks), Some(Arc::clone(&coord)), ids.clone());
 
@@ -300,7 +307,13 @@ impl Repository {
         }
         total.in_doubt.sort_unstable();
 
-        Ok((Repository { name, parts, disks }, total))
+        let repo = Repository {
+            name,
+            parts,
+            disks,
+            obs,
+        };
+        Ok((repo, total))
     }
 
     /// Open on fresh devices.
@@ -371,6 +384,11 @@ impl Repository {
         &self.disks
     }
 
+    /// The handle every component of this repository reports to.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
     /// Begin a transaction homed on partition 0 with its queue manager
     /// already enlisted — the single-partition baseline entry point.
     pub fn begin(&self) -> QmResult<Txn> {
@@ -409,7 +427,7 @@ impl Repository {
         if p == home % self.parts.len() {
             return Ok(&self.parts[p].qm);
         }
-        rrq_obs::counter_inc("route.xpart.enlists");
+        self.obs.counter_inc("route.xpart.enlists");
         let part = &self.parts[p];
         let rm: Arc<dyn ResourceManager> = Arc::new(SiblingRm {
             qm: Arc::clone(&part.qm),
@@ -561,6 +579,7 @@ mod tests {
                 repo_partitions: n,
                 ..RepoOptions::default()
             },
+            Obs::default(),
         )
         .unwrap();
         repo

@@ -61,7 +61,12 @@ struct Node {
 }
 
 fn boot(wal: &Arc<HookDisk>, ckpt: &SimDisk) -> Node {
-    let (durable, _) = KvStore::open(Arc::clone(wal) as _, Arc::new(ckpt.clone())).unwrap();
+    let (durable, _) = KvStore::open(
+        Arc::clone(wal) as _,
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
     let locks = Arc::new(LockManager::new());
     let qm = QueueManager::new("qm", durable, Arc::clone(&locks)).unwrap();
     match qm.create_queue(rrq_qm::meta::QueueMeta::with_defaults("q")) {

@@ -3,9 +3,11 @@
 //! observer (the `depth()` gauge, or the index-divergence hook) could catch
 //! the element in neither queue. [`QueueIndex::fixup`] now applies both
 //! halves in one critical section; these tests hammer that path while an
-//! observer asserts the invariants at every observation.
+//! observer asserts the invariants at every observation. The gauge belongs
+//! to one repository's handle: a sibling repository's traffic in the same
+//! process never moves it.
 
-use rrq_obs::Session;
+use rrq_obs::Obs;
 use rrq_qm::element::Eid;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::qindex::QueueIndex;
@@ -18,8 +20,9 @@ use std::sync::Arc;
 /// one queue and (b) the depth gauge always equals the index total.
 #[test]
 fn fixup_moves_elements_atomically_under_concurrent_observation() {
-    let session = Session::start();
-    let ix = Arc::new(QueueIndex::new());
+    let obs = Obs::default();
+    obs.start();
+    let ix = Arc::new(QueueIndex::with_obs(obs.clone()));
     let key = b"elem".to_vec();
     ix.insert("a", key.clone(), Eid(1));
 
@@ -52,7 +55,7 @@ fn fixup_moves_elements_atomically_under_concurrent_observation() {
     mover.join().unwrap();
     drop(ix);
     assert_eq!(
-        session.snapshot().gauge("qm.queue.depth"),
+        obs.snapshot().gauge("qm.queue.depth"),
         0,
         "dropping the index retires its whole gauge contribution"
     );
@@ -63,8 +66,8 @@ fn fixup_moves_elements_atomically_under_concurrent_observation() {
 /// an observer thread checks the gauge against the index total.
 #[test]
 fn abort_dispositions_keep_gauge_and_index_in_lockstep() {
-    let session = Session::start();
     let repo = Arc::new(Repository::create("gauge-atomicity").unwrap());
+    repo.obs().start();
     repo.create_queue_defaults("q").unwrap();
     let (h, _) = repo.qm().register("q", "c", false).unwrap();
     for i in 0..8u8 {
@@ -117,14 +120,56 @@ fn abort_dispositions_keep_gauge_and_index_in_lockstep() {
     assert!(checks > 0, "observer never ran");
 
     // Quiescent: the index and a fresh storage scan agree exactly, and the
-    // law-A arithmetic holds for the session's counters.
+    // law-A arithmetic holds for the repository's counters.
     assert_eq!(repo.qm().index_divergence().unwrap(), None);
     assert_eq!(repo.qm().retention_divergence().unwrap(), None);
-    let snap = session.snapshot();
+    let snap = repo.obs().snapshot();
     let flow = snap.counter("qm.enqueue.committed") as i64
         - snap.counter("qm.dequeue.committed") as i64
         - snap.counter("qm.element.dropped") as i64;
     let (total, gauge) = repo.qm().depth_accounting();
     assert_eq!(flow, gauge);
     assert_eq!(total as i64, gauge);
+}
+
+/// Two repositories in one process: one started, the other enqueueing on a
+/// dormant handle at the same time. The started one's gauge and counters
+/// hold its own traffic and nothing else.
+#[test]
+fn a_started_repository_counts_only_its_own_traffic() {
+    let enqueue = |repo: &Repository, n: u32| {
+        repo.create_queue_defaults("q").unwrap();
+        let (h, _) = repo.qm().register("q", "c", false).unwrap();
+        for i in 0..n {
+            repo.autocommit(|t| {
+                repo.qm().enqueue(
+                    t.id().raw(),
+                    &h,
+                    &i.to_le_bytes(),
+                    EnqueueOptions::default(),
+                )
+            })
+            .unwrap();
+        }
+    };
+    let started = Repository::create("gauge-started").unwrap();
+    started.obs().start();
+    let dormant = Repository::create("gauge-dormant").unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| enqueue(&dormant, 1_000));
+        s.spawn(|| enqueue(&started, 10));
+    });
+    let (total, gauge) = started.qm().depth_accounting();
+    assert_eq!(
+        (total, gauge),
+        (10, 10),
+        "the gauge holds this repository's elements"
+    );
+    assert_eq!(started.obs().snapshot().counter("qm.enqueue.committed"), 10);
+    assert_eq!(dormant.qm().depth("q").unwrap(), 1_000);
+    assert_eq!(
+        dormant.qm().depth_accounting(),
+        (1_000, 0),
+        "dormant: no gauge"
+    );
 }

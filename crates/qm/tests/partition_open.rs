@@ -21,7 +21,7 @@ fn open(disks: &RepoDisks) -> (Repository, RecoveryReport) {
         repo_partitions: PARTS,
         ..RepoOptions::default()
     };
-    Repository::open_with("po", disks.clone(), opts).unwrap()
+    Repository::open_with("po", disks.clone(), opts, rrq_obs::Obs::default()).unwrap()
 }
 
 fn devices(disks: &RepoDisks) -> Vec<&SimDisk> {
@@ -124,6 +124,7 @@ fn concurrent_partition_recovery_equals_serial() {
         let (store, part) = KvStore::open(
             Arc::new(disks.wal_groups[p][0].clone()),
             Arc::new(disks.ckpts[p].clone()),
+            rrq_obs::Obs::default(),
         )
         .unwrap();
         assert_eq!(part.in_doubt.len(), 2, "partition {p}: {part:?}");

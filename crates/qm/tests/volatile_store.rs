@@ -156,7 +156,8 @@ fn two_phase_commit_prepares_the_volatile_side_without_a_force() {
         repo_partitions: 4,
         ..RepoOptions::default()
     };
-    let (repo, _) = Repository::open_with("vs2", RepoDisks::new(), opts).unwrap();
+    let (repo, _) =
+        Repository::open_with("vs2", RepoDisks::new(), opts, rrq_obs::Obs::default()).unwrap();
     // A durable queue at home, a volatile queue on another partition.
     let home_q = "q0".to_string();
     let far_q = (1..64)

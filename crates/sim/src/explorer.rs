@@ -283,29 +283,9 @@ fn fire_client_crash(
     false
 }
 
-/// Run `script` in a fresh conformance session.
+/// Run `script` on a node and a bus of its own, under a fresh conformance
+/// checker and metrics: everything the oracles read belongs to this run.
 pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
-    let (checker, _session) = Conformance::install();
-    run_script_with(script, cfg, &checker)
-}
-
-/// Run `script` against an already-installed [`Conformance`] checker (sweep
-/// mode: one observer session, reset per script). `checker` must be the
-/// installed observer, or protocol events go unchecked.
-pub fn run_script_with(
-    script: &FaultScript,
-    cfg: &ExplorerConfig,
-    checker: &Conformance,
-) -> RunOutcome {
-    checker.reset();
-    // Fresh metrics session per script: counters start at zero, and every
-    // law in [`metrics_conservation`] refers to this run alone. Declared
-    // before the node so it outlives the repository (the depth gauge's
-    // retire-on-drop must still be observed).
-    let obs = rrq_obs::Session::start();
-    if cfg.bug == Some(InjectedBug::DoubleCountEnqueue) {
-        obs.double_count(Some("qm.enqueue.committed"));
-    }
     let mut trace: Vec<String> = script
         .encode()
         .lines()
@@ -315,6 +295,9 @@ pub fn run_script_with(
 
     let bus = NetworkBus::new(script.seed);
     bus.faults().set_fail_fast(true);
+    // One checker for both sides: the clerk reports through the bus's
+    // handle, the servers through the node's.
+    let checker = Conformance::attach(bus.obs());
 
     let matcher = Arc::new(ReplyMatcher::new());
     let mut processor = CountingProcessor {
@@ -341,6 +324,14 @@ pub fn run_script_with(
         vec![REQ_QUEUE.into(), format!("reply.{CLIENT_ID}")],
         factory,
     );
+    // The node's metrics span its crashes and reopens; every law in
+    // [`metrics_conservation`] refers to this run alone.
+    let obs = node.obs().clone();
+    obs.start();
+    obs.attach_protocol(Arc::clone(&checker) as _);
+    if cfg.bug == Some(InjectedBug::DoubleCountEnqueue) {
+        obs.double_count(Some("qm.enqueue.committed"));
+    }
     let parts = cfg
         .repo_partitions
         .unwrap_or(1)
@@ -785,13 +776,12 @@ pub fn sweep_partitions(seed: u64) -> usize {
     }
 }
 
-/// Run `count` generated scripts starting at `first_seed` under one
-/// conformance session (reset per script). Failing scripts are persisted to
+/// Run `count` generated scripts starting at `first_seed`, each on its own
+/// node, bus and checker (see [`run_script`]). Failing scripts are persisted to
 /// [`ExplorerConfig::out_dir`] as replayable files, each with its evidence
 /// beside it: `fail-seed-<n>.violations.txt` holds the violations, then the
 /// trace.
 pub fn run_sweep(first_seed: u64, count: u64, cfg: &ExplorerConfig) -> SweepReport {
-    let (checker, _session) = Conformance::install();
     let mut digest = FNV_OFFSET;
     let mut failures = Vec::new();
     let mut run_cfg = cfg.clone();
@@ -801,7 +791,7 @@ pub fn run_sweep(first_seed: u64, count: u64, cfg: &ExplorerConfig) -> SweepRepo
             .repo_partitions
             .unwrap_or_else(|| sweep_partitions(seed));
         run_cfg.repo_partitions = Some(repo_partitions);
-        let outcome = run_script_with(&script, &run_cfg, &checker);
+        let outcome = run_script(&script, &run_cfg);
         digest = fnv1a(digest, &outcome.digest.to_le_bytes());
         if outcome.failed() {
             let script_path = cfg.out_dir.as_ref().and_then(|d| {

@@ -8,6 +8,7 @@
 
 use rrq_core::error::CoreResult;
 use rrq_core::server::{Handler, Server, ServerConfig};
+use rrq_obs::Obs;
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use rrq_qm::QmError;
 use rrq_storage::disk::TornWriteMode;
@@ -32,6 +33,8 @@ pub struct ServerNodeSim {
     crashes: u64,
     /// Queues to create on first boot.
     initial_queues: Vec<String>,
+    /// Every incarnation's repository reports here: counters span crashes.
+    obs: Obs,
 }
 
 impl ServerNodeSim {
@@ -75,7 +78,13 @@ impl ServerNodeSim {
             threads: Vec::new(),
             crashes: 0,
             initial_queues: queues,
+            obs: Obs::default(),
         }
+    }
+
+    /// The node's handle (dormant until started or attached).
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Repository tuning used on every boot (partitioned WAL in particular).
@@ -89,8 +98,12 @@ impl ServerNodeSim {
     /// the storage recovery report.
     pub fn start(&mut self) -> CoreResult<RecoveryReport> {
         assert!(self.repo.is_none(), "node already running");
-        let (repo, report) =
-            Repository::open_with(self.name.clone(), self.disks.clone(), self.opts.clone())?;
+        let (repo, report) = Repository::open_with(
+            self.name.clone(),
+            self.disks.clone(),
+            self.opts.clone(),
+            self.obs.clone(),
+        )?;
         let repo = Arc::new(repo);
         // What recovery rebuilt must pass the queue managers' self-checks
         // before a server touches it: this is the one moment after a crash

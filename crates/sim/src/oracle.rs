@@ -172,8 +172,8 @@ pub fn store_self_checks(repo: &Repository) -> Vec<String> {
 
 /// The metrics oracle: conservation laws over the production counters,
 /// checked at a quiescent point (every request answered, clerk disconnected,
-/// servers idle on empty queues) against the per-script [`rrq_obs::Session`]
-/// snapshot. The laws hold across crashes because counter increments sit
+/// servers idle on empty queues) against a snapshot of the node's handle,
+/// started for this script alone. The laws hold across crashes because counter increments sit
 /// after the durable commit they describe and node crashes join server
 /// threads before failing the disks — an increment is never torn off from
 /// its committed effect.

@@ -45,7 +45,7 @@ fn open(name: &str, disks: RepoDisks, parts: usize, reply: &str) -> Arc<Reposito
         repo_partitions: parts,
         ..RepoOptions::default()
     };
-    let (repo, _) = Repository::open_with(name, disks, opts).unwrap();
+    let (repo, _) = Repository::open_with(name, disks, opts, rrq_obs::Obs::default()).unwrap();
     for q in STAGES.iter().chain([&reply]) {
         repo.create_queue_defaults(q).unwrap();
     }

@@ -342,10 +342,6 @@ impl ReplyProcessor for NaiveProcessor {
 
 #[test]
 fn duplicated_reply_processing_is_reported_for_non_testable_devices() {
-    // Own observer session: the clerk resubmission path emits protocol
-    // events, which must not leak into a concurrently running sweep.
-    let (_checker, _session) = rrq_check::protocol::Conformance::install();
-
     let repo = Arc::new(Repository::create("dup-matcher").unwrap());
     repo.create_queue_defaults("req").unwrap();
     repo.create_queue_defaults("reply.cdup").unwrap();

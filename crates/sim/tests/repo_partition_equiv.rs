@@ -14,8 +14,7 @@
 //!    compared: eids carry the partition epoch band, so keys differ by
 //!    construction while the logical queue content may not.
 //!
-//! 2. **Explorer lockstep** (`repo_partition_scripts.rs`, a process of its
-//!    own because the explorer installs the process-global observers). The
+//! 2. **Explorer lockstep.** The
 //!    same generated fault scripts run through the full clerk↔RPC↔server
 //!    stack at one and at four partitions; the oracle battery (exactly-once
 //!    ledger, reply matching, money conservation, balances vs model, metrics
@@ -23,9 +22,11 @@
 //!    replies — asserted via the shared balance model, which both runs must
 //!    hit exactly.
 
+use rrq_obs::Obs;
 use rrq_qm::meta::QueueMeta;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_sim::explorer::{run_script, ExplorerConfig};
 use rrq_sim::script::{FaultEvent, FaultScript};
 use rrq_workload::arrivals::SplitMix;
 use std::collections::BTreeMap;
@@ -47,11 +48,14 @@ fn create_queues(repo: &Repository) {
     }
 }
 
-fn opts(partitions: usize) -> RepoOptions {
-    RepoOptions {
+fn open(name: &str, disks: &RepoDisks, partitions: usize) -> Repository {
+    let opts = RepoOptions {
         repo_partitions: partitions,
         ..RepoOptions::default()
-    }
+    };
+    Repository::open_with(name, disks.clone(), opts, Obs::default())
+        .unwrap()
+        .0
 }
 
 /// One deterministic workload step, routed to the owning partition; must be
@@ -174,12 +178,8 @@ fn run_pair(seed: u64) {
 
     let disks_m = RepoDisks::new();
     let disks_p = RepoDisks::new();
-    let mut mono = Repository::open_with("req-mono", disks_m.clone(), opts(1))
-        .unwrap()
-        .0;
-    let mut part = Repository::open_with("req-part", disks_p.clone(), opts(4))
-        .unwrap()
-        .0;
+    let mut mono = open("req-mono", &disks_m, 1);
+    let mut part = open("req-part", &disks_p, 4);
     let homes: std::collections::BTreeSet<usize> =
         QUEUES.iter().map(|q| part.partition_of(q)).collect();
     assert!(
@@ -225,12 +225,8 @@ fn run_pair(seed: u64) {
                     disks_p.crash_partition(p % 4, torn);
                 }
             }
-            mono = Repository::open_with("req-mono", disks_m.clone(), opts(1))
-                .unwrap()
-                .0;
-            part = Repository::open_with("req-part", disks_p.clone(), opts(4))
-                .unwrap()
-                .0;
+            mono = open("req-mono", &disks_m, 1);
+            part = open("req-part", &disks_p, 4);
             create_queues(&mono);
             create_queues(&part);
             assert_pair_equivalent(
@@ -247,12 +243,8 @@ fn run_pair(seed: u64) {
     drop(part);
     disks_m.crash();
     disks_p.crash();
-    let mono = Repository::open_with("req-mono", disks_m, opts(1))
-        .unwrap()
-        .0;
-    let part = Repository::open_with("req-part", disks_p, opts(4))
-        .unwrap()
-        .0;
+    let mono = open("req-mono", &disks_m, 1);
+    let part = open("req-part", &disks_p, 4);
     create_queues(&mono);
     create_queues(&part);
     assert_pair_equivalent(&mono, &part, &format!("seed {seed} final restart"));
@@ -263,5 +255,28 @@ fn run_pair(seed: u64) {
 fn partitioned_repository_matches_monolithic_across_crash_schedules() {
     for seed in 0..16 {
         run_pair(seed);
+    }
+}
+
+/// Full-stack lockstep: the same generated fault scripts must leave the
+/// oracle battery silent at one *and* at four repository partitions — same
+/// replies (both runs hit the same balance model exactly), same ledger
+/// (exactly-once in both), money conserved in both.
+#[test]
+fn generated_scripts_pass_oracles_at_one_and_four_partitions() {
+    for seed in 1..=10u64 {
+        let script = FaultScript::generate(seed);
+        for parts in [1usize, 4] {
+            let cfg = ExplorerConfig {
+                repo_partitions: Some(parts),
+                ..ExplorerConfig::default()
+            };
+            let outcome = run_script(&script, &cfg);
+            assert_eq!(
+                outcome.violations,
+                Vec::<String>::new(),
+                "seed {seed} at {parts} partition(s) tripped the oracle battery"
+            );
+        }
     }
 }

@@ -76,13 +76,14 @@ impl GroupCommit {
             return Ok(());
         }
         g.stats.requests += 1;
-        rrq_obs::counter_inc("storage.gc.sync_requests");
+        let obs = wal.obs();
+        obs.counter_inc("storage.gc.sync_requests");
         let mut waited = false;
         loop {
             if g.durable >= target {
                 if waited {
                     // Satisfied by another leader's force without syncing.
-                    rrq_obs::counter_inc("storage.gc.follower_wakeups");
+                    obs.counter_inc("storage.gc.follower_wakeups");
                 }
                 return Ok(());
             }
@@ -101,10 +102,10 @@ impl GroupCommit {
                     Ok(()) => {
                         g.durable = g.durable.max(covered);
                         g.stats.groups += 1;
-                        rrq_obs::counter_inc("storage.gc.groups");
+                        obs.counter_inc("storage.gc.groups");
                         let batch = covered_records.saturating_sub(g.durable_records);
                         g.durable_records = g.durable_records.max(covered_records);
-                        rrq_obs::observe("storage.gc.batch_records", batch);
+                        obs.observe("storage.gc.batch_records", batch);
                         self.cv.notify_all();
                         // The leader's own record is covered by its own sync;
                         // it returns through the `durable >= target` check

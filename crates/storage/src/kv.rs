@@ -103,6 +103,7 @@ use crate::group_commit::{GroupCommit, GroupCommitStats};
 use crate::recovery::{replay, RecoveryReport};
 use crate::wal::{Frames, RecordKind, Wal};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use rrq_obs::Obs;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -494,33 +495,37 @@ impl KvStore {
     /// re-materializes prepared but unresolved transactions as in-doubt
     /// (listed in the returned [`RecoveryReport`]; resolve them with
     /// [`KvStore::commit`] / [`KvStore::abort`]).
+    ///
+    /// The store's log reports to `obs`, recovery included.
     pub fn open(
         wal_disk: Arc<dyn Disk>,
         ckpt_disk: Arc<dyn Disk>,
+        obs: Obs,
     ) -> StorageResult<(Arc<KvStore>, RecoveryReport)> {
         let chain = load_chain(ckpt_disk.as_ref())?;
         if chain.valid_end < ckpt_disk.len() {
             // A crash mid-checkpoint left a torn or stale segment: drop it
             // so the next delta append lands right after the valid chain.
             ckpt_disk.truncate(chain.valid_end)?;
-            rrq_obs::counter_inc("storage.ckpt.stale_segments_dropped");
+            obs.counter_inc("storage.ckpt.stale_segments_dropped");
         }
 
-        let wal = Wal::new(wal_disk);
+        let wal = Wal::with_obs(wal_disk, obs);
         // A log that survived a crash between "segment durable" and "log
         // reset" names the chain that covers it, and is replayed from there
         // (see the module docs).
         let outcome = replay(&wal, chain.mark())?;
-        rrq_obs::counter_inc("storage.recovery.runs");
-        rrq_obs::counter_add("storage.recovery.redo_records", outcome.redo.len() as u64);
-        rrq_obs::counter_add("storage.recovery.in_doubt", outcome.in_doubt.len() as u64);
+        let obs = wal.obs();
+        obs.counter_inc("storage.recovery.runs");
+        obs.counter_add("storage.recovery.redo_records", outcome.redo.len() as u64);
+        obs.counter_add("storage.recovery.in_doubt", outcome.in_doubt.len() as u64);
 
         // Discard a torn tail (a crash mid-append left corrupt bytes on the
         // platter). Future appends must start at the log's valid prefix, or
         // the next recovery's scan would stop at the old tear and lose them.
         if outcome.valid_end < wal.len() {
             wal.disk().truncate(outcome.valid_end)?;
-            rrq_obs::counter_inc("storage.recovery.torn_tail_truncations");
+            obs.counter_inc("storage.recovery.torn_tail_truncations");
         }
 
         let mut in_doubt: Vec<u64> = outcome.in_doubt.keys().copied().collect();
@@ -1117,10 +1122,10 @@ impl KvStore {
             segment.write(log.ckpt.as_ref())?;
             if rewrite {
                 log.ckpt_segments.store(1, Ordering::SeqCst);
-                rrq_obs::counter_inc("storage.ckpt.base_segments");
+                log.wal.obs().counter_inc("storage.ckpt.base_segments");
             } else {
                 log.ckpt_segments.fetch_add(1, Ordering::SeqCst);
-                rrq_obs::counter_inc("storage.ckpt.delta_segments");
+                log.wal.obs().counter_inc("storage.ckpt.delta_segments");
             }
         }
         {
@@ -1212,7 +1217,12 @@ mod tests {
     }
 
     fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
-        KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
+        KvStore::open(
+            Arc::new(wal.clone()),
+            Arc::new(ckpt.clone()),
+            Obs::default(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::checksum::crc32;
 use crate::codec::{put, Reader};
 use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
+use rrq_obs::Obs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -108,6 +109,7 @@ pub struct Wal {
     appended: AtomicU64,
     /// Records covered by the last successful [`Wal::sync`] (metrics only).
     synced: AtomicU64,
+    obs: Obs,
 }
 
 /// Record frames laid end to end in a caller-owned buffer, for one
@@ -154,19 +156,30 @@ impl<'a> Frames<'a> {
 }
 
 impl Wal {
-    /// Open a log over a device. Existing contents are left untouched; call
-    /// [`Wal::scan`] to read them back.
+    /// Open a log over a device, with a dormant handle. Existing contents
+    /// are left untouched; call [`Wal::scan`] to read them back.
     pub fn new(disk: Arc<dyn Disk>) -> Self {
+        Wal::with_obs(disk, Obs::default())
+    }
+
+    /// [`Wal::new`] reporting to `obs`, its store's handle.
+    pub fn with_obs(disk: Arc<dyn Disk>, obs: Obs) -> Self {
         Wal {
             disk,
             appended: AtomicU64::new(0),
             synced: AtomicU64::new(0),
+            obs,
         }
     }
 
     /// The underlying device (for stats and crash injection in tests).
     pub fn disk(&self) -> &Arc<dyn Disk> {
         &self.disk
+    }
+
+    /// The observation handle this log (and its store) reports to.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Append a record; returns its LSN. Not durable until [`Wal::sync`].
@@ -187,9 +200,10 @@ impl Wal {
     pub fn append_frames(&self, frames: Frames<'_>) -> StorageResult<u64> {
         let start = self.disk.append(frames.buf)?;
         self.appended.fetch_add(frames.records, Ordering::AcqRel);
-        rrq_obs::counter_add("storage.wal.appends", frames.records);
+        let obs = &self.obs;
+        obs.counter_add("storage.wal.appends", frames.records);
         if frames.commit_records > 0 {
-            rrq_obs::counter_add("storage.wal.commit_records", frames.commit_records);
+            obs.counter_add("storage.wal.commit_records", frames.commit_records);
         }
         Ok(start + frames.buf.len() as u64)
     }
@@ -201,8 +215,9 @@ impl Wal {
         let covered = self.appended.load(Ordering::SeqCst);
         self.disk.sync()?;
         let prev = self.synced.fetch_max(covered, Ordering::SeqCst);
-        rrq_obs::counter_inc("storage.wal.forces");
-        rrq_obs::counter_add("storage.wal.records_synced", covered.saturating_sub(prev));
+        let obs = &self.obs;
+        obs.counter_inc("storage.wal.forces");
+        obs.counter_add("storage.wal.records_synced", covered.saturating_sub(prev));
         Ok(())
     }
 

@@ -26,7 +26,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
-    let (store, _) = KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap();
+    let (store, _) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
     store
 }
 

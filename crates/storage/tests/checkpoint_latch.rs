@@ -12,7 +12,12 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, rrq_storage::recovery::RecoveryReport) {
-    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
+    KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap()
 }
 
 fn dump(store: &KvStore) -> BTreeMap<Vec<u8>, Vec<u8>> {

@@ -58,9 +58,13 @@ fn value(i: u32) -> Vec<u8> {
 }
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
-    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone()))
-        .unwrap()
-        .0
+    KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap()
+    .0
 }
 
 fn write_all(store: &KvStore, txn: u64) {
@@ -164,7 +168,12 @@ fn commit_retries_after_a_failed_force() {
         failing: AtomicBool::new(false),
     });
     let ckpt = SimDisk::new();
-    let (store, _) = KvStore::open(flaky.clone(), Arc::new(ckpt.clone())).unwrap();
+    let (store, _) = KvStore::open(
+        flaky.clone(),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
     write_all(&store, 1);
 
     flaky.failing.store(true, Ordering::SeqCst);
@@ -176,7 +185,12 @@ fn commit_retries_after_a_failed_force() {
     assert_committed(&store);
 
     wal.crash(CrashStyle::DropVolatile);
-    let (store, report) = KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap();
+    let (store, report) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
     assert_eq!(report.committed_txns, 1);
     assert_committed(&store);
 }

@@ -17,7 +17,12 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, rrq_storage::recovery::RecoveryReport) {
-    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
+    KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap()
 }
 
 /// The exact window from the issue, driven deterministically at the WAL
@@ -73,7 +78,12 @@ fn concurrent_commit_storm_survives_crash() {
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
     let slow = LatencyDisk::new(Arc::new(wal.clone()), Duration::from_millis(3));
-    let (store, _) = KvStore::open(Arc::new(slow), Arc::new(ckpt.clone())).unwrap();
+    let (store, _) = KvStore::open(
+        Arc::new(slow),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
 
     let start = Arc::new(Barrier::new(THREADS as usize));
     let handles: Vec<_> = (0..THREADS)

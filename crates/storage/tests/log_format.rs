@@ -137,7 +137,12 @@ fn a_fixed_record_frames_to_pinned_bytes() {
 fn a_move_record_frames_to_pinned_bytes_and_carries_no_value() {
     // `rename` logs the two keys and nothing else, whatever the value's size.
     let wal = SimDisk::new();
-    let (store, _) = KvStore::open(Arc::new(wal.clone()), Arc::new(SimDisk::new())).unwrap();
+    let (store, _) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(SimDisk::new()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
     store.begin(5).unwrap();
     store.put(5, b"e/q", &[0x77; 4096]).unwrap();
     store.commit(5).unwrap();
@@ -226,7 +231,12 @@ fn the_store_writes_the_log_the_old_encoder_would() {
     // predictable: data records in op order, then the commit record (no
     // payload); prepare carries the caller's token.
     let wal = SimDisk::new();
-    let (store, _) = KvStore::open(Arc::new(wal.clone()), Arc::new(SimDisk::new())).unwrap();
+    let (store, _) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(SimDisk::new()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
     let big = vec![0xA5; 5000];
     store.begin(77).unwrap();
     store.put(77, b"alpha", b"1").unwrap();

@@ -133,7 +133,12 @@ fn assert_own_view(store: &KvStore, token: u64, committed: &Tree, own: &[Write])
 }
 
 fn open(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
-    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
+    KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap()
 }
 
 fn crash(wal: &SimDisk, ckpt: &SimDisk, torn: Option<TornWriteMode>) {

@@ -3,14 +3,22 @@
 //! the queue manager, via the dev-only dependency) index rebuild size and
 //! the depth gauge after a restart.
 
-use rrq_obs::Session;
+use rrq_obs::Obs;
 use rrq_storage::disk::{CrashStyle, Disk, SimDisk, TornWriteMode};
 use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use std::sync::Arc;
 
-fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
-    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone())).unwrap()
+/// A started handle, one per store lineage: every open of the same devices
+/// reports to it.
+fn started() -> Obs {
+    let obs = Obs::default();
+    obs.start();
+    obs
+}
+
+fn reopen(wal: &SimDisk, ckpt: &SimDisk, obs: &Obs) -> (Arc<KvStore>, RecoveryReport) {
+    KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone()), obs.clone()).unwrap()
 }
 
 /// Two synced commits, an unsynced garbage tail, then a torn crash: every
@@ -19,10 +27,10 @@ fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, RecoveryReport) {
 #[test]
 fn recovery_counters_match_ground_truth_for_every_torn_mode() {
     for mode in TornWriteMode::ALL {
-        let session = Session::start();
+        let obs = started();
         let wal = SimDisk::new();
         let ckpt = SimDisk::new();
-        let (store, _) = reopen(&wal, &ckpt);
+        let (store, _) = reopen(&wal, &ckpt, &obs);
         for txn in 1..=2u64 {
             store.begin(txn).unwrap();
             store
@@ -37,9 +45,9 @@ fn recovery_counters_match_ground_truth_for_every_torn_mode() {
         ckpt.crash(CrashStyle::DropVolatile);
         drop(store);
 
-        let before = session.snapshot();
-        let (store2, report) = reopen(&wal, &ckpt);
-        let delta = session.snapshot().diff(&before);
+        let before = obs.snapshot();
+        let (store2, report) = reopen(&wal, &ckpt, &obs);
+        let delta = obs.snapshot().diff(&before);
 
         assert_eq!(delta.counter("storage.recovery.runs"), 1, "{mode:?}");
         assert_eq!(report.replayed, 2, "{mode:?}");
@@ -62,10 +70,10 @@ fn recovery_counters_match_ground_truth_for_every_torn_mode() {
 /// work with zero truncations.
 #[test]
 fn clean_crash_recovery_reports_no_truncation() {
-    let session = Session::start();
+    let obs = started();
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let (store, _) = reopen(&wal, &ckpt);
+    let (store, _) = reopen(&wal, &ckpt, &obs);
     for txn in 1..=3u64 {
         store.begin(txn).unwrap();
         store.put(txn, format!("k{txn}").as_bytes(), b"v").unwrap();
@@ -75,9 +83,9 @@ fn clean_crash_recovery_reports_no_truncation() {
     ckpt.crash(CrashStyle::DropVolatile);
     drop(store);
 
-    let before = session.snapshot();
-    let (_store2, report) = reopen(&wal, &ckpt);
-    let delta = session.snapshot().diff(&before);
+    let before = obs.snapshot();
+    let (_store2, report) = reopen(&wal, &ckpt, &obs);
+    let delta = obs.snapshot().diff(&before);
     assert_eq!(report.replayed, 3);
     assert_eq!(delta.counter("storage.recovery.runs"), 1);
     assert_eq!(delta.counter("storage.recovery.redo_records"), 3);
@@ -89,10 +97,10 @@ fn clean_crash_recovery_reports_no_truncation() {
 /// and not in the redo count.
 #[test]
 fn prepared_transaction_counts_as_in_doubt_not_redo() {
-    let session = Session::start();
+    let obs = started();
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let (store, _) = reopen(&wal, &ckpt);
+    let (store, _) = reopen(&wal, &ckpt, &obs);
     store.begin(7).unwrap();
     store.put(7, b"x", b"1").unwrap();
     store.prepare(7).unwrap();
@@ -100,9 +108,9 @@ fn prepared_transaction_counts_as_in_doubt_not_redo() {
     ckpt.crash(CrashStyle::DropVolatile);
     drop(store);
 
-    let before = session.snapshot();
-    let (_store2, report) = reopen(&wal, &ckpt);
-    let delta = session.snapshot().diff(&before);
+    let before = obs.snapshot();
+    let (_store2, report) = reopen(&wal, &ckpt, &obs);
+    let delta = obs.snapshot().diff(&before);
     assert_eq!(report.in_doubt, vec![7]);
     assert_eq!(delta.counter("storage.recovery.in_doubt"), 1);
     assert_eq!(delta.counter("storage.recovery.redo_records"), 0);
@@ -115,7 +123,7 @@ fn prepared_transaction_counts_as_in_doubt_not_redo() {
 #[test]
 fn index_rebuild_metrics_match_survivors_for_every_crash_shape() {
     use rrq_qm::ops::EnqueueOptions;
-    use rrq_qm::repository::{RepoDisks, Repository};
+    use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 
     let shapes = [
         None,
@@ -124,9 +132,13 @@ fn index_rebuild_metrics_match_survivors_for_every_crash_shape() {
         Some(TornWriteMode::HeaderOnly),
     ];
     for torn in shapes {
-        let session = Session::start();
+        let obs = started();
         let disks = RepoDisks::new();
-        let (repo, _) = Repository::open("recovery-metrics", disks.clone()).unwrap();
+        let open = || {
+            let opts = RepoOptions::default();
+            Repository::open_with("recovery-metrics", disks.clone(), opts, obs.clone()).unwrap()
+        };
+        let (repo, _) = open();
         repo.create_queue_defaults("q").unwrap();
         let (h, _) = repo.qm().register("q", "c", false).unwrap();
         for i in 0..5u8 {
@@ -142,9 +154,9 @@ fn index_rebuild_metrics_match_survivors_for_every_crash_shape() {
         disks.crash_with(torn);
         drop(repo); // retires the old incarnation's gauge contribution
 
-        let before = session.snapshot();
-        let (repo2, _) = Repository::open("recovery-metrics", disks.clone()).unwrap();
-        let delta = session.snapshot().diff(&before);
+        let before = obs.snapshot();
+        let (repo2, _) = open();
+        let delta = obs.snapshot().diff(&before);
         assert_eq!(
             delta.counter("qm.recovery.index_rebuild"),
             5,

@@ -97,8 +97,14 @@ fn kvstore_discards_torn_tail_so_later_commits_survive() {
     for mode in TornWriteMode::ALL {
         let wal_disk = SimDisk::new();
         let ckpt_disk = SimDisk::new();
-        let open =
-            || KvStore::open(Arc::new(wal_disk.clone()), Arc::new(ckpt_disk.clone())).unwrap();
+        let open = || {
+            KvStore::open(
+                Arc::new(wal_disk.clone()),
+                Arc::new(ckpt_disk.clone()),
+                rrq_obs::Obs::default(),
+            )
+            .unwrap()
+        };
 
         // Incarnation 1: one durable commit, one unsynced commit, torn crash.
         let (store, _) = open();

@@ -35,6 +35,7 @@ use crate::deadlock::WaitsForGraph;
 use crate::error::{TxnError, TxnResult};
 use crate::lockorder::{GuardClass, Held};
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use rrq_obs::Obs;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,7 +43,7 @@ use std::time::{Duration, Instant};
 
 /// Default stripe count for [`LockManager::new`]. Sixteen keeps the
 /// birthday-collision rate for a handful of hot keys low without bloating
-/// the per-manager footprint; `with_shards(1)` restores the pre-striping
+/// the per-manager footprint; `with_shards(1, ..)` restores the pre-striping
 /// single-mutex behaviour for baselines and differential tests.
 pub const DEFAULT_LOCK_SHARDS: usize = 16;
 
@@ -117,6 +118,8 @@ struct Shard {
     /// never empties, so no later store can show it zero: a transaction
     /// never skips a stripe it holds on.
     occupied: AtomicUsize,
+    /// The lock manager's handle, for the contended path of [`Shard::enter`].
+    obs: Obs,
 }
 
 /// A stripe guard: the shard mutex plus the debug-build order token. Derefs
@@ -168,7 +171,7 @@ impl DerefMut for MetaGuard<'_> {
 impl Shard {
     /// Acquire this shard's mutex, counting contended acquisitions. The
     /// `try_lock` fast path costs one CAS; only the slow path touches the
-    /// metrics (which are themselves no-ops unless a Session is installed).
+    /// metrics (which are themselves no-ops on a dormant handle).
     /// The order token is taken *before* the mutex so a would-deadlock
     /// acquisition panics in debug builds even when the schedule would have
     /// let it slip through.
@@ -180,12 +183,12 @@ impl Shard {
                 inner: g,
             };
         }
-        rrq_obs::counter_inc("txn.lock.shard.contended");
-        let start = rrq_obs::now();
+        self.obs.counter_inc("txn.lock.shard.contended");
+        let start = self.obs.now();
         let g = self.state.lock();
-        rrq_obs::observe(
+        self.obs.observe(
             "txn.lock.shard.acquire_wait_ticks",
-            rrq_obs::now().saturating_sub(start),
+            self.obs.now().saturating_sub(start),
         );
         StripeGuard {
             _order: order,
@@ -218,7 +221,7 @@ struct LockCounters {
     timeouts: AtomicU64,
 }
 
-fn bump(counter: &AtomicU64) {
+pub(crate) fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::AcqRel);
 }
 
@@ -234,29 +237,33 @@ pub struct LockManager {
     /// the graph is empty and a release has nothing to clear from it.
     waiting: AtomicUsize,
     counters: LockCounters,
+    obs: Obs,
 }
 
 impl Default for LockManager {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_LOCK_SHARDS)
+        Self::with_shards(DEFAULT_LOCK_SHARDS, Obs::default())
     }
 }
 
 impl LockManager {
-    /// Create an empty lock manager with the default stripe count.
+    /// Create an empty lock manager with the default stripe count and a
+    /// dormant observation handle.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Create an empty lock manager striped `n` ways (`n >= 1`). One shard
-    /// reproduces the pre-striping global-mutex behaviour exactly.
-    pub fn with_shards(n: usize) -> Self {
+    /// Create an empty lock manager striped `n` ways (`n >= 1`), reporting
+    /// to `obs`. One shard reproduces the pre-striping global-mutex
+    /// behaviour exactly.
+    pub fn with_shards(n: usize, obs: Obs) -> Self {
         let n = n.max(1);
         let shards = (0..n)
             .map(|_| Shard {
                 state: Mutex::new(ShardState::default()),
                 cv: Condvar::new(),
                 occupied: AtomicUsize::new(0),
+                obs: obs.clone(),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -265,7 +272,14 @@ impl LockManager {
             meta: Mutex::new(Meta::default()),
             waiting: AtomicUsize::new(0),
             counters: LockCounters::default(),
+            obs,
         }
+    }
+
+    /// The handle this manager (and the transaction manager built on it)
+    /// reports to.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Number of stripes.
@@ -369,18 +383,16 @@ impl LockManager {
                         self.publish_waiting(&m);
                     }
                     bump(&self.counters.waited_grants);
-                    rrq_obs::counter_inc("txn.lock.waited_grants");
+                    self.obs.counter_inc("txn.lock.waited_grants");
                     if let Some(start) = wait_start {
-                        rrq_obs::observe(
-                            "txn.lock.wait_ticks",
-                            rrq_obs::now().saturating_sub(start),
-                        );
+                        self.obs
+                            .observe("txn.lock.wait_ticks", self.obs.now().saturating_sub(start));
                     }
                 } else {
                     bump(&self.counters.immediate_grants);
-                    rrq_obs::counter_inc("txn.lock.immediate_grants");
+                    self.obs.counter_inc("txn.lock.immediate_grants");
                 }
-                rrq_check::race::lock_acquired(key.ns, &key.key);
+                self.obs.lock_acquired(key.ns, &key.key);
                 return Ok(());
             }
 
@@ -413,13 +425,13 @@ impl LockManager {
                 if let Some(e) = g.table.get_mut(key) {
                     e.waiters.retain(|w| *w != txn);
                 }
-                rrq_obs::counter_inc("txn.lock.deadlock_victims");
+                self.obs.counter_inc("txn.lock.deadlock_victims");
                 return Err(TxnError::Deadlock { victim: txn });
             }
 
             waited = true;
             if wait_start.is_none() {
-                wait_start = Some(rrq_obs::now());
+                wait_start = Some(self.obs.now());
             }
             if Instant::now() >= deadline {
                 return self.wait_timed_out(&mut g, txn, key);
@@ -443,7 +455,7 @@ impl LockManager {
         if let Some(e) = g.table.get_mut(key) {
             e.waiters.retain(|w| *w != txn);
         }
-        rrq_obs::counter_inc("txn.lock.timeouts");
+        self.obs.counter_inc("txn.lock.timeouts");
         Err(TxnError::LockTimeout)
     }
 
@@ -479,7 +491,7 @@ impl LockManager {
                         g.table.remove(&k);
                     }
                 }
-                rrq_check::race::lock_released(k.ns, &k.key);
+                self.obs.lock_released(k.ns, &k.key);
             }
             shard.cv.notify_all();
         }
@@ -521,9 +533,9 @@ impl LockManager {
                 }
             }
             // Happens-before: the inheriting transaction's thread (the
-            // caller) adopts each lock without `from` ever releasing it.
+            // caller) acquires each lock without `from` ever releasing it.
             for k in &keys {
-                rrq_check::race::lock_transferred(k.ns, &k.key);
+                self.obs.lock_acquired(k.ns, &k.key);
             }
             g.held.entry(to).or_default().extend(keys);
             shard.publish_occupancy(&g);
@@ -803,7 +815,7 @@ mod tests {
 
     #[test]
     fn shard_ids_are_stable_and_in_range() {
-        let lm = LockManager::with_shards(8);
+        let lm = LockManager::with_shards(8, Obs::default());
         assert_eq!(lm.shard_count(), 8);
         let mut seen = HashSet::new();
         for i in 0..64u8 {
@@ -816,7 +828,7 @@ mod tests {
         // 64 distinct keys must not all land on one stripe.
         assert!(seen.len() > 1);
         // shards=1 degenerates to a single stripe.
-        let single = LockManager::with_shards(1);
+        let single = LockManager::with_shards(1, Obs::default());
         assert_eq!(single.shard_id(&LockKey::new(9, "zz")), 0);
     }
 
@@ -850,7 +862,7 @@ mod tests {
     fn many_threads_stress_across_shards() {
         // Same stress as above but over many keys, so the striped fast path
         // (different shards, no meta contention beyond counters) is exercised.
-        let lm = Arc::new(LockManager::with_shards(8));
+        let lm = Arc::new(LockManager::with_shards(8, Obs::default()));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let lm = Arc::clone(&lm);

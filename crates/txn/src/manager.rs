@@ -16,10 +16,11 @@
 
 use crate::error::{TxnError, TxnResult};
 use crate::ids::{TxnId, TxnIdGen};
-use crate::lock::{LockKey, LockManager, LockMode};
+use crate::lock::{bump, LockKey, LockManager, LockMode};
 use crate::rm::ResourceManager;
 use crate::twophase::CoordinatorLog;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,21 +37,28 @@ pub struct TxnStats {
     pub two_phase_commits: u64,
 }
 
+/// [`TxnStats`] as it is counted: one atomic per field, so beginning or
+/// finishing a transaction takes no lock (as `LockStats` and `QmStats`).
+#[derive(Default)]
+struct TxnCounters {
+    begun: AtomicU64,
+    committed: AtomicU64,
+    aborted: AtomicU64,
+    two_phase_commits: AtomicU64,
+}
+
 struct Inner {
     ids: Arc<TxnIdGen>,
     locks: Arc<LockManager>,
     coord: Option<Arc<CoordinatorLog>>,
     /// Lock-wait timeout in milliseconds (atomic so it can be tuned live).
-    lock_timeout_ms: std::sync::atomic::AtomicU64,
-    stats: Mutex<TxnStats>,
+    lock_timeout_ms: AtomicU64,
+    stats: TxnCounters,
 }
 
 impl Inner {
     fn lock_timeout(&self) -> Duration {
-        Duration::from_millis(
-            self.lock_timeout_ms
-                .load(std::sync::atomic::Ordering::Acquire),
-        )
+        Duration::from_millis(self.lock_timeout_ms.load(Ordering::Acquire))
     }
 }
 
@@ -93,8 +101,8 @@ impl TxnManager {
                 ids,
                 locks,
                 coord,
-                lock_timeout_ms: std::sync::atomic::AtomicU64::new(5_000),
-                stats: Mutex::new(TxnStats::default()),
+                lock_timeout_ms: AtomicU64::new(5_000),
+                stats: TxnCounters::default(),
             }),
         }
     }
@@ -107,15 +115,14 @@ impl TxnManager {
 
     /// Override the lock-wait timeout (default 5 s).
     pub fn set_lock_timeout(&self, timeout: Duration) {
-        self.inner.lock_timeout_ms.store(
-            timeout.as_millis() as u64,
-            std::sync::atomic::Ordering::Release,
-        );
+        self.inner
+            .lock_timeout_ms
+            .store(timeout.as_millis() as u64, Ordering::Release);
     }
 
     /// Begin a new transaction.
     pub fn begin(&self) -> Txn {
-        self.inner.stats.lock().begun += 1;
+        bump(&self.inner.stats.begun);
         Txn {
             id: self.inner.ids.next(),
             mgr: self.clone(),
@@ -133,7 +140,7 @@ impl TxnManager {
     /// Begin a transaction under a caller-chosen id (used by recovery and by
     /// tests that need stable ids). The generator is bumped past it.
     pub fn begin_with_id(&self, id: TxnId) -> Txn {
-        self.inner.stats.lock().begun += 1;
+        bump(&self.inner.stats.begun);
         Txn {
             id,
             mgr: self.clone(),
@@ -149,7 +156,13 @@ impl TxnManager {
 
     /// Counter snapshot.
     pub fn stats(&self) -> TxnStats {
-        *self.inner.stats.lock()
+        let c = &self.inner.stats;
+        TxnStats {
+            begun: c.begun.load(Ordering::Acquire),
+            committed: c.committed.load(Ordering::Acquire),
+            aborted: c.aborted.load(Ordering::Acquire),
+            two_phase_commits: c.two_phase_commits.load(Ordering::Acquire),
+        }
     }
 
     /// Current id high-water mark (persist across restarts).
@@ -249,13 +262,13 @@ impl Txn {
         match result {
             Ok(()) => {
                 self.mgr.inner.locks.unlock_all(self.id.raw());
-                self.mgr.inner.stats.lock().committed += 1;
+                bump(&self.mgr.inner.stats.committed);
                 Ok(())
             }
             Err(e) => {
                 abort_impl(&self.mgr, self.id, &rms);
                 self.mgr.inner.locks.unlock_all(self.id.raw());
-                self.mgr.inner.stats.lock().aborted += 1;
+                bump(&self.mgr.inner.stats.aborted);
                 Err(e)
             }
         }
@@ -277,7 +290,7 @@ impl Txn {
             .transfer_locks(self.id.raw(), heir.raw());
         match commit_impl(&self.mgr, self.id, &rms) {
             Ok(()) => {
-                self.mgr.inner.stats.lock().committed += 1;
+                bump(&self.mgr.inner.stats.committed);
                 Ok(())
             }
             Err(e) => {
@@ -287,7 +300,7 @@ impl Txn {
                     .transfer_locks(heir.raw(), self.id.raw());
                 abort_impl(&self.mgr, self.id, &rms);
                 self.mgr.inner.locks.unlock_all(self.id.raw());
-                self.mgr.inner.stats.lock().aborted += 1;
+                bump(&self.mgr.inner.stats.aborted);
                 Err(e)
             }
         }
@@ -299,7 +312,7 @@ impl Txn {
         let rms = std::mem::take(&mut *self.rms.lock());
         abort_impl(&self.mgr, self.id, &rms);
         self.mgr.inner.locks.unlock_all(self.id.raw());
-        self.mgr.inner.stats.lock().aborted += 1;
+        bump(&self.mgr.inner.stats.aborted);
         Ok(())
     }
 }
@@ -310,7 +323,7 @@ impl Drop for Txn {
             let rms = std::mem::take(&mut *self.rms.lock());
             abort_impl(&self.mgr, self.id, &rms);
             self.mgr.inner.locks.unlock_all(self.id.raw());
-            self.mgr.inner.stats.lock().aborted += 1;
+            bump(&self.mgr.inner.stats.aborted);
         }
     }
 }
@@ -320,7 +333,8 @@ fn commit_impl(mgr: &TxnManager, id: TxnId, rms: &[Arc<dyn ResourceManager>]) ->
         0 => Ok(()),
         1 => rms[0].commit(id),
         _ => {
-            rrq_obs::counter_inc("txn.twophase.rounds");
+            let obs = mgr.inner.locks.obs();
+            obs.counter_inc("txn.twophase.rounds");
             for rm in rms {
                 rm.prepare(id)
                     .map_err(|e| TxnError::PrepareFailed(format!("{}: {e}", rm.name())))?;
@@ -328,8 +342,8 @@ fn commit_impl(mgr: &TxnManager, id: TxnId, rms: &[Arc<dyn ResourceManager>]) ->
             if let Some(coord) = &mgr.inner.coord {
                 coord.log_decision(id, true)?;
             }
-            rrq_obs::counter_inc("txn.twophase.decisions");
-            mgr.inner.stats.lock().two_phase_commits += 1;
+            obs.counter_inc("txn.twophase.decisions");
+            bump(&mgr.inner.stats.two_phase_commits);
             for rm in rms {
                 rm.commit(id)?;
             }
@@ -355,9 +369,13 @@ mod tests {
     use rrq_storage::kv::KvStore;
 
     fn kv_on(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
-        KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone()))
-            .unwrap()
-            .0
+        KvStore::open(
+            Arc::new(wal.clone()),
+            Arc::new(ckpt.clone()),
+            rrq_obs::Obs::default(),
+        )
+        .unwrap()
+        .0
     }
 
     #[test]
@@ -463,7 +481,12 @@ mod tests {
         w1.crash(CrashStyle::DropVolatile);
 
         // Recovery: store reports in-doubt; coordinator decisions resolve it.
-        let (s1b, report) = KvStore::open(Arc::new(w1.clone()), Arc::new(c1.clone())).unwrap();
+        let (s1b, report) = KvStore::open(
+            Arc::new(w1.clone()),
+            Arc::new(c1.clone()),
+            rrq_obs::Obs::default(),
+        )
+        .unwrap();
         assert_eq!(report.in_doubt.len(), 1);
         let mgr2 = TxnManager::new(
             Arc::new(LockManager::new()),
@@ -484,7 +507,12 @@ mod tests {
         s1.put(7, b"x", b"1").unwrap();
         s1.prepare(7).unwrap();
         w1.crash(CrashStyle::DropVolatile);
-        let (s1b, report) = KvStore::open(Arc::new(w1.clone()), Arc::new(c1.clone())).unwrap();
+        let (s1b, report) = KvStore::open(
+            Arc::new(w1.clone()),
+            Arc::new(c1.clone()),
+            rrq_obs::Obs::default(),
+        )
+        .unwrap();
         let mgr = TxnManager::new(
             Arc::new(LockManager::new()),
             Some(CoordinatorLog::new(Arc::new(SimDisk::new()))),

@@ -83,7 +83,12 @@ mod tests {
     use rrq_storage::disk::SimDisk;
 
     fn store() -> Arc<KvStore> {
-        let (s, _) = KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new())).unwrap();
+        let (s, _) = KvStore::open(
+            Arc::new(SimDisk::new()),
+            Arc::new(SimDisk::new()),
+            rrq_obs::Obs::default(),
+        )
+        .unwrap();
         s
     }
 

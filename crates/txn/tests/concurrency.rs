@@ -8,9 +8,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn store() -> Arc<KvStore> {
-    KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new()))
-        .unwrap()
-        .0
+    KvStore::open(
+        Arc::new(SimDisk::new()),
+        Arc::new(SimDisk::new()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap()
+    .0
 }
 
 fn balance(store: &KvStore, key: &[u8]) -> i64 {

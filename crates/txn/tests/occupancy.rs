@@ -71,7 +71,12 @@ fn occupancy_follows_a_transfer() {
 #[test]
 fn occupancy_survives_commit_inheriting_locks() {
     let mgr = TxnManager::single_node();
-    let (store, _) = KvStore::open(Arc::new(SimDisk::new()), Arc::new(SimDisk::new())).unwrap();
+    let (store, _) = KvStore::open(
+        Arc::new(SimDisk::new()),
+        Arc::new(SimDisk::new()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
     let rm: Arc<dyn ResourceManager> = Arc::new(KvResource::new("db", Arc::clone(&store)));
     let keys: Vec<LockKey> = (0..40).map(key).collect();
 

@@ -50,7 +50,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Replay `ops` on a fresh manager with `shards` stripes; the returned
 /// trace captures everything the caller is allowed to observe.
 fn replay(ops: &[Op], shards: usize) -> Vec<String> {
-    let lm = LockManager::with_shards(shards);
+    let lm = LockManager::with_shards(shards, rrq_obs::Obs::default());
     let mut trace = Vec::new();
     for op in ops {
         match op {
@@ -113,7 +113,7 @@ proptest! {
 /// tables are striped.
 #[test]
 fn cross_shard_deadlock_is_still_detected() {
-    let lm = Arc::new(LockManager::with_shards(8));
+    let lm = Arc::new(LockManager::with_shards(8, rrq_obs::Obs::default()));
 
     // Find two keys on provably different stripes.
     let a = key(0);
