@@ -25,9 +25,9 @@ pub const PAT_DOT_SYNC: &str = concat!(".sy", "nc()");
 pub const PAT_SYNC_THROUGH: &str = concat!("sync_th", "rough(");
 pub const PAT_FORCE_THROUGH: &str = concat!("force_th", "rough(");
 const PAT_APPEND: &str = concat!(".app", "end(");
-/// Laying a record into a batch of frames (`Frames::push`); the batch
-/// reaches the device in the `append_frames` that follows.
-const PAT_FRAME_PUSH: &str = concat!(".pu", "sh(");
+/// Framing a record into a reused buffer and appending it
+/// (`Wal::append_with`), the store's commit point.
+const PAT_APPEND_WITH: &str = concat!(".append_", "with(");
 const PAT_KIND_COMMIT: &str = concat!("RecordKind::Com", "mit");
 const PAT_KIND_DECISION: &str = concat!("DECISION_", "KIND");
 const PAT_THREAD_SLEEP: &str = concat!("thread::sl", "eep");
@@ -541,7 +541,7 @@ pub fn scan_file(path: &Path, rel: &str, cat: &Catalogue) -> io::Result<FileFact
                 spans.push((p, p + PAT_DROP.len()));
             }
             if stripped.contains(PAT_KIND_COMMIT) || stripped.contains(PAT_KIND_DECISION) {
-                let writes = [PAT_APPEND, PAT_FRAME_PUSH];
+                let writes = [PAT_APPEND, PAT_APPEND_WITH];
                 if let Some(p) = writes.iter().find_map(|pat| stripped.find(pat)) {
                     evs.push((p, Ev::Marker));
                 }

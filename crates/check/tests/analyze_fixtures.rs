@@ -113,40 +113,52 @@ fn catalog_lock_fixture_flags_the_force_under_the_guard_and_not_the_fill() {
 
 #[test]
 fn durability_fixture_reports_undominated_mutation_and_unsynced_append() {
+    // Two shapes of the same bug: a plain `append` of a commit record, and
+    // the store's `append_with` framing the write set into a reused buffer.
     let out = analyze::run(&fixture("durability")).unwrap();
-    assert_eq!(out.findings.len(), 2, "{:#?}", out.findings);
+    assert_eq!(out.findings.len(), 4, "{:#?}", out.findings);
+    for (pair, (func, line)) in out
+        .findings
+        .chunks(2)
+        .zip([("commit_bad", 7), ("commit_bad_framed", 14)])
+    {
+        let append = &pair[0];
+        assert_eq!(append.rule, analyze::RULE_DURABILITY);
+        assert_eq!(append.file, LIB);
+        assert_eq!(append.line, line);
+        assert_eq!(
+            append.message,
+            format!(
+                "commit-record append in fn `{func}` is not followed by a sync \
+                 on every path"
+            )
+        );
+        assert_eq!(
+            append.chain,
+            vec![format!(
+                "append at {LIB}:{line} has no post-dominating sync"
+            )]
+        );
 
-    let append = &out.findings[0];
-    assert_eq!(append.rule, analyze::RULE_DURABILITY);
-    assert_eq!(append.file, LIB);
-    assert_eq!(append.line, 7);
-    assert_eq!(
-        append.message,
-        "commit-record append in fn `commit_bad` is not followed by a sync \
-         on every path"
-    );
-    assert_eq!(
-        append.chain,
-        vec![format!("append at {LIB}:7 has no post-dominating sync")]
-    );
-
-    let mutation = &out.findings[1];
-    assert_eq!(mutation.rule, analyze::RULE_DURABILITY);
-    assert_eq!(mutation.line, 8);
-    assert_eq!(
-        mutation.message,
-        format!(
-            "commit-point mutation `{}` in fn `commit_bad` is not dominated \
-             by a durable sync",
-            concat!(".mut", "ate(")
-        )
-    );
-    assert_eq!(
-        mutation.chain,
-        vec![format!(
-            "no dominating durability event on some path to {LIB}:8"
-        )]
-    );
+        let mutation = &pair[1];
+        assert_eq!(mutation.rule, analyze::RULE_DURABILITY);
+        assert_eq!(mutation.line, line + 1);
+        assert_eq!(
+            mutation.message,
+            format!(
+                "commit-point mutation `{}` in fn `{func}` is not dominated \
+                 by a durable sync",
+                concat!(".mut", "ate(")
+            )
+        );
+        assert_eq!(
+            mutation.chain,
+            vec![format!(
+                "no dominating durability event on some path to {LIB}:{}",
+                line + 1
+            )]
+        );
+    }
 }
 
 #[test]

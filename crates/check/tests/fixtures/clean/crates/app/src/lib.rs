@@ -13,3 +13,9 @@ pub fn commit_good(s: &S) {
     s.wal.sync();
     s.index.mutate(7);
 }
+
+pub fn commit_good_framed(s: &S, buf: &mut Vec<u8>) {
+    let end = s.wal.append_with(buf, 7, RecordKind::Commit, |b| ops(b));
+    s.group.sync_through(end);
+    s.index.mutate(7);
+}

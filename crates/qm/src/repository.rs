@@ -184,7 +184,8 @@ impl ResourceManager for SiblingRm {
         let r = ResourceManager::commit(&*self.qm, txn);
         // 2PL release point for the sibling's locks: the commit decision is
         // already durable in the shared coordinator log by the time the
-        // commit phase runs, and on failure the transaction aborts below.
+        // commit phase runs, and a failed commit leaves this participant
+        // prepared for recovery to resolve from that log.
         self.locks.unlock_all(txn.raw());
         r
     }

@@ -1,11 +1,12 @@
 //! Hand-rolled binary codec for log records, checkpoints, and queue payloads.
 //!
 //! The format is deliberately simple and self-contained: fixed-width
-//! little-endian integers, length-prefixed byte strings, and a [`Encode`] /
-//! [`Decode`] trait pair. Keeping the codec in-crate means the WAL format is
-//! fully specified by this repository (no external serialization crate whose
-//! format could drift) and lets recovery distinguish truncation from
-//! corruption precisely.
+//! little-endian integers, length-prefixed byte strings (LEB128 varint
+//! lengths in the log's op lists, where keys and values are short), and a
+//! [`Encode`] / [`Decode`] trait pair. Keeping the codec in-crate means the
+//! WAL format is fully specified by this repository (no external
+//! serialization crate whose format could drift) and lets recovery
+//! distinguish truncation from corruption precisely.
 
 use crate::error::{StorageError, StorageResult};
 
@@ -127,6 +128,28 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// Read an unsigned LEB128 integer: seven bits a byte, low bits first,
+    /// the top bit set on every byte but the last. Longer than a `u64` can
+    /// need (ten bytes) is an error.
+    pub fn varint(&mut self) -> StorageResult<u64> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(StorageError::Decode("varint longer than ten bytes".into()))
+    }
+
+    /// Read a varint-length-prefixed byte string without copying it out of
+    /// the underlying buffer.
+    pub fn var_bytes_ref(&mut self) -> StorageResult<&'a [u8]> {
+        let len = self.varint()?;
+        self.take(usize::try_from(len).unwrap_or(usize::MAX))
+    }
+
     /// Read a u32-length-prefixed UTF-8 string.
     pub fn string(&mut self) -> StorageResult<String> {
         let raw = self.bytes()?;
@@ -163,6 +186,19 @@ pub mod put {
     /// Append a u32-length-prefixed byte string.
     pub fn bytes(buf: &mut Vec<u8>, v: &[u8]) {
         u32(buf, v.len() as u32);
+        buf.extend_from_slice(v);
+    }
+    /// Append an unsigned LEB128 integer (one byte below 128).
+    pub fn varint(buf: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
+    }
+    /// Append a varint-length-prefixed byte string.
+    pub fn var_bytes(buf: &mut Vec<u8>, v: &[u8]) {
+        varint(buf, v.len() as u64);
         buf.extend_from_slice(v);
     }
     /// Append a u32-length-prefixed UTF-8 string.
@@ -272,6 +308,39 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(r.bytes().unwrap(), b"payload");
         assert_eq!(r.string().unwrap(), "queue/req");
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width_and_reject_eleven_bytes() {
+        let values = [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ];
+        let widths = [1, 1, 1, 2, 2, 3, 5, 10];
+        for (v, width) in values.into_iter().zip(widths) {
+            let mut buf = Vec::new();
+            put::varint(&mut buf, v);
+            assert_eq!(buf.len(), width, "{v}");
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint().unwrap(), v);
+            assert!(r.is_empty());
+        }
+        let mut buf = Vec::new();
+        put::var_bytes(&mut buf, b"key");
+        assert_eq!(buf, b"\x03key");
+        assert_eq!(Reader::new(&buf).var_bytes_ref().unwrap(), b"key");
+        // Ten continuation bytes and more: no u64 is that long.
+        let mut r = Reader::new(&[0x80; 11]);
+        assert!(matches!(r.varint(), Err(StorageError::Decode(_))));
+        // A length past the end of the buffer.
+        let mut r = Reader::new(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, b'x']);
+        assert!(matches!(r.var_bytes_ref(), Err(StorageError::Decode(_))));
     }
 
     #[test]

@@ -15,16 +15,16 @@
 //! * Reads within a transaction see the transaction's own writes (the buffer
 //!   is an overlay over the tree).
 //! * [`KvStore::rename`] moves a value to another key without copying it or
-//!   logging it again: its redo record ([`WriteOp::Move`]) carries the two
-//!   keys.
-//! * [`KvStore::prepare`] forces the transaction's redo records plus a
-//!   `Prepare` record — phase 1 of two-phase commit. A prepared transaction
-//!   survives a crash as *in-doubt* and can be resolved either way by the
-//!   coordinator after recovery.
-//! * [`KvStore::commit`] forces a `Commit` record (logging the writes first
-//!   if `prepare` was skipped, the one-phase fast path) and only then applies
-//!   the writes to the tree. A transaction that wrote nothing and was never
-//!   prepared commits without a record or a force.
+//!   logging it again: its redo op ([`WriteOp::Move`]) carries the two keys.
+//! * [`KvStore::prepare`] forces one `Prepare` record carrying the
+//!   transaction's write set — phase 1 of two-phase commit. A prepared
+//!   transaction survives a crash as *in-doubt* and can be resolved either
+//!   way by the coordinator after recovery.
+//! * [`KvStore::commit`] forces one `Commit` record (carrying the write set
+//!   if `prepare` was skipped, the one-phase fast path; empty after a
+//!   prepare) and only then applies the writes to the tree. A transaction
+//!   that wrote nothing and was never prepared commits without a record or
+//!   a force.
 //!
 //! Concurrency control (locking) is the responsibility of the transaction
 //! layer above; this store guarantees atomicity and durability only.
@@ -42,15 +42,15 @@
 //! ## One store, one log
 //!
 //! A store writes one write-ahead log, with one append latch and one
-//! [`GroupCommit`] coordinator. A commit point lays the transaction's data
-//! records and its `Commit` record into the latch's frame buffer and hands
-//! them to the device as one write, so the order of commit records in the log
-//! *is* commit order and recovery replays the log as it scans it (see
-//! [`crate::recovery::replay`]). Forces run outside the latch, so two
-//! committers can return from their forces in either order; the retire line
-//! applies their writes to the shared tree in the order of the sequence
-//! numbers they drew under the latch, which keeps the live tree equal to
-//! what recovery would rebuild. Scaling past one log is the job of the layer
+//! [`GroupCommit`] coordinator. A commit point frames one record, the
+//! transaction's whole write set inside it ([`WriteOp::encode_list`]), in the
+//! latch's buffer and hands it to the device as one write, so the order of
+//! commit records in the log *is* commit order and recovery replays the log
+//! as it scans it (see [`crate::recovery::replay`]). Forces run outside the
+//! latch, so two committers can return from their forces in either order;
+//! the retire line applies their writes to the shared tree in the order of
+//! the sequence numbers they drew under the latch, which keeps the live tree
+//! equal to what recovery would rebuild. Scaling past one log is the job of the layer
 //! above: a repository partition is a whole store with its own log.
 //!
 //! A checkpoint appends a `Checkpoint` record naming the chain its segment
@@ -72,7 +72,7 @@
 //! with each other and with the logging half of a commit. Private overlays
 //! live in `txns`, striped by token so that two open transactions do not
 //! share a lock word; the log's append latch serializes appends, and a
-//! commit point hands the device its records as one write. Commit forcing
+//! commit point hands the device its one record as one write. Commit forcing
 //! goes through the log's [`GroupCommit`] coordinator, which batches
 //! concurrent syncs into one device force per group.
 //!
@@ -101,7 +101,7 @@ use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
 use crate::group_commit::{GroupCommit, GroupCommitStats};
 use crate::recovery::{replay, RecoveryReport};
-use crate::wal::{Frames, RecordKind, Wal};
+use crate::wal::{RecordKind, Wal};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rrq_obs::Obs;
 use std::borrow::Cow;
@@ -138,49 +138,55 @@ pub enum WriteOp {
 }
 
 impl WriteOp {
-    /// Append this operation's WAL payload to `buf`.
-    pub fn encode_payload_into(&self, buf: &mut Vec<u8>) {
-        match self {
-            WriteOp::Put { key, value } => {
-                put::bytes(buf, key);
-                put::bytes(buf, value);
-            }
-            WriteOp::Delete { key } => put::bytes(buf, key),
-            WriteOp::Move { from, to } => {
-                put::bytes(buf, from);
-                put::bytes(buf, to);
+    /// Append `ops` to `buf` as the op list a `Commit` or `Prepare` record
+    /// carries: per op, one tag byte (the byte of [`RecordKind::KvPut`],
+    /// `KvDelete` or `KvMove`), then its key and value, or its two keys, each
+    /// prefixed with its LEB128 length. Nothing else: no count, no padding.
+    pub fn encode_list(ops: &[WriteOp], buf: &mut Vec<u8>) {
+        for op in ops {
+            match op {
+                WriteOp::Put { key, value } => {
+                    buf.push(RecordKind::KvPut.to_byte());
+                    put::var_bytes(buf, key);
+                    put::var_bytes(buf, value);
+                }
+                WriteOp::Delete { key } => {
+                    buf.push(RecordKind::KvDelete.to_byte());
+                    put::var_bytes(buf, key);
+                }
+                WriteOp::Move { from, to } => {
+                    buf.push(RecordKind::KvMove.to_byte());
+                    put::var_bytes(buf, from);
+                    put::var_bytes(buf, to);
+                }
             }
         }
     }
 
-    /// Encode as a WAL payload.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode_payload_into(&mut buf);
-        buf
-    }
-
-    /// Decode a `KvPut` payload.
-    pub fn decode_put(payload: &[u8]) -> StorageResult<WriteOp> {
-        let mut r = Reader::new(payload);
-        let key = r.bytes()?;
-        let value = r.bytes()?;
-        Ok(WriteOp::Put { key, value })
-    }
-
-    /// Decode a `KvDelete` payload.
-    pub fn decode_delete(payload: &[u8]) -> StorageResult<WriteOp> {
-        let mut r = Reader::new(payload);
-        let key = r.bytes()?;
-        Ok(WriteOp::Delete { key })
-    }
-
-    /// Decode a `KvMove` payload.
-    pub fn decode_move(payload: &[u8]) -> StorageResult<WriteOp> {
-        let mut r = Reader::new(payload);
-        let from = r.bytes()?;
-        let to = r.bytes()?;
-        Ok(WriteOp::Move { from, to })
+    /// Read an op list from `r` to its end, copying each key and value out
+    /// once. An unknown tag, a length past the end, or an over-long varint
+    /// is an error, and no partial list is returned.
+    pub fn decode_list(r: &mut Reader<'_>) -> StorageResult<Vec<WriteOp>> {
+        let mut ops = Vec::new();
+        while !r.is_empty() {
+            let kind = RecordKind::from_byte(r.u8()?)?;
+            let mut bytes = || r.var_bytes_ref().map(<[u8]>::to_vec);
+            ops.push(match kind {
+                RecordKind::KvPut => WriteOp::Put {
+                    key: bytes()?,
+                    value: bytes()?,
+                },
+                RecordKind::KvDelete => WriteOp::Delete { key: bytes()? },
+                RecordKind::KvMove => WriteOp::Move {
+                    from: bytes()?,
+                    to: bytes()?,
+                },
+                other => {
+                    return Err(StorageError::Decode(format!("{other:?} is not an op tag")));
+                }
+            });
+        }
+        Ok(ops)
     }
 }
 
@@ -662,7 +668,7 @@ impl KvStore {
 
     /// Buffer a rename in `txn`: at commit the value under `from` is found
     /// under `to` (replacing what `to` held) and `from` is gone. The redo
-    /// record carries the two keys only — the value was logged when it was
+    /// op carries the two keys only — the value was logged when it was
     /// put, and the tree node changes keys without being copied. Renaming a
     /// key that holds nothing is a logged no-op, like deleting one. A `from`
     /// this transaction wrote itself has no logged value yet, so its rename
@@ -863,8 +869,8 @@ impl KvStore {
         self.mem.read().len()
     }
 
-    /// Phase 1 of two-phase commit: force the transaction's redo records and
-    /// a `Prepare` marker to the log. After this returns, the transaction
+    /// Phase 1 of two-phase commit: force a `Prepare` record carrying the
+    /// transaction's write set to the log. After this returns, the transaction
     /// will survive a crash as in-doubt. (The main-memory store has no crash
     /// to survive: there, prepare only closes the transaction to writes.)
     pub fn prepare(&self, txn: KvTxn) -> StorageResult<()> {
@@ -891,16 +897,17 @@ impl KvStore {
         let Some(log) = &self.log else {
             return Ok(());
         };
-        let id = st.internal;
+        // The payload opens with the caller's token: recovery surfaces the
+        // in-doubt txn under the token the coordinator knows, while the
+        // records stay keyed by the incarnation id.
+        let payload = |buf: &mut Vec<u8>| {
+            put::u64(buf, txn);
+            WriteOp::encode_list(&st.ops, buf);
+        };
         let target = {
             let mut latch = log.latch.lock();
-            let mut frames = Frames::new(&mut latch);
-            frame_ops(&mut frames, id, &st.ops);
-            // The prepare record's payload carries the caller's token:
-            // recovery surfaces the in-doubt txn under the token the
-            // coordinator knows, while the records stay keyed by `id`.
-            frames.push(id, RecordKind::Prepare, |buf| put::u64(buf, txn));
-            log.wal.append_frames(frames)?
+            log.wal
+                .append_with(&mut latch, st.internal, RecordKind::Prepare, payload)?
         };
         log.force_through(target)
     }
@@ -915,8 +922,8 @@ impl KvStore {
 
     /// Commit `txn`: make its writes durable and visible.
     ///
-    /// One-phase path (no prior [`KvStore::prepare`]): writes + `Commit`
-    /// record are logged and forced together. The force goes through the
+    /// One-phase path (no prior [`KvStore::prepare`]): one `Commit` record
+    /// carrying the writes is logged and forced. The force goes through the
     /// log's group-commit coordinator, so concurrent committers share one
     /// device sync; writes reach the shared tree only after the force
     /// returns, in the order of their commit records.
@@ -984,19 +991,19 @@ impl KvStore {
             return Ok(self.commit_seq.fetch_add(1, Ordering::SeqCst));
         };
         let id = st.internal;
+        // A prepared transaction's write set is in its `Prepare` record.
+        let ops: &[WriteOp] = if st.logged { &[] } else { &st.ops };
+        let payload = |buf: &mut Vec<u8>| WriteOp::encode_list(ops, buf);
         let seq;
         let appended;
         {
-            // The data records and the commit record reach the device as one
-            // write: all of the transaction is in the log, or none of it.
+            // The write set rides inside the commit record, one frame under
+            // one checksum: all of the transaction is in the log, or none.
             let mut latch = log.latch.lock();
-            let mut frames = Frames::new(&mut latch);
-            if !st.logged {
-                frame_ops(&mut frames, id, &st.ops);
-            }
             seq = self.commit_seq.fetch_add(1, Ordering::SeqCst);
-            frames.push(id, RecordKind::Commit, |_| {});
-            appended = log.wal.append_frames(frames);
+            appended = log
+                .wal
+                .append_with(&mut latch, id, RecordKind::Commit, payload);
         }
         if let Err(e) = appended.and_then(|target| log.sync_through(target, sync)) {
             // Append or force failed after the number was drawn: keep the
@@ -1187,19 +1194,6 @@ fn writable(g: &mut KeyMap<u64, TxnState>, txn: KvTxn) -> StorageResult<&mut Txn
         ));
     }
     Ok(st)
-}
-
-/// Lay a data record for each of `ops` into `frames`, each encoded straight
-/// into the log's frame buffer.
-fn frame_ops(frames: &mut Frames<'_>, txn: u64, ops: &[WriteOp]) {
-    for op in ops {
-        let kind = match op {
-            WriteOp::Put { .. } => RecordKind::KvPut,
-            WriteOp::Delete { .. } => RecordKind::KvDelete,
-            WriteOp::Move { .. } => RecordKind::KvMove,
-        };
-        frames.push(txn, kind, |buf| op.encode_payload_into(buf));
-    }
 }
 
 #[cfg(test)]

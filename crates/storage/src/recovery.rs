@@ -1,12 +1,27 @@
 //! The redo pass run when a store reopens after a crash.
 //!
 //! Because uncommitted writes never reach the shared tree (see
-//! [`crate::kv`]), recovery is redo-only: group the log's write records by
-//! transaction, apply the groups whose `Commit` record is durable — in commit
-//! order — and surface `Prepare`d-but-unresolved transactions as *in-doubt*
-//! for the two-phase-commit coordinator to resolve (paper §6 notes a QM "may
-//! need to support multiple transaction protocols"; in-doubt handoff is the
-//! hook that makes the queue store a well-behaved 2PC participant).
+//! [`crate::kv`]), recovery is redo-only: apply the write sets of the
+//! transactions whose `Commit` record is durable — in commit order — and
+//! surface `Prepare`d-but-unresolved transactions as *in-doubt* for the
+//! two-phase-commit coordinator to resolve (paper §6 notes a QM "may need to
+//! support multiple transaction protocols"; in-doubt handoff is the hook that
+//! makes the queue store a well-behaved 2PC participant).
+//!
+//! A commit point writes one record that holds the transaction's whole write
+//! set as an op list ([`WriteOp::encode_list`]). A one-phase `Commit` carries
+//! it; a `Prepare` carries the caller's token and then it; the `Commit` that
+//! resolves a prepare carries nothing and applies what the prepare logged.
+//! The frame's CRC vouches for its bytes, so a payload that is not a whole op
+//! list — or a data op logged as a record of its own — is no torn tail but
+//! corruption: the pass fails at that record instead of applying part of a
+//! transaction.
+//!
+//! A commit or prepare whose force failed is retried, and the retry logs its
+//! record again. The *last* attempt is the transaction: its write set
+//! replaces the earlier one (a superseded put or delete would replay to the
+//! same tree, a superseded move would not), and a retried commit takes its
+//! place in commit order at its last record, where the live store applied it.
 //!
 //! A store has one log, and a commit point appends its `Commit` record under
 //! the log's append latch, so the order in which the scan meets commit
@@ -20,16 +35,16 @@
 //! there: a move reads the tree it is applied to, so replaying it over a
 //! chain that already holds its effect would move something else.
 //!
-//! Records are grouped by the *internal incarnation id* the store stamps
-//! into each record's txn field — unique per transaction incarnation, never
+//! Records are keyed by the *internal incarnation id* the store stamps into
+//! each record's txn field — unique per transaction incarnation, never
 //! reused within a log, so a caller token recycled after a restart can never
-//! splice a dead incarnation's data records into a later outcome. `Prepare`
-//! records carry the caller's token in their payload, so in-doubt
-//! transactions still surface under the token the coordinator knows.
+//! pair a dead incarnation's prepare with a later outcome. `Prepare` records
+//! carry the caller's token in their payload, so in-doubt transactions still
+//! surface under the token the coordinator knows.
 
 use crate::checkpoint::ChainMark;
 use crate::codec::Reader;
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::kv::WriteOp;
 use crate::wal::{RecordKind, Wal};
 use std::collections::{HashMap, HashSet};
@@ -48,7 +63,7 @@ pub struct ReplayOutcome {
     pub in_doubt: HashMap<u64, Vec<WriteOp>>,
     /// Internal incarnation id of each in-doubt transaction, keyed by
     /// token — resolving the transaction must reuse its original id so the
-    /// outcome record matches the data records already in the log.
+    /// outcome record matches the prepare record already in the log.
     pub in_doubt_internal: HashMap<u64, u64>,
     /// Byte offset where the valid log prefix ends. Anything between here
     /// and the device length is a torn tail that must be discarded before
@@ -73,94 +88,66 @@ pub struct RecoveryReport {
     pub in_doubt: Vec<u64>,
 }
 
-/// One transaction's data records, in append order.
-#[derive(Default)]
-struct Logged {
-    ops: Vec<WriteOp>,
-    /// A `Prepare` or `Commit` record followed them: the write set is whole.
-    /// Data records after that belong to a retry (the first attempt's force
-    /// failed), and a retry logs the whole write set again.
-    sealed: bool,
-}
-
-impl Logged {
-    fn push(&mut self, op: WriteOp) {
-        if self.sealed {
-            // Only the last attempt is the transaction: a superseded put or
-            // delete would replay to the same tree, a superseded move would
-            // not.
-            self.ops.clear();
-            self.sealed = false;
-        }
-        self.ops.push(op);
-    }
-}
-
 /// Scan the log once and classify every transaction's fate. `chain` names
 /// the checkpoint chain the result will be applied over: a `Checkpoint`
 /// record naming it says that chain covers the log up to there, and the scan
 /// starts over from that record (the default mark names no chain).
 pub fn replay(wal: &Wal, chain: ChainMark) -> StorageResult<ReplayOutcome> {
     let mut out = ReplayOutcome::default();
-    let mut logged: HashMap<u64, Logged> = HashMap::new();
-    let mut committed: HashSet<u64> = HashSet::new();
-    // Committed transactions in the order the scan met their commit records.
-    // Emitted after the scan: freeing per-txn vectors mid-scan scatters later
-    // allocations and slows the apply loop (CHANGES.md PR 16).
-    let mut commit_order: Vec<u64> = Vec::new();
+    // Committed write sets in the order the scan met their commit records
+    // (a retried commit leaves its earlier slot empty), flattened after the
+    // scan: freeing per-txn vectors mid-scan scatters later allocations and
+    // slows the apply loop.
+    let mut commits: Vec<Vec<WriteOp>> = Vec::new();
+    let mut commit_at: HashMap<u64, usize> = HashMap::new();
+    // Prepared, no outcome yet: incarnation id → (caller token, write set).
+    let mut prepared: HashMap<u64, (u64, Vec<WriteOp>)> = HashMap::new();
     let mut aborted: HashSet<u64> = HashSet::new();
-    // Prepare records: (incarnation id, caller token from the payload —
-    // falling back to the id itself for payload-less hand-built records).
-    let mut prepared: Vec<(u64, u64)> = Vec::new();
     let mut max_txn = 0u64;
-    // Payloads are borrowed from the scan window: a data record's keys and
-    // value are copied out once, into the `WriteOp` that replay will move
-    // into the tree.
-    out.valid_end = wal.scan_with(0, |_lsn, txn, kind, payload| {
+    // Payloads are borrowed from the scan window: keys and values are copied
+    // out once, into the `WriteOp`s that replay will move into the tree.
+    out.valid_end = wal.scan_with(0, |lsn, txn, kind, payload| {
         max_txn = max_txn.max(txn);
+        let corrupt = |e: StorageError| StorageError::Corrupt {
+            offset: lsn,
+            detail: e.to_string(),
+        };
+        let mut r = Reader::new(payload);
         match kind {
-            RecordKind::KvPut => {
-                let op = WriteOp::decode_put(payload)?;
-                logged.entry(txn).or_default().push(op);
-            }
-            RecordKind::KvDelete => {
-                let op = WriteOp::decode_delete(payload)?;
-                logged.entry(txn).or_default().push(op);
-            }
-            RecordKind::KvMove => {
-                let op = WriteOp::decode_move(payload)?;
-                logged.entry(txn).or_default().push(op);
+            RecordKind::KvPut | RecordKind::KvDelete | RecordKind::KvMove => {
+                let stray = format!("a {kind:?} record outside a commit point");
+                return Err(corrupt(StorageError::Decode(stray)));
             }
             RecordKind::Prepare => {
-                let token = Reader::new(payload).u64().unwrap_or(txn);
-                prepared.push((txn, token));
-                if let Some(l) = logged.get_mut(&txn) {
-                    l.sealed = true;
-                }
+                let token = r.u64().map_err(corrupt)?;
+                let ops = WriteOp::decode_list(&mut r).map_err(corrupt)?;
+                prepared.insert(txn, (token, ops));
             }
             RecordKind::Commit => {
-                // A commit retried after a failed force left two records;
-                // the live store applied it at the second.
-                if !committed.insert(txn) {
-                    commit_order.retain(|t| *t != txn);
-                }
-                commit_order.push(txn);
-                if let Some(l) = logged.get_mut(&txn) {
-                    l.sealed = true;
-                }
+                let ops = WriteOp::decode_list(&mut r).map_err(corrupt)?;
+                // What the transaction logged before: its earlier commit
+                // attempt, or its prepare.
+                let logged = match commit_at.insert(txn, commits.len()) {
+                    Some(at) => std::mem::take(&mut commits[at]),
+                    None => prepared
+                        .remove(&txn)
+                        .map(|(_, ops)| ops)
+                        .unwrap_or_default(),
+                };
+                commits.push(if ops.is_empty() { logged } else { ops });
             }
             RecordKind::Abort => {
+                prepared.remove(&txn);
                 aborted.insert(txn);
             }
             RecordKind::Checkpoint => {
                 // No transaction straddles a checkpoint: it runs with every
                 // commit point shut out and refuses while one is prepared.
                 if chain.named_by(payload) {
-                    logged.clear();
-                    committed.clear();
-                    commit_order.clear();
-                    aborted.clear();
+                    commits.clear();
+                    commit_at.clear();
                     prepared.clear();
+                    aborted.clear();
                 }
             }
             RecordKind::Custom(_) => {
@@ -169,138 +156,159 @@ pub fn replay(wal: &Wal, chain: ChainMark) -> StorageResult<ReplayOutcome> {
         }
         Ok(())
     })?;
-    let mut ops_of = |txn| logged.remove(&txn).map(|l| l.ops).unwrap_or_default();
-    for txn in commit_order {
-        out.redo.extend(ops_of(txn));
+    for ops in commits {
+        out.redo.extend(ops);
     }
-    out.committed_txns = committed.len();
-    out.aborted_txns = aborted.difference(&committed).count();
+    out.committed_txns = commit_at.len();
+    out.aborted_txns = aborted
+        .iter()
+        .filter(|t| !commit_at.contains_key(t))
+        .count();
     out.next_txn_id = max_txn + 1;
-    for (id, token) in prepared {
-        // (A prepare retried after a failed force left two records.)
-        if committed.contains(&id) || aborted.contains(&id) || out.in_doubt.contains_key(&token) {
-            continue;
-        }
-        out.in_doubt.insert(token, ops_of(id));
+    for (id, (token, ops)) in prepared {
+        out.in_doubt.insert(token, ops);
         out.in_doubt_internal.insert(token, id);
     }
-    // Writes without prepare or outcome simply vanish (the crash hit before
-    // commit); the leftovers in `logged` are dropped here.
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::SimDisk;
+    use crate::disk::{CrashStyle, SimDisk};
     use std::sync::Arc;
 
     fn wal() -> Wal {
         Wal::new(Arc::new(SimDisk::new()))
     }
 
-    fn put_payload(key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn put(key: &[u8], value: &[u8]) -> WriteOp {
         WriteOp::Put {
             key: key.to_vec(),
             value: value.to_vec(),
         }
-        .encode_payload()
+    }
+
+    /// A one-phase `Commit` record's payload.
+    fn list(ops: &[WriteOp]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        WriteOp::encode_list(ops, &mut buf);
+        buf
+    }
+
+    /// A `Prepare` record's payload.
+    fn prepare(token: u64, ops: &[WriteOp]) -> Vec<u8> {
+        let mut buf = token.to_le_bytes().to_vec();
+        WriteOp::encode_list(ops, &mut buf);
+        buf
     }
 
     #[test]
     fn committed_txn_is_replayed() {
         let w = wal();
-        w.append(1, RecordKind::KvPut, &put_payload(b"a", b"1"))
+        w.append(1, RecordKind::Commit, &list(&[put(b"a", b"1")]))
             .unwrap();
-        w.append(1, RecordKind::Commit, &[]).unwrap();
         w.sync().unwrap();
         let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.committed_txns, 1);
-        assert_eq!(out.redo.len(), 1);
+        assert_eq!(out.redo, vec![put(b"a", b"1")]);
         assert!(out.in_doubt.is_empty());
     }
 
     #[test]
     fn unresolved_writes_are_dropped() {
-        let w = wal();
-        w.append(1, RecordKind::KvPut, &put_payload(b"a", b"1"))
+        // The commit record never reached stable storage: its writes are
+        // nowhere else in the log.
+        let disk = SimDisk::new();
+        let w = Wal::new(Arc::new(disk.clone()));
+        w.append(1, RecordKind::Commit, &list(&[put(b"a", b"1")]))
             .unwrap();
-        w.sync().unwrap();
+        disk.crash(CrashStyle::DropVolatile);
         let out = replay(&w, ChainMark::default()).unwrap();
         assert!(out.redo.is_empty());
+        assert_eq!(out.committed_txns, 0);
         assert!(out.in_doubt.is_empty());
     }
 
     #[test]
     fn aborted_txn_discarded() {
         let w = wal();
-        w.append(1, RecordKind::KvPut, &put_payload(b"a", b"1"))
+        w.append(1, RecordKind::Prepare, &prepare(1, &[put(b"a", b"1")]))
             .unwrap();
         w.append(1, RecordKind::Abort, &[]).unwrap();
         w.sync().unwrap();
         let out = replay(&w, ChainMark::default()).unwrap();
         assert!(out.redo.is_empty());
+        assert!(out.in_doubt.is_empty());
         assert_eq!(out.aborted_txns, 1);
     }
 
     #[test]
     fn prepared_txn_is_in_doubt_with_its_writes() {
         let w = wal();
-        w.append(5, RecordKind::KvPut, &put_payload(b"x", b"9"))
+        w.append(5, RecordKind::Prepare, &prepare(5, &[put(b"x", b"9")]))
             .unwrap();
-        w.append(5, RecordKind::Prepare, &[]).unwrap();
         w.sync().unwrap();
         let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.in_doubt.len(), 1);
-        assert_eq!(out.in_doubt[&5].len(), 1);
+        assert_eq!(out.in_doubt[&5], vec![put(b"x", b"9")]);
+        // The commit that resolves it carries nothing and applies them.
+        w.append(5, RecordKind::Commit, &[]).unwrap();
+        let out = replay(&w, ChainMark::default()).unwrap();
+        assert!(out.in_doubt.is_empty());
+        assert_eq!(out.redo, vec![put(b"x", b"9")]);
     }
 
     #[test]
     fn interleaved_txns_apply_in_commit_order() {
         let w = wal();
-        w.append(1, RecordKind::KvPut, &put_payload(b"k", b"one"))
+        w.append(1, RecordKind::Prepare, &prepare(1, &[put(b"k", b"one")]))
             .unwrap();
-        w.append(2, RecordKind::KvPut, &put_payload(b"k", b"two"))
+        w.append(2, RecordKind::Commit, &list(&[put(b"k", b"two")]))
             .unwrap();
-        w.append(2, RecordKind::Commit, &[]).unwrap();
         w.append(1, RecordKind::Commit, &[]).unwrap();
         w.sync().unwrap();
         let out = replay(&w, ChainMark::default()).unwrap();
-        assert_eq!(out.redo.len(), 2);
         // txn 2 committed first, so txn 1's write must come last.
-        match &out.redo[1] {
-            WriteOp::Put { value, .. } => assert_eq!(value, b"one"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(out.redo, vec![put(b"k", b"two"), put(b"k", b"one")]);
     }
 
     #[test]
     fn a_retried_commit_replays_at_its_last_record() {
         // Txn 1's first commit record landed but its force failed; txn 2
-        // committed over the same key; then txn 1's retry logged its writes
-        // and a second commit record. The live store applied 2, then 1.
+        // committed over the same key; then txn 1's retry logged its commit
+        // record again. The live store applied 2, then 1.
         let w = wal();
-        w.append(1, RecordKind::KvPut, &put_payload(b"k", b"one"))
+        let one = list(&[put(b"k", b"one")]);
+        w.append(1, RecordKind::Commit, &one).unwrap();
+        w.append(2, RecordKind::Commit, &list(&[put(b"k", b"two")]))
             .unwrap();
-        w.append(1, RecordKind::Commit, &[]).unwrap();
-        w.append(2, RecordKind::KvPut, &put_payload(b"k", b"two"))
+        w.append(1, RecordKind::Commit, &one).unwrap();
+        // The same after a prepare: the retried commit record is empty
+        // again, and still applies what the prepare logged.
+        w.append(3, RecordKind::Prepare, &prepare(3, &[put(b"p", b"3")]))
             .unwrap();
-        w.append(2, RecordKind::Commit, &[]).unwrap();
-        w.append(1, RecordKind::KvPut, &put_payload(b"k", b"one"))
+        w.append(3, RecordKind::Commit, &[]).unwrap();
+        w.append(4, RecordKind::Commit, &list(&[put(b"p", b"4")]))
             .unwrap();
-        w.append(1, RecordKind::Commit, &[]).unwrap();
+        w.append(3, RecordKind::Commit, &[]).unwrap();
         w.sync().unwrap();
         let out = replay(&w, ChainMark::default()).unwrap();
-        assert_eq!(out.committed_txns, 2);
-        match out.redo.last() {
-            Some(WriteOp::Put { value, .. }) => assert_eq!(value, b"one"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(out.committed_txns, 4);
+        assert_eq!(
+            out.redo,
+            vec![
+                put(b"k", b"two"),
+                put(b"k", b"one"),
+                put(b"p", b"4"),
+                put(b"p", b"3"),
+            ]
+        );
     }
 
     #[test]
     fn a_retried_commit_replays_only_its_last_attempt() {
-        // The first attempt's force failed after its records landed; the
+        // The first attempt's force failed after its record landed; the
         // retry logged the write set again. Replaying both would run the
         // move twice: the second time `a` is gone, and `b` would keep the
         // put's value instead of the moved one.
@@ -309,33 +317,27 @@ mod tests {
             from: b"a".to_vec(),
             to: b"b".to_vec(),
         };
+        let attempt = list(&[put(b"b", b"put"), mv.clone()]);
         for _attempt in 0..2 {
-            w.append(1, RecordKind::KvPut, &put_payload(b"b", b"put"))
-                .unwrap();
-            w.append(1, RecordKind::KvMove, &mv.encode_payload())
-                .unwrap();
-            w.append(1, RecordKind::Commit, &[]).unwrap();
+            w.append(1, RecordKind::Commit, &attempt).unwrap();
         }
         w.sync().unwrap();
         let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.committed_txns, 1);
-        assert_eq!(out.redo.len(), 2);
-        assert_eq!(out.redo[1], mv);
+        assert_eq!(out.redo, vec![put(b"b", b"put"), mv]);
     }
 
     #[test]
     fn a_retried_prepare_is_in_doubt_once_with_its_write_set() {
         let w = wal();
         for _attempt in 0..2 {
-            w.append(5, RecordKind::KvPut, &put_payload(b"x", b"9"))
-                .unwrap();
-            w.append(5, RecordKind::Prepare, &77u64.to_le_bytes())
+            w.append(5, RecordKind::Prepare, &prepare(77, &[put(b"x", b"9")]))
                 .unwrap();
         }
         w.sync().unwrap();
         let out = replay(&w, ChainMark::default()).unwrap();
         assert_eq!(out.in_doubt.len(), 1);
-        assert_eq!(out.in_doubt[&77].len(), 1);
+        assert_eq!(out.in_doubt[&77], vec![put(b"x", b"9")]);
         assert_eq!(out.in_doubt_internal[&77], 5);
     }
 
@@ -347,13 +349,11 @@ mod tests {
         chain.encode_into(&mut named);
         let mut other = Vec::new();
         ChainMark { end: 65, crc: 8 }.encode_into(&mut other);
-        w.append(1, RecordKind::KvPut, &put_payload(b"a", b"covered"))
+        w.append(1, RecordKind::Commit, &list(&[put(b"a", b"covered")]))
             .unwrap();
-        w.append(1, RecordKind::Commit, &[]).unwrap();
         w.append(0, RecordKind::Checkpoint, &named).unwrap();
-        w.append(2, RecordKind::KvPut, &put_payload(b"b", b"after"))
+        w.append(2, RecordKind::Commit, &list(&[put(b"b", b"after")]))
             .unwrap();
-        w.append(2, RecordKind::Commit, &[]).unwrap();
         // A later attempt whose segment never became durable names a chain
         // that does not exist, and the record that opens a truncated log
         // names none.
@@ -362,10 +362,7 @@ mod tests {
         w.sync().unwrap();
         let out = replay(&w, chain).unwrap();
         assert_eq!(out.committed_txns, 1);
-        assert_eq!(
-            out.redo,
-            vec![WriteOp::decode_put(&put_payload(b"b", b"after")).unwrap()]
-        );
+        assert_eq!(out.redo, vec![put(b"b", b"after")]);
         assert_eq!(out.next_txn_id, 3, "ids stay unique past the covered part");
         // Over no chain, or another one, the whole log replays.
         assert_eq!(replay(&w, ChainMark::default()).unwrap().redo.len(), 2);

@@ -6,6 +6,11 @@
 //! a length, and a CRC-32 over the body; a recovery scan replays records
 //! until it reaches the end of the log or a frame that fails validation —
 //! the torn tail left by a crash.
+//!
+//! A store writes one record per commit point: its `Commit` (or `Prepare`)
+//! record carries the transaction's whole write set as an op list (see
+//! [`crate::kv::WriteOp::encode_list`]), so one frame, one checksum and one
+//! device write cover all of it. The log itself does not read payloads.
 
 use crate::checksum::crc32;
 use crate::codec::{put, Reader};
@@ -29,22 +34,25 @@ pub const SCAN_WINDOW: usize = 64 * 1024;
 
 /// The kind of a log record.
 ///
-/// `KvPut`/`KvDelete`/`KvMove` carry redo information for the key-value store;
-/// `Prepare`/`Commit`/`Abort` delimit transaction outcomes; `Custom` lets
-/// higher layers (the queue manager, the saga log) write their own records
-/// through the same recovery machinery.
+/// `Prepare`/`Commit`/`Abort` delimit transaction outcomes, the first two
+/// carrying the write set; `Custom` lets higher layers write their own
+/// records through the same recovery machinery. The bytes of
+/// `KvPut`/`KvDelete`/`KvMove` are the op tags inside a write set; a store
+/// never writes them as records of their own, and its recovery refuses one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordKind {
-    /// A key-value insert or update (redo).
+    /// A key-value insert or update (an op tag).
     KvPut,
-    /// A key-value deletion (redo).
+    /// A key-value deletion (an op tag).
     KvDelete,
-    /// A key-value rename (redo): the payload is the two keys, the value
-    /// stays where the log already has it.
+    /// A key-value rename (an op tag): the two keys, the value stays where
+    /// the log already has it.
     KvMove,
-    /// The transaction's writes are all logged; it may commit (2PC phase 1).
+    /// The transaction may commit (2PC phase 1): the caller's token, then
+    /// the write set.
     Prepare,
-    /// The transaction committed; its logged writes must be applied.
+    /// The transaction committed: its write set (empty after a `Prepare`,
+    /// which logged it) must be applied.
     Commit,
     /// The transaction aborted; its logged writes must be discarded.
     Abort,
@@ -55,7 +63,7 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             RecordKind::KvPut => 1,
             RecordKind::KvDelete => 2,
@@ -71,7 +79,7 @@ impl RecordKind {
         }
     }
 
-    fn from_byte(b: u8) -> StorageResult<Self> {
+    pub(crate) fn from_byte(b: u8) -> StorageResult<Self> {
         match b {
             1 => Ok(RecordKind::KvPut),
             2 => Ok(RecordKind::KvDelete),
@@ -112,49 +120,6 @@ pub struct Wal {
     obs: Obs,
 }
 
-/// Record frames laid end to end in a caller-owned buffer, for one
-/// [`Wal::append_frames`]. The buffer is cleared first and its capacity is
-/// what carries over from batch to batch.
-pub struct Frames<'a> {
-    buf: &'a mut Vec<u8>,
-    records: u64,
-    commit_records: u64,
-}
-
-impl<'a> Frames<'a> {
-    /// An empty batch over `buf`, whatever it held before.
-    pub fn new(buf: &'a mut Vec<u8>) -> Self {
-        buf.clear();
-        Frames {
-            buf,
-            records: 0,
-            commit_records: 0,
-        }
-    }
-
-    /// Lay one record's frame behind those already in the batch, the payload
-    /// written in place by `payload` (which must only append). The frame —
-    /// header, `txn`, `kind`, payload — is laid out once; length and CRC are
-    /// patched into the header after the payload is known.
-    pub fn push(&mut self, txn: u64, kind: RecordKind, payload: impl FnOnce(&mut Vec<u8>)) {
-        let buf = &mut *self.buf;
-        let start = buf.len();
-        put::u16(buf, MAGIC);
-        put::u32(buf, 0); // body length, patched below
-        put::u32(buf, 0); // body crc, patched below
-        put::u64(buf, txn);
-        put::u8(buf, kind.to_byte());
-        payload(buf);
-        let body = start + FRAME_HEADER;
-        let body_len = (buf.len() - body) as u32;
-        buf[start + 2..start + 6].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&buf[body..]);
-        buf[start + 6..body].copy_from_slice(&crc.to_le_bytes());
-        self.records += 1;
-        self.commit_records += u64::from(kind == RecordKind::Commit);
-    }
-}
-
 impl Wal {
     /// Open a log over a device, with a dormant handle. Existing contents
     /// are left untouched; call [`Wal::scan`] to read them back.
@@ -184,28 +149,43 @@ impl Wal {
 
     /// Append a record; returns its LSN. Not durable until [`Wal::sync`].
     pub fn append(&self, txn: u64, kind: RecordKind, payload: &[u8]) -> StorageResult<u64> {
-        let len = FRAME_HEADER + BODY_PREFIX + payload.len();
-        let mut buf = Vec::with_capacity(len);
-        let mut frames = Frames::new(&mut buf);
-        frames.push(txn, kind, |buf| buf.extend_from_slice(payload));
-        Ok(self.append_frames(frames)? - len as u64)
+        let mut buf = Vec::with_capacity(FRAME_HEADER + BODY_PREFIX + payload.len());
+        let end = self.append_with(&mut buf, txn, kind, |b| b.extend_from_slice(payload))?;
+        Ok(end - buf.len() as u64)
     }
 
-    /// Append a batch of records as one device write and return the offset
-    /// just past it (what a force must reach to cover the batch). The device
-    /// sees the same bytes, in the same order, as one [`Wal::append`] per
-    /// record would have written — the batch saves the device round trips,
-    /// not bytes — and either takes all of them or, on error, none. Not
-    /// durable until [`Wal::sync`].
-    pub fn append_frames(&self, frames: Frames<'_>) -> StorageResult<u64> {
-        let start = self.disk.append(frames.buf)?;
-        self.appended.fetch_add(frames.records, Ordering::AcqRel);
-        let obs = &self.obs;
-        obs.counter_add("storage.wal.appends", frames.records);
-        if frames.commit_records > 0 {
-            obs.counter_add("storage.wal.commit_records", frames.commit_records);
+    /// Append a record whose payload `payload` writes in place (it must only
+    /// append), framed in `buf` — cleared first; its capacity is what carries
+    /// over from record to record — and handed to the device as one write.
+    /// Returns the offset just past the record, what a force must reach to
+    /// cover it. The frame is laid out once: length and CRC are patched into
+    /// the header after the payload is known. Not durable until
+    /// [`Wal::sync`].
+    pub fn append_with(
+        &self,
+        buf: &mut Vec<u8>,
+        txn: u64,
+        kind: RecordKind,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> StorageResult<u64> {
+        buf.clear();
+        put::u16(buf, MAGIC);
+        put::u32(buf, 0); // body length, patched below
+        put::u32(buf, 0); // body crc, patched below
+        put::u64(buf, txn);
+        put::u8(buf, kind.to_byte());
+        payload(buf);
+        let body_len = (buf.len() - FRAME_HEADER) as u32;
+        buf[2..6].copy_from_slice(&body_len.to_le_bytes());
+        let crc = crc32(&buf[FRAME_HEADER..]);
+        buf[6..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        let start = self.disk.append(buf)?;
+        self.appended.fetch_add(1, Ordering::AcqRel);
+        self.obs.counter_inc("storage.wal.appends");
+        if kind == RecordKind::Commit {
+            self.obs.counter_inc("storage.wal.commit_records");
         }
-        Ok(start + frames.buf.len() as u64)
+        Ok(start + buf.len() as u64)
     }
 
     /// Force all appended records to stable storage.

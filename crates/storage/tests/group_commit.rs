@@ -35,19 +35,18 @@ fn crash_between_group_sync_and_follower_ack_loses_nothing() {
     let gc = GroupCommit::new();
 
     // Two committers reach their commit point; both records are appended.
-    let put = |txn: u64, key: &[u8]| {
+    let commit = |txn: u64, key: &[u8]| {
         let op = rrq_storage::kv::WriteOp::Put {
             key: key.to_vec(),
             value: b"v".to_vec(),
         };
-        wal.append(txn, RecordKind::KvPut, &op.encode_payload())
-            .unwrap();
+        let mut payload = Vec::new();
+        rrq_storage::kv::WriteOp::encode_list(&[op], &mut payload);
+        wal.append(txn, RecordKind::Commit, &payload).unwrap();
     };
-    put(1, b"leader");
-    wal.append(1, RecordKind::Commit, &[]).unwrap();
+    commit(1, b"leader");
     let leader_target = wal.len();
-    put(2, b"follower");
-    wal.append(2, RecordKind::Commit, &[]).unwrap();
+    commit(2, b"follower");
     let follower_target = wal.len();
 
     // The leader's group sync covers the follower's record too.

@@ -1,18 +1,22 @@
 //! Pins the on-disk log format and the scan's stopping rule.
 //!
-//! `Wal::append` builds each frame in one buffer (`Wal::append_frames`: a
-//! whole commit's frames end to end, one device write) and `Wal::scan` reads
-//! the device in windows; both replaced simpler code (two buffers per frame,
-//! two device reads per record) that this file keeps as test-only references.
-//! A log written by either encoder must read back identically through either
-//! scanner, byte for byte and offset for offset — including where a torn tail
-//! stops the scan, and for records that straddle a scan-window boundary.
+//! `Wal::append_with` builds each frame in one reused buffer, one device
+//! write per record, and `Wal::scan` reads the device in windows; both
+//! replaced simpler code (two buffers per frame, two device reads per record)
+//! that this file keeps as test-only references. A log written by either
+//! encoder must read back identically through either scanner, byte for byte
+//! and offset for offset — including where a torn tail stops the scan, and
+//! for records that straddle a scan-window boundary.
+//!
+//! A store writes one record per commit point, its write set inside as an op
+//! list (`WriteOp::encode_list`); `ref_list` is that format written out by
+//! hand, and the pinned images below hold it to the byte.
 
 use rrq_storage::checksum::crc32;
 use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk, TornWriteMode};
 use rrq_storage::kv::{KvStore, WriteOp};
 use rrq_storage::recovery::replay;
-use rrq_storage::wal::{Frames, RecordKind, Wal, SCAN_WINDOW};
+use rrq_storage::wal::{RecordKind, Wal, SCAN_WINDOW};
 use rrq_storage::{StorageError, StorageResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -92,12 +96,62 @@ fn image(disk: &SimDisk) -> Vec<u8> {
     disk.read(0, disk.len() as usize).unwrap()
 }
 
-fn put_payload(key: &[u8], value: &[u8]) -> Vec<u8> {
+/// The op-list format written out by hand: per op a tag byte (the record
+/// kind's), then each key or value behind its LEB128 length.
+fn ref_list(ops: &[WriteOp]) -> Vec<u8> {
+    fn field(out: &mut Vec<u8>, bytes: &[u8]) {
+        let mut n = bytes.len();
+        while n >= 0x80 {
+            out.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        out.push(n as u8);
+        out.extend_from_slice(bytes);
+    }
+    let mut out = Vec::new();
+    for op in ops {
+        match op {
+            WriteOp::Put { key, value } => {
+                out.push(kind_byte(RecordKind::KvPut));
+                field(&mut out, key);
+                field(&mut out, value);
+            }
+            WriteOp::Delete { key } => {
+                out.push(kind_byte(RecordKind::KvDelete));
+                field(&mut out, key);
+            }
+            WriteOp::Move { from, to } => {
+                out.push(kind_byte(RecordKind::KvMove));
+                field(&mut out, from);
+                field(&mut out, to);
+            }
+        }
+    }
+    out
+}
+
+/// A `Prepare` record's payload: the caller's token, then the op list.
+fn ref_prepare(token: u64, ops: &[WriteOp]) -> Vec<u8> {
+    let mut out = token.to_le_bytes().to_vec();
+    out.extend(ref_list(ops));
+    out
+}
+
+fn put(key: &[u8], value: &[u8]) -> WriteOp {
     WriteOp::Put {
         key: key.to_vec(),
         value: value.to_vec(),
     }
-    .encode_payload()
+}
+
+fn open_store(wal: &SimDisk) -> Arc<KvStore> {
+    KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(SimDisk::new()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap()
+    .0
 }
 
 #[test]
@@ -120,29 +174,107 @@ fn a_fixed_record_frames_to_pinned_bytes() {
         old_frame(0x0102_0304_0506_0708, RecordKind::KvPut, b"k=v"),
         pinned
     );
-    // The batch entry point frames the same bytes, whatever the buffer held
-    // before.
-    let disk2 = SimDisk::new();
-    let wal2 = Wal::new(Arc::new(disk2.clone()));
+}
+
+#[test]
+fn a_reused_buffer_frames_the_bytes_append_does() {
+    // The entry point a store's commit point uses frames into the append
+    // latch's buffer, whatever it held before, and hands the device one
+    // write per record: the same bytes as `Wal::append`.
+    let (one_by_one, reused) = (SimDisk::new(), SimDisk::new());
+    let wal_a = Wal::new(Arc::new(one_by_one.clone()));
+    let wal_b = Wal::new(Arc::new(reused.clone()));
+    let records = [
+        (1, RecordKind::Abort, Vec::new()),
+        (
+            7,
+            RecordKind::Commit,
+            ref_list(&[put(b"alpha", &[0x3C; 5000])]),
+        ),
+        (7, RecordKind::Prepare, ref_prepare(41, &[put(b"", b"")])),
+        (0, RecordKind::Checkpoint, b"mark".to_vec()),
+    ];
     let mut buf = vec![0xEE; 100];
-    let mut frames = Frames::new(&mut buf);
-    frames.push(0x0102_0304_0506_0708, RecordKind::KvPut, |b| {
-        b.extend_from_slice(b"k=v")
-    });
-    assert_eq!(wal2.append_frames(frames).unwrap(), pinned.len() as u64);
-    assert_eq!(image(&disk2), pinned);
+    for (txn, kind, payload) in &records {
+        let lsn = wal_a.append(*txn, *kind, payload).unwrap();
+        let end = wal_b
+            .append_with(&mut buf, *txn, *kind, |b| b.extend_from_slice(payload))
+            .unwrap();
+        assert_eq!(end, reused.len(), "the offset a force must reach");
+        assert_eq!(end - buf.len() as u64, lsn);
+    }
+    assert_eq!(image(&reused), image(&one_by_one));
+    assert_eq!(wal_b.records_appended(), records.len() as u64);
+    assert_eq!(reused.stats().appends, records.len() as u64);
+    assert_eq!(new_scan(&wal_b, 0), new_scan(&wal_a, 0));
+}
+
+#[test]
+fn a_multi_op_commit_and_a_prepare_frame_to_pinned_bytes() {
+    // One frame per commit point: the one-phase commit of a put, a delete and
+    // a move; then a prepare of one put under the caller's token 11, and the
+    // commit that resolves it, which carries nothing.
+    let wal = SimDisk::new();
+    let store = open_store(&wal);
+    store.begin(10).unwrap();
+    store.put(10, b"k", b"v").unwrap();
+    store.delete(10, b"a").unwrap();
+    store.rename(10, b"e/1", b"d/2").unwrap();
+    store.commit(10).unwrap();
+    store.begin(11).unwrap();
+    store.put(11, b"p", b"q").unwrap();
+    store.prepare(11).unwrap();
+    store.commit(11).unwrap();
+    #[rustfmt::skip]
+    let pinned: [u8; 87] = [
+        0xCB, 0x51,                                     // magic
+        0x1A, 0x00, 0x00, 0x00,                         // body length 26
+        0x10, 0x90, 0xA8, 0xBC,                         // crc32(body)
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // txn (incarnation 1)
+        0x04,                                           // kind Commit
+        0x01, 0x01, 0x6B, 0x01, 0x76,                   // put: "k" = "v"
+        0x02, 0x01, 0x61,                               // delete: "a"
+        0x07, 0x03, 0x65, 0x2F, 0x31, 0x03, 0x64, 0x2F, 0x32, // move: "e/1" -> "d/2"
+
+        0xCB, 0x51,                                     // magic
+        0x16, 0x00, 0x00, 0x00,                         // body length 22
+        0x76, 0xB4, 0xE5, 0xF2,                         // crc32(body)
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // txn (incarnation 2)
+        0x03,                                           // kind Prepare
+        0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // caller's token 11
+        0x01, 0x01, 0x70, 0x01, 0x71,                   // put: "p" = "q"
+
+        0xCB, 0x51,                                     // magic
+        0x09, 0x00, 0x00, 0x00,                         // body length 9
+        0x31, 0xF8, 0x92, 0xCF,                         // crc32(body)
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // txn
+        0x04,                                           // kind Commit, no ops
+    ];
+    assert_eq!(image(&wal), pinned);
+    assert_eq!(wal.stats().appends, 3, "one device write per commit point");
+    let ops = [
+        put(b"k", b"v"),
+        WriteOp::Delete { key: b"a".to_vec() },
+        WriteOp::Move {
+            from: b"e/1".to_vec(),
+            to: b"d/2".to_vec(),
+        },
+    ];
+    let mut want = old_frame(1, RecordKind::Commit, &ref_list(&ops));
+    want.extend(old_frame(
+        2,
+        RecordKind::Prepare,
+        &ref_prepare(11, &[put(b"p", b"q")]),
+    ));
+    want.extend(old_frame(2, RecordKind::Commit, b""));
+    assert_eq!(want, pinned, "the reference encoders agree");
 }
 
 #[test]
 fn a_move_record_frames_to_pinned_bytes_and_carries_no_value() {
     // `rename` logs the two keys and nothing else, whatever the value's size.
     let wal = SimDisk::new();
-    let (store, _) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(SimDisk::new()),
-        rrq_obs::Obs::default(),
-    )
-    .unwrap();
+    let store = open_store(&wal);
     store.begin(5).unwrap();
     store.put(5, b"e/q", &[0x77; 4096]).unwrap();
     store.commit(5).unwrap();
@@ -151,92 +283,45 @@ fn a_move_record_frames_to_pinned_bytes_and_carries_no_value() {
     store.rename(6, b"e/q", b"d/1").unwrap();
     store.commit(6).unwrap();
     #[rustfmt::skip]
-    let pinned: [u8; 52] = [
+    let pinned: [u8; 28] = [
         0xCB, 0x51,                                     // magic
-        0x17, 0x00, 0x00, 0x00,                         // body length 23
-        0x12, 0x8F, 0xDE, 0x4F,                         // crc32(body)
+        0x12, 0x00, 0x00, 0x00,                         // body length 18
+        0x05, 0x87, 0xA5, 0x74,                         // crc32(body)
         0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // txn (incarnation 2)
-        0x07,                                           // kind KvMove
-        0x03, 0x00, 0x00, 0x00, 0x65, 0x2F, 0x71,       // from: len 3, "e/q"
-        0x03, 0x00, 0x00, 0x00, 0x64, 0x2F, 0x31,       // to: len 3, "d/1"
-        0xCB, 0x51,                                     // magic
-        0x09, 0x00, 0x00, 0x00,                         // body length 9
-        0x31, 0xF8, 0x92, 0xCF,                         // crc32(body)
-        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // txn
         0x04,                                           // kind Commit
+        0x07,                                           // op tag KvMove
+        0x03, 0x65, 0x2F, 0x71,                         // from: len 3, "e/q"
+        0x03, 0x64, 0x2F, 0x31,                         // to: len 3, "d/1"
     ];
     let tail = wal.read(before, (wal.len() - before) as usize).unwrap();
     let op = WriteOp::Move {
         from: b"e/q".to_vec(),
         to: b"d/1".to_vec(),
     };
-    let mut want = old_frame(2, RecordKind::KvMove, &op.encode_payload());
-    want.extend(old_frame(2, RecordKind::Commit, b""));
+    let want = old_frame(2, RecordKind::Commit, &ref_list(std::slice::from_ref(&op)));
     assert_eq!(tail, want, "the reference encoder agrees");
     assert_eq!(tail, pinned);
-    assert_eq!(WriteOp::decode_move(&op.encode_payload()).unwrap(), op);
     // The frame checksum covers both keys: flip a byte of `to` and the scan
     // stops at the record instead of replaying a move to somewhere else.
     let image = image(&wal);
     let corrupt = SimDisk::new();
     let mut bytes = image.clone();
-    bytes[before as usize + 32] ^= 0x01;
+    bytes[before as usize + 26] ^= 0x01;
     corrupt.append(&bytes).unwrap();
     corrupt.sync().unwrap();
     let (records, valid_end) = Wal::new(Arc::new(corrupt)).scan(0).unwrap();
     assert_eq!(valid_end, before);
-    assert_eq!(records.len(), 2, "the put and its commit");
-}
-
-#[test]
-fn a_batch_is_one_device_write_of_the_bytes_its_records_make_one_by_one() {
-    let big = vec![0x3C; 5000];
-    let del = WriteOp::Delete {
-        key: b"alpha".to_vec(),
-    };
-    let records = [
-        (7, RecordKind::KvPut, put_payload(b"alpha", &big)),
-        (7, RecordKind::KvDelete, del.encode_payload()),
-        (7, RecordKind::KvPut, put_payload(b"", b"")),
-        (7, RecordKind::Commit, 41u64.to_le_bytes().to_vec()),
-    ];
-    let (one_by_one, batched) = (SimDisk::new(), SimDisk::new());
-    // Both logs start behind an earlier record, so offsets are not zero-based.
-    let wal_a = Wal::new(Arc::new(one_by_one.clone()));
-    let wal_b = Wal::new(Arc::new(batched.clone()));
-    wal_a.append(1, RecordKind::Abort, b"").unwrap();
-    wal_b.append(1, RecordKind::Abort, b"").unwrap();
-
-    for (txn, kind, payload) in &records {
-        wal_a.append(*txn, *kind, payload).unwrap();
-    }
-    let mut buf = Vec::new();
-    let mut frames = Frames::new(&mut buf);
-    for (txn, kind, payload) in &records {
-        frames.push(*txn, *kind, |b| b.extend_from_slice(payload));
-    }
-    let end = wal_b.append_frames(frames).unwrap();
-
-    assert_eq!(image(&batched), image(&one_by_one));
-    assert_eq!(end, batched.len(), "the offset a force must reach");
-    assert_eq!(wal_b.records_appended(), wal_a.records_appended());
-    assert_eq!(one_by_one.stats().appends, 1 + records.len() as u64);
-    assert_eq!(batched.stats().appends, 2);
-    assert_eq!(new_scan(&wal_b, 0), new_scan(&wal_a, 0));
+    assert_eq!(records.len(), 1, "the put's commit");
 }
 
 #[test]
 fn the_store_writes_the_log_the_old_encoder_would() {
     // Internal ids start at 1 on a fresh store, so the exact image is
-    // predictable: data records in op order, then the commit record (no
-    // payload); prepare carries the caller's token.
+    // predictable: a commit record holding the ops in op order; a prepare
+    // record holding the caller's token and then its ops; the commit that
+    // resolves the prepare, with no payload.
     let wal = SimDisk::new();
-    let (store, _) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(SimDisk::new()),
-        rrq_obs::Obs::default(),
-    )
-    .unwrap();
+    let store = open_store(&wal);
     let big = vec![0xA5; 5000];
     store.begin(77).unwrap();
     store.put(77, b"alpha", b"1").unwrap();
@@ -248,39 +333,48 @@ fn the_store_writes_the_log_the_old_encoder_would() {
     store.prepare(78).unwrap();
     store.commit(78).unwrap();
 
-    let mut want = Vec::new();
+    let ops = [
+        put(b"alpha", b"1"),
+        put(b"beta", &big),
+        WriteOp::Delete {
+            key: b"alpha".to_vec(),
+        },
+    ];
+    let mut want = old_frame(1, RecordKind::Commit, &ref_list(&ops));
     want.extend(old_frame(
-        1,
-        RecordKind::KvPut,
-        &put_payload(b"alpha", b"1"),
+        2,
+        RecordKind::Prepare,
+        &ref_prepare(78, &[put(b"gamma", b"")]),
     ));
-    want.extend(old_frame(1, RecordKind::KvPut, &put_payload(b"beta", &big)));
-    let del = WriteOp::Delete {
-        key: b"alpha".to_vec(),
-    };
-    want.extend(old_frame(1, RecordKind::KvDelete, &del.encode_payload()));
-    want.extend(old_frame(1, RecordKind::Commit, b""));
-    want.extend(old_frame(2, RecordKind::KvPut, &put_payload(b"gamma", b"")));
-    want.extend(old_frame(2, RecordKind::Prepare, &78u64.to_le_bytes()));
     want.extend(old_frame(2, RecordKind::Commit, b""));
     assert_eq!(image(&wal), want);
-    // One device write per commit point: the first commit (three data records
-    // and the commit record), the prepare (one data record and the prepare
-    // record), the second commit (its record alone).
+    // One record and one device write per commit point: the commit, the
+    // prepare, the commit that resolves it.
     assert_eq!(wal.stats().appends, 3);
+    // `beta`'s 5 000-byte value needs a two-byte length.
+    assert_eq!(
+        &ref_list(&ops[1..2])[..8],
+        &[0x01, 0x04, b'b', b'e', b't', b'a', 0x88, 0x27]
+    );
 }
 
 #[test]
 fn an_old_encoder_image_scans_and_replays_identically() {
     let disk = SimDisk::new();
     let frames = [
-        old_frame(1, RecordKind::KvPut, &put_payload(b"a", b"one")),
-        old_frame(2, RecordKind::KvPut, &put_payload(b"a", b"two")),
-        old_frame(2, RecordKind::Commit, &0u64.to_le_bytes()),
-        old_frame(3, RecordKind::KvPut, &put_payload(b"c", &[9; 3000])),
-        old_frame(3, RecordKind::Prepare, &33u64.to_le_bytes()),
+        old_frame(
+            1,
+            RecordKind::Prepare,
+            &ref_prepare(11, &[put(b"a", b"one")]),
+        ),
+        old_frame(2, RecordKind::Commit, &ref_list(&[put(b"a", b"two")])),
+        old_frame(
+            3,
+            RecordKind::Prepare,
+            &ref_prepare(33, &[put(b"c", &[9; 3000])]),
+        ),
         old_frame(9, RecordKind::Custom(0xC0), b"\x01"),
-        old_frame(1, RecordKind::Commit, &1u64.to_le_bytes()),
+        old_frame(1, RecordKind::Commit, b""),
         old_frame(0, RecordKind::Checkpoint, b""),
     ];
     for f in &frames {
@@ -299,20 +393,21 @@ fn an_old_encoder_image_scans_and_replays_identically() {
     assert_eq!(out.committed_txns, 2);
     assert_eq!(
         out.redo,
-        vec![
-            WriteOp::Put {
-                key: b"a".to_vec(),
-                value: b"two".to_vec()
-            },
-            WriteOp::Put {
-                key: b"a".to_vec(),
-                value: b"one".to_vec()
-            },
-        ],
-        "epoch order: txn 2 (epoch 0) before txn 1 (epoch 1)"
+        vec![put(b"a", b"two"), put(b"a", b"one")],
+        "commit order: txn 2's record before txn 1's"
     );
     assert_eq!(out.in_doubt.len(), 1);
-    assert_eq!(out.in_doubt[&33].len(), 1);
+    assert_eq!(out.in_doubt[&33], vec![put(b"c", &[9; 3000])]);
+}
+
+/// A checksummed frame around `body` (txn + kind + payload, or anything).
+fn frame_around(body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&MAGIC.to_le_bytes());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(body).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame
 }
 
 #[test]
@@ -320,22 +415,76 @@ fn a_checksummed_frame_that_cannot_be_a_record_is_an_error_not_a_panic() {
     // Valid magic, length and CRC, but the body is shorter than txn + kind,
     // or names a kind nobody writes: not a torn tail (the CRC vouches for
     // the bytes), so the scan reports corruption at that frame's offset.
-    let good = old_frame(1, RecordKind::KvPut, b"ok");
-    for body in [&[1u8, 2, 3][..], &[0, 0, 0, 0, 0, 0, 0, 0, 8][..]] {
+    let good = old_frame(1, RecordKind::Commit, &ref_list(&[put(b"k", b"ok")]));
+    let at = good.len() as u64;
+    let disk_with = |bad: &[u8]| {
         let disk = SimDisk::new();
         disk.append(&good).unwrap();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC.to_le_bytes());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(body).to_le_bytes());
-        frame.extend_from_slice(body);
-        disk.append(&frame).unwrap();
+        disk.append(bad).unwrap();
         disk.sync().unwrap();
-        let wal = Wal::new(Arc::new(disk.clone()));
+        disk
+    };
+    for body in [&[1u8, 2, 3][..], &[0, 0, 0, 0, 0, 0, 0, 0, 8][..]] {
+        let wal = Wal::new(Arc::new(disk_with(&frame_around(body))));
         match wal.scan(0) {
-            Err(StorageError::Corrupt { offset, .. }) => assert_eq!(offset, good.len() as u64),
+            Err(StorageError::Corrupt { offset, .. }) => assert_eq!(offset, at),
             other => panic!("expected a corrupt-frame error, got {other:?}"),
         }
+    }
+    // A well-formed record whose payload cannot be a write set: the log
+    // scans it, the redo pass refuses it — at that record, as a whole, so
+    // none of its ops (nor the good record's, applied only after the scan)
+    // reach a tree.
+    let whole = ref_list(&[put(b"k", b"v")]);
+    let mut trailing = whole.clone();
+    trailing.push(kind_byte(RecordKind::KvDelete));
+    let cases: [(&str, Vec<u8>); 7] = [
+        (
+            "unknown tag",
+            old_frame(2, RecordKind::Commit, &[0x09, 0x01, b'k']),
+        ),
+        (
+            "a record kind as tag",
+            old_frame(2, RecordKind::Commit, &[0x04]),
+        ),
+        (
+            "length past the end",
+            old_frame(2, RecordKind::Commit, &[0x01, 0x05, b'k', 0x00]),
+        ),
+        (
+            "over-long varint",
+            old_frame(2, RecordKind::Commit, &[&[0x02][..], &[0x80; 11]].concat()),
+        ),
+        (
+            "trailing bytes",
+            old_frame(2, RecordKind::Commit, &trailing),
+        ),
+        (
+            "token cut short",
+            old_frame(2, RecordKind::Prepare, &[7, 0, 0]),
+        ),
+        (
+            "a standalone KvPut frame",
+            old_frame(2, RecordKind::KvPut, &[0, 0, 0, 1, b'k', 0, 0, 0, 1, b'v']),
+        ),
+    ];
+    for (what, bad) in cases {
+        let disk = disk_with(&bad);
+        let wal = Wal::new(Arc::new(disk.clone()));
+        assert_eq!(wal.scan(0).unwrap().0.len(), 2, "{what}: CRC-valid frames");
+        match replay(&wal, Default::default()) {
+            Err(StorageError::Corrupt { offset, .. }) => assert_eq!(offset, at, "{what}"),
+            other => panic!("{what}: expected a corrupt-record error, got {other:?}"),
+        }
+        let opened = KvStore::open(
+            Arc::new(disk.clone()),
+            Arc::new(SimDisk::new()),
+            rrq_obs::Obs::default(),
+        );
+        assert!(
+            matches!(opened, Err(StorageError::Corrupt { offset, .. }) if offset == at),
+            "{what}: a store does not open over it"
+        );
     }
 }
 

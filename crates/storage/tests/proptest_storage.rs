@@ -421,3 +421,74 @@ proptest! {
         }
     }
 }
+
+/// Keys and values for op lists: short random ones, and the lengths where a
+/// LEB128 length changes width (127/128 and 16 383/16 384 bytes), empty
+/// included.
+fn op_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        3 => (0usize..40, any::<u8>())
+            .prop_map(|(n, seed)| (0..n).map(|i| seed.wrapping_mul(i as u8 + 1)).collect()),
+        2 => (0usize..6, any::<u8>())
+            .prop_map(|(i, b)| vec![b; [0, 1, 127, 128, 16_383, 16_384][i]]),
+    ]
+}
+
+fn op_strategy() -> impl Strategy<Value = rrq_storage::kv::WriteOp> {
+    use rrq_storage::kv::WriteOp;
+    prop_oneof![
+        2 => (op_bytes(), op_bytes()).prop_map(|(key, value)| WriteOp::Put { key, value }),
+        1 => op_bytes().prop_map(|key| WriteOp::Delete { key }),
+        1 => (op_bytes(), op_bytes()).prop_map(|(from, to)| WriteOp::Move { from, to }),
+    ]
+}
+
+/// Bytes of a LEB128-prefixed field of `n` bytes.
+fn field_len(n: usize) -> usize {
+    let mut width = 1;
+    while n >> (7 * width) != 0 {
+        width += 1;
+    }
+    width + n
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// An op list decodes to the ops it was encoded from, at exactly one tag
+    /// byte plus two (or one) prefixed fields per op; and a list cut short
+    /// anywhere decodes to an error or to a whole-op prefix of the ops —
+    /// never to part of an op.
+    #[test]
+    fn op_lists_roundtrip_and_never_decode_a_partial_op(
+        ops in proptest::collection::vec(op_strategy(), 0..6),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        use rrq_storage::codec::Reader;
+        use rrq_storage::kv::WriteOp;
+        let mut buf = Vec::new();
+        WriteOp::encode_list(&ops, &mut buf);
+        let want_len: usize = ops
+            .iter()
+            .map(|op| {
+                1 + match op {
+                    WriteOp::Put { key, value } => field_len(key.len()) + field_len(value.len()),
+                    WriteOp::Delete { key } => field_len(key.len()),
+                    WriteOp::Move { from, to } => field_len(from.len()) + field_len(to.len()),
+                }
+            })
+            .sum();
+        prop_assert_eq!(buf.len(), want_len);
+        let mut r = Reader::new(&buf);
+        prop_assert_eq!(&WriteOp::decode_list(&mut r).unwrap(), &ops);
+        prop_assert!(r.is_empty());
+
+        let cut = ((buf.len() as f64) * cut_frac) as usize;
+        if let Ok(prefix) = WriteOp::decode_list(&mut Reader::new(&buf[..cut])) {
+            prop_assert_eq!(&prefix[..], &ops[..prefix.len()]);
+            let mut whole = Vec::new();
+            WriteOp::encode_list(&prefix, &mut whole);
+            prop_assert_eq!(&whole[..], &buf[..cut], "the cut fell between two ops");
+        }
+    }
+}

@@ -20,6 +20,10 @@ pub enum TxnError {
     InvalidState(String),
     /// A participant failed to prepare; the transaction was aborted.
     PrepareFailed(String),
+    /// The transaction is decided committed, but the named participant
+    /// failed to apply the decision. It stays prepared — in doubt — until
+    /// recovery resolves it from the coordinator log; the others committed.
+    InDoubt(String),
     /// A storage error bubbled up from a participant or the coordinator log.
     Storage(StorageError),
     /// The transaction was already aborted (e.g. by a cancellation).
@@ -33,6 +37,7 @@ impl fmt::Display for TxnError {
             TxnError::LockTimeout => write!(f, "lock wait timed out"),
             TxnError::InvalidState(msg) => write!(f, "invalid transaction state: {msg}"),
             TxnError::PrepareFailed(msg) => write!(f, "prepare failed: {msg}"),
+            TxnError::InDoubt(msg) => write!(f, "committed, participant in doubt: {msg}"),
             TxnError::Storage(e) => write!(f, "storage error: {e}"),
             TxnError::Aborted => write!(f, "transaction aborted"),
         }

@@ -20,6 +20,7 @@ use crate::lock::{bump, LockKey, LockManager, LockMode};
 use crate::rm::ResourceManager;
 use crate::twophase::CoordinatorLog;
 use parking_lot::Mutex;
+use rrq_storage::StorageError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -254,24 +255,24 @@ impl Txn {
     }
 
     /// Commit: one-phase for a single participant, logged two-phase for
-    /// several. Locks are released on success.
+    /// several. Locks are released on success, and after a commit decision
+    /// whatever its participants do ([`TxnError::InDoubt`]); a failure before
+    /// the decision aborts every participant first.
     pub fn commit(mut self) -> TxnResult<()> {
         self.finished = true;
         let rms = std::mem::take(&mut *self.rms.lock());
         let result = commit_impl(&self.mgr, self.id, &rms);
+        let stats = &self.mgr.inner.stats;
         match result {
-            Ok(()) => {
-                self.mgr.inner.locks.unlock_all(self.id.raw());
-                bump(&self.mgr.inner.stats.committed);
-                Ok(())
-            }
-            Err(e) => {
-                abort_impl(&self.mgr, self.id, &rms);
-                self.mgr.inner.locks.unlock_all(self.id.raw());
-                bump(&self.mgr.inner.stats.aborted);
-                Err(e)
+            Ok(()) | Err(CommitFailure::Decided(_)) => bump(&stats.committed),
+            Err(CommitFailure::Undecided(_)) => {
+                // The commit's error is the one to report.
+                let _ = abort_impl(self.id, &rms);
+                bump(&stats.aborted);
             }
         }
+        self.mgr.inner.locks.unlock_all(self.id.raw());
+        result.map_err(CommitFailure::into_error)
     }
 
     /// Commit, but *transfer* this transaction's locks to `heir` instead of
@@ -282,38 +283,34 @@ impl Txn {
         // Transfer BEFORE the commit makes this transaction's writes (e.g.
         // the forwarded request element) visible: the next stage may dequeue
         // the request and adopt the heir's locks the instant commit lands.
-        // Nothing else can touch the heir id until then, so on commit
-        // failure the transfer is safely reversed.
-        self.mgr
-            .inner
-            .locks
-            .transfer_locks(self.id.raw(), heir.raw());
-        match commit_impl(&self.mgr, self.id, &rms) {
-            Ok(()) => {
-                bump(&self.mgr.inner.stats.committed);
-                Ok(())
-            }
-            Err(e) => {
-                self.mgr
-                    .inner
-                    .locks
-                    .transfer_locks(heir.raw(), self.id.raw());
-                abort_impl(&self.mgr, self.id, &rms);
-                self.mgr.inner.locks.unlock_all(self.id.raw());
-                bump(&self.mgr.inner.stats.aborted);
-                Err(e)
+        // Nothing else can touch the heir id until then, so on a failure
+        // before the commit decision the transfer is safely reversed.
+        let locks = &self.mgr.inner.locks;
+        locks.transfer_locks(self.id.raw(), heir.raw());
+        let result = commit_impl(&self.mgr, self.id, &rms);
+        let stats = &self.mgr.inner.stats;
+        match result {
+            Ok(()) | Err(CommitFailure::Decided(_)) => bump(&stats.committed),
+            Err(CommitFailure::Undecided(_)) => {
+                locks.transfer_locks(heir.raw(), self.id.raw());
+                let _ = abort_impl(self.id, &rms);
+                locks.unlock_all(self.id.raw());
+                bump(&stats.aborted);
             }
         }
+        result.map_err(CommitFailure::into_error)
     }
 
-    /// Abort: undo every participant, release locks.
+    /// Abort: undo every participant, release locks. Every participant is
+    /// told even if one fails; the first failure is returned (a participant
+    /// that never heard of the transaction has nothing to undo).
     pub fn abort(mut self) -> TxnResult<()> {
         self.finished = true;
         let rms = std::mem::take(&mut *self.rms.lock());
-        abort_impl(&self.mgr, self.id, &rms);
+        let result = abort_impl(self.id, &rms);
         self.mgr.inner.locks.unlock_all(self.id.raw());
         bump(&self.mgr.inner.stats.aborted);
-        Ok(())
+        result
     }
 }
 
@@ -321,44 +318,80 @@ impl Drop for Txn {
     fn drop(&mut self) {
         if !self.finished {
             let rms = std::mem::take(&mut *self.rms.lock());
-            abort_impl(&self.mgr, self.id, &rms);
+            let _ = abort_impl(self.id, &rms);
             self.mgr.inner.locks.unlock_all(self.id.raw());
             bump(&self.mgr.inner.stats.aborted);
         }
     }
 }
 
-fn commit_impl(mgr: &TxnManager, id: TxnId, rms: &[Arc<dyn ResourceManager>]) -> TxnResult<()> {
-    match rms.len() {
-        0 => Ok(()),
-        1 => rms[0].commit(id),
-        _ => {
-            let obs = mgr.inner.locks.obs();
-            obs.counter_inc("txn.twophase.rounds");
-            for rm in rms {
-                rm.prepare(id)
-                    .map_err(|e| TxnError::PrepareFailed(format!("{}: {e}", rm.name())))?;
-            }
-            if let Some(coord) = &mgr.inner.coord {
-                coord.log_decision(id, true)?;
-            }
-            obs.counter_inc("txn.twophase.decisions");
-            bump(&mgr.inner.stats.two_phase_commits);
-            for rm in rms {
-                rm.commit(id)?;
-            }
-            Ok(())
+/// How a commit failed: before its decision, when the transaction still
+/// aborts, or after it, when no participant may.
+enum CommitFailure {
+    Undecided(TxnError),
+    Decided(TxnError),
+}
+
+impl CommitFailure {
+    fn into_error(self) -> TxnError {
+        match self {
+            CommitFailure::Undecided(e) | CommitFailure::Decided(e) => e,
         }
     }
 }
 
-fn abort_impl(mgr: &TxnManager, id: TxnId, rms: &[Arc<dyn ResourceManager>]) {
-    let _ = mgr; // coordinator: presumed abort, nothing to log
-    for rm in rms {
-        // Best-effort: a participant that already aborted (or never saw the
-        // txn) must not stop the others from aborting.
-        let _ = rm.abort(id);
+fn commit_impl(
+    mgr: &TxnManager,
+    id: TxnId,
+    rms: &[Arc<dyn ResourceManager>],
+) -> Result<(), CommitFailure> {
+    match rms.len() {
+        0 => Ok(()),
+        1 => rms[0].commit(id).map_err(CommitFailure::Undecided),
+        _ => {
+            let obs = mgr.inner.locks.obs();
+            obs.counter_inc("txn.twophase.rounds");
+            for rm in rms {
+                rm.prepare(id).map_err(|e| {
+                    CommitFailure::Undecided(TxnError::PrepareFailed(format!("{}: {e}", rm.name())))
+                })?;
+            }
+            if let Some(coord) = &mgr.inner.coord {
+                coord
+                    .log_decision(id, true)
+                    .map_err(CommitFailure::Undecided)?;
+            }
+            obs.counter_inc("txn.twophase.decisions");
+            bump(&mgr.inner.stats.two_phase_commits);
+            // Decided: every participant is told, whichever of them fails. A
+            // failed one stays prepared, and recovery resolves it from the
+            // coordinator log; aborting it, or skipping the rest, would undo
+            // half of a committed transaction.
+            let mut first = None;
+            for rm in rms {
+                if let Err(e) = rm.commit(id) {
+                    first.get_or_insert_with(|| TxnError::InDoubt(format!("{}: {e}", rm.name())));
+                }
+            }
+            first.map_or(Ok(()), |e| Err(CommitFailure::Decided(e)))
+        }
     }
+}
+
+/// Abort every participant, and return the first failure that is not "no
+/// such transaction" (a participant that already aborted, or never saw the
+/// transaction, has nothing to undo).
+fn abort_impl(id: TxnId, rms: &[Arc<dyn ResourceManager>]) -> TxnResult<()> {
+    let mut first = None;
+    for rm in rms {
+        match rm.abort(id) {
+            Ok(()) | Err(TxnError::Storage(StorageError::UnknownTxn(_))) => {}
+            Err(e) => {
+                first.get_or_insert(e);
+            }
+        }
+    }
+    first.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -497,6 +530,127 @@ mod tests {
         let (committed, aborted) = mgr2.resolve_in_doubt(&r1b, &report.in_doubt).unwrap();
         assert_eq!((committed, aborted), (1, 0));
         assert_eq!(s1b.get(None, b"x").unwrap(), Some(b"1".to_vec()));
+    }
+
+    /// A participant whose log device fails the moment its commit starts,
+    /// so the store cannot write its commit record.
+    struct FailsAtCommit {
+        inner: KvResource,
+        wal: SimDisk,
+    }
+
+    impl ResourceManager for FailsAtCommit {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn begin(&self, txn: TxnId) -> TxnResult<()> {
+            self.inner.begin(txn)
+        }
+        fn prepare(&self, txn: TxnId) -> TxnResult<()> {
+            self.inner.prepare(txn)
+        }
+        fn commit(&self, txn: TxnId) -> TxnResult<()> {
+            self.wal.fail();
+            self.inner.commit(txn)
+        }
+        fn abort(&self, txn: TxnId) -> TxnResult<()> {
+            self.inner.abort(txn)
+        }
+    }
+
+    #[test]
+    fn a_commit_that_fails_after_the_decision_leaves_its_participant_in_doubt() {
+        let coord_disk = SimDisk::new();
+        let mgr = TxnManager::new(
+            Arc::new(LockManager::new()),
+            Some(CoordinatorLog::new(Arc::new(coord_disk.clone()))),
+            1,
+        );
+        let (w1, c1) = (SimDisk::new(), SimDisk::new());
+        let (w2, c2) = (SimDisk::new(), SimDisk::new());
+        let (s1, s2) = (kv_on(&w1, &c1), kv_on(&w2, &c2));
+        let failing: Arc<dyn ResourceManager> = Arc::new(FailsAtCommit {
+            inner: KvResource::new("a", Arc::clone(&s1)),
+            wal: w1.clone(),
+        });
+        let sibling: Arc<dyn ResourceManager> = Arc::new(KvResource::new("b", Arc::clone(&s2)));
+
+        let txn = mgr.begin();
+        let id = txn.id();
+        txn.enlist(failing).unwrap();
+        txn.enlist(sibling).unwrap();
+        txn.lock_exclusive(&LockKey::new(0, "x")).unwrap();
+        s1.put(id.raw(), b"x", b"1").unwrap();
+        s2.put(id.raw(), b"y", b"2").unwrap();
+        let err = txn.commit().unwrap_err();
+        assert!(
+            matches!(&err, TxnError::InDoubt(msg) if msg.starts_with("a: ")),
+            "the error names the participant: {err}"
+        );
+        // The sibling after it was told the decision and committed; the
+        // failed one was not aborted: still prepared, in doubt.
+        assert_eq!(s2.get(None, b"y").unwrap(), Some(b"2".to_vec()));
+        assert!(s1.is_open(id.raw()), "still in doubt");
+        assert_eq!(s1.get(None, b"x").unwrap(), None);
+        assert_eq!(mgr.locks().held_count(id.raw()), 0);
+        assert_eq!((mgr.stats().committed, mgr.stats().aborted), (1, 0));
+
+        // After a restart the coordinator log resolves it to commit.
+        w1.repair();
+        w1.crash(CrashStyle::DropVolatile);
+        let (s1b, report) = KvStore::open(
+            Arc::new(w1.clone()),
+            Arc::new(c1.clone()),
+            rrq_obs::Obs::default(),
+        )
+        .unwrap();
+        assert_eq!(report.in_doubt, vec![id.raw()]);
+        let mgr2 = TxnManager::new(
+            Arc::new(LockManager::new()),
+            Some(CoordinatorLog::new(Arc::new(coord_disk.clone()))),
+            100,
+        );
+        let rm = KvResource::new("a", Arc::clone(&s1b));
+        assert_eq!(
+            mgr2.resolve_in_doubt(&rm, &report.in_doubt).unwrap(),
+            (1, 0)
+        );
+        assert_eq!(s1b.get(None, b"x").unwrap(), Some(b"1".to_vec()));
+    }
+
+    #[test]
+    fn an_abort_that_fails_is_reported_after_every_participant_aborted() {
+        let mgr = TxnManager::single_node();
+        let (w1, c1) = (SimDisk::new(), SimDisk::new());
+        let (w2, c2) = (SimDisk::new(), SimDisk::new());
+        let (s1, s2) = (kv_on(&w1, &c1), kv_on(&w2, &c2));
+        let r1: Arc<dyn ResourceManager> = Arc::new(KvResource::new("a", Arc::clone(&s1)));
+        let r2: Arc<dyn ResourceManager> = Arc::new(KvResource::new("b", Arc::clone(&s2)));
+
+        let txn = mgr.begin();
+        let id = txn.id();
+        txn.enlist(Arc::clone(&r1)).unwrap();
+        txn.enlist(Arc::clone(&r2)).unwrap();
+        txn.lock_exclusive(&LockKey::new(0, "x")).unwrap();
+        s1.put(id.raw(), b"x", b"1").unwrap();
+        s2.put(id.raw(), b"y", b"2").unwrap();
+        // Prepared, so its abort must log a record; then its device fails.
+        s1.prepare(id.raw()).unwrap();
+        w1.fail();
+        assert_eq!(
+            txn.abort(),
+            Err(TxnError::Storage(StorageError::DeviceFailed))
+        );
+        assert!(!s2.is_open(id.raw()), "the participant after it aborted");
+        assert_eq!(mgr.locks().held_count(id.raw()), 0);
+        assert_eq!(mgr.stats().aborted, 1);
+
+        // A participant that no longer knows the transaction has nothing to
+        // undo: that is no failure.
+        let txn = mgr.begin();
+        txn.enlist(Arc::clone(&r2)).unwrap();
+        s2.abort(txn.id().raw()).unwrap();
+        assert_eq!(txn.abort(), Ok(()));
     }
 
     #[test]

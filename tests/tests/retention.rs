@@ -2,14 +2,17 @@
 //! reply of the last `Receive` is readable (`Rereceive`, Fig 2) across a
 //! crash and a checkpoint until the next `Receive` replaces it, and a
 //! repository that has served a thousand requests holds what one that has
-//! served one request holds.
+//! served one request holds. What a round trip leaves in the log is one
+//! record per commit point, each holding its transaction's write set.
 
 use rrq_core::api::LocalQm;
 use rrq_core::clerk::{Clerk, ClerkConfig};
 use rrq_core::rid::Rid;
 use rrq_core::server::{Served, Server, ServerConfig};
 use rrq_qm::repository::{RepoDisks, Repository};
+use rrq_storage::disk::Disk;
 use rrq_tests::echo_handler;
+use rrq_workload::bank::{self, Transfer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,6 +83,47 @@ fn a_thousand_transceives_leave_the_store_as_large_as_one() {
     clerk.disconnect().unwrap();
     assert!(repo.store().scan_prefix(None, b"d/").unwrap().is_empty());
     assert_self_checks(&repo);
+}
+
+#[test]
+fn a_round_trip_writes_one_log_record_per_commit_point() {
+    // Send (the clerk's transaction), serve (the server's), receive (the
+    // clerk's again): three commit points, three records, three device
+    // writes, whatever the handler writes. In steady state the receive also
+    // retires the previous reply.
+    let transfer = Transfer {
+        from: 0,
+        to: 1,
+        amount: 5,
+    };
+    let shapes = [
+        ("echo", echo_handler(), b"ping".to_vec()),
+        ("transfer", bank::single_txn_handler(), transfer.encode()),
+    ];
+    for (op, handler, body) in shapes {
+        let disks = RepoDisks::new();
+        let repo = open(&disks);
+        bank::seed_accounts(&repo, 2, 1_000).unwrap();
+        let clerk = clerk(&repo);
+        let server =
+            Server::new(Arc::clone(&repo), ServerConfig::new("s0", "req"), handler).unwrap();
+        clerk.connect().unwrap();
+        let round_trip = |serial: u64| {
+            clerk
+                .send(op, body.clone(), Rid::new(CLIENT, serial))
+                .unwrap();
+            assert_eq!(server.run_once().unwrap(), Served::Committed);
+            clerk.receive(&serial.to_le_bytes()).unwrap();
+        };
+        round_trip(1);
+        repo.obs().start();
+        let device_writes = disks.wal.stats().appends;
+        round_trip(2);
+        let snap = repo.obs().snapshot();
+        assert_eq!(snap.counter("storage.wal.appends"), 3, "{op}");
+        assert_eq!(snap.counter("storage.wal.commit_records"), 3, "{op}");
+        assert_eq!(disks.wal.stats().appends - device_writes, 3, "{op}");
+    }
 }
 
 #[test]
