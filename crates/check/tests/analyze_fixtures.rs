@@ -112,6 +112,31 @@ fn catalog_lock_fixture_flags_the_force_under_the_guard_and_not_the_fill() {
 }
 
 #[test]
+fn borrowed_walk_fixture_flags_the_index_lock_inside_the_closure_only() {
+    // The store's borrowed walk is a scoped binding: `kv-mem` is live for
+    // its closure argument and dead after it, so installing after the walk
+    // is clean and locking the index inside it is the one finding.
+    let out = analyze::run(&fixture("borrowed-walk")).unwrap();
+    assert_eq!(out.findings.len(), 1, "{:#?}", out.findings);
+    let f = &out.findings[0];
+    assert_eq!(f.rule, analyze::RULE_LOCK_ORDER);
+    assert_eq!(f.file, LIB);
+    assert_eq!(f.line, 18);
+    assert_eq!(
+        f.message,
+        "acquires `qindex-outer` while holding `kv-mem`: edge `kv-mem` -> \
+         `qindex-outer` is not in the declared order (LOCKS.md)"
+    );
+    assert_eq!(
+        f.chain,
+        vec![
+            format!("`kv-mem` acquired at {LIB}:17"),
+            format!("`qindex-outer` then acquired at {LIB}:18 in fn `rebuild_bad`"),
+        ]
+    );
+}
+
+#[test]
 fn durability_fixture_reports_undominated_mutation_and_unsynced_append() {
     // Two shapes of the same bug: a plain `append` of a commit record, and
     // the store's `append_with` framing the write set into a reused buffer.

@@ -125,6 +125,47 @@ impl Encode for Element {
     }
 }
 
+/// Attribute counts past this are corruption, not data.
+const MAX_ATTRS: usize = 1 << 20;
+
+fn attr_count(r: &mut Reader<'_>) -> StorageResult<usize> {
+    let n = r.u32()? as usize;
+    if n > MAX_ATTRS {
+        return Err(StorageError::Decode(format!(
+            "implausible attribute count {n}"
+        )));
+    }
+    Ok(n)
+}
+
+impl Element {
+    /// The eid of the encoded element `raw`, if [`Element::decode_all`]
+    /// accepts it — `Err` for exactly the inputs it refuses. The whole
+    /// encoding is walked in place, attribute strings checked as UTF-8 and
+    /// nothing allocated, so the recovery rebuild of the ready index pays
+    /// for no element it only needs the eid of.
+    pub fn checked_eid(raw: &[u8]) -> StorageResult<Eid> {
+        let mut r = Reader::new(raw);
+        let eid = Eid(r.u64()?);
+        r.u8()?; // priority
+        r.u64()?; // seq
+        r.u32()?; // abort count
+        r.u32()?; // abort code
+        for _ in 0..attr_count(&mut r)? * 2 {
+            std::str::from_utf8(r.bytes_ref()?)
+                .map_err(|e| StorageError::Decode(format!("invalid utf8: {e}")))?;
+        }
+        r.bytes_ref()?; // payload
+        if !r.is_empty() {
+            return Err(StorageError::Decode(format!(
+                "{} trailing bytes after decode",
+                r.remaining()
+            )));
+        }
+        Ok(eid)
+    }
+}
+
 impl Decode for Element {
     fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
         let eid = Eid(r.u64()?);
@@ -132,12 +173,7 @@ impl Decode for Element {
         let seq = r.u64()?;
         let abort_count = r.u32()?;
         let abort_code = r.u32()?;
-        let n_attrs = r.u32()? as usize;
-        if n_attrs > 1 << 20 {
-            return Err(StorageError::Decode(format!(
-                "implausible attribute count {n_attrs}"
-            )));
-        }
+        let n_attrs = attr_count(r)?;
         let mut attrs = Vec::with_capacity(n_attrs);
         for _ in 0..n_attrs {
             attrs.push((r.string()?, r.string()?));

@@ -63,7 +63,7 @@ use crate::error::{QmError, QmResult};
 use crate::keys;
 use crate::meta::{OrderingMode, QueueMeta};
 use crate::notify::QueueNotifier;
-use crate::qindex::QueueIndex;
+use crate::qindex::{QueueIndex, Rebuild};
 use crate::registration::{LastOp, Registration};
 use crate::retrieval::Predicate;
 use crate::trigger::Trigger;
@@ -378,17 +378,19 @@ impl QueueManager {
 
         // Rebuild the ready index from the committed element keyspace. The
         // caller resolves in-doubt transactions before constructing the
-        // manager, so `scan_prefix(None, ..)` is exactly the post-recovery
-        // committed truth. (Volatile queues come back empty.)
+        // manager, so the committed tree is exactly the post-recovery truth.
+        // (Volatile queues come back empty.) One borrowed walk gathers the
+        // ready lists with no index lock held; one install publishes them.
+        let mut rebuilt = Rebuild::default();
+        durable.for_each_committed(b"e/", |k, raw| {
+            if let Some(queue) = keys::parse_element_key(k) {
+                rebuilt.push(queue, k, Element::checked_eid(raw)?);
+            }
+            Ok::<_, QmError>(())
+        })?;
         let qindex = QueueIndex::with_obs(obs.clone());
-        for (k, raw) in durable.scan_prefix(None, b"e/")? {
-            let Some(queue) = keys::parse_element_key(&k) else {
-                continue;
-            };
-            let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
-            qindex.insert(queue, k.clone(), elem.eid);
-            obs.counter_inc("qm.recovery.index_rebuild");
-        }
+        let indexed = qindex.install(rebuilt);
+        obs.counter_add("qm.recovery.index_rebuild", indexed as u64);
         let mut unfired_triggers = 0;
         for (_, raw) in durable.scan_prefix(None, b"t/")? {
             if !Trigger::decode_all(&raw).map_err(QmError::Storage)?.fired {

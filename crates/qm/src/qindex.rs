@@ -28,8 +28,8 @@
 //! invariants keep a mark from shadowing a live element:
 //!
 //! * the mark lives **in the entry** — every index mutation retires it
-//!   (`remove` drops it; `insert`, `fixup`, `apply_mirror` and the recovery
-//!   rebuild write a fresh unclaimed entry; `clear_queue` drops the lot);
+//!   (`remove` drops it; `insert`, `fixup`, `apply_mirror` and `install`
+//!   write a fresh unclaimed entry; `clear_queue` drops the lot);
 //! * it is set only **under the queue's mutex**, in the same critical
 //!   section that found the entry unclaimed;
 //! * the **claimant clears it** ([`QueueIndex::unclaim`]) on every exit that
@@ -64,10 +64,18 @@
 //! observed disagreeing — the PR 4 invariant pinned by
 //! `crates/qm/tests/gauge_atomicity.rs`.
 //!
-//! On restart the index is rebuilt from a single scan of the stores
-//! (volatile queues come back empty, so in practice this is the durable
-//! store's `e/` prefix). `QueueManager::index_divergence` re-derives the
-//! same structure from a fresh scan at any time and compares — the
+//! ## Recovery
+//!
+//! On restart the index is built, not inserted into: one walk, one install.
+//! The queue manager walks the durable store's committed `e/` range once,
+//! borrowed under the store's read lock (`KvStore::for_each_committed`;
+//! volatile queues come back empty), reads each element's eid with
+//! `Element::checked_eid` and pushes it onto a [`Rebuild`]. Keys arrive in
+//! order, so each queue's map is bulk-built from its sorted run with no
+//! index lock held, and [`QueueIndex::install`] swaps the whole map in under
+//! the outer write lock and moves the depth gauge once. Every entry starts
+//! unclaimed. `QueueManager::index_divergence` re-derives the same structure
+//! from a fresh full-decode scan at any time and compares — the
 //! crash-equivalence property test in `crates/sim` leans on it.
 
 use crate::element::Eid;
@@ -102,6 +110,31 @@ impl Entry {
 
 type ReadyMap = BTreeMap<Vec<u8>, Entry>;
 type Ready = HashMap<String, Mutex<ReadyMap>>;
+
+/// One queue's entries in key order, as a [`ReadyMap`] is bulk-built from.
+type Run = Vec<(Vec<u8>, Entry)>;
+
+/// A restart's ready lists, gathered from one walk of the committed element
+/// keyspace in key order and installed whole by [`QueueIndex::install`].
+#[derive(Default)]
+pub struct Rebuild {
+    /// Runs of consecutive keys of one queue, in walk order. A queue usually
+    /// has one run, but keys of a queue named `a` can sort on both sides of
+    /// those of a queue named `a/b`.
+    runs: Vec<(String, Run)>,
+}
+
+impl Rebuild {
+    /// Add the element under `elem_key` of `queue`, whose key sorts after
+    /// every key pushed before it.
+    pub fn push(&mut self, queue: &str, elem_key: &[u8], eid: Eid) {
+        let entry = (elem_key.to_vec(), Entry::unclaimed(eid));
+        match self.runs.last_mut() {
+            Some((q, run)) if q == queue => run.push(entry),
+            _ => self.runs.push((queue.to_string(), vec![entry])),
+        }
+    }
+}
 
 /// Ordered ready-lists for every queue, keyed by element key.
 #[derive(Default)]
@@ -197,6 +230,32 @@ impl QueueIndex {
         let mut g = self.queues.write();
         let cell = g.entry(queue.to_string()).or_default();
         Some(f(cell.get_mut()))
+    }
+
+    /// Replace the index's contents with a restart's ready lists and return
+    /// how many elements they hold. Each queue's map is built in one bulk
+    /// pass from its sorted keys with no lock held; the outer write lock
+    /// covers only the swap and the one move of the depth gauge.
+    pub fn install(&self, rebuilt: Rebuild) -> usize {
+        let mut lists: HashMap<String, Run> = HashMap::new();
+        for (queue, run) in rebuilt.runs {
+            let list = lists.entry(queue).or_default();
+            if list.is_empty() {
+                *list = run;
+            } else {
+                list.extend(run); // a later run sorts after the earlier ones
+            }
+        }
+        let n: usize = lists.values().map(Vec::len).sum();
+        let ready: Ready = lists
+            .into_iter()
+            .map(|(queue, run)| (queue, Mutex::new(run.into_iter().collect())))
+            .collect();
+        let mut g = self.queues.write();
+        let mut old = std::mem::replace(&mut *g, ready);
+        let had: usize = old.values_mut().map(|c| c.get_mut().len()).sum();
+        self.obs.gauge_add(DEPTH_GAUGE, n as i64 - had as i64);
+        n
     }
 
     /// Record a committed element.

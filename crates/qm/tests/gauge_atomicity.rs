@@ -5,13 +5,15 @@
 //! halves in one critical section; these tests hammer that path while an
 //! observer asserts the invariants at every observation. The gauge belongs
 //! to one repository's handle: a sibling repository's traffic in the same
-//! process never moves it.
+//! process never moves it. A reopen, which installs the rebuilt index in
+//! one step, lands the gauge on exactly the survivors.
 
 use rrq_obs::Obs;
 use rrq_qm::element::Eid;
+use rrq_qm::meta::QueueMeta;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::qindex::QueueIndex;
-use rrq_qm::repository::Repository;
+use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -130,6 +132,77 @@ fn abort_dispositions_keep_gauge_and_index_in_lockstep() {
     let (total, gauge) = repo.qm().depth_accounting();
     assert_eq!(flow, gauge);
     assert_eq!(total as i64, gauge);
+}
+
+/// A reopen builds the ready index whole. Three queues — `a`, whose keys at
+/// priorities 200 and 0 sort on both sides of `a/b`'s, `a/b` and `c` — and
+/// `a`'s error queue, half the elements behind a checkpoint and half in the
+/// log tail. After the reopen the index equals the full-decode scan, the
+/// gauge equals its total, and nothing is claimed.
+#[test]
+fn a_reopened_index_equals_the_scan_with_the_gauge_on_its_total() {
+    let obs = Obs::default();
+    obs.start();
+    let disks = RepoDisks::new();
+    let open = || {
+        let opts = RepoOptions::default();
+        Repository::open_with("reopen-index", disks.clone(), opts, obs.clone())
+            .unwrap()
+            .0
+    };
+    let repo = open();
+    let mut a = QueueMeta::with_defaults("a");
+    a.retry_limit = 1;
+    repo.qm().create_queue(a).unwrap();
+    let handles: Vec<_> = ["a", "a/b", "c"]
+        .into_iter()
+        .map(|q| {
+            if q != "a" {
+                repo.create_queue_defaults(q).unwrap();
+            }
+            repo.qm().register(q, "c", false).unwrap().0
+        })
+        .collect();
+    let mut n = 0;
+    for round in 0..2 {
+        for h in &handles {
+            for priority in [0, 200, 0, 200] {
+                let opts = EnqueueOptions {
+                    priority,
+                    ..Default::default()
+                };
+                repo.autocommit(|t| repo.qm().enqueue(t.id().raw(), h, &[n as u8], opts))
+                    .unwrap();
+                n += 1;
+            }
+        }
+        if round == 0 {
+            repo.checkpoint().unwrap();
+        }
+    }
+    // One abort exiles `a`'s head to `a.errors`.
+    let txn = repo.begin().unwrap();
+    let got = repo
+        .qm()
+        .dequeue(txn.id().raw(), &handles[0], DequeueOptions::default());
+    assert!(got.is_ok());
+    txn.abort().unwrap();
+    assert_eq!(repo.qm().depth("a.errors").unwrap(), 1);
+
+    disks.crash();
+    drop(repo); // retires the old incarnation's gauge contribution
+    let repo = open();
+    assert_eq!(repo.qm().index_divergence().unwrap(), None);
+    assert_eq!(repo.qm().depth_accounting(), (n, n as i64));
+    assert_eq!(repo.qm().claimed_entries(), 0);
+    let depths: Vec<(String, usize)> = repo
+        .qm()
+        .index_snapshot()
+        .into_iter()
+        .map(|(q, entries)| (q, entries.len()))
+        .collect();
+    let want = [("a", 7), ("a.errors", 1), ("a/b", 8), ("c", 8)];
+    assert_eq!(depths, want.map(|(q, d)| (q.to_string(), d)));
 }
 
 /// Two repositories in one process: one started, the other enqueueing on a

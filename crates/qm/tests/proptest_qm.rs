@@ -172,6 +172,78 @@ proptest! {
     }
 }
 
+/// Attribute text: ASCII, or raw bytes that are mostly not UTF-8.
+fn attr_text() -> impl Strategy<Value = Vec<u8>> {
+    (proptest::collection::vec(any::<u8>(), 0..6), 0u8..4).prop_map(|(bytes, ascii)| {
+        if ascii == 0 {
+            bytes
+        } else {
+            bytes.into_iter().map(|b| b'a' + b % 26).collect()
+        }
+    })
+}
+
+/// An element encoded field by field as `Element::encode` lays it out, with
+/// attribute text that need not be UTF-8.
+fn encoded_element() -> impl Strategy<Value = Vec<u8>> {
+    let attrs = proptest::collection::vec((attr_text(), attr_text()), 0..3);
+    let payload = proptest::collection::vec(any::<u8>(), 0..12);
+    (any::<u64>(), any::<u8>(), any::<u32>(), attrs, payload).prop_map(
+        |(eid, priority, abort_count, attrs, payload)| {
+            use rrq_storage::codec::put;
+            let mut buf = Vec::new();
+            put::u64(&mut buf, eid);
+            put::u8(&mut buf, priority);
+            put::u64(&mut buf, eid.rotate_left(7));
+            put::u32(&mut buf, abort_count);
+            put::u32(&mut buf, abort_count ^ 5);
+            put::u32(&mut buf, attrs.len() as u32);
+            for (name, value) in &attrs {
+                put::bytes(&mut buf, name);
+                put::bytes(&mut buf, value);
+            }
+            put::bytes(&mut buf, &payload);
+            buf
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The recovery rebuild's eid check accepts exactly what a full decode
+    /// accepts, and reads the same eid: over encoded elements and their
+    /// truncations, trailing bytes, flipped bytes and rewritten attribute
+    /// counts (bad UTF-8 comes from the generator).
+    #[test]
+    fn checked_eid_agrees_with_a_full_decode(
+        raw in encoded_element(),
+        mutation in 0u8..5,
+        noise in any::<u64>(),
+    ) {
+        use rrq_qm::element::Element;
+        use rrq_storage::codec::Decode;
+        let mut raw = raw;
+        let at = (noise % raw.len() as u64) as usize;
+        match mutation {
+            0 => {}
+            1 => raw.truncate(at),
+            2 => raw.extend_from_slice(&noise.to_le_bytes()[..1 + at % 4]),
+            3 => raw[at] ^= (noise >> 32) as u8 | 1,
+            _ => {
+                // The attribute count sits after eid, priority, seq and the
+                // two abort fields; around the plausibility limit, or small.
+                let count = [1 << 20, (1 << 20) + 1, u32::MAX, (noise >> 40) as u32 % 4];
+                raw[25..29].copy_from_slice(&count[at % 4].to_le_bytes());
+            }
+        }
+        let decoded = Element::decode_all(&raw).map(|e| e.eid);
+        let checked = Element::checked_eid(&raw);
+        prop_assert_eq!(checked.is_ok(), decoded.is_ok(), "{:?} vs {:?}", checked, decoded);
+        prop_assert_eq!(checked.ok(), decoded.ok());
+    }
+}
+
 /// Concurrency: N threads consuming one queue never lose or double-consume,
 /// regardless of interleaving (run outside proptest for thread control).
 #[test]

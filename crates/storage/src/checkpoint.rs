@@ -33,10 +33,11 @@
 //! record: recovery finds the record naming the chain it loaded and replays
 //! only what follows (see [`crate::recovery`]).
 
-use crate::checksum::crc32;
+use crate::checksum::{crc32, Crc32};
 use crate::codec::{put, Reader};
 use crate::disk::Disk;
 use crate::error::StorageResult;
+use crate::wal::SCAN_WINDOW;
 use std::collections::BTreeMap;
 
 /// Segment frame marker (distinct from the retired full-snapshot magic).
@@ -224,42 +225,104 @@ fn from_chain(value: Vec<u8>) -> Stamped {
     }
 }
 
-fn apply_base(body: &[u8], mem: &mut Tree) -> StorageResult<()> {
-    let mut r = Reader::new(body);
-    let count = r.u64()?;
-    mem.clear();
-    for _ in 0..count {
-        let k = r.bytes()?;
-        let v = r.bytes()?;
-        mem.insert(k, from_chain(v));
-    }
-    Ok(())
+/// One base entry: a key and its value.
+fn base_entry(r: &mut Reader<'_>) -> StorageResult<(Vec<u8>, Stamped)> {
+    let k = r.bytes_ref()?;
+    let v = r.bytes_ref()?;
+    Ok((k.to_vec(), from_chain(v.to_vec())))
 }
 
-fn apply_delta(body: &[u8], mem: &mut Tree) -> StorageResult<()> {
-    let mut r = Reader::new(body);
-    let count = r.u64()?;
-    for _ in 0..count {
-        let k = r.bytes()?;
-        match r.u8()? {
-            0 => {
-                mem.remove(&k);
-            }
-            _ => {
-                let v = r.bytes()?;
-                mem.insert(k, from_chain(v));
-            }
+/// One delta entry: a key and its new value, `None` for a tombstone.
+fn delta_entry(r: &mut Reader<'_>) -> StorageResult<(Vec<u8>, Option<Vec<u8>>)> {
+    let k = r.bytes_ref()?;
+    let v = match r.u8()? {
+        0 => None,
+        _ => Some(r.bytes_ref()?.to_vec()),
+    };
+    Ok((k.to_vec(), v))
+}
+
+/// Read the segment whose frame starts at `off` with `header` and a `len`
+/// byte body: its count-prefixed entries, decoded with `entry`, and its
+/// trailing CRC. `None` when the body does not decode or the frame fails
+/// its CRC.
+///
+/// The body is read in windows of [`SCAN_WINDOW`] bytes, as
+/// [`crate::wal::Wal::scan_with`] reads the log, each byte fed once to the
+/// streaming CRC, so no copy of the whole segment is ever held beside the
+/// entries decoded from it. An entry that straddles a window's end is
+/// re-read from its start with the next window, which reaches a window's
+/// length past the bytes already read and doubles while one entry does not
+/// fit in it.
+fn read_segment<T>(
+    disk: &dyn Disk,
+    off: u64,
+    header: &[u8],
+    len: u64,
+    entry: impl Fn(&mut Reader<'_>) -> StorageResult<T>,
+) -> StorageResult<Option<(Vec<T>, u32)>> {
+    if len < 8 {
+        return Ok(None); // no room for the count
+    }
+    let body = off + SEG_HEADER as u64;
+    let end = body + len;
+    let head = disk.read(body, 8)?;
+    let count = Reader::new(&head).u64()?;
+    let mut crc = Crc32::new();
+    crc.update(header);
+    crc.update(&head);
+    // Every entry takes at least eight bytes: a corrupt count cannot
+    // reserve more than the body could hold.
+    let mut entries = Vec::with_capacity(count.min(len / 8) as usize);
+    let mut fed = body + 8; // the CRC has seen the device up to here
+    let mut at = fed; // the first byte not yet decoded
+    let mut want = SCAN_WINDOW;
+    while fed < end {
+        let window = disk.read(at, want.min((end - at) as usize))?;
+        crc.update(&window[(fed - at) as usize..]);
+        fed = at + window.len() as u64;
+        let mut r = Reader::new(&window);
+        let mut decoded = 0;
+        while (entries.len() as u64) < count {
+            let Ok(e) = entry(&mut r) else {
+                break; // the rest of this entry is past the window
+            };
+            entries.push(e);
+            decoded = window.len() - r.remaining();
+        }
+        if entries.len() as u64 == count {
+            at = fed; // all decoded: what is left only feeds the CRC
+            want = SCAN_WINDOW;
+        } else if fed == end {
+            return Ok(None); // the body ends inside an entry
+        } else if decoded == 0 {
+            want = window.len() * 2;
+        } else {
+            // Re-read the straddling entry's head, and a window past it.
+            at += decoded as u64;
+            want = (fed - at) as usize + SCAN_WINDOW;
         }
     }
-    Ok(())
+    if (entries.len() as u64) < count {
+        return Ok(None); // a body that is its count and nothing else
+    }
+    let trailer = disk.read(end, SEG_TRAILER)?;
+    let expect = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    Ok((crc.finish() == expect).then_some((entries, expect)))
 }
 
-/// Walk the segment chain from offset 0, applying base + deltas in order.
+/// Walk the segment chain from offset 0: the base, then each delta in order.
 ///
 /// The walk stops — without error — at the first segment that is truncated,
-/// has a bad magic or kind, or fails its CRC: that is the torn tail of a
-/// crash mid-checkpoint, and everything it described is still in the logs.
-/// A chain that does not *start* with a valid base is treated as absent.
+/// has a bad magic or kind, fails its CRC, or does not decode: that is the
+/// torn tail of a crash mid-checkpoint, and everything it described is still
+/// in the logs. A chain that does not *start* with a valid base is treated
+/// as absent. A segment reaches the tree whole or not at all: its entries
+/// are decoded and its CRC checked before the first of them is applied.
+///
+/// The base's entries come off the device in key order (the base is written
+/// from the tree), so the tree is built from them in one bulk pass rather
+/// than by an insert per entry.
 pub fn load_chain(disk: &dyn Disk) -> StorageResult<CheckpointChain> {
     let total = disk.len();
     let mut chain = CheckpointChain::default();
@@ -275,33 +338,43 @@ pub fn load_chain(disk: &dyn Disk) -> StorageResult<CheckpointChain> {
         if kind != KIND_BASE && kind != KIND_DELTA {
             break;
         }
-        let Ok(len) = r.u64() else { break };
-        let frame_end = off + (SEG_HEADER as u64) + len + (SEG_TRAILER as u64);
-        if frame_end > total {
-            break; // truncated tail
-        }
-        let covered = disk.read(off, SEG_HEADER + len as usize)?;
-        let crc_bytes = disk.read(off + SEG_HEADER as u64 + len, SEG_TRAILER)?;
-        let expect = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if crc32(&covered) != expect {
-            break; // torn segment
-        }
         if chain.segments == 0 && kind != KIND_BASE {
             break; // chain must start with a base
         }
-        let body = &covered[SEG_HEADER..];
-        let applied = if kind == KIND_BASE {
-            apply_base(body, &mut chain.mem)
-        } else {
-            apply_delta(body, &mut chain.mem)
+        let Ok(len) = r.u64() else { break };
+        let frame_end = len
+            .checked_add((SEG_HEADER + SEG_TRAILER) as u64)
+            .and_then(|frame| off.checked_add(frame));
+        let Some(frame_end) = frame_end.filter(|&e| e <= total) else {
+            break; // truncated tail, or a length no device holds
         };
-        if applied.is_err() {
-            break; // a crc-valid but undecodable segment: stop, don't fail
-        }
+        // Torn or undecodable: stop, don't fail.
+        let crc = if kind == KIND_BASE {
+            let Some((entries, crc)) = read_segment(disk, off, &header, len, base_entry)? else {
+                break;
+            };
+            chain.mem = entries.into_iter().collect();
+            crc
+        } else {
+            let Some((entries, crc)) = read_segment(disk, off, &header, len, delta_entry)? else {
+                break;
+            };
+            for (k, v) in entries {
+                match v {
+                    Some(v) => {
+                        chain.mem.insert(k, from_chain(v));
+                    }
+                    None => {
+                        chain.mem.remove(&k);
+                    }
+                }
+            }
+            crc
+        };
         chain.segments += 1;
         off = frame_end;
         chain.valid_end = off;
-        chain.tail_crc = expect;
+        chain.tail_crc = crc;
     }
     if chain.segments == 0 {
         chain.mem.clear();
@@ -491,5 +564,96 @@ mod tests {
         let chain = load_chain(&d).unwrap();
         assert!(chain.mem.is_empty());
         assert_eq!(chain.segments, 1);
+    }
+
+    /// Append a delta whose body claims `count` entries and holds `entries`,
+    /// framed with a valid CRC.
+    fn framed_delta(d: &MemDisk, count: u64, entries: &[(&[u8], &[u8])]) {
+        let mut body = Vec::new();
+        put::u64(&mut body, count);
+        for (k, v) in entries {
+            put::bytes(&mut body, k);
+            put::u8(&mut body, 1);
+            put::bytes(&mut body, v);
+        }
+        d.append(&Segment::framed(KIND_DELTA, &body).frame).unwrap();
+    }
+
+    #[test]
+    fn an_undecodable_delta_is_not_half_applied() {
+        let d = MemDisk::new();
+        Segment::base(&tree([(b"a", b"1")])).write(&d).unwrap();
+        let base_end = d.len();
+        framed_delta(&d, 2, &[(b"a", b"2")]);
+        let chain = load_chain(&d).unwrap();
+        assert_eq!(chain.segments, 1, "the delta does not count");
+        assert_eq!(chain.valid_end, base_end);
+        assert_eq!(
+            value(&chain.mem, b"a"),
+            Some(&b"1"[..]),
+            "nor reach the tree"
+        );
+    }
+
+    #[test]
+    fn a_segment_length_past_any_device_is_an_absent_chain() {
+        for len in [u64::MAX - 8, u64::MAX, u64::MAX - 16] {
+            let d = MemDisk::new();
+            let mut frame = Vec::new();
+            put::u32(&mut frame, SEG_MAGIC);
+            put::u8(&mut frame, KIND_BASE);
+            put::u64(&mut frame, len);
+            frame.extend_from_slice(&[0; 16]);
+            d.reset(frame).unwrap();
+            let chain = load_chain(&d).unwrap();
+            assert_eq!(chain.segments, 0, "len {len}");
+            assert!(chain.mem.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_base_with_a_bad_crc_or_a_short_body_installs_nothing() {
+        let good = Segment::base(&sample()).frame;
+        let mut flipped = good.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        let cut = good[..good.len() - 1].to_vec();
+        // CRC-valid, but the count promises an entry the body does not hold.
+        let short = {
+            let body = &good[SEG_HEADER..good.len() - SEG_TRAILER];
+            Segment::framed(KIND_BASE, &body[..body.len() - 1]).frame
+        };
+        let no_count = Segment::framed(KIND_BASE, &[3, 0, 0]).frame;
+        for (what, frame) in [
+            ("flipped crc", flipped),
+            ("cut device", cut),
+            ("short body", short),
+            ("no count", no_count),
+        ] {
+            let d = MemDisk::new();
+            d.reset(frame).unwrap();
+            let chain = load_chain(&d).unwrap();
+            assert_eq!(chain.segments, 0, "{what}");
+            assert!(chain.mem.is_empty(), "{what}");
+            assert_eq!((chain.valid_end, chain.tail_crc), (0, 0), "{what}");
+        }
+    }
+
+    #[test]
+    fn values_longer_than_a_window_stream_through() {
+        let big = vec![7u8; SCAN_WINDOW * 2 + 5];
+        let m = tree([(b"a", b"x"), (b"b", &big), (b"c", b"y")]);
+        let d = MemDisk::new();
+        Segment::base(&m).write(&d).unwrap();
+        let mut d1 = BTreeMap::new();
+        d1.insert(b"d".to_vec(), Some(big.clone()));
+        d1.insert(b"a".to_vec(), None);
+        Segment::delta(&d1).write(&d).unwrap();
+        let chain = load_chain(&d).unwrap();
+        assert_eq!(chain.segments, 2);
+        assert_eq!(chain.valid_end, d.len());
+        assert_eq!(value(&chain.mem, b"b"), Some(&big[..]));
+        assert_eq!(value(&chain.mem, b"d"), Some(&big[..]));
+        assert_eq!(value(&chain.mem, b"a"), None);
+        assert_eq!(chain.mem.len(), 3);
     }
 }

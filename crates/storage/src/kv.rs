@@ -448,6 +448,15 @@ impl ApplyState {
 /// full base instead of appending another delta.
 const SEGMENT_LIMIT: u64 = 8;
 
+/// The committed entries of `mem` under `prefix`, in key order.
+fn committed_range<'a>(
+    mem: &'a Tree,
+    prefix: &'a [u8],
+) -> impl Iterator<Item = (&'a Vec<u8>, &'a Stamped)> {
+    mem.range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(k, _)| k.starts_with(prefix))
+}
+
 /// Stripes of the open-transaction table (as the queue manager's pending
 /// map: tokens are handed out in sequence, so concurrent transactions land
 /// on different stripes).
@@ -737,11 +746,11 @@ impl KvStore {
             None => Vec::new(),
         };
         let mem = self.mem.read();
-        let mut out: BTreeMap<Vec<u8>, Vec<u8>> = mem
-            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.value.clone()))
-            .collect();
+        let committed = committed_range(&mem, prefix).map(|(k, v)| (k.clone(), v.value.clone()));
+        if overlay.is_empty() {
+            return Ok(committed.collect()); // already in key order
+        }
+        let mut out: BTreeMap<Vec<u8>, Vec<u8>> = committed.collect();
         for (k, own) in overlay {
             match own.resolve(&mem) {
                 Some(val) => {
@@ -753,6 +762,23 @@ impl KvStore {
             }
         }
         Ok(out.into_iter().collect())
+    }
+
+    /// Hand `visit` every committed entry under `prefix`, in key order,
+    /// borrowed from the tree: no key or value is copied. The tree's read
+    /// lock is held for the whole walk, so `visit` must not call back into
+    /// this store or take a lock of its own (`kv-mem` in LOCKS.md). The first
+    /// error `visit` returns ends the walk and is returned.
+    pub fn for_each_committed<E>(
+        &self,
+        prefix: &[u8],
+        mut visit: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mem = self.mem.read();
+        for (k, v) in committed_range(&mem, prefix) {
+            visit(k, &v.value)?;
+        }
+        Ok(())
     }
 
     /// Paged prefix scan for large keyspaces (queue scans page through

@@ -422,6 +422,44 @@ proptest! {
     }
 }
 
+/// Values for a checkpoint base: mostly short, sometimes longer than the
+/// window the chain is read in, so entries cross window boundaries.
+fn base_value() -> impl Strategy<Value = Vec<u8>> {
+    use rrq_storage::wal::SCAN_WINDOW;
+    prop_oneof![
+        8 => proptest::collection::vec(any::<u8>(), 0..200),
+        1 => (0usize..3, any::<u8>()).prop_map(|(extra, b)| vec![b; SCAN_WINDOW - 3 + extra * 7]),
+        1 => any::<u8>().prop_map(|b| vec![b; SCAN_WINDOW * 2 + 11]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The base segment, streamed in windows and bulk-built, loads to the
+    /// tree one insert per key builds from the same entries.
+    #[test]
+    fn a_streamed_base_loads_to_the_tree_inserts_build(
+        entries in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..24), base_value()),
+            0..150,
+        ),
+    ) {
+        use rrq_storage::checkpoint::{load_chain, Segment, Stamped, Tree};
+        use rrq_storage::disk::{Disk, MemDisk};
+        let mut want = Tree::new();
+        for (k, v) in entries {
+            want.insert(k, Stamped { value: v, gen: 0 });
+        }
+        let disk = MemDisk::new();
+        Segment::base(&want).write(&disk).unwrap();
+        let chain = load_chain(&disk).unwrap();
+        prop_assert_eq!(chain.segments, 1);
+        prop_assert_eq!(chain.valid_end, disk.len());
+        prop_assert!(chain.mem == want, "the loaded tree differs");
+    }
+}
+
 /// Keys and values for op lists: short random ones, and the lengths where a
 /// LEB128 length changes width (127/128 and 16 383/16 384 bytes), empty
 /// included.
