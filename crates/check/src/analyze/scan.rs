@@ -317,7 +317,7 @@ fn is_ident(c: char) -> bool {
 
 /// Blank string/char-literal interiors (preserving columns) and truncate at
 /// a `//` comment. `in_string` carries multi-line string state across lines.
-fn strip(line: &str, in_string: &mut bool) -> String {
+pub(crate) fn strip(line: &str, in_string: &mut bool) -> String {
     let b = line.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(b.len());
     let mut i = 0;
@@ -837,7 +837,7 @@ fn find_fn_kw(s: &str) -> Option<usize> {
 }
 
 /// Whole-word containment of `w` in `s`.
-fn word_in(s: &str, w: &str) -> bool {
+pub(crate) fn word_in(s: &str, w: &str) -> bool {
     let b = s.as_bytes();
     for (p, _) in s.match_indices(w) {
         let before = p == 0 || !is_ident(b[p - 1] as char);

@@ -1,6 +1,6 @@
 //! Source-level workspace lints (plain line scanning, no parsing).
 //!
-//! Five rules over every `.rs` file under `crates/*/src`, skipping
+//! Six rules over every `.rs` file under `crates/*/src`, skipping
 //! `#[cfg(test)]` items and `//` comment lines:
 //!
 //! * **no-unwrap-in-recovery** — `unwrap()`/`expect(` are banned in the
@@ -28,6 +28,9 @@
 //!   `OnceLock` or `Cell` type (nor a `static mut`) and no `thread_local!`:
 //!   observers and every other piece of state belong to an instance and
 //!   its handle, so two instances in one process never share anything.
+//! * **no-unsafe** — the `unsafe` keyword (a block, fn, impl or trait)
+//!   outside string literals and comments: each use must be a line the
+//!   allowlist names with its reason, so a new one is a reviewed decision.
 //!
 //! Two former rules were retired in favour of [`crate::analyze`], which
 //! reasons about whole functions and the cross-crate call graph instead
@@ -43,6 +46,7 @@
 //! (one `path-suffix [:: line-fragment]` per line, `#` comments) for the
 //! few justified exceptions; every entry should say why.
 
+use crate::analyze::scan::{strip, word_in};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -55,6 +59,7 @@ const PAT_SPAWN: &str = concat!("thread::", "spawn(");
 const PAT_INSTANT: &str = concat!("Instant::", "now");
 const PAT_SYSTIME: &str = concat!("SystemTime::", "now");
 const PAT_TLS: &str = concat!("thread_", "local!");
+const PAT_UNSAFE: &str = concat!("un", "safe");
 
 /// The interior-mutable types a `static` must not have.
 const GLOBAL_STATE_TYPES: &[&str] = &["Atomic", "Mutex", "RwLock", "OnceLock", "Cell"];
@@ -78,6 +83,7 @@ pub const LINTS: &[&str] = &[
     "no-wallclock-in-sim",
     "metric-catalogue",
     "no-global-state",
+    "no-unsafe",
 ];
 
 /// One lint hit.
@@ -239,10 +245,17 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
     let spawn_exempt = rel.ends_with("core/src/threads.rs");
     let sim_path = rel.contains("crates/sim/src") || rel.contains("crates/obs/src");
     let mut in_tls = false;
+    let mut in_string = false;
 
     for (i, &line) in lines.iter().enumerate() {
+        // Every line goes through `strip`, so a string spanning lines is
+        // tracked even where the line itself is not scanned.
+        let code = strip(line, &mut in_string);
         if !scannable(i) {
             continue;
+        }
+        if word_in(&code, PAT_UNSAFE) {
+            push(out, "no-unsafe", i);
         }
         // A `thread_local!` is one finding; the statics it declares are it.
         if line.contains(PAT_TLS) {

@@ -1,8 +1,8 @@
 //! The workspace lint gate: `cargo test -p rrq-check` fails if any source
 //! lint fires anywhere in `crates/*/src`. Future PRs inherit the checks by
 //! keeping this test green (or by adding a justified allowlist entry under
-//! `crates/check/lints/`). The `global-state` fixture pins the
-//! `no-global-state` rule's exact output.
+//! `crates/check/lints/`). The `global-state` and `unsafe` fixtures pin the
+//! `no-global-state` and `no-unsafe` rules' exact output.
 
 use rrq_check::lint;
 use std::path::{Path, PathBuf};
@@ -44,6 +44,24 @@ fn global_state_fixture_reports_every_global_and_nothing_else() {
             format!("{lib}:11: [no-global-state] static DETECTOR: OnceLock<String> = OnceLock::new();"),
             format!("{lib}:12: [no-global-state] static mut COUNT: u64 = 0;"),
             format!("{lib}:14: [no-global-state] thread_local! {{"),
+        ]
+    );
+    assert_eq!(outcome.files_scanned, 1);
+    assert_eq!(outcome.suppressed, 0);
+}
+
+#[test]
+fn unsafe_fixture_reports_block_fn_and_impl_and_no_text() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unsafe");
+    let outcome = lint::run(&root).expect("lint walk succeeds");
+    let rendered: Vec<String> = outcome.findings.iter().map(|f| f.to_string()).collect();
+    let lib = "crates/app/src/lib.rs";
+    assert_eq!(
+        rendered,
+        vec![
+            format!("{lib}:7: [no-unsafe] unsafe {{ *r.0 }}"),
+            format!("{lib}:10: [no-unsafe] pub unsafe fn second(r: &Raw) -> u8 {{"),
+            format!("{lib}:14: [no-unsafe] unsafe impl Send for Raw {{}}"),
         ]
     );
     assert_eq!(outcome.files_scanned, 1);

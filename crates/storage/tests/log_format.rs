@@ -156,10 +156,6 @@ fn open_store(wal: &SimDisk) -> Arc<KvStore> {
 
 #[test]
 fn a_fixed_record_frames_to_pinned_bytes() {
-    let disk = SimDisk::new();
-    let wal = Wal::new(Arc::new(disk.clone()));
-    wal.append(0x0102_0304_0506_0708, RecordKind::KvPut, b"k=v")
-        .unwrap();
     #[rustfmt::skip]
     let pinned: [u8; 22] = [
         0xCB, 0x51,                                     // magic
@@ -169,11 +165,31 @@ fn a_fixed_record_frames_to_pinned_bytes() {
         0x01,                                           // kind KvPut
         0x6B, 0x3D, 0x76,                               // "k=v"
     ];
-    assert_eq!(image(&disk), pinned);
-    assert_eq!(
-        old_frame(0x0102_0304_0506_0708, RecordKind::KvPut, b"k=v"),
-        pinned
-    );
+    // A body long enough for the checksum's carry-less fold, which a 12-byte
+    // one never reaches. Its CRC was worked out byte at a time with the
+    // bytewise table algorithm, not with `crc32`, which `old_frame` calls.
+    let long_payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+    #[rustfmt::skip]
+    let mut long_pinned = vec![
+        0xCB, 0x51,                                     // magic
+        0x09, 0x10, 0x00, 0x00,                         // body length 4 105
+        0xB8, 0x05, 0xFE, 0x70,                         // crc32(body)
+        0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // txn
+        0x01,                                           // kind KvPut
+    ];
+    long_pinned.extend_from_slice(&long_payload);
+    for (payload, pinned) in [(&b"k=v"[..], &pinned[..]), (&long_payload, &long_pinned)] {
+        let disk = SimDisk::new();
+        let wal = Wal::new(Arc::new(disk.clone()));
+        wal.append(0x0102_0304_0506_0708, RecordKind::KvPut, payload)
+            .unwrap();
+        assert_eq!(image(&disk), pinned);
+        assert_eq!(
+            old_frame(0x0102_0304_0506_0708, RecordKind::KvPut, payload),
+            pinned
+        );
+        assert_eq!(new_scan(&wal, 0).0.len(), 1, "the scan accepts the frame");
+    }
 }
 
 #[test]
