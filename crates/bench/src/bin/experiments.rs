@@ -235,6 +235,37 @@ fn e2_queue_ops() {
         t0.elapsed().as_micros() as f64 / iters as f64
     );
 
+    // Read and KillElement find a live element by walking `e/`: their cost
+    // at depth 10 000, for elements the walk reaches last.
+    let deep = repo
+        .autocommit(|t| {
+            (0..10_000)
+                .map(|_| {
+                    repo.qm()
+                        .enqueue(t.id().raw(), &h, b"x", EnqueueOptions::default())
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .unwrap();
+    let last = *deep.last().unwrap();
+    let walks = 200;
+    let t0 = Instant::now();
+    for _ in 0..walks {
+        repo.qm().read(last).unwrap();
+    }
+    println!(
+        "| Read, depth 10 000         | {:>5.1} |",
+        t0.elapsed().as_micros() as f64 / walks as f64
+    );
+    let t0 = Instant::now();
+    for &eid in deep.iter().rev().take(walks) {
+        assert!(repo.qm().kill_element(eid).unwrap());
+    }
+    println!(
+        "| KillElement, depth 10 000  | {:>5.1} |",
+        t0.elapsed().as_micros() as f64 / walks as f64
+    );
+
     let t0 = Instant::now();
     for _ in 0..500 {
         repo.qm().register("q", "c", false).unwrap();

@@ -17,6 +17,7 @@ use rrq_qm::element::{Eid, Element};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::registration::Registration;
 use rrq_qm::repository::Repository;
+use rrq_qm::route::partition_of_eid;
 use rrq_qm::QmError;
 use std::sync::Arc;
 
@@ -140,27 +141,19 @@ impl QmApi for LocalQm {
         })?)
     }
 
+    /// Only the partition the eid's epoch band names can hold the element.
     fn read(&self, eid: Eid) -> CoreResult<Element> {
-        // Eids are cluster-unique (per-partition epoch bands), so probe
-        // partitions in order; at most one can know the element.
-        let mut last = QmError::NoSuchElement(eid.raw());
-        for p in 0..self.repo.partitions() {
-            match self.repo.qm_at(p).read(eid) {
-                Ok(e) => return Ok(e),
-                Err(QmError::NoSuchElement(_)) if p + 1 < self.repo.partitions() => continue,
-                Err(e) => last = e,
-            }
+        match partition_of_eid(eid, self.repo.partitions()) {
+            Some(p) => Ok(self.repo.qm_at(p).read(eid)?),
+            None => Err(QmError::NoSuchElement(eid.raw()).into()),
         }
-        Err(last.into())
     }
 
     fn kill(&self, eid: Eid) -> CoreResult<bool> {
-        for p in 0..self.repo.partitions() {
-            if self.repo.qm_at(p).kill_element(eid)? {
-                return Ok(true);
-            }
+        match partition_of_eid(eid, self.repo.partitions()) {
+            Some(p) => Ok(self.repo.qm_at(p).kill_element(eid)?),
+            None => Ok(false),
         }
-        Ok(false)
     }
 
     fn depth(&self, queue: &str) -> CoreResult<usize> {

@@ -27,6 +27,7 @@ use rrq_qm::element::{Eid, Element};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::registration::Registration;
 use rrq_qm::repository::Repository;
+use rrq_qm::route::partition_of_eid;
 use rrq_qm::QmError;
 use rrq_storage::codec::{put, Decode, Encode, Reader};
 use std::sync::Arc;
@@ -81,10 +82,11 @@ impl QmRpcServer {
     }
 
     /// Spawn a server for *one* repository partition: operations on queues
-    /// the partition doesn't own are refused, and eid probes only consult
-    /// the one partition. With one endpoint per partition, a network
-    /// partition between a clerk and endpoint *i* severs exactly the queues
-    /// partition *i* owns — the directional fault the explorer injects.
+    /// the partition doesn't own are refused, and an eid is looked up only
+    /// when its epoch band names this partition. With one endpoint per
+    /// partition, a network partition between a clerk and endpoint *i*
+    /// severs exactly the queues partition *i* owns — the directional fault
+    /// the explorer injects.
     pub fn spawn_partition(
         bus: &NetworkBus,
         endpoint_name: &str,
@@ -127,6 +129,11 @@ fn ok_payload(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = vec![ST_OK];
     body(&mut out);
     out
+}
+
+/// The partition holding `eid` (its epoch band's), if this server serves it.
+fn eid_home(repo: &Repository, scope: Option<usize>, eid: Eid) -> Option<usize> {
+    partition_of_eid(eid, repo.partitions()).filter(|p| scope.is_none_or(|s| s == *p))
 }
 
 fn handle(repo: &Repository, scope: Option<usize>, raw: &[u8]) -> CoreResult<Vec<u8>> {
@@ -195,32 +202,18 @@ fn handle(repo: &Repository, scope: Option<usize>, raw: &[u8]) -> CoreResult<Vec
         }
         OP_READ => {
             let eid = Eid(r.u64().map_err(m)?);
-            let parts: Vec<usize> = match scope {
-                Some(p) => vec![p],
-                None => (0..repo.partitions()).collect(),
+            let Some(p) = eid_home(repo, scope, eid) else {
+                return Err(QmError::NoSuchElement(eid.raw()).into());
             };
-            let mut last = QmError::NoSuchElement(eid.raw());
-            for p in parts {
-                match repo.qm_at(p).read(eid) {
-                    Ok(elem) => return Ok(ok_payload(|out| elem.encode(out))),
-                    Err(e) => last = e,
-                }
-            }
-            Err(last.into())
+            let elem = repo.qm_at(p).read(eid)?;
+            Ok(ok_payload(|out| elem.encode(out)))
         }
         OP_KILL => {
             let eid = Eid(r.u64().map_err(m)?);
-            let parts: Vec<usize> = match scope {
-                Some(p) => vec![p],
-                None => (0..repo.partitions()).collect(),
+            let killed = match eid_home(repo, scope, eid) {
+                Some(p) => repo.qm_at(p).kill_element(eid)?,
+                None => false,
             };
-            let mut killed = false;
-            for p in parts {
-                if repo.qm_at(p).kill_element(eid)? {
-                    killed = true;
-                    break;
-                }
-            }
             Ok(ok_payload(|out| put::bool(out, killed)))
         }
         OP_DEPTH => {
@@ -512,6 +505,42 @@ mod tests {
         let (_bus, _repo, _guard, remote) = setup();
         let r = remote.register("missing-queue", "c", false);
         assert!(matches!(r, Err(CoreError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_scoped_server_looks_up_only_the_eids_of_its_band() {
+        use rrq_qm::repository::{RepoDisks, RepoOptions};
+        let bus = NetworkBus::new(11);
+        let opts = RepoOptions {
+            repo_partitions: 4,
+            ..RepoOptions::default()
+        };
+        let (repo, _) =
+            Repository::open_with("scoped", RepoDisks::new(), opts, rrq_obs::Obs::default())
+                .unwrap();
+        let repo = Arc::new(repo);
+        let _guards: Vec<ServerGuard> = (0..4)
+            .map(|p| QmRpcServer::spawn_partition(&bus, &format!("qm{p}"), Arc::clone(&repo), p))
+            .collect();
+        let remotes: Vec<RemoteQm> = (0..4)
+            .map(|p| RemoteQm::new(&bus, &format!("c{p}"), &format!("qm{p}")))
+            .collect();
+        for p in 0..4 {
+            let q = (0..64)
+                .map(|i| format!("sq{i}"))
+                .find(|q| repo.partition_of(q) == p)
+                .unwrap();
+            repo.create_queue_defaults(&q).unwrap();
+            remotes[p].register(&q, "c", false).unwrap();
+            let eid = remotes[p]
+                .enqueue(&q, "c", q.as_bytes(), EnqueueOptions::default())
+                .unwrap();
+            let other = &remotes[(p + 1) % 4];
+            assert!(other.read(eid).is_err(), "not its band");
+            assert!(!other.kill(eid).unwrap());
+            assert_eq!(remotes[p].read(eid).unwrap().payload, q.as_bytes());
+            assert!(remotes[p].kill(eid).unwrap());
+        }
     }
 
     #[test]

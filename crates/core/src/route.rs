@@ -4,9 +4,9 @@
 //! (see [`crate::remote::QmRpcServer::spawn_partition`]). [`RoutedQm`]
 //! recombines them into a single [`QmApi`]: queue-addressed operations go
 //! straight to the owner computed by [`rrq_qm::route::partition_of`] — one
-//! hop, no fan-out — and eid-addressed operations ([`QmApi::read`],
-//! [`QmApi::kill`]) probe partitions in order, which is safe because
-//! per-partition epoch bands make eids cluster-unique.
+//! hop, no fan-out — and so do eid-addressed operations ([`QmApi::read`],
+//! [`QmApi::kill`]): the eid's epoch band names the partition that minted it
+//! ([`rrq_qm::route::partition_of_eid`]), and the element never leaves it.
 //!
 //! The clerk itself never changes: it already speaks [`QmApi`], so handing
 //! it a `RoutedQm` is all it takes to run against a partitioned cluster.
@@ -19,7 +19,7 @@ use crate::error::CoreResult;
 use rrq_qm::element::{Eid, Element};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::registration::Registration;
-use rrq_qm::route::partition_of;
+use rrq_qm::route::{partition_of, partition_of_eid};
 use rrq_qm::QmError;
 use std::sync::Arc;
 
@@ -78,29 +78,15 @@ impl QmApi for RoutedQm {
     }
 
     fn read(&self, eid: Eid) -> CoreResult<Element> {
-        // Probe owners in order; a partitioned/crashed endpoint's error is
-        // kept only if no later partition knows the element.
-        let mut last = None;
-        for api in &self.parts {
-            match api.read(eid) {
-                Ok(e) => return Ok(e),
-                Err(e) => last = Some(e),
-            }
+        match partition_of_eid(eid, self.parts.len()) {
+            Some(p) => self.parts[p].read(eid),
+            None => Err(QmError::NoSuchElement(eid.raw()).into()),
         }
-        Err(last.unwrap_or_else(|| QmError::NoSuchElement(eid.raw()).into()))
     }
 
     fn kill(&self, eid: Eid) -> CoreResult<bool> {
-        let mut last = None;
-        for api in &self.parts {
-            match api.kill(eid) {
-                Ok(true) => return Ok(true),
-                Ok(false) => {}
-                Err(e) => last = Some(e),
-            }
-        }
-        match last {
-            Some(e) => Err(e),
+        match partition_of_eid(eid, self.parts.len()) {
+            Some(p) => self.parts[p].kill(eid),
             None => Ok(false),
         }
     }
@@ -171,7 +157,7 @@ mod tests {
             .map(|_| Arc::new(LocalQm::new(Arc::clone(&repo))) as Arc<dyn QmApi>)
             .collect();
         let routed = RoutedQm::new(parts);
-        // Find a queue on a non-zero partition so the probe must walk.
+        // A queue on a non-zero partition: the kill must go there.
         let q = (0..64)
             .map(|i| format!("kq{i}"))
             .find(|q| repo.partition_of(q) != 0)
@@ -183,5 +169,58 @@ mod tests {
             .unwrap();
         assert!(routed.kill(eid).unwrap());
         assert_eq!(routed.depth(&q).unwrap(), 0);
+    }
+
+    /// Read and Kill go to the one partition the eid's band names: no other
+    /// partition is asked, and a band no partition has finds nothing.
+    #[test]
+    fn eid_lookups_ask_only_the_partition_of_the_band() {
+        let (repo, _) = Repository::open_with(
+            "routed3",
+            RepoDisks::new(),
+            RepoOptions {
+                repo_partitions: 4,
+                ..RepoOptions::default()
+            },
+            rrq_obs::Obs::default(),
+        )
+        .unwrap();
+        let repo = Arc::new(repo);
+        let local = LocalQm::new(Arc::clone(&repo));
+        let routed = RoutedQm::new(
+            (0..4)
+                .map(|_| Arc::new(LocalQm::new(Arc::clone(&repo))) as Arc<dyn QmApi>)
+                .collect(),
+        );
+        let reads = || -> Vec<u64> { (0..4).map(|p| repo.qm_at(p).stats().reads).collect() };
+        for p in 0..4 {
+            let q = (0..64)
+                .map(|i| format!("bq{i}"))
+                .find(|q| repo.partition_of(q) == p)
+                .unwrap();
+            repo.create_queue_defaults(&q).unwrap();
+            local.register(&q, "c", false).unwrap();
+            let eid = local
+                .enqueue(&q, "c", q.as_bytes(), EnqueueOptions::default())
+                .unwrap();
+            assert_eq!(partition_of_eid(eid, 4), Some(p));
+            for api in [&local as &dyn QmApi, &routed] {
+                let before = reads();
+                assert_eq!(api.read(eid).unwrap().payload, q.as_bytes());
+                let asked: Vec<usize> = (0..4).filter(|&i| reads()[i] != before[i]).collect();
+                assert_eq!(asked, [p], "read of {eid}");
+            }
+            assert!(routed.kill(eid).unwrap());
+            assert_eq!(repo.qm_at(p).stats().kills, 1);
+            assert!(!local.kill(eid).unwrap());
+        }
+        let nowhere = Eid::compose(rrq_qm::route::epoch_band_base(5) + 1, 0);
+        for api in [&local as &dyn QmApi, &routed] {
+            assert!(matches!(
+                api.read(nowhere),
+                Err(crate::error::CoreError::Qm(QmError::NoSuchElement(_)))
+            ));
+            assert!(!api.kill(nowhere).unwrap());
+        }
     }
 }

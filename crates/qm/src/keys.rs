@@ -6,7 +6,6 @@
 //! |--------|----------|
 //! | `m/<queue>`                | [`crate::meta::QueueMeta`] |
 //! | `e/<queue>/<ord>`          | live [`crate::element::Element`]s, ordered |
-//! | `x/<eid-be>`               | eid → element key (live-element index) |
 //! | `d/<eid-be>`               | the element a stable registration's last tagged dequeue retained, for `Read`/`Rereceive`; at most one per registration |
 //! | `k/<eid-be>`               | kill tombstones (§7 cancellation in flight) |
 //! | `r/<queue>/<registrant>`   | [`crate::registration::Registration`] |
@@ -16,6 +15,7 @@
 //! The element ordering key `<ord>` is `(0xFF - priority) ‖ seq_be`, so a
 //! plain ascending prefix scan yields highest-priority-first, FIFO within a
 //! priority — the dequeue order.
+//! No row maps an eid to its live element: `Read` and `KillElement` walk `e/`.
 
 use crate::element::{Eid, Priority};
 
@@ -68,14 +68,6 @@ pub fn parse_element_key(key: &[u8]) -> Option<&str> {
     std::str::from_utf8(&key[2..sep]).ok()
 }
 
-/// Key of the live-element index entry for `eid`.
-pub fn index_key(eid: Eid) -> Vec<u8> {
-    let mut k = Vec::with_capacity(10);
-    k.extend_from_slice(b"x/");
-    k.extend_from_slice(&eid.raw().to_be_bytes());
-    k
-}
-
 /// Key `eid`'s element moves to when a tagged dequeue retains it.
 pub fn retained_key(eid: Eid) -> Vec<u8> {
     let mut k = Vec::with_capacity(10);
@@ -92,7 +84,7 @@ pub fn kill_key(eid: Eid) -> Vec<u8> {
     k
 }
 
-/// The eid an `x/`, `d/` or `k/` key ends in.
+/// The eid a `d/` or `k/` key ends in.
 pub fn eid_of(key: &[u8]) -> Option<Eid> {
     let raw = key.get(2..)?.try_into().ok()?;
     Some(Eid(u64::from_be_bytes(raw)))
@@ -155,7 +147,6 @@ mod tests {
         let keys = [
             meta_key("q"),
             element_key("q", 0, 1),
-            index_key(eid),
             retained_key(eid),
             kill_key(eid),
             registration_key("q", "c"),
@@ -174,11 +165,11 @@ mod tests {
     #[test]
     fn eid_keys_give_their_eid_back() {
         let eid = Eid::compose(3, 77);
-        for key in [index_key(eid), retained_key(eid), kill_key(eid)] {
+        for key in [retained_key(eid), kill_key(eid)] {
             assert_eq!(eid_of(&key), Some(eid));
         }
-        assert_eq!(eid_of(b"x/short"), None);
-        assert_eq!(eid_of(b"x"), None);
+        assert_eq!(eid_of(b"d/short"), None);
+        assert_eq!(eid_of(b"d"), None);
     }
 
     #[test]

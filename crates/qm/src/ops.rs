@@ -69,7 +69,7 @@ use crate::retrieval::Predicate;
 use crate::trigger::Trigger;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rrq_obs::Obs;
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{Decode, Encode};
 use rrq_storage::kv::KvStore;
 use rrq_txn::{
     LockKey, LockManager, LockMode, ResourceManager, TxnError, TxnId, TxnIdGen, TxnResult,
@@ -219,6 +219,9 @@ struct DequeuedRef {
     grabbed_at: u64,
 }
 
+/// Where [`QueueManager::locate`] found a live element: store, queue, key.
+type Located<'a> = (&'a Arc<KvStore>, String, Vec<u8>);
+
 /// Outcome of trying to take one dequeue candidate under its element lock.
 enum Grab {
     /// Locked, validated, and removed — the dequeue succeeded.
@@ -355,9 +358,9 @@ impl QueueManager {
     /// which keeps element ids — `(epoch << 40) | counter` — disjoint across
     /// every partition of a cluster (2^20 restarts per partition before
     /// bands could meet), so an eid names its element cluster-wide and
-    /// `Read`/`KillElement` can safely probe partitions. `epoch_base = 0` is
-    /// bit-for-bit the single-partition baseline. The manager and its ready
-    /// index report to the lock manager's handle.
+    /// `Read`/`KillElement` go to the partition its band names.
+    /// `epoch_base = 0` is bit-for-bit the single-partition baseline. The
+    /// manager and its ready index report to the lock manager's handle.
     pub fn with_epoch_base(
         name: impl Into<String>,
         durable: Arc<KvStore>,
@@ -665,16 +668,21 @@ impl QueueManager {
         let info = self.queue_info(queue)?;
         let store = self.store_of(&info.meta);
         let r = self.system_txn_on(store, |t| {
-            for (k, raw) in store.scan_prefix(Some(t), &keys::element_prefix(queue))? {
-                let eid = Element::decode_all(&raw).map_err(QmError::Storage)?.eid;
-                store.delete(t, &k)?;
-                store.delete(t, &keys::index_key(eid))?;
+            // The prefixes `e/<queue>/` and `r/<queue>/` also cover the rows
+            // of a queue named `<queue>/…`: keep only this queue's.
+            for (k, _) in store.scan_prefix(Some(t), &keys::element_prefix(queue))? {
+                if keys::parse_element_key(&k) == Some(queue) {
+                    store.delete(t, &k)?;
+                }
             }
             let regs = self
                 .durable
                 .scan_prefix(Some(t), format!("r/{queue}/").as_bytes())?;
             for (k, raw) in regs {
                 let reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
+                if reg.queue != queue {
+                    continue;
+                }
                 if let Some(eid) = reg.retained() {
                     store.delete(t, &keys::retained_key(eid))?;
                 }
@@ -849,10 +857,6 @@ impl QueueManager {
         // Tracked for the race detector; the matching dequeue-side access
         // is ordered by the queue's enqueue→dequeue happens-before edge.
         self.obs.on_write(|| elem_cell(eid));
-        // Live-element index: eid → (queue, element key). Always durable so
-        // Read/Kill can find volatile elements too? No — volatile elements
-        // index in the volatile store, consistent with their lifetime.
-        store.put(txn, &keys::index_key(eid), &encode_index(&meta.name, &ekey))?;
         if let Some(tag) = &opts.tag {
             self.record_op(txn, handle, LastOp::Enqueue, tag, eid)?;
         }
@@ -1077,7 +1081,6 @@ impl QueueManager {
             Some(tag) => self.record_op(txn, handle, LastOp::Dequeue, tag, elem.eid)?,
             None => false,
         };
-        store.delete(txn, &keys::index_key(elem.eid))?;
         if retained {
             store.rename(txn, ekey, &keys::retained_key(elem.eid))?;
         } else {
@@ -1199,21 +1202,41 @@ impl QueueManager {
 
     /// `Read(h, e)` — return the element with `eid` without modifying it.
     /// Works for live elements and for the one a stable registration's last
-    /// tagged dequeue retained.
+    /// tagged dequeue retained. The retained row is a point lookup, so
+    /// `Rereceive` never walks; a live element costs one [`Self::locate`].
     pub fn read(&self, eid: Eid) -> QmResult<Element> {
         bump(&self.stats.reads);
+        let retained = keys::retained_key(eid);
         for store in [&self.durable, &self.volatile] {
-            if let Some(raw) = store.get(None, &keys::index_key(eid))? {
-                let (_, ekey) = decode_index(&raw)?;
-                if let Some(eraw) = store.get(None, &ekey)? {
-                    return Element::decode_all(&eraw).map_err(QmError::Storage);
-                }
-            }
-            if let Some(raw) = store.get(None, &keys::retained_key(eid))? {
+            if let Some(raw) = store.get(None, &retained)? {
                 return Element::decode_all(&raw).map_err(QmError::Storage);
             }
         }
-        Err(QmError::NoSuchElement(eid.raw()))
+        let gone = || QmError::NoSuchElement(eid.raw());
+        let (store, _, key) = self.locate(eid)?.ok_or_else(gone)?;
+        let raw = store.get(None, &key)?.ok_or_else(gone)?;
+        Element::decode_all(&raw).map_err(QmError::Storage)
+    }
+
+    /// The live element `eid`: one borrowed walk of the committed `e/` rows,
+    /// durable store first, that stops at the hit. It holds the store's tree
+    /// read lock throughout, and nothing else.
+    fn locate(&self, eid: Eid) -> QmResult<Option<Located<'_>>> {
+        for store in [&self.durable, &self.volatile] {
+            // An `Err` stops the walk: `Ok` inside it is the hit, `Err` a
+            // row that does not decode.
+            let walk = store.for_each_committed(b"e/", |k, raw| match keys::parse_element_key(k) {
+                Some(queue) if Element::checked_eid(raw).map_err(Err)? == eid => {
+                    Err(Ok((queue.to_string(), k.to_vec())))
+                }
+                _ => Ok(()),
+            });
+            if let Err(hit) = walk {
+                let (queue, key) = hit?;
+                return Ok(Some((store, queue, key)));
+            }
+        }
+        Ok(None)
     }
 
     /// `KillElement(e)` — §7 cancellation.
@@ -1225,71 +1248,60 @@ impl QueueManager {
     /// * Already dequeued and committed: returns `false` — too late (§7: with
     ///   multi-transaction requests, use compensation).
     pub fn kill_element(&self, eid: Eid) -> QmResult<bool> {
-        // Find the element in either store.
-        for store in [&self.durable, &self.volatile] {
-            let Some(raw) = store.get(None, &keys::index_key(eid))? else {
-                continue;
-            };
-            let (queue, ekey) = decode_index(&raw)?;
-            let ns = self.ns_of(&queue);
-            let lk = LockKey::new(ns, ekey.clone());
-            let sys = self.sys_ids.next().raw();
-            match self.locks.try_lock(sys, &lk, LockMode::Exclusive) {
-                Ok(()) => {
-                    // Unlocked: delete right now in a system transaction.
-                    let r = Self::kill_live_element(store, sys, &ekey, eid);
-                    self.locks.unlock_all(sys);
-                    let killed = r?;
-                    if killed {
-                        self.qindex.remove(&queue, &ekey);
-                        self.obs.counter_inc("qm.element.dropped");
-                        bump(&self.stats.kills);
-                    }
-                    return Ok(killed);
-                }
-                Err(_) => {
-                    // Held by an in-flight dequeuer: poison it and leave a
-                    // tombstone for its abort path. Counted before it can
-                    // be read; not counted at all if it adds no record.
-                    let tomb = keys::kill_key(eid);
-                    self.kill_marks.fetch_add(1, Ordering::AcqRel);
-                    let added = self.system_txn(|t| {
-                        let fresh = self.durable.get(Some(t), &tomb)?.is_none();
-                        self.durable.put(t, &tomb, &[1])?;
-                        Ok(fresh)
-                    });
-                    if !matches!(added, Ok(true)) {
-                        lower(&self.kill_marks);
-                    }
-                    added?;
-                    // Walk the stripes one at a time; a dequeuer lives in
-                    // exactly one, and holding two guards is never needed.
-                    for i in 0..self.pending.len() {
-                        let mut g = self.pending_shard_at(i);
-                        for p in g.values_mut() {
-                            if p.dequeued.iter().any(|d| d.eid == eid) {
-                                p.poisoned = Some(eid);
-                            }
-                        }
-                    }
-                    bump(&self.stats.kills);
-                    return Ok(true);
+        let Some((store, queue, key)) = self.locate(eid)? else {
+            return Ok(false);
+        };
+        let lk = LockKey::new(self.ns_of(&queue), key.clone());
+        let sys = self.sys_ids.next().raw();
+        if self.locks.try_lock(sys, &lk, LockMode::Exclusive).is_ok() {
+            // Unlocked: delete right now in a system transaction.
+            let r = Self::kill_live_element(store, sys, &key);
+            self.locks.unlock_all(sys);
+            let killed = r?;
+            if killed {
+                self.qindex.remove(&queue, &key);
+                self.obs.counter_inc("qm.element.dropped");
+                bump(&self.stats.kills);
+            }
+            return Ok(killed);
+        }
+        // Held by an in-flight dequeuer: poison it and leave a tombstone for
+        // its abort path. Counted before it can be read; not counted at all
+        // if it adds no record.
+        let tomb = keys::kill_key(eid);
+        self.kill_marks.fetch_add(1, Ordering::AcqRel);
+        let added = self.system_txn(|t| {
+            let fresh = self.durable.get(Some(t), &tomb)?.is_none();
+            self.durable.put(t, &tomb, &[1])?;
+            Ok(fresh)
+        });
+        if !matches!(added, Ok(true)) {
+            lower(&self.kill_marks);
+        }
+        added?;
+        // Walk the stripes one at a time; a dequeuer lives in exactly one,
+        // and holding two guards is never needed.
+        for i in 0..self.pending.len() {
+            let mut g = self.pending_shard_at(i);
+            for p in g.values_mut() {
+                if p.dequeued.iter().any(|d| d.eid == eid) {
+                    p.poisoned = Some(eid);
                 }
             }
         }
-        Ok(false)
+        bump(&self.stats.kills);
+        Ok(true)
     }
 
     /// Delete a live, unlocked element inside a committed system
     /// transaction; returns whether it was still present. A named function
     /// (not a closure in `kill_element`) so the durability-dominator pass
     /// can see the `commit` on every path to the caller's index update.
-    fn kill_live_element(store: &Arc<KvStore>, sys: u64, ekey: &[u8], eid: Eid) -> QmResult<bool> {
+    fn kill_live_element(store: &Arc<KvStore>, sys: u64, ekey: &[u8]) -> QmResult<bool> {
         store.begin(sys)?;
         let still_there = store.get(Some(sys), ekey)?.is_some();
         if still_there {
             store.delete(sys, ekey)?;
-            store.delete(sys, &keys::index_key(eid))?;
         }
         store.commit(sys)?;
         Ok(still_there)
@@ -1311,22 +1323,18 @@ impl QueueManager {
         Ok(self.qindex.depth(queue))
     }
 
-    /// Depth by paging the element keyspace — the index's verification
+    /// Depth by walking the element keyspace — the index's verification
     /// baseline.
     pub fn depth_scan(&self, queue: &str) -> QmResult<usize> {
         let info = self.queue_info(queue)?;
-        let store = self.store_of(&info.meta);
+        let mut n = 0;
         let prefix = keys::element_prefix(queue);
-        let mut after: Option<Vec<u8>> = None;
-        let mut n = 0usize;
-        loop {
-            let (page, cursor) = store.scan_prefix_page(None, &prefix, after.as_deref(), 256)?;
-            n += page.len();
-            match cursor {
-                Some(c) => after = Some(c),
-                None => return Ok(n),
-            }
-        }
+        self.store_of(&info.meta)
+            .for_each_committed(&prefix, |k, _| {
+                n += usize::from(keys::parse_element_key(k) == Some(queue));
+                Ok::<_, QmError>(())
+            })?;
+        Ok(n)
     }
 
     /// Defer `txn`'s durability: when it commits one-phase, its commit
@@ -1512,13 +1520,13 @@ impl QueueManager {
         Ok(Some("index != storage".into()))
     }
 
-    /// `None` when the retained rows and the live-element index are what the
-    /// registrations and the elements say they should be: every `d/<eid>`
-    /// row is named by exactly one stable registration whose last tagged
-    /// operation was that dequeue, and every `x/<eid>` row points at an
-    /// element that is there. Otherwise a description of the first
-    /// divergence. Meaningful at a quiescent point, like
-    /// [`Self::index_divergence`].
+    /// `None` when the retained rows are what the registrations say they
+    /// should be — every `d/<eid>` row is named by exactly one stable
+    /// registration whose last tagged operation was that dequeue — and no
+    /// eid is on two rows of `e/` and `d/` across both stores, which is what
+    /// lets `Read` and `KillElement` find an element by its eid alone.
+    /// Otherwise a description of the first divergence. Meaningful at a
+    /// quiescent point, like [`Self::index_divergence`].
     pub fn retention_divergence(&self) -> QmResult<Option<String>> {
         let mut owners: HashMap<Eid, Vec<String>> = HashMap::new();
         for (_, raw) in self.durable.scan_prefix(None, b"r/")? {
@@ -1530,6 +1538,7 @@ impl QueueManager {
                     .push(format!("{}/{}", reg.queue, reg.registrant));
             }
         }
+        let mut eids = Vec::new();
         for store in [&self.durable, &self.volatile] {
             for (k, _) in store.scan_prefix(None, b"d/")? {
                 let eid = keys::eid_of(&k).ok_or_else(|| bad_key(&k))?;
@@ -1538,18 +1547,18 @@ impl QueueManager {
                     [] => return Ok(Some(format!("retained {eid} belongs to no registration"))),
                     many => return Ok(Some(format!("retained {eid} belongs to {many:?}"))),
                 }
+                eids.push(eid);
             }
-            for (k, raw) in store.scan_prefix(None, b"x/")? {
-                let (queue, ekey) = decode_index(&raw)?;
-                if store.get(None, &ekey)?.is_none() {
-                    let eid = keys::eid_of(&k).ok_or_else(|| bad_key(&k))?;
-                    return Ok(Some(format!(
-                        "index row of {eid} points at no element of {queue:?}"
-                    )));
-                }
-            }
+            store.for_each_committed(b"e/", |_, raw| {
+                eids.push(Element::checked_eid(raw)?);
+                Ok::<_, QmError>(())
+            })?;
         }
-        Ok(None)
+        eids.sort_unstable();
+        Ok(eids
+            .windows(2)
+            .find(|w| w[0] == w[1])
+            .map(|w| format!("{} is on two rows", w[0])))
     }
 
     /// Read-only content query over a queue's live elements.
@@ -1558,7 +1567,10 @@ impl QueueManager {
         let store = self.store_of(&info.meta);
         let rows = store.scan_prefix(None, &keys::element_prefix(queue))?;
         let mut out = Vec::new();
-        for (_, raw) in rows {
+        for (k, raw) in rows {
+            if keys::parse_element_key(&k) != Some(queue) {
+                continue; // a row of `<queue>/…`
+            }
             let e = Element::decode_all(&raw).map_err(QmError::Storage)?;
             if predicate.matches(&e) {
                 out.push(e);
@@ -1705,7 +1717,6 @@ impl QueueManager {
             let mut elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
             if killed {
                 store.delete(sys, &d.elem_key)?;
-                store.delete(sys, &keys::index_key(d.eid))?;
                 return Ok(AbortOutcome::Dropped);
             }
             elem.abort_count += 1;
@@ -1723,7 +1734,6 @@ impl QueueManager {
                 let ekey = keys::element_key(&errq, elem.priority, seq);
                 elem.seq = seq;
                 store.put(sys, &ekey, &elem.encode_to_vec())?;
-                store.put(sys, &keys::index_key(d.eid), &encode_index(&errq, &ekey))?;
                 Ok(AbortOutcome::Moved { queue: errq, ekey })
             } else if meta.requeue_at_back_on_abort {
                 // Rotate to the back of the queue: same element identity,
@@ -1735,11 +1745,6 @@ impl QueueManager {
                 elem.seq = seq;
                 let ekey = keys::element_key(&meta.name, elem.priority, seq);
                 store.put(sys, &ekey, &elem.encode_to_vec())?;
-                store.put(
-                    sys,
-                    &keys::index_key(d.eid),
-                    &encode_index(&meta.name, &ekey),
-                )?;
                 Ok(AbortOutcome::Requeued { ekey })
             } else {
                 store.put(sys, &d.elem_key, &elem.encode_to_vec())?;
@@ -1823,20 +1828,6 @@ fn elem_cell(eid: Eid) -> String {
 
 fn bad_key(key: &[u8]) -> QmError {
     QmError::Invalid(format!("malformed eid key {key:?}"))
-}
-
-fn encode_index(queue: &str, ekey: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + queue.len() + ekey.len());
-    put::string(&mut buf, queue);
-    put::bytes(&mut buf, ekey);
-    buf
-}
-
-fn decode_index(raw: &[u8]) -> QmResult<(String, Vec<u8>)> {
-    let mut r = Reader::new(raw);
-    let queue = r.string().map_err(QmError::Storage)?;
-    let ekey = r.bytes().map_err(QmError::Storage)?;
-    Ok((queue, ekey))
 }
 
 // ----------------------------------------------------------------------

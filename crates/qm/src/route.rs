@@ -29,6 +29,14 @@ pub fn epoch_band_base(p: usize) -> u64 {
     (p as u64) << EPOCH_BAND_BITS
 }
 
+/// The partition whose band minted `eid` (`Eid::compose` puts the epoch
+/// above bit 40), which is where the element lives: requeues and error-queue
+/// moves keep it in its store. `None` when no partition has that band.
+pub fn partition_of_eid(eid: crate::element::Eid, partitions: usize) -> Option<usize> {
+    let p = eid.raw() >> (40 + EPOCH_BAND_BITS);
+    (p < partitions.max(1) as u64).then_some(p as usize)
+}
+
 /// 64-bit FNV-1a over a queue name.
 fn fnv1a(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -53,6 +61,7 @@ pub fn partition_of(queue: &str, partitions: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::Eid;
 
     #[test]
     fn single_partition_owns_everything() {
@@ -114,11 +123,24 @@ mod tests {
             // ...so eids from different partitions can never be equal.
             if pa != pb {
                 prop_assert!(
-                    crate::element::Eid::compose(ea, counter)
-                        != crate::element::Eid::compose(eb, counter),
+                    Eid::compose(ea, counter) != Eid::compose(eb, counter),
                     "bands {pa}/{pb} collided at epochs {ea}/{eb}"
                 );
             }
+        }
+
+        /// An eid names the partition that minted it, and no partition at
+        /// all in a cluster too small to have that band.
+        #[test]
+        fn eid_band_names_its_partition(
+            parts in 1usize..MAX_REPO_PARTITIONS + 1,
+            p in 0usize..MAX_REPO_PARTITIONS,
+            restarts in 0u64..(1 << EPOCH_BAND_BITS),
+            counter in 0u64..(1 << 40),
+        ) {
+            let eid = Eid::compose(epoch_band_base(p) + restarts, counter);
+            let want = (p < parts).then_some(p);
+            prop_assert_eq!(partition_of_eid(eid, parts), want);
         }
     }
 }

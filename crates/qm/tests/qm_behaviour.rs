@@ -247,7 +247,8 @@ fn read_works_for_live_and_dequeued_elements() {
     assert_eq!(r.qm().read(second).unwrap().payload, b"second");
 
     // A tagged enqueue is a tagged operation, too; and so the store holds
-    // the new element, its index row, the queue and two registrations.
+    // the new element, the queue and two registrations, and no row that
+    // maps an eid to its element.
     let fifth = r
         .autocommit(|t| {
             let opts = EnqueueOptions {
@@ -265,7 +266,8 @@ fn read_works_for_live_and_dequeued_elements() {
     assert_eq!(r.qm().retention_divergence().unwrap(), None);
     assert_eq!(r.qm().index_divergence().unwrap(), None);
     assert!(r.store().scan_prefix(None, b"d/").unwrap().is_empty());
-    assert_eq!(r.store().scan_prefix(None, b"x/").unwrap().len(), 1);
+    assert_eq!(r.store().scan_prefix(None, b"e/").unwrap().len(), 1);
+    assert!(r.store().scan_prefix(None, b"x/").unwrap().is_empty());
 }
 
 #[test]
@@ -844,6 +846,36 @@ fn destroy_queue_removes_everything() {
         r.qm().register("q", "c", true),
         Err(QmError::NoSuchQueue(_))
     ));
+}
+
+/// `e/a/` and `r/a/` are byte prefixes of queue `a/b`'s rows too: queue `a`
+/// must neither see nor destroy them.
+#[test]
+fn a_queue_never_reaches_the_rows_of_a_queue_named_under_it() {
+    let r = repo();
+    r.create_queue_defaults("a").unwrap();
+    r.create_queue_defaults("a/b").unwrap();
+    let (inner, _) = r.qm().register("a/b", "c", true).unwrap();
+    r.qm().register("a", "c", true).unwrap();
+    let retained = enq(&r, &inner, b"retained");
+    let live = enq(&r, &inner, b"live");
+    assert_eq!(deq_tagged(&r, &inner, b"t"), retained);
+
+    assert!(r.qm().query("a", &Predicate::True).unwrap().is_empty());
+    assert_eq!(r.qm().depth_scan("a").unwrap(), 0);
+    assert_eq!(r.qm().depth("a").unwrap(), 0);
+    r.qm().destroy_queue("a").unwrap();
+    assert_eq!(r.qm().index_divergence().unwrap(), None);
+    assert_eq!(r.qm().retention_divergence().unwrap(), None);
+    assert_eq!(r.qm().depth_scan("a/b").unwrap(), 1);
+    assert_eq!(r.qm().read(live).unwrap().payload, b"live");
+    assert_eq!(r.qm().read(retained).unwrap().payload, b"retained");
+    let (_, reg) = r.qm().register("a/b", "c", true).unwrap();
+    assert_eq!(
+        reg.retained(),
+        Some(retained),
+        "a/b's registration survives"
+    );
 }
 
 #[test]

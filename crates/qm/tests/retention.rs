@@ -65,7 +65,7 @@ fn a_tagged_dequeue_logs_keys_not_the_body() {
     );
     let second = tagged_enqueue(&repo, &h, &body, b"send-2");
 
-    // The first retaining dequeue: a move, two deletes, the registration.
+    // The first retaining dequeue: a move and the registration.
     let from = disks.wal.len();
     assert_eq!(dequeue(&repo, &h, Some(b"recv-1")), first);
     let retaining = disks.wal.len() - from;
@@ -190,7 +190,7 @@ fn destroying_a_volatile_queue_leaves_no_row_in_either_store() {
     }
     dequeue(&repo, &h, Some(b"t"));
     let volatile = repo.qm().volatile_store().clone();
-    assert_eq!(volatile.committed_len(), 2 * 2 + 1);
+    assert_eq!(volatile.committed_len(), 2 + 1, "two live, one retained");
     let joined = volatile.txn_counts();
     repo.qm().destroy_queue("vol").unwrap();
     assert_eq!(volatile.committed_len(), 0);

@@ -1249,14 +1249,14 @@ mod tests {
     fn key_hasher_spreads_trailing_counters_over_buckets_and_tags() {
         use std::hash::BuildHasher;
         // The store's hot keys end in a big-endian counter (`e/<queue>/<ord>`,
-        // `x/<eid>`), at every alignment to the hasher's eight-byte words. A
+        // `d/<eid>`), at every alignment to the hasher's eight-byte words. A
         // table indexes a bucket with the hash's low bits and pre-filters a
         // probe with its top seven: 4 096 consecutive counters must fill
         // both about as evenly as random values would (a multiply-rotate
         // hasher left all of them on ONE tag for the 15-byte element key).
         let hasher = BuildHasherDefault::<KeyHasher>::default();
         for prefix in [
-            &b"x/"[..],
+            &b"d/"[..],
             b"e/req/\xff",
             b"e/reply.c0/\xff",
             b"",

@@ -3,14 +3,18 @@
 //! crash and a checkpoint until the next `Receive` replaces it, and a
 //! repository that has served a thousand requests holds what one that has
 //! served one request holds. What a round trip leaves in the log is one
-//! record per commit point, each holding its transaction's write set.
+//! record per commit point, each holding its transaction's write set, and
+//! no row a restart could rebuild.
 
 use rrq_core::api::LocalQm;
 use rrq_core::clerk::{Clerk, ClerkConfig};
 use rrq_core::rid::Rid;
 use rrq_core::server::{Served, Server, ServerConfig};
 use rrq_qm::repository::{RepoDisks, Repository};
+use rrq_storage::codec::Reader;
 use rrq_storage::disk::Disk;
+use rrq_storage::wal::{RecordKind, Wal};
+use rrq_storage::WriteOp;
 use rrq_tests::echo_handler;
 use rrq_workload::bank::{self, Transfer};
 use std::sync::Arc;
@@ -85,6 +89,15 @@ fn a_thousand_transceives_leave_the_store_as_large_as_one() {
     assert_self_checks(&repo);
 }
 
+/// The key an op writes (a move's source), readable in a failure message.
+fn first_key(op: &WriteOp) -> String {
+    match op {
+        WriteOp::Put { key, .. } | WriteOp::Delete { key } | WriteOp::Move { from: key, .. } => {
+            String::from_utf8_lossy(key).into_owned()
+        }
+    }
+}
+
 #[test]
 fn a_round_trip_writes_one_log_record_per_commit_point() {
     // Send (the clerk's transaction), serve (the server's), receive (the
@@ -96,11 +109,20 @@ fn a_round_trip_writes_one_log_record_per_commit_point() {
         to: 1,
         amount: 5,
     };
+    // Ops per round trip: the request and the reply enqueued, their
+    // registrations, the request deleted, the reply moved to `d/` and the
+    // reply before it deleted — plus the transfer's two accounts and its
+    // clearing row.
     let shapes = [
-        ("echo", echo_handler(), b"ping".to_vec()),
-        ("transfer", bank::single_txn_handler(), transfer.encode()),
+        ("echo", echo_handler(), b"ping".to_vec(), 7),
+        (
+            "transfer",
+            bank::single_txn_handler(),
+            transfer.encode(),
+            10,
+        ),
     ];
-    for (op, handler, body) in shapes {
+    for (op, handler, body, ops_per_round_trip) in shapes {
         let disks = RepoDisks::new();
         let repo = open(&disks);
         bank::seed_accounts(&repo, 2, 1_000).unwrap();
@@ -118,11 +140,23 @@ fn a_round_trip_writes_one_log_record_per_commit_point() {
         round_trip(1);
         repo.obs().start();
         let device_writes = disks.wal.stats().appends;
+        let from = disks.wal.len();
         round_trip(2);
         let snap = repo.obs().snapshot();
         assert_eq!(snap.counter("storage.wal.appends"), 3, "{op}");
         assert_eq!(snap.counter("storage.wal.commit_records"), 3, "{op}");
         assert_eq!(disks.wal.stats().appends - device_writes, 3, "{op}");
+        // And each record holds only what recovery cannot rebuild: no row
+        // maps an eid to its element.
+        let (records, _) = Wal::new(Arc::new(disks.wal.clone())).scan(from).unwrap();
+        let mut ops = Vec::new();
+        for rec in &records {
+            assert_eq!(rec.kind, RecordKind::Commit, "{op}");
+            ops.extend(WriteOp::decode_list(&mut Reader::new(&rec.payload)).unwrap());
+        }
+        let shown: Vec<_> = ops.iter().map(first_key).collect();
+        assert_eq!(ops.len(), ops_per_round_trip, "{op}: {shown:?}");
+        assert!(shown.iter().all(|k| !k.starts_with("x/")), "{op}");
     }
 }
 
