@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local CI pipeline: formatting, lints (clippy + rrq-lint), the
-# rrq-analyze static analyzer, and the tier-1 build/test cycle. Run from
+# Full local CI pipeline: formatting, lints (clippy + rrq-lint, whose pass
+# includes the static analyzer), and the tier-1 build/test cycle. Run from
 # the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -11,13 +11,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rrq-lint"
+echo "== rrq-lint (six line rules + lock-order, no-block-under-guard, durability-dominator, relaxed-ordering)"
+# One walk of crates/*/src: the line rules, then the whole-workspace analyzer
+# over the LOCKS.md catalogue; analyzer findings carry the witnessing
+# acquisition chain. See DESIGN.md §22.
 cargo run --release -p rrq-check --bin rrq-lint
-
-echo "== rrq-analyze (lock-order, no-block-under-guard, durability-dominator, relaxed-ordering)"
-# Whole-workspace analyzer over the LOCKS.md catalogue; findings carry the
-# witnessing acquisition chain. See DESIGN.md §22.
-cargo run --release -p rrq-check --bin rrq-analyze
 
 echo "== cargo build --release"
 cargo build --release

@@ -13,8 +13,8 @@
 //! performance of this approach will be limited, due to the high overhead of
 //! setting locks".
 
-use crate::error::CoreResult;
-use crate::rid::Rid;
+use rrq_core::error::CoreResult;
+use rrq_core::rid::Rid;
 use rrq_storage::kv::KvStore;
 use std::sync::Arc;
 

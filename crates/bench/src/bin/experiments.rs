@@ -9,13 +9,13 @@
 //! Each experiment prints a markdown table; EXPERIMENTS.md records the
 //! paper-claim vs. the measured shape.
 
+use rrq_bench::app_lock::AppLockTable;
+use rrq_bench::designs::{self, DesignWorkload};
 use rrq_bench::fmt_rate;
 use rrq_core::api::{LocalQm, QmApi};
-use rrq_core::app_lock::AppLockTable;
 use rrq_core::clerk::{Clerk, ClerkConfig};
 use rrq_core::client::ReplyProcessor;
 use rrq_core::conversation::IoLog;
-use rrq_core::designs::{self, DesignWorkload};
 use rrq_core::device::TicketPrinter;
 use rrq_core::pipeline::{Pipeline, Serializability, StageFn, StageResult};
 use rrq_core::remote::{QmRpcServer, RemoteQm};

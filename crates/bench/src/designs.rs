@@ -19,9 +19,9 @@
 //! claim: design 1 collapses under contention × think time, design 3 stays
 //! flat and pays only a constant queueing overhead.
 
-use crate::error::CoreResult;
-use crate::request::Request;
-use crate::rid::Rid;
+use rrq_core::error::{CoreError, CoreResult};
+use rrq_core::request::{Reply, Request};
+use rrq_core::rid::Rid;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::Repository;
 use rrq_qm::QmError;
@@ -137,7 +137,7 @@ fn run_direct(
         let repo = Arc::clone(repo);
         let w = w.clone();
         let conflicts = Arc::clone(&conflicts);
-        handles.push(crate::threads::spawn_named(
+        handles.push(rrq_core::threads::spawn_named(
             format!("rrq-d1c{c}"),
             move || -> CoreResult<u64> {
                 let mut rng = Mix(w.seed ^ (c as u64) << 32);
@@ -208,7 +208,7 @@ pub fn run_queued(
         let repo = Arc::clone(repo);
         let stop = Arc::clone(&stop);
         let conflicts = Arc::clone(&conflicts);
-        server_handles.push(crate::threads::spawn_named(
+        server_handles.push(rrq_core::threads::spawn_named(
             format!("rrq-d3s{s}"),
             move || -> CoreResult<()> {
                 let (h, _) = repo.qm().register(req_q, &format!("d3s{s}"), false)?;
@@ -232,8 +232,7 @@ pub fn run_queued(
                             return Err(e.into());
                         }
                     };
-                    let req = Request::decode_all(&elem.payload)
-                        .map_err(crate::error::CoreError::Storage)?;
+                    let req = Request::decode_all(&elem.payload).map_err(CoreError::Storage)?;
                     let account: usize = String::from_utf8_lossy(&req.body).parse().unwrap_or(0);
                     let lk = LockKey::new(ACCOUNT_NS, account_key(account));
                     match txn.lock_exclusive(&lk) {
@@ -246,7 +245,7 @@ pub fn run_queued(
                         Err(e) => return Err(e.into()),
                     }
                     debit(&repo, txn.id().raw(), account, 1)?;
-                    let reply = crate::request::Reply::ok(req.rid.clone(), b"done".to_vec());
+                    let reply = Reply::ok(req.rid.clone(), b"done".to_vec());
                     let rh = QueueHandle {
                         queue: req.reply_queue.clone(),
                         registrant: format!("d3s{s}"),
@@ -270,7 +269,7 @@ pub fn run_queued(
     for c in 0..w.clients {
         let repo = Arc::clone(repo);
         let w = w.clone();
-        client_handles.push(crate::threads::spawn_named(
+        client_handles.push(rrq_core::threads::spawn_named(
             format!("rrq-d3c{c}"),
             move || -> CoreResult<u64> {
                 let reply_q = format!("design3.reply.{c}");

@@ -64,13 +64,6 @@ pub struct Catalogue {
     pub mutations: Vec<Mutation>,
 }
 
-impl Catalogue {
-    /// Index of a class by name.
-    pub fn class_idx(&self, name: &str) -> Option<usize> {
-        self.classes.iter().position(|c| c.name == name)
-    }
-}
-
 /// Read and validate `<root>/LOCKS.md`. Errors (missing file, unknown class
 /// name, cyclic declared order) are hard failures — an unparseable catalogue
 /// must fail CI, not silently disable the rules.

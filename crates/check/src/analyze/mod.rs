@@ -1,5 +1,5 @@
-//! `rrq-analyze`: a dependency-free, multi-pass static analyzer over the
-//! whole workspace.
+//! A dependency-free, multi-pass static analyzer over the whole workspace,
+//! run by `rrq-lint` after its line rules.
 //!
 //! Where `lint.rs` checks single lines and fixed windows, this module builds
 //! a per-function fact base (lock acquisitions by declared class, calls,
@@ -25,9 +25,8 @@ pub mod rules;
 pub mod scan;
 
 use std::fmt;
-use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::lint;
 
@@ -87,23 +86,20 @@ pub fn run(root: &Path) -> io::Result<Outcome> {
     run_rules(root, RULES)
 }
 
-/// Run a subset of the rule families (used by `rrq-lint`, which delegates
-/// its retired `commit-sync` and `shard-lock-order` rules here).
+/// Run a subset of the rule families over `<root>/crates/*/src`.
 pub fn run_rules(root: &Path, rules_wanted: &[&str]) -> io::Result<Outcome> {
+    run_rules_on(root, &lint::workspace_files(root)?, rules_wanted)
+}
+
+/// [`run_rules`] over `files`, a list the caller has already walked.
+pub(crate) fn run_rules_on(
+    root: &Path,
+    files: &[PathBuf],
+    rules_wanted: &[&str],
+) -> io::Result<Outcome> {
     let cat = catalogue::load(root)?;
-
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            lint::collect_rs(&src, &mut files)?;
-        }
-    }
-    files.sort();
-
     let mut facts = Vec::with_capacity(files.len());
-    for file in &files {
+    for file in files {
         let rel = lint::relative_slash(root, file);
         facts.push(scan::scan_file(file, &rel, &cat)?);
     }

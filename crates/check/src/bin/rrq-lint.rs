@@ -1,18 +1,13 @@
-//! Workspace lint runner: `cargo run -p rrq-check --bin rrq-lint [root]`.
+//! Workspace static check: `cargo run -p rrq-check --bin rrq-lint [root]`.
 //!
-//! Scans `crates/*/src` under the workspace root (defaulting to the root
-//! that contains this crate) and exits non-zero on any finding that is not
-//! covered by an allowlist entry. See `rrq_check::lint` for the line-scan
-//! rules. The retired `commit-sync` and `shard-lock-order` lints are
-//! delegated to the `rrq-analyze` passes that superseded them
-//! (`durability-dominator` and `lock-order`), so this gate keeps covering
-//! the commit-durability and stripe-ordering invariants even when run on
-//! its own.
+//! Walks `crates/*/src` under the workspace root (defaulting to the root
+//! that contains this crate) once, runs the line rules of `rrq_check::lint`
+//! and then the four `rrq_check::analyze` rule families (driven by
+//! `<root>/LOCKS.md`) over that list, and exits non-zero on any finding
+//! that is not covered by an allowlist entry under `crates/check/lints/`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-use rrq_check::analyze;
 
 fn main() -> ExitCode {
     let root = match std::env::args_os().nth(1) {
@@ -20,7 +15,7 @@ fn main() -> ExitCode {
         // crates/check/../.. == the workspace root, wherever cargo runs us.
         None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
     };
-    let outcome = match rrq_check::lint::run(&root) {
+    let (outcome, analyzed) = match rrq_check::lint::run_with_analyzer(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("rrq-lint: cannot scan {}: {e}", root.display());
@@ -30,22 +25,20 @@ fn main() -> ExitCode {
     for finding in &outcome.findings {
         println!("{finding}");
     }
-    // Delegated analyzer rules standing in for the retired lints. A root
-    // without a readable LOCKS.md still fails closed, but only after the
-    // plain lint findings above have been reported.
-    let delegated =
-        match analyze::run_rules(&root, &[analyze::RULE_DURABILITY, analyze::RULE_LOCK_ORDER]) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("rrq-lint: cannot run delegated analyzer rules: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    for finding in &delegated.findings {
+    // A root without a readable LOCKS.md fails closed, but only after the
+    // line findings above have been reported.
+    let analyzed = match analyzed {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("rrq-lint: cannot run the analyzer rules: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for finding in &analyzed.findings {
         println!("{finding}");
     }
-    let total = outcome.findings.len() + delegated.findings.len();
-    let suppressed = outcome.suppressed + delegated.suppressed;
+    let total = outcome.findings.len() + analyzed.findings.len();
+    let suppressed = outcome.suppressed + analyzed.suppressed;
     if total == 0 {
         println!(
             "rrq-lint: clean ({} files scanned, {} finding(s) allowlisted)",

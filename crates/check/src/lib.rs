@@ -14,10 +14,11 @@
 //!   validates event traces emitted by `rrq-core`'s clerk and server loop.
 //! * [`lint`] — a source-level lint pass over `crates/*/src` enforcing
 //!   single-line workspace rules (no `unwrap` in recovery paths, no raw
-//!   thread spawns, no wall-clock reads in simulation code). Run it with
-//!   `cargo run -p rrq-check --bin rrq-lint`; it is also enforced by a
-//!   `cargo test` gate.
-//! * [`analyze`] — the whole-workspace static analyzer (`rrq-analyze`): a
+//!   thread spawns, no wall-clock reads in simulation code). Run it, and
+//!   the analyzer below over the same file list, with
+//!   `cargo run -p rrq-check --bin rrq-lint`; each half is also enforced by
+//!   a `cargo test` gate.
+//! * [`analyze`] — the whole-workspace static analyzer: a
 //!   per-function fact base driven by the checked-in `LOCKS.md` catalogue,
 //!   enforcing the declared lock-acquisition order across crates, the
 //!   durability-dominator rule for commit-point mutations, no blocking

@@ -39,14 +39,17 @@
 //! analyzer's `durability-dominator` rule, and **shard-lock-order** (no
 //! second stripe guard while one is held, single scope only) by its
 //! `lock-order` rule driven by the declared partial order in `LOCKS.md`.
-//! The `rrq-lint` binary still runs those two analyzer rules so the old
-//! CI gate keeps its teeth even if `rrq-analyze` is skipped.
+//! The `rrq-lint` binary runs both halves, these six rules and the
+//! analyzer's four, over one walk of the workspace ([`run_with_analyzer`]).
 //!
 //! Each lint has an allowlist file at `crates/check/lints/<lint>.allow`
 //! (one `path-suffix [:: line-fragment]` per line, `#` comments) for the
 //! few justified exceptions; every entry should say why.
 
-use crate::analyze::scan::{strip, word_in};
+use crate::analyze::{
+    self,
+    scan::{strip, word_in},
+};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -123,19 +126,36 @@ pub struct Outcome {
 /// Run every lint over `<root>/crates/*/src`, applying the allowlists
 /// under `<root>/crates/check/lints/`.
 pub fn run(root: &Path) -> io::Result<Outcome> {
+    run_files(root, &workspace_files(root)?)
+}
+
+/// The `rrq-lint` pass: walk `<root>/crates/*/src` once, then run these
+/// line rules and every [`analyze`] rule over that one list. The analyzer's
+/// result stands apart so that a root without a readable `LOCKS.md` still
+/// reports its line findings before the analyzer fails closed.
+pub fn run_with_analyzer(root: &Path) -> io::Result<(Outcome, io::Result<analyze::Outcome>)> {
+    let files = workspace_files(root)?;
+    let lint = run_files(root, &files)?;
+    Ok((lint, analyze::run_rules_on(root, &files, analyze::RULES)))
+}
+
+/// Every `.rs` file under `<root>/crates/*/src`, sorted.
+pub(crate) fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
+    for entry in fs::read_dir(root.join("crates"))? {
         let src = entry?.path().join("src");
         if src.is_dir() {
             collect_rs(&src, &mut files)?;
         }
     }
     files.sort();
+    Ok(files)
+}
 
+fn run_files(root: &Path, files: &[PathBuf]) -> io::Result<Outcome> {
     let mut out = Outcome::default();
     let mut texts = Vec::with_capacity(files.len());
-    for file in &files {
+    for file in files {
         let text = fs::read_to_string(file)?;
         let rel = relative_slash(root, file);
         texts.push((rel, text));
@@ -167,7 +187,7 @@ pub(crate) fn frag_matches(frag: &Option<String>, excerpt: &str) -> bool {
     }
 }
 
-pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {

@@ -49,12 +49,14 @@ pub struct ConversationOutcome {
     pub prompts: Vec<Vec<u8>>,
 }
 
+/// How long one round waits for the server's next output.
+const RECEIVE_BLOCK: Duration = Duration::from_secs(10);
+
 /// Client driver for pseudo-conversational requests.
 pub struct InteractiveClient {
     api: Arc<dyn QmApi>,
     client_id: String,
     reply_queue: String,
-    receive_block: Duration,
 }
 
 impl InteractiveClient {
@@ -68,13 +70,7 @@ impl InteractiveClient {
             api,
             client_id: client_id.into(),
             reply_queue: reply_queue.into(),
-            receive_block: Duration::from_secs(10),
         }
-    }
-
-    /// Change the per-round receive window.
-    pub fn set_receive_block(&mut self, d: Duration) {
-        self.receive_block = d;
     }
 
     /// Run an interactive request to completion: send the initial request to
@@ -101,7 +97,7 @@ impl InteractiveClient {
                 &self.reply_queue,
                 &self.client_id,
                 DequeueOptions {
-                    block: Some(self.receive_block),
+                    block: Some(RECEIVE_BLOCK),
                     ..Default::default()
                 },
             )?;

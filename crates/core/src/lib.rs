@@ -21,7 +21,7 @@
 //! * **Multi-transaction requests** (§6, Fig 6): [`pipeline`] chains stage
 //!   servers over intermediate queues, carrying request state in the
 //!   elements; request-level serializability is available via §6 lock
-//!   inheritance or via the [`app_lock`] persistent application-lock table.
+//!   inheritance.
 //! * **Cancellation** (§7): in-flight kill via the QM's `KillElement`
 //!   ([`clerk::Clerk::cancel_last_request`]) and post-commit compensation via
 //!   [`saga`].
@@ -37,11 +37,9 @@
 //!   may use acknowledged RPC or the §5 one-way-message optimization.
 
 pub mod api;
-pub mod app_lock;
 pub mod clerk;
 pub mod client;
 pub mod conversation;
-pub mod designs;
 pub mod device;
 pub mod error;
 pub mod interactive;
@@ -51,7 +49,6 @@ pub mod request;
 pub mod rid;
 pub mod route;
 pub mod saga;
-pub mod scheduler;
 pub mod server;
 pub mod tagcodec;
 pub mod threads;

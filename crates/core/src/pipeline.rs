@@ -9,13 +9,11 @@
 //!
 //! Request-level serializability is off by default (the paper: "the
 //! execution of requests is not serializable; only the execution of the
-//! component transactions is"). Two §6 remedies are provided:
-//!
-//! * [`Serializability::InheritLocks`] — each stage transaction's locks are
-//!   inherited by the next stage's transaction, so the whole request holds
-//!   its locks end-to-end;
-//! * an application lock table ([`crate::app_lock`]) for systems that cannot
-//!   hold lock-manager locks across transactions.
+//! component transactions is"). [`Serializability::InheritLocks`] is the §6
+//! remedy: each stage transaction's locks are inherited by the next stage's
+//! transaction, so the whole request holds its locks end-to-end. (The other
+//! §6 remedy, a persistent application-lock table, is the E6 baseline in
+//! `rrq-bench`.)
 
 use crate::error::CoreResult;
 use crate::request::Request;

@@ -25,19 +25,18 @@
 //! before the force returns every request of the epoch to its queue with no
 //! reply; exactly-once holds because dequeue, effects and reply are one
 //! commit record. Transactions that enlist anything besides the home queue
-//! manager (a reply queue on another partition, application resource
-//! managers) commit two-phase and force at once, inside the epoch or not.
+//! manager (a reply or forward queue on another partition) commit two-phase
+//! and force at once, inside the epoch or not.
 
 use crate::error::{CoreError, CoreResult};
 use crate::request::{Reply, Request};
-use crate::rid::Rid;
 use parking_lot::Mutex;
 use rrq_obs::ServerEvent;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::Repository;
 use rrq_qm::QmError;
 use rrq_storage::codec::{Decode, Encode};
-use rrq_txn::{ResourceManager, Txn, TxnError};
+use rrq_txn::{Txn, TxnError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -177,7 +176,6 @@ pub struct ServerStats {
 /// A server process (one dequeue loop).
 pub struct Server {
     repo: Arc<Repository>,
-    app_rms: Vec<Arc<dyn ResourceManager>>,
     handler: Handler,
     cfg: ServerConfig,
     handle: QueueHandle,
@@ -194,24 +192,12 @@ impl Server {
         cfg: ServerConfig,
         handler: Handler,
     ) -> CoreResult<Arc<Self>> {
-        Self::with_resources(repo, cfg, handler, Vec::new())
-    }
-
-    /// Build a server that additionally enlists application resource
-    /// managers in every request transaction.
-    pub fn with_resources(
-        repo: Arc<Repository>,
-        cfg: ServerConfig,
-        handler: Handler,
-        app_rms: Vec<Arc<dyn ResourceManager>>,
-    ) -> CoreResult<Arc<Self>> {
         let home = repo.partition_of(&cfg.request_queue);
         let (handle, _) = repo
             .qm_at(home)
             .register(&cfg.request_queue, &cfg.server_name, false)?;
         Ok(Arc::new(Server {
             repo,
-            app_rms,
             handler,
             cfg,
             handle,
@@ -228,13 +214,6 @@ impl Server {
         server_name: &str,
         error_queue: &str,
     ) -> CoreResult<Arc<Self>> {
-        let handler: Handler = Arc::new(|_ctx, req| {
-            Ok(HandlerOutcome::Reply(
-                format!("request {} gave up after repeated failures", req.rid).into_bytes(),
-            ))
-        });
-        // The reaper wraps the reply as Failed via a marker op below.
-        let cfg = ServerConfig::new(server_name, error_queue);
         // The error queue is normally created lazily by the first retry-limit
         // move; the reaper may boot earlier, so create it here (no cascading
         // retries on error queues).
@@ -245,22 +224,13 @@ impl Server {
             Ok(()) | Err(QmError::QueueExists(_)) => {}
             Err(e) => return Err(e.into()),
         }
-        let (handle, _) = repo
-            .qm_at(home)
-            .register(&cfg.request_queue, &cfg.server_name, false)?;
-        Ok(Arc::new(Server {
-            repo,
-            app_rms: Vec::new(),
-            handler,
-            cfg: ServerConfig {
-                // A sentinel so run_once marks replies Failed.
-                server_name: format!("!failed!{}", cfg.server_name),
-                ..cfg
-            },
-            handle,
-            home,
-            stats: Mutex::new(ServerStats::default()),
-        }))
+        let handler: Handler = Arc::new(|_ctx, req| {
+            Err(HandlerError::Reject(format!(
+                "request {} exhausted its retries",
+                req.rid
+            )))
+        });
+        Self::new(repo, ServerConfig::new(server_name, error_queue), handler)
     }
 
     /// Counter snapshot.
@@ -276,10 +246,6 @@ impl Server {
     /// Report a Fig 5 transition of this server to its repository's handle.
     fn event(&self, event: impl FnOnce() -> ServerEvent) {
         self.repo.obs().server_event(&self.cfg.server_name, event);
-    }
-
-    fn reply_failed_sentinel(&self) -> bool {
-        self.cfg.server_name.starts_with("!failed!")
     }
 
     /// One iteration of the Fig 5 loop: the commit is forced before this
@@ -346,9 +312,6 @@ impl Server {
     fn serve(&self, block: Option<Duration>, defer: bool) -> CoreResult<Served> {
         self.repo.obs().counter_inc("core.server.loop_iterations");
         let txn = self.repo.begin_on_part(self.home)?;
-        for rm in &self.app_rms {
-            txn.enlist(Arc::clone(rm))?;
-        }
         if defer {
             self.repo.qm_at(self.home).defer_commit(txn.id().raw());
         }
@@ -395,7 +358,7 @@ impl Server {
 
         // Any error below unwinds the server transaction, so the observable
         // protocol transition is an abort.
-        let served = self.serve_request(txn, &request, &elem);
+        let served = self.serve_request(txn, &request);
         if served.is_err() {
             self.event(|| ServerEvent::Abort);
         }
@@ -403,12 +366,7 @@ impl Server {
     }
 
     /// The Fig 5 body after a decodable request was dequeued.
-    fn serve_request(
-        &self,
-        txn: Txn,
-        request: &Request,
-        elem: &rrq_qm::element::Element,
-    ) -> CoreResult<Served> {
+    fn serve_request(&self, txn: Txn, request: &Request) -> CoreResult<Served> {
         // §6 lock inheritance: adopt locks parked by the previous stage.
         if let Some(parked) = request.inherit_txn {
             self.repo
@@ -422,17 +380,7 @@ impl Server {
             repo: &self.repo,
             home: self.home,
         };
-        let outcome = if self.reply_failed_sentinel() {
-            // Error-queue reaper: always produce a Failed reply.
-            Err(HandlerError::Reject(format!(
-                "request {} exhausted its retries (abort count {})",
-                request.rid, elem.abort_count
-            )))
-        } else {
-            (self.handler)(&ctx, request)
-        };
-
-        match outcome {
+        match (self.handler)(&ctx, request) {
             Ok(HandlerOutcome::Reply(body)) => {
                 self.enqueue_reply(&txn, request, Reply::ok(request.rid.clone(), body))?;
                 let served = self.commit(txn);
@@ -620,9 +568,4 @@ pub fn spawn_pool(
         servers.push(s);
     }
     Ok((servers, handles, stop))
-}
-
-/// Extract the rid attribute from a queue element (diagnostics).
-pub fn element_rid(elem: &rrq_qm::element::Element) -> Option<Rid> {
-    elem.attr("rid").and_then(Rid::from_attr)
 }

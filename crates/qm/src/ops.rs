@@ -301,7 +301,7 @@ pub struct QueueManager {
     /// servers enlisting different transactions don't share one mutex. Each
     /// access touches exactly one stripe; the kill-element poison scan walks
     /// the stripes one at a time (never two guards at once — the `qm-pending`
-    /// class in LOCKS.md, enforced by the rrq-analyze `lock-order` rule).
+    /// class in LOCKS.md, enforced by the rrq-lint `lock-order` rule).
     pending: Box<[Mutex<HashMap<u64, PendingTxn>>]>,
     /// Committed ready-lists per queue — the dequeue/depth hot path. Kept in
     /// lock-step with the stores at commit/abort/kill/destroy boundaries and
@@ -1704,13 +1704,15 @@ impl QueueManager {
         bump(&self.stats.aborted_dequeues);
         let info = self.queue_info(&d.queue)?;
         let meta = &info.meta;
-        let store = Arc::clone(self.store_of(meta));
-        let tomb = keys::kill_key(d.eid);
+        let store = self.store_of(meta);
         let killed = self.kill_marked(d.eid)?;
 
-        let sys = self.sys_ids.next().raw();
-        store.begin(sys)?;
-        let result = (|| -> QmResult<AbortOutcome> {
+        // One system transaction: a killed element goes with its tombstone,
+        // so no crash leaves a tombstone that outlives its element.
+        let outcome = self.system_txn_on(store, |sys| {
+            if killed {
+                self.durable.delete(sys, &keys::kill_key(d.eid))?;
+            }
             let Some(raw) = store.get(Some(sys), &d.elem_key)? else {
                 return Ok(AbortOutcome::Dropped); // vanished (e.g. destroy)
             };
@@ -1750,57 +1752,43 @@ impl QueueManager {
                 store.put(sys, &d.elem_key, &elem.encode_to_vec())?;
                 Ok(AbortOutcome::Returned)
             }
-        })();
-        match result {
-            Ok(outcome) => {
-                store.commit(sys)?;
-                if killed {
-                    // Clear the tombstone now the element is gone.
-                    self.system_txn(|t| {
-                        self.durable.delete(t, &tomb)?;
-                        Ok(())
-                    })?;
-                    lower(&self.kill_marks);
-                }
-                // The dequeue never committed, so the old key is still in
-                // the ready index; fix it up to match the outcome, then
-                // signal so woken dequeuers see the fresh entry. Each arm is
-                // one `fixup` call — one critical section — so the index
-                // (and the depth gauge it carries) never shows the element
-                // half-moved to a concurrent `depth()` or divergence check.
-                match outcome {
-                    AbortOutcome::Dropped => {
-                        self.qindex.fixup(Some((&d.queue, &d.elem_key)), None);
-                        self.obs.counter_inc("qm.element.dropped");
-                    }
-                    AbortOutcome::Moved { queue, ekey } => {
-                        self.qindex
-                            .fixup(Some((&d.queue, &d.elem_key)), Some((&queue, ekey, d.eid)));
-                        bump(&self.stats.error_moves);
-                        self.notifier.signal(&queue);
-                    }
-                    AbortOutcome::Requeued { ekey } => {
-                        self.qindex
-                            .fixup(Some((&d.queue, &d.elem_key)), Some((&d.queue, ekey, d.eid)));
-                        self.notifier.signal(&d.queue);
-                    }
-                    AbortOutcome::Returned => {
-                        self.qindex
-                            .fixup(None, Some((&d.queue, d.elem_key.clone(), d.eid)));
-                        self.notifier.signal(&d.queue);
-                    }
-                }
-                self.obs.observe(
-                    "qm.element.lock_hold_ticks",
-                    self.obs.now().saturating_sub(d.grabbed_at),
-                );
-                Ok(())
+        })?;
+        if killed {
+            lower(&self.kill_marks);
+        }
+        // The dequeue never committed, so the old key is still in the ready
+        // index; fix it up to match the outcome, then signal so woken
+        // dequeuers see the fresh entry. Each arm is one `fixup` call — one
+        // critical section — so the index (and the depth gauge it carries)
+        // never shows the element half-moved to a concurrent `depth()` or
+        // divergence check.
+        match outcome {
+            AbortOutcome::Dropped => {
+                self.qindex.fixup(Some((&d.queue, &d.elem_key)), None);
+                self.obs.counter_inc("qm.element.dropped");
             }
-            Err(e) => {
-                let _ = store.abort(sys);
-                Err(e)
+            AbortOutcome::Moved { queue, ekey } => {
+                self.qindex
+                    .fixup(Some((&d.queue, &d.elem_key)), Some((&queue, ekey, d.eid)));
+                bump(&self.stats.error_moves);
+                self.notifier.signal(&queue);
+            }
+            AbortOutcome::Requeued { ekey } => {
+                self.qindex
+                    .fixup(Some((&d.queue, &d.elem_key)), Some((&d.queue, ekey, d.eid)));
+                self.notifier.signal(&d.queue);
+            }
+            AbortOutcome::Returned => {
+                self.qindex
+                    .fixup(None, Some((&d.queue, d.elem_key.clone(), d.eid)));
+                self.notifier.signal(&d.queue);
             }
         }
+        self.obs.observe(
+            "qm.element.lock_hold_ticks",
+            self.obs.now().saturating_sub(d.grabbed_at),
+        );
+        Ok(())
     }
 
     fn ensure_error_queue(&self, name: &str) -> QmResult<()> {

@@ -56,7 +56,7 @@
 //!   `clear_queue`) take the outer **write** lock, which excludes every
 //!   single-queue writer wholesale — under it the per-queue mutexes are
 //!   untouched via `Mutex::get_mut`, so no path ever holds two per-queue
-//!   guards (the `qindex-queue` class in LOCKS.md; the rrq-analyze
+//!   guards (the `qindex-queue` class in LOCKS.md; the rrq-lint
 //!   `lock-order` rule rejects a second same-class acquisition).
 //!
 //! The depth gauge still moves strictly inside the per-queue (or

@@ -1,10 +1,11 @@
 //! Content-based retrieval (§1: "The QM may support content-based retrieval
-//! of the elements"; §10: the request scheduler "usually requires a QM with
-//! content-based retrieval capability").
+//! of the elements"; §10: scheduling requests by content "usually requires a
+//! QM with content-based retrieval capability").
 //!
-//! A [`Predicate`] filters dequeue candidates and read-only queries. The
-//! request scheduler of §10 ("highest dollar amount first") is expressible
-//! as a priority or an attribute comparison.
+//! A [`Predicate`] filters dequeue candidates and read-only queries. §10's
+//! "highest dollar amount first" is a predicate dequeue over the queue, not
+//! a component of its own: an attribute comparison such as
+//! `Predicate::AttrGe("amount", 1000)`.
 
 use crate::element::Element;
 

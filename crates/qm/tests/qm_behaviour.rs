@@ -439,6 +439,36 @@ fn kill_element_held_by_uncommitted_dequeuer_aborts_it() {
     }
 }
 
+/// A killed in-flight element and its kill tombstone go in one durable
+/// commit, so no crash can leave the tombstone behind its element.
+#[test]
+fn an_aborted_kill_disposes_element_and_tombstone_in_one_commit() {
+    let disks = RepoDisks::new();
+    let (r, _) = Repository::open("kill-once", disks.clone()).unwrap();
+    r.create_queue_defaults("q").unwrap();
+    let (h, _) = r.qm().register("q", "c", false).unwrap();
+    let eid = enq(&r, &h, b"cancel-me");
+
+    let txn = r.begin().unwrap();
+    r.qm()
+        .dequeue(txn.id().raw(), &h, DequeueOptions::default())
+        .unwrap();
+    assert!(r.qm().kill_element(eid).unwrap());
+    assert_eq!(r.qm().gated_records(), (0, 1));
+    let (commits, _) = r.store().txn_counts();
+    assert!(txn.commit().is_err(), "a cancelled dequeue cannot commit");
+    assert_eq!(r.store().txn_counts().0, commits + 1);
+    assert_eq!(r.qm().gated_records(), (0, 0));
+    assert_eq!(r.qm().depth("q").unwrap(), 0);
+    drop(r);
+    disks.crash();
+
+    let (r, _) = Repository::open("kill-once", disks).unwrap();
+    assert_eq!(r.qm().gated_records(), (0, 0));
+    assert_eq!(r.qm().depth("q").unwrap(), 0);
+    assert!(!r.qm().kill_element(eid).unwrap());
+}
+
 #[test]
 fn kill_element_too_late_after_commit() {
     let r = repo();

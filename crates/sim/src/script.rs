@@ -264,18 +264,6 @@ impl FaultScript {
         }
     }
 
-    /// Does the script inject any network fault (partitions or delays)?
-    pub fn needs_bus(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e,
-                FaultEvent::Partition { .. }
-                    | FaultEvent::Delay { .. }
-                    | FaultEvent::PartPartition { .. }
-            )
-        })
-    }
-
     /// Serialize to the `rrq-fault-script v1` text format.
     pub fn encode(&self) -> String {
         let mut out = String::new();

@@ -90,7 +90,7 @@
 //! prepare / logged abort) hold `ckpt_gate.read` so a checkpoint can never
 //! truncate the log while a commit record is in flight between append and
 //! sync. The classes and their declared order live in `LOCKS.md` (kv-gate,
-//! kv-txns, kv-log, kv-apply, kv-mem); the rrq-analyze `lock-order` and
+//! kv-txns, kv-log, kv-apply, kv-mem); the rrq-lint `lock-order` and
 //! `no-block-under-guard` rules check every path against them — in
 //! particular the log latch is a no-block class, so device forces happen
 //! outside it (see [`KvStore::checkpoint`]).
@@ -471,10 +471,6 @@ struct TxnStripe(Mutex<KeyMap<u64, TxnState>>);
 /// one token.
 pub type KvTxn = u64;
 
-/// One page of a prefix scan: the visible entries plus the continuation
-/// cursor (`Some(key)` → call again with `after = Some(key)`).
-pub type ScanPage = (Vec<(Vec<u8>, Vec<u8>)>, Option<Vec<u8>>);
-
 /// The recoverable key-value store. Cheap to share via `Arc`.
 pub struct KvStore {
     /// Committed state, each entry stamped with the checkpoint generation
@@ -779,115 +775,6 @@ impl KvStore {
             visit(k, &v.value)?;
         }
         Ok(())
-    }
-
-    /// Paged prefix scan for large keyspaces (queue scans page through
-    /// candidates instead of copying the whole queue).
-    ///
-    /// Returns up to `limit` visible entries with keys strictly greater than
-    /// `after` (or from the start of the prefix when `after` is `None`),
-    /// plus a continuation cursor: `Some(key)` means call again with
-    /// `after = Some(key)`; `None` means the prefix is exhausted. The cursor
-    /// tracks *raw* tree position, so entries hidden by the transaction's
-    /// own deletes never stall pagination.
-    pub fn scan_prefix_page(
-        &self,
-        txn: Option<KvTxn>,
-        prefix: &[u8],
-        after: Option<&[u8]>,
-        limit: usize,
-    ) -> StorageResult<ScanPage> {
-        let limit = limit.max(1);
-        let start: Vec<u8> = match after {
-            // Strictly-greater start: append a zero byte to form the next key.
-            Some(a) => {
-                let mut s = a.to_vec();
-                s.push(0);
-                s
-            }
-            None => prefix.to_vec(),
-        };
-
-        // Raw page from the tree, under the shared read lock only.
-        let (raw, cursor) = {
-            let mem = self.mem.read();
-            let raw: Vec<(Vec<u8>, Vec<u8>)> = mem
-                .range::<[u8], _>((Bound::Included(start.as_slice()), Bound::Unbounded))
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.value.clone()))
-                .collect();
-            let cursor = if raw.len() == limit {
-                raw.last().map(|(k, _)| k.clone())
-            } else {
-                None
-            };
-            (raw, cursor)
-        };
-
-        let Some(t) = txn else {
-            return Ok((raw, cursor));
-        };
-
-        // Overlay entries inside this page's window: keys in
-        // (start ..= cursor], or to the end of the prefix on the last page.
-        // Beyond the raw page boundary, later pages will pick them up.
-        let own: Vec<(Vec<u8>, Own<'static>)> = {
-            let g = self.txn_stripe(t);
-            let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
-            st.writes()
-                .filter(|(k, _)| {
-                    k.starts_with(prefix)
-                        && k.as_slice() >= start.as_slice()
-                        && cursor.as_ref().is_none_or(|c| *k <= c)
-                })
-                .map(|(k, own)| (k.clone(), own.into_owned()))
-                .collect()
-        };
-        if own.is_empty() {
-            return Ok((raw, cursor));
-        }
-        let mut ov: Vec<(Vec<u8>, Option<Vec<u8>>)> = {
-            let mem = self.mem.read();
-            own.into_iter()
-                .map(|(k, own)| (k, own.resolve(&mem)))
-                .collect()
-        };
-        ov.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-        // Two-pointer merge: both sides sorted, overlay wins on equal keys,
-        // overlay `None` hides the raw entry. No intermediate map.
-        const RAW: u8 = 0;
-        const OVERLAY: u8 = 1;
-        const BOTH: u8 = 2; // equal keys: overlay shadows the raw entry
-        let mut page = Vec::with_capacity(raw.len() + ov.len());
-        let mut ri = raw.into_iter().peekable();
-        let mut oi = ov.into_iter().peekable();
-        loop {
-            let pick = match (ri.peek(), oi.peek()) {
-                (None, None) => break,
-                (Some(_), None) => RAW,
-                (None, Some(_)) => OVERLAY,
-                (Some(r), Some(o)) => {
-                    if r.0 < o.0 {
-                        RAW
-                    } else if o.0 < r.0 {
-                        OVERLAY
-                    } else {
-                        BOTH
-                    }
-                }
-            };
-            if pick == BOTH {
-                let _ = ri.next();
-            }
-            if pick == RAW {
-                page.extend(ri.next());
-            } else if let Some((k, Some(v))) = oi.next() {
-                page.push((k, v));
-            }
-        }
-        Ok((page, cursor))
     }
 
     /// Number of committed keys (diagnostics).
@@ -1697,75 +1584,6 @@ mod tests {
             Some(10_000u64.to_le_bytes().to_vec()),
             "a refused checkpoint leaves the store as it was"
         );
-    }
-
-    #[test]
-    fn scan_prefix_page_pages_through_everything() {
-        let (store, _, _) = fresh();
-        store.begin(1).unwrap();
-        for i in 0..25u32 {
-            store
-                .put(1, format!("p/{i:04}").as_bytes(), &i.to_le_bytes())
-                .unwrap();
-        }
-        store.put(1, b"q/other", b"x").unwrap();
-        store.commit(1).unwrap();
-
-        let mut seen = Vec::new();
-        let mut after: Option<Vec<u8>> = None;
-        loop {
-            let (page, cursor) = store
-                .scan_prefix_page(None, b"p/", after.as_deref(), 7)
-                .unwrap();
-            seen.extend(page.into_iter().map(|(k, _)| k));
-            match cursor {
-                Some(c) => after = Some(c),
-                None => break,
-            }
-        }
-        assert_eq!(seen.len(), 25);
-        assert!(seen.windows(2).all(|w| w[0] < w[1]), "ordered");
-    }
-
-    #[test]
-    fn scan_prefix_page_merges_own_overlay() {
-        let (store, _, _) = fresh();
-        store.begin(1).unwrap();
-        store.put(1, b"p/1", b"a").unwrap();
-        store.put(1, b"p/3", b"c").unwrap();
-        store.commit(1).unwrap();
-
-        store.begin(2).unwrap();
-        store.put(2, b"p/2", b"b").unwrap();
-        store.delete(2, b"p/1").unwrap();
-        let (page, cursor) = store.scan_prefix_page(Some(2), b"p/", None, 10).unwrap();
-        assert_eq!(
-            page.iter().map(|(k, _)| k.as_slice()).collect::<Vec<_>>(),
-            vec![b"p/2".as_slice(), b"p/3".as_slice()]
-        );
-        assert!(cursor.is_none());
-        store.abort(2).unwrap();
-    }
-
-    #[test]
-    fn scan_prefix_page_cursor_survives_overlay_deletes() {
-        let (store, _, _) = fresh();
-        store.begin(1).unwrap();
-        for i in 0..6u32 {
-            store.put(1, format!("p/{i}").as_bytes(), b"v").unwrap();
-        }
-        store.commit(1).unwrap();
-        store.begin(2).unwrap();
-        // Delete the entire first page worth of entries.
-        for i in 0..3u32 {
-            store.delete(2, format!("p/{i}").as_bytes()).unwrap();
-        }
-        let (page, cursor) = store.scan_prefix_page(Some(2), b"p/", None, 3).unwrap();
-        assert!(page.is_empty(), "first page fully deleted by overlay");
-        let c = cursor.expect("cursor must continue past deleted page");
-        let (page2, _) = store.scan_prefix_page(Some(2), b"p/", Some(&c), 3).unwrap();
-        assert_eq!(page2.len(), 3);
-        store.abort(2).unwrap();
     }
 
     #[test]

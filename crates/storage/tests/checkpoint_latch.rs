@@ -1,7 +1,7 @@
 //! Regression tests for the checkpoint latch scope: the append latch covers
 //! only the log truncate + checkpoint-marker append, and the device force
 //! plus the group-commit watermark reset run after it drops (the latch is a
-//! no-block lock class, enforced by `rrq-analyze`). Pinned contracts: the
+//! no-block lock class, enforced by `rrq-lint`). Pinned contracts: the
 //! checkpoint is durable the moment `checkpoint()` returns, and checkpoints
 //! racing a storm of committers neither deadlock nor lose a committed write.
 

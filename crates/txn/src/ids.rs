@@ -46,11 +46,6 @@ impl TxnIdGen {
     pub fn next(&self) -> TxnId {
         TxnId(self.next.fetch_add(1, Ordering::AcqRel))
     }
-
-    /// The id that would be issued next (for persisting a high-water mark).
-    pub fn peek(&self) -> u64 {
-        self.next.load(Ordering::Acquire)
-    }
 }
 
 impl Default for TxnIdGen {
@@ -78,7 +73,7 @@ mod tests {
         assert_eq!(g.next().raw(), 1);
         let g = TxnIdGen::new(500);
         assert_eq!(g.next().raw(), 500);
-        assert_eq!(g.peek(), 501);
+        assert_eq!(g.next().raw(), 501);
     }
 
     #[test]

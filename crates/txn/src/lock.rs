@@ -24,7 +24,7 @@
 //! guards at once. A release costs what the transaction held: each stripe
 //! publishes how many transactions hold locks on it, and
 //! [`LockManager::unlock_all`] enters only stripes where that is not zero. The
-//! discipline is enforced twice: statically by `rrq-analyze` (classes
+//! discipline is enforced twice: statically by `rrq-lint` (classes
 //! `txn-stripe` / `txn-meta` in `LOCKS.md`, checked inter-procedurally
 //! across the workspace) and dynamically by the [`crate::lockorder`]
 //! debug-build checker — every [`StripeGuard`]/[`MetaGuard`] carries a

@@ -1,6 +1,6 @@
 //! Runtime lock-order checker for the coordination locks in this crate.
 //!
-//! The static side of the story lives in `LOCKS.md` + `rrq-analyze`: the
+//! The static side of the story lives in `LOCKS.md` + `rrq-lint`: the
 //! declared partial order is `txn-stripe < txn-meta`, one stripe guard per
 //! thread. This module is the *dynamic* mirror: every stripe/meta guard
 //! carries a [`Held`] token that, in debug builds, pushes its class onto a

@@ -138,18 +138,6 @@ impl TxnManager {
         self.inner.ids.next()
     }
 
-    /// Begin a transaction under a caller-chosen id (used by recovery and by
-    /// tests that need stable ids). The generator is bumped past it.
-    pub fn begin_with_id(&self, id: TxnId) -> Txn {
-        bump(&self.inner.stats.begun);
-        Txn {
-            id,
-            mgr: self.clone(),
-            rms: Mutex::new(Vec::new()),
-            finished: false,
-        }
-    }
-
     /// The node's lock manager.
     pub fn locks(&self) -> &Arc<LockManager> {
         &self.inner.locks
@@ -164,11 +152,6 @@ impl TxnManager {
             aborted: c.aborted.load(Ordering::Acquire),
             two_phase_commits: c.two_phase_commits.load(Ordering::Acquire),
         }
-    }
-
-    /// Current id high-water mark (persist across restarts).
-    pub fn id_high_water(&self) -> u64 {
-        self.inner.ids.peek()
     }
 
     /// Resolve transactions a participant reported as in-doubt after
@@ -240,16 +223,6 @@ impl Txn {
             self.id.raw(),
             key,
             LockMode::Exclusive,
-            self.mgr.inner.lock_timeout(),
-        )
-    }
-
-    /// Acquire a shared lock, blocking up to the manager's timeout.
-    pub fn lock_shared(&self, key: &LockKey) -> TxnResult<()> {
-        self.mgr.inner.locks.lock(
-            self.id.raw(),
-            key,
-            LockMode::Shared,
             self.mgr.inner.lock_timeout(),
         )
     }
@@ -713,13 +686,5 @@ mod tests {
         txn.enlist(Arc::clone(&rm)).unwrap();
         txn.enlist(Arc::clone(&rm)).unwrap(); // second begin would error if not deduped
         txn.commit().unwrap();
-    }
-
-    #[test]
-    fn begin_with_id_uses_given_id() {
-        let mgr = TxnManager::single_node();
-        let txn = mgr.begin_with_id(TxnId(424242));
-        assert_eq!(txn.id(), TxnId(424242));
-        txn.abort().unwrap();
     }
 }

@@ -55,16 +55,7 @@ fn item_key(item: u32) -> Vec<u8> {
 
 /// Stock `count` units of items `0..items` (partition 0's store).
 pub fn seed_inventory(repo: &Repository, items: u32, count: u32) -> CoreResult<()> {
-    seed_store(repo.store(), items, count)
-}
-
-/// Stock inventory on the partition that owns `queue`, co-locating the
-/// item table with a server homed on that queue.
-pub fn seed_inventory_on(repo: &Repository, queue: &str, items: u32, count: u32) -> CoreResult<()> {
-    seed_store(repo.store_for(queue), items, count)
-}
-
-fn seed_store(store: &Arc<rrq_storage::kv::KvStore>, items: u32, count: u32) -> CoreResult<()> {
+    let store = repo.store();
     let t = u64::MAX - 201;
     store.begin(t)?;
     for i in 0..items {

@@ -5,7 +5,7 @@
 
 use rrq_core::request::ReplyStatus;
 use rrq_core::rid::Rid;
-use rrq_core::server::{Handler, HandlerError, Server, ServerConfig};
+use rrq_core::server::{Handler, HandlerError, Served, Server, ServerConfig};
 use rrq_qm::meta::QueueMeta;
 use rrq_qm::repository::Repository;
 use rrq_tests::local_clerk;
@@ -95,4 +95,32 @@ fn healthy_requests_unaffected_by_poison_neighbours() {
     stop.store(true, Ordering::Relaxed);
     h1.join().unwrap();
     h2.join().unwrap();
+}
+
+/// A server's configured name is only a name: a server named `!failed!x`
+/// runs its own handler and replies `Ok`.
+#[test]
+fn a_server_named_like_a_reaper_runs_its_handler() {
+    let repo = Arc::new(Repository::create("errq3").unwrap());
+    repo.create_queue_defaults("req").unwrap();
+    repo.create_queue_defaults("reply.c1").unwrap();
+    let handler: Handler =
+        Arc::new(|_ctx, req| Ok(rrq_core::server::HandlerOutcome::Reply(req.body.clone())));
+    let server = Server::new(
+        Arc::clone(&repo),
+        ServerConfig::new("!failed!x", "req"),
+        handler,
+    )
+    .unwrap();
+
+    let clerk = local_clerk(&repo, "c1");
+    clerk.connect().unwrap();
+    clerk
+        .send("echo", b"hello".to_vec(), Rid::new("c1", 1))
+        .unwrap();
+    assert_eq!(server.run_once().unwrap(), Served::Committed);
+    let reply = clerk.receive(b"").unwrap();
+    assert_eq!(reply.status, ReplyStatus::Ok);
+    assert_eq!(reply.body, b"hello");
+    assert_eq!(server.stats().rejected, 0);
 }
