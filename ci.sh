@@ -48,8 +48,10 @@ echo "== explorer sweep (800 fixed-seed fault scripts; every fourth on 4 repo pa
 # against one repository and 200 against four shared-nothing partitions
 # (clerks route per queue, partition-scoped crashes and single-pair cuts land
 # mid protocol). The node's servers run the epoch loop (one force per epoch),
-# so this is also the sweep of that loop.
+# so this is also the sweep of that loop. The digest is pinned: a change that
+# moves any script's trace, or a budget that stops the sweep short, fails here.
 cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 800 --seed 1 --budget-secs 960 --out target/explorer-failures
+  --scripts 800 --seed 1 --budget-secs 960 --out target/explorer-failures \
+  --expect-digest 64d66893abe8f098
 
 echo "CI OK"

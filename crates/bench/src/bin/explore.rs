@@ -7,6 +7,7 @@
 //! cargo run --release -p rrq-bench --bin explore -- --replay path.rrqs
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 50 --bug
 //! cargo run --release -p rrq-bench --bin explore -- --replay path.rrqs --repo-partitions 4
+//! cargo run --release -p rrq-bench --bin explore -- --scripts 800 --expect-digest 64d66893abe8f098
 //! ```
 //!
 //! Runs seeded [`rrq_sim::script::FaultScript`]s through the explorer,
@@ -18,6 +19,8 @@
 //! are written beside the script as `fail-seed-<n>.violations.txt`).
 //! `--repo-partitions N` runs everything on N partitions: give a replay the
 //! count its failure was printed with.
+//! `--expect-digest <hex>` pins the sweep: the run fails when its digest
+//! differs, or when the wall-time budget stopped it before every script ran.
 //! `--bug [skip-rereceive]` injects the deliberate skip-rereceive client
 //! bug, `--bug double-count` the metrics double-count bug; both *expect*
 //! failures — proving the oracle battery bites — then shrink the first
@@ -37,6 +40,7 @@ struct Args {
     replay: Option<PathBuf>,
     bug: Option<InjectedBug>,
     repo_partitions: Option<usize>,
+    expect_digest: Option<u64>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -48,6 +52,7 @@ fn parse_args() -> Result<Args, String> {
         replay: None,
         bug: None,
         repo_partitions: None,
+        expect_digest: None,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(flag) = it.next() {
@@ -65,6 +70,11 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
+            }
+            "--expect-digest" => {
+                let hex = val("--expect-digest")?;
+                args.expect_digest =
+                    Some(u64::from_str_radix(&hex, 16).map_err(|e| format!("{hex}: {e}"))?)
             }
             "--replay" => args.replay = Some(PathBuf::from(val("--replay")?)),
             "--bug" => {
@@ -203,6 +213,20 @@ fn main() -> ExitCode {
         start.elapsed().as_secs_f64(),
         failures.len()
     );
+
+    if let Some(want) = args.expect_digest {
+        if run_count < args.scripts {
+            eprintln!(
+                "explore: only {run_count} of {} scripts ran; the digest cannot be checked",
+                args.scripts
+            );
+            return ExitCode::FAILURE;
+        }
+        if sweep_digest != want {
+            eprintln!("explore: sweep digest {sweep_digest:016x}, expected {want:016x}");
+            return ExitCode::FAILURE;
+        }
+    }
 
     if args.bug.is_some() {
         // The injected bug must be caught, and the first failure must shrink

@@ -215,6 +215,20 @@ struct SimInner {
     stats: DiskStats,
 }
 
+impl SimInner {
+    /// The first `keep` volatile bytes reach the medium, the last of them
+    /// corrupted; the rest are lost. The surviving prefix is durable: it
+    /// physically hit the platter.
+    fn tear(&mut self, keep: usize) {
+        let keep = keep.min(self.volatile.len());
+        self.volatile.truncate(keep);
+        if keep > 0 {
+            self.volatile[keep - 1] ^= 0x80;
+        }
+        self.durable.append(&mut self.volatile);
+    }
+}
+
 /// The crash-simulating stable store.
 ///
 /// Cloning shares the underlying device (it is an `Arc`), which is how a
@@ -237,20 +251,7 @@ impl SimDisk {
         g.stats.crashes += 1;
         match style {
             CrashStyle::DropVolatile => g.volatile.clear(),
-            CrashStyle::Torn { keep } => {
-                let keep = keep.min(g.volatile.len());
-                g.volatile.truncate(keep);
-                if keep > 0 {
-                    g.volatile[keep - 1] ^= 0x80;
-                }
-                let torn: Vec<u8> = std::mem::take(&mut g.volatile);
-                g.durable.extend_from_slice(&torn);
-            }
-        }
-        // After DropVolatile nothing moves; after Torn the surviving corrupt
-        // prefix is durable (it physically hit the medium).
-        if style == CrashStyle::DropVolatile {
-            // nothing else to do
+            CrashStyle::Torn { keep } => g.tear(keep),
         }
     }
 
@@ -263,12 +264,7 @@ impl SimDisk {
         let mut g = self.inner.lock();
         g.stats.crashes += 1;
         let keep = mode.keep_of(g.volatile.len());
-        g.volatile.truncate(keep);
-        if keep > 0 {
-            g.volatile[keep - 1] ^= 0x80;
-        }
-        let torn: Vec<u8> = std::mem::take(&mut g.volatile);
-        g.durable.extend_from_slice(&torn);
+        g.tear(keep);
     }
 
     /// Mark the device as failed: every subsequent operation returns

@@ -168,25 +168,63 @@ impl WriteOp {
     /// is an error, and no partial list is returned.
     pub fn decode_list(r: &mut Reader<'_>) -> StorageResult<Vec<WriteOp>> {
         let mut ops = Vec::new();
+        OpRef::decode_each(r, |op| ops.push(op.into_op()))?;
+        Ok(ops)
+    }
+}
+
+/// A [`WriteOp`] borrowed from the op list that logs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OpRef<'a> {
+    Put { key: &'a [u8], value: &'a [u8] },
+    Delete { key: &'a [u8] },
+    Move { from: &'a [u8], to: &'a [u8] },
+}
+
+impl<'a> OpRef<'a> {
+    /// Read the op list in `r` to its end and hand each op to `each` as soon
+    /// as it is read, borrowed from the list: nothing is copied unless `each`
+    /// copies it. An unknown tag, a length past the end, or an over-long
+    /// varint is an error — after the ops before it were handed over.
+    pub(crate) fn decode_each(
+        r: &mut Reader<'a>,
+        mut each: impl FnMut(OpRef<'a>),
+    ) -> StorageResult<()> {
         while !r.is_empty() {
             let kind = RecordKind::from_byte(r.u8()?)?;
-            let mut bytes = || r.var_bytes_ref().map(<[u8]>::to_vec);
-            ops.push(match kind {
-                RecordKind::KvPut => WriteOp::Put {
-                    key: bytes()?,
-                    value: bytes()?,
+            each(match kind {
+                RecordKind::KvPut => OpRef::Put {
+                    key: r.var_bytes_ref()?,
+                    value: r.var_bytes_ref()?,
                 },
-                RecordKind::KvDelete => WriteOp::Delete { key: bytes()? },
-                RecordKind::KvMove => WriteOp::Move {
-                    from: bytes()?,
-                    to: bytes()?,
+                RecordKind::KvDelete => OpRef::Delete {
+                    key: r.var_bytes_ref()?,
+                },
+                RecordKind::KvMove => OpRef::Move {
+                    from: r.var_bytes_ref()?,
+                    to: r.var_bytes_ref()?,
                 },
                 other => {
                     return Err(StorageError::Decode(format!("{other:?} is not an op tag")));
                 }
             });
         }
-        Ok(ops)
+        Ok(())
+    }
+
+    /// The op, its keys and value copied out.
+    pub(crate) fn into_op(self) -> WriteOp {
+        match self {
+            OpRef::Put { key, value } => WriteOp::Put {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+            OpRef::Delete { key } => WriteOp::Delete { key: key.to_vec() },
+            OpRef::Move { from, to } => WriteOp::Move {
+                from: from.to_vec(),
+                to: to.to_vec(),
+            },
+        }
     }
 }
 
@@ -420,6 +458,16 @@ struct ApplyState {
 }
 
 impl ApplyState {
+    /// The retire line of a store just opened: nothing retired, generation 1.
+    fn new() -> ApplyState {
+        ApplyState {
+            applied: 0,
+            gen: 1,
+            deleted: Vec::new(),
+            unsaved_ops: 0,
+        }
+    }
+
     /// Move one committed (or replayed) operation into the tree.
     fn apply(&mut self, mem: &mut Tree, op: WriteOp) {
         self.unsaved_ops += 1;
@@ -524,11 +572,18 @@ impl KvStore {
         let wal = Wal::with_obs(wal_disk, obs);
         // A log that survived a crash between "segment durable" and "log
         // reset" names the chain that covers it, and is replayed from there
-        // (see the module docs).
-        let outcome = replay(&wal, chain.mark())?;
+        // (see the module docs). Each op goes into the chain's tree as the
+        // second pass decodes it, before the store exists: replayed writes
+        // are durable in the log but not in the chain, so — stamped with the
+        // live generation over the chain's 0 — they are owed to the next
+        // checkpoint like any write since.
+        let mark = chain.mark();
+        let mut mem = chain.mem;
+        let mut applied = ApplyState::new();
+        let outcome = replay(&wal, mark, |op| applied.apply(&mut mem, op))?;
         let obs = wal.obs();
         obs.counter_inc("storage.recovery.runs");
-        obs.counter_add("storage.recovery.redo_records", outcome.redo.len() as u64);
+        obs.counter_add("storage.recovery.redo_records", outcome.replayed as u64);
         obs.counter_add("storage.recovery.in_doubt", outcome.in_doubt.len() as u64);
 
         // Discard a torn tail (a crash mid-append left corrupt bytes on the
@@ -539,16 +594,9 @@ impl KvStore {
             obs.counter_inc("storage.recovery.torn_tail_truncations");
         }
 
-        let mut in_doubt: Vec<u64> = outcome.in_doubt.keys().copied().collect();
-        in_doubt.sort_unstable();
-        let report = RecoveryReport {
-            replayed: outcome.redo.len(),
-            committed_txns: outcome.committed_txns,
-            aborted_txns: outcome.aborted_txns,
-            in_doubt,
-        };
+        let report = outcome.report();
         let store = KvStore::new(
-            chain.mem,
+            mem,
             Some(LogUnit {
                 wal,
                 group: GroupCommit::new(),
@@ -557,17 +605,8 @@ impl KvStore {
                 ckpt_segments: AtomicU64::new(chain.segments),
             }),
             outcome.next_txn_id,
+            applied,
         );
-        {
-            let mut applied = store.apply.lock();
-            let mut mem = store.mem.write();
-            for op in outcome.redo {
-                // Replayed writes are durable in the log but not in the
-                // chain: stamped with the live generation over the chain's 0,
-                // they are owed to the next checkpoint like any write since.
-                applied.apply(&mut mem, op);
-            }
-        }
         for (token, ops) in outcome.in_doubt {
             let mut st = TxnState {
                 internal: outcome.in_doubt_internal.get(&token).copied().unwrap_or(0),
@@ -599,10 +638,10 @@ impl KvStore {
     /// with nothing behind it (see the module docs). Same transaction
     /// interface as a store from [`KvStore::open`].
     pub fn volatile() -> Arc<KvStore> {
-        Arc::new(KvStore::new(Tree::new(), None, 1))
+        Arc::new(KvStore::new(Tree::new(), None, 1, ApplyState::new()))
     }
 
-    fn new(mem: Tree, log: Option<LogUnit>, next_txn: u64) -> KvStore {
+    fn new(mem: Tree, log: Option<LogUnit>, next_txn: u64, applied: ApplyState) -> KvStore {
         KvStore {
             mem: RwLock::new(mem),
             txns: (0..TXN_STRIPES)
@@ -611,12 +650,7 @@ impl KvStore {
             log,
             commit_seq: AtomicU64::new(0),
             next_txn: AtomicU64::new(next_txn),
-            apply: Mutex::new(ApplyState {
-                applied: 0,
-                gen: 1,
-                deleted: Vec::new(),
-                unsaved_ops: 0,
-            }),
+            apply: Mutex::new(applied),
             apply_cv: Condvar::new(),
             ckpt_gate: RwLock::new(()),
             commits: AtomicU64::new(0),

@@ -56,9 +56,9 @@ fn crash_between_group_sync_and_follower_ack_loses_nothing() {
     // CRASH: the follower never got to call sync_through (no ack).
     disk.crash(CrashStyle::DropVolatile);
 
-    let out = replay(&wal, Default::default()).unwrap();
+    let out = replay(&wal, Default::default(), |_| {}).unwrap();
     assert_eq!(out.committed_txns, 2, "follower's commit was in the group");
-    assert_eq!(out.redo.len(), 2);
+    assert_eq!(out.replayed, 2);
 
     // After recovery the follower's target is durable without any new sync.
     gc.on_truncate(); // watermark conservative after restart

@@ -404,11 +404,12 @@ fn an_old_encoder_image_scans_and_replays_identically() {
     // From a midpoint, too.
     assert_eq!(new_scan(&wal, old[3].0), (old[3..].to_vec(), old_end));
 
-    let out = replay(&wal, Default::default()).unwrap();
+    let mut redo = Vec::new();
+    let out = replay(&wal, Default::default(), |op| redo.push(op)).unwrap();
     assert_eq!(out.valid_end, old_end);
     assert_eq!(out.committed_txns, 2);
     assert_eq!(
-        out.redo,
+        redo,
         vec![put(b"a", b"two"), put(b"a", b"one")],
         "commit order: txn 2's record before txn 1's"
     );
@@ -449,8 +450,8 @@ fn a_checksummed_frame_that_cannot_be_a_record_is_an_error_not_a_panic() {
     }
     // A well-formed record whose payload cannot be a write set: the log
     // scans it, the redo pass refuses it — at that record, as a whole, so
-    // none of its ops (nor the good record's, applied only after the scan)
-    // reach a tree.
+    // none of its ops (nor the good record's: the first pass checks every
+    // record before the second hands an op to the sink) reach a tree.
     let whole = ref_list(&[put(b"k", b"v")]);
     let mut trailing = whole.clone();
     trailing.push(kind_byte(RecordKind::KvDelete));
@@ -488,7 +489,9 @@ fn a_checksummed_frame_that_cannot_be_a_record_is_an_error_not_a_panic() {
         let disk = disk_with(&bad);
         let wal = Wal::new(Arc::new(disk.clone()));
         assert_eq!(wal.scan(0).unwrap().0.len(), 2, "{what}: CRC-valid frames");
-        match replay(&wal, Default::default()) {
+        match replay(&wal, Default::default(), |op| {
+            panic!("{what}: applied {op:?}")
+        }) {
             Err(StorageError::Corrupt { offset, .. }) => assert_eq!(offset, at, "{what}"),
             other => panic!("{what}: expected a corrupt-record error, got {other:?}"),
         }
@@ -501,6 +504,59 @@ fn a_checksummed_frame_that_cannot_be_a_record_is_an_error_not_a_panic() {
             matches!(opened, Err(StorageError::Corrupt { offset, .. }) if offset == at),
             "{what}: a store does not open over it"
         );
+    }
+}
+
+#[test]
+fn an_op_list_the_second_pass_skips_is_still_checked() {
+    // Replay decodes only the counting commit records after the chain's
+    // mark. Two records it never hands to the sink still fail the open if
+    // their op list is corrupt: the first pass checks every record.
+    let unknown_tag = old_frame(1, RecordKind::Commit, &[0x09, 0x01, b'k']);
+    let open = |wal: &SimDisk, ckpt: &SimDisk| {
+        KvStore::open(
+            Arc::new(wal.clone()),
+            Arc::new(ckpt.clone()),
+            rrq_obs::Obs::default(),
+        )
+    };
+
+    // (a) A commit attempt that a retry of the same transaction supersedes.
+    let wal = SimDisk::new();
+    wal.append(&unknown_tag).unwrap();
+    wal.append(&old_frame(
+        1,
+        RecordKind::Commit,
+        &ref_list(&[put(b"k", b"v")]),
+    ))
+    .unwrap();
+    wal.sync().unwrap();
+    match open(&wal, &SimDisk::new()).map(|(_, report)| report) {
+        Err(StorageError::Corrupt { offset, .. }) => assert_eq!(offset, 0),
+        other => panic!("superseded attempt: expected a corrupt-record error, got {other:?}"),
+    }
+
+    // (b) A commit before the `Checkpoint` record that names the loaded
+    // chain: the log reset after the segment was refused, so the whole log
+    // survives beside a chain that covers it.
+    let (wal, ckpt) = (SimDisk::new(), SimDisk::new());
+    let (store, _) = open(&wal, &ckpt).unwrap();
+    store.begin(1).unwrap();
+    store.put(1, b"a", b"1").unwrap();
+    store.commit(1).unwrap();
+    let at = wal.len();
+    wal.append(&unknown_tag).unwrap();
+    wal.sync().unwrap();
+    wal.fail_resets();
+    assert!(store.checkpoint().is_err(), "the log reset is refused");
+    wal.repair();
+    store.begin(2).unwrap();
+    store.put(2, b"b", b"2").unwrap();
+    store.commit(2).unwrap();
+    drop(store);
+    match open(&wal, &ckpt).map(|(_, report)| report) {
+        Err(StorageError::Corrupt { offset, .. }) => assert_eq!(offset, at),
+        other => panic!("covered commit: expected a corrupt-record error, got {other:?}"),
     }
 }
 

@@ -44,10 +44,11 @@ fn torn_log(mode: TornWriteMode) -> (SimDisk, Wal) {
 
 /// The shared oracle: recovery redoes exactly the durable transaction.
 fn assert_only_durable_survives(wal: &Wal, mode: TornWriteMode) {
-    let out = replay(wal, Default::default()).unwrap();
+    let mut redo = Vec::new();
+    let out = replay(wal, Default::default(), |op| redo.push(op)).unwrap();
     assert_eq!(out.committed_txns, 1, "{mode:?}");
-    assert_eq!(out.redo.len(), 1, "{mode:?}");
-    match &out.redo[0] {
+    assert_eq!(redo.len(), 1, "{mode:?}");
+    match &redo[0] {
         WriteOp::Put { value, .. } => assert_eq!(value, b"durable", "{mode:?}"),
         other => panic!("{mode:?}: unexpected redo {other:?}"),
     }
@@ -159,9 +160,9 @@ fn every_mode_keeps_the_log_appendable_after_recovery() {
         wal.append(3, RecordKind::Commit, &put_payload(b"k2", b"post"))
             .unwrap();
         wal.sync().unwrap();
-        let out = replay(&wal, Default::default()).unwrap();
+        let out = replay(&wal, Default::default(), |_| {}).unwrap();
         assert_eq!(out.committed_txns, 2, "{mode:?}");
-        assert_eq!(out.redo.len(), 2, "{mode:?}");
+        assert_eq!(out.replayed, 2, "{mode:?}");
     }
 }
 

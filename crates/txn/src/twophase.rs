@@ -43,24 +43,17 @@ impl CoordinatorLog {
     }
 
     /// Read back every decision (later records win, though a transaction
-    /// only ever gets one).
+    /// only ever gets one). A transaction with none on record is presumed
+    /// aborted.
     pub fn decisions(&self) -> TxnResult<HashMap<u64, bool>> {
-        let (records, _) = self.wal.scan(0)?;
         let mut out = HashMap::new();
-        for rec in records {
-            if rec.kind == DECISION_KIND {
-                let mut r = Reader::new(&rec.payload);
-                let commit = r.bool()?;
-                out.insert(rec.txn, commit);
+        self.wal.scan_with(0, |_, txn, kind, payload| {
+            if kind == DECISION_KIND {
+                out.insert(txn, Reader::new(payload).bool()?);
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
-    }
-
-    /// Was `txn` decided commit? `None` means no decision is on record
-    /// (presume abort).
-    pub fn decision_for(&self, txn: TxnId) -> TxnResult<Option<bool>> {
-        Ok(self.decisions()?.get(&txn.raw()).copied())
     }
 }
 
@@ -78,7 +71,7 @@ mod tests {
         let d = log.decisions().unwrap();
         assert_eq!(d.get(&1), Some(&true));
         assert_eq!(d.get(&2), Some(&false));
-        assert_eq!(log.decision_for(TxnId(3)).unwrap(), None);
+        assert_eq!(d.get(&3), None);
     }
 
     #[test]
@@ -88,7 +81,7 @@ mod tests {
         log.log_decision(TxnId(9), true).unwrap();
         disk.crash(CrashStyle::DropVolatile);
         let log2 = CoordinatorLog::new(Arc::new(disk.clone()));
-        assert_eq!(log2.decision_for(TxnId(9)).unwrap(), Some(true));
+        assert_eq!(log2.decisions().unwrap().get(&9), Some(&true));
     }
 
     #[test]
