@@ -1219,7 +1219,7 @@ fn HandlerOutcomeReply(req: &Request) -> HandlerOutcome {
 }
 
 // ======================================================================
-// E19 — incremental checkpoints: recovery time vs history length
+// E19 — checkpoints: recovery time vs history length
 // ======================================================================
 
 /// Per-sector device latency for the recovery measurements (`LatencyDisk`
@@ -1272,14 +1272,14 @@ fn e19_recover(wal: &SimDisk, ckpt: &SimDisk) -> (Duration, usize) {
 }
 
 fn e19_checkpoint_recovery() {
-    println!("## E19 — incremental checkpoints: recovery vs history length\n");
-    println!("Do incremental checkpoints bound recovery by the delta since the last");
+    println!("## E19 — checkpoints: recovery vs history length\n");
+    println!("Do checkpoints bound recovery by the log tail since the last");
     println!("checkpoint rather than by history length?\n");
 
     let mut json = String::from("{\n  \"experiment\": \"E19\",\n  \"recovery\": [\n");
 
     // Lengths ≡ 100 (mod 250): every history ends 100 commits past its last
-    // checkpoint, so the checkpointed store has the *same* delta to replay
+    // checkpoint, so the checkpointed store has the *same* tail to replay
     // at every length — the flat line is the claim.
     let histories: &[u64] = &[600, 2100, 8100];
     let ckpt_every = 250;

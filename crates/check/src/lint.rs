@@ -18,7 +18,9 @@
 //! * **metric-catalogue** — every metric name used at an `rrq_obs::Obs`
 //!   handle call (`.counter_add(`/`.counter_inc(`/`.gauge_add(`/`.observe(`)
 //!   must be declared exactly once in the table in `crates/obs/METRICS.md`,
-//!   so a typo'd name fails CI instead of silently splitting a series.
+//!   so a typo'd name fails CI instead of silently splitting a series; and
+//!   every name the table declares must be used at such a call outside
+//!   test code, so a row cannot outlive the series it describes.
 //!   Names are read as the first string literal after the call's opening
 //!   paren (same line, or the next for wrapped calls); an identifier
 //!   argument is resolved through a same-file `const NAME: &str = "…";`.
@@ -313,27 +315,34 @@ fn global_static(line: &str) -> bool {
 
 /// Cross-file pass for the `metric-catalogue` rule: collect every metric
 /// name used at an `rrq_obs` call site, parse the names declared in the
-/// catalogue table, and flag uses of undeclared names plus names declared
-/// more than once.
+/// catalogue table, and flag uses of undeclared names, names declared more
+/// than once, and declared names that no call site uses.
 fn lint_metric_catalogue(root: &Path, texts: &[(String, String)], out: &mut Vec<Finding>) {
     let catalogue = fs::read_to_string(root.join(CATALOGUE_REL)).unwrap_or_default();
-    let mut declared: Vec<String> = Vec::new();
+    let finding = |file: &str, line: usize, excerpt: String| Finding {
+        lint: "metric-catalogue",
+        file: file.to_string(),
+        line,
+        excerpt,
+    };
+    // Each declared name with the line of its (first) row.
+    let mut declared: Vec<(String, usize)> = Vec::new();
     for (i, line) in catalogue.lines().enumerate() {
         let Some(name) = catalogue_row_name(line) else {
             continue;
         };
-        if declared.iter().any(|d| d == &name) {
-            out.push(Finding {
-                lint: "metric-catalogue",
-                file: CATALOGUE_REL.to_string(),
-                line: i + 1,
-                excerpt: format!("`{name}` is declared more than once in the catalogue"),
-            });
+        if declared.iter().any(|(d, _)| d == &name) {
+            out.push(finding(
+                CATALOGUE_REL,
+                i + 1,
+                format!("`{name}` is declared more than once in the catalogue"),
+            ));
         } else {
-            declared.push(name);
+            declared.push((name, i + 1));
         }
     }
 
+    let mut used: Vec<String> = Vec::new();
     for (rel, text) in texts {
         // The obs crate defines the hooks; names in its docs and internals
         // are illustrative, not series the catalogue owns.
@@ -341,14 +350,23 @@ fn lint_metric_catalogue(root: &Path, texts: &[(String, String)], out: &mut Vec<
             continue;
         }
         for (line, name, excerpt) in metric_uses(text) {
-            if !declared.iter().any(|d| d == &name) {
-                out.push(Finding {
-                    lint: "metric-catalogue",
-                    file: rel.clone(),
+            if !declared.iter().any(|(d, _)| d == &name) {
+                out.push(finding(
+                    rel,
                     line,
-                    excerpt: format!("`{name}` is not declared in {CATALOGUE_REL}: {excerpt}"),
-                });
+                    format!("`{name}` is not declared in {CATALOGUE_REL}: {excerpt}"),
+                ));
             }
+            used.push(name);
+        }
+    }
+    for (name, line) in declared {
+        if !used.contains(&name) {
+            out.push(finding(
+                CATALOGUE_REL,
+                line,
+                format!("`{name}` is declared in the catalogue but no non-test call site emits it"),
+            ));
         }
     }
 }
@@ -602,7 +620,7 @@ mod tests {
         let root = TempRoot::new();
         let src = format!("fn f() {{ obs{}\"qm.typo\"); }}\n", OBS_CALL_PATS[1]);
         root.write("crates/qm/src/ops.rs", &src);
-        root.write("crates/obs/METRICS.md", &catalogue(&["qm.real"]));
+        root.write("crates/obs/METRICS.md", &catalogue(&[]));
         let out = run(&root.0).unwrap();
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].lint, "metric-catalogue");
@@ -619,7 +637,7 @@ mod tests {
             pat_fn = OBS_CALL_PATS[1].replace('.', "_"),
         );
         root.write("crates/qm/src/ops.rs", &src);
-        root.write("crates/obs/METRICS.md", &catalogue(&["qm.real"]));
+        root.write("crates/obs/METRICS.md", &catalogue(&[]));
         let out = run(&root.0).unwrap();
         assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
         assert_eq!(out.findings[0].lint, "metric-catalogue");
@@ -656,7 +674,7 @@ mod tests {
             pgauge = OBS_CALL_PATS[2],
         );
         root.write("crates/qm/src/ops.rs", &src);
-        root.write("crates/obs/METRICS.md", &catalogue(&["qm.other"]));
+        root.write("crates/obs/METRICS.md", &catalogue(&[]));
         let out = run(&root.0).unwrap();
         assert_eq!(out.findings.len(), 2, "{:?}", out.findings);
         assert!(out.findings.iter().all(|f| f.lint == "metric-catalogue"));
@@ -667,6 +685,8 @@ mod tests {
     #[test]
     fn duplicate_catalogue_rows_are_flagged() {
         let root = TempRoot::new();
+        let src = format!("fn f() {{ obs{}\"qm.ops\"); }}\n", OBS_CALL_PATS[1]);
+        root.write("crates/qm/src/ops.rs", &src);
         root.write("crates/obs/METRICS.md", &catalogue(&["qm.ops", "qm.ops"]));
         let out = run(&root.0).unwrap();
         assert_eq!(out.findings.len(), 1);
@@ -680,7 +700,7 @@ mod tests {
         let root = TempRoot::new();
         let src = format!("fn f() {{ obs{}\"doc.example\", 1); }}\n", OBS_CALL_PATS[0]);
         root.write("crates/obs/src/lib.rs", &src);
-        root.write("crates/obs/METRICS.md", &catalogue(&["qm.real"]));
+        root.write("crates/obs/METRICS.md", &catalogue(&[]));
         let out = run(&root.0).unwrap();
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }

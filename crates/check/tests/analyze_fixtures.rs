@@ -1,4 +1,5 @@
-//! Negative-test fixtures for the `rrq-analyze` rule families.
+//! Negative-test fixtures for the analyzer's rule families (the second half
+//! of `rrq-lint`).
 //!
 //! Each fixture under `tests/fixtures/<name>/` is a miniature workspace
 //! root (its own `LOCKS.md` plus `crates/app/src/lib.rs`) with exactly one

@@ -1,9 +1,10 @@
 //! The workspace-level analyzer gate: the real tree must scan clean.
 //!
-//! This is the test-suite twin of the `rrq-analyze` ci.sh step. If it
-//! fails, either a real invariant was broken (fix the code) or the
-//! analyzer has a new false positive (fix the analyzer or, as a last
-//! resort, add an explained allowlist entry under `crates/check/lints/`).
+//! This is the test-suite twin of the analyzer half of the `rrq-lint`
+//! ci.sh step. If it fails, either a real invariant was broken (fix the
+//! code) or the analyzer has a new false positive (fix the analyzer or, as
+//! a last resort, add an explained allowlist entry under
+//! `crates/check/lints/`).
 
 use std::path::PathBuf;
 
@@ -19,7 +20,7 @@ fn workspace_scans_clean() {
     let rendered: Vec<String> = out.findings.iter().map(|f| f.to_string()).collect();
     assert!(
         out.findings.is_empty(),
-        "rrq-analyze findings on the workspace:\n{}",
+        "analyzer findings on the workspace:\n{}",
         rendered.join("\n")
     );
     // Sanity: the scan actually covered the tree (84 files at the time of

@@ -1,8 +1,8 @@
 //! The workspace lint gate: `cargo test -p rrq-check` fails if any source
 //! lint fires anywhere in `crates/*/src`. Future PRs inherit the checks by
 //! keeping this test green (or by adding a justified allowlist entry under
-//! `crates/check/lints/`). The `global-state` and `unsafe` fixtures pin the
-//! `no-global-state` and `no-unsafe` rules' exact output.
+//! `crates/check/lints/`). The `global-state`, `unsafe` and
+//! `metric-catalogue` fixtures pin those rules' exact output.
 
 use rrq_check::lint;
 use std::path::{Path, PathBuf};
@@ -62,6 +62,27 @@ fn unsafe_fixture_reports_block_fn_and_impl_and_no_text() {
             format!("{lib}:7: [no-unsafe] unsafe {{ *r.0 }}"),
             format!("{lib}:10: [no-unsafe] pub unsafe fn second(r: &Raw) -> u8 {{"),
             format!("{lib}:14: [no-unsafe] unsafe impl Send for Raw {{}}"),
+        ]
+    );
+    assert_eq!(outcome.files_scanned, 1);
+    assert_eq!(outcome.suppressed, 0);
+}
+
+#[test]
+fn metric_catalogue_fixture_checks_both_directions() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/metric-catalogue");
+    let outcome = lint::run(&root).expect("lint walk succeeds");
+    let rendered: Vec<String> = outcome.findings.iter().map(|f| f.to_string()).collect();
+    let md = "crates/obs/METRICS.md";
+    let unemitted = "is declared in the catalogue but no non-test call site emits it";
+    assert_eq!(
+        rendered,
+        vec![
+            format!(
+                "crates/app/src/lib.rs:13: [metric-catalogue] `app.typo` is not declared in {md}: obs.counter_inc(\"app.typo\");"
+            ),
+            format!("{md}:6: [metric-catalogue] `app.test_only` {unemitted}"),
+            format!("{md}:7: [metric-catalogue] `app.retired` {unemitted}"),
         ]
     );
     assert_eq!(outcome.files_scanned, 1);

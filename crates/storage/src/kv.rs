@@ -33,7 +33,7 @@
 //!
 //! [`KvStore::volatile`] is the store of the paper's *volatile queues*
 //! (§10): the same transactions, overlay, tree and retire line with no log,
-//! group-commit coordinator or checkpoint chain behind them. Its commit
+//! group-commit coordinator or checkpoint device behind them. Its commit
 //! point is the draw of a retire-line number; `prepare` only marks the
 //! transaction, `force_wal` has nothing to force and `checkpoint` is refused.
 //! It encodes no frame, computes no checksum and retains no byte per commit,
@@ -53,17 +53,19 @@
 //! equal to what recovery would rebuild. Scaling past one log is the job of the layer
 //! above: a repository partition is a whole store with its own log.
 //!
-//! A checkpoint appends a `Checkpoint` record naming the chain its segment
-//! will complete, forces the log, makes the segment durable, and then resets
-//! the log with one atomic device swap ([`Wal::reset`]). A crash between the
-//! last two leaves the *whole* log beside a chain that already covers it up
-//! to that record, and recovery replays only what follows the record naming
-//! the chain it loaded. Replaying the covered part again would rebuild the
-//! same tree from puts and deletes — every key would end at the log's last
-//! value for it, which the chain recorded — but not from a move, which reads
-//! the tree it is replayed over. The force is what makes the covered part
-//! whole: a chain over commits whose records were still volatile would be
-//! followed by a log that ends before them.
+//! A checkpoint is the whole tree as one base segment (see
+//! [`crate::checkpoint`]). It appends a `Checkpoint` record naming that
+//! segment, forces the log, swaps the segment onto the checkpoint device,
+//! and then resets the log with one atomic device swap ([`Wal::reset`]). A
+//! crash between the last two leaves the *whole* log beside a checkpoint that
+//! already covers it up to that record, and recovery replays only what
+//! follows the record naming the checkpoint it loaded. Replaying the covered
+//! part again would rebuild the same tree from puts and deletes — every key
+//! would end at the log's last value for it, which the checkpoint recorded —
+//! but not from a move, which reads the tree it is replayed over. The force
+//! is what makes the covered part whole: a checkpoint over commits whose
+//! records were still volatile would be followed by a log that ends before
+//! them.
 //!
 //! ## Internal locking
 //!
@@ -95,7 +97,7 @@
 //! particular the log latch is a no-block class, so device forces happen
 //! outside it (see [`KvStore::checkpoint`]).
 
-use crate::checkpoint::{delta_since, load_chain, Segment, Stamped, Tree};
+use crate::checkpoint::{load_chain, Segment, Tree};
 use crate::codec::{put, Reader};
 use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
@@ -346,7 +348,7 @@ impl Own<'_> {
         match self {
             Own::Value(v) => Some(v.into_owned()),
             Own::Absent => None,
-            Own::TreeValueOf(from) => mem.get(from.as_ref()).map(|v| v.value.clone()),
+            Own::TreeValueOf(from) => mem.get(from.as_ref()).cloned(),
         }
     }
 }
@@ -404,7 +406,7 @@ impl TxnState {
 }
 
 /// What makes a store recoverable: its WAL, its group-commit coordinator, the
-/// append latch serializing appends, and the checkpoint chain. The latch owns
+/// append latch serializing appends, and the checkpoint device. The latch owns
 /// the log's frame buffer: whoever may append may build a frame in it, and its
 /// capacity carries over from record to record.
 struct LogUnit {
@@ -412,9 +414,6 @@ struct LogUnit {
     group: GroupCommit,
     latch: Mutex<Vec<u8>>,
     ckpt: Arc<dyn Disk>,
-    /// Valid segments on the checkpoint device (0 = no usable chain).
-    /// Mutated only under the exclusive checkpoint gate.
-    ckpt_segments: AtomicU64,
 }
 
 impl LogUnit {
@@ -436,71 +435,29 @@ impl LogUnit {
     }
 }
 
-/// The retire line: the commit with sequence number `n` may touch the shared
-/// tree only once every earlier one has retired. It also owns what the next
-/// incremental checkpoint needs to find its delta, kept so that a commit pays
-/// for its own write set and nothing else: a put stamps its entry with `gen`,
-/// a delete moves its key — already owned, no copy, no hash — onto `deleted`,
-/// and a move does both, one to each of its keys.
-#[derive(Debug)]
-struct ApplyState {
-    applied: u64,
-    /// The checkpoint generation: 1 at open, one more each time a segment
-    /// becomes durable. An entry stamped with it was written since then.
-    gen: u64,
-    /// Keys deleted since the last durable segment, in retire order,
-    /// repeats included; [`delta_since`] keeps those still absent.
-    deleted: Vec<Vec<u8>>,
-    /// Operations applied since the last durable segment (replayed ones
-    /// included). Zero: the chain already describes the whole tree, and a
-    /// checkpoint need not scan it to find that out.
-    unsaved_ops: u64,
-}
-
-impl ApplyState {
-    /// The retire line of a store just opened: nothing retired, generation 1.
-    fn new() -> ApplyState {
-        ApplyState {
-            applied: 0,
-            gen: 1,
-            deleted: Vec::new(),
-            unsaved_ops: 0,
+/// Move one committed (or replayed) operation into the tree.
+fn apply(mem: &mut Tree, op: WriteOp) {
+    match op {
+        WriteOp::Put { key, value } => {
+            mem.insert(key, value);
         }
-    }
-
-    /// Move one committed (or replayed) operation into the tree.
-    fn apply(&mut self, mem: &mut Tree, op: WriteOp) {
-        self.unsaved_ops += 1;
-        match op {
-            WriteOp::Put { key, value } => {
-                let gen = self.gen;
-                mem.insert(key, Stamped { value, gen });
-            }
-            WriteOp::Delete { key } => {
-                mem.remove(&key);
-                self.deleted.push(key);
-            }
-            WriteOp::Move { from, to } => {
-                // The node changes keys; its value is not copied.
-                if let Some(mut moved) = mem.remove(&from) {
-                    moved.gen = self.gen;
-                    mem.insert(to, moved);
-                }
-                self.deleted.push(from);
+        WriteOp::Delete { key } => {
+            mem.remove(&key);
+        }
+        WriteOp::Move { from, to } => {
+            // The node changes keys; its value is not copied.
+            if let Some(moved) = mem.remove(&from) {
+                mem.insert(to, moved);
             }
         }
     }
 }
-
-/// How many chain segments accumulate before the next checkpoint rewrites a
-/// full base instead of appending another delta.
-const SEGMENT_LIMIT: u64 = 8;
 
 /// The committed entries of `mem` under `prefix`, in key order.
 fn committed_range<'a>(
     mem: &'a Tree,
     prefix: &'a [u8],
-) -> impl Iterator<Item = (&'a Vec<u8>, &'a Stamped)> {
+) -> impl Iterator<Item = (&'a Vec<u8>, &'a Vec<u8>)> {
     mem.range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
         .take_while(move |(k, _)| k.starts_with(prefix))
 }
@@ -521,8 +478,7 @@ pub type KvTxn = u64;
 
 /// The recoverable key-value store. Cheap to share via `Arc`.
 pub struct KvStore {
-    /// Committed state, each entry stamped with the checkpoint generation
-    /// that last wrote it. Readers share; only the apply step writes.
+    /// Committed state. Readers share; only the apply step writes.
     mem: RwLock<Tree>,
     /// Open transactions' private buffers, striped by token so that two
     /// transactions' reads and writes of their own buffers do not share a
@@ -536,8 +492,9 @@ pub struct KvStore {
     commit_seq: AtomicU64,
     /// Incarnation-id allocator (see [`TxnState::internal`]).
     next_txn: AtomicU64,
-    /// Retire line for in-order application of committed writes.
-    apply: Mutex<ApplyState>,
+    /// The retire line: how many commits have been applied. The commit with
+    /// sequence number `n` may touch the shared tree only once it reads `n`.
+    applied: Mutex<u64>,
     apply_cv: Condvar,
     /// Commit-point writers hold `read`; checkpoint holds `write` so the
     /// log is never truncated under an in-flight commit record.
@@ -549,11 +506,12 @@ pub struct KvStore {
 impl KvStore {
     /// Open (or recover) a store over a log device and a checkpoint device.
     ///
-    /// Recovery loads the last complete checkpoint chain (base + deltas),
-    /// replays every committed transaction of the log in log order, and
-    /// re-materializes prepared but unresolved transactions as in-doubt
-    /// (listed in the returned [`RecoveryReport`]; resolve them with
-    /// [`KvStore::commit`] / [`KvStore::abort`]).
+    /// Recovery loads the checkpoint, replays every committed transaction of
+    /// the log in log order, and re-materializes prepared but unresolved
+    /// transactions as in-doubt (listed in the returned [`RecoveryReport`];
+    /// resolve them with [`KvStore::commit`] / [`KvStore::abort`]). A
+    /// checkpoint device that is not empty and not exactly one valid base
+    /// fails the open as [`StorageError::Corrupt`].
     ///
     /// The store's log reports to `obs`, recovery included.
     pub fn open(
@@ -562,25 +520,14 @@ impl KvStore {
         obs: Obs,
     ) -> StorageResult<(Arc<KvStore>, RecoveryReport)> {
         let chain = load_chain(ckpt_disk.as_ref())?;
-        if chain.valid_end < ckpt_disk.len() {
-            // A crash mid-checkpoint left a torn or stale segment: drop it
-            // so the next delta append lands right after the valid chain.
-            ckpt_disk.truncate(chain.valid_end)?;
-            obs.counter_inc("storage.ckpt.stale_segments_dropped");
-        }
 
         let wal = Wal::with_obs(wal_disk, obs);
         // A log that survived a crash between "segment durable" and "log
         // reset" names the chain that covers it, and is replayed from there
-        // (see the module docs). Each op goes into the chain's tree as the
-        // second pass decodes it, before the store exists: replayed writes
-        // are durable in the log but not in the chain, so — stamped with the
-        // live generation over the chain's 0 — they are owed to the next
-        // checkpoint like any write since.
-        let mark = chain.mark();
+        // (see the module docs). Each op goes into the checkpoint's tree as
+        // the second pass decodes it, before the store exists.
         let mut mem = chain.mem;
-        let mut applied = ApplyState::new();
-        let outcome = replay(&wal, mark, |op| applied.apply(&mut mem, op))?;
+        let outcome = replay(&wal, chain.mark, |op| apply(&mut mem, op))?;
         let obs = wal.obs();
         obs.counter_inc("storage.recovery.runs");
         obs.counter_add("storage.recovery.redo_records", outcome.replayed as u64);
@@ -602,10 +549,8 @@ impl KvStore {
                 group: GroupCommit::new(),
                 latch: Mutex::new(Vec::new()),
                 ckpt: ckpt_disk,
-                ckpt_segments: AtomicU64::new(chain.segments),
             }),
             outcome.next_txn_id,
-            applied,
         );
         for (token, ops) in outcome.in_doubt {
             let mut st = TxnState {
@@ -638,10 +583,10 @@ impl KvStore {
     /// with nothing behind it (see the module docs). Same transaction
     /// interface as a store from [`KvStore::open`].
     pub fn volatile() -> Arc<KvStore> {
-        Arc::new(KvStore::new(Tree::new(), None, 1, ApplyState::new()))
+        Arc::new(KvStore::new(Tree::new(), None, 1))
     }
 
-    fn new(mem: Tree, log: Option<LogUnit>, next_txn: u64, applied: ApplyState) -> KvStore {
+    fn new(mem: Tree, log: Option<LogUnit>, next_txn: u64) -> KvStore {
         KvStore {
             mem: RwLock::new(mem),
             txns: (0..TXN_STRIPES)
@@ -650,7 +595,7 @@ impl KvStore {
             log,
             commit_seq: AtomicU64::new(0),
             next_txn: AtomicU64::new(next_txn),
-            apply: Mutex::new(applied),
+            applied: Mutex::new(0),
             apply_cv: Condvar::new(),
             ckpt_gate: RwLock::new(()),
             commits: AtomicU64::new(0),
@@ -752,7 +697,7 @@ impl KvStore {
         }
         let mem = self.mem.read();
         let at = moved_from.as_deref().unwrap_or(key);
-        Ok(mem.get(at).map(|v| v.value.clone()))
+        Ok(mem.get(at).cloned())
     }
 
     /// Scan all committed keys with `prefix`, merged with the transaction's
@@ -776,7 +721,7 @@ impl KvStore {
             None => Vec::new(),
         };
         let mem = self.mem.read();
-        let committed = committed_range(&mem, prefix).map(|(k, v)| (k.clone(), v.value.clone()));
+        let committed = committed_range(&mem, prefix).map(|(k, v)| (k.clone(), v.clone()));
         if overlay.is_empty() {
             return Ok(committed.collect()); // already in key order
         }
@@ -806,7 +751,7 @@ impl KvStore {
     ) -> Result<(), E> {
         let mem = self.mem.read();
         for (k, v) in committed_range(&mem, prefix) {
-            visit(k, &v.value)?;
+            visit(k, v)?;
         }
         Ok(())
     }
@@ -966,17 +911,17 @@ impl KvStore {
     /// and pass the baton. Applying in commit-record order keeps the live
     /// tree identical to what recovery would rebuild.
     fn retire(&self, seq: u64, ops: Vec<WriteOp>) {
-        let mut g = self.apply.lock();
-        while g.applied != seq {
-            self.apply_cv.wait(&mut g);
+        let mut applied = self.applied.lock();
+        while *applied != seq {
+            self.apply_cv.wait(&mut applied);
         }
         if !ops.is_empty() {
             let mut mem = self.mem.write();
             for op in ops {
-                g.apply(&mut mem, op);
+                apply(&mut mem, op);
             }
         }
-        g.applied += 1;
+        *applied += 1;
         self.apply_cv.notify_all();
     }
 
@@ -1003,34 +948,25 @@ impl KvStore {
 
     /// Write a checkpoint and truncate the log.
     ///
-    /// Checkpoints are *incremental*: the first one (or one following
-    /// [`SEGMENT_LIMIT`] accumulated segments) writes a full base snapshot
-    /// with an atomic device swap; later ones append a crc-checked delta
-    /// segment holding only the keys written since the previous checkpoint,
-    /// then force it. The delta is found by one pass over the tree for the
-    /// current generation's stamps ([`delta_since`]): commits record nothing
-    /// per key, and the price is a pass that costs a delta checkpoint 14–22 ns
-    /// per *resident* key (an empty delta is known from a count and skips
-    /// it; DESIGN.md has the table). The generation moves on only once the
-    /// segment is durable, so a failed attempt leaves nothing to undo.
-    /// Either way the chain is durable before the log is truncated — a crash
-    /// mid-checkpoint leaves a torn delta that recovery discards, falling
-    /// back to the previous complete chain plus the still-untruncated log. Open transactions are unaffected (their
-    /// writes are not yet in `mem`), but prepared transactions block
-    /// checkpointing — their redo records live only in the log.
+    /// A checkpoint is the whole committed tree as one base segment,
+    /// swapped onto the checkpoint device atomically: a crash mid-checkpoint
+    /// leaves the previous checkpoint and the still-untruncated log. Open
+    /// transactions are unaffected (their writes are not yet in `mem`), but
+    /// prepared transactions block checkpointing — their redo records live
+    /// only in the log.
     ///
-    /// The log is told which chain is about to cover it (a `Checkpoint`
-    /// record naming that chain), forced before the segment is written, and
+    /// The log is told which checkpoint is about to cover it (a `Checkpoint`
+    /// record naming it), forced before the segment is written, and
     /// truncated with one atomic device swap, so a crash after the segment
     /// is durable leaves the whole log or none of it; recovery replays a
-    /// surviving log from the record that names the chain it loaded (see the
-    /// module docs).
+    /// surviving log from the record that names the checkpoint it loaded
+    /// (see the module docs).
     ///
     /// Holds the checkpoint gate exclusively, so no commit record can sit
     /// appended-but-unforced (or forced-but-unapplied) while the log is
     /// truncated underneath it.
     ///
-    /// The main-memory store has no chain to write and refuses.
+    /// The main-memory store has no checkpoint to write and refuses.
     pub fn checkpoint(&self) -> StorageResult<()> {
         let Some(log) = &self.log else {
             return Err(StorageError::InvalidState(
@@ -1045,53 +981,24 @@ impl KvStore {
         }
         // The exclusive gate means no commit is in flight: every logged
         // commit has retired, so `mem` reflects the whole log. Its tail may
-        // still be volatile (deferred commits): force it before the chain
-        // claims those commits.
-        let segments = log.ckpt_segments.load(Ordering::SeqCst);
-        let rewrite = segments == 0 || segments >= SEGMENT_LIMIT;
-        let segment = if rewrite {
-            Some(Segment::base(&self.mem.read()))
-        } else {
-            // The retire line is idle under the exclusive gate; its lock is
-            // taken for the delta's inputs and dropped before a device is
-            // touched. Nothing applied since the last segment: the chain
-            // already describes the whole tree, and only the log truncation
-            // below is needed.
-            let ag = self.apply.lock();
-            (ag.unsaved_ops > 0)
-                .then(|| Segment::delta(&delta_since(&self.mem.read(), ag.gen, &ag.deleted)))
+        // still be volatile (deferred commits): force it before the
+        // checkpoint claims those commits.
+        let segment = {
+            let mem = self.mem.read();
+            Segment::base(&mem)
         };
-        if let Some(segment) = &segment {
-            // The log is told which chain will cover it up to here before
-            // that chain exists: should the truncation below never happen,
-            // recovery replays only what follows this record.
-            let mark = segment.completes(log.ckpt.as_ref());
+        {
+            // The log is told which checkpoint will cover it up to here
+            // before that checkpoint exists: should the truncation below
+            // never happen, recovery replays only what follows this record.
             let _latch = log.latch.lock();
             let mut payload = Vec::new();
-            mark.encode_into(&mut payload);
+            segment.mark().encode_into(&mut payload);
             log.wal.append(0, RecordKind::Checkpoint, &payload)?;
         }
         log.force_through(log.wal.len())?;
-        if let Some(segment) = segment {
-            segment.write(log.ckpt.as_ref())?;
-            if rewrite {
-                log.ckpt_segments.store(1, Ordering::SeqCst);
-                log.wal.obs().counter_inc("storage.ckpt.base_segments");
-            } else {
-                log.ckpt_segments.fetch_add(1, Ordering::SeqCst);
-                log.wal.obs().counter_inc("storage.ckpt.delta_segments");
-            }
-        }
-        {
-            // The chain covers everything applied so far: what retires from
-            // here on belongs to the next generation. Had the segment failed
-            // (the `?`s above), the stamps and the deleted list would still
-            // say what it owed.
-            let mut ag = self.apply.lock();
-            ag.gen += 1;
-            ag.deleted.clear();
-            ag.unsaved_ops = 0;
-        }
+        segment.write(log.ckpt.as_ref())?;
+        log.wal.obs().counter_inc("storage.ckpt.base_segments");
         {
             // The append latch covers only the truncate + marker append;
             // the device force and the coordinator reset run after it
@@ -1655,43 +1562,21 @@ mod tests {
     }
 
     #[test]
-    fn delta_checkpoint_preserves_deletes() {
+    fn a_checkpoint_over_a_checkpoint_preserves_deletes() {
         let (store, wal, ckpt) = fresh();
         store.begin(1).unwrap();
         store.put(1, b"keep", b"1").unwrap();
         store.put(1, b"drop", b"2").unwrap();
         store.commit(1).unwrap();
-        store.checkpoint().unwrap(); // base with both keys
+        store.checkpoint().unwrap(); // both keys
         store.begin(2).unwrap();
         store.delete(2, b"drop").unwrap();
         store.commit(2).unwrap();
-        store.checkpoint().unwrap(); // delta with a tombstone
+        store.checkpoint().unwrap(); // replaces it, without `drop`
         wal.crash(CrashStyle::DropVolatile);
         let (store2, report) = reopen(&wal, &ckpt);
         assert_eq!(report.replayed, 0);
         assert_eq!(store2.get(None, b"keep").unwrap(), Some(b"1".to_vec()));
         assert_eq!(store2.get(None, b"drop").unwrap(), None);
-    }
-
-    #[test]
-    fn segment_limit_triggers_base_rewrite() {
-        let (store, _, ckpt) = fresh();
-        let mut t = 0u64;
-        // First checkpoint = base, the next SEGMENT_LIMIT-1 = deltas, then
-        // the chain is rewritten as a single base again.
-        for round in 0..(SEGMENT_LIMIT + 2) {
-            t += 1;
-            store.begin(t).unwrap();
-            store.put(t, format!("r/{round}").as_bytes(), b"v").unwrap();
-            store.commit(t).unwrap();
-            store.checkpoint().unwrap();
-        }
-        let chain = crate::checkpoint::load_chain(&ckpt).unwrap();
-        assert!(
-            chain.segments <= SEGMENT_LIMIT,
-            "chain rewritten before exceeding the limit: {}",
-            chain.segments
-        );
-        assert_eq!(chain.mem.len() as u64, SEGMENT_LIMIT + 2);
     }
 }

@@ -2,26 +2,20 @@
 //! scripted history that takes every road a key can take between two
 //! checkpoints: put, overwrite, delete, delete of an absent key, delete then
 //! recreate, put then delete in one transaction; and every road a checkpoint
-//! can take: a base, a delta, one that fails before its segment is durable,
-//! one whose segment is durable but whose log reset is refused, and one over
-//! a log replayed, from where the chain stops covering it, after a crash.
+//! can take: a first one, one that fails before its segment is durable, one
+//! over an earlier checkpoint, one whose segment is durable but whose log
+//! reset is refused, one over a log replayed, from where the checkpoint stops
+//! covering it, after a crash, and one with nothing written since.
 //!
-//! The golden `(length, crc32)` pairs were recorded from the store that kept
-//! a hash set of every key written since the last checkpoint. The store now
-//! finds a delta by generation stamp (entries written since the last
-//! checkpoint carry the current generation; deleted keys are remembered by
-//! moving them into a list), and must lay down the same segments: stamping
-//! an entry with the wrong generation, or forgetting the deleted list, moves
-//! a pair below. (The last pair is the exception: the store that recorded it
-//! replayed the whole log over a chain that covered most of it, so its next
-//! delta carried transactions 6 and 7 a second time. Recovery now starts at
-//! the log's `Checkpoint` record naming the chain, and that delta is the 36
-//! bytes of transaction 8's one key.)
+//! A checkpoint is the whole tree, so its bytes depend on the committed
+//! contents alone: at every stage the device must hold exactly what a fresh
+//! store holding the same contents writes. The first checkpoint is pinned
+//! outright by a `(length, crc32)` pair recorded at commit `a3f77e2`, so the
+//! base format itself cannot move either.
 
 use rrq_storage::checksum::crc32;
 use rrq_storage::disk::{CrashStyle, Disk, SimDisk};
 use rrq_storage::kv::KvStore;
-use rrq_storage::load_chain;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -56,6 +50,20 @@ fn dump(store: &KvStore) -> BTreeMap<Vec<u8>, Vec<u8>> {
     store.scan_prefix(None, b"").unwrap().into_iter().collect()
 }
 
+/// The checkpoint a fresh store writes once one transaction has put
+/// `contents` into it.
+fn fresh_checkpoint(contents: &BTreeMap<Vec<u8>, Vec<u8>>) -> (u64, u32) {
+    let ckpt = SimDisk::new();
+    let store = open(&SimDisk::new(), &ckpt);
+    store.begin(1).unwrap();
+    for (key, value) in contents {
+        store.put(1, key, value).unwrap();
+    }
+    store.commit(1).unwrap();
+    store.checkpoint().unwrap();
+    fingerprint(&ckpt)
+}
+
 #[test]
 fn checkpoint_device_bytes_match_the_dirty_set_implementation() {
     let wal = SimDisk::new();
@@ -74,6 +82,8 @@ fn checkpoint_device_bytes_match_the_dirty_set_implementation() {
     );
     store.checkpoint().unwrap();
     let base = fingerprint(&ckpt);
+    assert_eq!(base, GOLDEN, "the base format moved");
+    assert_eq!(base, fresh_checkpoint(&dump(&store)));
 
     // Overwrite, delete, delete of an absent key, a new key.
     commit(
@@ -89,12 +99,10 @@ fn checkpoint_device_bytes_match_the_dirty_set_implementation() {
     // Delete, then recreate in a later transaction.
     commit(&store, 3, &[(b"c", None)]);
     commit(&store, 4, &[(b"c", Some(b"three"))]);
-    // Put and delete inside one transaction: a tombstone for a key no
-    // segment ever held.
+    // Put and delete inside one transaction: a key no checkpoint ever held.
     commit(&store, 5, &[(b"f", Some(b"6")), (b"f", None)]);
 
-    // The checkpoint device refuses the segment: nothing is durable, and
-    // everything written since the base is still owed to the next delta.
+    // The checkpoint device refuses the segment: nothing is durable.
     ckpt.fail();
     assert!(store.checkpoint().is_err());
     ckpt.repair();
@@ -102,15 +110,23 @@ fn checkpoint_device_bytes_match_the_dirty_set_implementation() {
 
     commit(&store, 6, &[(b"g", Some(b"7"))]);
     store.checkpoint().unwrap();
-    let first_delta = fingerprint(&ckpt);
+    assert_eq!(
+        fingerprint(&ckpt),
+        fresh_checkpoint(&dump(&store)),
+        "a checkpoint over a checkpoint"
+    );
 
     // The segment becomes durable, then the log device refuses the reset:
-    // the call fails, the chain has grown, the log is whole.
+    // the call fails, the checkpoint has moved on, the log is whole.
     commit(&store, 7, &[(b"h", Some(b"8")), (b"a", None)]);
     wal.fail_resets();
     assert!(store.checkpoint().is_err());
     wal.repair();
-    let reset_refused = fingerprint(&ckpt);
+    assert_eq!(
+        fingerprint(&ckpt),
+        fresh_checkpoint(&dump(&store)),
+        "a checkpoint whose log reset was refused"
+    );
 
     commit(&store, 8, &[(b"i", Some(b"9"))]);
     let expected = dump(&store);
@@ -118,42 +134,29 @@ fn checkpoint_device_bytes_match_the_dirty_set_implementation() {
     ckpt.crash(CrashStyle::DropVolatile);
     drop(store);
 
-    // The chain already covers transactions 6 and 7 and the log says so:
-    // only 8 replays, and the next delta carries it alone.
+    // The checkpoint already covers transactions 6 and 7 and the log says
+    // so: only 8 replays.
     let store = open(&wal, &ckpt);
     assert_eq!(dump(&store), expected);
     store.checkpoint().unwrap();
     let after_replay = fingerprint(&ckpt);
-
-    // Nothing written since: the chain already describes the tree.
-    store.checkpoint().unwrap();
     assert_eq!(
-        fingerprint(&ckpt),
         after_replay,
-        "an empty delta was written"
+        fresh_checkpoint(&expected),
+        "a checkpoint over a replayed log"
     );
 
+    // Nothing written since: the same bytes again.
+    store.checkpoint().unwrap();
+    assert_eq!(fingerprint(&ckpt), after_replay, "an idle checkpoint moved");
+
+    let from_checkpoint = dump(&open(&SimDisk::new(), &ckpt));
     assert_eq!(
-        [base, first_delta, reset_refused, after_replay],
-        GOLDEN,
-        "checkpoint segments differ from the dirty-set implementation's"
+        from_checkpoint, expected,
+        "the checkpoint alone rebuilds the tree"
     );
-    let chain = load_chain(&ckpt).unwrap();
-    assert_eq!(chain.segments, 4);
-    let from_chain: BTreeMap<Vec<u8>, Vec<u8>> = open(&SimDisk::new(), &ckpt)
-        .scan_prefix(None, b"")
-        .unwrap()
-        .into_iter()
-        .collect();
-    assert_eq!(from_chain, expected, "the chain alone rebuilds the tree");
 }
 
-/// `(device length, crc32 of its bytes)` after the base, the first delta,
-/// the delta whose log reset was refused — recorded at commit `a3f77e2` (the
-/// dirty-set implementation) — and the delta over the replayed log tail.
-const GOLDEN: [(u64, u32); 4] = [
-    (65, 558_161_692),
-    (159, 4_012_524_347),
-    (201, 2_131_810_164),
-    (237, 3_242_712_740),
-];
+/// `(device length, crc32 of its bytes)` after the first checkpoint,
+/// recorded at commit `a3f77e2`.
+const GOLDEN: (u64, u32) = (65, 558_161_692);

@@ -7,6 +7,7 @@
 
 use rrq_storage::disk::{CrashStyle, Disk, SimDisk, TornWriteMode};
 use rrq_storage::kv::KvStore;
+use rrq_storage::StorageError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -171,60 +172,43 @@ fn checkpoints_racing_overlapping_commits_recover_exactly() {
     assert_eq!(dump(&recovered), live, "recovery equals the live tree");
 }
 
-/// A crash mid-delta leaves a torn segment past the valid chain. Recovery
-/// falls back to the previous chain + log, drops the stale tail, and the next
-/// checkpoint appends cleanly where the tail used to be.
+/// A checkpoint is swapped onto its device whole, so no crash leaves bytes
+/// past it: bytes there are damage. The open fails rather than guess which
+/// state the store was in, and leaves both devices as they were.
 #[test]
-fn torn_delta_segment_is_dropped_and_chain_resumes() {
+fn bytes_past_the_base_fail_the_open() {
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
     let (store, _) = open(&wal, &ckpt);
     commit(&store, 1, b"k1", b"v1");
-    store.checkpoint().unwrap(); // base segment
-    commit(&store, 2, b"k2", b"v2");
-    store.checkpoint().unwrap(); // delta segment
-    commit(&store, 3, b"k3", b"v3"); // in the log only
+    store.checkpoint().unwrap();
+    commit(&store, 2, b"k2", b"v2"); // in the log only
+    drop(store);
 
-    // A crash halfway through forcing the next delta: a segment header with
-    // a partial body lands on the platter, then everything stops.
-    // (`frame` layout: magic u32 + kind u8 + len u64 + body + crc.)
-    let valid_end = ckpt.durable_len();
+    // A segment header with a partial body lands behind the base (`frame`
+    // layout: magic u32 + kind u8 + len u64 + body + crc).
     let mut partial = Vec::new();
     partial.extend_from_slice(&0xC4EC_B007u32.to_le_bytes());
-    partial.push(1); // KIND_DELTA
+    partial.push(1);
     partial.extend_from_slice(&1_000u64.to_le_bytes()); // body len it never got
     partial.extend_from_slice(b"partial-body");
     ckpt.append(&partial).unwrap();
-    ckpt.crash_torn(TornWriteMode::Midway);
-    assert!(
-        ckpt.durable_len() > valid_end,
-        "window not constructed: stale bytes should sit past the chain"
-    );
+    ckpt.sync().unwrap();
     wal.crash(CrashStyle::DropVolatile);
+    let devices = |d: &SimDisk| d.read(0, d.len() as usize).unwrap();
+    let (ckpt_before, wal_before) = (devices(&ckpt), devices(&wal));
 
-    let want = BTreeMap::from([
-        (b"k1".to_vec(), b"v1".to_vec()),
-        (b"k2".to_vec(), b"v2".to_vec()),
-        (b"k3".to_vec(), b"v3".to_vec()),
-    ]);
-    let (recovered, _) = open(&wal, &ckpt);
-    assert_eq!(dump(&recovered), want, "previous chain + log win");
-    assert_eq!(
-        ckpt.len(),
-        valid_end,
-        "stale tail dropped so the next delta lands at the chain end"
+    let opened = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
     );
-
-    // The chain keeps growing from the valid prefix.
-    recovered.checkpoint().unwrap();
     assert!(
-        recovered.wal_len() < 64,
-        "log truncated down to its checkpoint marker"
+        matches!(opened, Err(StorageError::Corrupt { .. })),
+        "the open must fail as corrupt"
     );
-    wal.crash(CrashStyle::DropVolatile);
-    ckpt.crash(CrashStyle::DropVolatile);
-    let (again, _) = open(&wal, &ckpt);
-    assert_eq!(dump(&again), want);
+    assert_eq!(devices(&ckpt), ckpt_before, "checkpoint device untouched");
+    assert_eq!(devices(&wal), wal_before, "log untouched");
 }
 
 /// A tear reaches only unsynced bytes — here the unforced abort record of a
@@ -272,18 +256,20 @@ fn prepared_txn_with_log_tear_resurfaces_in_doubt_and_commits() {
 /// reset (the log device refuses the swap), then the node crashes: recovery
 /// finds the *whole* log beside a chain that already covers it. The log's
 /// `Checkpoint` record names that chain, so replay starts behind it — for a
-/// base segment and for a delta. Replaying the covered part again would not
-/// be harmless: a rename reads the tree, and over the newer chain it finds
-/// `ghost` where the live store found nothing to move.
+/// first checkpoint, and for one that replaces an older checkpoint, so the
+/// mark is checked against a device that held another one. Replaying the
+/// covered part again would not be harmless: a rename reads the tree, and
+/// over the newer chain it finds `ghost` where the live store found nothing
+/// to move.
 #[test]
 fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
-    for delta in [false, true] {
+    for over_a_base in [false, true] {
         let wal = SimDisk::new();
         let ckpt = SimDisk::new();
         let (store, _) = open(&wal, &ckpt);
         commit(&store, 1, b"old", b"kept");
-        if delta {
-            store.checkpoint().unwrap(); // the failing one appends a delta
+        if over_a_base {
+            store.checkpoint().unwrap(); // the failing one replaces it
         }
         // Later commits overwrite and delete what earlier ones wrote, so a
         // replay that stops short, or runs out of order, regresses a key.
@@ -307,11 +293,11 @@ fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
         wal.repair();
         assert!(
             ckpt.durable_len() > chain_len,
-            "segment durable (delta: {delta})"
+            "segment durable (over a base: {over_a_base})"
         );
         // One record more: the one that names the chain (frame header 10,
         // txn and kind 9, chain end and crc 12).
-        assert_eq!(wal.len(), log_len + 31, "delta: {delta}");
+        assert_eq!(wal.len(), log_len + 31, "over a base: {over_a_base}");
         // The store carries on over the log it could not truncate.
         commit(&store, 7, b"b", b"back");
         let want = dump(&store);
@@ -327,7 +313,7 @@ fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
             "transaction 7, and nothing the chain has"
         );
         assert_eq!(report.in_doubt, Vec::<u64>::new(), "txn 4 is resolved");
-        assert_eq!(dump(&recovered), want, "delta: {delta}");
+        assert_eq!(dump(&recovered), want, "over a base: {over_a_base}");
 
         // The chain and the log keep working from here.
         commit(&recovered, 8, b"a", b"4");
@@ -338,7 +324,7 @@ fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
         assert_eq!(report.replayed, 0, "state came from the chain");
         let mut want = want;
         want.insert(b"a".to_vec(), b"4".to_vec());
-        assert_eq!(dump(&again), want, "delta: {delta}");
+        assert_eq!(dump(&again), want, "over a base: {over_a_base}");
     }
 }
 
@@ -351,12 +337,12 @@ fn whole_log_beside_a_chain_that_covers_it_replays_exactly() {
 /// a transaction.
 #[test]
 fn checkpoint_forces_the_log_before_the_chain_claims_it() {
-    for delta in [false, true] {
+    for over_a_base in [false, true] {
         let wal = SimDisk::new();
         let ckpt = SimDisk::new();
         let (store, _) = open(&wal, &ckpt);
         commit(&store, 1, b"old", b"kept");
-        if delta {
+        if over_a_base {
             store.checkpoint().unwrap();
         }
         commit(&store, 2, b"k", b"1");
@@ -373,14 +359,18 @@ fn checkpoint_forces_the_log_before_the_chain_claims_it() {
         wal.repair();
         assert!(
             ckpt.durable_len() > chain_len,
-            "segment durable (delta: {delta})"
+            "segment durable (over a base: {over_a_base})"
         );
-        assert_eq!(wal.volatile_len(), 0, "log forced (delta: {delta})");
+        assert_eq!(
+            wal.volatile_len(),
+            0,
+            "log forced (over a base: {over_a_base})"
+        );
         drop(store);
         wal.crash(CrashStyle::DropVolatile);
         ckpt.crash(CrashStyle::DropVolatile);
 
         let (recovered, _) = open(&wal, &ckpt);
-        assert_eq!(dump(&recovered), want, "delta: {delta}");
+        assert_eq!(dump(&recovered), want, "over a base: {over_a_base}");
     }
 }

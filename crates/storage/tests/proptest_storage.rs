@@ -441,17 +441,16 @@ proptest! {
             0..150,
         ),
     ) {
-        use rrq_storage::checkpoint::{load_chain, Segment, Stamped, Tree};
+        use rrq_storage::checkpoint::{load_chain, Segment, Tree};
         use rrq_storage::disk::{Disk, MemDisk};
         let mut want = Tree::new();
         for (k, v) in entries {
-            want.insert(k, Stamped { value: v, gen: 0 });
+            want.insert(k, v);
         }
         let disk = MemDisk::new();
         Segment::base(&want).write(&disk).unwrap();
         let chain = load_chain(&disk).unwrap();
-        prop_assert_eq!(chain.segments, 1);
-        prop_assert_eq!(chain.valid_end, disk.len());
+        prop_assert_eq!(chain.mark.end, disk.len());
         prop_assert!(chain.mem == want, "the loaded tree differs");
     }
 }

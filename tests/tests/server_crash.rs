@@ -7,10 +7,13 @@ use rrq_core::pipeline::Serializability;
 use rrq_core::request::{Reply, Request};
 use rrq_core::rid::Rid;
 use rrq_core::server::Handler;
+use rrq_qm::error::QmError;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_sim::node::{ServerFactory, ServerNodeSim};
 use rrq_sim::oracle::EffectLedger;
 use rrq_storage::codec::{Decode, Encode};
+use rrq_storage::{Disk, StorageError};
 use rrq_workload::bank::{self, Transfer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -168,4 +171,37 @@ fn pipeline_resumes_after_crash_and_conserves_money() {
     for q in ["xfer0", "xfer1", "xfer2"] {
         assert_eq!(repo.qm().depth(q).unwrap(), 0, "{q} drained");
     }
+}
+
+/// A checkpoint is swapped onto its device whole, so no crash leaves a
+/// damaged one: a checkpoint that fails its CRC is corruption. Reopening the
+/// node's repository over it must fail — not come up without the accounts —
+/// and must leave the device as it found it.
+#[test]
+fn a_corrupt_checkpoint_fails_the_reopen_and_is_left_untouched() {
+    let (repo, _) = Repository::open("bank", RepoDisks::new()).unwrap();
+    bank::seed_accounts(&repo, 100, 1_000).unwrap();
+    repo.checkpoint().unwrap();
+    let disks = repo.disks().clone();
+    drop(repo);
+    disks.crash();
+
+    let ckpt = &disks.ckpt;
+    let mut bytes = ckpt.read(0, ckpt.len() as usize).unwrap();
+    bytes[40] ^= 0xFF;
+    ckpt.reset(bytes.clone()).unwrap();
+
+    match Repository::open("bank", disks.clone()) {
+        Err(QmError::Storage(StorageError::Corrupt { .. })) => {}
+        Err(e) => panic!("the reopen failed, but not as corrupt: {e}"),
+        Ok((repo, _)) => panic!(
+            "reopened over a corrupt checkpoint with {} keys",
+            repo.store().committed_len()
+        ),
+    }
+    assert_eq!(
+        ckpt.read(0, ckpt.len() as usize).unwrap(),
+        bytes,
+        "the checkpoint device was changed"
+    );
 }
