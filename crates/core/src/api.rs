@@ -85,7 +85,7 @@ impl LocalQm {
         &self.repo
     }
 
-    fn handle(queue: &str, registrant: &str) -> QueueHandle {
+    pub(crate) fn handle(queue: &str, registrant: &str) -> QueueHandle {
         QueueHandle {
             queue: queue.to_string(),
             registrant: registrant.to_string(),
@@ -218,5 +218,47 @@ mod tests {
             api.dequeue("q", "c", DequeueOptions::default()),
             Err(crate::error::CoreError::Qm(QmError::Empty(_)))
         ));
+    }
+
+    /// Read and Kill go to the one partition the eid's band names: no other
+    /// partition is asked, and a band no partition has finds nothing.
+    #[test]
+    fn eid_lookups_ask_only_the_partition_of_the_band() {
+        use rrq_qm::repository::{RepoDisks, RepoOptions};
+        let opts = RepoOptions {
+            repo_partitions: 4,
+            ..RepoOptions::default()
+        };
+        let (repo, _) =
+            Repository::open_with("bands", RepoDisks::new(), opts, rrq_obs::Obs::default())
+                .unwrap();
+        let repo = Arc::new(repo);
+        let api = LocalQm::new(Arc::clone(&repo));
+        let reads = || -> Vec<u64> { (0..4).map(|p| repo.qm_at(p).stats().reads).collect() };
+        for p in 0..4 {
+            let q = (0..64)
+                .map(|i| format!("bq{i}"))
+                .find(|q| repo.partition_of(q) == p)
+                .unwrap();
+            repo.create_queue_defaults(&q).unwrap();
+            api.register(&q, "c", false).unwrap();
+            let eid = api
+                .enqueue(&q, "c", q.as_bytes(), EnqueueOptions::default())
+                .unwrap();
+            assert_eq!(partition_of_eid(eid, 4), Some(p));
+            let before = reads();
+            assert_eq!(api.read(eid).unwrap().payload, q.as_bytes());
+            let asked: Vec<usize> = (0..4).filter(|&i| reads()[i] != before[i]).collect();
+            assert_eq!(asked, [p], "read of {eid}");
+            assert!(api.kill(eid).unwrap());
+            assert_eq!(repo.qm_at(p).stats().kills, 1);
+            assert!(!api.kill(eid).unwrap());
+        }
+        let nowhere = Eid::compose(rrq_qm::route::epoch_band_base(5) + 1, 0);
+        assert!(matches!(
+            api.read(nowhere),
+            Err(crate::error::CoreError::Qm(QmError::NoSuchElement(_)))
+        ));
+        assert!(!api.kill(nowhere).unwrap());
     }
 }

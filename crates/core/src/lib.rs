@@ -47,7 +47,6 @@ pub mod pipeline;
 pub mod remote;
 pub mod request;
 pub mod rid;
-pub mod route;
 pub mod saga;
 pub mod server;
 pub mod tagcodec;
@@ -59,5 +58,4 @@ pub use client::{ClientRuntime, ResyncAction};
 pub use error::{CoreError, CoreResult};
 pub use request::{Reply, ReplyStatus, Request};
 pub use rid::Rid;
-pub use route::RoutedQm;
 pub use server::{HandlerError, HandlerOutcome, Server, ServerConfig};

@@ -61,16 +61,22 @@ impl RpcClient {
         self.endpoint.send_to(to, corr, false, payload)?;
         let deadline = Instant::now() + timeout;
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                self.obs().counter_inc("net.rpc.timeouts");
-                return Err(NetError::Timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            let got = if left.is_zero() {
+                Err(NetError::Timeout)
+            } else {
+                self.endpoint.recv(left)
+            };
+            match got {
+                Ok(env) if env.is_reply && env.correlation == corr => return Ok(env.payload),
+                // Stale or unexpected: drop and keep waiting.
+                Ok(_) => {}
+                // `recv` fails only by timing out.
+                Err(e) => {
+                    self.obs().counter_inc("net.rpc.timeouts");
+                    return Err(e);
+                }
             }
-            let env = self.endpoint.recv(deadline - now)?;
-            if env.is_reply && env.correlation == corr {
-                return Ok(env.payload);
-            }
-            // Stale or unexpected: drop and keep waiting.
         }
     }
 
@@ -212,6 +218,19 @@ mod tests {
         let client = RpcClient::new(&bus, "client");
         let r = client.call("server", b"x".to_vec(), Duration::from_millis(50));
         assert_eq!(r, Err(NetError::Timeout));
+    }
+
+    #[test]
+    fn a_timed_out_call_is_counted_once() {
+        let bus = NetworkBus::new(1);
+        bus.obs().start();
+        bus.endpoint("server"); // exists but nobody serves
+        let client = RpcClient::new(&bus, "client");
+        let timeouts = || bus.obs().snapshot().counter("net.rpc.timeouts");
+        let before = timeouts();
+        let r = client.call("server", b"x".to_vec(), Duration::from_millis(50));
+        assert_eq!(r, Err(NetError::Timeout));
+        assert_eq!(timeouts() - before, 1);
     }
 
     #[test]

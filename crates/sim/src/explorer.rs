@@ -19,14 +19,12 @@ use crate::node::{ServerFactory, ServerNodeSim};
 use crate::oracle::{metrics_conservation, store_self_checks, EffectLedger, ReplyMatcher};
 use crate::script::{point_name, FaultEvent, FaultScript, PartitionDirection};
 use rrq_check::protocol::Conformance;
-use rrq_core::api::QmApi;
 use rrq_core::clerk::{Clerk, ClerkConfig, SendMode};
 use rrq_core::client::ReplyProcessor;
 use rrq_core::error::CoreError;
 use rrq_core::remote::{QmRpcServer, RemoteQm};
 use rrq_core::request::Reply;
 use rrq_core::rid::Rid;
-use rrq_core::route::RoutedQm;
 use rrq_core::server::{Server, ServerConfig};
 use rrq_net::rpc::ServerGuard;
 use rrq_net::{FaultPlan, NetworkBus};
@@ -87,10 +85,11 @@ pub struct ExplorerConfig {
     pub bug: Option<InjectedBug>,
     /// Where failing scripts are persisted as replayable files.
     pub out_dir: Option<PathBuf>,
-    /// Shared-nothing repository partitions (DESIGN.md S25). Above one, the
-    /// node serves one RPC endpoint per partition, the clerk routes through
-    /// [`RoutedQm`], `repo-crash` events strike a single partition's
-    /// devices, and `part-partition` events cut one endpoint's link only.
+    /// Shared-nothing repository partitions (DESIGN.md S25). The node
+    /// serves one RPC endpoint per partition and the clerk's [`RemoteQm`]
+    /// holds one link to each; above one partition, `repo-crash` events
+    /// strike a single partition's devices, and `part-partition` events cut
+    /// one endpoint's link only.
     /// `None` runs a single script on one partition and lets a sweep choose
     /// per seed ([`sweep_partitions`]).
     pub repo_partitions: Option<usize>,
@@ -190,7 +189,8 @@ fn qm_ep(p: usize) -> String {
 
 /// Client-side endpoint used to talk to partition `p`. Distinct per
 /// partition because [`NetworkBus::endpoint`] replaces any existing sender
-/// registered under a name — each `RemoteQm` needs its own reply mailbox.
+/// registered under a name — each of the `RemoteQm`'s links needs its own
+/// reply mailbox.
 fn client_ep(p: usize) -> String {
     if p == 0 {
         CLIENT_EP.to_string()
@@ -203,33 +203,17 @@ fn make_clerk(bus: &NetworkBus, parts: usize) -> Clerk {
     let mut cfg = ClerkConfig::new(CLIENT_ID, REQ_QUEUE);
     cfg.receive_block = RECEIVE_BLOCK;
     cfg.send_mode = SendMode::Acked;
-    let api: Arc<dyn QmApi> = if parts <= 1 {
-        let mut api = RemoteQm::new(bus, CLIENT_EP, QM_EP);
-        api.set_rpc_timeout(RPC_TIMEOUT);
-        Arc::new(api)
-    } else {
-        let apis: Vec<Arc<dyn QmApi>> = (0..parts)
-            .map(|p| {
-                let mut api = RemoteQm::new(bus, &client_ep(p), &qm_ep(p));
-                api.set_rpc_timeout(RPC_TIMEOUT);
-                Arc::new(api) as Arc<dyn QmApi>
-            })
-            .collect();
-        Arc::new(RoutedQm::new(apis))
-    };
-    Clerk::new(api, cfg)
+    let links: Vec<(String, String)> = (0..parts).map(|p| (client_ep(p), qm_ep(p))).collect();
+    let mut api = RemoteQm::partitioned(bus, &links);
+    api.set_rpc_timeout(RPC_TIMEOUT);
+    Clerk::new(Arc::new(api), cfg)
 }
 
-/// Serve the repository over RPC: one endpoint for the whole node at one
-/// partition, one scope-checked endpoint per partition above that.
+/// Serve the repository over RPC: one scope-checked endpoint per partition.
 fn spawn_rpc(bus: &NetworkBus, repo: Arc<Repository>, parts: usize) -> Vec<ServerGuard> {
-    if parts <= 1 {
-        vec![QmRpcServer::spawn(bus, QM_EP, repo)]
-    } else {
-        (0..parts)
-            .map(|p| QmRpcServer::spawn_partition(bus, &qm_ep(p), Arc::clone(&repo), p))
-            .collect()
-    }
+    (0..parts)
+        .map(|p| QmRpcServer::spawn_partition(bus, &qm_ep(p), Arc::clone(&repo), p))
+        .collect()
 }
 
 /// A failed client operation: trace it, and spend one unit of the active

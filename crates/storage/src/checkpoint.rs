@@ -238,7 +238,7 @@ pub fn load_chain(disk: &dyn Disk) -> StorageResult<CheckpointChain> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
+    use crate::disk::SimDisk;
 
     fn tree<const N: usize>(pairs: [(&[u8], &[u8]); N]) -> Tree {
         pairs
@@ -257,7 +257,7 @@ mod tests {
 
     /// `load_chain` refuses `device` as corrupt and leaves it as it was.
     fn assert_corrupt(device: Vec<u8>, what: &str) {
-        let d = MemDisk::new();
+        let d = SimDisk::new();
         d.reset(device.clone()).unwrap();
         let err = load_chain(&d).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{what}: {err}");
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn base_roundtrip() {
-        let d = MemDisk::new();
+        let d = SimDisk::new();
         let m = sample();
         let segment = Segment::base(&m);
         let mark = segment.mark();
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn empty_device_loads_empty_chain() {
-        let d = MemDisk::new();
+        let d = SimDisk::new();
         let chain = load_chain(&d).unwrap();
         assert!(chain.mem.is_empty());
         assert_eq!(chain.mark, ChainMark::default());
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn new_base_replaces_previous_chain() {
-        let d = MemDisk::new();
+        let d = SimDisk::new();
         Segment::base(&sample()).write(&d).unwrap();
         let m2 = tree([(b"only", b"one")]);
         Segment::base(&m2).write(&d).unwrap();
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn empty_tree_roundtrips() {
-        let d = MemDisk::new();
+        let d = SimDisk::new();
         Segment::base(&Tree::new()).write(&d).unwrap();
         let chain = load_chain(&d).unwrap();
         assert!(chain.mem.is_empty());
@@ -366,7 +366,7 @@ mod tests {
     fn values_longer_than_a_window_stream_through() {
         let big = vec![7u8; SCAN_WINDOW * 2 + 5];
         let m = tree([(b"a", b"x"), (b"b", &big), (b"c", b"y"), (b"d", &big)]);
-        let d = MemDisk::new();
+        let d = SimDisk::new();
         Segment::base(&m).write(&d).unwrap();
         let chain = load_chain(&d).unwrap();
         assert_eq!(chain.mark.end, d.len());

@@ -33,8 +33,8 @@ pub struct DiskStats {
 /// An append-only stable-storage device.
 ///
 /// The log and checkpoint stores are both built on this narrow interface so
-/// that the crash-simulating [`SimDisk`] and the plain [`MemDisk`] are
-/// interchangeable.
+/// that the crash-simulating [`SimDisk`] and the sync-charging
+/// [`LatencyDisk`] are interchangeable.
 pub trait Disk: Send + Sync {
     /// Append bytes, returning the offset at which they begin.
     ///
@@ -68,74 +68,6 @@ pub trait Disk: Send + Sync {
 
     /// Snapshot of the device's I/O counters.
     fn stats(&self) -> DiskStats;
-}
-
-#[derive(Debug, Default)]
-struct MemInner {
-    data: Vec<u8>,
-    stats: DiskStats,
-}
-
-/// A trivially durable in-memory device: every append is immediately stable.
-///
-/// Useful for benchmarks that want storage cost without crash modelling.
-#[derive(Debug, Clone, Default)]
-pub struct MemDisk {
-    inner: Arc<Mutex<MemInner>>,
-}
-
-impl MemDisk {
-    /// Create an empty device.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Disk for MemDisk {
-    fn append(&self, data: &[u8]) -> StorageResult<u64> {
-        let mut g = self.inner.lock();
-        let off = g.data.len() as u64;
-        g.data.extend_from_slice(data);
-        g.stats.appends += 1;
-        g.stats.bytes_appended += data.len() as u64;
-        Ok(off)
-    }
-
-    fn read(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
-        let mut g = self.inner.lock();
-        g.stats.reads += 1;
-        let size = g.data.len() as u64;
-        let end = offset
-            .checked_add(len as u64)
-            .filter(|&e| e <= size)
-            .ok_or(StorageError::OutOfBounds { offset, len, size })?;
-        Ok(g.data[offset as usize..end as usize].to_vec())
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.lock().data.len() as u64
-    }
-
-    fn sync(&self) -> StorageResult<()> {
-        self.inner.lock().stats.syncs += 1;
-        Ok(())
-    }
-
-    fn reset(&self, contents: Vec<u8>) -> StorageResult<()> {
-        let mut g = self.inner.lock();
-        g.data = contents;
-        Ok(())
-    }
-
-    fn truncate(&self, len: u64) -> StorageResult<()> {
-        let len = usize::try_from(len).unwrap_or(usize::MAX);
-        self.inner.lock().data.truncate(len);
-        Ok(())
-    }
-
-    fn stats(&self) -> DiskStats {
-        self.inner.lock().stats
-    }
 }
 
 /// How a crash treats the volatile (unsynced) tail of the device.
@@ -484,24 +416,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memdisk_append_read_roundtrip() {
-        let d = MemDisk::new();
-        let off = d.append(b"hello").unwrap();
-        assert_eq!(off, 0);
-        let off2 = d.append(b"world").unwrap();
-        assert_eq!(off2, 5);
-        assert_eq!(d.read(0, 10).unwrap(), b"helloworld");
+    fn simdisk_append_read_roundtrip() {
+        let d = SimDisk::new();
+        assert_eq!(d.append(b"hello").unwrap(), 0);
+        d.sync().unwrap();
+        // An append's offset counts the durable and the volatile bytes.
+        assert_eq!(d.append(b"world").unwrap(), 5);
+        assert_eq!(d.append(b"!").unwrap(), 10);
+        assert_eq!(d.read(0, 11).unwrap(), b"helloworld!");
         assert_eq!(d.read(5, 5).unwrap(), b"world");
     }
 
     #[test]
-    fn memdisk_out_of_bounds_read() {
-        let d = MemDisk::new();
-        d.append(b"abc").unwrap();
-        assert!(matches!(
-            d.read(2, 5),
-            Err(StorageError::OutOfBounds { .. })
-        ));
+    fn simdisk_out_of_bounds_read() {
+        let d = SimDisk::new();
+        d.append(b"ab").unwrap();
+        d.sync().unwrap();
+        d.append(b"c").unwrap();
+        for (offset, len) in [(2, 5), (4, 0), (u64::MAX, 1)] {
+            assert_eq!(
+                d.read(offset, len),
+                Err(StorageError::OutOfBounds {
+                    offset,
+                    len,
+                    size: 3
+                })
+            );
+        }
+        assert_eq!(d.read(3, 0).unwrap(), b"");
     }
 
     #[test]
@@ -610,18 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn memdisk_truncate_cuts_in_place() {
-        let d = MemDisk::new();
-        d.append(b"keep|drop").unwrap();
-        d.truncate(4).unwrap();
-        assert_eq!(d.len(), 4);
-        assert_eq!(d.read(0, 4).unwrap(), b"keep");
-        d.truncate(99).unwrap();
-        assert_eq!(d.len(), 4, "a cut past the end changes nothing");
-        assert_eq!(d.append(b"!").unwrap(), 4, "appends resume at the cut");
-    }
-
-    #[test]
     fn simdisk_truncate_cuts_durable_and_volatile() {
         let d = SimDisk::new();
         d.append(b"durable").unwrap();
@@ -641,6 +571,19 @@ mod tests {
         assert_eq!(d.len(), 3);
         d.fail();
         assert_eq!(d.truncate(0), Err(StorageError::DeviceFailed));
+    }
+
+    #[test]
+    fn simdisk_truncate_then_append_resumes_at_the_cut() {
+        let d = SimDisk::new();
+        d.append(b"keep|drop").unwrap();
+        d.truncate(4).unwrap();
+        assert_eq!(d.len(), 4);
+        assert_eq!(d.read(0, 4).unwrap(), b"keep");
+        d.truncate(99).unwrap();
+        assert_eq!(d.len(), 4, "a cut past the end changes nothing");
+        assert_eq!(d.append(b"!").unwrap(), 4, "appends resume at the cut");
+        assert_eq!(d.read(0, 5).unwrap(), b"keep!");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod recovery;
 pub mod wal;
 
 pub use checkpoint::{load_chain, CheckpointChain};
-pub use disk::{Disk, LatencyDisk, MemDisk, SimDisk};
+pub use disk::{Disk, LatencyDisk, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use group_commit::{GroupCommit, GroupCommitStats};
 pub use kv::{KvStore, KvTxn, WriteOp};

@@ -442,12 +442,12 @@ proptest! {
         ),
     ) {
         use rrq_storage::checkpoint::{load_chain, Segment, Tree};
-        use rrq_storage::disk::{Disk, MemDisk};
+        use rrq_storage::disk::Disk;
         let mut want = Tree::new();
         for (k, v) in entries {
             want.insert(k, v);
         }
-        let disk = MemDisk::new();
+        let disk = SimDisk::new();
         Segment::base(&want).write(&disk).unwrap();
         let chain = load_chain(&disk).unwrap();
         prop_assert_eq!(chain.mark.end, disk.len());

@@ -1,5 +1,6 @@
 //! Property-based verification: for ANY crash schedule over the Fig 1
-//! states, the three §3 guarantees hold with a testable device.
+//! states, the three §3 guarantees hold with a testable device — on every
+//! clerk↔QM transport.
 
 use proptest::prelude::*;
 use rrq_core::device::TicketPrinter;
@@ -7,7 +8,7 @@ use rrq_core::rid::Rid;
 use rrq_core::server::spawn_pool;
 use rrq_sim::driver::{ClientCrashDriver, CrashPoint};
 use rrq_sim::oracle::EffectLedger;
-use rrq_tests::{echo_handler, local_clerk, repo_with_queues};
+use rrq_tests::{echo_handler, Served, Transport};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
@@ -34,36 +35,40 @@ proptest! {
             .filter_map(|(i, p)| p.map(|p| (i as u64 + 1, p)))
             .collect();
 
-        let client = "pc";
-        let repo = repo_with_queues(&format!("prop-{n}-{}", schedule.len()), client);
-        let handler = EffectLedger::instrument(echo_handler());
-        let (_servers, handles, stop) = spawn_pool(&repo, "req", 2, handler).unwrap();
+        for transport in Transport::ALL {
+            let client = "pc";
+            let name = format!("prop-{n}-{}-{transport:?}", schedule.len());
+            let served = Served::new(&name, client, transport);
+            let repo = &served.repo;
+            let handler = EffectLedger::instrument(echo_handler());
+            let (_servers, handles, stop) = spawn_pool(repo, "req", 2, handler).unwrap();
 
-        let driver = ClientCrashDriver::new(|| local_clerk(&repo, client), "echo");
-        let mut printer = TicketPrinter::new();
-        let report = driver
-            .run(
-                n,
-                |s| schedule.get(&s).copied(),
-                |s| s.to_le_bytes().to_vec(),
-                &mut printer,
-            )
-            .unwrap();
+            let driver = ClientCrashDriver::new(|| served.clerk(client), "echo");
+            let mut printer = TicketPrinter::new();
+            let report = driver
+                .run(
+                    n,
+                    |s| schedule.get(&s).copied(),
+                    |s| s.to_le_bytes().to_vec(),
+                    &mut printer,
+                )
+                .unwrap();
 
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
+            stop.store(true, Ordering::Relaxed);
+            for h in handles {
+                h.join().unwrap();
+            }
+
+            // At-least-once reply processing: every request completed.
+            prop_assert_eq!(report.completed, n, "{:?}", transport);
+            // Exactly-once request processing.
+            let expected: Vec<Rid> = (1..=n).map(|s| Rid::new(client, s)).collect();
+            let violations = EffectLedger::violations(repo, &expected).unwrap();
+            prop_assert!(violations.is_empty(), "{:?}: {:?}", transport, violations);
+            // Exactly-once reply processing with the testable device.
+            prop_assert!(!printer.has_duplicate_prints(), "{:?}", transport);
+            // Every ticket printed corresponds to a real request, in order.
+            prop_assert_eq!(printer.printed().len() as u64, n, "{:?}", transport);
         }
-
-        // At-least-once reply processing: every request completed.
-        prop_assert_eq!(report.completed, n);
-        // Exactly-once request processing.
-        let expected: Vec<Rid> = (1..=n).map(|s| Rid::new(client, s)).collect();
-        let violations = EffectLedger::violations(&repo, &expected).unwrap();
-        prop_assert!(violations.is_empty(), "{:?}", violations);
-        // Exactly-once reply processing with the testable device.
-        prop_assert!(!printer.has_duplicate_prints());
-        // Every ticket printed corresponds to a real request, in order.
-        prop_assert_eq!(printer.printed().len() as u64, n);
     }
 }
