@@ -31,6 +31,12 @@ echo "== cargo test, debug build (storage + queue manager + core)"
 # codec (core).
 cargo test -q -p rrq-storage -p rrq-qm -p rrq-core
 
+echo "== examples (each asserts its own outcome)"
+# `cargo test` compiles examples/ but runs none of them.
+for ex in quickstart fault_drill funds_transfer interactive_booking batch_orders; do
+  cargo run -q --release --example "$ex" > /dev/null
+done
+
 echo "== parking_lot shim tests (spin-then-park locks, counted condvar waiters)"
 # vendor/ is in the workspace `exclude`, so the workspace test run never
 # reaches the shims; every lock in the workspace goes through this one.

@@ -4,7 +4,9 @@
 //! durable state of its own. At recovery time it reconstructs where it left
 //! off from the rids the system returns at `Connect`, then decides — exactly
 //! per Fig 2 — whether to receive an outstanding reply, whether to reprocess
-//! (rereceive) the last reply, or to proceed with new work.
+//! (rereceive) the last reply, or to proceed with new work. This is the one
+//! copy of that decision: `rrq-sim`'s crash driver and explorer run
+//! [`ClientRuntime`] step by step and crash it between the steps.
 //!
 //! Reply processing is delegated to a [`ReplyProcessor`], which is "just
 //! another resource manager" from the protocol's point of view (§2): it
@@ -61,21 +63,22 @@ pub enum ResyncAction {
     },
 }
 
-/// The Fig 2 client program, one request at a time.
+/// The Fig 2 client program, one request at a time, in the steps a crash
+/// can fall between: [`Clerk::connect`], [`ClientRuntime::resync`], then per
+/// request [`ClientRuntime::send`], [`ClientRuntime::receive`] and the
+/// processor's `process`. [`ClientRuntime::resume`] and
+/// [`ClientRuntime::submit`] run the steps back to back.
 pub struct ClientRuntime {
     clerk: Clerk,
     next_serial: u64,
-    client_id: String,
 }
 
 impl ClientRuntime {
     /// Wrap a clerk. Call [`ClientRuntime::resume`] before submitting work.
     pub fn new(clerk: Clerk) -> Self {
-        let client_id = clerk.config().client_id.clone();
         ClientRuntime {
             clerk,
             next_serial: 1,
-            client_id,
         }
     }
 
@@ -84,67 +87,73 @@ impl ClientRuntime {
         &self.clerk
     }
 
-    /// Connect and run the Fig 2 lines 2–11 resynchronization against the
-    /// reply processor. Returns what was done. After this, the runtime is
+    /// Connect, then [`ClientRuntime::resync`]. After this, the runtime is
     /// ready for [`ClientRuntime::submit`].
     pub fn resume(&mut self, processor: &mut dyn ReplyProcessor) -> CoreResult<ResyncAction> {
-        let info: ConnectInfo = self.clerk.connect()?;
-        if let Some(s) = &info.s_rid {
-            self.next_serial = s.serial + 1;
-        }
-        match (&info.s_rid, &info.r_rid) {
-            (None, _) => Ok(ResyncAction::Fresh),
-            (Some(s_rid), r_rid) if r_rid.as_ref() != Some(s_rid) => {
-                let _ = r_rid;
-                // Sent but reply not received: Receive it now.
-                let ckpt = processor.checkpoint();
-                let reply = self.clerk.receive(&ckpt)?;
-                if reply.rid != *s_rid {
-                    return Err(CoreError::Protocol(format!(
-                        "request-reply mismatch: expected {}, got {}",
-                        s_rid, reply.rid
-                    )));
-                }
-                processor.process(s_rid, &reply);
-                Ok(ResyncAction::ReceivedOutstanding {
-                    rid: s_rid.clone(),
-                    reply,
-                })
-            }
-            (Some(s_rid), _) => {
-                // Reply was received; was it processed?
-                if processor.already_processed(s_rid, info.ckpt.as_deref()) {
-                    Ok(ResyncAction::AlreadyProcessed { rid: s_rid.clone() })
-                } else {
-                    let reply = self.clerk.rereceive()?;
-                    processor.process(s_rid, &reply);
-                    Ok(ResyncAction::Reprocessed {
-                        rid: s_rid.clone(),
-                        reply,
-                    })
-                }
-            }
+        let info = self.clerk.connect()?;
+        self.resync(&info, processor)
+    }
+
+    /// Fig 2 lines 2–11, given what `Connect` returned: Receive the reply of
+    /// an outstanding request, or Rereceive the last reply unless the
+    /// processor proves it processed it, or do nothing. Every reply obtained
+    /// here is processed. Requests continue at the serial after `s-rid`.
+    pub fn resync(
+        &mut self,
+        info: &ConnectInfo,
+        processor: &mut dyn ReplyProcessor,
+    ) -> CoreResult<ResyncAction> {
+        let Some(rid) = info.s_rid.clone() else {
+            return Ok(ResyncAction::Fresh);
+        };
+        self.next_serial = rid.serial + 1;
+        if info.r_rid.as_ref() != Some(&rid) {
+            // Sent but reply not received: Receive it now.
+            let reply = self.receive(&rid, processor)?;
+            processor.process(&rid, &reply);
+            Ok(ResyncAction::ReceivedOutstanding { rid, reply })
+        } else if processor.already_processed(&rid, info.ckpt.as_deref()) {
+            Ok(ResyncAction::AlreadyProcessed { rid })
+        } else {
+            let reply = self.clerk.rereceive()?;
+            processor.process(&rid, &reply);
+            Ok(ResyncAction::Reprocessed { rid, reply })
         }
     }
 
-    /// Submit one request and process its reply: the Fig 2 main loop body.
+    /// `Send` the next request under a fresh rid, which it returns.
+    pub fn send(&mut self, op: &str, body: Vec<u8>) -> CoreResult<Rid> {
+        let rid = Rid::new(self.clerk.config().client_id.clone(), self.next_serial);
+        self.next_serial += 1;
+        self.clerk.send(op, body, rid.clone())?;
+        Ok(rid)
+    }
+
+    /// `Receive` the reply to `rid` under the processor's checkpoint, without
+    /// processing it. A reply for any other rid is
+    /// [`CoreError::ReplyMismatch`].
+    pub fn receive(&self, rid: &Rid, processor: &mut dyn ReplyProcessor) -> CoreResult<Reply> {
+        let ckpt = processor.checkpoint();
+        let reply = self.clerk.receive(&ckpt)?;
+        if reply.rid != *rid {
+            return Err(CoreError::ReplyMismatch {
+                expected: rid.clone(),
+                got: reply.rid,
+            });
+        }
+        Ok(reply)
+    }
+
+    /// Send one request, receive its reply and process it: the Fig 2 main
+    /// loop body.
     pub fn submit(
         &mut self,
         op: &str,
         body: Vec<u8>,
         processor: &mut dyn ReplyProcessor,
     ) -> CoreResult<(Rid, Reply)> {
-        let rid = Rid::new(self.client_id.clone(), self.next_serial);
-        self.next_serial += 1;
-        self.clerk.send(op, body, rid.clone())?;
-        let ckpt = processor.checkpoint();
-        let reply = self.clerk.receive(&ckpt)?;
-        if reply.rid != rid {
-            return Err(CoreError::Protocol(format!(
-                "request-reply mismatch: expected {rid}, got {}",
-                reply.rid
-            )));
-        }
+        let rid = self.send(op, body)?;
+        let reply = self.receive(&rid, processor)?;
         processor.process(&rid, &reply);
         Ok((rid, reply))
     }
@@ -175,6 +184,67 @@ mod tests {
             rid: Rid::new("c", 1),
         };
         assert_ne!(a, r);
+    }
+
+    /// A reply for another rid in the client's reply queue is a typed
+    /// mismatch, from the main loop's Receive and from resync's alike.
+    #[test]
+    fn a_reply_for_another_rid_is_a_reply_mismatch() {
+        use crate::api::{LocalQm, QmApi};
+        use crate::clerk::ClerkConfig;
+        use rrq_qm::ops::EnqueueOptions;
+        use rrq_qm::repository::Repository;
+        use rrq_storage::codec::Encode;
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        let repo = Arc::new(Repository::create("client-mismatch").unwrap());
+        repo.create_queue_defaults("req").unwrap();
+        repo.create_queue_defaults("reply.c1").unwrap();
+        let api = Arc::new(LocalQm::new(repo));
+        let stray = Rid::new("c1", 99);
+        let put_stray_reply = || {
+            let reply = Reply {
+                rid: stray.clone(),
+                status: ReplyStatus::Ok,
+                body: vec![],
+            };
+            api.enqueue(
+                "reply.c1",
+                "srv",
+                &reply.encode_to_vec(),
+                EnqueueOptions::default(),
+            )
+            .unwrap();
+        };
+        let runtime = || {
+            let mut cfg = ClerkConfig::new("c1", "req");
+            cfg.receive_block = Duration::from_millis(200);
+            ClientRuntime::new(Clerk::new(Arc::clone(&api) as Arc<dyn QmApi>, cfg))
+        };
+        let mut display = Display::new();
+        let mismatch = |expected: u64| CoreError::ReplyMismatch {
+            expected: Rid::new("c1", expected),
+            got: stray.clone(),
+        };
+
+        // Request 1 is outstanding when the client restarts.
+        let mut first = runtime();
+        assert_eq!(first.resume(&mut display).unwrap(), ResyncAction::Fresh);
+        assert_eq!(first.send("op", vec![]).unwrap(), Rid::new("c1", 1));
+        put_stray_reply();
+        let mut second = runtime();
+        let info = second.clerk().connect().unwrap();
+        assert_eq!(info.s_rid, Some(Rid::new("c1", 1)));
+        assert_eq!(second.resync(&info, &mut display), Err(mismatch(1)));
+
+        let rid = second.send("op", vec![]).unwrap();
+        put_stray_reply();
+        assert_eq!(second.receive(&rid, &mut display), Err(mismatch(2)));
+        assert!(
+            display.shown().is_empty(),
+            "a mismatched reply is not processed"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Core-layer errors.
 
+use crate::rid::Rid;
 use rrq_net::NetError;
 use rrq_qm::QmError;
 use rrq_storage::StorageError;
@@ -17,6 +18,14 @@ pub enum CoreError {
     /// Protocol misuse: e.g. `Send` while a request is outstanding — the
     /// Client Model offers requests one-at-a-time (§3).
     Protocol(String),
+    /// Request-reply matching failed: the reply received answers another
+    /// request (§3).
+    ReplyMismatch {
+        /// Rid of the request the reply should answer.
+        expected: Rid,
+        /// Rid the reply carries.
+        got: Rid,
+    },
     /// A reply (or request) failed to decode.
     Malformed(String),
     /// There is nothing to rereceive.
@@ -38,6 +47,9 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::NotConnected => write!(f, "client is not connected"),
             CoreError::Protocol(m) => write!(f, "protocol violation: {m}"),
+            CoreError::ReplyMismatch { expected, got } => {
+                write!(f, "request-reply mismatch: expected {expected}, got {got}")
+            }
             CoreError::Malformed(m) => write!(f, "malformed message: {m}"),
             CoreError::NoReply => write!(f, "no reply available to rereceive"),
             CoreError::TooLateToCancel => write!(f, "request already processed; cannot cancel"),

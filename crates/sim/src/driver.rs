@@ -1,23 +1,16 @@
-//! The client crash driver: the Fig 2 program with crashes injectable at
-//! every state of the Fig 1 state-transition diagram.
+//! The client crash driver: the Fig 2 program ([`ClientRuntime`]) with
+//! crashes injectable at every state of the Fig 1 state-transition diagram.
 //!
 //! A "crash" abandons the clerk instance (its in-memory state is lost — the
-//! process died) and starts a new incarnation, which must resynchronize via
-//! `Connect` exactly as Fig 2 lines 2–11 prescribe. The physical device (the
+//! process died) and starts a new incarnation, which resynchronizes through
+//! [`ClientRuntime::resume`] (Fig 2 lines 2–11). The physical device (the
 //! [`rrq_core::client::ReplyProcessor`]) survives, like a real printer
 //! would.
 
 use rrq_core::clerk::Clerk;
-use rrq_core::client::ReplyProcessor;
+use rrq_core::client::{ClientRuntime, ReplyProcessor, ResyncAction};
 use rrq_core::error::{CoreError, CoreResult};
-use rrq_core::rid::Rid;
-use rrq_core::server::HandlerError;
 use std::collections::HashSet;
-
-/// Make a handler abort-error (helper shared with the oracles).
-pub fn abort_err(msg: String) -> HandlerError {
-    HandlerError::Abort(msg)
-}
 
 /// Where in the request lifecycle the client process dies (Fig 1 states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,10 +42,10 @@ pub struct DriverReport {
 }
 
 /// Drives one client identity through `n_requests` sequential requests,
-/// crashing according to the schedule.
+/// crashing according to the schedule. Each incarnation is a fresh
+/// [`ClientRuntime`]; crashes fall between its steps.
 pub struct ClientCrashDriver<F: Fn() -> Clerk> {
     make_clerk: F,
-    client_id: String,
     op: String,
 }
 
@@ -60,12 +53,8 @@ impl<F: Fn() -> Clerk> ClientCrashDriver<F> {
     /// `make_clerk` builds the clerk of a fresh process incarnation (same
     /// client id each time).
     pub fn new(make_clerk: F, op: impl Into<String>) -> Self {
-        let clerk = make_clerk();
-        let client_id = clerk.config().client_id.clone();
-        drop(clerk);
         ClientCrashDriver {
             make_clerk,
-            client_id,
             op: op.into(),
         }
     }
@@ -93,58 +82,28 @@ impl<F: Fn() -> Clerk> ClientCrashDriver<F> {
                     "crash driver livelocked: too many incarnations".into(),
                 ));
             }
-            let clerk = (self.make_clerk)();
-            let info = clerk.connect()?;
-
-            // --- Fig 2 resynchronization ---
-            let mut serial_done = 0u64; // highest serial fully processed
-            match (&info.s_rid, &info.r_rid) {
-                (None, _) => {}
-                (Some(s), r) if r.as_ref() != Some(s) => {
-                    // Request outstanding, reply never received.
-                    let ckpt = processor.checkpoint();
-                    let reply = clerk.receive(&ckpt)?;
-                    if reply.rid != *s {
-                        return Err(CoreError::Protocol(format!(
-                            "resync mismatch: {s} vs {}",
-                            reply.rid
-                        )));
-                    }
-                    processor.process(s, &reply);
+            let mut client = ClientRuntime::new((self.make_clerk)());
+            match client.resume(processor)? {
+                ResyncAction::Fresh => {}
+                ResyncAction::ReceivedOutstanding { .. } => {
                     report.resync_received += 1;
                     report.completed += 1;
-                    serial_done = s.serial;
                 }
-                (Some(s), _) => {
-                    if processor.already_processed(s, info.ckpt.as_deref()) {
-                        report.resync_already_processed += 1;
-                    } else {
-                        let reply = clerk.rereceive()?;
-                        processor.process(s, &reply);
-                        report.resync_reprocessed += 1;
-                        report.completed += 1;
-                    }
-                    serial_done = s.serial;
+                ResyncAction::AlreadyProcessed { .. } => report.resync_already_processed += 1,
+                ResyncAction::Reprocessed { .. } => {
+                    report.resync_reprocessed += 1;
+                    report.completed += 1;
                 }
             }
 
-            // --- main loop ---
-            let mut serial = serial_done + 1;
-            while serial <= n_requests {
+            while client.next_serial() <= n_requests {
+                let serial = client.next_serial();
                 let crash = schedule(serial).filter(|p| injected.insert((serial, *p)));
-                let rid = Rid::new(self.client_id.clone(), serial);
-                clerk.send(&self.op, body(serial), rid.clone())?;
+                let rid = client.send(&self.op, body(serial))?;
                 if crash == Some(CrashPoint::AfterSend) {
                     continue 'incarnation; // process dies
                 }
-                let ckpt = processor.checkpoint();
-                let reply = clerk.receive(&ckpt)?;
-                if reply.rid != rid {
-                    return Err(CoreError::Protocol(format!(
-                        "mismatch: sent {rid}, got reply for {}",
-                        reply.rid
-                    )));
-                }
+                let reply = client.receive(&rid, processor)?;
                 if crash == Some(CrashPoint::AfterReceive) {
                     continue 'incarnation; // reply received, never processed
                 }
@@ -153,9 +112,8 @@ impl<F: Fn() -> Clerk> ClientCrashDriver<F> {
                 if crash == Some(CrashPoint::AfterProcess) {
                     continue 'incarnation;
                 }
-                serial += 1;
             }
-            clerk.disconnect()?;
+            client.disconnect()?;
             return Ok(report);
         }
     }

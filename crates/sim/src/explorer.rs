@@ -1,7 +1,8 @@
 //! The deterministic fault-schedule explorer.
 //!
-//! Runs the bank workload through the full client↔QM stack — clerk over RPC
-//! over the fault-injectable bus, against a crash-restartable server node —
+//! Runs the bank workload through the full client↔QM stack — a
+//! [`ClientRuntime`] whose clerk speaks RPC over the fault-injectable bus,
+//! against a crash-restartable server node —
 //! under one [`FaultScript`], then checks the entire oracle battery:
 //! exactly-once request processing ([`EffectLedger`]), request/reply
 //! matching and reply multiplicity ([`ReplyMatcher`]), money conservation,
@@ -20,7 +21,7 @@ use crate::oracle::{metrics_conservation, store_self_checks, EffectLedger, Reply
 use crate::script::{point_name, FaultEvent, FaultScript, PartitionDirection};
 use rrq_check::protocol::Conformance;
 use rrq_core::clerk::{Clerk, ClerkConfig, SendMode};
-use rrq_core::client::ReplyProcessor;
+use rrq_core::client::{ClientRuntime, ReplyProcessor, ResyncAction};
 use rrq_core::error::CoreError;
 use rrq_core::remote::{QmRpcServer, RemoteQm};
 use rrq_core::request::Reply;
@@ -60,13 +61,13 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Deliberate protocol bugs the explorer can inject into its own client
-/// loop, to prove the oracles (and the shrinker) actually bite.
+/// Deliberate bugs the explorer can inject, to prove the oracles (and the
+/// shrinker) actually bite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedBug {
-    /// During resynchronization, when the last reply was received but cannot
-    /// be proven processed, skip the Rereceive and assume it was — breaking
-    /// at-least-once reply processing (§3's central obligation).
+    /// The device claims every reply already processed, so resynchronization
+    /// skips the Rereceive of a reply that was received but never processed
+    /// — breaking at-least-once reply processing (§3's central obligation).
     SkipRereceive,
     /// Double every `qm.enqueue.committed` increment (an accounting bug in
     /// the instrumentation layer, not the protocol) — client-invisible, so
@@ -156,10 +157,16 @@ fn expected_balances(cfg: &ExplorerConfig, n_requests: u64) -> Vec<i64> {
 struct CountingProcessor {
     processed: u64,
     matcher: Arc<ReplyMatcher>,
+    /// [`InjectedBug::SkipRereceive`]: `already_processed` always says yes.
+    lies: bool,
+    /// The clerk call the device waits on, named for the trace: a Receive
+    /// follows `checkpoint`, a Rereceive may follow `already_processed`.
+    awaiting: &'static str,
 }
 
 impl ReplyProcessor for CountingProcessor {
     fn checkpoint(&mut self) -> Vec<u8> {
+        self.awaiting = "receive";
         self.processed.to_le_bytes().to_vec()
     }
 
@@ -169,11 +176,12 @@ impl ReplyProcessor for CountingProcessor {
     }
 
     fn already_processed(&mut self, _rid: &Rid, ckpt: Option<&[u8]>) -> bool {
+        self.awaiting = "rereceive";
         let at = ckpt
             .and_then(|c| c.try_into().ok())
             .map(u64::from_le_bytes)
             .unwrap_or(0);
-        self.processed > at
+        self.lies || self.processed > at
     }
 }
 
@@ -216,27 +224,51 @@ fn spawn_rpc(bus: &NetworkBus, repo: Arc<Repository>, parts: usize) -> Vec<Serve
         .collect()
 }
 
-/// A failed client operation: trace it, and spend one unit of the active
-/// partition's outage budget (healing every cut when the budget runs out, so
-/// every script terminates).
-fn op_failed(
-    trace: &mut Vec<String>,
-    outage: &mut Option<u32>,
-    faults: &FaultPlan,
+/// The client's links to the node's partition endpoints, and the outage
+/// budget of the cuts on them.
+struct Links<'a> {
+    faults: &'a FaultPlan,
     parts: usize,
-    op: &str,
-    serial: u64,
-    e: &CoreError,
-) {
-    trace.push(format!("{op} {serial} err={e}"));
-    if let Some(remaining) = outage.as_mut() {
-        *remaining = remaining.saturating_sub(1);
-        if *remaining == 0 {
-            for p in 0..parts {
-                faults.heal_pair(&client_ep(p), &qm_ep(p));
+    /// Failed operations left before every cut heals.
+    outage: Option<u32>,
+}
+
+impl Links<'_> {
+    /// Cut partition `p`'s link in `direction` for at least `ops` failed
+    /// operations.
+    fn cut(&mut self, p: usize, direction: PartitionDirection, ops: u32) {
+        let (c, q) = (client_ep(p), qm_ep(p));
+        match direction {
+            PartitionDirection::ClientToQm => self.faults.partition(&c, &q),
+            PartitionDirection::QmToClient => self.faults.partition(&q, &c),
+            PartitionDirection::Both => self.faults.partition_pair(&c, &q),
+        }
+        self.outage = Some(self.outage.map_or(ops, |r| r.max(ops)));
+    }
+
+    /// Delay every link, both ways.
+    fn delay(&self, d: Duration) {
+        for p in 0..self.parts {
+            let (c, q) = (client_ep(p), qm_ep(p));
+            self.faults.set_delay(&c, &q, d);
+            self.faults.set_delay(&q, &c, d);
+        }
+    }
+
+    /// A failed client operation: trace it, and spend one unit of the
+    /// outage budget (healing every cut when the budget runs out, so every
+    /// script terminates).
+    fn failed(&mut self, trace: &mut Vec<String>, op: &str, serial: u64, e: &CoreError) {
+        trace.push(format!("{op} {serial} err={e}"));
+        if let Some(remaining) = self.outage.as_mut() {
+            *remaining = remaining.saturating_sub(1);
+            if *remaining == 0 {
+                for p in 0..self.parts {
+                    self.faults.heal_pair(&client_ep(p), &qm_ep(p));
+                }
+                self.outage = None;
+                trace.push("heal".into());
             }
-            *outage = None;
-            trace.push("heal".into());
         }
     }
 }
@@ -287,6 +319,8 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
     let mut processor = CountingProcessor {
         processed: 0,
         matcher: Arc::clone(&matcher),
+        lies: cfg.bug == Some(InjectedBug::SkipRereceive),
+        awaiting: "receive",
     };
 
     // Server names are unique per node incarnation: a thread killed
@@ -330,7 +364,11 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
     let mut rpc = spawn_rpc(&bus, node.repo(), parts);
 
     let mut events: Vec<(FaultEvent, bool)> = script.events.iter().map(|e| (*e, false)).collect();
-    let mut outage: Option<u32> = None;
+    let mut links = Links {
+        faults: bus.faults(),
+        parts,
+        outage: None,
+    };
     let mut delay_active = false;
     let mut incarnations = 0u64;
     // Every fault event costs a bounded number of extra incarnations
@@ -346,19 +384,11 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
             break 'incarnation;
         }
         trace.push(format!("incarnation {incarnations}"));
-        let clerk = make_clerk(&bus, parts);
-        let info = match clerk.connect() {
+        let mut client = ClientRuntime::new(make_clerk(&bus, parts));
+        let info = match client.clerk().connect() {
             Ok(i) => i,
             Err(e) => {
-                op_failed(
-                    &mut trace,
-                    &mut outage,
-                    bus.faults(),
-                    parts,
-                    "connect",
-                    0,
-                    &e,
-                );
+                links.failed(&mut trace, "connect", 0, &e);
                 continue 'incarnation;
             }
         };
@@ -367,73 +397,34 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
             info.s_rid.as_ref().map(|r| r.serial),
             info.r_rid.as_ref().map(|r| r.serial)
         ));
-
-        // --- Fig 2 resynchronization ---
-        let mut serial_done = 0u64;
-        match (&info.s_rid, &info.r_rid) {
-            (None, _) => {}
-            (Some(s), r) if r.as_ref() != Some(s) => {
-                // Request outstanding, reply never received.
-                let ckpt = processor.checkpoint();
-                match clerk.receive(&ckpt) {
-                    Ok(reply) => {
-                        if reply.rid != *s {
-                            violations.push(format!(
-                                "resync mismatch: outstanding {s}, reply for {}",
-                                reply.rid
-                            ));
-                            break 'incarnation;
-                        }
-                        processor.process(s, &reply);
-                        trace.push(format!("resync-received {}", s.serial));
-                        serial_done = s.serial;
-                    }
-                    Err(e) => {
-                        op_failed(
-                            &mut trace,
-                            &mut outage,
-                            bus.faults(),
-                            parts,
-                            "receive",
-                            s.serial,
-                            &e,
-                        );
-                        continue 'incarnation;
-                    }
-                }
+        match client.resync(&info, &mut processor) {
+            Ok(ResyncAction::Fresh) => {}
+            Ok(ResyncAction::ReceivedOutstanding { rid, .. }) => {
+                trace.push(format!("resync-received {}", rid.serial));
             }
-            (Some(s), _) => {
-                if processor.already_processed(s, info.ckpt.as_deref()) {
-                    trace.push(format!("resync-already-processed {}", s.serial));
-                } else if cfg.bug == Some(InjectedBug::SkipRereceive) {
-                    trace.push(format!("bug: skipped rereceive of {}", s.serial));
-                } else {
-                    match clerk.rereceive() {
-                        Ok(reply) => {
-                            processor.process(s, &reply);
-                            trace.push(format!("resync-reprocessed {}", s.serial));
-                        }
-                        Err(e) => {
-                            op_failed(
-                                &mut trace,
-                                &mut outage,
-                                bus.faults(),
-                                parts,
-                                "rereceive",
-                                s.serial,
-                                &e,
-                            );
-                            continue 'incarnation;
-                        }
-                    }
-                }
-                serial_done = s.serial;
+            Ok(ResyncAction::AlreadyProcessed { rid }) => {
+                trace.push(format!("resync-already-processed {}", rid.serial));
+            }
+            Ok(ResyncAction::Reprocessed { rid, .. }) => {
+                trace.push(format!("resync-reprocessed {}", rid.serial));
+            }
+            Err(CoreError::ReplyMismatch { expected, got }) => {
+                violations.push(format!(
+                    "resync mismatch: outstanding {expected}, reply for {got}"
+                ));
+                break 'incarnation;
+            }
+            Err(e) => {
+                // Only a resync with an `s-rid` makes a call that can fail.
+                let serial = info.s_rid.as_ref().map_or(0, |r| r.serial);
+                links.failed(&mut trace, processor.awaiting, serial, &e);
+                continue 'incarnation;
             }
         }
 
         // --- main request loop ---
-        let mut serial = serial_done + 1;
-        while serial <= script.n_requests {
+        while client.next_serial() <= script.n_requests {
+            let serial = client.next_serial();
             // Client crashes anchored to serials resync already finished can
             // never fire.
             for (ev, applied) in events.iter_mut() {
@@ -453,14 +444,8 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
                         *applied = true;
                         // A node-wide cut severs every partition's link.
                         for p in 0..parts {
-                            let (c, q) = (client_ep(p), qm_ep(p));
-                            match direction {
-                                PartitionDirection::ClientToQm => bus.faults().partition(&c, &q),
-                                PartitionDirection::QmToClient => bus.faults().partition(&q, &c),
-                                PartitionDirection::Both => bus.faults().partition_pair(&c, &q),
-                            }
+                            links.cut(p, direction, ops);
                         }
-                        outage = Some(outage.map_or(ops, |r| r.max(ops)));
                         trace.push(format!("partition {} ops={ops}", direction.name()));
                     }
                     FaultEvent::PartPartition {
@@ -474,13 +459,7 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
                         // of the cluster stays reachable, so only requests
                         // routed at the cut partition fail.
                         let p = part as usize % parts;
-                        let (c, q) = (client_ep(p), qm_ep(p));
-                        match direction {
-                            PartitionDirection::ClientToQm => bus.faults().partition(&c, &q),
-                            PartitionDirection::QmToClient => bus.faults().partition(&q, &c),
-                            PartitionDirection::Both => bus.faults().partition_pair(&c, &q),
-                        }
-                        outage = Some(outage.map_or(ops, |r| r.max(ops)));
+                        links.cut(p, direction, ops);
                         trace.push(format!(
                             "part-partition p{p} {} ops={ops}",
                             direction.name()
@@ -488,12 +467,7 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
                     }
                     FaultEvent::Delay { millis, .. } => {
                         *applied = true;
-                        let d = Duration::from_millis(millis);
-                        for p in 0..parts {
-                            let (c, q) = (client_ep(p), qm_ep(p));
-                            bus.faults().set_delay(&c, &q, d);
-                            bus.faults().set_delay(&q, &c, d);
-                        }
+                        links.delay(Duration::from_millis(millis));
                         delay_active = true;
                         trace.push(format!("delay {millis}ms"));
                     }
@@ -501,26 +475,17 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
                 }
             }
 
-            let rid = Rid::new(CLIENT_ID, serial);
-            match clerk.send(
-                "transfer",
-                transfer_for(serial, cfg.accounts).encode(),
-                rid.clone(),
-            ) {
-                Ok(()) => trace.push(format!("send {serial} ok")),
+            let body = transfer_for(serial, cfg.accounts).encode();
+            let rid = match client.send("transfer", body) {
+                Ok(rid) => {
+                    trace.push(format!("send {serial} ok"));
+                    rid
+                }
                 Err(e) => {
-                    op_failed(
-                        &mut trace,
-                        &mut outage,
-                        bus.faults(),
-                        parts,
-                        "send",
-                        serial,
-                        &e,
-                    );
+                    links.failed(&mut trace, "send", serial, &e);
                     continue 'incarnation;
                 }
-            }
+            };
             if fire_client_crash(&mut events, serial, CrashPoint::AfterSend, &mut trace) {
                 continue 'incarnation;
             }
@@ -573,54 +538,36 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
                 }
             }
 
-            let ckpt = processor.checkpoint();
-            match clerk.receive(&ckpt) {
-                Ok(reply) => {
-                    if reply.rid != rid {
-                        violations.push(format!(
-                            "reply mismatch: sent {rid}, got reply for {}",
-                            reply.rid
-                        ));
-                        break 'incarnation;
-                    }
-                    if fire_client_crash(&mut events, serial, CrashPoint::AfterReceive, &mut trace)
-                    {
-                        continue 'incarnation;
-                    }
-                    processor.process(&rid, &reply);
-                    trace.push(format!("recv {serial} ok"));
-                    if fire_client_crash(&mut events, serial, CrashPoint::AfterProcess, &mut trace)
-                    {
-                        continue 'incarnation;
-                    }
+            let reply = match client.receive(&rid, &mut processor) {
+                Ok(reply) => reply,
+                Err(CoreError::ReplyMismatch { expected, got }) => {
+                    violations.push(format!(
+                        "reply mismatch: sent {expected}, got reply for {got}"
+                    ));
+                    break 'incarnation;
                 }
                 Err(e) => {
-                    op_failed(
-                        &mut trace,
-                        &mut outage,
-                        bus.faults(),
-                        parts,
-                        "receive",
-                        serial,
-                        &e,
-                    );
+                    links.failed(&mut trace, "receive", serial, &e);
                     continue 'incarnation;
                 }
+            };
+            if fire_client_crash(&mut events, serial, CrashPoint::AfterReceive, &mut trace) {
+                continue 'incarnation;
+            }
+            processor.process(&rid, &reply);
+            trace.push(format!("recv {serial} ok"));
+            if fire_client_crash(&mut events, serial, CrashPoint::AfterProcess, &mut trace) {
+                continue 'incarnation;
             }
 
             if delay_active {
-                for p in 0..parts {
-                    let (c, q) = (client_ep(p), qm_ep(p));
-                    bus.faults().set_delay(&c, &q, Duration::ZERO);
-                    bus.faults().set_delay(&q, &c, Duration::ZERO);
-                }
+                links.delay(Duration::ZERO);
                 delay_active = false;
                 trace.push("delay cleared".into());
             }
-            serial += 1;
         }
 
-        match clerk.disconnect() {
+        match client.disconnect() {
             Ok(()) => trace.push("disconnect ok".into()),
             Err(e) => trace.push(format!("disconnect err={e}")),
         }

@@ -7,9 +7,11 @@
 //! processing "despite failures and recoveries". This crate makes those
 //! arguments executable:
 //!
-//! * [`driver::ClientCrashDriver`] runs the Fig 2 client program with crashes
-//!   injected at every protocol state of Fig 1 (after Send, after Receive
-//!   before processing, after processing) and reports how resynchronization
+//! * [`driver::ClientCrashDriver`] runs the Fig 2 client program — the
+//!   shipped [`rrq_core::client::ClientRuntime`], whose `resync` is the one
+//!   copy of Fig 2 lines 2–11 — with crashes injected between its steps at
+//!   every protocol state of Fig 1 (after Send, after Receive before
+//!   processing, after processing) and reports how resynchronization
 //!   resolved each one.
 //! * [`node::ServerNodeSim`] crash-restarts a whole server node — threads
 //!   stopped, unsynced storage lost, repository recovered from log — under
@@ -23,7 +25,8 @@
 //!   fault-schedule explorer: seeded [`script::FaultScript`]s composing
 //!   client crashes, server crashes with torn writes, partitions, and
 //!   delays; [`explorer::run_sweep`] runs the bank workload under each
-//!   script and checks the full oracle battery, with a reproducible trace
+//!   script, its client a `ClientRuntime` as well, and checks the full
+//!   oracle battery, with a reproducible trace
 //!   digest per script; [`shrink::shrink`] minimizes failing scripts into
 //!   replayable regression files.
 

@@ -1,16 +1,25 @@
 //! Correctness oracles for the paper's three guarantees (§3).
 
 use parking_lot::Mutex;
-use rrq_core::error::CoreResult;
+use rrq_core::error::{CoreError, CoreResult};
 use rrq_core::request::Reply;
 use rrq_core::rid::Rid;
-use rrq_core::server::{Handler, HandlerOutcome};
+use rrq_core::server::{Handler, HandlerError, HandlerOutcome};
 use rrq_qm::repository::Repository;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 fn effect_key(rid: &Rid) -> Vec<u8> {
     format!("oracle/effect/{}", rid.to_attr()).into_bytes()
+}
+
+/// An effect row's count: four little-endian bytes. A row of any other
+/// length is a corrupt ledger, reported by rid.
+fn effect_count(rid: &Rid, raw: Vec<u8>) -> Result<u32, String> {
+    let len = raw.len();
+    raw.try_into()
+        .map(u32::from_le_bytes)
+        .map_err(|_| format!("{rid} has a malformed effect row ({len} bytes)"))
 }
 
 /// Counts committed request-processing effects per rid, *inside* the request
@@ -26,23 +35,24 @@ impl EffectLedger {
         Arc::new(move |ctx, req| {
             let key = effect_key(&req.rid);
             let txn = ctx.txn.id().raw();
-            let count = ctx
+            let row = ctx
                 .store()
                 .get(Some(txn), &key)
-                .ok()
-                .flatten()
-                .map(|raw| u32::from_le_bytes(raw.try_into().unwrap_or([0; 4])))
-                .unwrap_or(0);
+                .map_err(|e| HandlerError::Abort(e.to_string()))?;
+            let count = match row {
+                Some(raw) => effect_count(&req.rid, raw).map_err(HandlerError::Abort)?,
+                None => 0,
+            };
             ctx.store()
                 .put(txn, &key, &(count + 1).to_le_bytes())
-                .map_err(|e| crate::driver::abort_err(e.to_string()))?;
+                .map_err(|e| HandlerError::Abort(e.to_string()))?;
             let out = inner(ctx, req)?;
             // Intermediate outputs of interactive requests legitimately
             // commit several transactions per rid; only count final effects.
             if matches!(out, HandlerOutcome::IntermediateReply { .. }) {
                 ctx.store()
                     .put(txn, &key, &count.to_le_bytes())
-                    .map_err(|e| crate::driver::abort_err(e.to_string()))?;
+                    .map_err(|e| HandlerError::Abort(e.to_string()))?;
             }
             Ok(out)
         })
@@ -50,7 +60,8 @@ impl EffectLedger {
 
     /// Committed effect counts per rid, aggregated across partition stores
     /// (a server counts effects on its home partition; one rid served from
-    /// several homes still sums to its true multiplicity).
+    /// several homes still sums to its true multiplicity). A malformed row is
+    /// [`CoreError::Malformed`] naming its rid.
     pub fn counts(repo: &Repository) -> CoreResult<HashMap<Rid, u32>> {
         let mut out = HashMap::new();
         for p in 0..repo.partitions() {
@@ -58,8 +69,8 @@ impl EffectLedger {
             for (k, v) in rows {
                 let rid_str = String::from_utf8_lossy(&k[b"oracle/effect/".len()..]).to_string();
                 if let Some(rid) = Rid::from_attr(&rid_str) {
-                    *out.entry(rid).or_insert(0) +=
-                        u32::from_le_bytes(v.try_into().unwrap_or([0; 4]));
+                    let n = effect_count(&rid, v).map_err(CoreError::Malformed)?;
+                    *out.entry(rid).or_insert(0) += n;
                 }
             }
         }
@@ -67,9 +78,13 @@ impl EffectLedger {
     }
 
     /// Assert exactly-once over `expected` rids: each has count exactly 1 —
-    /// and nothing unexpected was processed. Returns the violations.
+    /// and nothing unexpected was processed. Returns the violations; a
+    /// malformed row is one.
     pub fn violations(repo: &Repository, expected: &[Rid]) -> CoreResult<Vec<String>> {
-        let counts = Self::counts(repo)?;
+        let counts = match Self::counts(repo) {
+            Err(CoreError::Malformed(bad)) => return Ok(vec![bad]),
+            counts => counts?,
+        };
         let mut bad = Vec::new();
         for rid in expected {
             match counts.get(rid) {
@@ -256,6 +271,45 @@ pub fn metrics_conservation(
 mod tests {
     use super::*;
     use rrq_core::request::ReplyStatus;
+
+    /// A corrupt effect row must not read as zero: the attempt aborts, and
+    /// the ledger names the rid instead of reporting it exactly-once.
+    #[test]
+    fn a_malformed_effect_row_is_a_violation() {
+        use rrq_core::api::LocalQm;
+        use rrq_core::clerk::{Clerk, ClerkConfig};
+        use rrq_core::server::{Served, Server, ServerConfig};
+
+        let repo = Arc::new(Repository::create("oracle-malformed").unwrap());
+        repo.create_queue_defaults("req").unwrap();
+        repo.create_queue_defaults("reply.c1").unwrap();
+        let rid = Rid::new("c1", 1);
+        let store = repo.store();
+        store.begin(1).unwrap();
+        store.put(1, &effect_key(&rid), &[1, 0, 0]).unwrap();
+        store.commit(1).unwrap();
+
+        let clerk = Clerk::new(
+            Arc::new(LocalQm::new(Arc::clone(&repo))),
+            ClerkConfig::new("c1", "req"),
+        );
+        clerk.connect().unwrap();
+        clerk.send("echo", b"x".to_vec(), rid.clone()).unwrap();
+        let echo: Handler = Arc::new(|_ctx, req| Ok(HandlerOutcome::Reply(req.body.clone())));
+        let server = Server::new(
+            Arc::clone(&repo),
+            ServerConfig::new("s", "req"),
+            EffectLedger::instrument(echo),
+        )
+        .unwrap();
+        assert_eq!(server.run_once().unwrap(), Served::Aborted);
+
+        let violations = EffectLedger::violations(&repo, std::slice::from_ref(&rid)).unwrap();
+        assert!(
+            violations.iter().any(|v| v.contains(&rid.to_string())),
+            "{violations:?}"
+        );
+    }
 
     #[test]
     fn matcher_detects_mismatch_and_duplicates() {
