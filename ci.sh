@@ -23,13 +23,19 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --release
 
-echo "== cargo test, debug build (storage + queue manager + core)"
+echo "== cargo test, debug build (storage + queue manager + core + lock table)"
 # The tier-1 command as ROADMAP.md writes it is a debug build; the release
-# run above compiles `debug_assert!` out (record kinds, eid counters) and
-# turns overflow checks off. These crates own the byte formats: the log
-# format and the key layout (storage, queue manager) and the clerk↔QM call
-# codec (core).
-cargo test -q -p rrq-storage -p rrq-qm -p rrq-core
+# run above compiles `debug_assert!` out (record kinds, eid counters, every
+# encoder's exact `encoded_len`) and turns overflow checks off. These crates
+# own the byte formats: the log format and the key layout (storage, queue
+# manager) and the clerk↔QM call codec (core); the lock table's lock-order
+# tokens (txn) exist only in a debug build.
+cargo test -q -p rrq-storage -p rrq-qm -p rrq-core -p rrq-txn
+
+echo "== allocation budget, debug build (release ran it above)"
+# Allocator calls and body-sized allocations per send → run_once → receive
+# round trip, counted per thread by the test binary's own global allocator.
+cargo test -q -p rrq-tests --test alloc_budget
 
 echo "== examples (each asserts its own outcome)"
 # `cargo test` compiles examples/ but runs none of them.

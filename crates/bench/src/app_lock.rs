@@ -53,7 +53,7 @@ impl AppLockTable {
             Some(_) => Ok(true), // re-entrant for the same request
             None => {
                 self.store.put(txn, &key, rid.to_attr().as_bytes())?;
-                self.store.put(txn, &by_owner_key(rid, resource), b"")?;
+                self.store.put(txn, by_owner_key(rid, resource), b"")?;
                 Ok(true)
             }
         }
@@ -76,7 +76,7 @@ impl AppLockTable {
         let mut n = 0;
         for (k, _) in rows {
             let resource = String::from_utf8_lossy(&k[prefix_len..]).to_string();
-            self.store.delete(txn, &owner_key(&resource))?;
+            self.store.delete(txn, owner_key(&resource))?;
             self.store.delete(txn, &k)?;
             n += 1;
         }

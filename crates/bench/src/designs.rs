@@ -71,7 +71,7 @@ pub fn seed_accounts(repo: &Repository, n: usize) -> CoreResult<()> {
     let store = repo.store();
     store.begin(u64::MAX - 7)?;
     for i in 0..n {
-        store.put(u64::MAX - 7, &account_key(i), &1_000_000i64.to_le_bytes())?;
+        store.put(u64::MAX - 7, account_key(i), &1_000_000i64.to_le_bytes())?;
     }
     store.commit(u64::MAX - 7)?;
     Ok(())

@@ -18,7 +18,7 @@ use rrq_obs::{ClientEvent, Obs};
 use rrq_qm::element::Eid;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::registration::LastOp;
-use rrq_storage::codec::{Decode, Encode};
+use rrq_storage::codec::Encode;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -220,20 +220,22 @@ impl Clerk {
     /// stably stored.
     pub fn send(&self, op: &str, body: Vec<u8>, rid: Rid) -> CoreResult<()> {
         self.ensure_connected()?;
-        let request = Request::new(rid.clone(), self.cfg.reply_queue.clone(), op, body);
+        let request = Request::new(rid, self.cfg.reply_queue.clone(), op, body);
         self.send_request(request)
     }
 
     /// Send a pre-built request record (pipelines, interactive requests).
     pub fn send_request(&self, request: Request) -> CoreResult<()> {
         self.ensure_connected()?;
-        let rid = request.rid.clone();
         let payload = request.encode_to_vec();
+        let Request {
+            rid, reply_queue, ..
+        } = request;
         let opts = EnqueueOptions {
             priority: 0,
             attrs: vec![
                 ("rid".into(), rid.to_attr()),
-                ("reply_queue".into(), request.reply_queue.clone()),
+                ("reply_queue".into(), reply_queue),
             ],
             tag: Some(encode_send_tag(&rid)),
         };
@@ -274,29 +276,28 @@ impl Clerk {
     /// the previous Send's rid and the caller's checkpoint.
     pub fn receive(&self, ckpt: &[u8]) -> CoreResult<Reply> {
         self.ensure_connected()?;
-        let rid = self
-            .state
-            .lock()
-            .last_send_rid
-            .clone()
-            .ok_or_else(|| CoreError::Protocol("receive before any send".into()))?;
+        let tag = match &self.state.lock().last_send_rid {
+            Some(rid) => encode_receive_tag(rid, ckpt),
+            None => return Err(CoreError::Protocol("receive before any send".into())),
+        };
         let elem = self.note_net_failure(
             "receive",
             self.api.dequeue(
                 &self.cfg.reply_queue,
                 &self.cfg.client_id,
                 DequeueOptions {
-                    tag: Some(encode_receive_tag(&rid, ckpt)),
+                    tag: Some(tag),
                     block: Some(self.cfg.receive_block),
                     ..Default::default()
                 },
             ),
         )?;
+        let eid = elem.eid;
         let reply =
-            Reply::decode_all(&elem.payload).map_err(|e| CoreError::Malformed(e.to_string()))?;
+            Reply::from_payload(elem.payload).map_err(|e| CoreError::Malformed(e.to_string()))?;
         {
             let mut st = self.state.lock();
-            st.last_reply_eid = Some(elem.eid);
+            st.last_reply_eid = Some(eid);
             self.obs.counter_inc("core.clerk.receives");
             note_transition(&self.obs, &mut st);
         }
@@ -313,7 +314,7 @@ impl Clerk {
         let eid = self.state.lock().last_reply_eid.ok_or(CoreError::NoReply)?;
         let elem = self.note_net_failure("rereceive", self.api.read(eid))?;
         let reply =
-            Reply::decode_all(&elem.payload).map_err(|e| CoreError::Malformed(e.to_string()))?;
+            Reply::from_payload(elem.payload).map_err(|e| CoreError::Malformed(e.to_string()))?;
         self.obs.counter_inc("core.clerk.rereceives");
         self.event(|| ClientEvent::Rereceive {
             rid: reply.rid.to_attr(),

@@ -19,7 +19,7 @@ use rrq_qm::registration::Registration;
 use rrq_qm::repository::Repository;
 use rrq_qm::route::{partition_of, partition_of_eid};
 use rrq_qm::QmError;
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 use rrq_storage::{StorageError, StorageResult};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -131,6 +131,25 @@ impl Encode for Call {
             Call::Read(eid) => put::u64(op(buf, 5, None), eid.raw()),
             Call::Kill(eid) => put::u64(op(buf, 6, None), eid.raw()),
             Call::Depth(queue) => put::string(op(buf, 7, None), queue),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let handle = |h: &QueueHandle| len::bytes(h.queue.len()) + len::bytes(h.registrant.len());
+        1 + match self {
+            Call::Register(h, _) => handle(h) + 1,
+            Call::Deregister(h) => handle(h),
+            Call::Enqueue(h, payload, opts) => {
+                let attrs: usize = (opts.attrs.iter())
+                    .map(|(n, v)| len::bytes(n.len()) + len::bytes(v.len()))
+                    .sum();
+                handle(h) + len::bytes(payload.len()) + 1 + 4 + attrs + opts.tag.encoded_len()
+            }
+            Call::Dequeue(h, opts) => {
+                handle(h) + opts.tag.encoded_len() + opts.error_queue.encoded_len()
+            }
+            Call::Read(_) | Call::Kill(_) => 8,
+            Call::Depth(queue) => len::bytes(queue.len()),
         }
     }
 }
@@ -684,6 +703,45 @@ mod tests {
         }
         assert!(Call::decode_all(&[0]).is_err(), "no opcode 0");
         assert!(Call::decode_all(&[8]).is_err(), "no opcode 8");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// One exact allocation per call: `encode_to_vec` returns exactly
+        /// `encoded_len` bytes, with no room to spare.
+        #[test]
+        fn every_call_encodes_in_exactly_its_encoded_len(
+            op in 0..7u8,
+            names in proptest::collection::vec(0..255u8, 0..9),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            attrs in 0..3usize,
+            some in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+        ) {
+            let name: String = names.iter().map(|&c| if c % 7 == 0 { 'é' } else { 'q' }).collect();
+            let h = QueueHandle { queue: name.clone(), registrant: name.repeat(2) };
+            let tag = some.0.then(|| body.clone());
+            let call = match op {
+                0 => Call::Register(h, some.1),
+                1 => Call::Deregister(h),
+                2 => Call::Enqueue(h, body.clone(), EnqueueOptions {
+                    priority: 3,
+                    attrs: vec![(name.clone(), name.clone()); attrs],
+                    tag,
+                }),
+                3 => Call::Dequeue(h, DequeueOptions {
+                    tag,
+                    error_queue: some.1.then(|| name.clone()),
+                    ..Default::default()
+                }),
+                4 => Call::Read(Eid(body.len() as u64)),
+                5 => Call::Kill(Eid(u64::MAX)),
+                _ => Call::Depth(name),
+            };
+            let buf = call.encode_to_vec();
+            proptest::prop_assert_eq!(buf.len(), call.encoded_len());
+            proptest::prop_assert_eq!(buf.capacity(), call.encoded_len());
+        }
     }
 
     #[test]

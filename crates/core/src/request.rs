@@ -2,7 +2,7 @@
 //! record) that describes some work that the system should perform" (§2).
 
 use crate::rid::Rid;
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 use rrq_storage::{StorageError, StorageResult};
 
 /// A request as carried in a queue element payload.
@@ -60,28 +60,66 @@ impl Encode for Request {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        let fields = [
+            self.reply_queue.len(),
+            self.op.len(),
+            self.body.len(),
+            self.state.len(),
+        ];
+        let inherit = 1 + self.inherit_txn.map_or(0, |_| 8);
+        self.rid.encoded_len() + fields.map(len::bytes).iter().sum::<usize>() + inherit
+    }
 }
 
-impl Decode for Request {
-    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+impl Request {
+    /// Decode the fields of a request from `r`, all but the body, which is
+    /// returned where it lies, with the number of bytes after it.
+    fn decode_fields<'a>(r: &mut Reader<'a>) -> StorageResult<(Request, &'a [u8], usize)> {
         let rid = Rid::decode(r)?;
         let reply_queue = r.string()?;
         let op = r.string()?;
-        let body = r.bytes()?;
+        let body = r.bytes_ref()?;
+        let after_body = r.remaining();
         let state = r.bytes()?;
         let inherit_txn = match r.u8()? {
             0 => None,
             1 => Some(r.u64()?),
             b => return Err(StorageError::Decode(format!("bad option tag {b}"))),
         };
-        Ok(Request {
+        let request = Request {
             rid,
             reply_queue,
             op,
-            body,
+            body: Vec::new(),
             state,
             inherit_txn,
-        })
+        };
+        Ok((request, body, after_body - r.remaining()))
+    }
+
+    /// Decode an element payload, the body kept in `payload`'s own buffer
+    /// (shifted to its front, not copied out): what [`Decode::decode_all`]
+    /// accepts, it accepts.
+    pub fn from_payload(mut payload: Vec<u8>) -> StorageResult<Request> {
+        let mut r = Reader::new(&payload);
+        let (mut request, body, tail) = Self::decode_fields(&mut r)?;
+        r.finish()?;
+        let end = payload.len() - tail;
+        let start = end - body.len();
+        payload.truncate(end);
+        payload.drain(..start);
+        request.body = payload;
+        Ok(request)
+    }
+}
+
+impl Decode for Request {
+    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        let (mut request, body, _) = Self::decode_fields(r)?;
+        request.body = body.to_vec();
+        Ok(request)
     }
 }
 
@@ -160,6 +198,29 @@ impl Encode for Reply {
         put::u8(buf, self.status.to_byte());
         put::bytes(buf, &self.body);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.rid.encoded_len() + 1 + len::bytes(self.body.len())
+    }
+}
+
+impl Reply {
+    /// Decode an element payload, the body kept in `payload`'s own buffer
+    /// (shifted to its front, not copied out): what [`Decode::decode_all`]
+    /// accepts, it accepts.
+    pub fn from_payload(mut payload: Vec<u8>) -> StorageResult<Reply> {
+        let mut r = Reader::new(&payload);
+        let rid = Rid::decode(&mut r)?;
+        let status = ReplyStatus::from_byte(r.u8()?)?;
+        let body = r.bytes_ref()?.len();
+        r.finish()?;
+        payload.drain(..payload.len() - body);
+        Ok(Reply {
+            rid,
+            status,
+            body: payload,
+        })
+    }
 }
 
 impl Decode for Reply {
@@ -208,5 +269,42 @@ mod tests {
         // status byte sits after rid: client("c")=4+1 bytes + serial 8 = 13.
         buf[13] = 9;
         assert!(Reply::decode_all(&buf).is_err());
+    }
+
+    /// The in-place decoders agree with `decode_all` on every encoding, on
+    /// every cut of one, and on one with a byte too many.
+    #[test]
+    fn from_payload_decodes_exactly_what_decode_all_does() {
+        let mut staged = Request::new(Rid::new("c", 7), "c.reply", "op", b"body".to_vec());
+        staged.state = b"stage".to_vec();
+        staged.inherit_txn = Some(9);
+        let requests = [
+            Request::new(Rid::new("c", 1), "c.reply", "echo", vec![0xAB; 300]),
+            Request::new(Rid::new("", 2), "", "", Vec::new()),
+            staged,
+        ];
+        let replies = [
+            Reply::ok(Rid::new("c", 1), vec![7; 300]),
+            Reply::failed(Rid::new("c", 2), Vec::new()),
+        ];
+        let cuts = |buf: Vec<u8>| {
+            let mut longer = buf.clone();
+            longer.push(0);
+            (0..=buf.len())
+                .map(move |n| buf[..n].to_vec())
+                .chain([longer])
+        };
+        for req in requests {
+            for raw in cuts(req.encode_to_vec()) {
+                let whole = Request::decode_all(&raw).ok();
+                assert_eq!(Request::from_payload(raw.clone()).ok(), whole, "{raw:?}");
+            }
+        }
+        for reply in replies {
+            for raw in cuts(reply.encode_to_vec()) {
+                let whole = Reply::decode_all(&raw).ok();
+                assert_eq!(Reply::from_payload(raw.clone()).ok(), whole, "{raw:?}");
+            }
+        }
     }
 }

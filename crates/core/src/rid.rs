@@ -7,7 +7,7 @@
 //! received" with "the rid of the request that corresponds to the last reply
 //! it sent".
 
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 use rrq_storage::StorageResult;
 use std::fmt;
 
@@ -55,6 +55,10 @@ impl Encode for Rid {
     fn encode(&self, buf: &mut Vec<u8>) {
         put::string(buf, &self.client);
         put::u64(buf, self.serial);
+    }
+
+    fn encoded_len(&self) -> usize {
+        len::bytes(self.client.len()) + 8
     }
 }
 

@@ -66,7 +66,7 @@ impl SagaLog {
         let mut buf = Vec::new();
         put::string(&mut buf, comp_op);
         put::bytes(&mut buf, comp_body);
-        self.store.put(txn, &step_key(rid, step), &buf)?;
+        self.store.put(txn, step_key(rid, step), &buf)?;
         Ok(())
     }
 

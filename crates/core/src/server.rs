@@ -32,10 +32,11 @@ use crate::error::{CoreError, CoreResult};
 use crate::request::{Reply, Request};
 use parking_lot::Mutex;
 use rrq_obs::ServerEvent;
+use rrq_qm::element::Payload;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::Repository;
 use rrq_qm::QmError;
-use rrq_storage::codec::{Decode, Encode};
+use rrq_storage::codec::Encode;
 use rrq_txn::{Txn, TxnError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -339,7 +340,7 @@ impl Server {
             }
         };
 
-        let request = match Request::decode_all(&elem.payload) {
+        let request = match Request::from_payload(elem.payload) {
             Ok(r) => r,
             Err(e) => {
                 // Undecodable request: reject it permanently by committing
@@ -469,7 +470,6 @@ impl Server {
             queue: request.reply_queue.clone(),
             registrant: self.cfg.server_name.clone(),
         };
-        let payload = reply.encode_to_vec();
         let opts = EnqueueOptions {
             attrs: vec![("rid".into(), reply.rid.to_attr())],
             ..Default::default()
@@ -477,7 +477,8 @@ impl Server {
         let qm = self
             .repo
             .enlist_queue(txn, self.home, &request.reply_queue)?;
-        match qm.enqueue(txn.id().raw(), &h, &payload, opts) {
+        // The reply is encoded straight into the stored element.
+        match qm.enqueue(txn.id().raw(), &h, Payload::Encoded(&reply), opts) {
             Ok(_) | Err(QmError::NoSuchQueue(_)) => {
                 self.event(|| ServerEvent::Reply {
                     rid: reply.rid.to_attr(),

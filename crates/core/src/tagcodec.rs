@@ -7,11 +7,12 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::rid::Rid;
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 
 /// Tag placed on the `Send` enqueue: just the rid.
 pub fn encode_send_tag(rid: &Rid) -> Vec<u8> {
-    let mut buf = vec![b'S'];
+    let mut buf = Vec::with_capacity(1 + rid.encoded_len());
+    buf.push(b'S');
     rid.encode(&mut buf);
     buf
 }
@@ -19,7 +20,8 @@ pub fn encode_send_tag(rid: &Rid) -> Vec<u8> {
 /// Tag placed on the `Receive` dequeue: the rid of the previous Send plus
 /// the client's checkpoint bytes.
 pub fn encode_receive_tag(rid: &Rid, ckpt: &[u8]) -> Vec<u8> {
-    let mut buf = vec![b'R'];
+    let mut buf = Vec::with_capacity(1 + rid.encoded_len() + len::bytes(ckpt.len()));
+    buf.push(b'R');
     rid.encode(&mut buf);
     put::bytes(&mut buf, ckpt);
     buf

@@ -1,6 +1,6 @@
 //! Queue elements and their identifiers.
 
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 use rrq_storage::{StorageError, StorageResult};
 use std::fmt;
 
@@ -67,10 +67,35 @@ impl Element {
     }
 }
 
+/// An element's payload as `Enqueue` takes it: bytes, or a value whose
+/// encoding *is* the payload, encoded straight into the stored element.
+#[derive(Clone, Copy)]
+pub enum Payload<'a> {
+    /// These bytes.
+    Bytes(&'a [u8]),
+    /// This value's encoding.
+    Encoded(&'a dyn Encode),
+}
+
+impl Payload<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Encoded(v) => v.encoded_len(),
+        }
+    }
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for Payload<'a> {
+    fn from(b: &'a T) -> Self {
+        Payload::Bytes(b.as_ref())
+    }
+}
+
 /// An [`Element`] with attributes and payload borrowed. It encodes exactly
 /// as the owned element does, so `Enqueue` can write the caller's payload
 /// into the stored record without first copying it into an `Element`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct ElementRef<'a> {
     /// Unique identifier.
     pub eid: Eid,
@@ -85,7 +110,7 @@ pub struct ElementRef<'a> {
     /// Named attributes.
     pub attrs: &'a [(String, String)],
     /// The payload.
-    pub payload: &'a [u8],
+    pub payload: Payload<'a>,
 }
 
 impl Element {
@@ -98,7 +123,7 @@ impl Element {
             abort_count: self.abort_count,
             abort_code: self.abort_code,
             attrs: &self.attrs,
-            payload: &self.payload,
+            payload: Payload::Bytes(&self.payload),
         }
     }
 }
@@ -115,13 +140,30 @@ impl Encode for ElementRef<'_> {
             put::string(buf, n);
             put::string(buf, v);
         }
-        put::bytes(buf, self.payload);
+        match self.payload {
+            Payload::Bytes(b) => put::bytes(buf, b),
+            Payload::Encoded(v) => {
+                put::u32(buf, v.encoded_len() as u32);
+                v.encode(buf);
+            }
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let attr = |(n, v): &(String, String)| len::bytes(n.len()) + len::bytes(v.len());
+        let attrs: usize = self.attrs.iter().map(attr).sum();
+        // Eid, priority, seq, abort count and code, attribute count.
+        8 + 1 + 8 + 4 + 4 + 4 + attrs + len::bytes(self.payload.len())
     }
 }
 
 impl Encode for Element {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.view().encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.view().encoded_len()
     }
 }
 
@@ -156,12 +198,7 @@ impl Element {
                 .map_err(|e| StorageError::Decode(format!("invalid utf8: {e}")))?;
         }
         r.bytes_ref()?; // payload
-        if !r.is_empty() {
-            return Err(StorageError::Decode(format!(
-                "{} trailing bytes after decode",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(eid)
     }
 }

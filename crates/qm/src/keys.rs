@@ -29,7 +29,12 @@ pub fn meta_key(queue: &str) -> Vec<u8> {
 
 /// Prefix under which a queue's live elements sort.
 pub fn element_prefix(queue: &str) -> Vec<u8> {
-    let mut k = Vec::with_capacity(3 + queue.len());
+    element_prefix_with_room(queue, 0)
+}
+
+/// [`element_prefix`] in a buffer with `room` more bytes of capacity.
+fn element_prefix_with_room(queue: &str, room: usize) -> Vec<u8> {
+    let mut k = Vec::with_capacity(3 + queue.len() + room);
     k.extend_from_slice(b"e/");
     k.extend_from_slice(queue.as_bytes());
     k.push(b'/');
@@ -46,8 +51,9 @@ pub fn ord_suffix(priority: Priority, seq: u64) -> [u8; 9] {
 
 /// Full key of a live element.
 pub fn element_key(queue: &str, priority: Priority, seq: u64) -> Vec<u8> {
-    let mut k = element_prefix(queue);
-    k.extend_from_slice(&ord_suffix(priority, seq));
+    let suffix = ord_suffix(priority, seq);
+    let mut k = element_prefix_with_room(queue, suffix.len());
+    k.extend_from_slice(&suffix);
     k
 }
 

@@ -1,6 +1,6 @@
 //! Per-queue configuration.
 
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 use rrq_storage::{StorageError, StorageResult};
 
 /// How concurrent dequeuers interact with write-locked elements (§10).
@@ -104,6 +104,14 @@ impl Encode for QueueMeta {
         }
         put::bool(buf, self.started);
         put::bool(buf, self.requeue_at_back_on_abort);
+    }
+
+    fn encoded_len(&self) -> usize {
+        // Mode, retry limit, durable, two option tags, started, requeue.
+        let fixed = 1 + 4 + 1 + 2 + 1 + 1;
+        let redirect = self.redirect_to.as_ref().map_or(0, |t| len::bytes(t.len()));
+        let alert = self.alert_threshold.map_or(0, |_| 8);
+        len::bytes(self.name.len()) + len::bytes(self.error_queue.len()) + fixed + redirect + alert
     }
 }
 

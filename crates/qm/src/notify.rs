@@ -2,10 +2,11 @@
 //! is needed to allow a transaction that Dequeues from an empty queue to
 //! become blocked").
 //!
-//! Each queue carries a version counter bumped whenever elements may have
+//! Each queue carries a version, moved forward whenever elements may have
 //! become available (an enqueue committed, or an aborted dequeue returned an
 //! element). A blocked dequeuer samples the version, re-scans, and waits for
-//! the version to move.
+//! the version to move. A destroyed queue's wait state is dropped and its
+//! waiters woken ([`QueueNotifier::forget`]).
 //!
 //! Wakeups are **counted, per-queue, one per newly available element**. The
 //! first cut of this module shared one condvar across every queue and
@@ -37,6 +38,10 @@ struct Waitq {
 #[derive(Default)]
 pub struct QueueNotifier {
     queues: Mutex<HashMap<String, Waitq>>,
+    /// Every version is drawn from this clock, so a queue's wait state made
+    /// again after [`QueueNotifier::forget`] starts past every version the
+    /// old one had.
+    clock: AtomicU64,
     /// Wakeups issued (notify_one calls targeting a registered waiter) —
     /// test hook pinning the no-thundering-herd contract.
     wakeups: AtomicU64,
@@ -66,8 +71,8 @@ impl QueueNotifier {
             return;
         }
         let mut g = self.queues.lock();
-        let w = g.entry(queue.to_string()).or_default();
-        w.version += 1;
+        let w = self.waitq(&mut g, queue);
+        w.version = self.clock.fetch_add(1, Ordering::AcqRel) + 1;
         let wake = newly.min(w.waiters);
         for _ in 0..wake {
             w.cv.notify_one();
@@ -81,7 +86,7 @@ impl QueueNotifier {
         let deadline = Instant::now() + timeout;
         let mut g = self.queues.lock();
         loop {
-            let w = g.entry(queue.to_string()).or_default();
+            let w = self.waitq(&mut g, queue);
             if w.version > seen {
                 return true;
             }
@@ -91,13 +96,45 @@ impl QueueNotifier {
             w.waiters += 1;
             let cv = Arc::clone(&w.cv);
             let timed_out = cv.wait_until(&mut g, deadline).timed_out();
-            // Re-borrow after the wait: the map may have rehashed.
-            let w = g.entry(queue.to_string()).or_default();
-            w.waiters -= 1;
-            if timed_out {
-                return w.version > seen;
+            // Re-borrow after the wait: the map may have rehashed, or the
+            // queue been forgotten (its versions are all in the past then).
+            match g.get_mut(queue) {
+                Some(w) if Arc::ptr_eq(&w.cv, &cv) => {
+                    w.waiters -= 1;
+                    if timed_out {
+                        return w.version > seen;
+                    }
+                }
+                _ => return true,
             }
         }
+    }
+
+    /// `queue`'s wait state, made on first use: the name is copied then
+    /// and only then.
+    fn waitq<'g>(&self, g: &'g mut HashMap<String, Waitq>, queue: &str) -> &'g mut Waitq {
+        if !g.contains_key(queue) {
+            let version = self.clock.load(Ordering::Acquire);
+            g.insert(
+                queue.to_string(),
+                Waitq {
+                    version,
+                    ..Waitq::default()
+                },
+            );
+        }
+        g.get_mut(queue).expect("inserted above")
+    }
+
+    /// Drop `queue`'s wait state — the queue was destroyed — and wake every
+    /// dequeuer blocked on it.
+    pub fn forget(&self, queue: &str) {
+        let mut g = self.queues.lock();
+        if let Some(w) = g.remove(queue) {
+            w.cv.notify_all();
+            self.wakeups.fetch_add(w.waiters as u64, Ordering::AcqRel);
+        }
+        self.clock.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Total wakeups issued so far (test hook).
@@ -163,6 +200,33 @@ mod tests {
         n.signal("b"); // different queue: waiter on "a" is not even woken
         assert!(!h.join().unwrap());
         assert_eq!(n.wakeups(), 0, "no waiter on b ⇒ no wakeup issued");
+    }
+
+    #[test]
+    fn forget_wakes_every_waiter_and_moves_past_every_version() {
+        let n = Arc::new(QueueNotifier::new());
+        n.signal_n("q", 3);
+        let seen = n.version("q");
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let n = Arc::clone(&n);
+                thread::spawn(move || n.wait_past("q", seen, Duration::from_secs(5)))
+            })
+            .collect();
+        while n.waiters("q") < 2 {
+            thread::yield_now();
+        }
+        let t0 = Instant::now();
+        n.forget("q");
+        for h in handles {
+            assert!(h.join().unwrap(), "woken, not timed out");
+        }
+        assert!(t0.elapsed() < Duration::from_secs(2));
+        assert!(n.queues.lock().is_empty(), "the queue's state is gone");
+        // A dequeuer that sampled the old version does not sleep on it.
+        let t0 = Instant::now();
+        assert!(n.wait_past("q", seen, Duration::from_secs(5)));
+        assert!(t0.elapsed() < Duration::from_secs(2));
     }
 
     /// The wakeup-count pin: one new element among k blocked dequeuers on

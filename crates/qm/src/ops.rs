@@ -58,7 +58,7 @@
 //! transaction that writes a record commits and lowered *after* the one that
 //! retires it, so a reader that finds zero knows the store holds none.
 
-use crate::element::{Eid, Element, ElementRef, Priority};
+use crate::element::{Eid, Element, ElementRef, Payload, Priority};
 use crate::error::{QmError, QmResult};
 use crate::keys;
 use crate::meta::{OrderingMode, QueueMeta};
@@ -178,6 +178,12 @@ struct QueueInfo {
     ns: u32,
 }
 
+impl QueueInfo {
+    fn name(&self) -> &str {
+        &self.meta.name
+    }
+}
+
 /// One queue name's place in the catalog. The namespace is handed out once
 /// and outlives every invalidation: element locks taken under it before an
 /// `update_queue` must still exclude those taken after.
@@ -209,7 +215,7 @@ impl Catalog {
 /// A dequeue performed by a still-open transaction.
 #[derive(Debug, Clone)]
 struct DequeuedRef {
-    queue: String,
+    queue: Arc<QueueInfo>,
     elem_key: Vec<u8>,
     eid: Eid,
     /// Error-queue override from the Dequeue call.
@@ -266,7 +272,7 @@ impl Drop for Claim<'_> {
 /// the transaction's *own* dequeues before then.
 #[derive(Debug, Clone)]
 struct EnqueuedRef {
-    queue: String,
+    queue: Arc<QueueInfo>,
     elem_key: Vec<u8>,
     eid: Eid,
 }
@@ -275,7 +281,6 @@ struct EnqueuedRef {
 struct PendingTxn {
     dequeued: Vec<DequeuedRef>,
     enqueued: Vec<EnqueuedRef>,
-    enqueued_queues: HashSet<String>,
     /// Set by KillElement when this transaction holds a cancelled element:
     /// the transaction must abort (§7).
     poisoned: Option<Eid>,
@@ -376,7 +381,7 @@ impl QueueManager {
             Some(raw) => u64::decode_all(&raw).map_err(QmError::Storage)? + 1,
             None => epoch_base + 1,
         };
-        durable.put(t, &keys::epoch_key(), &epoch.encode_to_vec())?;
+        durable.put(t, keys::epoch_key(), epoch.encode_to_vec())?;
         durable.commit(t)?;
 
         // Rebuild the ready index from the committed element keyspace. The
@@ -633,7 +638,7 @@ impl QueueManager {
             if self.durable.get(Some(t), &key)?.is_some() {
                 return Err(QmError::QueueExists(meta.name.clone()));
             }
-            self.durable.put(t, &key, &meta.encode_to_vec())?;
+            self.durable.put(t, &key, meta.encode_to_vec())?;
             Ok(())
         })
     }
@@ -655,7 +660,7 @@ impl QueueManager {
             let mut meta = QueueMeta::decode_all(&raw).map_err(QmError::Storage)?;
             f(&mut meta);
             meta.name = queue.to_string(); // the name is immutable
-            self.durable.put(t, &key, &meta.encode_to_vec())?;
+            self.durable.put(t, &key, meta.encode_to_vec())?;
             Ok(meta)
         });
         self.invalidate(queue);
@@ -684,16 +689,20 @@ impl QueueManager {
                     continue;
                 }
                 if let Some(eid) = reg.retained() {
-                    store.delete(t, &keys::retained_key(eid))?;
+                    store.delete(t, keys::retained_key(eid))?;
                 }
                 self.durable.delete(t, &k)?;
             }
-            self.durable.delete(t, &keys::meta_key(queue))?;
+            self.durable.delete(t, keys::meta_key(queue))?;
             Ok(())
         });
         self.invalidate(queue);
         if r.is_ok() {
             self.qindex.clear_queue(queue);
+            // After the invalidation: a dequeue it wakes, or one that
+            // sampled the queue's version before this, re-reads the catalog
+            // and finds the queue gone.
+            self.notifier.forget(queue);
         }
         r
     }
@@ -740,7 +749,7 @@ impl QueueManager {
         let reg2 = reg.clone();
         self.obs.serialized_write(cell);
         self.system_txn(move |t| {
-            self.durable.put(t, &key, &reg2.encode_to_vec())?;
+            self.durable.put(t, &key, reg2.encode_to_vec())?;
             Ok(())
         })?;
         Ok((handle, reg))
@@ -767,7 +776,7 @@ impl QueueManager {
                 .ok_or_else(|| QmError::NotRegistered(handle.registrant.clone()))?;
             let reg = Registration::decode_all(&raw).map_err(QmError::Storage)?;
             if let Some(eid) = reg.retained() {
-                store.delete(t, &keys::retained_key(eid))?;
+                store.delete(t, keys::retained_key(eid))?;
             }
             self.durable.delete(t, &key)?;
             Ok(())
@@ -791,22 +800,22 @@ impl QueueManager {
         // internal serialization (see `register`).
         self.obs
             .serialized_write(|| reg_cell(&handle.queue, &handle.registrant));
-        let raw = self
+        let recorded = self
             .durable
-            .get(Some(txn), &key)?
+            .get_with(Some(txn), &key, |raw| {
+                raw.map(|raw| Registration::recorded(raw, op, Some(tag), eid))
+            })?
             .ok_or_else(|| QmError::NotRegistered(handle.registrant.clone()))?;
-        let Some(recorded) =
-            Registration::recorded(&raw, op, Some(tag), eid).map_err(QmError::Storage)?
-        else {
+        let Some(recorded) = recorded.map_err(QmError::Storage)? else {
             return Ok(false);
         };
-        self.durable.put(txn, &key, &recorded.raw)?;
+        self.durable.put(txn, key, recorded.raw)?;
         if let Some(retired) = recorded.retired {
             // Retained where it was dequeued: in the store of the
             // registration's own queue, whatever this operation resolved to.
             let own = self.queue_info(&handle.queue)?;
             self.store_for(txn, &own.meta)?
-                .delete(txn, &keys::retained_key(retired))?;
+                .delete(txn, keys::retained_key(retired))?;
         }
         Ok(true)
     }
@@ -828,12 +837,13 @@ impl QueueManager {
     }
 
     /// `Enqueue(h, element, t)` — create an element in the handle's queue
-    /// under transaction `txn`, returning its eid.
-    pub fn enqueue(
+    /// under transaction `txn`, returning its eid. The payload is copied
+    /// once, into the stored element.
+    pub fn enqueue<'p>(
         &self,
         txn: u64,
         handle: &QueueHandle,
-        payload: &[u8],
+        payload: impl Into<Payload<'p>>,
         opts: EnqueueOptions,
     ) -> QmResult<Eid> {
         let info = self.resolve_queue(&handle.queue)?;
@@ -850,10 +860,10 @@ impl QueueManager {
             abort_count: 0,
             abort_code: 0,
             attrs: &opts.attrs,
-            payload,
+            payload: payload.into(),
         };
         let ekey = keys::element_key(&meta.name, elem.priority, seq);
-        store.put(txn, &ekey, &elem.encode_to_vec())?;
+        store.put(txn, ekey.as_slice(), elem.encode_to_vec())?;
         // Tracked for the race detector; the matching dequeue-side access
         // is ordered by the queue's enqueue→dequeue happens-before edge.
         self.obs.on_write(|| elem_cell(eid));
@@ -862,13 +872,11 @@ impl QueueManager {
         }
         {
             let mut g = self.pending_shard(txn);
-            let p = g.entry(txn).or_default();
-            p.enqueued.push(EnqueuedRef {
-                queue: meta.name.clone(),
-                elem_key: ekey.clone(),
+            g.entry(txn).or_default().enqueued.push(EnqueuedRef {
+                queue: Arc::clone(&info),
+                elem_key: ekey,
                 eid,
             });
-            p.enqueued_queues.insert(meta.name.clone());
         }
         self.obs.queue_enqueued(&meta.name);
         bump(&self.stats.enqueues);
@@ -885,14 +893,17 @@ impl QueueManager {
         handle: &QueueHandle,
         opts: DequeueOptions,
     ) -> QmResult<Element> {
-        let info = self.queue_info(&handle.queue)?;
-        let meta = &info.meta;
-        if !meta.started {
-            return Err(QmError::QueueStopped(meta.name.clone()));
-        }
         let deadline = opts.block.map(|d| Instant::now() + d);
         loop {
-            let seen = self.notifier.version(&meta.name);
+            // The version is sampled before the catalog is read: a queue
+            // destroyed after the read moves it past `seen`, so the wait
+            // below returns at once and the next pass finds the queue gone.
+            let seen = self.notifier.version(&handle.queue);
+            let info = self.queue_info(&handle.queue)?;
+            let meta = &info.meta;
+            if !meta.started {
+                return Err(QmError::QueueStopped(meta.name.clone()));
+            }
             match self.try_dequeue_once(txn, handle, &info, &opts, deadline)? {
                 Some(elem) => return Ok(elem),
                 None => {
@@ -925,7 +936,7 @@ impl QueueManager {
         &self,
         txn: u64,
         handle: &QueueHandle,
-        info: &QueueInfo,
+        info: &Arc<QueueInfo>,
         opts: &DequeueOptions,
         deadline: Option<Instant>,
     ) -> QmResult<Option<Element>> {
@@ -943,7 +954,7 @@ impl QueueManager {
                     let mut enq: Vec<Vec<u8>> = p
                         .enqueued
                         .iter()
-                        .filter(|e| e.queue == meta.name)
+                        .filter(|e| e.queue.name() == meta.name)
                         .map(|e| e.elem_key.clone())
                         .collect();
                     enq.sort_unstable();
@@ -962,14 +973,14 @@ impl QueueManager {
             let Some(p) = &opts.predicate else {
                 return Ok(true);
             };
-            let Some(raw) = store.get(Some(txn), ekey)? else {
+            let Some(elem) = store.get_with(Some(txn), ekey, |raw| raw.map(Element::decode_all))?
+            else {
                 return Ok(false);
             };
-            let elem = Element::decode_all(&raw).map_err(QmError::Storage)?;
-            Ok(p.matches(&elem))
+            Ok(p.matches(&elem.map_err(QmError::Storage)?))
         };
         let grab =
-            |ekey: &[u8]| self.grab_element(txn, handle, meta, opts, deadline, ns, store, ekey);
+            |ekey: &[u8]| self.grab_element(txn, handle, info, opts, deadline, ns, store, ekey);
         let mut own = own_enq.iter().peekable();
         let mut cursor: Option<Vec<u8>> = None;
         // The next index entry, fetched (and claimed) but not yet tried.
@@ -1032,13 +1043,14 @@ impl QueueManager {
         &self,
         txn: u64,
         handle: &QueueHandle,
-        meta: &QueueMeta,
+        info: &Arc<QueueInfo>,
         opts: &DequeueOptions,
         deadline: Option<Instant>,
         ns: u32,
         store: &Arc<KvStore>,
         ekey: &[u8],
     ) -> QmResult<Grab> {
+        let meta = &info.meta;
         let lk = LockKey::new(ns, ekey.to_vec());
         let acquired = match meta.mode {
             OrderingMode::SkipLocked => self.locks.try_lock(txn, &lk, LockMode::Exclusive),
@@ -1061,10 +1073,13 @@ impl QueueManager {
         }
         // Re-check under the lock: the element may have been taken
         // (committed) between candidate selection and lock acquisition.
-        let Some(raw2) = store.get(Some(txn), ekey)? else {
+        // Decoded where it is stored: the payload is copied once, out to
+        // the caller.
+        let Some(elem) = store.get_with(Some(txn), ekey, |raw| raw.map(Element::decode_all))?
+        else {
             return Ok(Grab::Gone);
         };
-        let elem = Element::decode_all(&raw2).map_err(QmError::Storage)?;
+        let elem = elem.map_err(QmError::Storage)?;
         // A kill tombstone means a cancel is racing; skip.
         if self.kill_marked(elem.eid)? {
             return Ok(Grab::Tombstoned);
@@ -1082,7 +1097,7 @@ impl QueueManager {
             None => false,
         };
         if retained {
-            store.rename(txn, ekey, &keys::retained_key(elem.eid))?;
+            store.rename(txn, ekey, keys::retained_key(elem.eid))?;
         } else {
             store.delete(txn, ekey)?;
         }
@@ -1091,7 +1106,7 @@ impl QueueManager {
             .or_default()
             .dequeued
             .push(DequeuedRef {
-                queue: meta.name.clone(),
+                queue: Arc::clone(info),
                 elem_key: ekey.to_vec(),
                 eid: elem.eid,
                 error_queue: opts.error_queue.clone(),
@@ -1370,10 +1385,11 @@ impl QueueManager {
             buf.extend(later);
             return Err(e.into());
         }
-        for pend in &taken {
+        let shown = taken.len();
+        for pend in taken {
             self.apply_committed(pend);
         }
-        Ok(taken.len())
+        Ok(shown)
     }
 
     /// Deferred commits waiting for a [`Self::close_epoch`]. Zero at any
@@ -1389,14 +1405,15 @@ impl QueueManager {
     /// transaction's commit record is forced (by its own commit, or by
     /// `close_epoch` for a deferred one), so the mirror redoes durable
     /// effects.
-    fn apply_committed(&self, pend: &PendingTxn) {
+    fn apply_committed(&self, mut pend: PendingTxn) {
+        // The enqueued keys move into the index.
         self.qindex.apply_mirror(
             pend.enqueued
-                .iter()
-                .map(|e| (e.queue.as_str(), e.elem_key.clone(), e.eid)),
+                .iter_mut()
+                .map(|e| (e.queue.name(), std::mem::take(&mut e.elem_key), e.eid)),
             pend.dequeued
                 .iter()
-                .map(|dq| (dq.queue.as_str(), dq.elem_key.as_slice())),
+                .map(|dq| (dq.queue.name(), dq.elem_key.as_slice())),
         );
         self.obs
             .counter_add("qm.enqueue.committed", pend.enqueued.len() as u64);
@@ -1407,10 +1424,14 @@ impl QueueManager {
                 self.obs.now().saturating_sub(dq.grabbed_at),
             );
         }
-        for q in &pend.enqueued_queues {
+        let enqueued = &pend.enqueued;
+        for (i, q) in enqueued.iter().map(|e| e.queue.name()).enumerate() {
+            if enqueued[..i].iter().any(|e| e.queue.name() == q) {
+                continue; // this queue's wakeups went out with its first
+            }
             // Counted wakeup: at most one blocked dequeuer per newly
             // available element, never the herd (see `notify`).
-            let newly = pend.enqueued.iter().filter(|e| &e.queue == q).count();
+            let newly = enqueued[i..].iter().filter(|e| e.queue.name() == q).count();
             self.notifier.signal_n(q, newly);
             // Alert thresholds (§9): raised by the commit whose inserts
             // carried the depth across the threshold, not by every commit
@@ -1422,8 +1443,8 @@ impl QueueManager {
                 if before < threshold && threshold <= after {
                     bump(&self.stats.alerts);
                     let mut pending = self.alerts.lock();
-                    if !pending.contains(q) {
-                        pending.push(q.clone());
+                    if !pending.iter().any(|a| a == q) {
+                        pending.push(q.to_string());
                     }
                 }
             }
@@ -1596,7 +1617,7 @@ impl QueueManager {
                 Some(raw) => !Trigger::decode_all(&raw).map_err(QmError::Storage)?.fired,
                 None => false,
             };
-            self.durable.put(t, &key, &trigger.encode_to_vec())?;
+            self.durable.put(t, &key, trigger.encode_to_vec())?;
             Ok(unfired)
         });
         if trigger.fired || !matches!(replaced_unfired, Ok(false)) {
@@ -1673,7 +1694,7 @@ impl QueueManager {
         }
         trig.fired = true;
         self.system_txn(|t| {
-            self.durable.put(t, tkey, &trig.encode_to_vec())?;
+            self.durable.put(t, tkey, trig.encode_to_vec())?;
             Ok(())
         })?;
         lower(&self.unfired_triggers);
@@ -1702,7 +1723,7 @@ impl QueueManager {
             Returned,
         }
         bump(&self.stats.aborted_dequeues);
-        let info = self.queue_info(&d.queue)?;
+        let info = self.queue_info(d.queue.name())?;
         let meta = &info.meta;
         let store = self.store_of(meta);
         let killed = self.kill_marked(d.eid)?;
@@ -1711,7 +1732,7 @@ impl QueueManager {
         // so no crash leaves a tombstone that outlives its element.
         let outcome = self.system_txn_on(store, |sys| {
             if killed {
-                self.durable.delete(sys, &keys::kill_key(d.eid))?;
+                self.durable.delete(sys, keys::kill_key(d.eid))?;
             }
             let Some(raw) = store.get(Some(sys), &d.elem_key)? else {
                 return Ok(AbortOutcome::Dropped); // vanished (e.g. destroy)
@@ -1735,7 +1756,7 @@ impl QueueManager {
                 let (_, seq) = self.next_eid(); // fresh ordering slot
                 let ekey = keys::element_key(&errq, elem.priority, seq);
                 elem.seq = seq;
-                store.put(sys, &ekey, &elem.encode_to_vec())?;
+                store.put(sys, &ekey, elem.encode_to_vec())?;
                 Ok(AbortOutcome::Moved { queue: errq, ekey })
             } else if meta.requeue_at_back_on_abort {
                 // Rotate to the back of the queue: same element identity,
@@ -1746,10 +1767,10 @@ impl QueueManager {
                 let (_, seq) = self.next_eid();
                 elem.seq = seq;
                 let ekey = keys::element_key(&meta.name, elem.priority, seq);
-                store.put(sys, &ekey, &elem.encode_to_vec())?;
+                store.put(sys, &ekey, elem.encode_to_vec())?;
                 Ok(AbortOutcome::Requeued { ekey })
             } else {
-                store.put(sys, &d.elem_key, &elem.encode_to_vec())?;
+                store.put(sys, &d.elem_key, elem.encode_to_vec())?;
                 Ok(AbortOutcome::Returned)
             }
         })?;
@@ -1764,24 +1785,27 @@ impl QueueManager {
         // divergence check.
         match outcome {
             AbortOutcome::Dropped => {
-                self.qindex.fixup(Some((&d.queue, &d.elem_key)), None);
+                self.qindex.fixup(Some((d.queue.name(), &d.elem_key)), None);
                 self.obs.counter_inc("qm.element.dropped");
             }
             AbortOutcome::Moved { queue, ekey } => {
-                self.qindex
-                    .fixup(Some((&d.queue, &d.elem_key)), Some((&queue, ekey, d.eid)));
+                self.qindex.fixup(
+                    Some((d.queue.name(), &d.elem_key)),
+                    Some((&queue, ekey, d.eid)),
+                );
                 bump(&self.stats.error_moves);
                 self.notifier.signal(&queue);
             }
             AbortOutcome::Requeued { ekey } => {
+                let q = d.queue.name();
                 self.qindex
-                    .fixup(Some((&d.queue, &d.elem_key)), Some((&d.queue, ekey, d.eid)));
-                self.notifier.signal(&d.queue);
+                    .fixup(Some((q, &d.elem_key)), Some((q, ekey, d.eid)));
+                self.notifier.signal(q);
             }
             AbortOutcome::Returned => {
                 self.qindex
-                    .fixup(None, Some((&d.queue, d.elem_key.clone(), d.eid)));
-                self.notifier.signal(&d.queue);
+                    .fixup(None, Some((d.queue.name(), d.elem_key.clone(), d.eid)));
+                self.notifier.signal(d.queue.name());
             }
         }
         self.obs.observe(
@@ -1888,7 +1912,7 @@ impl ResourceManager for QueueManager {
             self.epoch_buf.lock().push(pend);
             return Ok(());
         }
-        self.apply_committed(&pend);
+        self.apply_committed(pend);
         Ok(())
     }
 
@@ -1907,7 +1931,7 @@ impl ResourceManager for QueueManager {
                 // The disposition did not happen: the stored element is
                 // unchanged and the abort releases its lock, so it must be
                 // offered again — clear the claim this dequeue left on it.
-                self.qindex.unclaim(&d.queue, &d.elem_key);
+                self.qindex.unclaim(d.queue.name(), &d.elem_key);
                 first_err.get_or_insert(e);
             }
         }

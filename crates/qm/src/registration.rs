@@ -18,7 +18,7 @@
 //! checkpoint for free (§2).
 
 use crate::element::Eid;
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 use rrq_storage::{StorageError, StorageResult};
 
 /// Which operation the stable record describes.
@@ -138,7 +138,7 @@ impl Registration {
             (Some(eid), LastOp::Dequeue) => Some(eid),
             _ => None,
         };
-        let mut buf = Vec::with_capacity(head.len() + tag.map_or(0, <[u8]>::len) + 16);
+        let mut buf = Vec::with_capacity(head.len() + last_op_len(tag, Some(eid)));
         buf.extend_from_slice(head);
         encode_last_op(&mut buf, op, tag, Some(eid));
         Ok(Some(Recorded { raw: buf, retired }))
@@ -165,6 +165,11 @@ fn encode_last_op(buf: &mut Vec<u8>, last_op: LastOp, tag: Option<&[u8]>, eid: O
     }
 }
 
+/// Bytes [`encode_last_op`] appends.
+fn last_op_len(tag: Option<&[u8]>, eid: Option<Eid>) -> usize {
+    1 + 1 + tag.map_or(0, |t| len::bytes(t.len())) + 1 + eid.map_or(0, |_| 8)
+}
+
 fn decode_eid(r: &mut Reader<'_>) -> StorageResult<Option<Eid>> {
     match r.u8()? {
         0 => Ok(None),
@@ -179,6 +184,13 @@ impl Encode for Registration {
         put::string(buf, &self.queue);
         put::bool(buf, self.stable);
         encode_last_op(buf, self.last_op, self.tag.as_deref(), self.eid);
+    }
+
+    fn encoded_len(&self) -> usize {
+        len::bytes(self.registrant.len())
+            + len::bytes(self.queue.len())
+            + 1
+            + last_op_len(self.tag.as_deref(), self.eid)
     }
 }
 

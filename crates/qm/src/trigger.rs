@@ -12,7 +12,7 @@
 //! `rid` attribute), the QM enqueues the trigger's payload — the request for
 //! the continuation transaction — into the target queue, exactly once.
 
-use rrq_storage::codec::{put, Decode, Encode, Reader};
+use rrq_storage::codec::{len, put, Decode, Encode, Reader};
 use rrq_storage::StorageResult;
 
 /// A persistent fork/join trigger.
@@ -63,6 +63,12 @@ impl Encode for Trigger {
         put::string(buf, &self.target_queue);
         put::bytes(buf, &self.payload);
         put::bool(buf, self.fired);
+    }
+
+    fn encoded_len(&self) -> usize {
+        let rids: usize = self.required_rids.iter().map(|r| len::bytes(r.len())).sum();
+        let strings = [&self.id, &self.join_queue, &self.target_queue].map(|s| len::bytes(s.len()));
+        strings.iter().sum::<usize>() + 4 + rids + len::bytes(self.payload.len()) + 1
     }
 }
 

@@ -686,6 +686,33 @@ fn blocking_dequeue_wakes_on_enqueue() {
 }
 
 #[test]
+fn a_dequeue_blocked_on_a_destroyed_queue_returns_no_such_queue_at_once() {
+    let r = Arc::new(repo());
+    r.create_queue_defaults("q").unwrap();
+    let (h, _) = r.qm().register("q", "c", false).unwrap();
+    let r2 = Arc::clone(&r);
+    let waiter = thread::spawn(move || {
+        let started = std::time::Instant::now();
+        let got = r2.autocommit(|t| {
+            r2.qm().dequeue(
+                t.id().raw(),
+                &h,
+                DequeueOptions {
+                    block: Some(Duration::from_secs(3)),
+                    ..Default::default()
+                },
+            )
+        });
+        (got, started.elapsed())
+    });
+    thread::sleep(Duration::from_millis(50));
+    r.qm().destroy_queue("q").unwrap();
+    let (got, waited) = waiter.join().unwrap();
+    assert!(matches!(got, Err(QmError::NoSuchQueue(_))), "{got:?}");
+    assert!(waited < Duration::from_secs(2), "slept {waited:?}");
+}
+
+#[test]
 fn blocking_dequeue_times_out_when_nothing_arrives() {
     let r = repo();
     r.create_queue_defaults("q").unwrap();

@@ -286,7 +286,7 @@ mod tests {
         let rid = Rid::new("c1", 1);
         let store = repo.store();
         store.begin(1).unwrap();
-        store.put(1, &effect_key(&rid), &[1, 0, 0]).unwrap();
+        store.put(1, effect_key(&rid), &[1, 0, 0]).unwrap();
         store.commit(1).unwrap();
 
         let clerk = Clerk::new(

@@ -15,10 +15,15 @@ pub trait Encode {
     /// Append this value's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
-    /// Convenience: encode into a fresh buffer.
+    /// The exact number of bytes [`Encode::encode`] appends.
+    fn encoded_len(&self) -> usize;
+
+    /// Encode into a fresh buffer of exactly [`Encode::encoded_len`] bytes:
+    /// one allocation, never a regrowth.
     fn encode_to_vec(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode(&mut buf);
+        debug_assert_eq!(buf.len(), buf.capacity(), "encoded_len is not exact");
         buf
     }
 }
@@ -32,12 +37,7 @@ pub trait Decode: Sized {
     fn decode_all(bytes: &[u8]) -> StorageResult<Self> {
         let mut r = Reader::new(bytes);
         let v = Self::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(StorageError::Decode(format!(
-                "{} trailing bytes after decode",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(v)
     }
 }
@@ -63,6 +63,16 @@ impl<'a> Reader<'a> {
     /// True when all bytes are consumed.
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
+    }
+
+    /// `Ok` when all bytes are consumed, the trailing-bytes error otherwise.
+    pub fn finish(&self) -> StorageResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(StorageError::Decode(format!(
+                "{n} trailing bytes after decode"
+            ))),
+        }
     }
 
     fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
@@ -207,9 +217,22 @@ pub mod put {
     }
 }
 
+/// Encoded sizes mirroring [`put`].
+pub mod len {
+    /// Bytes [`super::put::bytes`] (or [`super::put::string`]) appends for
+    /// `n` bytes: the u32 length, then the bytes.
+    pub fn bytes(n: usize) -> usize {
+        4 + n
+    }
+}
+
 impl Encode for Vec<u8> {
     fn encode(&self, buf: &mut Vec<u8>) {
         put::bytes(buf, self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        len::bytes(self.len())
     }
 }
 
@@ -223,6 +246,10 @@ impl Encode for String {
     fn encode(&self, buf: &mut Vec<u8>) {
         put::string(buf, self);
     }
+
+    fn encoded_len(&self) -> usize {
+        len::bytes(self.len())
+    }
 }
 
 impl Decode for String {
@@ -234,6 +261,10 @@ impl Decode for String {
 impl Encode for u64 {
     fn encode(&self, buf: &mut Vec<u8>) {
         put::u64(buf, *self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 
@@ -253,6 +284,10 @@ impl<T: Encode> Encode for Option<T> {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
+    }
 }
 
 impl<T: Decode> Decode for Option<T> {
@@ -261,18 +296,6 @@ impl<T: Decode> Decode for Option<T> {
             0 => Ok(None),
             1 => Ok(Some(T::decode(r)?)),
             b => Err(StorageError::Decode(format!("invalid option tag {b}"))),
-        }
-    }
-}
-
-impl<T: Encode> Encode for Vec<T>
-where
-    T: Encode,
-{
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put::u32(buf, self.len() as u32);
-        for item in self {
-            item.encode(buf);
         }
     }
 }

@@ -78,12 +78,15 @@
 //! goes through the log's [`GroupCommit`] coordinator, which batches
 //! concurrent syncs into one device force per group.
 //!
-//! A transaction's write set exists once: `put` copies the caller's bytes
-//! into `TxnState::ops` (the read-your-writes overlay only indexes into it),
-//! commit and prepare take the whole state out of `txns` so the log can be
+//! A transaction's write set exists once: `put` moves the caller's buffers
+//! into `TxnState::ops`, or copies borrowed bytes there ([`IntoBytes`]); the
+//! read-your-writes overlay indexes into it by key hash and copies no key.
+//! Commit and prepare take the whole state out of `txns` so the log can be
 //! written from it by reference with no internal lock held, and a successful
 //! commit moves the operations into `mem`. A commit-point operation that
-//! fails puts the state back, so the transaction stays open and retryable.
+//! fails puts the state back, so the transaction stays open and retryable. A
+//! read hands the caller the value where it is held
+//! ([`KvStore::get_with`]); [`KvStore::get`] is the copying one.
 //!
 //! Lock order: a thread holds at most one of {a `txns` stripe, `mem`,
 //! `latch`} at a time, except the apply step (`apply` → `mem.write`) and
@@ -107,8 +110,9 @@ use crate::wal::{RecordKind, Wal};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rrq_obs::Obs;
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -230,17 +234,44 @@ impl<'a> OpRef<'a> {
     }
 }
 
-/// Hasher of the store's own tables (`txns`, a transaction's overlay): one
-/// multiply per eight key bytes, where `std`'s SipHash works a byte at a
-/// time. Every written key is hashed two or three times between `put` and
-/// its commit. Which bucket a key lands in is never observable (the tables
-/// are only probed, or drained into ordered collections), and whoever can
-/// choose keys to collide already holds the transaction interface, so the
-/// flooding protection of the default hasher buys nothing here.
+/// A key or value handed to the store's write calls: an owned buffer moves
+/// into the write set, anything borrowed is copied into one.
+pub trait IntoBytes {
+    /// The bytes as a buffer of their own.
+    fn into_bytes(self) -> Vec<u8>;
+}
+
+impl IntoBytes for Vec<u8> {
+    fn into_bytes(self) -> Vec<u8> {
+        self
+    }
+}
+
+impl<T: AsRef<[u8]> + ?Sized> IntoBytes for &T {
+    fn into_bytes(self) -> Vec<u8> {
+        self.as_ref().to_vec()
+    }
+}
+
+/// Hasher of the store's own tables (`txns`, a transaction's overlay) and of
+/// the lock table (`rrq_txn`): one multiply per eight key bytes, where
+/// `std`'s SipHash works a byte at a time. Which bucket a key lands in is
+/// never observable (the tables are only probed, or drained into ordered
+/// collections), and whoever can choose keys to collide already holds the
+/// transaction interface, so the flooding protection of the default hasher
+/// buys nothing here.
 #[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 impl KeyHasher {
+    /// The hash a table of this hasher gives `key`: its length, then its
+    /// bytes, as `Hash for [u8]` writes them. Computed once, it can stand
+    /// for the key in a table of hashes (a transaction's overlay, the lock
+    /// table).
+    pub fn hash_bytes(key: &[u8]) -> u64 {
+        BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+    }
+
     /// Multiply to 128 bits and fold the halves together, so every bit of
     /// `word` reaches both the low bits of the state (a table's bucket index)
     /// and its top seven (the tag a probe compares first). A plain 64-bit
@@ -309,15 +340,37 @@ struct TxnState {
     /// records into a later outcome during replay.
     internal: u64,
     /// Redo operations in execution order. The only copy of the written
-    /// values: commit logs them from here and then moves them into the tree.
+    /// keys and values: commit logs them from here and then moves them into
+    /// the tree.
     ops: Vec<WriteOp>,
-    /// Overlay for read-your-writes: key → index in `ops` of the latest
-    /// write to it.
-    overlay: KeyMap<Vec<u8>, usize>,
+    /// Overlay for read-your-writes: [`KeyHasher::hash_bytes`] of a written
+    /// key → the [`Slot`] of the latest write to it; the key is read from
+    /// `ops`, not copied. A key whose hash another written key holds (a
+    /// 64-bit collision: practically never) takes the next free hash; no
+    /// entry is ever removed, so a lookup probes forward until it finds the
+    /// key or a hash nobody holds.
+    overlay: KeyMap<u64, Slot>,
     /// Writes have been logged (prepare ran, or recovery found them).
     logged: bool,
     /// Prepare record is durable — the txn is in-doubt until resolved.
     prepared: bool,
+}
+
+/// Where a written key is held: the index of its op in `TxnState::ops` and,
+/// for a move, which of the op's two keys it is.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    op: usize,
+    to: bool,
+}
+
+/// The key of `ops` that `s` names.
+fn key_at(ops: &[WriteOp], s: Slot) -> &[u8] {
+    match &ops[s.op] {
+        WriteOp::Put { key, .. } | WriteOp::Delete { key } => key,
+        WriteOp::Move { to, .. } if s.to => to,
+        WriteOp::Move { from, .. } => from,
+    }
 }
 
 /// What a transaction's own writes say about one key. Borrowed from the
@@ -355,13 +408,13 @@ impl Own<'_> {
 
 impl TxnState {
     fn buffer_put(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.overlay.insert(key.clone(), self.ops.len());
         self.ops.push(WriteOp::Put { key, value });
+        self.index(false);
     }
 
     fn buffer_delete(&mut self, key: Vec<u8>) {
-        self.overlay.insert(key.clone(), self.ops.len());
         self.ops.push(WriteOp::Delete { key });
+        self.index(false);
     }
 
     /// Record a move of `from`, a key this transaction has not written, to
@@ -369,26 +422,63 @@ impl TxnState {
     /// will find nothing to move, and the transaction's view of `to` stays
     /// what it was.
     fn buffer_move(&mut self, from: Vec<u8>, to: Vec<u8>, in_tree: bool) {
-        let at = self.ops.len();
-        self.overlay.insert(from.clone(), at);
-        if in_tree {
-            self.overlay.insert(to.clone(), at);
-        }
         self.ops.push(WriteOp::Move { from, to });
+        self.index(false);
+        if in_tree {
+            self.index(true);
+        }
+    }
+
+    /// Point the overlay at the last op for its key (`to`: a move's target).
+    fn index(&mut self, to: bool) {
+        let s = Slot {
+            op: self.ops.len() - 1,
+            to,
+        };
+        self.index_at(KeyHasher::hash_bytes(key_at(&self.ops, s)), s);
+    }
+
+    /// [`TxnState::index`] with the hash `h` of `s`'s key given.
+    fn index_at(&mut self, mut h: u64, s: Slot) {
+        let key = key_at(&self.ops, s);
+        loop {
+            match self.overlay.entry(h) {
+                Entry::Occupied(o) if key_at(&self.ops, *o.get()) != key => h = h.wrapping_add(1),
+                e => {
+                    e.insert_entry(s);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Where the latest write to `key` is held: `None` = not written here.
+    fn slot(&self, key: &[u8]) -> Option<Slot> {
+        self.slot_at(KeyHasher::hash_bytes(key), key)
+    }
+
+    /// [`TxnState::slot`] with the hash `h` of `key` given.
+    fn slot_at(&self, mut h: u64, key: &[u8]) -> Option<Slot> {
+        loop {
+            let s = *self.overlay.get(&h)?;
+            if key_at(&self.ops, s) == key {
+                return Some(s);
+            }
+            h = h.wrapping_add(1);
+        }
     }
 
     /// The transaction's own view of `key`: `None` = not written here.
     fn read(&self, key: &[u8]) -> Option<Own<'_>> {
-        self.overlay
-            .get(key)
-            .map(|&i| Self::written(&self.ops[i], key))
+        self.slot(key).map(|s| Self::written(&self.ops[s.op], key))
     }
 
     /// Every key written here with the transaction's view of it, unordered.
-    fn writes(&self) -> impl Iterator<Item = (&Vec<u8>, Own<'_>)> {
-        self.overlay
-            .iter()
-            .map(|(k, &i)| (k, Self::written(&self.ops[i], k)))
+    fn writes(&self) -> impl Iterator<Item = (&[u8], Own<'_>)> {
+        self.overlay.values().map(|&s| {
+            let key = key_at(&self.ops, s);
+            (key, Self::written(&self.ops[s.op], key))
+        })
     }
 
     /// What `op`, the latest write to `key`, left under it.
@@ -636,17 +726,19 @@ impl KvStore {
         self.txn_stripe(txn).contains_key(&txn)
     }
 
-    /// Buffer a put in `txn`.
-    pub fn put(&self, txn: KvTxn, key: &[u8], value: &[u8]) -> StorageResult<()> {
+    /// Buffer a put in `txn`. An owned key or value (`Vec<u8>`) moves into
+    /// the write set; a borrowed one is copied ([`IntoBytes`]).
+    pub fn put(&self, txn: KvTxn, key: impl IntoBytes, value: impl IntoBytes) -> StorageResult<()> {
         let mut g = self.txn_stripe(txn);
-        writable(&mut g, txn)?.buffer_put(key.to_vec(), value.to_vec());
+        writable(&mut g, txn)?.buffer_put(key.into_bytes(), value.into_bytes());
         Ok(())
     }
 
-    /// Buffer a delete in `txn`.
-    pub fn delete(&self, txn: KvTxn, key: &[u8]) -> StorageResult<()> {
+    /// Buffer a delete in `txn`; the key moves in or is copied, as in
+    /// [`KvStore::put`].
+    pub fn delete(&self, txn: KvTxn, key: impl IntoBytes) -> StorageResult<()> {
         let mut g = self.txn_stripe(txn);
-        writable(&mut g, txn)?.buffer_delete(key.to_vec());
+        writable(&mut g, txn)?.buffer_delete(key.into_bytes());
         Ok(())
     }
 
@@ -657,7 +749,7 @@ impl KvStore {
     /// key that holds nothing is a logged no-op, like deleting one. A `from`
     /// this transaction wrote itself has no logged value yet, so its rename
     /// is buffered as the delete and the put it amounts to.
-    pub fn rename(&self, txn: KvTxn, from: &[u8], to: &[u8]) -> StorageResult<()> {
+    pub fn rename(&self, txn: KvTxn, from: &[u8], to: impl IntoBytes) -> StorageResult<()> {
         // Read before the stripe is taken (one internal lock at a time);
         // the caller's lock on `from` keeps the answer true until commit.
         let in_tree = {
@@ -667,37 +759,51 @@ impl KvStore {
         {
             let mut g = self.txn_stripe(txn);
             let st = writable(&mut g, txn)?;
-            if !st.overlay.contains_key(from) {
-                st.buffer_move(from.to_vec(), to.to_vec(), in_tree);
+            if st.slot(from).is_none() {
+                st.buffer_move(from.to_vec(), to.into_bytes(), in_tree);
                 return Ok(());
             }
         }
         let own = self.get(Some(txn), from)?;
         self.delete(txn, from)?;
         match own {
-            Some(value) => self.put(txn, to, &value),
+            Some(value) => self.put(txn, to, value),
             None => Ok(()),
         }
     }
 
-    /// Read `key`. With `Some(txn)`, the transaction's own writes are
-    /// visible; with `None`, only committed state is read.
+    /// Read `key` as a copy. With `Some(txn)`, the transaction's own writes
+    /// are visible; with `None`, only committed state is read.
     pub fn get(&self, txn: Option<KvTxn>, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        self.get_with(txn, key, |v| v.map(<[u8]>::to_vec))
+    }
+
+    /// Read `key` as [`KvStore::get`] does and hand the value to `f`
+    /// borrowed where it is held — the transaction's write set or the tree —
+    /// so nothing is copied unless `f` copies it. `f` runs under the
+    /// transaction's stripe or the tree's read lock and must not call back
+    /// into this store or take a lock of its own (`kv-mem` in LOCKS.md).
+    pub fn get_with<R>(
+        &self,
+        txn: Option<KvTxn>,
+        key: &[u8],
+        f: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> StorageResult<R> {
         // The tree key that holds the value: `key`, unless `txn` moved it.
         let mut moved_from = None;
         if let Some(t) = txn {
             let g = self.txn_stripe(t);
             let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
             match st.read(key) {
-                Some(Own::Value(v)) => return Ok(Some(v.into_owned())),
-                Some(Own::Absent) => return Ok(None),
+                Some(Own::Value(v)) => return Ok(f(Some(&v))),
+                Some(Own::Absent) => return Ok(f(None)),
                 Some(Own::TreeValueOf(from)) => moved_from = Some(from.into_owned()),
                 None => {}
             }
         }
         let mem = self.mem.read();
         let at = moved_from.as_deref().unwrap_or(key);
-        Ok(mem.get(at).cloned())
+        Ok(f(mem.get(at).map(Vec::as_slice)))
     }
 
     /// Scan all committed keys with `prefix`, merged with the transaction's
@@ -715,7 +821,7 @@ impl KvStore {
                 let st = g.get(&t).ok_or(StorageError::UnknownTxn(t))?;
                 st.writes()
                     .filter(|(k, _)| k.starts_with(prefix))
-                    .map(|(k, own)| (k.clone(), own.into_owned()))
+                    .map(|(k, own)| (k.to_vec(), own.into_owned()))
                     .collect()
             }
             None => Vec::new(),
@@ -1325,6 +1431,62 @@ mod tests {
         let committed = store.scan_prefix(None, b"q/").unwrap();
         assert_eq!(committed.len(), 2);
         store.abort(2).unwrap();
+    }
+
+    /// Written keys whose hashes collide: each reads back its own latest
+    /// write, and each is listed once among the writes. (No two keys are
+    /// known to collide, so the test hashes them all to one value.)
+    #[test]
+    fn keys_whose_hashes_collide_read_back_their_own_writes() {
+        const H: u64 = 7;
+        let mut st = TxnState::default();
+        let write = |st: &mut TxnState, op: WriteOp, to: bool| {
+            st.ops.push(op);
+            st.index_at(
+                H,
+                Slot {
+                    op: st.ops.len() - 1,
+                    to,
+                },
+            );
+        };
+        let put = |k: &[u8], v: &[u8]| WriteOp::Put {
+            key: k.to_vec(),
+            value: v.to_vec(),
+        };
+        write(&mut st, put(b"k1", b"one"), false);
+        write(&mut st, put(b"k2", b"two"), false);
+        write(
+            &mut st,
+            WriteOp::Delete {
+                key: b"k2".to_vec(),
+            },
+            false,
+        );
+        let mv = WriteOp::Move {
+            from: b"k3".to_vec(),
+            to: b"k2".to_vec(),
+        };
+        write(&mut st, mv, false);
+        st.index_at(H, Slot { op: 3, to: true });
+        write(&mut st, put(b"k1", b"uno"), false);
+        assert_eq!(st.overlay.len(), 3, "one entry per key");
+        let view = |k: &[u8]| match st
+            .slot_at(H, k)
+            .map(|s| TxnState::written(&st.ops[s.op], k))
+        {
+            Some(Own::Value(v)) => format!("= {}", String::from_utf8_lossy(&v)),
+            Some(Own::TreeValueOf(from)) => format!("<- {}", String::from_utf8_lossy(&from)),
+            Some(Own::Absent) => "absent".into(),
+            None => "unwritten".into(),
+        };
+        assert_eq!(view(b"k1"), "= uno");
+        assert_eq!(view(b"k2"), "<- k3");
+        assert_eq!(view(b"k3"), "absent");
+        assert_eq!(view(b"k4"), "unwritten");
+        let mut written: Vec<_> = st.writes().map(|(k, _)| k.to_vec()).collect();
+        written.sort();
+        assert_eq!(written, [b"k1".to_vec(), b"k2".to_vec(), b"k3".to_vec()]);
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub use checkpoint::{load_chain, CheckpointChain};
 pub use disk::{Disk, LatencyDisk, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use group_commit::{GroupCommit, GroupCommitStats};
-pub use kv::{KvStore, KvTxn, WriteOp};
+pub use kv::{IntoBytes, KeyHasher, KvStore, KvTxn, WriteOp};
 pub use recovery::{replay, RecoveryReport, ReplayOutcome};
 pub use wal::{LogRecord, RecordKind, Wal};

@@ -122,7 +122,7 @@ pub struct Wal {
 
 impl Wal {
     /// Open a log over a device, with a dormant handle. Existing contents
-    /// are left untouched; call [`Wal::scan`] to read them back.
+    /// are left untouched; call [`Wal::scan_with`] to read them back.
     pub fn new(disk: Arc<dyn Disk>) -> Self {
         Wal::with_obs(disk, Obs::default())
     }
@@ -224,30 +224,15 @@ impl Wal {
         Ok(())
     }
 
-    /// Scan the log from `start` and return every valid record.
+    /// Scan the log from `start`: `visit` is handed `(lsn, txn, kind,
+    /// payload)` for every valid record (the fields of a [`LogRecord`]), the
+    /// payload borrowed from the read window, and the offset where valid data
+    /// ends is returned.
     ///
     /// The scan stops cleanly at the first frame that is truncated, has a bad
     /// magic, or fails its CRC — that is the torn tail of the last crash, and
     /// by the write-ahead rule nothing after it can belong to a committed
-    /// transaction. The offset where valid data ends is also returned.
-    pub fn scan(&self, start: u64) -> StorageResult<(Vec<LogRecord>, u64)> {
-        let mut records = Vec::new();
-        let valid_end = self.scan_with(start, |lsn, txn, kind, payload| {
-            records.push(LogRecord {
-                lsn,
-                txn,
-                kind,
-                payload: payload.to_vec(),
-            });
-            Ok(())
-        })?;
-        Ok((records, valid_end))
-    }
-
-    /// [`Wal::scan`] without materializing the records: `visit` is handed
-    /// `(lsn, txn, kind, payload)` for every valid record, the payload
-    /// borrowed from the read window, and the offset where valid data ends is
-    /// returned. The device is read in windows of [`SCAN_WINDOW`] bytes (one
+    /// transaction. The device is read in windows of [`SCAN_WINDOW`] bytes (one
     /// larger read only for a single frame bigger than that), so scanning
     /// holds a bounded buffer however long the log is. A frame that straddles
     /// a window's end is re-read whole at the start of the next window.
@@ -303,6 +288,24 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every valid record from `start`, copied out, and where valid data
+    /// ends.
+    fn records(wal: &Wal, start: u64) -> (Vec<LogRecord>, u64) {
+        let mut records = Vec::new();
+        let valid_end = wal
+            .scan_with(start, |lsn, txn, kind, payload| {
+                records.push(LogRecord {
+                    lsn,
+                    txn,
+                    kind,
+                    payload: payload.to_vec(),
+                });
+                Ok(())
+            })
+            .unwrap();
+        (records, valid_end)
+    }
     use crate::disk::{CrashStyle, SimDisk};
 
     fn wal_on(disk: &SimDisk) -> Wal {
@@ -317,7 +320,7 @@ mod tests {
         let l1 = wal.append(1, RecordKind::Commit, b"").unwrap();
         assert!(l1 > l0);
         wal.sync().unwrap();
-        let (recs, valid) = wal.scan(0).unwrap();
+        let (recs, valid) = records(&wal, 0);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].txn, 1);
         assert_eq!(recs[0].kind, RecordKind::KvPut);
@@ -334,7 +337,7 @@ mod tests {
         wal.sync().unwrap();
         wal.append(2, RecordKind::KvPut, b"volatile").unwrap();
         disk.crash(CrashStyle::DropVolatile);
-        let (recs, _) = wal.scan(0).unwrap();
+        let (recs, _) = records(&wal, 0);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].payload, b"durable");
     }
@@ -348,7 +351,7 @@ mod tests {
         wal.append(2, RecordKind::KvPut, b"torn record").unwrap();
         // Keep only part of the second frame, with its last byte corrupted.
         disk.crash(CrashStyle::Torn { keep: 12 });
-        let (recs, valid) = wal.scan(0).unwrap();
+        let (recs, valid) = records(&wal, 0);
         assert_eq!(recs.len(), 1);
         assert!(valid < wal.len());
     }
@@ -367,7 +370,7 @@ mod tests {
         disk.crash(CrashStyle::Torn {
             keep: second_frame_len,
         });
-        let (recs, _) = wal.scan(0).unwrap();
+        let (recs, _) = records(&wal, 0);
         assert_eq!(recs.len(), 1, "corrupt second record must be rejected");
     }
 
@@ -378,7 +381,7 @@ mod tests {
         wal.append(1, RecordKind::KvPut, b"first").unwrap();
         let l1 = wal.append(2, RecordKind::KvPut, b"second").unwrap();
         wal.sync().unwrap();
-        let (recs, _) = wal.scan(l1).unwrap();
+        let (recs, _) = records(&wal, l1);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].payload, b"second");
     }
@@ -391,7 +394,7 @@ mod tests {
         wal.sync().unwrap();
         wal.reset().unwrap();
         assert!(wal.is_empty());
-        let (recs, _) = wal.scan(0).unwrap();
+        let (recs, _) = records(&wal, 0);
         assert!(recs.is_empty());
     }
 
@@ -401,7 +404,7 @@ mod tests {
         let wal = wal_on(&disk);
         wal.append(9, RecordKind::Custom(0x90), b"app").unwrap();
         wal.sync().unwrap();
-        let (recs, _) = wal.scan(0).unwrap();
+        let (recs, _) = records(&wal, 0);
         assert_eq!(recs[0].kind, RecordKind::Custom(0x90));
     }
 
@@ -429,7 +432,7 @@ mod tests {
         let wal = wal_on(&disk);
         wal.append(3, RecordKind::Commit, b"").unwrap();
         wal.sync().unwrap();
-        let (recs, _) = wal.scan(0).unwrap();
+        let (recs, _) = records(&wal, 0);
         assert_eq!(recs[0].payload, Vec::<u8>::new());
     }
 }

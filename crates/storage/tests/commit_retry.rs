@@ -70,11 +70,11 @@ fn open(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
 fn write_all(store: &KvStore, txn: u64) {
     store.begin(txn).unwrap();
     for i in 0..KEYS {
-        store.put(txn, &key(i), &value(i)).unwrap();
+        store.put(txn, key(i), value(i)).unwrap();
     }
     // An overwrite and a delete, so the write set is more than one op per key.
-    store.put(txn, &key(0), b"overwritten").unwrap();
-    store.delete(txn, &key(1)).unwrap();
+    store.put(txn, key(0), b"overwritten").unwrap();
+    store.delete(txn, key(1)).unwrap();
 }
 
 fn expected(i: u32) -> Option<Vec<u8>> {

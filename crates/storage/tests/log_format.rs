@@ -1,7 +1,7 @@
 //! Pins the on-disk log format and the scan's stopping rule.
 //!
 //! `Wal::append_with` builds each frame in one reused buffer, one device
-//! write per record, and `Wal::scan` reads the device in windows; both
+//! write per record, and `Wal::scan_with` reads the device in windows; both
 //! replaced simpler code (two buffers per frame, two device reads per record)
 //! that this file keeps as test-only references. A log written by either
 //! encoder must read back identically through either scanner, byte for byte
@@ -11,6 +11,8 @@
 //! A store writes one record per commit point, its write set inside as an op
 //! list (`WriteOp::encode_list`); `ref_list` is that format written out by
 //! hand, and the pinned images below hold it to the byte.
+
+mod common;
 
 use rrq_storage::checksum::crc32;
 use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk, TornWriteMode};
@@ -55,7 +57,7 @@ fn old_frame(txn: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
 /// `(lsn, txn, kind byte, payload)` of one scanned record.
 type Rec = (u64, u64, u8, Vec<u8>);
 
-/// The scanner `Wal::scan` used to be: a header read and a body read per
+/// The scanner `Wal::scan_with` used to be: a header read and a body read per
 /// record, stopping at the first frame that is cut short, has a bad magic,
 /// or fails its CRC.
 fn old_scan(disk: &dyn Disk, start: u64) -> (Vec<Rec>, u64) {
@@ -84,7 +86,7 @@ fn old_scan(disk: &dyn Disk, start: u64) -> (Vec<Rec>, u64) {
 }
 
 fn new_scan(wal: &Wal, start: u64) -> (Vec<Rec>, u64) {
-    let (records, valid_end) = wal.scan(start).unwrap();
+    let (records, valid_end) = common::records(wal, start).unwrap();
     let records = records
         .into_iter()
         .map(|r| (r.lsn, r.txn, kind_byte(r.kind), r.payload))
@@ -325,7 +327,7 @@ fn a_move_record_frames_to_pinned_bytes_and_carries_no_value() {
     bytes[before as usize + 26] ^= 0x01;
     corrupt.append(&bytes).unwrap();
     corrupt.sync().unwrap();
-    let (records, valid_end) = Wal::new(Arc::new(corrupt)).scan(0).unwrap();
+    let (records, valid_end) = common::records(&Wal::new(Arc::new(corrupt)), 0).unwrap();
     assert_eq!(valid_end, before);
     assert_eq!(records.len(), 1, "the put's commit");
 }
@@ -443,7 +445,7 @@ fn a_checksummed_frame_that_cannot_be_a_record_is_an_error_not_a_panic() {
     };
     for body in [&[1u8, 2, 3][..], &[0, 0, 0, 0, 0, 0, 0, 0, 8][..]] {
         let wal = Wal::new(Arc::new(disk_with(&frame_around(body))));
-        match wal.scan(0) {
+        match common::records(&wal, 0) {
             Err(StorageError::Corrupt { offset, .. }) => assert_eq!(offset, at),
             other => panic!("expected a corrupt-frame error, got {other:?}"),
         }
@@ -488,7 +490,11 @@ fn a_checksummed_frame_that_cannot_be_a_record_is_an_error_not_a_panic() {
     for (what, bad) in cases {
         let disk = disk_with(&bad);
         let wal = Wal::new(Arc::new(disk.clone()));
-        assert_eq!(wal.scan(0).unwrap().0.len(), 2, "{what}: CRC-valid frames");
+        assert_eq!(
+            common::records(&wal, 0).unwrap().0.len(),
+            2,
+            "{what}: CRC-valid frames"
+        );
         match replay(&wal, Default::default(), |op| {
             panic!("{what}: applied {op:?}")
         }) {

@@ -4,6 +4,8 @@
 //! crash, the recovered store contains exactly the effects of committed
 //! transactions — never a partial transaction, never a lost committed one.
 
+mod common;
+
 use proptest::prelude::*;
 use rrq_storage::disk::{CrashStyle, SimDisk, TornWriteMode};
 use rrq_storage::kv::KvStore;
@@ -403,7 +405,7 @@ proptest! {
             }
         }
         disk.crash(CrashStyle::Torn { keep: torn_keep });
-        let (recs, _) = wal.scan(0).unwrap();
+        let (recs, _) = common::records(&wal, 0).unwrap();
         // Valid records must be a prefix of what was appended, at least
         // covering everything synced.
         assert!(recs.len() >= synced.min(payloads.len()));

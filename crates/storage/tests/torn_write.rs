@@ -4,10 +4,12 @@
 //!
 //! Each test writes one durable (synced) transaction, one volatile
 //! (unsynced) transaction, tears the volatile tail with one mode, and then
-//! runs the real recovery path: `Wal::scan` must stop at the tear and
+//! runs the real recovery path: `Wal::scan_with` must stop at the tear and
 //! `recovery::replay` must redo only the durable transaction. A transaction
 //! is one record, its whole write set under one checksum, so a tear anywhere
 //! in it loses all of it.
+
+mod common;
 
 use rrq_storage::codec::Reader;
 use rrq_storage::disk::{Disk, SimDisk, TornWriteMode};
@@ -61,7 +63,7 @@ fn midway_tear_is_rejected_on_recovery() {
     // Part of the torn frame physically reached the platter...
     assert!(disk.durable_len() > 0);
     // ...but the scan must stop before it.
-    let (records, valid_end) = wal.scan(0).unwrap();
+    let (records, valid_end) = common::records(&wal, 0).unwrap();
     assert!(valid_end < wal.len(), "the torn half-frame is dead bytes");
     assert_eq!(records.len(), 1, "only txn 1's record is valid");
     assert!(records.iter().all(|r| r.txn == 1));
@@ -76,7 +78,7 @@ fn full_length_corrupt_tear_is_caught_by_crc() {
     // of txn 2's value, inside its one frame: the CRC over that frame's body
     // rejects the whole transaction, not just its last op.
     assert_eq!(disk.durable_len(), len_before);
-    let (records, valid_end) = wal.scan(0).unwrap();
+    let (records, valid_end) = common::records(&wal, 0).unwrap();
     assert_eq!(records.len(), 1, "txn 2's frame fails its CRC");
     assert_eq!(records[0].txn, 1);
     assert!(valid_end < len_before);
@@ -86,7 +88,7 @@ fn full_length_corrupt_tear_is_caught_by_crc() {
 #[test]
 fn header_only_tear_is_rejected_as_truncated() {
     let (_disk, wal) = torn_log(TornWriteMode::HeaderOnly);
-    let (records, valid_end) = wal.scan(0).unwrap();
+    let (records, valid_end) = common::records(&wal, 0).unwrap();
     // At most 6 bytes of the torn frame survive — less than a frame header,
     // so the scan treats the tail as truncated.
     assert!(wal.len() - valid_end <= 6);
@@ -151,7 +153,7 @@ fn every_mode_keeps_the_log_appendable_after_recovery() {
     // discarded; they must scan back cleanly from the recovered prefix.
     for mode in TornWriteMode::ALL {
         let (_disk, wal) = torn_log(mode);
-        let (_, valid_end) = wal.scan(0).unwrap();
+        let (_, valid_end) = common::records(&wal, 0).unwrap();
         // Recovery truncates to the valid prefix before writing again
         // (modelled here by reset to the valid bytes, as KvStore::open does
         // with its checkpoint swap).
@@ -203,7 +205,7 @@ fn a_torn_server_shaped_commit_applies_none_of_its_ops() {
         store.put(2, b"x/2", b"reply").unwrap();
         store.put(2, b"r/server", b"tag").unwrap();
         store.commit_deferred(2).unwrap();
-        let (records, _) = Wal::new(Arc::new(wal.clone())).scan(0).unwrap();
+        let (records, _) = common::records(&Wal::new(Arc::new(wal.clone())), 0).unwrap();
         let last = records.last().unwrap();
         assert_eq!(last.kind, RecordKind::Commit);
         let ops = WriteOp::decode_list(&mut Reader::new(&last.payload)).unwrap();

@@ -13,8 +13,8 @@
 //!   the queue per §5) and retry.
 //!
 //! The table is hash-striped into [`LockManager::shard_count`] shards, each
-//! with its own mutex + condvar and its own slice of the per-txn held-sets,
-//! so concurrent servers working on unrelated keys no longer serialize on one
+//! with its own mutex + condvar and its own count of the keys each
+//! transaction holds there, so concurrent servers working on unrelated keys no longer serialize on one
 //! global mutex (§2's contention argument, measured by E18). The waits-for
 //! graph stays behind one small separate lock — deadlock detection must see
 //! edges across every shard to find cross-shard cycles, and victim selection
@@ -36,7 +36,9 @@ use crate::error::{TxnError, TxnResult};
 use crate::lockorder::{GuardClass, Held};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rrq_obs::Obs;
-use std::collections::{HashMap, HashSet, VecDeque};
+use rrq_storage::KeyHasher;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -75,13 +77,73 @@ impl LockKey {
     }
 }
 
+/// A key's hash, computed once per call with the store's [`KeyHasher`]: it
+/// picks the stripe and names the key's entry. Two keys whose 64-bit hashes
+/// collide share one lock — a false conflict now and then, never a missed
+/// one (SQL Server locks a 6-byte hash of the key, with the same property).
+fn key_hash(key: &LockKey) -> u64 {
+    BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+}
+
+/// The transactions holding one key, and their modes. A lone holder — every
+/// exclusive lock, and most shared ones — is kept inline.
 #[derive(Debug, Default)]
+struct Holders {
+    /// `None` only when `more` is empty too.
+    one: Option<(u64, LockMode)>,
+    more: Vec<(u64, LockMode)>,
+}
+
+impl Holders {
+    fn iter(&self) -> impl Iterator<Item = &(u64, LockMode)> {
+        self.one.iter().chain(&self.more)
+    }
+
+    fn get(&self, txn: u64) -> Option<LockMode> {
+        self.iter().find(|(t, _)| *t == txn).map(|&(_, m)| m)
+    }
+
+    /// Make `txn` a holder in `mode` (a holder already: change its mode).
+    fn set(&mut self, txn: u64, mode: LockMode) {
+        match self.one {
+            Some((t, _)) if t != txn => match self.more.iter_mut().find(|(t, _)| *t == txn) {
+                Some(held) => held.1 = mode,
+                None => self.more.push((txn, mode)),
+            },
+            _ => self.one = Some((txn, mode)),
+        }
+    }
+
+    fn remove(&mut self, txn: u64) -> Option<LockMode> {
+        match self.one {
+            Some((t, mode)) if t == txn => {
+                self.one = self.more.pop();
+                Some(mode)
+            }
+            _ => {
+                let at = self.more.iter().position(|(t, _)| *t == txn)?;
+                Some(self.more.swap_remove(at).1)
+            }
+        }
+    }
+}
+
+#[derive(Debug)]
 struct Entry {
-    holders: HashMap<u64, LockMode>,
+    /// The key, copied on its first lock (for the lock hooks of the handle).
+    key: LockKey,
+    holders: Holders,
     /// Arrival order of blocked requesters, for diagnostics only — grants
     /// are compatibility-driven, not strictly FIFO (see §10's discussion of
     /// relaxed ordering).
     waiters: VecDeque<u64>,
+}
+
+impl Entry {
+    /// Nobody holds or waits for the key: the entry can go.
+    fn is_free(&self) -> bool {
+        self.holders.one.is_none() && self.waiters.is_empty()
+    }
 }
 
 /// Counters for benchmarking lock behaviour.
@@ -97,12 +159,27 @@ pub struct LockStats {
     pub timeouts: u64,
 }
 
-/// One stripe of the lock table: the entries whose keys hash here, plus the
-/// slice of each transaction's held-set that lives on this stripe.
+/// One stripe of the lock table: the entries whose keys hash here, by
+/// [`key_hash`], and how many of them each transaction holds. An entry lives
+/// only while somebody holds or waits for its key, so a release walks the
+/// few entries of the stripes the transaction holds on.
 #[derive(Default)]
 struct ShardState {
-    table: HashMap<LockKey, Entry>,
-    held: HashMap<u64, HashSet<LockKey>>,
+    table: HashMap<u64, Entry, BuildHasherDefault<KeyHasher>>,
+    /// Transaction → number of keys it holds on this stripe.
+    held: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
+}
+
+impl ShardState {
+    /// A blocked `txn` gives up on the key hashing to `h`.
+    fn stop_waiting(&mut self, h: u64, txn: u64) {
+        if let Some(e) = self.table.get_mut(&h) {
+            e.waiters.retain(|w| *w != txn);
+            if e.is_free() {
+                self.table.remove(&h);
+            }
+        }
+    }
 }
 
 struct Shard {
@@ -196,8 +273,8 @@ impl Shard {
         }
     }
 
-    /// Publish the number of held-sets after adding or removing one under
-    /// `g`, this stripe's guard (see [`Shard::occupied`]).
+    /// Publish the number of holding transactions after one starts or stops
+    /// holding here, under `g`, this stripe's guard (see [`Shard::occupied`]).
     fn publish_occupancy(&self, g: &StripeGuard<'_>) {
         self.occupied.store(g.held.len(), Ordering::Release);
     }
@@ -287,25 +364,15 @@ impl LockManager {
         self.shards.len()
     }
 
-    /// Stripe a key hashes to. Exposed so tests can construct cross-shard
-    /// scenarios deterministically.
+    /// Stripe a key hashes to; stable across runs (unlike `RandomState`).
+    /// Exposed so tests can construct cross-shard scenarios
+    /// deterministically.
     pub fn shard_id(&self, key: &LockKey) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        // FNV-1a over ns || key; stable across runs (unlike RandomState).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.ns.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        for b in &key.key {
-            h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
+        self.stripe_of(key_hash(key))
     }
 
-    fn shard(&self, key: &LockKey) -> &Shard {
-        &self.shards[self.shard_id(key)]
+    fn stripe_of(&self, h: u64) -> usize {
+        (h % self.shards.len() as u64) as usize
     }
 
     /// Acquire the meta lock (the waits-for graph), order-checked: legal
@@ -341,26 +408,28 @@ impl LockManager {
         timeout: Duration,
     ) -> TxnResult<()> {
         let deadline = Instant::now() + timeout;
-        let shard = self.shard(key);
+        let h = key_hash(key);
+        let shard = &self.shards[self.stripe_of(h)];
         let mut g = shard.enter();
         let mut waited = false;
         let mut enqueued = false;
         let mut wait_start: Option<u64> = None;
         loop {
-            if !g.table.contains_key(key) {
-                // Only clone the key bytes on first contact; wakeups re-run
-                // this loop and must not re-allocate.
-                g.table.insert(key.clone(), Entry::default());
-            }
-            let entry = g.table.get_mut(key).expect("entry ensured above");
-            let held_mode = entry.holders.get(&txn).copied();
+            // The key bytes are copied on first contact only; wakeups re-run
+            // this loop and must not re-allocate.
+            let entry = g.table.entry(h).or_insert_with(|| Entry {
+                key: key.clone(),
+                holders: Holders::default(),
+                waiters: VecDeque::new(),
+            });
+            let held_mode = entry.holders.get(txn);
             let grantable = match held_mode {
                 Some(LockMode::Exclusive) => true,
                 Some(LockMode::Shared) if mode == LockMode::Shared => true,
-                Some(LockMode::Shared) => entry.holders.len() == 1, // upgrade
+                Some(LockMode::Shared) => entry.holders.more.is_empty(), // upgrade
                 None => match mode {
-                    LockMode::Shared => entry.holders.values().all(|m| *m == LockMode::Shared),
-                    LockMode::Exclusive => entry.holders.is_empty(),
+                    LockMode::Shared => entry.holders.iter().all(|(_, m)| *m == LockMode::Shared),
+                    LockMode::Exclusive => entry.holders.one.is_none(),
                 },
             };
             if grantable {
@@ -370,12 +439,14 @@ impl LockManager {
                     }
                     _ => LockMode::Shared,
                 };
-                entry.holders.insert(txn, new_mode);
+                entry.holders.set(txn, new_mode);
                 if enqueued {
                     entry.waiters.retain(|w| *w != txn);
                 }
-                g.held.entry(txn).or_default().insert(key.clone());
-                shard.publish_occupancy(&g);
+                if held_mode.is_none() {
+                    *g.held.entry(txn).or_default() += 1;
+                    shard.publish_occupancy(&g);
+                }
                 if waited {
                     {
                         let mut m = self.meta();
@@ -399,9 +470,9 @@ impl LockManager {
             // Block: (re)record waits-for edges against current conflicters.
             let conflicters: Vec<u64> = entry
                 .holders
-                .keys()
-                .copied()
-                .filter(|h| *h != txn)
+                .iter()
+                .map(|&(t, _)| t)
+                .filter(|t| *t != txn)
                 .collect();
             if !enqueued {
                 entry.waiters.push_back(txn);
@@ -422,9 +493,7 @@ impl LockManager {
             };
             if deadlocked {
                 bump(&self.counters.deadlocks);
-                if let Some(e) = g.table.get_mut(key) {
-                    e.waiters.retain(|w| *w != txn);
-                }
+                g.stop_waiting(h, txn);
                 self.obs.counter_inc("txn.lock.deadlock_victims");
                 return Err(TxnError::Deadlock { victim: txn });
             }
@@ -434,27 +503,25 @@ impl LockManager {
                 wait_start = Some(self.obs.now());
             }
             if Instant::now() >= deadline {
-                return self.wait_timed_out(&mut g, txn, key);
+                return self.wait_timed_out(&mut g, txn, h);
             }
             let result = shard.cv.wait_until(g.inner_mut(), deadline);
             if result.timed_out() {
-                return self.wait_timed_out(&mut g, txn, key);
+                return self.wait_timed_out(&mut g, txn, h);
             }
         }
     }
 
     /// Shared timeout cleanup: drop the waiter record from the shard and the
     /// waits-for graph, count the timeout. Called with the shard guard held.
-    fn wait_timed_out(&self, g: &mut StripeGuard<'_>, txn: u64, key: &LockKey) -> TxnResult<()> {
+    fn wait_timed_out(&self, g: &mut StripeGuard<'_>, txn: u64, h: u64) -> TxnResult<()> {
         {
             let mut m = self.meta();
             m.waits.clear_waiter(txn);
             self.publish_waiting(&m);
         }
         bump(&self.counters.timeouts);
-        if let Some(e) = g.table.get_mut(key) {
-            e.waiters.retain(|w| *w != txn);
-        }
+        g.stop_waiting(h, txn);
         self.obs.counter_inc("txn.lock.timeouts");
         Err(TxnError::LockTimeout)
     }
@@ -480,19 +547,16 @@ impl LockManager {
                 continue;
             }
             let mut g = shard.enter();
-            let Some(keys) = g.held.remove(&txn) else {
+            if g.held.remove(&txn).is_none() {
                 continue;
-            };
-            shard.publish_occupancy(&g);
-            for k in keys {
-                if let Some(e) = g.table.get_mut(&k) {
-                    e.holders.remove(&txn);
-                    if e.holders.is_empty() && e.waiters.is_empty() {
-                        g.table.remove(&k);
-                    }
-                }
-                self.obs.lock_released(k.ns, &k.key);
             }
+            shard.publish_occupancy(&g);
+            g.table.retain(|_, e| {
+                if e.holders.remove(txn).is_some() {
+                    self.obs.lock_released(e.key.ns, &e.key.key);
+                }
+                !e.is_free()
+            });
             shard.cv.notify_all();
         }
         if self.waiting.load(Ordering::Acquire) != 0 {
@@ -516,28 +580,33 @@ impl LockManager {
                 continue;
             }
             let mut g = shard.enter();
-            let Some(keys) = g.held.remove(&from) else {
+            if g.held.remove(&from).is_none() {
                 continue;
-            };
-            for k in &keys {
-                if let Some(e) = g.table.get_mut(k) {
-                    if let Some(mode) = e.holders.remove(&from) {
-                        let merged = match (e.holders.get(&to), mode) {
-                            (Some(LockMode::Exclusive), _) | (_, LockMode::Exclusive) => {
-                                LockMode::Exclusive
-                            }
-                            _ => LockMode::Shared,
-                        };
-                        e.holders.insert(to, merged);
+            }
+            let mut gained = 0;
+            for e in g.table.values_mut() {
+                let Some(mode) = e.holders.remove(from) else {
+                    continue;
+                };
+                let merged = match (e.holders.get(to), mode) {
+                    (None, _) => {
+                        gained += 1;
+                        mode
                     }
-                }
+                    (Some(LockMode::Exclusive), _) | (_, LockMode::Exclusive) => {
+                        LockMode::Exclusive
+                    }
+                    _ => LockMode::Shared,
+                };
+                e.holders.set(to, merged);
+                // Happens-before: the inheriting transaction's thread (the
+                // caller) acquires each lock without `from` ever releasing
+                // it.
+                self.obs.lock_acquired(e.key.ns, &e.key.key);
             }
-            // Happens-before: the inheriting transaction's thread (the
-            // caller) acquires each lock without `from` ever releasing it.
-            for k in &keys {
-                self.obs.lock_acquired(k.ns, &k.key);
+            if gained > 0 {
+                *g.held.entry(to).or_default() += gained;
             }
-            g.held.entry(to).or_default().extend(keys);
             shard.publish_occupancy(&g);
             // Wake this shard's waiters so their block-time edge refresh
             // re-targets `to` (PR 1 lost-wakeup audit; transfer_wakeup.rs).
@@ -555,15 +624,16 @@ impl LockManager {
         let mut total = 0;
         for shard in self.shards.iter() {
             let g = shard.enter();
-            total += g.held.get(&txn).map(|s| s.len()).unwrap_or(0);
+            total += g.held.get(&txn).copied().unwrap_or(0);
         }
         total
     }
 
     /// True when `txn` holds `key` at least at `mode`.
     pub fn holds(&self, txn: u64, key: &LockKey, mode: LockMode) -> bool {
-        let g = self.shard(key).enter();
-        match g.table.get(key).and_then(|e| e.holders.get(&txn)) {
+        let h = key_hash(key);
+        let g = self.shards[self.stripe_of(h)].enter();
+        match g.table.get(&h).and_then(|e| e.holders.get(txn)) {
             Some(LockMode::Exclusive) => true,
             Some(LockMode::Shared) => mode == LockMode::Shared,
             None => false,
@@ -595,6 +665,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::Arc;
     use std::thread;
 
@@ -830,6 +901,151 @@ mod tests {
         // shards=1 degenerates to a single stripe.
         let single = LockManager::with_shards(1, Obs::default());
         assert_eq!(single.shard_id(&LockKey::new(9, "zz")), 0);
+    }
+
+    /// Holders and modes per key, as a sequential model of the table.
+    #[derive(Default)]
+    struct Model(std::collections::BTreeMap<LockKey, std::collections::BTreeMap<u64, LockMode>>);
+
+    impl Model {
+        fn lock(&mut self, txn: u64, key: &LockKey, mode: LockMode) -> bool {
+            let holders = self.0.entry(key.clone()).or_default();
+            let others = holders.iter().filter(|(t, _)| **t != txn);
+            let grantable = match mode {
+                LockMode::Shared => others.clone().all(|(_, m)| *m == LockMode::Shared),
+                LockMode::Exclusive => others.count() == 0,
+            };
+            let held = holders.get(&txn).copied();
+            if grantable {
+                let stronger = held == Some(LockMode::Exclusive) || mode == LockMode::Exclusive;
+                let mode = if stronger {
+                    LockMode::Exclusive
+                } else {
+                    LockMode::Shared
+                };
+                holders.insert(txn, mode);
+            }
+            if holders.is_empty() {
+                self.0.remove(key);
+            }
+            grantable || held == Some(LockMode::Exclusive)
+        }
+
+        fn unlock_all(&mut self, txn: u64) {
+            for holders in self.0.values_mut() {
+                holders.remove(&txn);
+            }
+            self.0.retain(|_, holders| !holders.is_empty());
+        }
+
+        fn transfer(&mut self, from: u64, to: u64) {
+            if from == to {
+                return;
+            }
+            for holders in self.0.values_mut() {
+                if let Some(mode) = holders.remove(&from) {
+                    let held = holders.get(&to).copied();
+                    let stronger = held == Some(LockMode::Exclusive) || mode == LockMode::Exclusive;
+                    let mode = if stronger {
+                        LockMode::Exclusive
+                    } else {
+                        LockMode::Shared
+                    };
+                    holders.insert(to, mode);
+                }
+            }
+        }
+
+        fn held_count(&self, txn: u64) -> usize {
+            self.0.values().filter(|h| h.contains_key(&txn)).count()
+        }
+
+        fn mode(&self, txn: u64, key: &LockKey) -> Option<LockMode> {
+            self.0.get(key).and_then(|h| h.get(&txn)).copied()
+        }
+    }
+
+    /// Entries in the table, over every stripe.
+    fn entries(lm: &LockManager) -> usize {
+        lm.shards.iter().map(|s| s.state.lock().table.len()).sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        /// `lock`, `try_lock`, upgrades, `unlock_all` and `transfer_locks`
+        /// from four transactions over six keys, on one and on sixteen
+        /// stripes, grant what the model grants; `held_count` and `holds`
+        /// agree with it after every step, and a key nobody holds has no
+        /// table entry.
+        #[test]
+        fn the_table_matches_a_sequential_model(
+            steps in proptest::collection::vec(
+                (0..5u8, 1..5u64, 0..6u8, proptest::prelude::any::<bool>()),
+                1..60,
+            ),
+        ) {
+            for stripes in [1, 16] {
+                let lm = LockManager::with_shards(stripes, Obs::default());
+                let mut model = Model::default();
+                let keys: Vec<LockKey> = (0..6u8).map(|k| LockKey::new(u32::from(k % 2), vec![k / 2])).collect();
+                for &(op, txn, k, exclusive) in &steps {
+                    let key = &keys[usize::from(k)];
+                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                    match op {
+                        0 | 1 => {
+                            let got = if op == 0 {
+                                lm.lock(txn, key, mode, Duration::ZERO)
+                            } else {
+                                lm.try_lock(txn, key, mode)
+                            };
+                            let want = model.lock(txn, key, mode);
+                            proptest::prop_assert_eq!(got.is_ok(), want, "{:?} {} {:?}", op, txn, key);
+                            if !want {
+                                proptest::prop_assert_eq!(got, Err(TxnError::LockTimeout));
+                            }
+                        }
+                        2 => {
+                            // An upgrade attempt: shared first, then exclusive.
+                            let got = lm.try_lock(txn, key, LockMode::Shared).is_ok()
+                                && lm.try_lock(txn, key, LockMode::Exclusive).is_ok();
+                            let want = model.lock(txn, key, LockMode::Shared)
+                                && model.lock(txn, key, LockMode::Exclusive);
+                            proptest::prop_assert_eq!(got, want);
+                        }
+                        3 => {
+                            lm.unlock_all(txn);
+                            model.unlock_all(txn);
+                        }
+                        _ => {
+                            let to = u64::from(k % 4) + 1;
+                            lm.transfer_locks(txn, to);
+                            model.transfer(txn, to);
+                        }
+                    }
+                    for t in 1..5 {
+                        proptest::prop_assert_eq!(lm.held_count(t), model.held_count(t));
+                        for key in &keys {
+                            let mode = model.mode(t, key);
+                            proptest::prop_assert_eq!(
+                                lm.holds(t, key, LockMode::Shared),
+                                mode.is_some()
+                            );
+                            proptest::prop_assert_eq!(
+                                lm.holds(t, key, LockMode::Exclusive),
+                                mode == Some(LockMode::Exclusive)
+                            );
+                        }
+                    }
+                    proptest::prop_assert_eq!(entries(&lm), model.0.len(), "entries of {} stripes", stripes);
+                }
+                for t in 1..5 {
+                    lm.unlock_all(t);
+                }
+                proptest::prop_assert_eq!(entries(&lm), 0);
+                proptest::prop_assert_eq!(lm.stripe_occupancy(), vec![0; stripes]);
+            }
+        }
     }
 
     #[test]

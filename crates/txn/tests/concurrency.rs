@@ -139,7 +139,7 @@ fn deadlock_victims_do_not_wedge_the_system() {
                     continue;
                 }
                 let token = txn.id().raw();
-                s.put(token, b"counter", &format!("{t}:{i}").into_bytes())
+                s.put(token, b"counter", format!("{t}:{i}").into_bytes())
                     .unwrap();
                 txn.commit().unwrap();
                 commits += 1;

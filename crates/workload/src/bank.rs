@@ -13,10 +13,12 @@
 use rrq_core::error::{CoreError, CoreResult};
 use rrq_core::pipeline::{Pipeline, Serializability, StageFn, StageResult};
 use rrq_core::request::Request;
+use rrq_core::rid::Rid;
 use rrq_core::server::{Handler, HandlerError, HandlerOutcome, Server, ServerConfig, ServerCtx};
 use rrq_qm::repository::Repository;
 use rrq_storage::codec::{put, Reader};
 use rrq_txn::LockKey;
+use std::io::Write;
 use std::sync::Arc;
 
 /// Lock namespace for account keys.
@@ -36,7 +38,7 @@ pub struct Transfer {
 impl Transfer {
     /// Encode as a request body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(16);
         put::u32(&mut buf, self.from);
         put::u32(&mut buf, self.to);
         put::i64(&mut buf, self.amount);
@@ -55,12 +57,18 @@ impl Transfer {
     }
 }
 
+// Keys are written straight into a buffer of their size: no `String` first.
+
 fn account_key(i: u32) -> Vec<u8> {
-    format!("bank/acct/{i:08}").into_bytes()
+    let mut key = Vec::with_capacity(18);
+    write!(key, "bank/acct/{i:08}").expect("a Vec takes every write");
+    key
 }
 
-fn clearing_key(rid: &str) -> Vec<u8> {
-    format!("bank/clearing/{rid}").into_bytes()
+fn clearing_key(rid: &Rid) -> Vec<u8> {
+    let mut key = Vec::with_capacity(14 + rid.client.len() + 21);
+    write!(key, "bank/clearing/{rid}").expect("a Vec takes every write");
+    key
 }
 
 /// Create `n` accounts, each with `initial` cents (partition 0's store).
@@ -78,7 +86,7 @@ fn seed_store(store: &Arc<rrq_storage::kv::KvStore>, n: u32, initial: i64) -> Co
     let t = u64::MAX - 101;
     store.begin(t)?;
     for i in 0..n {
-        store.put(t, &account_key(i), &initial.to_le_bytes())?;
+        store.put(t, account_key(i), &initial.to_le_bytes())?;
     }
     store.commit(t)?;
     Ok(())
@@ -129,32 +137,30 @@ pub fn account_cell(i: u32) -> String {
 }
 
 fn adjust(ctx: &ServerCtx<'_>, account: u32, delta: i64) -> Result<(), HandlerError> {
-    let key = account_key(account);
+    let lock = LockKey::new(BANK_NS, account_key(account));
     ctx.txn
-        .lock_exclusive(&LockKey::new(BANK_NS, key.clone()))
+        .lock_exclusive(&lock)
         .map_err(|e| HandlerError::Abort(e.to_string()))?;
     let txn = ctx.txn.id().raw();
     ctx.repo.obs().on_read(|| account_cell(account));
     let bal = ctx
         .store()
-        .get(Some(txn), &key)
-        .map_err(|e| HandlerError::Abort(e.to_string()))?
-        .map(|raw| i64::from_le_bytes(raw.try_into().unwrap_or([0; 8])))
-        .unwrap_or(0);
+        .get_with(Some(txn), &lock.key, |raw| {
+            raw.map_or(0, |raw| {
+                i64::from_le_bytes(raw.try_into().unwrap_or([0; 8]))
+            })
+        })
+        .map_err(|e| HandlerError::Abort(e.to_string()))?;
     ctx.repo.obs().on_write(|| account_cell(account));
     ctx.store()
-        .put(txn, &key, &(bal + delta).to_le_bytes())
+        .put(txn, lock.key, &(bal + delta).to_le_bytes())
         .map_err(|e| HandlerError::Abort(e.to_string()))?;
     Ok(())
 }
 
 fn log_clearing(ctx: &ServerCtx<'_>, req: &Request, t: &Transfer) -> Result<(), HandlerError> {
     ctx.store()
-        .put(
-            ctx.txn.id().raw(),
-            &clearing_key(&req.rid.to_attr()),
-            &t.encode(),
-        )
+        .put(ctx.txn.id().raw(), clearing_key(&req.rid), t.encode())
         .map_err(|e| HandlerError::Abort(e.to_string()))
 }
 
@@ -223,7 +229,7 @@ pub fn flaky_transfer_handler(abort_every: u64) -> Handler {
                 let _ = ctx.store().begin(t);
                 let _ = ctx.store().put(
                     t,
-                    &format!("bank/flaky/{}", req.rid.to_attr()).into_bytes(),
+                    format!("bank/flaky/{}", req.rid.to_attr()).into_bytes(),
                     &[attempts + 1],
                 );
                 let _ = ctx.store().commit(t);
@@ -388,7 +394,7 @@ mod tests {
         let t_raw = u64::MAX - 500;
         repo.store().begin(t_raw).unwrap();
         repo.store()
-            .put(t_raw, &account_key(0), &700i64.to_le_bytes())
+            .put(t_raw, account_key(0), &700i64.to_le_bytes())
             .unwrap();
         repo.store().commit(t_raw).unwrap();
         assert_eq!(total_money(&repo, 2).unwrap(), 1_700, "mid-request");

@@ -59,7 +59,7 @@ pub fn seed_inventory(repo: &Repository, items: u32, count: u32) -> CoreResult<(
     let t = u64::MAX - 201;
     store.begin(t)?;
     for i in 0..items {
-        store.put(t, &item_key(i), &count.to_le_bytes())?;
+        store.put(t, item_key(i), &count.to_le_bytes())?;
     }
     store.commit(t)?;
     Ok(())

@@ -148,12 +148,14 @@ fn a_round_trip_writes_one_log_record_per_commit_point() {
         assert_eq!(disks.wal.stats().appends - device_writes, 3, "{op}");
         // And each record holds only what recovery cannot rebuild: no row
         // maps an eid to its element.
-        let (records, _) = Wal::new(Arc::new(disks.wal.clone())).scan(from).unwrap();
         let mut ops = Vec::new();
-        for rec in &records {
-            assert_eq!(rec.kind, RecordKind::Commit, "{op}");
-            ops.extend(WriteOp::decode_list(&mut Reader::new(&rec.payload)).unwrap());
-        }
+        Wal::new(Arc::new(disks.wal.clone()))
+            .scan_with(from, |_, _, kind, payload| {
+                assert_eq!(kind, RecordKind::Commit, "{op}");
+                ops.extend(WriteOp::decode_list(&mut Reader::new(payload))?);
+                Ok(())
+            })
+            .unwrap();
         let shown: Vec<_> = ops.iter().map(first_key).collect();
         assert_eq!(ops.len(), ops_per_round_trip, "{op}: {shown:?}");
         assert!(shown.iter().all(|k| !k.starts_with("x/")), "{op}");
