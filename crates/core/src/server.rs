@@ -37,7 +37,7 @@ use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::Repository;
 use rrq_qm::QmError;
 use rrq_storage::codec::Encode;
-use rrq_txn::{Txn, TxnError};
+use rrq_txn::{Txn, TxnError, TxnResult};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -384,11 +384,7 @@ impl Server {
         match (self.handler)(&ctx, request) {
             Ok(HandlerOutcome::Reply(body)) => {
                 self.enqueue_reply(&txn, request, Reply::ok(request.rid.clone(), body))?;
-                let served = self.commit(txn);
-                if matches!(served, Ok(Served::Committed)) {
-                    self.repo.obs().counter_inc("core.server.replies_committed");
-                }
-                served
+                self.commit(txn, true, Txn::commit)
             }
             Ok(HandlerOutcome::IntermediateReply {
                 body,
@@ -401,11 +397,11 @@ impl Server {
                     body: crate::interactive::encode_intermediate(&next_queue, &body, &state),
                 };
                 self.enqueue_reply(&txn, request, reply)?;
-                self.commit(txn)
+                self.commit(txn, false, Txn::commit)
             }
             Ok(HandlerOutcome::Forward { queue, request }) => {
                 self.forward(&txn, &queue, &request)?;
-                self.commit(txn)
+                self.commit(txn, false, Txn::commit)
             }
             Ok(HandlerOutcome::ForwardInheriting { queue, mut request }) => {
                 // Lock inheritance cannot span partitions: the parked locks
@@ -419,24 +415,12 @@ impl Server {
                         .obs()
                         .counter_inc("route.forward_inherit.downgraded");
                     self.forward(&txn, &queue, &request)?;
-                    return self.commit(txn);
+                    return self.commit(txn, false, Txn::commit);
                 }
                 let parked = self.repo.tm_at(self.home).reserve_id();
                 request.inherit_txn = Some(parked.raw());
                 self.forward(&txn, &queue, &request)?;
-                match txn.commit_inheriting_locks(parked) {
-                    Ok(()) => {
-                        self.event(|| ServerEvent::Commit);
-                        self.stats.lock().committed += 1;
-                        Ok(Served::Committed)
-                    }
-                    Err(e) => {
-                        self.event(|| ServerEvent::Abort);
-                        self.stats.lock().rolled += 1;
-                        let _ = e;
-                        Ok(Served::Rolled)
-                    }
-                }
+                self.commit(txn, false, |t| t.commit_inheriting_locks(parked))
             }
             Err(HandlerError::Reject(msg)) => {
                 self.enqueue_reply(
@@ -445,11 +429,7 @@ impl Server {
                     Reply::failed(request.rid.clone(), msg.into_bytes()),
                 )?;
                 self.stats.lock().rejected += 1;
-                let served = self.commit(txn);
-                if matches!(served, Ok(Served::Committed)) {
-                    self.repo.obs().counter_inc("core.server.replies_committed");
-                }
-                served
+                self.commit(txn, true, Txn::commit)
             }
             Err(HandlerError::Abort(_)) => {
                 txn.abort()?;
@@ -510,15 +490,27 @@ impl Server {
         Ok(())
     }
 
-    fn commit(&self, txn: Txn) -> CoreResult<Served> {
+    /// The tail of every outcome that commits: run `commit` on `txn` and
+    /// count what it did. `replied` counts a committed final reply. A
+    /// poisoned or unprepared transaction is `Rolled`; any other failure —
+    /// a log append or force included — is the caller's error.
+    fn commit(
+        &self,
+        txn: Txn,
+        replied: bool,
+        commit: impl FnOnce(Txn) -> TxnResult<()>,
+    ) -> CoreResult<Served> {
         let xpart = self.repo.partitions() > 1 && txn.enlisted() > 1;
-        match txn.commit() {
+        match commit(txn) {
             Ok(()) => {
                 if xpart {
                     self.repo.obs().counter_inc("txn.xpart.commits");
                 }
                 self.event(|| ServerEvent::Commit);
                 self.stats.lock().committed += 1;
+                if replied {
+                    self.repo.obs().counter_inc("core.server.replies_committed");
+                }
                 Ok(Served::Committed)
             }
             Err(TxnError::InvalidState(_)) | Err(TxnError::PrepareFailed(_)) => {

@@ -7,7 +7,7 @@ use rrq_qm::meta::QueueMeta;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use rrq_qm::QmError;
-use rrq_storage::group_commit::GroupCommitStats;
+use rrq_storage::wal::GroupCommitStats;
 use rrq_txn::ResourceManager;
 
 /// A repository with a durable queue `dur` and a volatile queue `vol`, and a

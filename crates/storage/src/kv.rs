@@ -32,22 +32,23 @@
 //! ## The main-memory store
 //!
 //! [`KvStore::volatile`] is the store of the paper's *volatile queues*
-//! (§10): the same transactions, overlay, tree and retire line with no log,
-//! group-commit coordinator or checkpoint device behind them. Its commit
-//! point is the draw of a retire-line number; `prepare` only marks the
-//! transaction, `force_wal` has nothing to force and `checkpoint` is refused.
+//! (§10): the same transactions, overlay, tree and retire line with no log
+//! or checkpoint device behind them. Its commit point is the draw of a
+//! retire-line number; `prepare` only marks the transaction, `force_wal` has
+//! nothing to force and `checkpoint` is refused.
 //! It encodes no frame, computes no checksum and retains no byte per commit,
 //! and its contents die with the process.
 //!
 //! ## One store, one log
 //!
-//! A store writes one write-ahead log, with one append latch and one
-//! [`GroupCommit`] coordinator. A commit point frames one record, the
-//! transaction's whole write set inside it ([`WriteOp::encode_list`]), in the
-//! latch's buffer and hands it to the device as one write, so the order of
-//! commit records in the log *is* commit order and recovery replays the log
-//! as it scans it (see [`crate::recovery::replay`]). Forces run outside the
-//! latch, so two committers can return from their forces in either order;
+//! A store writes one write-ahead log, with one append latch. A commit point
+//! frames one record, the transaction's whole write set inside it
+//! ([`WriteOp::encode_list`]), in the latch's buffer and hands it to the
+//! device as one write, so the order of commit records in the log *is*
+//! commit order and recovery replays the log as it scans it (see
+//! [`crate::recovery::replay`]). Every force — commit, prepare, epoch close,
+//! checkpoint — is the log's own group commit, [`Wal::force_through`]. Forces
+//! run outside the latch, so two committers can return from their forces in either order;
 //! the retire line applies their writes to the shared tree in the order of
 //! the sequence numbers they drew under the latch, which keeps the live tree
 //! equal to what recovery would rebuild. Scaling past one log is the job of the layer
@@ -74,9 +75,9 @@
 //! with each other and with the logging half of a commit. Private overlays
 //! live in `txns`, striped by token so that two open transactions do not
 //! share a lock word; the log's append latch serializes appends, and a
-//! commit point hands the device its one record as one write. Commit forcing
-//! goes through the log's [`GroupCommit`] coordinator, which batches
-//! concurrent syncs into one device force per group.
+//! commit point hands the device its one record as one write. Forces run
+//! after the latch is released, and the log's [`Wal::force_through`] batches
+//! concurrent committers into one device sync per group.
 //!
 //! A transaction's write set exists once: `put` moves the caller's buffers
 //! into `TxnState::ops`, or copies borrowed bytes there ([`IntoBytes`]); the
@@ -95,18 +96,17 @@
 //! prepare / logged abort) hold `ckpt_gate.read` so a checkpoint can never
 //! truncate the log while a commit record is in flight between append and
 //! sync. The classes and their declared order live in `LOCKS.md` (kv-gate,
-//! kv-txns, kv-log, kv-apply, kv-mem); the rrq-lint `lock-order` and
-//! `no-block-under-guard` rules check every path against them — in
-//! particular the log latch is a no-block class, so device forces happen
-//! outside it (see [`KvStore::checkpoint`]).
+//! kv-txns, kv-log, kv-apply, kv-mem, and the log's wal-force); the rrq-lint
+//! `lock-order` and `no-block-under-guard` rules check every path against
+//! them — in particular the log latch is a no-block class, so device forces
+//! happen outside it (see [`KvStore::checkpoint`]).
 
 use crate::checkpoint::{load_chain, Segment, Tree};
 use crate::codec::{put, Reader};
 use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
-use crate::group_commit::{GroupCommit, GroupCommitStats};
 use crate::recovery::{replay, RecoveryReport};
-use crate::wal::{RecordKind, Wal};
+use crate::wal::{GroupCommitStats, RecordKind, Wal};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rrq_obs::Obs;
 use std::borrow::Cow;
@@ -495,34 +495,14 @@ impl TxnState {
     }
 }
 
-/// What makes a store recoverable: its WAL, its group-commit coordinator, the
-/// append latch serializing appends, and the checkpoint device. The latch owns
-/// the log's frame buffer: whoever may append may build a frame in it, and its
-/// capacity carries over from record to record.
+/// What makes a store recoverable: its WAL, the append latch serializing
+/// appends, and the checkpoint device. The latch owns the log's frame buffer:
+/// whoever may append may build a frame in it, and its capacity carries over
+/// from record to record.
 struct LogUnit {
     wal: Wal,
-    group: GroupCommit,
     latch: Mutex<Vec<u8>>,
     ckpt: Arc<dyn Disk>,
-}
-
-impl LogUnit {
-    /// Force the log through `target` for a commit point. `want: false` is
-    /// the deferred-commit path: the force is the epoch close's
-    /// [`KvStore::force_wal`], which must run before the commit's effects
-    /// are externalized.
-    fn sync_through(&self, target: u64, want: bool) -> StorageResult<()> {
-        if !want {
-            return Ok(());
-        }
-        self.force_through(target)
-    }
-
-    /// Unconditional force (prepare, checkpoint, epoch close); concurrent
-    /// callers share one device sync per group.
-    fn force_through(&self, target: u64) -> StorageResult<()> {
-        self.group.sync_through(&self.wal, target)
-    }
 }
 
 /// Move one committed (or replayed) operation into the tree.
@@ -636,7 +616,6 @@ impl KvStore {
             mem,
             Some(LogUnit {
                 wal,
-                group: GroupCommit::new(),
                 latch: Mutex::new(Vec::new()),
                 ckpt: ckpt_disk,
             }),
@@ -907,7 +886,7 @@ impl KvStore {
             log.wal
                 .append_with(&mut latch, st.internal, RecordKind::Prepare, payload)?
         };
-        log.force_through(target)
+        log.wal.force_through(target)
     }
 
     /// Take `txn`'s state out of the table for a commit-point operation (see
@@ -921,10 +900,10 @@ impl KvStore {
     /// Commit `txn`: make its writes durable and visible.
     ///
     /// One-phase path (no prior [`KvStore::prepare`]): one `Commit` record
-    /// carrying the writes is logged and forced. The force goes through the
-    /// log's group-commit coordinator, so concurrent committers share one
-    /// device sync; writes reach the shared tree only after the force
-    /// returns, in the order of their commit records.
+    /// carrying the writes is logged and forced. The force is the log's
+    /// [`Wal::force_through`], so concurrent committers share one device
+    /// sync; writes reach the shared tree only after the force returns, in
+    /// the order of their commit records.
     pub fn commit(&self, txn: KvTxn) -> StorageResult<()> {
         self.commit_inner(txn, true)
     }
@@ -947,11 +926,7 @@ impl KvStore {
             return Ok(());
         };
         let _gate = self.ckpt_gate.read();
-        let target = {
-            let _latch = log.latch.lock();
-            log.wal.len()
-        };
-        log.force_through(target)
+        log.wal.force_through(log.wal.len())
     }
 
     fn commit_inner(&self, txn: KvTxn, sync: bool) -> StorageResult<()> {
@@ -1003,7 +978,10 @@ impl KvStore {
                 .wal
                 .append_with(&mut latch, id, RecordKind::Commit, payload);
         }
-        if let Err(e) = appended.and_then(|target| log.sync_through(target, sync)) {
+        // A deferred commit forces through 0, always durable: its force is the
+        // epoch close's `force_wal`, run before its effects are externalized.
+        let forced = appended.and_then(|end| log.wal.force_through(if sync { end } else { 0 }));
+        if let Err(e) = forced {
             // Append or force failed after the number was drawn: keep the
             // retire line moving. Nothing is applied, and the caller sees the
             // device error.
@@ -1102,22 +1080,20 @@ impl KvStore {
             segment.mark().encode_into(&mut payload);
             log.wal.append(0, RecordKind::Checkpoint, &payload)?;
         }
-        log.force_through(log.wal.len())?;
+        log.wal.force_through(log.wal.len())?;
         segment.write(log.ckpt.as_ref())?;
         log.wal.obs().counter_inc("storage.ckpt.base_segments");
         {
-            // The append latch covers only the truncate + marker append;
-            // the device force and the coordinator reset run after it
-            // drops (kv-log is a no-block class — the exclusive gate
-            // already excludes every appender, so nothing can slip in
-            // between).
+            // The append latch covers only the truncate + marker append; the
+            // device force runs after it drops (kv-log is a no-block class —
+            // the exclusive gate already excludes every appender, so nothing
+            // can slip in between). The reset restarted the log's watermark
+            // with its offsets.
             let _latch = log.latch.lock();
             log.wal.reset()?;
             log.wal.append(0, RecordKind::Checkpoint, &[])?;
         }
-        log.wal.sync()?;
-        // The log's offsets restarted; its coordinator's watermark must too.
-        log.group.on_truncate();
+        log.wal.force_through(log.wal.len())?;
         Ok(())
     }
 
@@ -1140,7 +1116,7 @@ impl KvStore {
     pub fn group_commit_stats(&self) -> GroupCommitStats {
         self.log
             .as_ref()
-            .map(|log| log.group.stats())
+            .map(|log| log.wal.group_commit_stats())
             .unwrap_or_default()
     }
 }

@@ -13,14 +13,14 @@
 //! * [`disk`] — the [`disk::Disk`] trait plus [`disk::SimDisk`], an in-memory
 //!   stable store whose unsynced writes are lost on [`disk::SimDisk::crash`],
 //!   giving deterministic, fast crash testing.
-//! * [`wal`] — an append-only write-ahead log with CRC-32-framed records and
-//!   scan-until-corruption recovery.
+//! * [`wal`] — an append-only write-ahead log with CRC-32-framed records,
+//!   scan-until-corruption recovery, and the durable watermark whose
+//!   [`wal::Wal::force_through`] batches concurrent forces into one device
+//!   sync per group.
 //! * [`kv`] — a transactional main-memory B-tree keyed store that buffers
 //!   uncommitted writes per transaction, forces log records at commit, and
 //!   rebuilds itself from checkpoint + log on restart; without a log behind
 //!   it ([`kv::KvStore::volatile`]) it is the store of volatile queues.
-//! * [`group_commit`] — the leader/follower coordinator that batches
-//!   concurrent commit-point log forces into one device sync per group.
 //! * [`checkpoint`] / [`recovery`] — snapshotting and the redo pass.
 //! * [`codec`] / [`checksum`] — the self-contained binary record format.
 //!
@@ -33,7 +33,6 @@ pub mod checksum;
 pub mod codec;
 pub mod disk;
 pub mod error;
-pub mod group_commit;
 pub mod kv;
 pub mod recovery;
 pub mod wal;
@@ -41,7 +40,6 @@ pub mod wal;
 pub use checkpoint::{load_chain, CheckpointChain};
 pub use disk::{Disk, LatencyDisk, SimDisk};
 pub use error::{StorageError, StorageResult};
-pub use group_commit::{GroupCommit, GroupCommitStats};
 pub use kv::{IntoBytes, KeyHasher, KvStore, KvTxn, WriteOp};
 pub use recovery::{replay, RecoveryReport, ReplayOutcome};
-pub use wal::{LogRecord, RecordKind, Wal};
+pub use wal::{GroupCommitStats, LogRecord, RecordKind, Wal};

@@ -11,11 +11,19 @@
 //! record carries the transaction's whole write set as an op list (see
 //! [`crate::kv::WriteOp::encode_list`]), so one frame, one checksum and one
 //! device write cover all of it. The log itself does not read payloads.
+//!
+//! Group commit (DeWitt et al., cited in the paper's §10 discussion of
+//! logging) is the log's own: every force in the system is a
+//! [`Wal::force_through`], and one device sync covers every record appended
+//! before it, so committers that arrive during a force share the next one.
+//! Nobody waits for company; a server that wants more commits per force
+//! closes an epoch (DESIGN.md S26).
 
 use crate::checksum::crc32;
 use crate::codec::{put, Reader};
 use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
+use parking_lot::{Condvar, Mutex};
 use rrq_obs::Obs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,16 +115,38 @@ pub struct LogRecord {
     pub payload: Vec<u8>,
 }
 
-/// An append-only, checksummed log over a [`Disk`].
-///
-/// The log itself is cheap to clone (shared `Arc` device); callers serialize
-/// appends externally (the KV store holds its own lock around WAL access).
+/// [`Wal::force_through`]'s counters: `requests / groups` is the batching.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupCommitStats {
+    /// Calls whose record was not yet durable when they arrived.
+    pub requests: u64,
+    /// Device syncs those calls issued (groups formed).
+    pub groups: u64,
+}
+
+/// What [`Wal::force_through`] keeps under its lock.
+#[derive(Default)]
+struct Forcing {
+    /// A caller is inside the device sync.
+    active: bool,
+    stats: GroupCommitStats,
+}
+
+/// An append-only, checksummed log over a [`Disk`]. Each append is one
+/// device write; a store that needs log order to be commit order serializes
+/// its appends itself (the KV store's append latch).
 pub struct Wal {
     disk: Arc<dyn Disk>,
     /// Records appended through this instance (metrics only).
     appended: AtomicU64,
     /// Records covered by the last successful [`Wal::sync`] (metrics only).
     synced: AtomicU64,
+    /// Log length known durable: the device length when the last successful
+    /// [`Wal::sync`] began. Restarts at zero with [`Wal::reset`].
+    durable: AtomicU64,
+    forcing: Mutex<Forcing>,
+    /// Wakes the callers that wait for a force in flight to end.
+    forced: Condvar,
     obs: Obs,
 }
 
@@ -133,6 +163,9 @@ impl Wal {
             disk,
             appended: AtomicU64::new(0),
             synced: AtomicU64::new(0),
+            durable: AtomicU64::new(0),
+            forcing: Mutex::default(),
+            forced: Condvar::new(),
             obs,
         }
     }
@@ -188,17 +221,62 @@ impl Wal {
         Ok(start + buf.len() as u64)
     }
 
-    /// Force all appended records to stable storage.
+    /// Force all appended records to stable storage and publish the durable
+    /// watermark.
     pub fn sync(&self) -> StorageResult<()> {
-        // Snapshot the record count before the device force: everything
-        // appended up to here is covered, later appends may not be.
+        // Snapshot before the device force: everything appended up to here
+        // is covered, later appends may not be.
         let covered = self.appended.load(Ordering::SeqCst);
+        let end = self.disk.len();
         self.disk.sync()?;
+        self.durable.fetch_max(end, Ordering::SeqCst);
         let prev = self.synced.fetch_max(covered, Ordering::SeqCst);
         let obs = &self.obs;
         obs.counter_inc("storage.wal.forces");
         obs.counter_add("storage.wal.records_synced", covered.saturating_sub(prev));
         Ok(())
+    }
+
+    /// Block until log bytes `[0, end)` are durable, `end` being what
+    /// [`Wal::append_with`] returned. A record another force covered costs one
+    /// atomic load; otherwise the caller waits out the force in flight and
+    /// forces if still uncovered. Waiters wake together, so a group is all who
+    /// arrived during one force (a lock held across the sync forms smaller
+    /// ones, EXPERIMENTS.md E35). A failed sync reaches only its caller.
+    pub fn force_through(&self, end: u64) -> StorageResult<()> {
+        if self.durable.load(Ordering::SeqCst) >= end {
+            return Ok(());
+        }
+        self.obs.counter_inc("storage.gc.sync_requests");
+        let mut forcing = self.forcing.lock();
+        forcing.stats.requests += 1;
+        let mut waited = false;
+        while self.durable.load(Ordering::SeqCst) < end {
+            if forcing.active {
+                waited = true;
+                self.forced.wait(&mut forcing);
+                continue;
+            }
+            forcing.active = true;
+            drop(forcing);
+            let synced = self.sync();
+            forcing = self.forcing.lock();
+            forcing.active = false;
+            self.forced.notify_all();
+            synced?;
+            forcing.stats.groups += 1;
+            return Ok(());
+        }
+        if waited {
+            // Covered by the force it waited out.
+            self.obs.counter_inc("storage.gc.follower_wakeups");
+        }
+        Ok(())
+    }
+
+    /// Snapshot of the [`Wal::force_through`] batching counters.
+    pub fn group_commit_stats(&self) -> GroupCommitStats {
+        self.forcing.lock().stats
     }
 
     /// Records appended through this instance (metrics bookkeeping).
@@ -216,11 +294,14 @@ impl Wal {
         self.len() == 0
     }
 
-    /// Atomically truncate the log to empty (after a checkpoint).
+    /// Atomically truncate the log to empty (after a checkpoint). Offsets
+    /// restart at zero, and so does the durable watermark. The caller keeps
+    /// appends and forces out until it returns (the store's checkpoint gate).
     pub fn reset(&self) -> StorageResult<()> {
         self.disk.reset(Vec::new())?;
         self.appended.store(0, Ordering::SeqCst);
         self.synced.store(0, Ordering::SeqCst);
+        self.durable.store(0, Ordering::SeqCst);
         Ok(())
     }
 
@@ -306,7 +387,9 @@ mod tests {
             .unwrap();
         (records, valid_end)
     }
-    use crate::disk::{CrashStyle, SimDisk};
+    use crate::disk::{CrashStyle, LatencyDisk, SimDisk};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     fn wal_on(disk: &SimDisk) -> Wal {
         Wal::new(Arc::new(disk.clone()))
@@ -424,6 +507,119 @@ mod tests {
         }
         assert!(RecordKind::from_byte(0).is_err());
         assert!(RecordKind::from_byte(8).is_err());
+    }
+
+    #[test]
+    fn single_caller_syncs_once() {
+        let disk = SimDisk::new();
+        let wal = wal_on(&disk);
+        wal.append(1, RecordKind::Commit, &[]).unwrap();
+        wal.force_through(wal.len()).unwrap();
+        assert_eq!(disk.stats().syncs, 1);
+        assert_eq!(disk.volatile_len(), 0);
+        let s = wal.group_commit_stats();
+        assert_eq!((s.requests, s.groups), (1, 1));
+    }
+
+    #[test]
+    fn covered_target_returns_without_new_sync() {
+        let disk = SimDisk::new();
+        let wal = wal_on(&disk);
+        wal.append(1, RecordKind::Commit, &[]).unwrap();
+        let t = wal.len();
+        wal.force_through(t).unwrap();
+        wal.force_through(t).unwrap();
+        assert_eq!(disk.stats().syncs, 1, "second call was already durable");
+    }
+
+    #[test]
+    fn slow_force_batches_concurrent_committers() {
+        // Eight committers append and ask for durability together; a force
+        // takes 5 ms, so whoever does not force first queues behind that
+        // sync and is covered by the next one.
+        let disk = SimDisk::new();
+        let slow = LatencyDisk::new(Arc::new(disk.clone()), Duration::from_millis(5));
+        let wal = Arc::new(Wal::new(Arc::new(slow)));
+        let start = Arc::new(Barrier::new(8));
+        let handles: Vec<_> = (0..8u64)
+            .map(|i| {
+                let (wal, start) = (Arc::clone(&wal), Arc::clone(&start));
+                let disk = disk.clone();
+                std::thread::spawn(move || {
+                    wal.append(i, RecordKind::Commit, &[]).unwrap();
+                    let target = wal.len();
+                    start.wait();
+                    wal.force_through(target).unwrap();
+                    assert!(disk.durable_len() >= target, "durable on return");
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let s = wal.group_commit_stats();
+        assert!(
+            s.groups < s.requests,
+            "8 committers behind a 5ms force must share groups: {s:?}"
+        );
+    }
+
+    #[test]
+    fn truncate_resets_watermark() {
+        let disk = SimDisk::new();
+        let wal = wal_on(&disk);
+        wal.append(1, RecordKind::Commit, &[]).unwrap();
+        wal.force_through(wal.len()).unwrap();
+        wal.reset().unwrap();
+        wal.append(2, RecordKind::Commit, &[]).unwrap();
+        wal.force_through(wal.len()).unwrap();
+        assert_eq!(disk.volatile_len(), 0, "post-truncate record forced");
+    }
+
+    #[test]
+    fn truncating_one_log_leaves_sibling_watermark_intact() {
+        // Each log owns its watermark: a checkpoint truncating log A must
+        // reset only A's. A shared reset would make log B's already-durable
+        // records look volatile — a commit racing the checkpoint on B would
+        // re-force needlessly.
+        let (disk_a, disk_b) = (SimDisk::new(), SimDisk::new());
+        let wal_a = wal_on(&disk_a);
+        let wal_b = wal_on(&disk_b);
+        wal_b.append(1, RecordKind::Commit, &[]).unwrap();
+        let b_target = wal_b.len();
+        wal_b.force_through(b_target).unwrap();
+        let b_syncs = disk_b.stats().syncs;
+
+        // Checkpoint truncates log A only.
+        wal_a.append(2, RecordKind::Commit, &[]).unwrap();
+        wal_a.force_through(wal_a.len()).unwrap();
+        wal_a.reset().unwrap();
+
+        // Sibling B's watermark still covers its commit record: no new
+        // device sync is needed to prove it durable.
+        wal_b.force_through(b_target).unwrap();
+        assert_eq!(
+            disk_b.stats().syncs,
+            b_syncs,
+            "sibling log re-forced after a checkpoint it was not part of"
+        );
+        // And A's own watermark did reset: its next record is forced.
+        wal_a.append(3, RecordKind::Commit, &[]).unwrap();
+        wal_a.force_through(wal_a.len()).unwrap();
+        assert_eq!(disk_a.volatile_len(), 0);
+    }
+
+    #[test]
+    fn sync_error_is_surfaced_not_swallowed() {
+        let disk = SimDisk::new();
+        let wal = wal_on(&disk);
+        wal.append(1, RecordKind::Commit, &[]).unwrap();
+        let target = wal.len();
+        disk.fail();
+        assert!(wal.force_through(target).is_err());
+        disk.repair();
+        wal.force_through(target).unwrap();
+        assert_eq!(disk.volatile_len(), 0);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Crash-safety regression tests for group commit.
+//! Crash-safety regression tests for group commit ([`Wal::force_through`]).
 //!
 //! The dangerous window group commit introduces: a follower's commit record
-//! is made durable by the *leader's* sync, and the crash may land after that
-//! sync but before the follower ever observes it (the "ack"). The write-ahead
+//! is made durable by the *leader's* force, and the crash may land after that
+//! force but before the follower ever observes it (the "ack"). The write-ahead
 //! rule still holds — the record is on the platter — so recovery must replay
 //! the follower's transaction even though its thread never finished commit().
 //! Symmetrically, an abort whose record is still volatile must never come
 //! back as committed.
 
 use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk, TornWriteMode};
-use rrq_storage::group_commit::GroupCommit;
 use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::replay;
 use rrq_storage::wal::{RecordKind, Wal};
@@ -25,14 +24,13 @@ fn reopen(wal: &SimDisk, ckpt: &SimDisk) -> (Arc<KvStore>, rrq_storage::recovery
     .unwrap()
 }
 
-/// The exact window from the issue, driven deterministically at the WAL
-/// level: the leader's sync covers a follower's commit record, the crash
-/// hits before the follower acks, and recovery must still replay both.
+/// The window, driven deterministically at the WAL level: the leader's
+/// force covers a follower's commit record, the crash hits before the
+/// follower acks, and recovery must still replay both.
 #[test]
 fn crash_between_group_sync_and_follower_ack_loses_nothing() {
     let disk = SimDisk::new();
     let wal = Wal::new(Arc::new(disk.clone()));
-    let gc = GroupCommit::new();
 
     // Two committers reach their commit point; both records are appended.
     let commit = |txn: u64, key: &[u8]| {
@@ -49,20 +47,20 @@ fn crash_between_group_sync_and_follower_ack_loses_nothing() {
     commit(2, b"follower");
     let follower_target = wal.len();
 
-    // The leader's group sync covers the follower's record too.
-    gc.sync_through(&wal, leader_target).unwrap();
+    // The leader's force covers the follower's record too.
+    wal.force_through(leader_target).unwrap();
     assert_eq!(disk.stats().syncs, 1);
 
-    // CRASH: the follower never got to call sync_through (no ack).
+    // CRASH: the follower never got to call force_through (no ack).
     disk.crash(CrashStyle::DropVolatile);
 
     let out = replay(&wal, Default::default(), |_| {}).unwrap();
     assert_eq!(out.committed_txns, 2, "follower's commit was in the group");
     assert_eq!(out.replayed, 2);
 
-    // After recovery the follower's target is durable without any new sync.
-    gc.on_truncate(); // watermark conservative after restart
-    gc.sync_through(&wal, follower_target).unwrap();
+    // The leader's force covered the follower's target: no new sync.
+    wal.force_through(follower_target).unwrap();
+    assert_eq!(disk.stats().syncs, 1);
 }
 
 /// A storm of concurrent committers over a log whose force takes 3 ms, so

@@ -7,6 +7,9 @@
 //! abort — the paper's §11 discusses exactly this "forgetting" behaviour of
 //! transaction managers, which motivates queues as the longer-lived record
 //! of a request's disposition).
+//!
+//! Decisions that reach [`Wal::force_through`] while another decision's
+//! force is in flight share the next device sync.
 
 use crate::error::TxnResult;
 use crate::ids::TxnId;
@@ -35,10 +38,11 @@ impl CoordinatorLog {
     /// Durably record the outcome of `txn`. Must be called after all
     /// participants prepared and before any is told to commit.
     pub fn log_decision(&self, txn: TxnId, commit: bool) -> TxnResult<()> {
-        let mut payload = Vec::with_capacity(1);
-        put::bool(&mut payload, commit);
-        self.wal.append(txn.raw(), DECISION_KIND, &payload)?;
-        self.wal.sync()?;
+        let outcome = |b: &mut Vec<u8>| put::bool(b, commit);
+        let end = self
+            .wal
+            .append_with(&mut Vec::new(), txn.raw(), DECISION_KIND, outcome)?;
+        self.wal.force_through(end)?;
         Ok(())
     }
 
@@ -60,7 +64,9 @@ impl CoordinatorLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrq_storage::disk::{CrashStyle, SimDisk};
+    use rrq_storage::disk::{CrashStyle, LatencyDisk, SimDisk};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn decisions_roundtrip() {
@@ -82,6 +88,53 @@ mod tests {
         disk.crash(CrashStyle::DropVolatile);
         let log2 = CoordinatorLog::new(Arc::new(disk.clone()));
         assert_eq!(log2.decisions().unwrap().get(&9), Some(&true));
+    }
+
+    #[test]
+    fn concurrent_decisions_share_a_force() {
+        // Eight coordinators decide together on a log whose force takes
+        // 3 ms: a decision logged while another's force is in flight rides
+        // the next sync, and every decision that returned is durable.
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 5;
+        let disk = SimDisk::new();
+        let slow = LatencyDisk::new(Arc::new(disk.clone()), Duration::from_millis(3));
+        let log = Arc::new(CoordinatorLog::new(Arc::new(slow)));
+        let start = Arc::new(Barrier::new(THREADS as usize));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (log, start) = (Arc::clone(&log), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..PER_THREAD)
+                        .map(|i| {
+                            let txn = t * 100 + i + 1;
+                            let commit = txn % 2 == 0;
+                            log.log_decision(TxnId(txn), commit).map(|()| (txn, commit))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let logged: Vec<(u64, bool)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .map(Result::unwrap)
+            .collect();
+        let syncs = disk.stats().syncs;
+        assert!(
+            syncs < THREADS * PER_THREAD,
+            "{syncs} syncs for {} decisions: no force was shared",
+            THREADS * PER_THREAD
+        );
+
+        disk.crash(CrashStyle::DropVolatile);
+        let d = CoordinatorLog::new(Arc::new(disk.clone()))
+            .decisions()
+            .unwrap();
+        for (txn, commit) in logged {
+            assert_eq!(d.get(&txn), Some(&commit), "decision {txn} returned Ok");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@ use rrq_core::api::{LocalQm, QmApi};
 use rrq_core::pipeline::Serializability;
 use rrq_core::request::{Reply, Request};
 use rrq_core::rid::Rid;
-use rrq_core::server::Handler;
+use rrq_core::server::{Handler, HandlerOutcome, Served, Server, ServerConfig};
+use rrq_core::CoreError;
 use rrq_qm::error::QmError;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::repository::{RepoDisks, Repository};
@@ -14,6 +15,7 @@ use rrq_sim::node::{ServerFactory, ServerNodeSim};
 use rrq_sim::oracle::EffectLedger;
 use rrq_storage::codec::{Decode, Encode};
 use rrq_storage::{Disk, StorageError};
+use rrq_txn::TxnError;
 use rrq_workload::bank::{self, Transfer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -204,4 +206,50 @@ fn a_corrupt_checkpoint_fails_the_reopen_and_is_left_untouched() {
         bytes,
         "the checkpoint device was changed"
     );
+}
+
+/// Every outcome that commits meets a failed log device the same way: the
+/// commit's storage error reaches the caller of `run_once`, the request goes
+/// back to its queue, and nothing is counted as a deadlock or cancel
+/// rollback. A lock-inheriting forward is no exception.
+#[test]
+fn a_failed_log_fails_an_inheriting_forward_as_it_fails_a_reply() {
+    let (repo, _) = Repository::open("failed-log", RepoDisks::new()).unwrap();
+    let repo = Arc::new(repo);
+    for q in ["reply-in", "inherit-in", "next", "reply.c"] {
+        repo.create_queue_defaults(q).unwrap();
+    }
+    let reply: Handler = Arc::new(|_ctx, _req| Ok(HandlerOutcome::Reply(b"done".to_vec())));
+    let inherit: Handler = Arc::new(|_ctx, req: &Request| {
+        Ok(HandlerOutcome::ForwardInheriting {
+            queue: "next".into(),
+            request: req.clone(),
+        })
+    });
+    let api = LocalQm::new(Arc::clone(&repo));
+    let servers = [("reply-in", reply), ("inherit-in", inherit)].map(|(q, handler)| {
+        api.register(q, "c", false).unwrap();
+        let req = Request::new(Rid::new(q, 1), "reply.c", "op", vec![]);
+        api.enqueue(q, "c", &req.encode_to_vec(), EnqueueOptions::default())
+            .unwrap();
+        Server::new(Arc::clone(&repo), ServerConfig::new(q, q), handler).unwrap()
+    });
+
+    repo.disks().wal.fail();
+    let [replied, inherited] = servers.each_ref().map(|s| s.run_once());
+    assert!(
+        matches!(replied, Err(CoreError::Txn(TxnError::Storage(_)))),
+        "a reply over a failed log: {replied:?}"
+    );
+    assert_eq!(inherited, replied, "the inheriting forward's commit failed");
+    for s in &servers {
+        assert_eq!(s.stats().rolled, 0, "a device error counted as a rollback");
+        assert_eq!(s.stats().committed, 0);
+    }
+
+    repo.disks().wal.repair();
+    for s in &servers {
+        assert_eq!(s.run_once(), Ok(Served::Committed), "the request came back");
+    }
+    assert_eq!(api.depth("next").unwrap(), 1);
 }
