@@ -23,6 +23,19 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --release
 
+echo "== notifier unit tests, 100 runs (release)"
+# The counted-wakeup contract (a signal of n lets at most n blocked
+# dequeuers leave) is a race between threads, so one passing run shows
+# little: a spurious wake once let three waiters leave on a signal of two
+# in about one run in a hundred. See crates/qm/src/notify.rs.
+for i in $(seq 100); do
+  out=$(cargo test -q --release -p rrq-qm --lib notify:: 2>&1) || {
+    echo "$out"
+    echo "notify:: tests failed on run $i of 100"
+    exit 1
+  }
+done
+
 echo "== cargo test, debug build (storage + queue manager + core + lock table)"
 # The tier-1 command as ROADMAP.md writes it is a debug build; the release
 # run above compiles `debug_assert!` out (record kinds, eid counters, every

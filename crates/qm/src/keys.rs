@@ -11,6 +11,7 @@
 //! | `r/<queue>/<registrant>`   | [`crate::registration::Registration`] |
 //! | `t/<trigger>`              | [`crate::trigger::Trigger`] |
 //! | `c/epoch`                  | restart epoch counter |
+//! | `o/<txn-be>`               | two-phase decision row of a transaction homed here (`rrq_txn::twophase`; empty value): a row means commit. The next decision deletes it once every participant has committed, and a reopen deletes what a crash left |
 //!
 //! The element ordering key `<ord>` is `(0xFF - priority) ‖ seq_be`, so a
 //! plain ascending prefix scan yields highest-priority-first, FIFO within a

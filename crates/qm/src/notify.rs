@@ -31,6 +31,9 @@ use std::time::{Duration, Instant};
 struct Waitq {
     version: u64,
     waiters: usize,
+    /// Wakeups issued and not yet taken, never more than `waiters`: a woken
+    /// waiter leaves only with one, so a spurious wake waits again.
+    tokens: usize,
     cv: Arc<Condvar>,
 }
 
@@ -64,8 +67,8 @@ impl QueueNotifier {
     }
 
     /// Signal that `queue` gained up to `newly` elements: bump the version
-    /// once and wake `min(newly, waiters)` blocked dequeuers on that queue
-    /// — never waiters on other queues, never the whole herd.
+    /// once and wake `min(newly, waiters)` blocked dequeuers on that queue,
+    /// a token each — never waiters on other queues, never the whole herd.
     pub fn signal_n(&self, queue: &str, newly: usize) {
         if newly == 0 {
             return;
@@ -73,39 +76,40 @@ impl QueueNotifier {
         let mut g = self.queues.lock();
         let w = self.waitq(&mut g, queue);
         w.version = self.clock.fetch_add(1, Ordering::AcqRel) + 1;
-        let wake = newly.min(w.waiters);
+        let wake = newly.min(w.waiters - w.tokens);
+        w.tokens += wake;
         for _ in 0..wake {
             w.cv.notify_one();
         }
         self.wakeups.fetch_add(wake as u64, Ordering::AcqRel);
     }
 
-    /// Block until `queue`'s version exceeds `seen` or `timeout` elapses.
-    /// Returns `true` when woken by a signal, `false` on timeout.
+    /// Unless `queue`'s version already exceeds `seen`, block until this
+    /// waiter takes a signal's token (`true`) or `timeout` elapses (then
+    /// whether the version moved).
     pub fn wait_past(&self, queue: &str, seen: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut g = self.queues.lock();
+        let w = self.waitq(&mut g, queue);
+        if w.version > seen {
+            return true;
+        }
+        w.waiters += 1;
+        let cv = Arc::clone(&w.cv);
         loop {
-            let w = self.waitq(&mut g, queue);
-            if w.version > seen {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            w.waiters += 1;
-            let cv = Arc::clone(&w.cv);
             let timed_out = cv.wait_until(&mut g, deadline).timed_out();
             // Re-borrow after the wait: the map may have rehashed, or the
             // queue been forgotten (its versions are all in the past then).
-            match g.get_mut(queue) {
-                Some(w) if Arc::ptr_eq(&w.cv, &cv) => {
-                    w.waiters -= 1;
-                    if timed_out {
-                        return w.version > seen;
-                    }
-                }
-                _ => return true,
+            let Some(w) = g.get_mut(queue).filter(|w| Arc::ptr_eq(&w.cv, &cv)) else {
+                return true;
+            };
+            // Whoever leaves takes a token if there is one, so tokens never
+            // outnumber waiters and a notify absorbed by a timeout is not lost.
+            let took = w.tokens > 0;
+            if took || timed_out {
+                w.tokens -= usize::from(took);
+                w.waiters -= 1;
+                return took || w.version > seen;
             }
         }
     }
@@ -351,6 +355,45 @@ mod tests {
                 0,
                 "round {round}: count must drain to 0"
             );
+        }
+    }
+
+    /// A spurious wake is no wakeup: after `signal_n(q, 2)` among three
+    /// waiters, a `notify_all` on the queue's condvar (what a spurious wake
+    /// of every waiter looks like) still lets exactly two leave — the third
+    /// finds no token and waits again, although the version moved.
+    #[test]
+    fn a_spurious_wake_without_a_token_waits_again() {
+        let n = Arc::new(QueueNotifier::new());
+        let left = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                let (n, left) = (Arc::clone(&n), Arc::clone(&left));
+                thread::spawn(move || {
+                    let woken = n.wait_past("q", 0, Duration::from_secs(10));
+                    left.fetch_add(1, Ordering::AcqRel);
+                    woken
+                })
+            })
+            .collect();
+        while n.waiters("q") < 3 {
+            thread::yield_now();
+        }
+        n.signal_n("q", 2);
+        let cv = Arc::clone(&n.queues.lock().get("q").unwrap().cv);
+        cv.notify_all();
+        let t0 = Instant::now();
+        while left.load(Ordering::Acquire) < 2 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "winners never woke");
+            thread::yield_now();
+        }
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(left.load(Ordering::Acquire), 2, "only two of three left");
+        assert_eq!(n.waiters("q"), 1, "the third waits again");
+        assert_eq!(n.wakeups(), 2);
+        n.signal_n("q", 1);
+        for h in handles {
+            assert!(h.join().unwrap());
         }
     }
 

@@ -284,10 +284,10 @@ struct PendingTxn {
     /// Set by KillElement when this transaction holds a cancelled element:
     /// the transaction must abort (§7).
     poisoned: Option<Eid>,
-    /// Set by [`QueueManager::defer_commit`], cleared by `prepare`: a
-    /// one-phase commit appends its commit record without forcing it and
-    /// parks this mirror in `epoch_buf`; [`QueueManager::close_epoch`]
-    /// forces the log and only then shows the effects to dequeuers.
+    /// Set by [`QueueManager::defer_commit`], cleared by `prepare` and
+    /// `commit_deciding`: a one-phase commit appends its commit record
+    /// unforced and parks this mirror in `epoch_buf`; `close_epoch` forces
+    /// the log and only then shows the effects to dequeuers.
     deferred: bool,
 }
 
@@ -1356,8 +1356,8 @@ impl QueueManager {
     /// record is appended but not forced, its locks are released, and its
     /// enqueues and dequeues stay out of the ready index (no clerk can
     /// dequeue its reply, no wakeup fires) until [`Self::close_epoch`]. A
-    /// transaction that goes through `prepare` — anything enlisted beyond
-    /// this queue manager — loses the mark and commits forced, as ever.
+    /// transaction with another participant — prepared here, or coordinated
+    /// here through `commit_deciding` — commits forced, as ever.
     /// Call right after enlisting, before the transaction touches an element.
     pub fn defer_commit(&self, txn: u64) {
         self.pending_shard(txn).entry(txn).or_default().deferred = true;
@@ -1914,6 +1914,15 @@ impl ResourceManager for QueueManager {
         }
         self.apply_committed(pend);
         Ok(())
+    }
+
+    fn commit_deciding(&self, txn: TxnId, forget: &[TxnId]) -> TxnResult<()> {
+        // Forced even if deferred, as `prepare` is: the others commit on it.
+        if let Some(p) = self.pending_shard(txn.raw()).get_mut(&txn.raw()) {
+            p.deferred = false;
+        }
+        rrq_txn::twophase::write_decision(&self.durable, txn, forget)?;
+        ResourceManager::commit(self, txn)
     }
 
     fn abort(&self, txn: TxnId) -> TxnResult<()> {

@@ -4,7 +4,7 @@
 //!
 //! [`Repository::open`] is the restart entry point: it recovers the durable
 //! store from checkpoint + log, resolves in-doubt two-phase-commit
-//! participants against the coordinator log, and hands back a ready
+//! participants by their decision rows, and hands back a ready
 //! [`QueueManager`] + [`TxnManager`] pair. Each queue manager is born with an
 //! empty main-memory store for its volatile queues, which lose their contents
 //! on a node failure (§10).
@@ -13,15 +13,15 @@
 //! shared-nothing *cluster* of N partitions (DESIGN.md S25): each partition
 //! owns the queues [`crate::route::partition_of`] hashes to it and runs its
 //! own durable store (own log + checkpoint device), queue manager, and lock
-//! manager — a partition is the unit of logging and of recovery. Only two
-//! pieces are shared, both append-only: the 2PC coordinator log (one
-//! decision record covers every partition a transaction touched) and the
-//! transaction-id generator (ids key lock tables and store tokens, so they
-//! must be cluster-unique). A transaction
-//! homed on one partition that never touches another partition's queues is
-//! the paper's common case and pays zero cross-partition coordination; one
-//! that does touch a sibling enlists it as a second resource manager and
-//! commits through the existing logged two-phase protocol in `rrq-txn`.
+//! manager — a partition is the unit of logging and of recovery. Only the
+//! transaction-id generator is shared (ids key lock tables, store tokens and
+//! decision rows, so they must be cluster-unique). A transaction homed on
+//! one partition that never touches another partition's queues is the
+//! paper's common case and pays zero cross-partition coordination; one that
+//! does touch a sibling enlists it as a second resource manager and commits
+//! through the two-phase protocol in `rrq-txn`: the sibling prepares, and
+//! the home partition, enlisted first, commits one-phase with the decision
+//! row `o/<txn>` in its own write set (`rrq_txn::twophase`).
 
 use crate::error::{QmError, QmResult};
 use crate::meta::QueueMeta;
@@ -33,8 +33,8 @@ use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use rrq_storage::StorageError;
 use rrq_txn::{
-    CoordinatorLog, KvResource, LockManager, ResourceManager, Txn, TxnId, TxnIdGen, TxnManager,
-    TxnResult, DEFAULT_LOCK_SHARDS,
+    forget_decisions, resolve_in_doubt, LockManager, ResourceManager, Txn, TxnId, TxnIdGen,
+    TxnManager, TxnResult, DEFAULT_LOCK_SHARDS,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,16 +46,15 @@ use std::time::Duration;
 /// repository partition, each a log device and a checkpoint device; a
 /// repository opened with `repo_partitions = P` uses the first `P` groups.
 /// The legacy fields alias group 0 (SimDisk clones share state), so single-
-/// partition code keeps working unchanged. The coordinator log is a single
-/// shared device: it is the one piece of 2PC state every partition's
-/// recovery consults.
+/// partition code keeps working unchanged.
 #[derive(Debug, Clone)]
 pub struct RepoDisks {
     /// Partition 0's write-ahead log device (aliases `wal_groups[0][0]`).
     pub wal: SimDisk,
     /// Partition 0's checkpoint device (aliases `ckpts[0]`).
     pub ckpt: SimDisk,
-    /// Two-phase-commit coordinator log device (cluster-shared).
+    /// An empty device that nothing opens: the retired 2PC coordinator
+    /// log's. The benchmark package under `perf/` still names it.
     pub coord: SimDisk,
     /// Per-repository-partition log devices: exactly one per group, since a
     /// partition's store writes one log. The nesting is what the benchmark
@@ -95,22 +94,20 @@ impl RepoDisks {
 
     /// Crash all devices; with `Some(mode)` every WAL device additionally
     /// keeps a torn (corrupt) tail of its unsynced bytes, so recovery must
-    /// reject the partial frames. The checkpoint and coordinator devices
-    /// only ever take whole-contents swaps or forced appends, so a torn
-    /// tail there models nothing the protocol can see — they always drop
-    /// volatile cleanly.
+    /// reject the partial frames. The checkpoint devices only ever take
+    /// whole-contents swaps, so a torn tail there models nothing the
+    /// protocol can see — they always drop volatile cleanly.
     pub fn crash_with(&self, torn: Option<TornWriteMode>) {
         for part in 0..self.wal_groups.len() {
             self.crash_partition(part, torn);
         }
-        self.coord.crash(CrashStyle::DropVolatile);
     }
 
     /// Crash only repository partition `part`'s devices (its log and
-    /// checkpoint device), leaving every sibling partition's devices — and
-    /// the shared coordinator log — untouched. This is the partition-scoped
-    /// failure of a shared-nothing cluster: one node loses power while the
-    /// rest keep their state. `torn` follows [`Self::crash_with`].
+    /// checkpoint device), leaving every sibling partition's untouched. This
+    /// is the partition-scoped failure of a shared-nothing cluster: one node
+    /// loses power while the rest keep their state. `torn` follows
+    /// [`Self::crash_with`].
     pub fn crash_partition(&self, part: usize, torn: Option<TornWriteMode>) {
         let part = part % self.wal_groups.len().max(1);
         for w in &self.wal_groups[part] {
@@ -150,7 +147,7 @@ impl Default for RepoOptions {
 
 /// One shared-nothing partition: a durable store, its queue manager, and
 /// the transaction manager wired to the partition's own lock manager (plus
-/// the cluster-shared coordinator log and id generator).
+/// the cluster-shared id generator).
 struct RepoPartition {
     qm: Arc<QueueManager>,
     tm: TxnManager,
@@ -182,10 +179,10 @@ impl ResourceManager for SiblingRm {
 
     fn commit(&self, txn: TxnId) -> TxnResult<()> {
         let r = ResourceManager::commit(&*self.qm, txn);
-        // 2PL release point for the sibling's locks: the commit decision is
-        // already durable in the shared coordinator log by the time the
+        // 2PL release point for the sibling's locks: the decision row is
+        // already durable in the home partition's commit by the time the
         // commit phase runs, and a failed commit leaves this participant
-        // prepared for recovery to resolve from that log.
+        // prepared for recovery to resolve from that row.
         self.locks.unlock_all(txn.raw());
         r
     }
@@ -219,12 +216,11 @@ impl Repository {
     /// (a simulated node across crashes) passes its own.
     ///
     /// Partitions recover independently and concurrently (each replays only
-    /// its own log, on a thread of its own), then resolve their in-doubt
-    /// transactions, in partition order, against the shared coordinator log
-    /// — so a cross-partition transaction prepared everywhere but only
-    /// decided in the coordinator log commits on every partition, and one
-    /// never decided aborts on every partition (presumed abort). The
-    /// returned report aggregates all partitions.
+    /// its own log, on a thread of its own). Then, in partition order, each
+    /// in-doubt transaction commits if a recovered partition holds its
+    /// decision row and aborts if none does (presumed abort), and only
+    /// after every partition has resolved are the rows left over deleted.
+    /// The returned report aggregates all partitions.
     pub fn open_with(
         name: impl Into<String>,
         disks: RepoDisks,
@@ -234,17 +230,16 @@ impl Repository {
         let name = name.into();
         let repo_partitions = opts.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
 
-        // Cluster-shared pieces: one decision log, one id space.
-        let coord = Arc::new(CoordinatorLog::new(Arc::new(disks.coord.clone())));
+        // The one cluster-shared piece: one id space.
         let ids = Arc::new(TxnIdGen::new(1));
 
         // Each partition owns its log and its checkpoint chain, so the
         // stores recover side by side: partition 0 on this thread, every
         // other one on a named thread of its own (so a single-partition
-        // repository starts none). What touches shared state — in-doubt
-        // resolution against the coordinator log, queue-manager
-        // construction — stays serial below, in partition order, so a
-        // simulator run does not depend on the threads' timing.
+        // repository starts none). What reads across partitions — in-doubt
+        // resolution, the decision-row sweep, queue-manager construction —
+        // stays serial below, in partition order, so a simulator run does
+        // not depend on the threads' timing.
         let open_store = |p: usize| {
             let wal = Arc::new(disks.wal_groups[p][0].clone());
             let wal: Arc<dyn Disk> = match opts.wal_sync_latency {
@@ -272,24 +267,21 @@ impl Repository {
             Ok::<_, StorageError>(recovered)
         })?;
 
+        // A crash between a decision and a sibling's commit leaves the
+        // sibling in doubt; its transaction's home partition holds the row.
+        let stores: Vec<Arc<KvStore>> = recovered.iter().map(|(s, _)| Arc::clone(s)).collect();
+        for (store, report) in &recovered {
+            resolve_in_doubt(store, &report.in_doubt, &stores)?;
+        }
+        for store in &stores {
+            forget_decisions(store, &ids)?;
+        }
+
         let mut parts = Vec::with_capacity(repo_partitions);
         let mut total = RecoveryReport::default();
         for (p, (store, report)) in recovered.into_iter().enumerate() {
             let locks = Arc::new(LockManager::with_shards(DEFAULT_LOCK_SHARDS, obs.clone()));
-            let tm =
-                TxnManager::with_shared(Arc::clone(&locks), Some(Arc::clone(&coord)), ids.clone());
-
-            // Resolve in-doubt transactions left by a crash between 2PC
-            // phases.
-            if !report.in_doubt.is_empty() {
-                let rm_name = match p {
-                    0 => format!("{name}/store"),
-                    p => format!("{name}/p{p}/store"),
-                };
-                let rm = KvResource::new(rm_name, Arc::clone(&store));
-                tm.resolve_in_doubt(&rm, &report.in_doubt)?;
-            }
-
+            let tm = TxnManager::with_shared(Arc::clone(&locks), ids.clone());
             let qm_name = match p {
                 0 => format!("qm/{name}"),
                 p => format!("qm/{name}/p{p}"),
@@ -417,7 +409,8 @@ impl Repository {
     /// `queue` is already home — the caller's own partition). Returns the
     /// owning partition's queue manager, ready for operations under
     /// `txn`'s id. A cross-partition enlistment upgrades the eventual
-    /// commit to the logged two-phase protocol.
+    /// commit to the two-phase protocol, which the home partition, enlisted
+    /// first, decides.
     pub fn enlist_queue(
         &self,
         txn: &Txn,

@@ -75,7 +75,7 @@ fn boot(wal: &Arc<HookDisk>, ckpt: &SimDisk) -> Node {
     }
     let (handle, _) = qm.register("q", "t", false).unwrap();
     Node {
-        tm: TxnManager::new(locks, None, 1),
+        tm: TxnManager::new(locks, 1),
         qm,
         handle,
     }

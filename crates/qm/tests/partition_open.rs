@@ -10,7 +10,8 @@ use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use rrq_storage::disk::{Disk, SimDisk};
 use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
-use rrq_txn::{CoordinatorLog, KvResource, LockManager, ResourceManager, TxnManager};
+use rrq_txn::twophase::DECISION_PREFIX;
+use rrq_txn::{forget_decisions, resolve_in_doubt, ResourceManager, TxnIdGen};
 use std::sync::Arc;
 
 const PARTS: usize = 4;
@@ -26,7 +27,7 @@ fn open(disks: &RepoDisks) -> (Repository, RecoveryReport) {
 
 fn devices(disks: &RepoDisks) -> Vec<&SimDisk> {
     let logs = disks.wal_groups.iter().flatten();
-    logs.chain(&disks.ckpts).chain([&disks.coord]).collect()
+    logs.chain(&disks.ckpts).collect()
 }
 
 type Dump = Vec<(Vec<u8>, Vec<u8>)>;
@@ -72,8 +73,11 @@ fn concurrent_partition_recovery_equals_serial() {
                 .unwrap();
             }
         }
-        // A ring of moves, each prepared on both of its partitions and then
-        // abandoned: every partition is in doubt about two transactions.
+        // A ring of moves, each prepared on its sibling partition and then
+        // abandoned: every partition is in doubt about the move it receives.
+        // Every other move reached its home partition's deciding commit:
+        // those commit on both partitions, the rest abort on both (presumed
+        // abort), so each partition sees one commit and one abort.
         for p in 0..PARTS {
             let (from, to) = (p, (p + 1) % PARTS);
             let (txn, home) = repo.begin_on(&queues[from]).unwrap();
@@ -91,16 +95,12 @@ fn concurrent_partition_recovery_equals_serial() {
                     EnqueueOptions::default(),
                 )
                 .unwrap();
-            ResourceManager::prepare(&**repo.qm_at(from), id).unwrap();
             ResourceManager::prepare(&**repo.qm_at(to), id).unwrap();
-            std::mem::forget(txn);
-            // Every other move reached its decision record: those commit on
-            // both partitions, the rest abort on both (presumed abort).
             if p % 2 == 0 {
-                let coord = CoordinatorLog::new(Arc::new(disks.coord.clone()));
-                coord.log_decision(id, true).unwrap();
+                ResourceManager::commit_deciding(&**repo.qm_at(from), id, &[]).unwrap();
                 decided.push(id.raw());
             }
+            std::mem::forget(txn);
         }
     }
     disks.crash();
@@ -116,23 +116,44 @@ fn concurrent_partition_recovery_equals_serial() {
         device.reset(bytes).unwrap();
     }
 
-    // The same image, one store at a time, resolved as `open_with` resolves.
-    let coord = CoordinatorLog::new(Arc::new(disks.coord.clone()));
-    let tm = TxnManager::new(Arc::new(LockManager::new()), Some(coord), 1);
-    let mut serial_report = RecoveryReport::default();
-    for (p, got) in concurrent.iter().enumerate() {
-        let (store, part) = KvStore::open(
-            Arc::new(disks.wal_groups[p][0].clone()),
-            Arc::new(disks.ckpts[p].clone()),
-            rrq_obs::Obs::default(),
-        )
-        .unwrap();
-        assert_eq!(part.in_doubt.len(), 2, "partition {p}: {part:?}");
+    // The same image, one store at a time, resolved as `open_with` resolves:
+    // every in-doubt transaction by the recovered rows, then the sweep.
+    let recovered: Vec<_> = (0..PARTS)
+        .map(|p| {
+            KvStore::open(
+                Arc::new(disks.wal_groups[p][0].clone()),
+                Arc::new(disks.ckpts[p].clone()),
+                rrq_obs::Obs::default(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let stores: Vec<Arc<KvStore>> = recovered.iter().map(|(s, _)| Arc::clone(s)).collect();
+    for (p, (store, part)) in recovered.iter().enumerate() {
+        assert_eq!(part.in_doubt.len(), 1, "partition {p}: {part:?}");
         assert!(part.replayed >= TAIL, "partition {p} had a log tail");
-        let rm = KvResource::new(format!("po/p{p}/store"), Arc::clone(&store));
-        let outcomes = tm.resolve_in_doubt(&rm, &part.in_doubt).unwrap();
-        assert_eq!(outcomes, (1, 1), "partition {p}: one commits, one aborts");
+        let (committed, aborted) = resolve_in_doubt(store, &part.in_doubt, &stores).unwrap();
+        // The move this partition sent decided (or not) before the crash.
+        let home_committed = usize::from(p % 2 == 0);
+        assert_eq!(
+            (committed + home_committed, aborted + 1 - home_committed),
+            (1, 1),
+            "partition {p}: one commits, one aborts"
+        );
+    }
+    let ids = TxnIdGen::new(1);
+    let swept: usize = stores
+        .iter()
+        .map(|s| forget_decisions(s, &ids).unwrap())
+        .sum();
+    assert_eq!(swept, decided.len(), "one row per decided move");
+    let mut serial_report = RecoveryReport::default();
+    for (p, (got, (store, part))) in concurrent.iter().zip(recovered).enumerate() {
         assert_eq!(*got, dump(&store), "partition {p}");
+        assert!(
+            !got.iter().any(|(k, _)| k.starts_with(DECISION_PREFIX)),
+            "partition {p} kept a decision row"
+        );
         serial_report.replayed += part.replayed;
         serial_report.committed_txns += part.committed_txns;
         serial_report.aborted_txns += part.aborted_txns;
@@ -141,6 +162,6 @@ fn concurrent_partition_recovery_equals_serial() {
     serial_report.in_doubt.sort_unstable();
     assert_eq!(report, serial_report);
     for id in decided {
-        assert_eq!(report.in_doubt.iter().filter(|t| **t == id).count(), 2);
+        assert_eq!(report.in_doubt.iter().filter(|t| **t == id).count(), 1);
     }
 }

@@ -147,11 +147,11 @@ impl ServerNodeSim {
     }
 
     /// Partition-scoped crash: only repository partition `part`'s devices
-    /// (its log + checkpoint) lose their volatile bytes — siblings
-    /// and the shared coordinator log keep theirs. Server threads still die
-    /// (they share the process), so [`ServerNodeSim::start`] reboots the
-    /// whole cluster; sibling partitions recover from intact logs while the
-    /// crashed one must resolve any prepared cross-partition transactions.
+    /// (its log + checkpoint) lose their volatile bytes — siblings keep
+    /// theirs. Server threads still die (they share the process), so
+    /// [`ServerNodeSim::start`] reboots the whole cluster; sibling
+    /// partitions recover from intact logs, and an in-doubt cross-partition
+    /// transaction resolves by its home partition's decision row, or none.
     pub fn crash_partition(&mut self, part: usize, torn: Option<TornWriteMode>) {
         self.halt();
         self.disks.crash_partition(part, torn);

@@ -101,9 +101,9 @@ pub enum FaultEvent {
     },
     /// One *repository partition*'s durable devices fail after the send of
     /// `serial`: its WAL group and checkpoint crash (optionally torn) while
-    /// every sibling partition — and the shared 2PC coordinator log — keeps
-    /// its bytes. The node restarts and recovery must resolve any
-    /// cross-partition transaction the dead partition had prepared.
+    /// every sibling partition keeps its bytes. The node restarts and
+    /// recovery must resolve any cross-partition transaction the dead
+    /// partition had prepared, or had decided for siblings still in doubt.
     RepoCrash {
         /// Serial whose send precedes the crash.
         serial: u64,

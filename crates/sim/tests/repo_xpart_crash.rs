@@ -2,22 +2,29 @@
 //!
 //! The partition-equivalence battery (`repo_partition_equiv.rs`) shows
 //! partitioning is invisible when nothing goes wrong mid-protocol. This
-//! file aims at the two windows that make shared-nothing 2PC hard:
+//! file aims at the windows that make shared-nothing 2PC hard. A move
+//! homed on partition A with a sibling B runs: B prepares (forced), A
+//! commits one-phase with the decision row `o/<txn>` in its own write set
+//! (forced), B commits. Driven by hand, step by step:
 //!
-//! * A cross-partition move prepared on both partitions whose *home*
-//!   partition then loses its devices. On recovery the transaction
-//!   resurfaces as in-doubt and must resolve from the shared coordinator
-//!   log alone — commit-way when a decision was logged, abort-way
-//!   (presumed abort) when the crash hit before the decision record.
+//! * A crash after B's prepare and before A's commit: on recovery B is in
+//!   doubt, no partition holds a row, and the move aborts on both
+//!   (presumed abort).
+//! * A crash after A's commit and before B's: B is in doubt, A's recovered
+//!   tree holds the row, and the move commits on both — whether A alone
+//!   crashed or every partition did, and even when the epoch loop had
+//!   deferred A's commit.
+//! * After a completed move and a reopen, no decision row is left anywhere;
+//!   one committed move costs exactly three device syncs and three appends.
 //! * A partition-local request, which must be provably free of
 //!   cross-partition machinery: no sibling enlistments, no two-phase
 //!   rounds, no sibling lock grants, not one byte appended to a sibling's
-//!   WAL — counter-asserted on all four surfaces, through the repository's
-//!   own handle.
+//!   WAL, no decision row — counter-asserted through the repository's own
+//!   handle.
 //!
 //! A checked-in fault script (`data/repo-crash-xpart.rrqs`) rides along: at
 //! five repository partitions the explorer's request and reply queues land
-//! on *different* partitions, so every request commits through the logged
+//! on *different* partitions, so every request commits through the
 //! two-phase protocol, and the script's partition-scoped crashes straddle
 //! those commits. The oracle battery must stay silent.
 
@@ -26,11 +33,13 @@ use rrq_core::clerk::{Clerk, ClerkConfig, SendMode};
 use rrq_core::request::Reply;
 use rrq_core::rid::Rid;
 use rrq_obs::Obs;
-use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
+use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
 use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
 use rrq_qm::route::partition_of;
 use rrq_sim::explorer::{self, ExplorerConfig};
-use rrq_txn::{CoordinatorLog, ResourceManager};
+use rrq_storage::disk::{Disk, DiskStats};
+use rrq_txn::twophase::DECISION_PREFIX;
+use rrq_txn::{ResourceManager, TxnId};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -57,141 +66,258 @@ fn two_queues_apart(repo: &Repository) -> (String, String) {
     panic!("no second partition reachable in 64 queue names");
 }
 
-/// Build a cross-partition move (dequeue from `qa`, enqueue to `qb`), drive
-/// it through *both* prepare phases, and abandon it mid-protocol — exactly
-/// the state a coordinator crash between prepare and commit leaves behind.
-/// Returns the prepared transaction's raw id.
-fn prepare_xpart_move(repo: &Repository, qa: &str, qb: &str) -> u64 {
-    let (ha, _) = repo.qm_for(qa).register(qa, "mv", false).unwrap();
-    let (hb, _) = repo.qm_for(qb).register(qb, "mv", false).unwrap();
-    repo.autocommit_on(qa, |t| {
-        repo.qm_for(qa)
-            .enqueue(t.id().raw(), &ha, b"moved", EnqueueOptions::default())
-    })
-    .unwrap();
-
-    let (txn, home) = repo.begin_on(qa).unwrap();
-    let e = repo
-        .qm_for(qa)
-        .dequeue(txn.id().raw(), &ha, DequeueOptions::default())
-        .unwrap();
-    let qm_b = repo.enlist_queue(&txn, home, qb).unwrap();
-    qm_b.enqueue(txn.id().raw(), &hb, &e.payload, EnqueueOptions::default())
-        .unwrap();
-    assert_eq!(txn.enlisted(), 2, "move must span two partitions");
-
-    let id = txn.id();
-    ResourceManager::prepare(&**repo.qm_for(qa), id).unwrap();
-    ResourceManager::prepare(&**repo.qm_for(qb), id).unwrap();
-    // The crash happens "now": no commit, no abort, no lock release. The
-    // leaked lock state dies with this repository instance.
-    std::mem::forget(txn);
-    id.raw()
+fn opts(n: usize) -> RepoOptions {
+    RepoOptions {
+        repo_partitions: n,
+        ..RepoOptions::default()
+    }
 }
 
-/// Crash the home partition after prepare but *before* any decision record:
-/// recovery must resurface the transaction as in-doubt on both partitions
-/// and resolve it by presumed abort — element back on `qa`, nothing on `qb`.
-#[test]
-fn prepared_xpart_move_resolves_abort_after_home_partition_crash() {
-    let disks = RepoDisks::new();
-    let (qa, qb);
-    {
-        let repo = partitioned("xa", disks.clone(), 4);
-        (qa, qb) = two_queues_apart(&repo);
+/// A 4-partition repository with two queues on different partitions, `qa`
+/// holding one element to move to `qb`, and the handles that move it.
+struct Move {
+    repo: Repository,
+    qa: String,
+    qb: String,
+    ha: QueueHandle,
+    hb: QueueHandle,
+}
+
+impl Move {
+    fn new(name: &str, disks: &RepoDisks) -> Move {
+        let repo = partitioned(name, disks.clone(), 4);
+        let (qa, qb) = two_queues_apart(&repo);
         repo.create_queue_defaults(&qa).unwrap();
         repo.create_queue_defaults(&qb).unwrap();
-        let _ = prepare_xpart_move(&repo, &qa, &qb);
+        let (ha, _) = repo.qm_for(&qa).register(&qa, "mv", false).unwrap();
+        let (hb, _) = repo.qm_for(&qb).register(&qb, "mv", false).unwrap();
+        let m = Move {
+            repo,
+            qa,
+            qb,
+            ha,
+            hb,
+        };
+        m.put();
+        m
     }
-    let home = partition_of(&qa, 4);
-    disks.crash_partition(home, None);
 
-    let (repo2, report) = Repository::open_with(
-        "xa",
-        disks,
-        RepoOptions {
-            repo_partitions: 4,
-            ..RepoOptions::default()
-        },
-        Obs::default(),
-    )
-    .unwrap();
-    assert!(
-        !report.in_doubt.is_empty(),
-        "prepared transaction must resurface as in-doubt"
-    );
-    assert_eq!(repo2.qm_for(&qa).depth(&qa).unwrap(), 1, "dequeue undone");
-    assert_eq!(repo2.qm_for(&qb).depth(&qb).unwrap(), 0, "enqueue undone");
+    /// Enqueue one element on `qa`.
+    fn put(&self) {
+        let (repo, qa) = (&self.repo, self.qa.as_str());
+        repo.autocommit_on(qa, |t| {
+            repo.qm_for(qa)
+                .enqueue(t.id().raw(), &self.ha, b"moved", EnqueueOptions::default())
+        })
+        .unwrap();
+    }
+
+    /// Begin the move homed on `qa`'s partition, `defer`red as the epoch
+    /// loop defers a server's transaction, and do its work on both
+    /// partitions: dequeue from `qa`, enqueue to `qb`.
+    fn start(&self, defer: bool) -> rrq_txn::Txn {
+        let (repo, qa) = (&self.repo, self.qa.as_str());
+        let (txn, home) = repo.begin_on(qa).unwrap();
+        if defer {
+            repo.qm_for(qa).defer_commit(txn.id().raw());
+        }
+        let e = repo
+            .qm_for(qa)
+            .dequeue(txn.id().raw(), &self.ha, DequeueOptions::default())
+            .unwrap();
+        let qm_b = repo.enlist_queue(&txn, home, &self.qb).unwrap();
+        qm_b.enqueue(
+            txn.id().raw(),
+            &self.hb,
+            &e.payload,
+            EnqueueOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(txn.enlisted(), 2, "move must span two partitions");
+        txn
+    }
+
+    /// Drive the move through the sibling's prepare and, with `decide`, the
+    /// home partition's deciding commit, then abandon it mid-protocol — the
+    /// state a crash in that window leaves behind. Returns its id.
+    fn abandon(&self, defer: bool, decide: bool) -> TxnId {
+        let txn = self.start(defer);
+        let id = txn.id();
+        ResourceManager::prepare(&**self.repo.qm_for(&self.qb), id).unwrap();
+        if decide {
+            let home = self.repo.qm_for(&self.qa);
+            ResourceManager::commit_deciding(&**home, id, &[]).unwrap();
+            assert_eq!(home.deferred_commits(), 0, "a decision is never deferred");
+        }
+        // The crash happens "now": no sibling commit, no lock release. The
+        // leaked lock state dies with this repository instance.
+        std::mem::forget(txn);
+        id
+    }
+
+    fn home(&self) -> usize {
+        partition_of(&self.qa, 4)
+    }
+}
+
+/// Reopen after a crash, check that the move's sibling came back in doubt
+/// and that the move resolved the same way on both partitions — `committed`
+/// or not — and that the moved element is free to take where it landed.
+fn reopen_and_check(name: &str, disks: RepoDisks, m: &Move, id: TxnId, committed: bool) {
+    let (qa, qb) = (m.qa.as_str(), m.qb.as_str());
+    let (repo, report) = Repository::open_with(name, disks, opts(4), Obs::default()).unwrap();
+    assert_eq!(report.in_doubt, vec![id.raw()], "the sibling is in doubt");
+    let (from, to) = if committed { (0, 1) } else { (1, 0) };
+    assert_eq!(repo.qm_for(qa).depth(qa).unwrap(), from, "on {qa}");
+    assert_eq!(repo.qm_for(qb).depth(qb).unwrap(), to, "on {qb}");
+    assert_eq!(decision_rows(&repo), 0, "the reopen swept every row");
     // No leaked locks on either partition: the element is takeable.
-    let (ha, _) = repo2.qm_for(&qa).register(&qa, "after", false).unwrap();
-    let e = repo2
-        .autocommit_on(&qa, |t| {
-            repo2
-                .qm_for(&qa)
-                .dequeue(t.id().raw(), &ha, DequeueOptions::default())
+    let q = if committed { qb } else { qa };
+    let (h, _) = repo.qm_for(q).register(q, "after", false).unwrap();
+    let e = repo
+        .autocommit_on(q, |t| {
+            repo.qm_for(q)
+                .dequeue(t.id().raw(), &h, DequeueOptions::default())
         })
         .unwrap();
     assert_eq!(e.payload, b"moved");
 }
 
-/// Same window, but the coordinator's commit decision hit the shared log
-/// before the home partition died: recovery must resolve the in-doubt
-/// transaction commit-way on both partitions — element gone from `qa`,
-/// present on `qb`.
+/// Decision rows in every partition's committed tree.
+fn decision_rows(repo: &Repository) -> usize {
+    (0..repo.partitions())
+        .map(|p| {
+            let rows = repo.store_at(p).scan_prefix(None, DECISION_PREFIX);
+            rows.unwrap().len()
+        })
+        .sum()
+}
+
+/// Crash the home partition after the sibling's prepare but *before* the
+/// home's deciding commit: recovery must resurface the transaction as
+/// in-doubt on the sibling and resolve it by presumed abort — element back
+/// on `qa`, nothing on `qb`.
+#[test]
+fn prepared_xpart_move_resolves_abort_after_home_partition_crash() {
+    let disks = RepoDisks::new();
+    let m = Move::new("xa", &disks);
+    let id = m.abandon(false, false);
+    disks.crash_partition(m.home(), None);
+    reopen_and_check("xa", disks, &m, id, false);
+}
+
+/// The same window with every partition crashed: the sibling's forced
+/// prepare survives, no row does, and the move aborts on both.
+#[test]
+fn prepared_xpart_move_resolves_abort_after_every_partition_crashes() {
+    let disks = RepoDisks::new();
+    let m = Move::new("xa2", &disks);
+    let id = m.abandon(false, false);
+    disks.crash();
+    reopen_and_check("xa2", disks, &m, id, false);
+}
+
+/// The home partition's deciding commit made it to its log before the home
+/// partition died, the sibling's commit did not happen: recovery must
+/// resolve the in-doubt sibling commit-way from the row in the home's
+/// recovered tree — element gone from `qa`, present on `qb`.
 #[test]
 fn prepared_xpart_move_resolves_commit_after_home_partition_crash() {
     let disks = RepoDisks::new();
-    let (qa, qb);
-    let txn_raw;
-    {
-        let repo = partitioned("xc", disks.clone(), 4);
-        (qa, qb) = two_queues_apart(&repo);
-        repo.create_queue_defaults(&qa).unwrap();
-        repo.create_queue_defaults(&qb).unwrap();
-        txn_raw = prepare_xpart_move(&repo, &qa, &qb);
-    }
-    // The decision record lands in the cluster-shared coordinator log —
-    // the same device every partition's recovery consults.
-    CoordinatorLog::new(Arc::new(disks.coord.clone()))
-        .log_decision(rrq_txn::TxnId(txn_raw), true)
-        .unwrap();
-    let home = partition_of(&qa, 4);
-    disks.crash_partition(home, None);
+    let m = Move::new("xc", &disks);
+    let id = m.abandon(false, true);
+    disks.crash_partition(m.home(), None);
+    reopen_and_check("xc", disks, &m, id, true);
+}
 
-    let (repo2, report) = Repository::open_with(
-        "xc",
-        disks,
-        RepoOptions {
-            repo_partitions: 4,
-            ..RepoOptions::default()
-        },
-        Obs::default(),
-    )
-    .unwrap();
-    assert!(
-        !report.in_doubt.is_empty(),
-        "prepared transaction must resurface as in-doubt"
-    );
-    assert_eq!(repo2.qm_for(&qa).depth(&qa).unwrap(), 0, "dequeue kept");
-    assert_eq!(repo2.qm_for(&qb).depth(&qb).unwrap(), 1, "enqueue kept");
-    let (hb, _) = repo2.qm_for(&qb).register(&qb, "after", false).unwrap();
-    let e = repo2
-        .autocommit_on(&qb, |t| {
-            repo2
-                .qm_for(&qb)
-                .dequeue(t.id().raw(), &hb, DequeueOptions::default())
-        })
-        .unwrap();
-    assert_eq!(
-        e.payload, b"moved",
-        "moved element committed on the sibling"
-    );
+/// The same window with every partition crashed.
+#[test]
+fn decided_xpart_move_commits_after_every_partition_crashes() {
+    let disks = RepoDisks::new();
+    let m = Move::new("xc2", &disks);
+    let id = m.abandon(false, true);
+    disks.crash();
+    reopen_and_check("xc2", disks, &m, id, true);
+}
+
+/// A server's epoch loop defers its transaction's commit (one force per
+/// epoch). When that transaction's reply goes to a queue on another
+/// partition, the home's commit carries the decision and must be forced
+/// anyway: a crash of every partition right after it, before the sibling
+/// commits and before any epoch close, still commits the move on both.
+#[test]
+fn a_deferred_home_commit_forces_its_decision() {
+    let disks = RepoDisks::new();
+    let m = Move::new("xd", &disks);
+    let id = m.abandon(true, true);
+    // Nothing was left to an epoch close: the home shows its half at once.
+    assert_eq!(m.repo.qm_for(&m.qa).depth(&m.qa).unwrap(), 0);
+    disks.crash();
+    reopen_and_check("xd", disks, &m, id, true);
+}
+
+/// A completed move leaves its row until the next decision on its home
+/// partition deletes it; a reopen deletes whatever is left. After either,
+/// no tree holds a row.
+#[test]
+fn no_decision_row_survives_completed_moves_and_a_reopen() {
+    let disks = RepoDisks::new();
+    let m = Move::new("xr", &disks);
+    m.start(false).commit().unwrap();
+    assert_eq!(decision_rows(&m.repo), 1, "the latest decision's row");
+    m.put();
+    m.start(false).commit().unwrap();
+    assert_eq!(decision_rows(&m.repo), 1, "the second deleted the first");
+    drop(m);
+    disks.crash();
+    let (repo, report) = Repository::open_with("xr", disks, opts(4), Obs::default()).unwrap();
+    assert!(report.in_doubt.is_empty());
+    assert_eq!(decision_rows(&repo), 0);
+}
+
+/// Every device of the repository, for counting what a commit costs.
+fn disk_totals(disks: &RepoDisks) -> DiskStats {
+    let devices = disks.wal_groups.iter().flatten().chain(&disks.ckpts);
+    let mut sum = DiskStats::default();
+    for d in devices.chain([&disks.coord]) {
+        let s = d.stats();
+        sum.appends += s.appends;
+        sum.syncs += s.syncs;
+    }
+    sum
+}
+
+/// One committed two-partition move costs three device syncs and three
+/// appends in all — the sibling's prepare, the home's deciding commit and
+/// the sibling's commit — also once a decision carries the delete of an
+/// earlier row. The repository's handle counts every one of those forces.
+#[test]
+fn a_cross_partition_move_costs_three_syncs_and_three_appends() {
+    let disks = RepoDisks::new();
+    let m = Move::new("xcost", &disks);
+    let obs = m.repo.obs();
+    obs.start();
+    for round in 0..2 {
+        if round > 0 {
+            m.put();
+        }
+        let txn = m.start(false);
+        let (before, forces) = (disk_totals(&disks), obs.snapshot());
+        txn.commit().unwrap();
+        let after = disk_totals(&disks);
+        let counted =
+            obs.snapshot().counter("storage.wal.forces") - forces.counter("storage.wal.forces");
+        assert_eq!(after.syncs - before.syncs, 3, "round {round}: syncs");
+        assert_eq!(after.appends - before.appends, 3, "round {round}: appends");
+        assert_eq!(counted, 3, "round {round}: forces seen by the handle");
+    }
 }
 
 /// A partition-local request must touch exactly one partition: zero
 /// cross-partition enlistments, zero two-phase rounds, zero sibling lock
-/// grants, zero bytes forced to any sibling WAL. Asserted over a full
-/// clerk→server round trip with request and reply queues co-located.
+/// grants, zero bytes forced to any sibling WAL, no decision row anywhere.
+/// Asserted over a full clerk→server round trip with request and reply
+/// queues co-located.
 #[test]
 fn partition_local_request_never_touches_siblings() {
     const PARTS: usize = 4;
@@ -281,12 +407,13 @@ fn partition_local_request_never_touches_siblings() {
             "sibling p{p} granted locks"
         );
     }
+    assert_eq!(decision_rows(&repo), 0, "a one-phase commit wrote a row");
 }
 
 /// The checked-in regression script: partition-scoped crashes (one torn)
 /// and a single-partition network cut, replayed at five repository
 /// partitions — where request and reply queues live on different partitions,
-/// so every request commits cross-partition through the coordinator log.
+/// so every request commits cross-partition through the two-phase protocol.
 /// The oracle battery must stay silent and every crash must have fired.
 #[test]
 fn checked_in_repo_crash_script_stays_green_across_xpart_commits() {

@@ -22,9 +22,9 @@ pub enum TxnError {
     PrepareFailed(String),
     /// The transaction is decided committed, but the named participant
     /// failed to apply the decision. It stays prepared — in doubt — until
-    /// recovery resolves it from the coordinator log; the others committed.
+    /// recovery resolves it from the decision row; the others committed.
     InDoubt(String),
-    /// A storage error bubbled up from a participant or the coordinator log.
+    /// A storage error bubbled up from a participant.
     Storage(StorageError),
     /// The transaction was already aborted (e.g. by a cancellation).
     Aborted,

@@ -2,8 +2,8 @@
 //!
 //! The transaction substrate: identifiers, a strict two-phase-locking lock
 //! manager with waits-for deadlock detection, the [`rm::ResourceManager`]
-//! participant interface, a durable two-phase-commit coordinator log, and the
-//! [`manager::TxnManager`] that ties them together.
+//! participant interface, two-phase-commit decision rows ([`twophase`]),
+//! and the [`manager::TxnManager`] that ties them together.
 //!
 //! The paper (§1) assumes transactions with "atomicity, serializability and
 //! durability" as given; this crate supplies them for every store in the
@@ -16,7 +16,7 @@
 //!
 //! * §6: a request may span database systems that "do not use the same
 //!   transaction protocol" — the manager supports one-phase commit for a
-//!   single participant and logged two-phase commit for several.
+//!   single participant and two-phase commit for several.
 //! * §6: lock inheritance across the chained transactions of a
 //!   multi-transaction request ([`lock::LockManager::transfer_locks`]).
 
@@ -34,4 +34,4 @@ pub use ids::{TxnId, TxnIdGen};
 pub use lock::{LockKey, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
 pub use manager::{Txn, TxnManager};
 pub use rm::{KvResource, ResourceManager};
-pub use twophase::CoordinatorLog;
+pub use twophase::{forget_decisions, resolve_in_doubt};

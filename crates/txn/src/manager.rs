@@ -8,7 +8,8 @@
 //! request = Dequeue(q-in)    → queue op under txn.id()
 //! process request            → app-store ops under txn.id()
 //! Enqueue(q-out, reply)      → queue op under txn.id()
-//! commit-transaction         → Txn::commit  (1PC or logged 2PC)
+//! commit-transaction         → Txn::commit  (1PC, or 2PC deciding in the
+//!                                             first participant's commit)
 //! ```
 //!
 //! Aborting at any point (crash, deadlock victim, handler failure) undoes
@@ -18,7 +19,6 @@ use crate::error::{TxnError, TxnResult};
 use crate::ids::{TxnId, TxnIdGen};
 use crate::lock::{bump, LockKey, LockManager, LockMode};
 use crate::rm::ResourceManager;
-use crate::twophase::CoordinatorLog;
 use parking_lot::Mutex;
 use rrq_storage::StorageError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +51,10 @@ struct TxnCounters {
 struct Inner {
     ids: Arc<TxnIdGen>,
     locks: Arc<LockManager>,
-    coord: Option<Arc<CoordinatorLog>>,
+    /// Two-phase transactions whose every participant's commit returned: the
+    /// next decision deletes their rows (so a manager's two-phase commits
+    /// should share their first participant, as a partition's do).
+    forgettable: Mutex<Vec<TxnId>>,
     /// Lock-wait timeout in milliseconds (atomic so it can be tuned live).
     lock_timeout_ms: AtomicU64,
     stats: TxnCounters,
@@ -73,45 +76,31 @@ impl TxnManager {
     /// Build a manager.
     ///
     /// * `locks` — the node's lock manager.
-    /// * `coord` — durable decision log; `None` disables logged 2PC (multi-RM
-    ///   commits still run prepare/commit but a coordinator crash between the
-    ///   phases leaves participants in-doubt until manually resolved).
     /// * `id_floor` — first transaction id to issue (pass a recovered
     ///   high-water mark after a restart).
-    pub fn new(locks: Arc<LockManager>, coord: Option<CoordinatorLog>, id_floor: u64) -> Self {
-        Self::with_shared(
-            locks,
-            coord.map(Arc::new),
-            Arc::new(TxnIdGen::new(id_floor)),
-        )
+    pub fn new(locks: Arc<LockManager>, id_floor: u64) -> Self {
+        Self::with_shared(locks, Arc::new(TxnIdGen::new(id_floor)))
     }
 
-    /// Build a manager around *shared* cluster infrastructure: several
-    /// managers (one per repository partition) can point at the same
-    /// coordinator log — so one decision record resolves every participant
-    /// of a cross-partition transaction — and the same id generator, so
-    /// transaction ids (which key lock tables and store tokens) stay unique
+    /// Build a manager around a *shared* id generator: several managers
+    /// (one per repository partition) draw from it, so transaction ids
+    /// (which key lock tables, store tokens and decision rows) stay unique
     /// across the whole cluster.
-    pub fn with_shared(
-        locks: Arc<LockManager>,
-        coord: Option<Arc<CoordinatorLog>>,
-        ids: Arc<TxnIdGen>,
-    ) -> Self {
+    pub fn with_shared(locks: Arc<LockManager>, ids: Arc<TxnIdGen>) -> Self {
         TxnManager {
             inner: Arc::new(Inner {
                 ids,
                 locks,
-                coord,
+                forgettable: Mutex::new(Vec::new()),
                 lock_timeout_ms: AtomicU64::new(5_000),
                 stats: TxnCounters::default(),
             }),
         }
     }
 
-    /// Manager with a fresh lock manager and no coordinator log — the common
-    /// single-store setup.
+    /// Manager with a fresh lock manager — the common single-store setup.
     pub fn single_node() -> Self {
-        TxnManager::new(Arc::new(LockManager::new()), None, 1)
+        TxnManager::new(Arc::new(LockManager::new()), 1)
     }
 
     /// Override the lock-wait timeout (default 5 s).
@@ -153,32 +142,6 @@ impl TxnManager {
             two_phase_commits: c.two_phase_commits.load(Ordering::Acquire),
         }
     }
-
-    /// Resolve transactions a participant reported as in-doubt after
-    /// recovery: commit those with a durable commit decision, abort the rest
-    /// (presumed abort).
-    pub fn resolve_in_doubt(
-        &self,
-        rm: &dyn ResourceManager,
-        in_doubt: &[u64],
-    ) -> TxnResult<(usize, usize)> {
-        let decisions = match &self.inner.coord {
-            Some(c) => c.decisions()?,
-            None => Default::default(),
-        };
-        let mut committed = 0;
-        let mut aborted = 0;
-        for &t in in_doubt {
-            if decisions.get(&t).copied().unwrap_or(false) {
-                rm.commit(TxnId(t))?;
-                committed += 1;
-            } else {
-                rm.abort(TxnId(t))?;
-                aborted += 1;
-            }
-        }
-        Ok((committed, aborted))
-    }
 }
 
 /// An open transaction. Consumed by [`Txn::commit`] / [`Txn::abort`];
@@ -212,7 +175,7 @@ impl Txn {
     }
 
     /// Number of enlisted participants (a commit with more than one runs the
-    /// logged two-phase protocol).
+    /// two-phase protocol, coordinated by the first).
     pub fn enlisted(&self) -> usize {
         self.rms.lock().len()
     }
@@ -227,50 +190,49 @@ impl Txn {
         )
     }
 
-    /// Commit: one-phase for a single participant, logged two-phase for
-    /// several. Locks are released on success, and after a commit decision
-    /// whatever its participants do ([`TxnError::InDoubt`]); a failure before
-    /// the decision aborts every participant first.
-    pub fn commit(mut self) -> TxnResult<()> {
-        self.finished = true;
-        let rms = std::mem::take(&mut *self.rms.lock());
-        let result = commit_impl(&self.mgr, self.id, &rms);
-        let stats = &self.mgr.inner.stats;
-        match result {
-            Ok(()) | Err(CommitFailure::Decided(_)) => bump(&stats.committed),
-            Err(CommitFailure::Undecided(_)) => {
-                // The commit's error is the one to report.
-                let _ = abort_impl(self.id, &rms);
-                bump(&stats.aborted);
-            }
-        }
-        self.mgr.inner.locks.unlock_all(self.id.raw());
-        result.map_err(CommitFailure::into_error)
+    /// Commit: one-phase for a single participant, two-phase for several —
+    /// the others prepare, then the first commits with the decision row
+    /// ([`ResourceManager::commit_deciding`]), then the others commit. Locks
+    /// are released on success, and after the decision whatever its
+    /// participants do ([`TxnError::InDoubt`]); a failure before the
+    /// decision aborts every participant first.
+    pub fn commit(self) -> TxnResult<()> {
+        self.commit_with_heir(None)
     }
 
     /// Commit, but *transfer* this transaction's locks to `heir` instead of
     /// releasing them — §6 lock inheritance for multi-transaction requests.
-    pub fn commit_inheriting_locks(mut self, heir: TxnId) -> TxnResult<()> {
+    pub fn commit_inheriting_locks(self, heir: TxnId) -> TxnResult<()> {
+        self.commit_with_heir(Some(heir))
+    }
+
+    fn commit_with_heir(mut self, heir: Option<TxnId>) -> TxnResult<()> {
         self.finished = true;
         let rms = std::mem::take(&mut *self.rms.lock());
+        let (id, locks) = (self.id.raw(), &self.mgr.inner.locks);
         // Transfer BEFORE the commit makes this transaction's writes (e.g.
         // the forwarded request element) visible: the next stage may dequeue
         // the request and adopt the heir's locks the instant commit lands.
         // Nothing else can touch the heir id until then, so on a failure
         // before the commit decision the transfer is safely reversed.
-        let locks = &self.mgr.inner.locks;
-        locks.transfer_locks(self.id.raw(), heir.raw());
+        if let Some(heir) = heir {
+            locks.transfer_locks(id, heir.raw());
+        }
         let result = commit_impl(&self.mgr, self.id, &rms);
         let stats = &self.mgr.inner.stats;
         match result {
             Ok(()) | Err(CommitFailure::Decided(_)) => bump(&stats.committed),
             Err(CommitFailure::Undecided(_)) => {
-                locks.transfer_locks(heir.raw(), self.id.raw());
+                if let Some(heir) = heir {
+                    locks.transfer_locks(heir.raw(), id);
+                }
+                // The commit's error is the one to report.
                 let _ = abort_impl(self.id, &rms);
-                locks.unlock_all(self.id.raw());
                 bump(&stats.aborted);
             }
         }
+        // With an heir, what is left here is nothing.
+        locks.unlock_all(id);
         result.map_err(CommitFailure::into_error)
     }
 
@@ -318,35 +280,44 @@ fn commit_impl(
     id: TxnId,
     rms: &[Arc<dyn ResourceManager>],
 ) -> Result<(), CommitFailure> {
-    match rms.len() {
-        0 => Ok(()),
-        1 => rms[0].commit(id).map_err(CommitFailure::Undecided),
-        _ => {
+    match rms {
+        [] => Ok(()),
+        [only] => only.commit(id).map_err(CommitFailure::Undecided),
+        [coordinator, others @ ..] => {
             let obs = mgr.inner.locks.obs();
             obs.counter_inc("txn.twophase.rounds");
-            for rm in rms {
+            for rm in others {
                 rm.prepare(id).map_err(|e| {
                     CommitFailure::Undecided(TxnError::PrepareFailed(format!("{}: {e}", rm.name())))
                 })?;
             }
-            if let Some(coord) = &mgr.inner.coord {
-                coord
-                    .log_decision(id, true)
-                    .map_err(CommitFailure::Undecided)?;
+            let forgettable = &mgr.inner.forgettable;
+            let forget = std::mem::take(&mut *forgettable.lock());
+            if let Err(e) = coordinator.commit_deciding(id, &forget) {
+                // Undecided: its deletes are undone with it, so the rows wait
+                // for the next decision.
+                forgettable.lock().extend(forget);
+                return Err(CommitFailure::Undecided(e));
             }
             obs.counter_inc("txn.twophase.decisions");
             bump(&mgr.inner.stats.two_phase_commits);
             // Decided: every participant is told, whichever of them fails. A
             // failed one stays prepared, and recovery resolves it from the
-            // coordinator log; aborting it, or skipping the rest, would undo
-            // half of a committed transaction.
+            // decision row, which stays; aborting it, or skipping the rest,
+            // would undo half of a committed transaction.
             let mut first = None;
-            for rm in rms {
+            for rm in others {
                 if let Err(e) = rm.commit(id) {
                     first.get_or_insert_with(|| TxnError::InDoubt(format!("{}: {e}", rm.name())));
                 }
             }
-            first.map_or(Ok(()), |e| Err(CommitFailure::Decided(e)))
+            match first {
+                None => {
+                    forgettable.lock().push(id);
+                    Ok(())
+                }
+                Some(e) => Err(CommitFailure::Decided(e)),
+            }
         }
     }
 }
@@ -371,6 +342,7 @@ fn abort_impl(id: TxnId, rms: &[Arc<dyn ResourceManager>]) -> TxnResult<()> {
 mod tests {
     use super::*;
     use crate::rm::KvResource;
+    use crate::twophase::{decision_key, resolve_in_doubt};
     use rrq_storage::disk::{CrashStyle, SimDisk};
     use rrq_storage::kv::KvStore;
 
@@ -436,72 +408,77 @@ mod tests {
 
     #[test]
     fn two_rm_commit_is_atomic() {
-        let coord_disk = SimDisk::new();
-        let mgr = TxnManager::new(
-            Arc::new(LockManager::new()),
-            Some(CoordinatorLog::new(Arc::new(coord_disk.clone()))),
-            1,
-        );
+        let mgr = TxnManager::single_node();
         let (w1, c1) = (SimDisk::new(), SimDisk::new());
         let (w2, c2) = (SimDisk::new(), SimDisk::new());
         let s1 = kv_on(&w1, &c1);
         let s2 = kv_on(&w2, &c2);
         let r1: Arc<dyn ResourceManager> = Arc::new(KvResource::new("a", Arc::clone(&s1)));
         let r2: Arc<dyn ResourceManager> = Arc::new(KvResource::new("b", Arc::clone(&s2)));
+        let row = |s: &KvStore, id: TxnId| s.get(None, &decision_key(id)).unwrap();
 
-        let txn = mgr.begin();
-        txn.enlist(Arc::clone(&r1)).unwrap();
-        txn.enlist(Arc::clone(&r2)).unwrap();
-        s1.put(txn.id().raw(), b"x", b"1").unwrap();
-        s2.put(txn.id().raw(), b"y", b"2").unwrap();
-        txn.commit().unwrap();
-        assert_eq!(s1.get(None, b"x").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(s2.get(None, b"y").unwrap(), Some(b"2".to_vec()));
-        assert_eq!(mgr.stats().two_phase_commits, 1);
+        let mut ids = Vec::new();
+        for (k, v) in [(b"x", b"1"), (b"y", b"2")] {
+            let txn = mgr.begin();
+            ids.push(txn.id());
+            txn.enlist(Arc::clone(&r1)).unwrap();
+            txn.enlist(Arc::clone(&r2)).unwrap();
+            s1.put(txn.id().raw(), k, v).unwrap();
+            s2.put(txn.id().raw(), k, v).unwrap();
+            txn.commit().unwrap();
+            assert_eq!(s1.get(None, k).unwrap(), Some(v.to_vec()));
+            assert_eq!(s2.get(None, k).unwrap(), Some(v.to_vec()));
+        }
+        assert_eq!(mgr.stats().two_phase_commits, 2);
+        // The first participant holds the decision row of the latest commit
+        // only: the second decision deleted the first's, whose participants
+        // had all committed. The other participant holds none.
+        assert_eq!(row(&s1, ids[0]), None);
+        assert_eq!(row(&s1, ids[1]), Some(Vec::new()));
+        assert_eq!(row(&s2, ids[1]), None);
+        assert_eq!(*mgr.inner.forgettable.lock(), vec![ids[1]]);
     }
 
     #[test]
     fn coordinator_crash_between_phases_resolves_by_decision() {
-        let coord_disk = SimDisk::new();
+        let (w0, c0) = (SimDisk::new(), SimDisk::new());
         let (w1, c1) = (SimDisk::new(), SimDisk::new());
-        let s1 = kv_on(&w1, &c1);
+        let (s0, s1) = (kv_on(&w0, &c0), kv_on(&w1, &c1));
 
-        // Manually run phase 1 + decision, then "crash" before phase 2.
-        {
-            let mgr = TxnManager::new(
-                Arc::new(LockManager::new()),
-                Some(CoordinatorLog::new(Arc::new(coord_disk.clone()))),
-                1,
-            );
-            let r1: Arc<dyn ResourceManager> = Arc::new(KvResource::new("a", Arc::clone(&s1)));
-            let txn = mgr.begin();
-            txn.enlist(Arc::clone(&r1)).unwrap();
-            s1.put(txn.id().raw(), b"x", b"1").unwrap();
-            // phase 1 by hand:
-            r1.prepare(txn.id()).unwrap();
-            CoordinatorLog::new(Arc::new(coord_disk.clone()))
-                .log_decision(txn.id(), true)
-                .unwrap();
-            std::mem::forget(txn); // suppress the drop-abort: we crashed
-        }
+        // Run phase 1 and the coordinator's deciding commit by hand, then
+        // "crash" before the participant's commit.
+        let mgr = TxnManager::single_node();
+        let r0: Arc<dyn ResourceManager> = Arc::new(KvResource::new("coord", Arc::clone(&s0)));
+        let r1: Arc<dyn ResourceManager> = Arc::new(KvResource::new("a", Arc::clone(&s1)));
+        let txn = mgr.begin();
+        txn.enlist(Arc::clone(&r0)).unwrap();
+        txn.enlist(Arc::clone(&r1)).unwrap();
+        s1.put(txn.id().raw(), b"x", b"1").unwrap();
+        r1.prepare(txn.id()).unwrap();
+        r0.commit_deciding(txn.id(), &[]).unwrap();
+        std::mem::forget(txn); // suppress the drop-abort: we crashed
+        w0.crash(CrashStyle::DropVolatile);
         w1.crash(CrashStyle::DropVolatile);
 
-        // Recovery: store reports in-doubt; coordinator decisions resolve it.
-        let (s1b, report) = KvStore::open(
-            Arc::new(w1.clone()),
-            Arc::new(c1.clone()),
-            rrq_obs::Obs::default(),
-        )
-        .unwrap();
-        assert_eq!(report.in_doubt.len(), 1);
-        let mgr2 = TxnManager::new(
-            Arc::new(LockManager::new()),
-            Some(CoordinatorLog::new(Arc::new(coord_disk.clone()))),
-            100,
+        // Recovery: the participant reports it in doubt; the coordinator's
+        // recovered tree holds the decision row that resolves it.
+        let reopen = |w: &SimDisk, c: &SimDisk| {
+            KvStore::open(
+                Arc::new(w.clone()),
+                Arc::new(c.clone()),
+                rrq_obs::Obs::default(),
+            )
+            .unwrap()
+        };
+        let (s0b, coordinator) = reopen(&w0, &c0);
+        let (s1b, report) = reopen(&w1, &c1);
+        assert!(
+            coordinator.in_doubt.is_empty(),
+            "the coordinator never prepares"
         );
-        let r1b = KvResource::new("a", Arc::clone(&s1b));
-        let (committed, aborted) = mgr2.resolve_in_doubt(&r1b, &report.in_doubt).unwrap();
-        assert_eq!((committed, aborted), (1, 0));
+        assert_eq!(report.in_doubt.len(), 1);
+        let outcome = resolve_in_doubt(&s1b, &report.in_doubt, &[s0b]).unwrap();
+        assert_eq!(outcome, (1, 0));
         assert_eq!(s1b.get(None, b"x").unwrap(), Some(b"1".to_vec()));
     }
 
@@ -526,6 +503,10 @@ mod tests {
             self.wal.fail();
             self.inner.commit(txn)
         }
+        fn commit_deciding(&self, txn: TxnId, forget: &[TxnId]) -> TxnResult<()> {
+            self.wal.fail();
+            self.inner.commit_deciding(txn, forget)
+        }
         fn abort(&self, txn: TxnId) -> TxnResult<()> {
             self.inner.abort(txn)
         }
@@ -533,15 +514,12 @@ mod tests {
 
     #[test]
     fn a_commit_that_fails_after_the_decision_leaves_its_participant_in_doubt() {
-        let coord_disk = SimDisk::new();
-        let mgr = TxnManager::new(
-            Arc::new(LockManager::new()),
-            Some(CoordinatorLog::new(Arc::new(coord_disk.clone()))),
-            1,
-        );
+        let mgr = TxnManager::single_node();
+        let (w0, c0) = (SimDisk::new(), SimDisk::new());
         let (w1, c1) = (SimDisk::new(), SimDisk::new());
         let (w2, c2) = (SimDisk::new(), SimDisk::new());
-        let (s1, s2) = (kv_on(&w1, &c1), kv_on(&w2, &c2));
+        let (s0, s1, s2) = (kv_on(&w0, &c0), kv_on(&w1, &c1), kv_on(&w2, &c2));
+        let coordinator: Arc<dyn ResourceManager> = Arc::new(KvResource::new("c", Arc::clone(&s0)));
         let failing: Arc<dyn ResourceManager> = Arc::new(FailsAtCommit {
             inner: KvResource::new("a", Arc::clone(&s1)),
             wal: w1.clone(),
@@ -550,9 +528,11 @@ mod tests {
 
         let txn = mgr.begin();
         let id = txn.id();
+        txn.enlist(coordinator).unwrap();
         txn.enlist(failing).unwrap();
         txn.enlist(sibling).unwrap();
         txn.lock_exclusive(&LockKey::new(0, "x")).unwrap();
+        s0.put(id.raw(), b"w", b"0").unwrap();
         s1.put(id.raw(), b"x", b"1").unwrap();
         s2.put(id.raw(), b"y", b"2").unwrap();
         let err = txn.commit().unwrap_err();
@@ -560,15 +540,18 @@ mod tests {
             matches!(&err, TxnError::InDoubt(msg) if msg.starts_with("a: ")),
             "the error names the participant: {err}"
         );
-        // The sibling after it was told the decision and committed; the
-        // failed one was not aborted: still prepared, in doubt.
+        // The coordinator decided and committed, and the sibling after the
+        // failed participant was told the decision and committed; the failed
+        // one was not aborted: still prepared, in doubt. The row stays.
+        assert_eq!(s0.get(None, b"w").unwrap(), Some(b"0".to_vec()));
         assert_eq!(s2.get(None, b"y").unwrap(), Some(b"2".to_vec()));
         assert!(s1.is_open(id.raw()), "still in doubt");
         assert_eq!(s1.get(None, b"x").unwrap(), None);
         assert_eq!(mgr.locks().held_count(id.raw()), 0);
         assert_eq!((mgr.stats().committed, mgr.stats().aborted), (1, 0));
+        assert!(mgr.inner.forgettable.lock().is_empty(), "the row is needed");
 
-        // After a restart the coordinator log resolves it to commit.
+        // After a restart the coordinator's row resolves it to commit.
         w1.repair();
         w1.crash(CrashStyle::DropVolatile);
         let (s1b, report) = KvStore::open(
@@ -578,17 +561,57 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.in_doubt, vec![id.raw()]);
-        let mgr2 = TxnManager::new(
-            Arc::new(LockManager::new()),
-            Some(CoordinatorLog::new(Arc::new(coord_disk.clone()))),
-            100,
-        );
-        let rm = KvResource::new("a", Arc::clone(&s1b));
         assert_eq!(
-            mgr2.resolve_in_doubt(&rm, &report.in_doubt).unwrap(),
+            resolve_in_doubt(&s1b, &report.in_doubt, &[s0]).unwrap(),
             (1, 0)
         );
         assert_eq!(s1b.get(None, b"x").unwrap(), Some(b"1".to_vec()));
+    }
+
+    #[test]
+    fn a_deciding_commit_that_fails_aborts_every_participant() {
+        let mgr = TxnManager::single_node();
+        let (w0, c0) = (SimDisk::new(), SimDisk::new());
+        let (w1, c1) = (SimDisk::new(), SimDisk::new());
+        let (w2, c2) = (SimDisk::new(), SimDisk::new());
+        let (s0, s1, s2) = (kv_on(&w0, &c0), kv_on(&w1, &c1), kv_on(&w2, &c2));
+        let healthy: Arc<dyn ResourceManager> = Arc::new(KvResource::new("h", Arc::clone(&s0)));
+        let failing: Arc<dyn ResourceManager> = Arc::new(FailsAtCommit {
+            inner: KvResource::new("a", Arc::clone(&s1)),
+            wal: w1.clone(),
+        });
+        let sibling: Arc<dyn ResourceManager> = Arc::new(KvResource::new("b", Arc::clone(&s2)));
+
+        // A completed 2PC leaves its id for the next decision to forget.
+        let txn = mgr.begin();
+        let done = txn.id();
+        txn.enlist(healthy).unwrap();
+        txn.enlist(Arc::clone(&sibling)).unwrap();
+        s2.put(done.raw(), b"z", b"9").unwrap();
+        txn.commit().unwrap();
+        assert_eq!(*mgr.inner.forgettable.lock(), vec![done]);
+
+        let txn = mgr.begin();
+        let id = txn.id();
+        txn.enlist(failing).unwrap();
+        txn.enlist(sibling).unwrap();
+        txn.lock_exclusive(&LockKey::new(0, "x")).unwrap();
+        s1.put(id.raw(), b"x", b"1").unwrap();
+        s2.put(id.raw(), b"y", b"2").unwrap();
+        assert_eq!(
+            txn.commit(),
+            Err(TxnError::Storage(StorageError::DeviceFailed))
+        );
+        // Undecided: the prepared sibling aborted, the coordinator holds no
+        // row and no write, and the id to forget waits for the next decision.
+        assert!(!s2.is_open(id.raw()), "the sibling aborted");
+        assert_eq!(s2.get(None, b"y").unwrap(), None);
+        assert!(!s1.is_open(id.raw()));
+        assert_eq!(s1.get(None, b"x").unwrap(), None);
+        assert_eq!(s1.get(None, &decision_key(id)).unwrap(), None);
+        assert_eq!(mgr.locks().held_count(id.raw()), 0);
+        assert_eq!((mgr.stats().committed, mgr.stats().aborted), (1, 1));
+        assert_eq!(*mgr.inner.forgettable.lock(), vec![done]);
     }
 
     #[test]
@@ -640,13 +663,9 @@ mod tests {
             rrq_obs::Obs::default(),
         )
         .unwrap();
-        let mgr = TxnManager::new(
-            Arc::new(LockManager::new()),
-            Some(CoordinatorLog::new(Arc::new(SimDisk::new()))),
-            100,
-        );
-        let rm = KvResource::new("a", Arc::clone(&s1b));
-        let (c, a) = mgr.resolve_in_doubt(&rm, &report.in_doubt).unwrap();
+        // The coordinator's commit never happened: its tree has no row.
+        let coordinator = kv_on(&SimDisk::new(), &SimDisk::new());
+        let (c, a) = resolve_in_doubt(&s1b, &report.in_doubt, &[coordinator]).unwrap();
         assert_eq!((c, a), (0, 1));
         assert_eq!(s1b.get(None, b"x").unwrap(), None);
     }

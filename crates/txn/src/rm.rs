@@ -7,7 +7,7 @@
 //! participates in the transaction" (§2); this trait is that notion made
 //! concrete.
 
-use crate::error::TxnResult;
+use crate::error::{TxnError, TxnResult};
 use crate::ids::TxnId;
 use rrq_storage::kv::KvStore;
 use std::sync::Arc;
@@ -30,6 +30,14 @@ pub trait ResourceManager: Send + Sync {
     /// Phase 2 (or one-phase fast path): make the effects permanent.
     fn commit(&self, txn: TxnId) -> TxnResult<()>;
 
+    /// Coordinate `txn`, once every other participant prepared: commit it
+    /// one-phase, forced, with [`crate::twophase::write_decision`]'s row and
+    /// deletes in the write set. The default, for one that cannot, refuses.
+    fn commit_deciding(&self, txn: TxnId, _forget: &[TxnId]) -> TxnResult<()> {
+        let me = self.name();
+        Err(TxnError::InvalidState(format!("{me} cannot decide {txn}")))
+    }
+
     /// Undo the transaction's effects.
     fn abort(&self, txn: TxnId) -> TxnResult<()>;
 }
@@ -48,11 +56,6 @@ impl KvResource {
             store,
         }
     }
-
-    /// Access the underlying store.
-    pub fn store(&self) -> &Arc<KvStore> {
-        &self.store
-    }
 }
 
 impl ResourceManager for KvResource {
@@ -70,6 +73,11 @@ impl ResourceManager for KvResource {
 
     fn commit(&self, txn: TxnId) -> TxnResult<()> {
         Ok(self.store.commit(txn.raw())?)
+    }
+
+    fn commit_deciding(&self, txn: TxnId, forget: &[TxnId]) -> TxnResult<()> {
+        crate::twophase::write_decision(&self.store, txn, forget)?;
+        self.commit(txn)
     }
 
     fn abort(&self, txn: TxnId) -> TxnResult<()> {
