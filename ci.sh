@@ -11,7 +11,7 @@ cargo fmt --check
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rrq-lint (six line rules + lock-order, no-block-under-guard, durability-dominator, relaxed-ordering)"
+echo "== rrq-lint (seven line rules + lock-order, no-block-under-guard, durability-dominator, relaxed-ordering)"
 # One walk of crates/*/src: the line rules, then the whole-workspace analyzer
 # over the LOCKS.md catalogue; analyzer findings carry the witnessing
 # acquisition chain. See DESIGN.md §22.

@@ -26,13 +26,13 @@ use rrq_net::NetworkBus;
 use rrq_obs::Obs;
 use rrq_qm::meta::{OrderingMode, QueueMeta};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_sim::driver::{ClientCrashDriver, CrashPoint};
 use rrq_sim::node::ServerNodeSim;
 use rrq_sim::oracle::EffectLedger;
 use rrq_sim::schedule::CrashSchedule;
 use rrq_storage::codec::Encode;
-use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk};
+use rrq_storage::disk::{CrashStyle, SimDisk};
 use rrq_storage::kv::KvStore;
 use rrq_txn::LockKey;
 use rrq_workload::arrivals::{bursty_arrivals, ZipfSelector};
@@ -1222,7 +1222,7 @@ fn HandlerOutcomeReply(req: &Request) -> HandlerOutcome {
 // E19 — checkpoints: recovery time vs history length
 // ======================================================================
 
-/// Per-sector device latency for the recovery measurements (`LatencyDisk`
+/// Per-sector device latency for the recovery measurements (`SimDisk`
 /// charges it per 512 bytes a read delivers: 2.5 MB/s, a disk of the paper's
 /// day). That makes recovery wall time proportional to the *bytes the log
 /// device must deliver* — the real-world cost — instead of to CPU time.
@@ -1261,11 +1261,14 @@ fn e19_history(commits: u64, ckpt_every: Option<u64>) -> (SimDisk, SimDisk) {
 /// Reopen crashed devices with per-read latency on the log and time the
 /// recovery. Returns (wall time, redo records replayed).
 fn e19_recover(wal: &SimDisk, ckpt: &SimDisk) -> (Duration, usize) {
-    let wal =
-        LatencyDisk::new(Arc::new(wal.clone()), Duration::ZERO).with_read_latency(E19_READ_LATENCY);
+    wal.set_latency(Duration::ZERO, E19_READ_LATENCY);
     let t0 = Instant::now();
-    let (store, report) =
-        KvStore::open(Arc::new(wal), Arc::new(ckpt.clone()), Obs::default()).unwrap();
+    let (store, report) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        Obs::default(),
+    )
+    .unwrap();
     let elapsed = t0.elapsed();
     drop(store);
     (elapsed, report.replayed)
@@ -1331,6 +1334,36 @@ fn e19_checkpoint_recovery() {
 // E21 — shared-nothing repository partitions: scaling sweep
 // ======================================================================
 
+/// A repository named `name` on `parts` partitions whose log devices charge
+/// `force` per sync.
+fn open_forcing(name: &str, parts: usize, force: Duration) -> Arc<Repository> {
+    let disks = RepoDisks::partitioned(parts);
+    for wal in disks.wal_groups.iter().flatten() {
+        wal.set_latency(force, Duration::ZERO);
+    }
+    Arc::new(Repository::open(name, disks).unwrap().0)
+}
+
+/// Device syncs and the force calls they covered, summed over every
+/// partition's log since it opened (`GroupCommitStats::{groups, requests}`).
+fn log_forces(repo: &Repository) -> (u64, u64) {
+    (0..repo.partitions())
+        .map(|p| repo.store_at(p).group_commit_stats())
+        .fold((0, 0), |(syncs, records), s| {
+            (syncs + s.groups, records + s.requests)
+        })
+}
+
+/// What a timed section cost the logs, between two [`log_forces`] readings:
+/// (syncs per request served, records per sync).
+fn force_counts(before: (u64, u64), after: (u64, u64), requests: u64) -> (f64, f64) {
+    let (syncs, records) = (after.0 - before.0, after.1 - before.1);
+    (
+        syncs as f64 / requests.max(1) as f64,
+        records as f64 / syncs.max(1) as f64,
+    )
+}
+
 /// Find (and create) a queue homed on partition `p`, deterministically.
 fn e21_queue_on(repo: &Repository, p: usize, tag: &str) -> String {
     for j in 0..256 {
@@ -1351,15 +1384,11 @@ fn e21_queue_on(repo: &Repository, p: usize, tag: &str) -> String {
 /// Alternating ops consume the worker's own queue, so depths stay bounded.
 /// Every commit pays a 100µs WAL force, shared with whoever else on the
 /// partition reaches its commit point meanwhile (group commit): what a
-/// partition adds is a log of its own to force.
-fn e21_run(name: &str, parts: usize, cross_pct: u64, per_worker: u64) -> f64 {
+/// partition adds is a log of its own to force. Returns (requests per
+/// second, syncs per request, records per sync) of the timed section.
+fn e21_run(name: &str, parts: usize, cross_pct: u64, per_worker: u64) -> (f64, f64, f64) {
     const WORKERS: usize = 8;
-    let opts = RepoOptions {
-        repo_partitions: parts,
-        wal_sync_latency: Some(Duration::from_micros(100)),
-    };
-    let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts, Obs::default()).unwrap();
-    let repo = Arc::new(repo);
+    let repo = open_forcing(name, parts, Duration::from_micros(100));
     let locals: Vec<String> = (0..WORKERS)
         .map(|w| e21_queue_on(&repo, w % parts, &format!("l{w}")))
         .collect();
@@ -1367,6 +1396,7 @@ fn e21_run(name: &str, parts: usize, cross_pct: u64, per_worker: u64) -> f64 {
         .map(|w| e21_queue_on(&repo, (w + 1) % parts, &format!("r{w}")))
         .collect();
 
+    let before = log_forces(&repo);
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for w in 0..WORKERS {
@@ -1400,7 +1430,10 @@ fn e21_run(name: &str, parts: usize, cross_pct: u64, per_worker: u64) -> f64 {
             });
         }
     });
-    WORKERS as f64 * per_worker as f64 / t0.elapsed().as_secs_f64()
+    let elapsed = t0.elapsed().as_secs_f64();
+    let requests = WORKERS as u64 * per_worker;
+    let (syncs, records) = force_counts(before, log_forces(&repo), requests);
+    (requests as f64 / elapsed, syncs, records)
 }
 
 fn e21_partition_scaling(scale: &Scale) {
@@ -1412,44 +1445,46 @@ fn e21_partition_scaling(scale: &Scale) {
     println!("payments on different partitions never wait for one force. The 10%");
     println!("cross-partition column routes every tenth payment to a sibling's");
     println!("queue through the logged two-phase protocol — the price of");
-    println!("leaving the shared-nothing fast path.\n");
+    println!("leaving the shared-nothing fast path. Next to each rate: device");
+    println!("syncs per request and records per sync over every partition's log,");
+    println!("exact counts where the wall-clock rates are not reproducible (E35).\n");
 
     let parts: &[usize] = &[1, 2, 4, 8];
     let per_worker = 600 * scale.n;
     let trials = 2;
     let mut json = String::from("{\n  \"experiment\": \"E21\",\n  \"series\": [\n");
-    println!("| partitions | 0% cross req/s | vs 1p | 10% cross req/s | vs 1p | 10% / 0% |");
-    println!("|-----------:|---------------:|------:|----------------:|------:|---------:|");
+    println!("| partitions | 0% cross req/s | syncs/req | records/sync | vs 1p | 10% cross req/s | syncs/req | records/sync | vs 1p | 10% / 0% |");
+    println!("|-----------:|---------------:|----------:|-------------:|------:|----------------:|----------:|-------------:|------:|---------:|");
     let mut first = true;
     let mut base_by_cross = [0.0f64; 2];
     for &p in parts {
-        let mut rates = [0.0f64; 2];
+        let mut cells = [(0.0f64, 0.0f64, 0.0f64); 2];
         for (ci, &cross) in [0u64, 10].iter().enumerate() {
-            let mut best = 0.0f64;
             for t in 0..trials {
                 let r = e21_run(&format!("e21-p{p}-c{cross}-{t}"), p, cross, per_worker);
-                best = best.max(r);
+                if r.0 > cells[ci].0 {
+                    cells[ci] = r;
+                }
             }
-            rates[ci] = best;
             if p == 1 {
-                base_by_cross[ci] = best;
+                base_by_cross[ci] = cells[ci].0;
             }
         }
+        let [(r0, s0, g0), (r1, s1, g1)] = cells;
         println!(
-            "| {p:>10} | {:>14} | {:>4.2}x | {:>15} | {:>4.2}x | {:>7.2}x |",
-            fmt_rate(rates[0]),
-            rates[0] / base_by_cross[0],
-            fmt_rate(rates[1]),
-            rates[1] / base_by_cross[1],
-            rates[1] / rates[0],
+            "| {p:>10} | {:>14} | {s0:>9.3} | {g0:>12.2} | {:>4.2}x | {:>15} | {s1:>9.3} | {g1:>12.2} | {:>4.2}x | {:>7.2}x |",
+            fmt_rate(r0),
+            r0 / base_by_cross[0],
+            fmt_rate(r1),
+            r1 / base_by_cross[1],
+            r1 / r0,
         );
         if !first {
             json.push_str(",\n");
         }
         first = false;
         json.push_str(&format!(
-            "    {{\"partitions\": {p}, \"cross0_req_per_sec\": {:.1}, \"cross10_req_per_sec\": {:.1}}}",
-            rates[0], rates[1]
+            "    {{\"partitions\": {p}, \"cross0_req_per_sec\": {r0:.1}, \"cross0_syncs_per_req\": {s0:.4}, \"cross0_records_per_sync\": {g0:.3}, \"cross10_req_per_sec\": {r1:.1}, \"cross10_syncs_per_req\": {s1:.4}, \"cross10_records_per_sync\": {g1:.3}}}"
         ));
     }
     json.push_str("\n  ]\n}\n");
@@ -1492,23 +1527,12 @@ fn e22_fill(repo: &Repository, seed: u64, n: u64, hot_pct: u64, accounts: u32) {
 }
 
 /// One E22 cell: two servers drain `n` pre-filled transfers, through the
-/// `spawn` loop (`epoch`) or through a bare `run_once` loop. Returns
-/// (requests per second, deadlocks, log forces) of the drain. The request
-/// queue retries without limit so a deadlock victim is never dead-lettered.
-fn e22_run(
-    epoch: bool,
-    force: Option<Duration>,
-    seed: u64,
-    n: u64,
-    hot_pct: u64,
-) -> (f64, u64, u64) {
+/// `spawn` loop (`epoch`) or through a bare `run_once` loop, on a log that
+/// charges `force` per sync. The request queue retries without limit so a
+/// deadlock victim is never dead-lettered.
+fn e22_run(epoch: bool, force: Duration, seed: u64, n: u64, hot_pct: u64) -> E22Run {
     const ACCOUNTS: u32 = 64;
-    let opts = RepoOptions {
-        wal_sync_latency: force,
-        ..RepoOptions::default()
-    };
-    let (repo, _) = Repository::open_with("e22", RepoDisks::new(), opts, Obs::default()).unwrap();
-    let repo = Arc::new(repo);
+    let repo = open_forcing("e22", 1, force);
     let mut req = QueueMeta::with_defaults("req");
     req.retry_limit = 0;
     repo.qm().create_queue(req).unwrap();
@@ -1517,8 +1541,7 @@ fn e22_run(
     e22_fill(&repo, seed, n, hot_pct, ACCOUNTS);
 
     let stop = Arc::new(AtomicBool::new(false));
-    let forces = || repo.disks().wal_groups[0][0].stats().syncs;
-    let forces_before = forces();
+    let before = log_forces(&repo);
     let t0 = Instant::now();
     let threads: Vec<_> = (0..2)
         .map(|i| {
@@ -1539,15 +1562,19 @@ fn e22_run(
         std::thread::sleep(Duration::from_micros(200));
     }
     let elapsed = t0.elapsed();
-    let forced = forces() - forces_before;
+    let (syncs, records) = force_counts(before, log_forces(&repo), n);
     stop.store(true, Ordering::Release);
     for t in threads {
         let _ = t.join();
     }
     assert_eq!(repo.qm().depth("req").unwrap(), 0);
     let deadlocks = repo.tm().locks().stats().deadlocks;
-    (n as f64 / elapsed.as_secs_f64(), deadlocks, forced)
+    (n as f64 / elapsed.as_secs_f64(), deadlocks, syncs, records)
 }
+
+/// One [`e22_run`] drain: (requests per second, deadlocks, syncs per
+/// request, records per sync).
+type E22Run = (f64, u64, f64, f64);
 
 fn e22_epoch_commit(scale: &Scale) {
     println!("## E22 — epoch commit vs per-request commit on the server loop\n");
@@ -1555,30 +1582,31 @@ fn e22_epoch_commit(scale: &Scale) {
     println!("a bare `run_once` loop (one forced commit per request) and once");
     println!("through `spawn` (one force per epoch). Ten pairs per cell, the side");
     println!("that runs first alternating; median (min–max) req/s, then the");
-    println!("deadlocks and log forces of the median run.\n");
-    println!("| force | hot % | run_once req/s | deadlocks | forces | spawn req/s | deadlocks | forces | spawn / run_once |");
-    println!("|------:|------:|---------------:|----------:|-------:|------------:|----------:|-------:|-----------------:|");
+    println!("deadlocks, log syncs per request and records per sync (force calls");
+    println!("a sync covered: a commit's, or an epoch close's) of the median run.\n");
+    println!("| force | hot % | run_once req/s | deadlocks | syncs/req | records/sync | spawn req/s | deadlocks | syncs/req | records/sync | spawn / run_once |");
+    println!("|------:|------:|---------------:|----------:|----------:|-------------:|------------:|----------:|----------:|-------------:|-----------------:|");
     let n = 1500 * scale.n;
-    for force in [None, Some(Duration::from_micros(100))] {
+    for force in [Duration::ZERO, Duration::from_micros(100)] {
         for hot in [0u64, 50, 100] {
-            let mut runs: [Vec<(f64, u64, u64)>; 2] = [Vec::new(), Vec::new()];
+            let mut runs: [Vec<E22Run>; 2] = [Vec::new(), Vec::new()];
             for pair in 0..10u64 {
                 for side in [pair % 2, 1 - pair % 2] {
                     runs[side as usize].push(e22_run(side == 1, force, hot + pair, n, hot));
                 }
             }
-            let cell = |r: &mut Vec<(f64, u64, u64)>| {
+            let cell = |r: &mut Vec<E22Run>| {
                 r.sort_by(|a, b| a.0.total_cmp(&b.0));
-                let (rate, deadlocks, forces) = r[5];
+                let (rate, deadlocks, syncs, records) = r[5];
                 format!(
-                    "{rate:.0} ({:.0}–{:.0}) | {deadlocks} | {forces}",
+                    "{rate:.0} ({:.0}–{:.0}) | {deadlocks} | {syncs:.3} | {records:.2}",
                     r[0].0, r[9].0
                 )
             };
             let [once, epoch] = &mut runs;
             println!(
                 "| {} us | {hot} | {} | {} | {:.2}x |",
-                force.map_or(0, |d| d.as_micros()),
+                force.as_micros(),
                 cell(once),
                 cell(epoch),
                 epoch[5].0 / once[5].0

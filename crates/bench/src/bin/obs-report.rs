@@ -14,7 +14,7 @@
 
 use rrq_obs::{Obs, Snapshot};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_storage::disk::TornWriteMode;
 use std::sync::Arc;
 
@@ -23,9 +23,7 @@ fn main() {
     // One handle across both incarnations, so the recovery shows up too.
     let obs = Obs::default();
     obs.start();
-    let open = |disks: RepoDisks| {
-        Repository::open_with("obs-report", disks, RepoOptions::default(), obs.clone()).unwrap()
-    };
+    let open = |disks: RepoDisks| Repository::open_with("obs-report", disks, obs.clone()).unwrap();
 
     let disks = RepoDisks::new();
     let (repo, _) = open(disks.clone());

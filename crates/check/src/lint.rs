@@ -1,7 +1,8 @@
 //! Source-level workspace lints (plain line scanning, no parsing).
 //!
 //! Six rules over every `.rs` file under `crates/*/src`, skipping
-//! `#[cfg(test)]` items and `//` comment lines:
+//! `#[cfg(test)]` items and `//` comment lines, and one over the documents
+//! that describe them:
 //!
 //! * **no-unwrap-in-recovery** — `unwrap()`/`expect(` are banned in the
 //!   crash-recovery path (`storage/src/recovery.rs` and the WAL replay in
@@ -33,6 +34,12 @@
 //! * **no-unsafe** — the `unsafe` keyword (a block, fn, impl or trait)
 //!   outside string literals and comments: each use must be a line the
 //!   allowlist names with its reason, so a new one is a reviewed decision.
+//! * **doc-names** — in `DESIGN.md`, `README.md` and `LOCKS.md`, outside
+//!   fenced blocks, every backticked `crates/…` path must exist (a `:line`
+//!   suffix stripped first), and every backticked `rrq_<crate>::…` path
+//!   must walk module files from the crate's `lib.rs` and end in a module
+//!   or in an item the last module file defines or re-exports, so a
+//!   document cannot go on naming what a change deleted or moved.
 //!
 //! Two former rules were retired in favour of [`crate::analyze`], which
 //! reasons about whole functions and the cross-crate call graph instead
@@ -41,7 +48,7 @@
 //! analyzer's `durability-dominator` rule, and **shard-lock-order** (no
 //! second stripe guard while one is held, single scope only) by its
 //! `lock-order` rule driven by the declared partial order in `LOCKS.md`.
-//! The `rrq-lint` binary runs both halves, these six rules and the
+//! The `rrq-lint` binary runs both halves, these seven rules and the
 //! analyzer's four, over one walk of the workspace ([`run_with_analyzer`]).
 //!
 //! Each lint has an allowlist file at `crates/check/lints/<lint>.allow`
@@ -81,6 +88,14 @@ const OBS_CALL_PATS: &[&str] = &[
 /// Path (relative to the workspace root) of the metric-name catalogue.
 const CATALOGUE_REL: &str = "crates/obs/METRICS.md";
 
+/// The documents whose backticked names the `doc-names` rule checks.
+const NAMED_DOCS: &[&str] = &["DESIGN.md", "README.md", "LOCKS.md"];
+
+/// Keywords after which a module file defines the name that follows.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+
 /// Every lint name, in reporting order.
 pub const LINTS: &[&str] = &[
     "no-unwrap-in-recovery",
@@ -89,6 +104,7 @@ pub const LINTS: &[&str] = &[
     "metric-catalogue",
     "no-global-state",
     "no-unsafe",
+    "doc-names",
 ];
 
 /// One lint hit.
@@ -168,6 +184,7 @@ fn run_files(root: &Path, files: &[PathBuf]) -> io::Result<Outcome> {
         out.files_scanned += 1;
     }
     lint_metric_catalogue(root, &texts, &mut raw);
+    lint_doc_names(root, &mut raw);
 
     for finding in raw {
         let allow = load_allowlist(root, finding.lint);
@@ -444,6 +461,124 @@ fn resolve_const(lines: &[&str], after: &str) -> Option<String> {
             .nth(1)
             .and_then(leading_str_literal)
     })
+}
+
+/// Cross-file pass for the `doc-names` rule over [`NAMED_DOCS`] (a
+/// document the root lacks is skipped).
+fn lint_doc_names(root: &Path, out: &mut Vec<Finding>) {
+    for doc in NAMED_DOCS {
+        let Ok(text) = fs::read_to_string(root.join(doc)) else {
+            continue;
+        };
+        let mut fenced = false;
+        for (i, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if fenced {
+                continue;
+            }
+            // Odd pieces of a split on backticks are the inline code spans.
+            for span in line.split('`').skip(1).step_by(2) {
+                if let Some(why) = unresolved_name(root, span) {
+                    out.push(Finding {
+                        lint: "doc-names",
+                        file: doc.to_string(),
+                        line: i + 1,
+                        excerpt: format!("`{span}` {why}"),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Why `span` names nothing in the tree at `root`, if it is a `crates/…`
+/// path or an `rrq_<crate>::…` path that does not resolve. Patterns
+/// (`crates/*/src`) and placeholders are not names.
+fn unresolved_name(root: &Path, span: &str) -> Option<String> {
+    if span.contains(['*', '<', '…']) {
+        return None;
+    }
+    if span.starts_with("crates/") {
+        let path = match span.split_once(':') {
+            Some((path, line)) if line.chars().all(|c| c.is_ascii_digit() || c == '-') => path,
+            _ => span,
+        };
+        return (!root.join(path).exists()).then(|| "does not exist".to_string());
+    }
+    let (krate, rest) = span.strip_prefix("rrq_")?.split_once("::")?;
+    let mut dir = root.join("crates").join(krate).join("src");
+    let mut file = dir.join("lib.rs");
+    if !file.is_file() {
+        return Some(format!("names no crate `crates/{krate}`"));
+    }
+    let mut segments: Vec<&str> = rest.split("::").collect();
+    let last = segments.pop()?;
+    for seg in segments {
+        match module_file(&dir, seg) {
+            Some(next) => {
+                dir = dir.join(seg);
+                file = next;
+            }
+            // A type or trait path: its last segment is defined in the file
+            // of the deepest module.
+            None => break,
+        }
+    }
+    let text = fs::read_to_string(&file).unwrap_or_default();
+    let names = last
+        .trim_start_matches('{')
+        .trim_end_matches(['}', '(', ')'])
+        .split(',');
+    let missing: Vec<&str> = names
+        .map(str::trim)
+        .filter(|name| module_file(&dir, name).is_none() && !defines(&text, name))
+        .collect();
+    (!missing.is_empty()).then(|| {
+        format!(
+            "names `{}`, which `{}` neither defines nor re-exports",
+            missing.join(", "),
+            relative_slash(root, &file)
+        )
+    })
+}
+
+/// The file of module `name` under `dir`, if it has one.
+fn module_file(dir: &Path, name: &str) -> Option<PathBuf> {
+    [
+        dir.join(format!("{name}.rs")),
+        dir.join(name).join("mod.rs"),
+    ]
+    .into_iter()
+    .find(|f| f.is_file())
+}
+
+/// Does a module file's `text` define `name` (after an item keyword or as a
+/// `macro_rules!`) or re-export it with a `pub use`?
+fn defines(text: &str, name: &str) -> bool {
+    let mut in_use = false;
+    for line in text.lines() {
+        let words: Vec<&str> = line
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '!'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        in_use |= words.starts_with(&["pub", "use"]) || words.starts_with(&["pub", "crate", "use"]);
+        if in_use && words.contains(&name) {
+            return true;
+        }
+        if in_use && line.contains(';') {
+            in_use = false;
+        }
+        let defined = words
+            .windows(2)
+            .any(|w| w[1] == name && (ITEM_KEYWORDS.contains(&w[0]) || w[0] == "macro_rules!"));
+        if defined {
+            return true;
+        }
+    }
+    false
 }
 
 /// Parse `crates/check/lints/<lint>.allow`: `suffix [:: fragment]` lines.

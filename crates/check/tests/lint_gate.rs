@@ -1,8 +1,9 @@
 //! The workspace lint gate: `cargo test -p rrq-check` fails if any source
 //! lint fires anywhere in `crates/*/src`. Future PRs inherit the checks by
 //! keeping this test green (or by adding a justified allowlist entry under
-//! `crates/check/lints/`). The `global-state`, `unsafe` and
-//! `metric-catalogue` fixtures pin those rules' exact output.
+//! `crates/check/lints/`). The `global-state`, `unsafe`,
+//! `metric-catalogue` and `doc-names` fixtures pin those rules' exact
+//! output.
 
 use rrq_check::lint;
 use std::path::{Path, PathBuf};
@@ -86,5 +87,27 @@ fn metric_catalogue_fixture_checks_both_directions() {
         ]
     );
     assert_eq!(outcome.files_scanned, 1);
+    assert_eq!(outcome.suppressed, 0);
+}
+
+#[test]
+fn doc_names_fixture_reports_every_name_that_resolves_to_nothing() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/doc-names");
+    let outcome = lint::run(&root).expect("lint walk succeeds");
+    let rendered: Vec<String> = outcome.findings.iter().map(|f| f.to_string()).collect();
+    let (lib, store) = ("crates/app/src/lib.rs", "crates/app/src/store.rs");
+    let neither = "neither defines nor re-exports";
+    assert_eq!(
+        rendered,
+        vec![
+            "DESIGN.md:7: [doc-names] `crates/app/src/gone.rs:40` does not exist".to_string(),
+            format!("DESIGN.md:8: [doc-names] `rrq_app::store::Vanished` names `Vanished`, which `{store}` {neither}"),
+            "DESIGN.md:9: [doc-names] `rrq_nope::thing` names no crate `crates/nope`".to_string(),
+            format!("README.md:3: [doc-names] `rrq_app::gone::Thing` names `Thing`, which `{lib}` {neither}"),
+            format!("README.md:3: [doc-names] `rrq_app::{{store, ledger}}` names `ledger`, which `{lib}` {neither}"),
+            "LOCKS.md:5: [doc-names] `crates/app/src/missing.rs` does not exist".to_string(),
+        ]
+    );
+    assert_eq!(outcome.files_scanned, 2);
     assert_eq!(outcome.suppressed, 0);
 }

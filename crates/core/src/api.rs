@@ -224,14 +224,8 @@ mod tests {
     /// partition is asked, and a band no partition has finds nothing.
     #[test]
     fn eid_lookups_ask_only_the_partition_of_the_band() {
-        use rrq_qm::repository::{RepoDisks, RepoOptions};
-        let opts = RepoOptions {
-            repo_partitions: 4,
-            ..RepoOptions::default()
-        };
-        let (repo, _) =
-            Repository::open_with("bands", RepoDisks::new(), opts, rrq_obs::Obs::default())
-                .unwrap();
+        use rrq_qm::repository::RepoDisks;
+        let (repo, _) = Repository::open("bands", RepoDisks::partitioned(4)).unwrap();
         let repo = Arc::new(repo);
         let api = LocalQm::new(Arc::clone(&repo));
         let reads = || -> Vec<u64> { (0..4).map(|p| repo.qm_at(p).stats().reads).collect() };

@@ -495,16 +495,10 @@ mod tests {
     /// Read and Kill ask only the partition the eid's band names.
     #[test]
     fn a_scoped_server_looks_up_only_the_eids_of_its_band() {
-        use rrq_qm::repository::{RepoDisks, RepoOptions};
+        use rrq_qm::repository::RepoDisks;
         let bus = NetworkBus::new(11);
         bus.obs().start();
-        let opts = RepoOptions {
-            repo_partitions: 4,
-            ..RepoOptions::default()
-        };
-        let (repo, _) =
-            Repository::open_with("scoped", RepoDisks::new(), opts, rrq_obs::Obs::default())
-                .unwrap();
+        let (repo, _) = Repository::open("scoped", RepoDisks::partitioned(4)).unwrap();
         let repo = Arc::new(repo);
         let _guards: Vec<ServerGuard> = (0..4)
             .map(|p| QmRpcServer::spawn_partition(&bus, &format!("qm{p}"), Arc::clone(&repo), p))
@@ -579,14 +573,9 @@ mod tests {
         seed: u64,
         name: &str,
     ) -> (NetworkBus, Arc<Repository>, Vec<ServerGuard>, RemoteQm) {
-        use rrq_qm::repository::{RepoDisks, RepoOptions};
+        use rrq_qm::repository::RepoDisks;
         let bus = NetworkBus::new(seed);
-        let opts = RepoOptions {
-            repo_partitions: 4,
-            ..RepoOptions::default()
-        };
-        let (repo, _) =
-            Repository::open_with(name, RepoDisks::new(), opts, rrq_obs::Obs::default()).unwrap();
+        let (repo, _) = Repository::open(name, RepoDisks::partitioned(4)).unwrap();
         let repo = Arc::new(repo);
         let guards = (0..4)
             .map(|p| QmRpcServer::spawn_partition(&bus, &format!("qm{p}"), Arc::clone(&repo), p))
@@ -636,15 +625,9 @@ mod tests {
     /// and kills the eids of every band.
     #[test]
     fn one_link_reaches_every_band_of_a_partitioned_repository() {
-        use rrq_qm::repository::{RepoDisks, RepoOptions};
+        use rrq_qm::repository::RepoDisks;
         let bus = NetworkBus::new(12);
-        let opts = RepoOptions {
-            repo_partitions: 4,
-            ..RepoOptions::default()
-        };
-        let (repo, _) =
-            Repository::open_with("onelink", RepoDisks::new(), opts, rrq_obs::Obs::default())
-                .unwrap();
+        let (repo, _) = Repository::open("onelink", RepoDisks::partitioned(4)).unwrap();
         let repo = Arc::new(repo);
         let _guard = QmRpcServer::spawn(&bus, "qm", Arc::clone(&repo));
         let remote = RemoteQm::new(&bus, "c", "qm");

@@ -48,6 +48,6 @@ pub use error::{QmError, QmResult};
 pub use meta::{OrderingMode, QueueMeta};
 pub use ops::{DequeueOptions, EnqueueOptions, QueueHandle, QueueManager};
 pub use registration::Registration;
-pub use repository::{RepoDisks, RepoOptions, Repository};
+pub use repository::{RepoDisks, Repository};
 pub use retrieval::Predicate;
 pub use route::{partition_of, MAX_REPO_PARTITIONS};

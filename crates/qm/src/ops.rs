@@ -53,8 +53,9 @@
 //! nothing to drop.
 //!
 //! Two more per-commit store reads are gated the same way, by counters
-//! instead of copies: the number of unfired triggers in `t/` and of kill
-//! tombstones in `k/`, counted at open. Each is raised *before* the system
+//! instead of copies: the number of unfired triggers in `t/`, counted at
+//! open, and of kill tombstones in `k/`, none after an open (it completes
+//! every kill a crash interrupted). Each is raised *before* the system
 //! transaction that writes a record commits and lowered *after* the one that
 //! retires it, so a reader that finds zero knows the store holds none.
 
@@ -389,13 +390,37 @@ impl QueueManager {
         // manager, so the committed tree is exactly the post-recovery truth.
         // (Volatile queues come back empty.) One borrowed walk gathers the
         // ready lists with no index lock held; one install publishes them.
+        //
+        // A kill whose dequeuer a crash stopped before its abort left its
+        // tombstone committed and its element back in `e/`. The walk leaves
+        // such elements out, and one system transaction deletes them with
+        // every `k/` row, a tombstone whose element is gone included.
+        let tombstones = durable.scan_prefix(None, b"k/")?;
+        let killed: HashSet<Eid> = tombstones
+            .iter()
+            .filter_map(|(k, _)| keys::eid_of(k))
+            .collect();
+        let mut doomed = Vec::new();
         let mut rebuilt = Rebuild::default();
         durable.for_each_committed(b"e/", |k, raw| {
             if let Some(queue) = keys::parse_element_key(k) {
-                rebuilt.push(queue, k, Element::checked_eid(raw)?);
+                let eid = Element::checked_eid(raw)?;
+                if killed.contains(&eid) {
+                    doomed.push(k.to_vec());
+                } else {
+                    rebuilt.push(queue, k, eid);
+                }
             }
             Ok::<_, QmError>(())
         })?;
+        if !tombstones.is_empty() {
+            let t = sys_ids.next().raw();
+            durable.begin(t)?;
+            for key in doomed.iter().chain(tombstones.iter().map(|(k, _)| k)) {
+                durable.delete(t, key)?;
+            }
+            durable.commit(t)?;
+        }
         let qindex = QueueIndex::with_obs(obs.clone());
         let indexed = qindex.install(rebuilt);
         obs.counter_add("qm.recovery.index_rebuild", indexed as u64);
@@ -405,7 +430,6 @@ impl QueueManager {
                 unfired_triggers += 1;
             }
         }
-        let kill_marks = durable.scan_prefix(None, b"k/")?.len();
 
         Ok(Arc::new(QueueManager {
             name: name.into(),
@@ -426,7 +450,7 @@ impl QueueManager {
                 next_ns: 1,
             }),
             unfired_triggers: AtomicUsize::new(unfired_triggers),
-            kill_marks: AtomicUsize::new(kill_marks),
+            kill_marks: AtomicUsize::new(0),
             stats: QmCounters::default(),
             alerts: Mutex::new(Vec::new()),
             epoch_buf: Mutex::new(Vec::new()),

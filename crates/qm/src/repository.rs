@@ -9,7 +9,7 @@
 //! empty main-memory store for its volatile queues, which lose their contents
 //! on a node failure (§10).
 //!
-//! With `RepoOptions { repo_partitions: N > 1 }` the repository becomes a
+//! On [`RepoDisks::partitioned`]`(N > 1)` the repository is a
 //! shared-nothing *cluster* of N partitions (DESIGN.md S25): each partition
 //! owns the queues [`crate::route::partition_of`] hashes to it and runs its
 //! own durable store (own log + checkpoint device), queue manager, and lock
@@ -28,7 +28,7 @@ use crate::meta::QueueMeta;
 use crate::ops::QueueManager;
 use crate::route::{partition_of, MAX_REPO_PARTITIONS};
 use rrq_obs::Obs;
-use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk, TornWriteMode};
+use rrq_storage::disk::{CrashStyle, SimDisk, TornWriteMode};
 use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
 use rrq_storage::StorageError;
@@ -37,15 +37,14 @@ use rrq_txn::{
     TxnManager, TxnResult, DEFAULT_LOCK_SHARDS,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
-/// The stable devices backing a repository. Clone-shared: keep a copy to
-/// crash and reopen the "same disks" in tests and simulations.
+/// The stable devices backing a repository, and so its layout: one group
+/// per partition, each a log device and a checkpoint device. Clone-shared:
+/// keep a copy to crash and reopen the "same disks" in tests and
+/// simulations.
 ///
-/// Devices come in [`MAX_REPO_PARTITIONS`] groups — one per possible
-/// repository partition, each a log device and a checkpoint device; a
-/// repository opened with `repo_partitions = P` uses the first `P` groups.
-/// The legacy fields alias group 0 (SimDisk clones share state), so single-
+/// The fields are public, so [`Repository::open_with`] checks them. The
+/// legacy fields alias group 0 (SimDisk clones share state), so single-
 /// partition code keeps working unchanged.
 #[derive(Debug, Clone)]
 pub struct RepoDisks {
@@ -67,10 +66,22 @@ pub struct RepoDisks {
 
 impl Default for RepoDisks {
     fn default() -> Self {
-        let wal_groups: Vec<Vec<SimDisk>> = (0..MAX_REPO_PARTITIONS)
-            .map(|_| vec![SimDisk::new()])
-            .collect();
-        let ckpts: Vec<SimDisk> = (0..MAX_REPO_PARTITIONS).map(|_| SimDisk::new()).collect();
+        Self::partitioned(1)
+    }
+}
+
+impl RepoDisks {
+    /// Fresh, empty devices for one partition.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fresh, empty devices for `n` partitions (clamped to
+    /// `1..=`[`MAX_REPO_PARTITIONS`]).
+    pub fn partitioned(n: usize) -> Self {
+        let n = n.clamp(1, MAX_REPO_PARTITIONS);
+        let wal_groups: Vec<Vec<SimDisk>> = (0..n).map(|_| vec![SimDisk::new()]).collect();
+        let ckpts: Vec<SimDisk> = (0..n).map(|_| SimDisk::new()).collect();
         RepoDisks {
             wal: wal_groups[0][0].clone(),
             ckpt: ckpts[0].clone(),
@@ -79,12 +90,20 @@ impl Default for RepoDisks {
             ckpts,
         }
     }
-}
 
-impl RepoDisks {
-    /// Fresh, empty devices.
-    pub fn new() -> Self {
-        Self::default()
+    /// The partition count these devices lay out, or why they lay out none.
+    fn partitions(&self) -> QmResult<usize> {
+        let (n, ckpts) = (self.wal_groups.len(), self.ckpts.len());
+        let why = if n == 0 || n > MAX_REPO_PARTITIONS {
+            format!("{n} partitions, not 1..={MAX_REPO_PARTITIONS}")
+        } else if ckpts != n {
+            format!("{n} log groups but {ckpts} checkpoints")
+        } else if let Some(p) = self.wal_groups.iter().position(|g| g.len() != 1) {
+            format!("group {p} has {} logs, not 1", self.wal_groups[p].len())
+        } else {
+            return Ok(n);
+        };
+        Err(QmError::Invalid(format!("repository devices: {why}")))
     }
 
     /// Crash all devices (unsynced bytes lost).
@@ -117,31 +136,6 @@ impl RepoDisks {
             }
         }
         self.ckpts[part].crash(CrashStyle::DropVolatile);
-    }
-}
-
-/// Tuning knobs for [`Repository::open_with`]. `Default` is what
-/// [`Repository::open`] uses.
-#[derive(Debug, Clone)]
-pub struct RepoOptions {
-    /// When set, wrap each WAL device in a [`LatencyDisk`] charging this
-    /// much per force — models real storage devices for contention
-    /// experiments. Each partition's log gets its *own* latency wrapper, so
-    /// forces on different partitions proceed in parallel.
-    pub wal_sync_latency: Option<Duration>,
-    /// Number of shared-nothing repository partitions (clamped to
-    /// `1..=`[`MAX_REPO_PARTITIONS`]). Each owns the queues that hash to it
-    /// plus its own store, log, and lock manager; `1` is the exact
-    /// single-repository baseline.
-    pub repo_partitions: usize,
-}
-
-impl Default for RepoOptions {
-    fn default() -> Self {
-        RepoOptions {
-            wal_sync_latency: None,
-            repo_partitions: 1,
-        }
     }
 }
 
@@ -204,16 +198,20 @@ pub struct Repository {
 }
 
 impl Repository {
-    /// Open (or recover) the repository on `disks` with default options and
-    /// a handle of its own, dormant until someone starts it.
+    /// Open (or recover) the repository on `disks` with a handle of its
+    /// own, dormant until someone starts it.
     pub fn open(name: impl Into<String>, disks: RepoDisks) -> QmResult<(Self, RecoveryReport)> {
-        Self::open_with(name, disks, RepoOptions::default(), Obs::default())
+        Self::open_with(name, disks, Obs::default())
     }
 
-    /// Open (or recover) the repository on `disks` with explicit tuning,
-    /// every partition's store, lock manager and queue manager reporting to
-    /// `obs` — recovery included, so an owner that outlives the repository
-    /// (a simulated node across crashes) passes its own.
+    /// Open (or recover) the repository on `disks`, one partition per
+    /// device group, every partition's store, lock manager and queue
+    /// manager reporting to `obs` — recovery included, so an owner that
+    /// outlives the repository (a simulated node across crashes) passes its
+    /// own. Devices that lay out no repository (no group, more than
+    /// [`MAX_REPO_PARTITIONS`], log and checkpoint counts that differ, a
+    /// group without exactly one log) are refused with
+    /// [`QmError::Invalid`].
     ///
     /// Partitions recover independently and concurrently (each replays only
     /// its own log, on a thread of its own). Then, in partition order, each
@@ -224,11 +222,10 @@ impl Repository {
     pub fn open_with(
         name: impl Into<String>,
         disks: RepoDisks,
-        opts: RepoOptions,
         obs: Obs,
     ) -> QmResult<(Self, RecoveryReport)> {
         let name = name.into();
-        let repo_partitions = opts.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
+        let repo_partitions = disks.partitions()?;
 
         // The one cluster-shared piece: one id space.
         let ids = Arc::new(TxnIdGen::new(1));
@@ -241,12 +238,8 @@ impl Repository {
         // stays serial below, in partition order, so a simulator run does
         // not depend on the threads' timing.
         let open_store = |p: usize| {
-            let wal = Arc::new(disks.wal_groups[p][0].clone());
-            let wal: Arc<dyn Disk> = match opts.wal_sync_latency {
-                Some(cost) => Arc::new(LatencyDisk::new(wal, cost)),
-                None => wal,
-            };
-            KvStore::open(wal, Arc::new(disks.ckpts[p].clone()), obs.clone())
+            let (wal, ckpt) = (&disks.wal_groups[p][0], &disks.ckpts[p]);
+            KvStore::open(Arc::new(wal.clone()), Arc::new(ckpt.clone()), obs.clone())
         };
         let recovered = std::thread::scope(|s| {
             let siblings = (1..repo_partitions)
@@ -330,8 +323,8 @@ impl Repository {
         partition_of(queue, self.parts.len())
     }
 
-    /// Partition 0's queue manager — with `repo_partitions = 1` (the
-    /// default) this is *the* queue manager, exactly as before.
+    /// Partition 0's queue manager — on one partition (the default) this
+    /// is *the* queue manager.
     pub fn qm(&self) -> &Arc<QueueManager> {
         &self.parts[0].qm
     }
@@ -565,23 +558,67 @@ mod tests {
         assert!(repo2.qm().epoch() > e1);
     }
 
-    fn partitioned(name: &str, disks: RepoDisks, n: usize) -> Repository {
-        let (repo, _) = Repository::open_with(
-            name,
-            disks,
-            RepoOptions {
-                repo_partitions: n,
-                ..RepoOptions::default()
-            },
-            Obs::default(),
-        )
-        .unwrap();
+    fn partitioned(name: &str, disks: RepoDisks) -> Repository {
+        let (repo, _) = Repository::open(name, disks).unwrap();
         repo
     }
 
     #[test]
+    fn a_partitioned_image_reopens_whole_with_plain_open() {
+        let disks = RepoDisks::partitioned(4);
+        let queues: Vec<String> = (0..16).map(|i| format!("q{i}")).collect();
+        {
+            let repo = partitioned("img", disks.clone());
+            for q in &queues {
+                repo.create_queue_defaults(q).unwrap();
+                let (h, _) = repo.qm_for(q).register(q, "c", false).unwrap();
+                repo.autocommit_on(q, |t| {
+                    repo.qm_for(q).enqueue(
+                        t.id().raw(),
+                        &h,
+                        q.as_bytes(),
+                        EnqueueOptions::default(),
+                    )
+                })
+                .unwrap();
+            }
+            assert!((1..4).all(|p| queues.iter().any(|q| repo.partition_of(q) == p)));
+        }
+        disks.crash();
+        let (repo, _) = Repository::open("img", disks).unwrap();
+        assert_eq!(repo.partitions(), 4);
+        for q in &queues {
+            assert_eq!(repo.qm_for(q).depth(q).unwrap(), 1, "queue {q}");
+        }
+    }
+
+    #[test]
+    fn devices_that_lay_out_no_repository_are_refused() {
+        let refused =
+            |disks: RepoDisks| matches!(Repository::open("bad", disks), Err(QmError::Invalid(_)));
+        let mut none = RepoDisks::new();
+        (none.wal_groups, none.ckpts) = (Vec::new(), Vec::new());
+        assert!(refused(none), "zero groups");
+        let mut too_many = RepoDisks::partitioned(MAX_REPO_PARTITIONS);
+        too_many.wal_groups.push(vec![SimDisk::new()]);
+        too_many.ckpts.push(SimDisk::new());
+        assert!(refused(too_many), "more than MAX_REPO_PARTITIONS");
+        let mut uneven = RepoDisks::partitioned(2);
+        uneven.ckpts.pop();
+        assert!(refused(uneven), "log and checkpoint counts differ");
+        let mut logless = RepoDisks::partitioned(2);
+        logless.wal_groups[1].clear();
+        assert!(refused(logless), "a group without a log");
+        let mut two_logs = RepoDisks::new();
+        two_logs.wal_groups[0].push(SimDisk::new());
+        assert!(refused(two_logs), "a group with two logs");
+        assert_eq!(RepoDisks::partitioned(0).wal_groups.len(), 1);
+        assert_eq!(RepoDisks::partitioned(99).ckpts.len(), MAX_REPO_PARTITIONS);
+    }
+
+    #[test]
     fn partitioned_local_roundtrip_on_every_partition() {
-        let repo = partitioned("pr1", RepoDisks::new(), 4);
+        let repo = partitioned("pr1", RepoDisks::partitioned(4));
         for i in 0..16 {
             let q = format!("q{i}");
             repo.create_queue_defaults(&q).unwrap();
@@ -604,7 +641,7 @@ mod tests {
 
     #[test]
     fn cross_partition_move_commits_atomically() {
-        let repo = partitioned("pr2", RepoDisks::new(), 4);
+        let repo = partitioned("pr2", RepoDisks::partitioned(4));
         // Find two queues on different partitions.
         let (qa, qb) = two_queues_apart(&repo);
         repo.create_queue_defaults(&qa).unwrap();
@@ -643,7 +680,7 @@ mod tests {
 
     #[test]
     fn cross_partition_abort_undoes_both_sides() {
-        let repo = partitioned("pr3", RepoDisks::new(), 4);
+        let repo = partitioned("pr3", RepoDisks::partitioned(4));
         let (qa, qb) = two_queues_apart(&repo);
         repo.create_queue_defaults(&qa).unwrap();
         repo.create_queue_defaults(&qb).unwrap();
@@ -679,10 +716,10 @@ mod tests {
 
     #[test]
     fn partitioned_cluster_survives_full_crash() {
-        let disks = RepoDisks::new();
+        let disks = RepoDisks::partitioned(4);
         let (qa, qb);
         {
-            let repo = partitioned("pr4", disks.clone(), 4);
+            let repo = partitioned("pr4", disks.clone());
             (qa, qb) = two_queues_apart(&repo);
             for q in [&qa, &qb] {
                 repo.create_queue_defaults(q).unwrap();
@@ -699,7 +736,7 @@ mod tests {
             }
         }
         disks.crash();
-        let repo2 = partitioned("pr4", disks, 4);
+        let repo2 = partitioned("pr4", disks);
         for q in [&qa, &qb] {
             assert_eq!(repo2.qm_for(q).depth(q).unwrap(), 1, "queue {q}");
         }
@@ -707,7 +744,7 @@ mod tests {
 
     #[test]
     fn eids_are_disjoint_across_partitions() {
-        let repo = partitioned("pr5", RepoDisks::new(), 4);
+        let repo = partitioned("pr5", RepoDisks::partitioned(4));
         let (qa, qb) = two_queues_apart(&repo);
         let mut eids = Vec::new();
         for q in [&qa, &qb] {

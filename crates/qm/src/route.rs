@@ -9,8 +9,8 @@
 //! documented as unstable across releases, which would silently re-home
 //! every queue on a toolchain bump).
 
-/// Upper bound on repository partitions per cluster. Each partition owns a
-/// full WAL group, so this bounds total device count in simulations.
+/// Upper bound on repository partitions per cluster: the most device groups
+/// `Repository::open_with` accepts (each a log and a checkpoint device).
 pub const MAX_REPO_PARTITIONS: usize = 8;
 
 /// Width of each partition's private epoch band, in bits.
@@ -18,10 +18,11 @@ pub const MAX_REPO_PARTITIONS: usize = 8;
 /// Element ids compose as `(epoch << 40) | counter` and every repository
 /// open bumps the epoch, so partition `p` seeds its queue managers at epoch
 /// `(p << EPOCH_BAND_BITS) + restarts` — the single definition of the band
-/// arithmetic that `Repository::open_with` uses. A band of 2^20 epochs means ids from different partitions
+/// arithmetic that `Repository::open_with` uses for the partition of each
+/// device group. A band of 2^20 epochs means ids from different partitions
 /// can only collide after a million restarts of one partition; the
 /// `partition_bands_never_collide` proptest pins the disjointness for every
-/// `repo_partitions <= MAX_REPO_PARTITIONS`.
+/// partition count up to [`MAX_REPO_PARTITIONS`].
 pub const EPOCH_BAND_BITS: u64 = 20;
 
 /// First epoch of partition `p`'s band (the `Repository::open_with` seed).

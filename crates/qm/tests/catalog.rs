@@ -216,7 +216,8 @@ fn a_reopened_repository_reads_its_catalog_and_counts_from_disk() {
                 b"go".to_vec(),
             ))
             .unwrap();
-        // A tombstone nobody clears: the dequeuer dies with the process.
+        // A kill the crash interrupts: the dequeuer dies with the process,
+        // and the reopen completes the kill.
         r.qm().update_queue("q", |m| m.started = true).unwrap();
         held = r.begin().unwrap();
         let e = r
@@ -230,7 +231,8 @@ fn a_reopened_repository_reads_its_catalog_and_counts_from_disk() {
     }
     disks.crash();
     let (r, _) = Repository::open("cat-crash", disks).unwrap();
-    assert_eq!(r.qm().gated_records(), (1, 1));
+    assert_eq!(r.qm().gated_records(), (1, 0));
+    assert_eq!(r.qm().depth("q").unwrap(), 0);
     let meta = r.qm().queue_meta("q").unwrap();
     assert!(!meta.started);
     assert_eq!(meta.alert_threshold, Some(7));
@@ -254,7 +256,7 @@ fn a_reopened_repository_reads_its_catalog_and_counts_from_disk() {
     })
     .unwrap();
     assert_eq!(r.qm().depth("next").unwrap(), 1);
-    assert_eq!(r.qm().gated_records(), (0, 1));
+    assert_eq!(r.qm().gated_records(), (0, 0));
 }
 
 #[test]

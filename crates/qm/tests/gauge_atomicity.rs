@@ -13,7 +13,7 @@ use rrq_qm::element::Eid;
 use rrq_qm::meta::QueueMeta;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
 use rrq_qm::qindex::QueueIndex;
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -145,8 +145,7 @@ fn a_reopened_index_equals_the_scan_with_the_gauge_on_its_total() {
     obs.start();
     let disks = RepoDisks::new();
     let open = || {
-        let opts = RepoOptions::default();
-        Repository::open_with("reopen-index", disks.clone(), opts, obs.clone())
+        Repository::open_with("reopen-index", disks.clone(), obs.clone())
             .unwrap()
             .0
     };

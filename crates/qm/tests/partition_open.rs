@@ -6,7 +6,7 @@
 
 use rrq_qm::keys;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_storage::disk::{Disk, SimDisk};
 use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::RecoveryReport;
@@ -18,11 +18,7 @@ const PARTS: usize = 4;
 const TAIL: usize = 50;
 
 fn open(disks: &RepoDisks) -> (Repository, RecoveryReport) {
-    let opts = RepoOptions {
-        repo_partitions: PARTS,
-        ..RepoOptions::default()
-    };
-    Repository::open_with("po", disks.clone(), opts, rrq_obs::Obs::default()).unwrap()
+    Repository::open("po", disks.clone()).unwrap()
 }
 
 fn devices(disks: &RepoDisks) -> Vec<&SimDisk> {
@@ -42,7 +38,7 @@ fn dump(store: &KvStore) -> Dump {
 
 #[test]
 fn concurrent_partition_recovery_equals_serial() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(PARTS);
     let mut decided = Vec::new();
     {
         let (repo, _) = open(&disks);

@@ -469,6 +469,54 @@ fn an_aborted_kill_disposes_element_and_tombstone_in_one_commit() {
     assert!(!r.qm().kill_element(eid).unwrap());
 }
 
+/// A crash between `kill_element` and its dequeuer's abort leaves the
+/// tombstone committed and the element back in `e/`; the reopen completes
+/// the kill, for a tombstone whose element is gone (a volatile queue's)
+/// too, and a reopen with no tombstone commits nothing.
+#[test]
+fn a_kill_a_crash_interrupted_completes_at_reopen() {
+    let disks = RepoDisks::new();
+    let (r, _) = Repository::open("kill-crash", disks.clone()).unwrap();
+    r.create_queue_defaults("q").unwrap();
+    let mut vol = QueueMeta::with_defaults("v");
+    vol.durable = false;
+    r.qm().create_queue(vol).unwrap();
+    let (h, _) = r.qm().register("q", "c", false).unwrap();
+    let (hv, _) = r.qm().register("v", "c", false).unwrap();
+    let eid = enq(&r, &h, b"cancel-me");
+    let veid = enq(&r, &hv, b"cancel-me-too");
+    enq(&r, &h, b"keep");
+
+    let txn = r.begin().unwrap();
+    for handle in [&h, &hv] {
+        r.qm()
+            .dequeue(txn.id().raw(), handle, DequeueOptions::default())
+            .unwrap();
+    }
+    assert!(r.qm().kill_element(eid).unwrap());
+    assert!(r.qm().kill_element(veid).unwrap());
+    assert_eq!(r.qm().gated_records(), (0, 2));
+    // The crash comes before the poisoned transaction aborts.
+    std::mem::forget(txn);
+    drop(r);
+    disks.crash();
+
+    let (r, _) = Repository::open("kill-crash", disks.clone()).unwrap();
+    assert_eq!(r.qm().gated_records(), (0, 0));
+    assert!(r.store().scan_prefix(None, b"k/").unwrap().is_empty());
+    assert_eq!(r.qm().depth("q").unwrap(), 1);
+    assert_eq!(r.qm().depth("v").unwrap(), 0);
+    assert_eq!(r.store().txn_counts().0, 2, "the epoch bump and the kill");
+    assert_eq!(r.qm().index_divergence().unwrap(), None);
+    assert_eq!(deq(&r, &h).unwrap(), b"keep");
+    assert!(matches!(deq(&r, &h), Err(QmError::Empty(_))));
+    assert!(!r.qm().kill_element(eid).unwrap());
+    drop(r);
+
+    let (r, _) = Repository::open("kill-crash", disks).unwrap();
+    assert_eq!(r.store().txn_counts().0, 1, "only the epoch bump");
+}
+
 #[test]
 fn kill_element_too_late_after_commit() {
     let r = repo();

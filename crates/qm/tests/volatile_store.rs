@@ -5,7 +5,7 @@
 
 use rrq_qm::meta::QueueMeta;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_qm::QmError;
 use rrq_storage::wal::GroupCommitStats;
 use rrq_txn::ResourceManager;
@@ -152,12 +152,7 @@ fn crash_keeps_the_durable_element_and_the_volatile_queue_but_not_its_contents()
 
 #[test]
 fn two_phase_commit_prepares_the_volatile_side_without_a_force() {
-    let opts = RepoOptions {
-        repo_partitions: 4,
-        ..RepoOptions::default()
-    };
-    let (repo, _) =
-        Repository::open_with("vs2", RepoDisks::new(), opts, rrq_obs::Obs::default()).unwrap();
+    let (repo, _) = Repository::open("vs2", RepoDisks::partitioned(4)).unwrap();
     // A durable queue at home, a volatile queue on another partition.
     let home_q = "q0".to_string();
     let far_q = (1..64)

@@ -29,8 +29,7 @@ use rrq_core::rid::Rid;
 use rrq_core::server::{Server, ServerConfig};
 use rrq_net::rpc::ServerGuard;
 use rrq_net::{FaultPlan, NetworkBus};
-use rrq_qm::repository::{RepoOptions, Repository};
-use rrq_qm::route::MAX_REPO_PARTITIONS;
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_workload::bank::{self, Transfer};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -337,8 +336,11 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
             EffectLedger::instrument(bank::single_txn_handler()),
         )?])
     });
+    let disks = RepoDisks::partitioned(cfg.repo_partitions.unwrap_or(1));
+    let parts = disks.wal_groups.len();
     let mut node = ServerNodeSim::with_factory(
         format!("exp-{}", script.seed),
+        disks,
         vec![REQ_QUEUE.into(), format!("reply.{CLIENT_ID}")],
         factory,
     );
@@ -350,14 +352,6 @@ pub fn run_script(script: &FaultScript, cfg: &ExplorerConfig) -> RunOutcome {
     if cfg.bug == Some(InjectedBug::DoubleCountEnqueue) {
         obs.double_count(Some("qm.enqueue.committed"));
     }
-    let parts = cfg
-        .repo_partitions
-        .unwrap_or(1)
-        .clamp(1, MAX_REPO_PARTITIONS);
-    node.set_repo_options(RepoOptions {
-        repo_partitions: parts,
-        ..RepoOptions::default()
-    });
     node.start().expect("initial server boot failed");
     bank::seed_accounts(&node.repo(), cfg.accounts, cfg.initial_balance)
         .expect("seeding accounts failed");

@@ -9,7 +9,7 @@
 use rrq_core::error::CoreResult;
 use rrq_core::server::{Handler, Server, ServerConfig};
 use rrq_obs::Obs;
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_qm::QmError;
 use rrq_storage::disk::TornWriteMode;
 use rrq_storage::recovery::RecoveryReport;
@@ -23,8 +23,8 @@ pub type ServerFactory =
 
 /// A crash-restartable server node.
 pub struct ServerNodeSim {
+    /// The node's devices, and so its repository's partitions.
     disks: RepoDisks,
-    opts: RepoOptions,
     name: String,
     server_factory: ServerFactory,
     repo: Option<Arc<Repository>>,
@@ -58,19 +58,20 @@ impl ServerNodeSim {
             }
             Ok(servers)
         });
-        Self::with_factory(name, queues, factory)
+        Self::with_factory(name, RepoDisks::new(), queues, factory)
     }
 
-    /// Define a node whose server set is built by `server_factory` on every
-    /// boot — pipelines, reapers, mixed pools.
+    /// Define a node on `disks` (one repository partition per device
+    /// group) whose server set is built by `server_factory` on every boot —
+    /// pipelines, reapers, mixed pools.
     pub fn with_factory(
         name: impl Into<String>,
+        disks: RepoDisks,
         queues: Vec<String>,
         server_factory: ServerFactory,
     ) -> Self {
         ServerNodeSim {
-            disks: RepoDisks::new(),
-            opts: RepoOptions::default(),
+            disks,
             name: name.into(),
             server_factory,
             repo: None,
@@ -87,23 +88,12 @@ impl ServerNodeSim {
         &self.obs
     }
 
-    /// Repository tuning used on every boot (partitioned WAL in particular).
-    /// Call before the first [`ServerNodeSim::start`]; the options persist
-    /// across crashes and restarts.
-    pub fn set_repo_options(&mut self, opts: RepoOptions) {
-        self.opts = opts;
-    }
-
     /// Boot (or re-boot after [`ServerNodeSim::crash`]) the node. Returns
     /// the storage recovery report.
     pub fn start(&mut self) -> CoreResult<RecoveryReport> {
         assert!(self.repo.is_none(), "node already running");
-        let (repo, report) = Repository::open_with(
-            self.name.clone(),
-            self.disks.clone(),
-            self.opts.clone(),
-            self.obs.clone(),
-        )?;
+        let (repo, report) =
+            Repository::open_with(self.name.clone(), self.disks.clone(), self.obs.clone())?;
         let repo = Arc::new(repo);
         // What recovery rebuilt must pass the queue managers' self-checks
         // before a server touches it: this is the one moment after a crash

@@ -27,7 +27,7 @@ use rrq_core::rid::Rid;
 use rrq_core::server::{spawn_pool, HandlerError, HandlerOutcome, Served, Server, ServerConfig};
 use rrq_core::CoreError;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_storage::codec::{Decode, Encode};
 use rrq_workload::arrivals::SplitMix;
 use rrq_workload::bank::{self, Transfer};
@@ -40,12 +40,8 @@ const STAGES: [&str; 3] = ["req", "stage1", "stage2"];
 const REPLY: &str = "reply.c1";
 const INITIAL: i64 = 10_000;
 
-fn open(name: &str, disks: RepoDisks, parts: usize, reply: &str) -> Arc<Repository> {
-    let opts = RepoOptions {
-        repo_partitions: parts,
-        ..RepoOptions::default()
-    };
-    let (repo, _) = Repository::open_with(name, disks, opts, rrq_obs::Obs::default()).unwrap();
+fn open(name: &str, disks: RepoDisks, reply: &str) -> Arc<Repository> {
+    let (repo, _) = Repository::open(name, disks).unwrap();
     for q in STAGES.iter().chain([&reply]) {
         repo.create_queue_defaults(q).unwrap();
     }
@@ -144,7 +140,7 @@ fn pipeline(mode: Serializability) -> Pipeline {
 
 fn run_lockstep(seed: u64, parts: usize, mode: Serializability, epochs: bool) -> Observed {
     const N: u64 = 30;
-    let repo = open("lockstep", RepoDisks::new(), parts, REPLY);
+    let repo = open("lockstep", RepoDisks::partitioned(parts), REPLY);
     bank::seed_accounts(&repo, 2 * N as u32 + 2, INITIAL).unwrap();
     let servers = pipeline(mode).build_servers(&repo).unwrap();
     let mut eids = Vec::new();
@@ -242,7 +238,7 @@ fn epoch_loop_matches_run_once_loop() {
 /// nothing left behind when they stop.
 #[test]
 fn spawned_pool_answers_every_request_once_and_stops_clean() {
-    let repo = open("pool", RepoDisks::new(), 1, REPLY);
+    let repo = open("pool", RepoDisks::new(), REPLY);
     // Four accounts make deadlock victims; retried without limit, none of
     // them may end in the error queue.
     repo.qm()
@@ -283,7 +279,7 @@ fn spawned_pool_answers_every_request_once_and_stops_clean() {
 /// committed before it are shown, not stranded behind a dead thread.
 #[test]
 fn a_panicking_handler_still_closes_its_epoch() {
-    let repo = open("panic", RepoDisks::new(), 1, REPLY);
+    let repo = open("panic", RepoDisks::new(), REPLY);
     for serial in 1..=3 {
         enqueue(&repo, &transfer_request(serial, REPLY, vec![]));
     }
@@ -308,8 +304,8 @@ fn a_panicking_handler_still_closes_its_epoch() {
 // ----------------------------------------------------------------------
 
 /// Five transfers 0 → 1 of 100 each, served deferred, epoch left open.
-fn five_deferred(disks: &RepoDisks, parts: usize, reply: &str) -> (Arc<Repository>, Arc<Server>) {
-    let repo = open("win", disks.clone(), parts, reply);
+fn five_deferred(disks: &RepoDisks, reply: &str) -> (Arc<Repository>, Arc<Server>) {
+    let repo = open("win", disks.clone(), reply);
     bank::seed_accounts_on(&repo, "req", 2, INITIAL).unwrap();
     for serial in 1..=5 {
         let t = Transfer {
@@ -333,7 +329,7 @@ fn five_deferred(disks: &RepoDisks, parts: usize, reply: &str) -> (Arc<Repositor
 
 fn reopen_and_drain(disks: &RepoDisks) -> (Arc<Repository>, usize) {
     disks.crash();
-    let repo = open("win", disks.clone(), 1, REPLY);
+    let repo = open("win", disks.clone(), REPLY);
     assert_quiescent(&repo, "after recovery");
     let server = Server::new(
         Arc::clone(&repo),
@@ -363,13 +359,13 @@ fn assert_five_replies_once(repo: &Repository) {
 #[test]
 fn crash_before_the_force_returns_every_request_with_no_reply() {
     let disks = RepoDisks::new();
-    let (repo, server) = five_deferred(&disks, 1, REPLY);
+    let (repo, server) = five_deferred(&disks, REPLY);
     assert_eq!(repo.qm().deferred_commits(), 5);
     assert_eq!(repo.qm().depth(REPLY).unwrap(), 0, "reply shown unforced");
     drop((server, repo));
 
     disks.crash();
-    let repo = open("win", disks.clone(), 1, REPLY);
+    let repo = open("win", disks.clone(), REPLY);
     assert_eq!(repo.qm().depth("req").unwrap(), 5);
     assert_eq!(repo.qm().depth(REPLY).unwrap(), 0);
     assert_eq!(bank::balance(&repo, 0).unwrap(), INITIAL);
@@ -384,7 +380,7 @@ fn crash_before_the_force_returns_every_request_with_no_reply() {
 #[test]
 fn crash_after_the_force_before_the_apply_keeps_every_reply_once() {
     let disks = RepoDisks::new();
-    let (repo, server) = five_deferred(&disks, 1, REPLY);
+    let (repo, server) = five_deferred(&disks, REPLY);
     // The first half of `close_epoch`, and then the lights go out.
     repo.store().force_wal().unwrap();
     assert_eq!(repo.qm().depth(REPLY).unwrap(), 0);
@@ -398,7 +394,7 @@ fn crash_after_the_force_before_the_apply_keeps_every_reply_once() {
 #[test]
 fn a_failed_force_shows_nothing_and_a_later_close_shows_everything() {
     let disks = RepoDisks::new();
-    let (repo, server) = five_deferred(&disks, 1, REPLY);
+    let (repo, server) = five_deferred(&disks, REPLY);
     disks.wal.fail();
     assert!(server.close_epoch().is_err());
     assert_eq!(
@@ -424,8 +420,8 @@ fn a_prepared_transaction_is_visible_and_durable_inside_an_open_epoch() {
             rrq_qm::route::partition_of(q, PARTS) != rrq_qm::route::partition_of("req", PARTS)
         })
         .unwrap();
-    let disks = RepoDisks::new();
-    let (repo, server) = five_deferred(&disks, PARTS, &reply);
+    let disks = RepoDisks::partitioned(PARTS);
+    let (repo, server) = five_deferred(&disks, &reply);
     // Each commit enlisted the reply queue's partition: two-phase, forced,
     // mirrored on the spot — the epoch has nothing left to close.
     assert_eq!(repo.qm_for(&reply).depth(&reply).unwrap(), 5);
@@ -434,7 +430,7 @@ fn a_prepared_transaction_is_visible_and_durable_inside_an_open_epoch() {
     drop((server, repo));
 
     disks.crash();
-    let repo = open("win", disks.clone(), PARTS, &reply);
+    let repo = open("win", disks.clone(), &reply);
     assert_eq!(repo.qm_for("req").depth("req").unwrap(), 0);
     let serials: Vec<u64> = drain_replies(&repo, &reply)
         .iter()

@@ -1,4 +1,4 @@
-//! Shared-nothing partition equivalence: `repo_partitions = 1` vs `4`.
+//! Shared-nothing partition equivalence: one partition vs four.
 //!
 //! Two layers pin DESIGN.md S25's "partitioning is invisible" claim:
 //!
@@ -22,10 +22,9 @@
 //!    replies — asserted via the shared balance model, which both runs must
 //!    hit exactly.
 
-use rrq_obs::Obs;
 use rrq_qm::meta::QueueMeta;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_sim::explorer::{run_script, ExplorerConfig};
 use rrq_sim::script::{FaultEvent, FaultScript};
 use rrq_workload::arrivals::SplitMix;
@@ -48,14 +47,8 @@ fn create_queues(repo: &Repository) {
     }
 }
 
-fn open(name: &str, disks: &RepoDisks, partitions: usize) -> Repository {
-    let opts = RepoOptions {
-        repo_partitions: partitions,
-        ..RepoOptions::default()
-    };
-    Repository::open_with(name, disks.clone(), opts, Obs::default())
-        .unwrap()
-        .0
+fn open(name: &str, disks: &RepoDisks) -> Repository {
+    Repository::open(name, disks.clone()).unwrap().0
 }
 
 /// One deterministic workload step, routed to the owning partition; must be
@@ -177,9 +170,9 @@ fn run_pair(seed: u64) {
         .collect();
 
     let disks_m = RepoDisks::new();
-    let disks_p = RepoDisks::new();
-    let mut mono = open("req-mono", &disks_m, 1);
-    let mut part = open("req-part", &disks_p, 4);
+    let disks_p = RepoDisks::partitioned(4);
+    let mut mono = open("req-mono", &disks_m);
+    let mut part = open("req-part", &disks_p);
     let homes: std::collections::BTreeSet<usize> =
         QUEUES.iter().map(|q| part.partition_of(q)).collect();
     assert!(
@@ -225,8 +218,8 @@ fn run_pair(seed: u64) {
                     disks_p.crash_partition(p % 4, torn);
                 }
             }
-            mono = open("req-mono", &disks_m, 1);
-            part = open("req-part", &disks_p, 4);
+            mono = open("req-mono", &disks_m);
+            part = open("req-part", &disks_p);
             create_queues(&mono);
             create_queues(&part);
             assert_pair_equivalent(
@@ -243,8 +236,8 @@ fn run_pair(seed: u64) {
     drop(part);
     disks_m.crash();
     disks_p.crash();
-    let mono = open("req-mono", &disks_m, 1);
-    let part = open("req-part", &disks_p, 4);
+    let mono = open("req-mono", &disks_m);
+    let part = open("req-part", &disks_p);
     create_queues(&mono);
     create_queues(&part);
     assert_pair_equivalent(&mono, &part, &format!("seed {seed} final restart"));

@@ -32,9 +32,8 @@ use rrq_core::api::{LocalQm, QmApi};
 use rrq_core::clerk::{Clerk, ClerkConfig, SendMode};
 use rrq_core::request::Reply;
 use rrq_core::rid::Rid;
-use rrq_obs::Obs;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use rrq_qm::route::partition_of;
 use rrq_sim::explorer::{self, ExplorerConfig};
 use rrq_storage::disk::{Disk, DiskStats};
@@ -43,14 +42,8 @@ use rrq_txn::{ResourceManager, TxnId};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn partitioned(name: &str, disks: RepoDisks, n: usize) -> Repository {
-    let opts = RepoOptions {
-        repo_partitions: n,
-        ..RepoOptions::default()
-    };
-    Repository::open_with(name, disks, opts, Obs::default())
-        .unwrap()
-        .0
+fn partitioned(name: &str, disks: RepoDisks) -> Repository {
+    Repository::open(name, disks).unwrap().0
 }
 
 /// Two queue names guaranteed to live on different partitions of `repo`.
@@ -66,13 +59,6 @@ fn two_queues_apart(repo: &Repository) -> (String, String) {
     panic!("no second partition reachable in 64 queue names");
 }
 
-fn opts(n: usize) -> RepoOptions {
-    RepoOptions {
-        repo_partitions: n,
-        ..RepoOptions::default()
-    }
-}
-
 /// A 4-partition repository with two queues on different partitions, `qa`
 /// holding one element to move to `qb`, and the handles that move it.
 struct Move {
@@ -85,7 +71,7 @@ struct Move {
 
 impl Move {
     fn new(name: &str, disks: &RepoDisks) -> Move {
-        let repo = partitioned(name, disks.clone(), 4);
+        let repo = partitioned(name, disks.clone());
         let (qa, qb) = two_queues_apart(&repo);
         repo.create_queue_defaults(&qa).unwrap();
         repo.create_queue_defaults(&qb).unwrap();
@@ -165,7 +151,7 @@ impl Move {
 /// or not — and that the moved element is free to take where it landed.
 fn reopen_and_check(name: &str, disks: RepoDisks, m: &Move, id: TxnId, committed: bool) {
     let (qa, qb) = (m.qa.as_str(), m.qb.as_str());
-    let (repo, report) = Repository::open_with(name, disks, opts(4), Obs::default()).unwrap();
+    let (repo, report) = Repository::open(name, disks).unwrap();
     assert_eq!(report.in_doubt, vec![id.raw()], "the sibling is in doubt");
     let (from, to) = if committed { (0, 1) } else { (1, 0) };
     assert_eq!(repo.qm_for(qa).depth(qa).unwrap(), from, "on {qa}");
@@ -199,7 +185,7 @@ fn decision_rows(repo: &Repository) -> usize {
 /// on `qa`, nothing on `qb`.
 #[test]
 fn prepared_xpart_move_resolves_abort_after_home_partition_crash() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(4);
     let m = Move::new("xa", &disks);
     let id = m.abandon(false, false);
     disks.crash_partition(m.home(), None);
@@ -210,7 +196,7 @@ fn prepared_xpart_move_resolves_abort_after_home_partition_crash() {
 /// prepare survives, no row does, and the move aborts on both.
 #[test]
 fn prepared_xpart_move_resolves_abort_after_every_partition_crashes() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(4);
     let m = Move::new("xa2", &disks);
     let id = m.abandon(false, false);
     disks.crash();
@@ -223,7 +209,7 @@ fn prepared_xpart_move_resolves_abort_after_every_partition_crashes() {
 /// recovered tree — element gone from `qa`, present on `qb`.
 #[test]
 fn prepared_xpart_move_resolves_commit_after_home_partition_crash() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(4);
     let m = Move::new("xc", &disks);
     let id = m.abandon(false, true);
     disks.crash_partition(m.home(), None);
@@ -233,7 +219,7 @@ fn prepared_xpart_move_resolves_commit_after_home_partition_crash() {
 /// The same window with every partition crashed.
 #[test]
 fn decided_xpart_move_commits_after_every_partition_crashes() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(4);
     let m = Move::new("xc2", &disks);
     let id = m.abandon(false, true);
     disks.crash();
@@ -247,7 +233,7 @@ fn decided_xpart_move_commits_after_every_partition_crashes() {
 /// commits and before any epoch close, still commits the move on both.
 #[test]
 fn a_deferred_home_commit_forces_its_decision() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(4);
     let m = Move::new("xd", &disks);
     let id = m.abandon(true, true);
     // Nothing was left to an epoch close: the home shows its half at once.
@@ -261,7 +247,7 @@ fn a_deferred_home_commit_forces_its_decision() {
 /// no tree holds a row.
 #[test]
 fn no_decision_row_survives_completed_moves_and_a_reopen() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(4);
     let m = Move::new("xr", &disks);
     m.start(false).commit().unwrap();
     assert_eq!(decision_rows(&m.repo), 1, "the latest decision's row");
@@ -270,7 +256,7 @@ fn no_decision_row_survives_completed_moves_and_a_reopen() {
     assert_eq!(decision_rows(&m.repo), 1, "the second deleted the first");
     drop(m);
     disks.crash();
-    let (repo, report) = Repository::open_with("xr", disks, opts(4), Obs::default()).unwrap();
+    let (repo, report) = Repository::open("xr", disks).unwrap();
     assert!(report.in_doubt.is_empty());
     assert_eq!(decision_rows(&repo), 0);
 }
@@ -293,7 +279,7 @@ fn disk_totals(disks: &RepoDisks) -> DiskStats {
 /// earlier row. The repository's handle counts every one of those forces.
 #[test]
 fn a_cross_partition_move_costs_three_syncs_and_three_appends() {
-    let disks = RepoDisks::new();
+    let disks = RepoDisks::partitioned(4);
     let m = Move::new("xcost", &disks);
     let obs = m.repo.obs();
     obs.start();
@@ -329,7 +315,7 @@ fn partition_local_request_never_touches_siblings() {
         partition_of("reply.c1", PARTS),
         "test premise: request and reply queues co-located"
     );
-    let repo = Arc::new(partitioned("local", RepoDisks::new(), PARTS));
+    let repo = Arc::new(partitioned("local", RepoDisks::partitioned(PARTS)));
     let obs = repo.obs();
     obs.start();
     for q in ["req", "reply.c1"] {

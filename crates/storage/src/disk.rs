@@ -10,10 +10,14 @@
 //!
 //! Keeping the device in memory makes a crash+recovery cycle take
 //! microseconds, so tests can run thousands of deterministic crash schedules.
+//! An experiment that wants the cost of a real device charges one with
+//! [`SimDisk::set_latency`].
 
 use crate::error::{StorageError, StorageResult};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Byte-level counters a device keeps for benchmarking.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,9 +36,8 @@ pub struct DiskStats {
 
 /// An append-only stable-storage device.
 ///
-/// The log and checkpoint stores are both built on this narrow interface so
-/// that the crash-simulating [`SimDisk`] and the sync-charging
-/// [`LatencyDisk`] are interchangeable.
+/// The log and checkpoint stores are both built on this narrow interface,
+/// which [`SimDisk`] implements.
 pub trait Disk: Send + Sync {
     /// Append bytes, returning the offset at which they begin.
     ///
@@ -161,13 +164,27 @@ impl SimInner {
     }
 }
 
+/// Unit of the [`SimDisk::set_latency`] read charge.
+pub const READ_SECTOR: usize = 512;
+
+#[derive(Debug, Default)]
+struct Device {
+    medium: Mutex<SimInner>,
+    /// Nanoseconds charged per sync; zero (the default) charges nothing.
+    sync_ns: AtomicU64,
+    /// Nanoseconds charged per started [`READ_SECTOR`] of a read.
+    read_ns: AtomicU64,
+    /// The device's one flush channel: charged syncs and reads queue on it.
+    flush_channel: Mutex<()>,
+}
+
 /// The crash-simulating stable store.
 ///
 /// Cloning shares the underlying device (it is an `Arc`), which is how a
 /// "restarted process" reopens the same disk after [`SimDisk::crash`].
 #[derive(Debug, Clone, Default)]
 pub struct SimDisk {
-    inner: Arc<Mutex<SimInner>>,
+    inner: Arc<Device>,
 }
 
 impl SimDisk {
@@ -176,10 +193,43 @@ impl SimDisk {
         Self::default()
     }
 
+    /// Charge `sync` per [`Disk::sync`] and `read_per_sector` per started
+    /// [`READ_SECTOR`] of every [`Disk::read`] (at least one sector per
+    /// read); zero charges nothing, which is the default.
+    ///
+    /// A sync here is a memcpy, so a force per commit and a force per group
+    /// would cost the same and no benchmark could see batching win; real
+    /// log devices pay a flush delay per force. Charged syncs and reads
+    /// serialize on the device's one flush channel, so two threads syncing
+    /// "at the same time" pay two delays back to back, while devices of
+    /// different partitions overlap. The read charge is per sector moved,
+    /// so a scan costs its bytes however it windows its reads. Every clone
+    /// of the device pays the charge.
+    pub fn set_latency(&self, sync: Duration, read_per_sector: Duration) {
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.inner.sync_ns.store(nanos(sync), Ordering::Release);
+        self.inner
+            .read_ns
+            .store(nanos(read_per_sector), Ordering::Release);
+    }
+
+    /// The device's medium.
+    fn medium(&self) -> parking_lot::MutexGuard<'_, SimInner> {
+        self.inner.medium.lock()
+    }
+
+    /// Sleep `nanos` on the flush channel; zero returns at once.
+    fn charge(&self, nanos: u64) {
+        if nanos > 0 {
+            let _channel = self.inner.flush_channel.lock();
+            std::thread::sleep(Duration::from_nanos(nanos));
+        }
+    }
+
     /// Simulate a crash: volatile bytes are discarded per `style` and the
     /// device remains usable (a restart re-reads the durable prefix).
     pub fn crash(&self, style: CrashStyle) {
-        let mut g = self.inner.lock();
+        let mut g = self.medium();
         g.stats.crashes += 1;
         match style {
             CrashStyle::DropVolatile => g.volatile.clear(),
@@ -193,7 +243,7 @@ impl SimDisk {
     /// degrades to a clean [`CrashStyle::DropVolatile`]-equivalent crash —
     /// durable bytes are never corrupted (they already hit the platter).
     pub fn crash_torn(&self, mode: TornWriteMode) {
-        let mut g = self.inner.lock();
+        let mut g = self.medium();
         g.stats.crashes += 1;
         let keep = mode.keep_of(g.volatile.len());
         g.tear(keep);
@@ -202,31 +252,31 @@ impl SimDisk {
     /// Mark the device as failed: every subsequent operation returns
     /// [`StorageError::DeviceFailed`] until [`SimDisk::repair`].
     pub fn fail(&self) {
-        self.inner.lock().failed = true;
+        self.medium().failed = true;
     }
 
     /// Make only [`Disk::reset`] fail (the rename of a write-temp-then-rename
     /// swap is refused) until [`SimDisk::repair`]; appends, reads and syncs
     /// keep working.
     pub fn fail_resets(&self) {
-        self.inner.lock().resets_failed = true;
+        self.medium().resets_failed = true;
     }
 
     /// Clear a [`SimDisk::fail`] or [`SimDisk::fail_resets`] condition.
     pub fn repair(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.medium();
         g.failed = false;
         g.resets_failed = false;
     }
 
     /// Number of bytes currently durable (synced).
     pub fn durable_len(&self) -> u64 {
-        self.inner.lock().durable.len() as u64
+        self.medium().durable.len() as u64
     }
 
     /// Number of bytes currently volatile (would be lost by a crash).
     pub fn volatile_len(&self) -> u64 {
-        self.inner.lock().volatile.len() as u64
+        self.medium().volatile.len() as u64
     }
 
     fn check(&self, g: &SimInner) -> StorageResult<()> {
@@ -240,7 +290,7 @@ impl SimDisk {
 
 impl Disk for SimDisk {
     fn append(&self, data: &[u8]) -> StorageResult<u64> {
-        let mut g = self.inner.lock();
+        let mut g = self.medium();
         self.check(&g)?;
         let off = (g.durable.len() + g.volatile.len()) as u64;
         g.volatile.extend_from_slice(data);
@@ -250,7 +300,12 @@ impl Disk for SimDisk {
     }
 
     fn read(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
-        let mut g = self.inner.lock();
+        let per_sector = self.inner.read_ns.load(Ordering::Acquire);
+        if per_sector > 0 {
+            let sectors = len.div_ceil(READ_SECTOR).max(1) as u64;
+            self.charge(per_sector.saturating_mul(sectors));
+        }
+        let mut g = self.medium();
         self.check(&g)?;
         g.stats.reads += 1;
         let size = (g.durable.len() + g.volatile.len()) as u64;
@@ -272,12 +327,13 @@ impl Disk for SimDisk {
     }
 
     fn len(&self) -> u64 {
-        let g = self.inner.lock();
+        let g = self.medium();
         (g.durable.len() + g.volatile.len()) as u64
     }
 
     fn sync(&self) -> StorageResult<()> {
-        let mut g = self.inner.lock();
+        self.charge(self.inner.sync_ns.load(Ordering::Acquire));
+        let mut g = self.medium();
         self.check(&g)?;
         // Keep the volatile buffer's capacity: a force follows nearly every
         // append, and a taken buffer would re-grow from nothing each time.
@@ -289,7 +345,7 @@ impl Disk for SimDisk {
     }
 
     fn reset(&self, contents: Vec<u8>) -> StorageResult<()> {
-        let mut g = self.inner.lock();
+        let mut g = self.medium();
         self.check(&g)?;
         if g.resets_failed {
             return Err(StorageError::DeviceFailed);
@@ -310,7 +366,7 @@ impl Disk for SimDisk {
     }
 
     fn truncate(&self, len: u64) -> StorageResult<()> {
-        let mut g = self.inner.lock();
+        let mut g = self.medium();
         self.check(&g)?;
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         let keep_volatile = len.saturating_sub(g.durable.len());
@@ -320,94 +376,7 @@ impl Disk for SimDisk {
     }
 
     fn stats(&self) -> DiskStats {
-        self.inner.lock().stats
-    }
-}
-
-/// A device wrapper that charges a fixed latency per [`Disk::sync`] (and,
-/// opt-in, per [`READ_SECTOR`] bytes a [`Disk::read`] delivers).
-///
-/// [`SimDisk`]'s sync is a memcpy, so a force per commit and a force per
-/// group cost the same and a benchmark cannot see batching win. Real log
-/// devices pay a rotation / flush delay per force — this wrapper models that
-/// cost so experiments (E21, E22) measure the sync *count* the way hardware
-/// would.
-///
-/// Forces are serialized: a log device has one flush channel, so two threads
-/// syncing "at the same time" still pay two delays back to back. Without
-/// that, unbatched syncing would scale linearly with committer threads and
-/// no benchmark could see why group commit exists. Reads, when given a
-/// latency via [`LatencyDisk::with_read_latency`], go through the same
-/// single command channel — which is what lets a recovery benchmark see the
-/// point of one scan thread per log device: reads on *different* devices
-/// overlap, reads on the same device queue. The read charge is per sector
-/// delivered, not per call, so a scan costs the bytes it moves however it
-/// windows its reads.
-pub struct LatencyDisk {
-    inner: Arc<dyn Disk>,
-    sync_latency: std::time::Duration,
-    read_latency: std::time::Duration,
-    flush_channel: Mutex<()>,
-}
-
-/// Unit of the [`LatencyDisk`] read charge.
-pub const READ_SECTOR: usize = 512;
-
-impl LatencyDisk {
-    /// Wrap `inner`, sleeping `sync_latency` on every sync.
-    pub fn new(inner: Arc<dyn Disk>, sync_latency: std::time::Duration) -> Self {
-        LatencyDisk {
-            inner,
-            sync_latency,
-            read_latency: std::time::Duration::ZERO,
-            flush_channel: Mutex::new(()),
-        }
-    }
-
-    /// Also sleep `read_latency` per started [`READ_SECTOR`] of every read,
-    /// at least once per read (default: reads are free).
-    pub fn with_read_latency(mut self, read_latency: std::time::Duration) -> Self {
-        self.read_latency = read_latency;
-        self
-    }
-}
-
-impl Disk for LatencyDisk {
-    fn append(&self, data: &[u8]) -> StorageResult<u64> {
-        self.inner.append(data)
-    }
-
-    fn read(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
-        if !self.read_latency.is_zero() {
-            let _channel = self.flush_channel.lock();
-            let sectors = u32::try_from(len.div_ceil(READ_SECTOR).max(1)).unwrap_or(u32::MAX);
-            std::thread::sleep(self.read_latency.saturating_mul(sectors));
-        }
-        self.inner.read(offset, len)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn sync(&self) -> StorageResult<()> {
-        let _flush = self.flush_channel.lock();
-        if !self.sync_latency.is_zero() {
-            std::thread::sleep(self.sync_latency);
-        }
-        self.inner.sync()
-    }
-
-    fn reset(&self, contents: Vec<u8>) -> StorageResult<()> {
-        self.inner.reset(contents)
-    }
-
-    fn truncate(&self, len: u64) -> StorageResult<()> {
-        self.inner.truncate(len)
-    }
-
-    fn stats(&self) -> DiskStats {
-        self.inner.stats()
+        self.medium().stats
     }
 }
 
@@ -589,7 +558,8 @@ mod tests {
     #[test]
     fn latency_disk_truncate_reaches_the_device() {
         let sim = SimDisk::new();
-        let d = LatencyDisk::new(Arc::new(sim.clone()), std::time::Duration::ZERO);
+        let d = sim.clone();
+        d.set_latency(Duration::from_micros(1), Duration::from_micros(1));
         d.append(b"abcdef").unwrap();
         d.sync().unwrap();
         d.truncate(2).unwrap();
@@ -603,7 +573,7 @@ mod tests {
         d.append(&[1; 4096]).unwrap();
         d.sync().unwrap();
         assert!(
-            d.inner.lock().volatile.capacity() >= 4096,
+            d.medium().volatile.capacity() >= 4096,
             "a force must not throw the append buffer away"
         );
         d.append(&[2; 16]).unwrap();
@@ -631,16 +601,41 @@ mod tests {
     #[test]
     fn latency_disk_delegates_and_counts() {
         let sim = SimDisk::new();
-        let d = LatencyDisk::new(Arc::new(sim.clone()), std::time::Duration::from_millis(1));
+        let d = sim.clone();
+        d.set_latency(Duration::from_millis(1), Duration::ZERO);
         d.append(b"abc").unwrap();
         let t0 = std::time::Instant::now();
         d.sync().unwrap();
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(1));
+        assert!(t0.elapsed() >= Duration::from_millis(1));
         assert_eq!(sim.durable_len(), 3);
         assert_eq!(d.stats().syncs, 1);
         assert_eq!(d.read(0, 3).unwrap(), b"abc");
         d.reset(Vec::new()).unwrap();
         assert!(d.is_empty());
+        // A read is charged per started sector, at least one.
+        d.set_latency(Duration::ZERO, Duration::from_millis(1));
+        d.append(&[0; READ_SECTOR + 1]).unwrap();
+        let t0 = std::time::Instant::now();
+        d.read(0, READ_SECTOR + 1).unwrap();
+        assert!(t0.elapsed() >= Duration::from_millis(2));
+    }
+
+    #[test]
+    fn two_threads_syncing_one_device_pay_two_delays_back_to_back() {
+        let d = SimDisk::new();
+        d.set_latency(Duration::from_millis(20), Duration::ZERO);
+        let t0 = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| d.sync().unwrap());
+            }
+        });
+        assert!(
+            t0.elapsed() >= Duration::from_millis(40),
+            "{:?}",
+            t0.elapsed()
+        );
+        assert_eq!(d.stats().syncs, 2);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! * [`codec`] / [`checksum`] — the self-contained binary record format.
 //!
 //! Everything is deterministic by default: no background threads, and the
-//! only wall-clock timing is opt-in (the benchmark-only
-//! [`disk::LatencyDisk`] sync cost).
+//! only wall-clock timing is opt-in (a device's
+//! [`disk::SimDisk::set_latency`] charge, which only experiments set).
 
 pub mod checkpoint;
 pub mod checksum;
@@ -38,7 +38,7 @@ pub mod recovery;
 pub mod wal;
 
 pub use checkpoint::{load_chain, CheckpointChain};
-pub use disk::{Disk, LatencyDisk, SimDisk};
+pub use disk::{Disk, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use kv::{IntoBytes, KeyHasher, KvStore, KvTxn, WriteOp};
 pub use recovery::{replay, RecoveryReport, ReplayOutcome};

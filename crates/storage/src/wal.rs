@@ -387,7 +387,7 @@ mod tests {
             .unwrap();
         (records, valid_end)
     }
-    use crate::disk::{CrashStyle, LatencyDisk, SimDisk};
+    use crate::disk::{CrashStyle, SimDisk};
     use std::sync::Barrier;
     use std::time::Duration;
 
@@ -538,8 +538,8 @@ mod tests {
         // takes 5 ms, so whoever does not force first queues behind that
         // sync and is covered by the next one.
         let disk = SimDisk::new();
-        let slow = LatencyDisk::new(Arc::new(disk.clone()), Duration::from_millis(5));
-        let wal = Arc::new(Wal::new(Arc::new(slow)));
+        disk.set_latency(Duration::from_millis(5), Duration::ZERO);
+        let wal = Arc::new(wal_on(&disk));
         let start = Arc::new(Barrier::new(8));
         let handles: Vec<_> = (0..8u64)
             .map(|i| {

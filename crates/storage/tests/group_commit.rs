@@ -8,7 +8,7 @@
 //! Symmetrically, an abort whose record is still volatile must never come
 //! back as committed.
 
-use rrq_storage::disk::{CrashStyle, Disk, LatencyDisk, SimDisk, TornWriteMode};
+use rrq_storage::disk::{CrashStyle, Disk, SimDisk, TornWriteMode};
 use rrq_storage::kv::KvStore;
 use rrq_storage::recovery::replay;
 use rrq_storage::wal::{RecordKind, Wal};
@@ -74,13 +74,8 @@ fn concurrent_commit_storm_survives_crash() {
     const PER_THREAD: u64 = 5;
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
-    let slow = LatencyDisk::new(Arc::new(wal.clone()), Duration::from_millis(3));
-    let (store, _) = KvStore::open(
-        Arc::new(slow),
-        Arc::new(ckpt.clone()),
-        rrq_obs::Obs::default(),
-    )
-    .unwrap();
+    wal.set_latency(Duration::from_millis(3), Duration::ZERO);
+    let (store, _) = reopen(&wal, &ckpt);
 
     let start = Arc::new(Barrier::new(THREADS as usize));
     let handles: Vec<_> = (0..THREADS)

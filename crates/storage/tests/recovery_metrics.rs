@@ -123,7 +123,7 @@ fn prepared_transaction_counts_as_in_doubt_not_redo() {
 #[test]
 fn index_rebuild_metrics_match_survivors_for_every_crash_shape() {
     use rrq_qm::ops::EnqueueOptions;
-    use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+    use rrq_qm::repository::{RepoDisks, Repository};
 
     let shapes = [
         None,
@@ -134,10 +134,8 @@ fn index_rebuild_metrics_match_survivors_for_every_crash_shape() {
     for torn in shapes {
         let obs = started();
         let disks = RepoDisks::new();
-        let open = || {
-            let opts = RepoOptions::default();
-            Repository::open_with("recovery-metrics", disks.clone(), opts, obs.clone()).unwrap()
-        };
+        let open =
+            || Repository::open_with("recovery-metrics", disks.clone(), obs.clone()).unwrap();
         let (repo, _) = open();
         repo.create_queue_defaults("q").unwrap();
         let (h, _) = repo.qm().register("q", "c", false).unwrap();

@@ -17,6 +17,7 @@ use rrq_core::pipeline::Serializability;
 use rrq_core::request::Request;
 use rrq_core::rid::Rid;
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions};
+use rrq_qm::repository::RepoDisks;
 use rrq_sim::node::{ServerFactory, ServerNodeSim};
 use rrq_storage::codec::Encode;
 use rrq_workload::bank::{self, Transfer};
@@ -37,6 +38,7 @@ fn main() {
     });
     let mut node = ServerNodeSim::with_factory(
         "bank",
+        RepoDisks::new(),
         vec![
             "xfer.debit".into(),
             "xfer.credit".into(),

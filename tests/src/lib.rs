@@ -6,7 +6,7 @@ use rrq_core::remote::{QmRpcServer, RemoteQm};
 use rrq_core::server::{Handler, HandlerOutcome};
 use rrq_net::rpc::ServerGuard;
 use rrq_net::NetworkBus;
-use rrq_qm::repository::{RepoDisks, RepoOptions, Repository};
+use rrq_qm::repository::{RepoDisks, Repository};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,12 +69,7 @@ impl Served {
             Transport::RemotePartitioned => 4,
             Transport::Local | Transport::Remote => 1,
         };
-        let opts = RepoOptions {
-            repo_partitions: partitions,
-            ..RepoOptions::default()
-        };
-        let (repo, _) =
-            Repository::open_with(name, RepoDisks::new(), opts, rrq_obs::Obs::default()).unwrap();
+        let (repo, _) = Repository::open(name, RepoDisks::partitioned(partitions)).unwrap();
         let repo = Arc::new(repo);
         repo.create_queue_defaults("req").unwrap();
         repo.create_queue_defaults(&format!("reply.{client_id}"))

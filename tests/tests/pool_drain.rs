@@ -2,7 +2,7 @@
 //! spin-then-park waiting: 2 servers (one per CPU of the box this was written
 //! on) and 8 (oversubscribed, so holders are preempted mid-section and
 //! waiters run out of spin budget and park) drain one preloaded queue of bank
-//! transfers on `RepoOptions::default()`. Every request gets exactly one `Ok`
+//! transfers on a one-partition repository. Every request gets exactly one `Ok`
 //! reply, money is conserved, no claim mark outlives the drain, the ready
 //! index agrees with storage — and all of that again after a crash and reopen.
 

@@ -103,6 +103,7 @@ fn pipeline_resumes_after_crash_and_conserves_money() {
     });
     let mut node = ServerNodeSim::with_factory(
         "bank-node",
+        RepoDisks::new(),
         vec![
             "xfer0".into(),
             "xfer1".into(),
