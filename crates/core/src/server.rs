@@ -266,7 +266,7 @@ impl Server {
 
     /// Force the log and show every reply committed deferred so far (by this
     /// or any other server of the home partition). On a failed force nothing
-    /// is shown and a later close retries.
+    /// is shown, and the log has failed: the reopen decides the epoch.
     pub fn close_epoch(&self) -> CoreResult<()> {
         let obs = self.repo.obs();
         let from = obs.now();
@@ -289,8 +289,7 @@ impl Server {
         struct Close<'a>(&'a Server);
         impl Drop for Close<'_> {
             fn drop(&mut self) {
-                // A failed force leaves the mirrors buffered; the next
-                // epoch's close (idle ones included) retries it.
+                // A failed force fails the log; later commits report it.
                 let _ = self.0.close_epoch();
             }
         }
@@ -513,6 +512,9 @@ impl Server {
                 }
                 Ok(Served::Committed)
             }
+            // Not a rollback when a log failed: every retry would fail there
+            // until the repository reopens.
+            Err(e @ TxnError::PrepareFailed(_)) if self.repo.log_failed() => Err(e.into()),
             Err(TxnError::InvalidState(_)) | Err(TxnError::PrepareFailed(_)) => {
                 // Poisoned by a cancel, or a participant failed to prepare:
                 // the manager already aborted everything.
@@ -527,13 +529,18 @@ impl Server {
         }
     }
 
-    /// Run the loop on a thread, one epoch at a time, until `stop` is set.
+    /// Run the loop on a thread, one epoch at a time, until `stop` is set or
+    /// an epoch fails while any partition's log has failed (home, reply or
+    /// forward): every retry would fail there until a reopen.
     pub fn spawn(self: &Arc<Self>, stop: Arc<AtomicBool>) -> JoinHandle<()> {
         let me = Arc::clone(self);
         let name = format!("rrq-server-{}", self.cfg.server_name);
         crate::threads::spawn_named(name, move || {
             while !stop.load(Ordering::Acquire) {
                 if me.run_epoch().is_err() {
+                    if me.repo.log_failed() {
+                        return;
+                    }
                     std::thread::sleep(Duration::from_millis(10));
                 }
             }

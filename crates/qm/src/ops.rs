@@ -1393,8 +1393,9 @@ impl QueueManager {
     /// Taking *first* is what lets any number of callers close concurrently:
     /// a mirror is buffered after its commit record is appended, so every
     /// mirror taken here is covered by the force that follows, whoever
-    /// buffered it. If the force fails nothing is applied and the mirrors go
-    /// back for a later close.
+    /// buffered it. If the force fails nothing is applied and the mirrors
+    /// are dropped: the failure failed the log, nothing forces it again, and
+    /// the reopen rebuilds the index from what the log holds.
     pub fn close_epoch(&self) -> QmResult<usize> {
         let taken = {
             let mut buf = self.epoch_buf.lock();
@@ -1403,12 +1404,7 @@ impl QueueManager {
         if taken.is_empty() {
             return Ok(0);
         }
-        if let Err(e) = self.durable.force_wal() {
-            let mut buf = self.epoch_buf.lock();
-            let later = std::mem::replace(&mut *buf, taken);
-            buf.extend(later);
-            return Err(e.into());
-        }
+        self.durable.force_wal()?;
         let shown = taken.len();
         for pend in taken {
             self.apply_committed(pend);

@@ -172,13 +172,13 @@ impl ResourceManager for SiblingRm {
     }
 
     fn commit(&self, txn: TxnId) -> TxnResult<()> {
-        let r = ResourceManager::commit(&*self.qm, txn);
+        ResourceManager::commit(&*self.qm, txn)?;
         // 2PL release point for the sibling's locks: the decision row is
         // already durable in the home partition's commit by the time the
-        // commit phase runs, and a failed commit leaves this participant
-        // prepared for recovery to resolve from that row.
+        // commit phase runs. A failed commit leaves this participant
+        // prepared, its locks held, for the reopen to resolve from that row.
         self.locks.unlock_all(txn.raw());
-        r
+        Ok(())
     }
 
     fn abort(&self, txn: TxnId) -> TxnResult<()> {
@@ -352,6 +352,12 @@ impl Repository {
     /// Durable store of partition `p` (clamped).
     pub fn store_at(&self, p: usize) -> &Arc<KvStore> {
         &self.parts[p % self.parts.len()].store
+    }
+
+    /// True once any partition's log has failed: nothing that enlists that
+    /// partition commits until the repository reopens.
+    pub fn log_failed(&self) -> bool {
+        self.parts.iter().any(|p| p.store.log_failed())
     }
 
     /// Queue manager owning `queue`.

@@ -607,7 +607,8 @@ fn concurrent_drain_hands_every_element_to_exactly_one_dequeuer() {
 
 /// A claim must not outlive a failed abort disposition: when the abort
 /// handler's system transaction cannot commit, the stored element is
-/// unchanged and unlocked, so the next dequeuer must be offered it.
+/// unchanged and unlocked, so it is offered again — and, once the reopen
+/// that the failed log calls for is done, dequeued with no abort counted.
 #[test]
 fn failed_abort_disposition_leaves_the_element_dequeuable() {
     let disks = RepoDisks::new();
@@ -628,9 +629,18 @@ fn failed_abort_disposition_leaves_the_element_dequeuable() {
     assert!(aborted.is_err(), "disposition could not be logged");
     t1.abort().unwrap(); // releases the element lock
     disks.wal.repair();
-
-    // ... and the element, untouched in storage, goes to the next dequeuer.
+    // ... the element, untouched in storage, is offered again, but the log
+    // failed with the disposition's commit: nothing commits before the
+    // reopen ...
     assert_eq!(r.qm().claimed_entries(), 0);
+    let refused = r.autocommit(|t| r.qm().dequeue(t.id().raw(), &h, DequeueOptions::default()));
+    assert!(refused.is_err(), "a dequeue committed on a failed log");
+    drop(r);
+
+    // ... and after it the element goes to the next dequeuer, its abort
+    // never counted.
+    let (r, _) = Repository::open("fail-abort", disks).unwrap();
+    let (h, _) = r.qm().register("q", "c", false).unwrap();
     let e = r
         .autocommit(|t| r.qm().dequeue(t.id().raw(), &h, DequeueOptions::default()))
         .unwrap();

@@ -13,7 +13,9 @@
 //!   (`serve_deferred`, `close_epoch`): before the force every request comes
 //!   back and no reply exists; after the force and before the mirrors are
 //!   applied every reply exists exactly once.
-//! * **A failed force** shows nothing; a later close shows everything.
+//! * **A failed force** shows nothing, and fails the log: the reopen shows
+//!   every reply once, whether it kept the unforced records or a crash
+//!   dropped them.
 //! * **A transaction that went through `prepare`** is visible and durable at
 //!   once, open epoch or not.
 //!
@@ -327,8 +329,12 @@ fn five_deferred(disks: &RepoDisks, reply: &str) -> (Arc<Repository>, Arc<Server
     (repo, server)
 }
 
-fn reopen_and_drain(disks: &RepoDisks) -> (Arc<Repository>, usize) {
-    disks.crash();
+/// Reopen after a crash, or after a process restart that keeps the
+/// unsynced bytes, and serve what came back.
+fn reopen_and_drain(disks: &RepoDisks, crash: bool) -> (Arc<Repository>, usize) {
+    if crash {
+        disks.crash();
+    }
     let repo = open("win", disks.clone(), REPLY);
     assert_quiescent(&repo, "after recovery");
     let server = Server::new(
@@ -372,7 +378,7 @@ fn crash_before_the_force_returns_every_request_with_no_reply() {
     assert_eq!(bank::balance(&repo, 1).unwrap(), INITIAL);
     drop(repo);
 
-    let (repo, redone) = reopen_and_drain(&disks);
+    let (repo, redone) = reopen_and_drain(&disks, true);
     assert_eq!(redone, 5);
     assert_five_replies_once(&repo);
 }
@@ -386,29 +392,42 @@ fn crash_after_the_force_before_the_apply_keeps_every_reply_once() {
     assert_eq!(repo.qm().depth(REPLY).unwrap(), 0);
     drop((server, repo));
 
-    let (repo, redone) = reopen_and_drain(&disks);
+    let (repo, redone) = reopen_and_drain(&disks, true);
     assert_eq!(redone, 0, "a forced request was served again");
     assert_five_replies_once(&repo);
 }
 
 #[test]
-fn a_failed_force_shows_nothing_and_a_later_close_shows_everything() {
-    let disks = RepoDisks::new();
-    let (repo, server) = five_deferred(&disks, REPLY);
-    disks.wal.fail();
-    assert!(server.close_epoch().is_err());
-    assert_eq!(
-        repo.qm().depth(REPLY).unwrap(),
-        0,
-        "mirror applied unforced"
-    );
-    assert_eq!(repo.qm().deferred_commits(), 5);
+fn a_failed_force_shows_nothing_and_the_reopen_shows_every_reply_once() {
+    // The five commit records are on the device, unforced: a restart keeps
+    // them (nothing is served again), a crash drops them (all five are).
+    for (crash, redo) in [(false, 0), (true, 5)] {
+        let disks = RepoDisks::new();
+        let (repo, server) = five_deferred(&disks, REPLY);
+        disks.wal.fail();
+        assert!(server.close_epoch().is_err());
+        assert_eq!(
+            repo.qm().depth(REPLY).unwrap(),
+            0,
+            "mirror applied unforced"
+        );
+        assert_eq!(repo.qm().deferred_commits(), 0, "mirrors put back");
 
-    disks.wal.repair();
-    server.close_epoch().unwrap();
-    assert_quiescent(&repo, "after the second close");
-    assert_eq!(repo.qm().depth("req").unwrap(), 0);
-    assert_five_replies_once(&repo);
+        // The log stays failed: a later close has nothing to show, and
+        // nothing forces the failed records.
+        disks.wal.repair();
+        assert_eq!(server.close_epoch(), Ok(()));
+        assert_eq!(repo.qm().depth(REPLY).unwrap(), 0);
+        assert_eq!(
+            repo.store().force_wal(),
+            Err(rrq_storage::StorageError::LogFailed)
+        );
+        drop((server, repo));
+
+        let (repo, redone) = reopen_and_drain(&disks, crash);
+        assert_eq!(redone, redo, "crash: {crash}");
+        assert_five_replies_once(&repo);
+    }
 }
 
 #[test]

@@ -38,7 +38,7 @@ use rrq_qm::route::partition_of;
 use rrq_sim::explorer::{self, ExplorerConfig};
 use rrq_storage::disk::{Disk, DiskStats};
 use rrq_txn::twophase::DECISION_PREFIX;
-use rrq_txn::{ResourceManager, TxnId};
+use rrq_txn::{ResourceManager, TxnError, TxnId};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -224,6 +224,79 @@ fn decided_xpart_move_commits_after_every_partition_crashes() {
     let id = m.abandon(false, true);
     disks.crash();
     reopen_and_check("xc2", disks, &m, id, true);
+}
+
+/// The move the other way round: homed on `qb`'s partition, the sibling
+/// dequeuing from `qa`, so the sibling holds the element's lock.
+fn start_reversed(m: &Move) -> (rrq_txn::Txn, usize) {
+    let (txn, home) = m.repo.begin_on(&m.qb).unwrap();
+    let id = txn.id().raw();
+    let qm_a = m.repo.enlist_queue(&txn, home, &m.qa).unwrap();
+    let e = qm_a.dequeue(id, &m.ha, DequeueOptions::default()).unwrap();
+    let opts = EnqueueOptions::default();
+    m.repo
+        .qm_for(&m.qb)
+        .enqueue(id, &m.hb, &e.payload, opts)
+        .unwrap();
+    (txn, home)
+}
+
+/// The home partition's log fails at the decision: the deciding commit's
+/// record is appended and its force fails. The transaction is in doubt, not
+/// aborted: the sibling stays prepared and keeps the element's lock. A
+/// restart that keeps the unsynced record commits the move on both
+/// partitions; a crash that drops it aborts it on both.
+#[test]
+fn a_failed_decision_is_in_doubt_until_the_reopen_decides_it() {
+    for (crash, committed) in [(false, true), (true, false)] {
+        let disks = RepoDisks::partitioned(4);
+        let m = Move::new("xf", &disks);
+        let (txn, home) = start_reversed(&m);
+        let id = txn.id();
+        let sibling = m.repo.partition_of(&m.qa);
+        let home_log = &disks.wal_groups[home][0];
+        home_log.fail_syncs();
+        let err = txn.commit().unwrap_err();
+        assert!(matches!(err, TxnError::InDoubt(_)), "{err}");
+        assert!(
+            m.repo.store_at(sibling).is_open(id.raw()),
+            "sibling aborted"
+        );
+        let held = m.repo.tm_at(sibling).locks().held_count(id.raw());
+        assert!(held > 0, "the sibling released its locks before the reopen");
+        // Neither half is shown: the element stays claimed on `qa` and is
+        // not on `qb`.
+        assert_eq!(m.repo.qm_for(&m.qa).claimed_entries(), 1);
+        assert_eq!(m.repo.qm_for(&m.qb).depth(&m.qb).unwrap(), 0);
+        home_log.repair();
+        if crash {
+            disks.crash_partition(home, None);
+        }
+        reopen_and_check("xf", disks, &m, id, committed);
+    }
+}
+
+/// The sibling's log fails at its commit, after the decision: the sibling
+/// stays prepared and keeps the element's lock until the reopen, which
+/// commits it from the home's row.
+#[test]
+fn a_sibling_whose_commit_fails_keeps_its_locks_until_the_reopen() {
+    let disks = RepoDisks::partitioned(4);
+    let m = Move::new("xs", &disks);
+    let (txn, _) = start_reversed(&m);
+    let id = txn.id();
+    let sibling = m.repo.partition_of(&m.qa);
+    // Prepared by hand, so the commit's own prepare logs nothing and the
+    // failure lands on the sibling's commit.
+    ResourceManager::prepare(&**m.repo.qm_for(&m.qa), id).unwrap();
+    disks.wal_groups[sibling][0].fail();
+    let err = txn.commit().unwrap_err();
+    assert!(matches!(err, TxnError::InDoubt(_)), "{err}");
+    let held = m.repo.tm_at(sibling).locks().held_count(id.raw());
+    assert!(held > 0, "the sibling released its locks before the reopen");
+    assert_eq!(m.repo.qm_for(&m.qa).claimed_entries(), 1);
+    disks.wal_groups[sibling][0].repair();
+    reopen_and_check("xs", disks, &m, id, true);
 }
 
 /// A server's epoch loop defers its transaction's commit (one force per

@@ -147,6 +147,7 @@ struct SimInner {
     volatile: Vec<u8>,
     failed: bool,
     resets_failed: bool,
+    syncs_failed: bool,
     stats: DiskStats,
 }
 
@@ -262,11 +263,17 @@ impl SimDisk {
         self.medium().resets_failed = true;
     }
 
-    /// Clear a [`SimDisk::fail`] or [`SimDisk::fail_resets`] condition.
+    /// Make only [`Disk::sync`] fail until [`SimDisk::repair`]; appends land.
+    pub fn fail_syncs(&self) {
+        self.medium().syncs_failed = true;
+    }
+
+    /// Clear what [`SimDisk::fail`] and its `fail_*` variants set.
     pub fn repair(&self) {
         let mut g = self.medium();
         g.failed = false;
         g.resets_failed = false;
+        g.syncs_failed = false;
     }
 
     /// Number of bytes currently durable (synced).
@@ -334,7 +341,9 @@ impl Disk for SimDisk {
     fn sync(&self) -> StorageResult<()> {
         self.charge(self.inner.sync_ns.load(Ordering::Acquire));
         let mut g = self.medium();
-        self.check(&g)?;
+        if g.failed || g.syncs_failed {
+            return Err(StorageError::DeviceFailed);
+        }
         // Keep the volatile buffer's capacity: a force follows nearly every
         // append, and a taken buffer would re-grow from nothing each time.
         let inner = &mut *g;

@@ -38,6 +38,8 @@ pub enum StorageError {
     /// The simulated device refused the operation (injected fault or the
     /// device was explicitly failed).
     DeviceFailed,
+    /// An earlier append or sync failed the log, until its store reopens.
+    LogFailed,
     /// A transactional operation referenced an unknown transaction token.
     UnknownTxn(u64),
     /// The operation conflicts with the store's state (e.g. double commit).
@@ -56,6 +58,7 @@ impl fmt::Display for StorageError {
             }
             StorageError::Decode(msg) => write!(f, "decode error: {msg}"),
             StorageError::DeviceFailed => write!(f, "storage device failed"),
+            StorageError::LogFailed => write!(f, "log failed earlier; reopen the store"),
             StorageError::UnknownTxn(t) => write!(f, "unknown storage transaction token {t}"),
             StorageError::InvalidState(msg) => write!(f, "invalid storage state: {msg}"),
         }

@@ -85,7 +85,8 @@
 //! Commit and prepare take the whole state out of `txns` so the log can be
 //! written from it by reference with no internal lock held, and a successful
 //! commit moves the operations into `mem`. A commit-point operation that
-//! fails puts the state back, so the transaction stays open and retryable. A
+//! fails puts the state back for the caller's abort; nothing commits it, as
+//! the failure failed the log until the store reopens ([`crate::wal`]). A
 //! read hands the caller the value where it is held
 //! ([`KvStore::get_with`]); [`KvStore::get`] is the copying one.
 //!
@@ -610,6 +611,11 @@ impl KvStore {
             wal.disk().truncate(outcome.valid_end)?;
             obs.counter_inc("storage.recovery.torn_tail_truncations");
         }
+        // Forced before anything acts on what was replayed: a record a failed
+        // force left unsynced, kept by a restart, must outlive a later crash.
+        if !wal.is_empty() {
+            wal.sync()?;
+        }
 
         let report = outcome.report();
         let store = KvStore::new(
@@ -864,8 +870,8 @@ impl KvStore {
             st.logged = true;
             st.prepared = true;
         }
-        // Back in on every path: after a failure unprepared, write set
-        // intact, and the caller may retry.
+        // Back in on every path: after a failure unprepared, for the
+        // caller's abort (the log has failed: nothing prepares it again).
         self.txn_stripe(txn).insert(txn, st);
         result
     }
@@ -946,8 +952,8 @@ impl KvStore {
                 Ok(())
             }
             Err(e) => {
-                // Whichever step failed — the append or the force — the txn
-                // stays open with its write set intact.
+                // Whichever step failed — the append or the force — the log
+                // has failed; the state goes back for the caller's abort.
                 self.txn_stripe(txn).insert(txn, st);
                 Err(e)
             }
@@ -1095,6 +1101,12 @@ impl KvStore {
         }
         log.wal.force_through(log.wal.len())?;
         Ok(())
+    }
+
+    /// True once the store's log has failed: it commits nothing until it
+    /// reopens (never, in the main-memory store).
+    pub fn log_failed(&self) -> bool {
+        matches!(&self.log, Some(log) if log.wal.check().is_err())
     }
 
     /// Log length in bytes (drives checkpoint policy); zero in the

@@ -17,16 +17,16 @@
 //! corruption: the pass fails at that record instead of applying part of a
 //! transaction.
 //!
-//! A commit or prepare whose force failed is retried, and the retry logs its
-//! record again. The *last* attempt is the transaction: its write set
-//! replaces the earlier one (a superseded put or delete would replay to the
-//! same tree, a superseded move would not), and a retried commit takes its
-//! place in commit order at its last record, where the live store applied it.
+//! An incarnation has one attempt. A log that fails stops ([`crate::wal`]),
+//! so no commit point is retried in the incarnation that failed, and a
+//! failed commit's record, if the device kept it, is the transaction's only
+//! one: replaying it is what decides the commit. A second `Commit` or
+//! `Prepare` for one incarnation is corruption, as a stray data op is.
 //!
 //! A store has one log, and a commit point appends its `Commit` record under
 //! the log's append latch, so the order in which the scan meets commit
 //! records *is* commit order: [`replay`] hands transactions' operations over
-//! in the order of their counting commit records and needs no sort. A
+//! in the order of their commit records and needs no sort. A
 //! checkpoint appends a `Checkpoint` record naming the chain its segment will
 //! complete, forces the log, makes the segment durable, and only then resets
 //! the log with one atomic device swap, so a crash leaves either the reset
@@ -36,13 +36,12 @@
 //! a chain that already holds its effect would move something else.
 //!
 //! [`replay`] reads the log twice. The first pass checks every frame and
-//! every op list in place — before the chain's mark and in superseded
-//! attempts too, so a corrupt record fails the open before anything is
-//! applied — and decodes only `Prepare` payloads. It learns where replay
-//! starts, which record of each transaction counts, and the transactions'
-//! fates. The second pass scans from the start and decodes the ops of each
-//! counting `Commit` record one at a time into the caller's sink, so a reopen
-//! holds one op, not the log tail.
+//! every op list in place — before the chain's mark too, so a corrupt record
+//! fails the open before anything is applied — and decodes only `Prepare`
+//! payloads. It learns where replay starts and the transactions' fates. The
+//! second pass scans from the start and decodes the ops of each `Commit`
+//! record one at a time into the caller's sink, so a reopen holds one op,
+//! not the log tail.
 //!
 //! Records are keyed by the *internal incarnation id* the store stamps into
 //! each record's txn field — unique per transaction incarnation, never
@@ -56,7 +55,6 @@ use crate::codec::Reader;
 use crate::error::{StorageError, StorageResult};
 use crate::kv::{OpRef, WriteOp};
 use crate::wal::{RecordKind, Wal};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// What the redo pass found in the log, besides the operations it handed
@@ -113,35 +111,26 @@ pub struct RecoveryReport {
     pub in_doubt: Vec<u64>,
 }
 
-/// Where the write set of a transaction's counting `Commit` record is.
-#[derive(Debug)]
-enum WriteSet {
-    /// The op list of the commit record at this offset: the counting record
-    /// itself, or an earlier one-phase attempt when the counting record is
-    /// empty (a one-phase commit whose force failed, then prepared and
-    /// committed).
-    At(u64),
-    /// What the transaction's prepare logged (empty: it logged nothing).
-    Prepared(Vec<WriteOp>),
-}
-
-/// A transaction's last `Commit` record, the attempt that counts.
-#[derive(Debug)]
-struct Counting {
-    at: u64,
-    writes: WriteSet,
-}
-
 /// What the first pass learns: where replay starts and what it applies.
 #[derive(Default)]
 struct Plan {
     /// The `Checkpoint` record naming the chain, or 0.
     start: u64,
-    counting: HashMap<u64, Counting>,
+    /// Incarnations with a `Commit` record since `start`.
+    committed: HashSet<u64>,
+    /// What the prepares that an empty `Commit` resolves logged, by
+    /// incarnation id: that record applies it.
+    resolved: HashMap<u64, Vec<WriteOp>>,
     /// Prepared, no outcome yet: incarnation id → (caller token, write set).
     prepared: HashMap<u64, (u64, Vec<WriteOp>)>,
     aborted: HashSet<u64>,
     max_txn: u64,
+}
+
+/// A second `Commit` or `Prepare` for incarnation `txn`: the log holds one
+/// attempt per incarnation.
+fn second(kind: RecordKind, txn: u64) -> StorageError {
+    StorageError::Decode(format!("a second {kind:?} record for incarnation {txn}"))
 }
 
 /// The error of the record at `lsn`: the CRC vouches for its bytes, so a
@@ -176,30 +165,20 @@ pub fn replay(
             RecordKind::Prepare => {
                 let token = r.u64().map_err(corrupt(lsn))?;
                 let ops = WriteOp::decode_list(&mut r).map_err(corrupt(lsn))?;
-                plan.prepared.insert(txn, (token, ops));
+                let again = plan.committed.contains(&txn);
+                if again || plan.prepared.insert(txn, (token, ops)).is_some() {
+                    return Err(corrupt(lsn)(second(kind, txn)));
+                }
             }
             RecordKind::Commit => {
                 OpRef::decode_each(&mut r, |_| {}).map_err(corrupt(lsn))?;
-                let own = !payload.is_empty();
-                match plan.counting.entry(txn) {
-                    // A retry: it takes the earlier attempt's place in commit
-                    // order, and its write set, unless it logged its own.
-                    Entry::Occupied(mut e) => {
-                        let c = e.get_mut();
-                        c.at = lsn;
-                        if own {
-                            c.writes = WriteSet::At(lsn);
-                        }
-                    }
-                    Entry::Vacant(e) => {
-                        let prepared = plan.prepared.remove(&txn);
-                        let writes = if own {
-                            WriteSet::At(lsn)
-                        } else {
-                            WriteSet::Prepared(prepared.map(|(_, ops)| ops).unwrap_or_default())
-                        };
-                        e.insert(Counting { at: lsn, writes });
-                    }
+                if !plan.committed.insert(txn) {
+                    return Err(corrupt(lsn)(second(kind, txn)));
+                }
+                // Its own op list, or else what its prepare logged.
+                let prepared = plan.prepared.remove(&txn);
+                if let (true, Some((_, ops))) = (payload.is_empty(), prepared) {
+                    plan.resolved.insert(txn, ops);
                 }
             }
             RecordKind::Abort => {
@@ -211,7 +190,8 @@ pub fn replay(
                 // commit point shut out and refuses while one is prepared.
                 if chain.named_by(payload) {
                     plan.start = lsn;
-                    plan.counting.clear();
+                    plan.committed.clear();
+                    plan.resolved.clear();
                     plan.prepared.clear();
                     plan.aborted.clear();
                 }
@@ -223,16 +203,6 @@ pub fn replay(
         Ok(())
     })?;
 
-    // Op lists of earlier one-phase attempts that an empty counting record
-    // applies, held from their own record to the counting one's.
-    let mut held: HashMap<u64, Vec<WriteOp>> = plan
-        .counting
-        .values()
-        .filter_map(|c| match c.writes {
-            WriteSet::At(at) if at != c.at => Some((at, Vec::new())),
-            _ => None,
-        })
-        .collect();
     let mut replayed = 0;
     let mut sink = |op: WriteOp| {
         replayed += 1;
@@ -242,32 +212,17 @@ pub fn replay(
         if kind != RecordKind::Commit {
             return Ok(());
         }
-        let mut r = Reader::new(payload);
-        if let Some(ops) = held.get_mut(&lsn) {
-            *ops = WriteOp::decode_list(&mut r).map_err(corrupt(lsn))?;
-            r = Reader::new(payload);
-        }
-        let Some(c) = plan.counting.get_mut(&txn).filter(|c| c.at == lsn) else {
+        if let Some(ops) = plan.resolved.remove(&txn) {
+            ops.into_iter().for_each(&mut sink);
             return Ok(());
-        };
-        match &mut c.writes {
-            WriteSet::At(at) if *at == lsn => {
-                OpRef::decode_each(&mut r, |op| sink(op.into_op())).map_err(corrupt(lsn))?
-            }
-            WriteSet::At(at) => held.remove(at).into_iter().flatten().for_each(&mut sink),
-            WriteSet::Prepared(ops) => std::mem::take(ops).into_iter().for_each(&mut sink),
         }
-        Ok(())
+        OpRef::decode_each(&mut Reader::new(payload), |op| sink(op.into_op())).map_err(corrupt(lsn))
     })?;
 
-    let aborted_txns = plan
-        .aborted
-        .iter()
-        .filter(|t| !plan.counting.contains_key(t))
-        .count();
+    let aborted_txns = plan.aborted.difference(&plan.committed).count();
     let mut out = ReplayOutcome {
         replayed,
-        committed_txns: plan.counting.len(),
+        committed_txns: plan.committed.len(),
         aborted_txns,
         valid_end,
         next_txn_id: plan.max_txn + 1,
@@ -391,72 +346,30 @@ mod tests {
     }
 
     #[test]
-    fn a_retried_commit_replays_at_its_last_record() {
-        // Txn 1's first commit record landed but its force failed; txn 2
-        // committed over the same key; then txn 1's retry logged its commit
-        // record again. The live store applied 2, then 1.
-        let w = wal();
+    fn a_second_commit_or_prepare_for_one_incarnation_is_corrupt() {
+        // A log that fails stops, so no incarnation logs a commit point twice:
+        // a second record is no retry to replay but a corrupt log.
         let one = list(&[put(b"k", b"one")]);
+        let disk = SimDisk::new();
+        let w = Wal::new(Arc::new(disk.clone()));
         w.append(1, RecordKind::Commit, &one).unwrap();
-        w.append(2, RecordKind::Commit, &list(&[put(b"k", b"two")]))
-            .unwrap();
-        w.append(1, RecordKind::Commit, &one).unwrap();
-        // The same after a prepare: the retried commit record is empty
-        // again, and still applies what the prepare logged.
-        w.append(3, RecordKind::Prepare, &prepare(3, &[put(b"p", b"3")]))
-            .unwrap();
-        w.append(3, RecordKind::Commit, &[]).unwrap();
-        w.append(4, RecordKind::Commit, &list(&[put(b"p", b"4")]))
-            .unwrap();
-        w.append(3, RecordKind::Commit, &[]).unwrap();
-        w.sync().unwrap();
-        let (ops, out) = redo(&w, ChainMark::default());
-        assert_eq!(out.committed_txns, 4);
-        assert_eq!(
-            ops,
-            vec![
-                put(b"k", b"two"),
-                put(b"k", b"one"),
-                put(b"p", b"4"),
-                put(b"p", b"3"),
-            ]
+        let again = w.append(1, RecordKind::Commit, &one).unwrap();
+        let ckpt = Arc::new(SimDisk::new());
+        let opened = crate::kv::KvStore::open(Arc::new(disk), ckpt, rrq_obs::Obs::default());
+        let opened = opened.map(|_| ());
+        assert!(
+            matches!(opened, Err(StorageError::Corrupt { offset, .. }) if offset == again),
+            "{opened:?}"
         );
-    }
-
-    #[test]
-    fn a_retried_commit_replays_only_its_last_attempt() {
-        // The first attempt's force failed after its record landed; the
-        // retry logged the write set again. Replaying both would run the
-        // move twice: the second time `a` is gone, and `b` would keep the
-        // put's value instead of the moved one.
         let w = wal();
-        let mv = WriteOp::Move {
-            from: b"a".to_vec(),
-            to: b"b".to_vec(),
-        };
-        let attempt = list(&[put(b"b", b"put"), mv.clone()]);
-        for _attempt in 0..2 {
-            w.append(1, RecordKind::Commit, &attempt).unwrap();
-        }
-        w.sync().unwrap();
-        let (ops, out) = redo(&w, ChainMark::default());
-        assert_eq!(out.committed_txns, 1);
-        assert_eq!(ops, vec![put(b"b", b"put"), mv]);
-    }
-
-    #[test]
-    fn a_retried_prepare_is_in_doubt_once_with_its_write_set() {
-        let w = wal();
-        for _attempt in 0..2 {
-            w.append(5, RecordKind::Prepare, &prepare(77, &[put(b"x", b"9")]))
-                .unwrap();
-        }
-        w.sync().unwrap();
-        let (ops, out) = redo(&w, ChainMark::default());
-        assert!(ops.is_empty());
-        assert_eq!(out.in_doubt.len(), 1);
-        assert_eq!(out.in_doubt[&77], vec![put(b"x", b"9")]);
-        assert_eq!(out.in_doubt_internal[&77], 5);
+        w.append(5, RecordKind::Prepare, &prepare(77, &[])).unwrap();
+        w.append(5, RecordKind::Commit, &[]).unwrap();
+        let again = w.append(5, RecordKind::Prepare, &prepare(77, &[])).unwrap();
+        let opened = replay(&w, ChainMark::default(), |_| panic!("applied"));
+        assert!(
+            matches!(opened, Err(StorageError::Corrupt { offset, .. }) if offset == again),
+            "{opened:?}"
+        );
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! before it, so committers that arrive during a force share the next one.
 //! Nobody waits for company; a server that wants more commits per force
 //! closes an epoch (DESIGN.md S26).
+//!
+//! A log that fails stops: the first failed append or sync fails the `Wal`
+//! for good, and every later append, sync and force — the failed force's
+//! waiters included — is [`StorageError::LogFailed`]. A record whose force
+//! failed may be on the device or not; nothing appends behind it or forces
+//! it, and the next open, which builds a new `Wal`, reads its fate and
+//! forces what it read before acting on it. A refused [`Wal::reset`] fails
+//! nothing: the device swaps all or nothing.
 
 use crate::checksum::crc32;
 use crate::codec::{put, Reader};
@@ -25,7 +33,7 @@ use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
 use parking_lot::{Condvar, Mutex};
 use rrq_obs::Obs;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Frame marker; helps recovery distinguish "end of log" from garbage.
@@ -144,6 +152,8 @@ pub struct Wal {
     /// Log length known durable: the device length when the last successful
     /// [`Wal::sync`] began. Restarts at zero with [`Wal::reset`].
     durable: AtomicU64,
+    /// Set by the first failed append or sync; never cleared.
+    failed: AtomicBool,
     forcing: Mutex<Forcing>,
     /// Wakes the callers that wait for a force in flight to end.
     forced: Condvar,
@@ -164,6 +174,7 @@ impl Wal {
             appended: AtomicU64::new(0),
             synced: AtomicU64::new(0),
             durable: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
             forcing: Mutex::default(),
             forced: Condvar::new(),
             obs,
@@ -201,6 +212,7 @@ impl Wal {
         kind: RecordKind,
         payload: impl FnOnce(&mut Vec<u8>),
     ) -> StorageResult<u64> {
+        self.check()?;
         buf.clear();
         put::u16(buf, MAGIC);
         put::u32(buf, 0); // body length, patched below
@@ -212,7 +224,7 @@ impl Wal {
         buf[2..6].copy_from_slice(&body_len.to_le_bytes());
         let crc = crc32(&buf[FRAME_HEADER..]);
         buf[6..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
-        let start = self.disk.append(buf)?;
+        let start = self.disk.append(buf).map_err(|e| self.fail(e))?;
         self.appended.fetch_add(1, Ordering::AcqRel);
         self.obs.counter_inc("storage.wal.appends");
         if kind == RecordKind::Commit {
@@ -224,11 +236,12 @@ impl Wal {
     /// Force all appended records to stable storage and publish the durable
     /// watermark.
     pub fn sync(&self) -> StorageResult<()> {
+        self.check()?;
         // Snapshot before the device force: everything appended up to here
         // is covered, later appends may not be.
         let covered = self.appended.load(Ordering::SeqCst);
         let end = self.disk.len();
-        self.disk.sync()?;
+        self.disk.sync().map_err(|e| self.fail(e))?;
         self.durable.fetch_max(end, Ordering::SeqCst);
         let prev = self.synced.fetch_max(covered, Ordering::SeqCst);
         let obs = &self.obs;
@@ -242,7 +255,8 @@ impl Wal {
     /// atomic load; otherwise the caller waits out the force in flight and
     /// forces if still uncovered. Waiters wake together, so a group is all who
     /// arrived during one force (a lock held across the sync forms smaller
-    /// ones, EXPERIMENTS.md E35). A failed sync reaches only its caller.
+    /// ones, EXPERIMENTS.md E35). A failed sync fails the log and its waiters;
+    /// a record durable before the failure still returns `Ok`.
     pub fn force_through(&self, end: u64) -> StorageResult<()> {
         if self.durable.load(Ordering::SeqCst) >= end {
             return Ok(());
@@ -272,6 +286,21 @@ impl Wal {
             self.obs.counter_inc("storage.gc.follower_wakeups");
         }
         Ok(())
+    }
+
+    /// [`StorageError::LogFailed`] once an append or a sync has failed: the
+    /// log refuses everything until its store reopens.
+    pub fn check(&self) -> StorageResult<()> {
+        if self.failed.load(Ordering::Acquire) {
+            return Err(StorageError::LogFailed);
+        }
+        Ok(())
+    }
+
+    /// Fail the log for good, passing on the device's error `e`.
+    fn fail(&self, e: StorageError) -> StorageError {
+        self.failed.store(true, Ordering::Release);
+        e
     }
 
     /// Snapshot of the [`Wal::force_through`] batching counters.
@@ -614,12 +643,82 @@ mod tests {
         let disk = SimDisk::new();
         let wal = wal_on(&disk);
         wal.append(1, RecordKind::Commit, &[]).unwrap();
+        let durable = wal.len();
+        wal.force_through(durable).unwrap();
+        wal.append(2, RecordKind::Commit, &[]).unwrap();
         let target = wal.len();
         disk.fail();
-        assert!(wal.force_through(target).is_err());
+        assert_eq!(wal.force_through(target), Err(StorageError::DeviceFailed));
+        assert_eq!(wal.check(), Err(StorageError::LogFailed));
+        // The log stays failed after the device is back: nothing forces the
+        // failed record, and nothing is appended behind it.
         disk.repair();
-        wal.force_through(target).unwrap();
+        assert_eq!(wal.force_through(target), Err(StorageError::LogFailed));
+        assert_eq!(wal.sync(), Err(StorageError::LogFailed));
+        assert_eq!(
+            wal.append(3, RecordKind::Commit, &[]),
+            Err(StorageError::LogFailed)
+        );
+        assert_eq!(disk.len(), target, "no byte appended after the failure");
+        assert_eq!(
+            disk.durable_len(),
+            durable,
+            "the failed record stays unforced"
+        );
+        // A record made durable before the failure is still durable.
+        wal.force_through(durable).unwrap();
+        // Only a new `Wal` over the device, as a reopen builds, clears it.
+        let reopened = wal_on(&disk);
+        reopened.force_through(target).unwrap();
         assert_eq!(disk.volatile_len(), 0);
+    }
+
+    #[test]
+    fn a_failed_append_fails_the_log() {
+        let disk = SimDisk::new();
+        let wal = wal_on(&disk);
+        disk.fail();
+        let mut buf = Vec::new();
+        let refused = wal.append_with(&mut buf, 1, RecordKind::Commit, |_| {});
+        assert_eq!(refused, Err(StorageError::DeviceFailed));
+        disk.repair();
+        assert_eq!(
+            wal.append(1, RecordKind::Commit, &[]),
+            Err(StorageError::LogFailed)
+        );
+        assert_eq!(wal.force_through(1), Err(StorageError::LogFailed));
+        assert!(disk.is_empty());
+    }
+
+    #[test]
+    fn the_waiters_of_a_failed_force_fail_with_it() {
+        // A force in flight on a slow device fails under the waiters queued
+        // behind it: none of them forces the failed records itself.
+        let disk = SimDisk::new();
+        disk.set_latency(Duration::from_millis(200), Duration::ZERO);
+        let wal = Arc::new(wal_on(&disk));
+        wal.append(1, RecordKind::Commit, &[]).unwrap();
+        let forcer = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.force_through(wal.len()))
+        };
+        while !wal.forcing.lock().active {
+            std::thread::yield_now();
+        }
+        disk.fail();
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || wal.force_through(wal.len()))
+            })
+            .collect();
+        assert_eq!(forcer.join().unwrap(), Err(StorageError::DeviceFailed));
+        disk.repair();
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Err(StorageError::LogFailed));
+        }
+        assert_eq!(disk.stats().syncs, 0);
+        assert_eq!(disk.durable_len(), 0);
     }
 
     #[test]

@@ -1,51 +1,15 @@
-//! A commit that fails on a device error must leave the transaction exactly
-//! as it was — open, write set intact — so the same token can commit once the
-//! device is back.
-//!
-//! Commit and prepare check the transaction's state out of the store and move
-//! the write set into the tree on success; these tests pin that every failure
-//! exit (the append, the force) checks the state back in, and that a failed
-//! commit leaves nothing *behind* in the tree or the log's committed state.
+//! A log that fails stops. A commit point whose append or force fails puts
+//! the transaction back, write set intact, for its caller's abort, and fails
+//! the store's log: no later commit, prepare or force on that store succeeds
+//! — not the same token's, not another's, not after the device is repaired —
+//! until the store reopens. What the failed commit left on the device is
+//! decided by that reopen: nothing after a crash dropped it, a committed
+//! transaction after a restart kept it.
 
-use rrq_storage::disk::{CrashStyle, Disk, DiskStats, SimDisk};
+use rrq_storage::disk::{CrashStyle, Disk, SimDisk};
 use rrq_storage::kv::KvStore;
-use rrq_storage::{StorageError, StorageResult};
-use std::sync::atomic::{AtomicBool, Ordering};
+use rrq_storage::StorageError;
 use std::sync::Arc;
-
-/// A `SimDisk` whose forces can be made to fail while appends still land:
-/// `SimDisk::fail` fails both, and the append always comes first.
-struct ForceFails {
-    disk: SimDisk,
-    failing: AtomicBool,
-}
-
-impl Disk for ForceFails {
-    fn append(&self, data: &[u8]) -> StorageResult<u64> {
-        self.disk.append(data)
-    }
-    fn read(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
-        self.disk.read(offset, len)
-    }
-    fn len(&self) -> u64 {
-        self.disk.len()
-    }
-    fn sync(&self) -> StorageResult<()> {
-        if self.failing.load(Ordering::SeqCst) {
-            return Err(StorageError::DeviceFailed);
-        }
-        self.disk.sync()
-    }
-    fn reset(&self, contents: Vec<u8>) -> StorageResult<()> {
-        self.disk.reset(contents)
-    }
-    fn truncate(&self, len: u64) -> StorageResult<()> {
-        self.disk.truncate(len)
-    }
-    fn stats(&self) -> DiskStats {
-        self.disk.stats()
-    }
-}
 
 const KEYS: u32 = 16;
 
@@ -99,36 +63,38 @@ fn assert_committed(store: &KvStore) {
     }
 }
 
-/// Fail the log during the commit, repair it, commit the same token.
+/// Fail the log during the commit: after the repair the same token, and any
+/// other, is refused until the reopen.
 #[test]
-fn commit_retries_after_device_failure() {
+fn a_failed_commit_fails_the_log_until_the_reopen() {
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
     let store = open(&wal, &ckpt);
     write_all(&store, 1);
+    store.begin(2).unwrap();
+    store.put(2, b"other", b"x").unwrap();
 
     wal.fail();
     assert_eq!(store.commit(1), Err(StorageError::DeviceFailed));
     assert_own_view_intact(&store, 1);
-    // The write set is still writable, too.
-    store.put(1, b"k/extra", b"late").unwrap();
+    assert!(store.log_failed());
 
     wal.repair();
-    store.commit(1).unwrap();
-    assert!(!store.is_open(1));
-    assert_committed(&store);
-    assert_eq!(store.get(None, b"k/extra").unwrap(), Some(b"late".to_vec()));
+    assert_eq!(store.commit(1), Err(StorageError::LogFailed));
+    assert_eq!(store.commit(2), Err(StorageError::LogFailed));
+    // A one-phase transaction's abort logs nothing, so it still succeeds.
+    store.abort(1).unwrap();
+    store.abort(2).unwrap();
 
-    // The retire line kept moving across the failed attempt.
-    store.begin(2).unwrap();
-    store.put(2, b"after", b"ok").unwrap();
-    store.commit(2).unwrap();
-
-    wal.crash(CrashStyle::DropVolatile);
+    // The reopen builds a new log: the store commits again, and the failed
+    // commit, of which the device got nothing, is gone.
     let store = open(&wal, &ckpt);
-    assert_committed(&store);
-    assert_eq!(store.get(None, b"k/extra").unwrap(), Some(b"late".to_vec()));
-    assert_eq!(store.get(None, b"after").unwrap(), Some(b"ok".to_vec()));
+    assert!(!store.log_failed());
+    assert_eq!(store.get(None, &key(2)).unwrap(), None);
+    write_all(&store, 3);
+    store.commit(3).unwrap();
+    wal.crash(CrashStyle::DropVolatile);
+    assert_committed(&open(&wal, &ckpt));
 }
 
 #[test]
@@ -152,51 +118,58 @@ fn a_failed_commit_append_leaves_nothing_of_the_transaction_in_the_log() {
     assert_eq!(wal.stats().appends, appends);
     assert_own_view_intact(&store, 1);
 
-    store.commit(1).unwrap();
-    assert_eq!(wal.stats().appends, appends + 1, "one write for the retry");
-    assert_committed(&store);
+    assert_eq!(store.commit(1), Err(StorageError::LogFailed));
+    assert_eq!(wal.stats().appends, appends, "no write for a retry");
+    let store = open(&wal, &ckpt);
+    assert_eq!(store.get(None, b"before").unwrap(), Some(b"ok".to_vec()));
+    assert_eq!(store.get(None, &key(2)).unwrap(), None);
 }
 
 #[test]
-fn commit_retries_after_a_failed_force() {
-    // The commit record lands in the volatile log, then the force fails: the
-    // retry logs the write set and a second commit record behind it, and
-    // recovery must still see one committed transaction with the right state.
-    let wal = SimDisk::new();
-    let flaky = Arc::new(ForceFails {
-        disk: wal.clone(),
-        failing: AtomicBool::new(false),
-    });
-    let ckpt = SimDisk::new();
-    let (store, _) = KvStore::open(
-        flaky.clone(),
-        Arc::new(ckpt.clone()),
-        rrq_obs::Obs::default(),
-    )
-    .unwrap();
-    write_all(&store, 1);
+fn a_commit_whose_force_failed_is_decided_by_the_reopen() {
+    // The commit record lands in the volatile log, then the force fails and
+    // the caller undoes the transaction in memory. The next committer's
+    // force must not make that record durable: it is refused. The reopen
+    // decides the failed commit: a process restart keeps its record
+    // (committed), a crash drops it. What the reopen showed, it forced
+    // first: a crash right after it takes nothing back.
+    for crash in [false, true] {
+        let wal = SimDisk::new();
+        let ckpt = SimDisk::new();
+        let store = open(&wal, &ckpt);
+        store.begin(1).unwrap();
+        store.put(1, b"a", b"failed").unwrap();
+        wal.fail_syncs();
+        assert_eq!(store.commit(1), Err(StorageError::DeviceFailed));
+        store.abort(1).unwrap();
+        wal.repair();
+        store.begin(2).unwrap();
+        store.put(2, b"b", b"later").unwrap();
+        assert_eq!(store.commit(2), Err(StorageError::LogFailed));
+        assert_eq!(wal.durable_len(), 0, "nothing forced the failed record");
 
-    flaky.failing.store(true, Ordering::SeqCst);
-    assert_eq!(store.commit(1), Err(StorageError::DeviceFailed));
-    assert_own_view_intact(&store, 1);
+        if crash {
+            wal.crash(CrashStyle::DropVolatile);
+        }
+        let (store, report) = KvStore::open(
+            Arc::new(wal.clone()),
+            Arc::new(ckpt.clone()),
+            rrq_obs::Obs::default(),
+        )
+        .unwrap();
+        assert_eq!(report.committed_txns, usize::from(!crash));
+        let a = (!crash).then(|| b"failed".to_vec());
+        assert_eq!(store.get(None, b"a").unwrap(), a, "crash: {crash}");
+        assert_eq!(store.get(None, b"b").unwrap(), None);
 
-    flaky.failing.store(false, Ordering::SeqCst);
-    store.commit(1).unwrap();
-    assert_committed(&store);
-
-    wal.crash(CrashStyle::DropVolatile);
-    let (store, report) = KvStore::open(
-        Arc::new(wal.clone()),
-        Arc::new(ckpt.clone()),
-        rrq_obs::Obs::default(),
-    )
-    .unwrap();
-    assert_eq!(report.committed_txns, 1);
-    assert_committed(&store);
+        wal.crash(CrashStyle::DropVolatile);
+        let store = open(&wal, &ckpt);
+        assert_eq!(store.get(None, b"a").unwrap(), a, "crash: {crash}");
+    }
 }
 
 #[test]
-fn prepare_retries_after_device_failure() {
+fn a_failed_prepare_fails_the_log_until_the_reopen() {
     let wal = SimDisk::new();
     let ckpt = SimDisk::new();
     let store = open(&wal, &ckpt);
@@ -205,18 +178,25 @@ fn prepare_retries_after_device_failure() {
     wal.fail();
     assert_eq!(store.prepare(7), Err(StorageError::DeviceFailed));
     assert_own_view_intact(&store, 7);
-    // Not prepared: the write set is still open for writes.
+    // Not prepared: the write set is still open for writes, but the log
+    // refuses to prepare or commit it.
     store.put(7, b"k/extra", b"late").unwrap();
-
     wal.repair();
-    store.prepare(7).unwrap();
-    assert!(store.put(7, b"k/no", b"x").is_err(), "prepared now");
+    assert_eq!(store.prepare(7), Err(StorageError::LogFailed));
+    assert_eq!(store.commit(7), Err(StorageError::LogFailed));
 
-    // In doubt across a crash, with the whole write set.
+    // Nothing of it reached the device: not in doubt after the reopen.
     wal.crash(CrashStyle::DropVolatile);
-    let store = open(&wal, &ckpt);
-    assert!(store.is_open(7));
+    let (store, report) = KvStore::open(
+        Arc::new(wal.clone()),
+        Arc::new(ckpt.clone()),
+        rrq_obs::Obs::default(),
+    )
+    .unwrap();
+    assert!(report.in_doubt.is_empty());
+    assert!(!store.is_open(7));
+    write_all(&store, 7);
+    store.prepare(7).unwrap();
     store.commit(7).unwrap();
     assert_committed(&store);
-    assert_eq!(store.get(None, b"k/extra").unwrap(), Some(b"late".to_vec()));
 }

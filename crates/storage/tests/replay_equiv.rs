@@ -4,11 +4,12 @@
 //! file keeps that pass as a test-only reference and checks the two agree —
 //! on the ops and their order, the `RecoveryReport`, the in-doubt
 //! transactions, `next_txn_id` and `valid_end` — over generated logs with
-//! retried one-phase commits, retried prepares, prepares resolved by one or
-//! more empty commits, aborts, `Checkpoint` records that name the chain and
-//! ones that do not, and every torn tail. A CRC-valid record whose op list
-//! does not decode fails both at the same offset, and the sink is never
-//! called.
+//! one-phase commits, prepares resolved by an empty commit or by none,
+//! aborts, `Checkpoint` records that name the chain and ones that do not,
+//! and every torn tail. A CRC-valid record whose op list does not decode,
+//! and a second commit point of one incarnation (a log that fails stops, so
+//! no commit point is retried), fail both at the same offset, and the sink
+//! is never called.
 
 use proptest::prelude::*;
 use rrq_storage::checkpoint::ChainMark;
@@ -54,18 +55,22 @@ fn reference(wal: &Wal, chain: ChainMark) -> StorageResult<(Vec<WriteOp>, Found)
             RecordKind::Prepare => {
                 let token = r.u64().map_err(corrupt)?;
                 let ops = WriteOp::decode_list(&mut r).map_err(corrupt)?;
+                if commit_at.contains_key(&txn) || prepared.contains_key(&txn) {
+                    return Err(corrupt(StorageError::Decode("a second prepare".into())));
+                }
                 prepared.insert(txn, (token, ops));
             }
             RecordKind::Commit => {
                 let ops = WriteOp::decode_list(&mut r).map_err(corrupt)?;
-                let logged = match commit_at.insert(txn, commits.len()) {
-                    Some(at) => std::mem::take(&mut commits[at]),
-                    None => prepared
-                        .remove(&txn)
-                        .map(|(_, ops)| ops)
-                        .unwrap_or_default(),
-                };
-                commits.push(if ops.is_empty() { logged } else { ops });
+                if commit_at.insert(txn, commits.len()).is_some() {
+                    return Err(corrupt(StorageError::Decode("a second commit".into())));
+                }
+                let logged = prepared.remove(&txn).map(|(_, ops)| ops);
+                commits.push(if ops.is_empty() {
+                    logged.unwrap_or_default()
+                } else {
+                    ops
+                });
             }
             RecordKind::Abort => {
                 prepared.remove(&txn);
@@ -210,19 +215,13 @@ fn ops_strategy() -> impl Strategy<Value = Vec<WriteOp>> {
     proptest::collection::vec(op_strategy(), 1..4)
 }
 
-/// One step of a script: one record, or the records of a retried commit
-/// point.
+/// One step of a script: one record, or a prepare and its commit.
 fn step_strategy() -> impl Strategy<Value = Vec<Rec>> {
     let txn = || 1u64..6;
     prop_oneof![
-        // A one-phase commit, its force retried `n - 1` times.
-        6 => (txn(), ops_strategy(), 1usize..4)
-            .prop_map(|(txn, ops, n)| vec![Rec::Commit { txn, ops }; n]),
-        // A prepare, retried, then resolved by zero or more empty commits.
-        3 => (txn(), ops_strategy(), 1usize..3, 0usize..3).prop_map(|(txn, ops, p, c)| {
-            let mut recs = vec![Rec::Prepare { txn, ops }; p];
-            recs.extend(vec![Rec::Commit { txn, ops: Vec::new() }; c]);
-            recs
+        6 => (txn(), ops_strategy()).prop_map(|(txn, ops)| vec![Rec::Commit { txn, ops }]),
+        3 => (txn(), ops_strategy()).prop_map(|(txn, ops)| {
+            vec![Rec::Prepare { txn, ops }, Rec::Commit { txn, ops: Vec::new() }]
         }),
         // Lone records, interleaving with the shapes above by txn id.
         2 => txn().prop_map(|txn| vec![Rec::Commit { txn, ops: Vec::new() }]),
@@ -299,9 +298,19 @@ proptest! {
         cut in 0.0f64..1.0,
     ) {
         let mut recs: Vec<Rec> = steps.into_iter().flatten().collect();
+        // In four cases of five, each incarnation logs one attempt: its
+        // second commit point, and anything it prepares after its commit, go.
+        if corrupt.0 != 1 {
+            let (mut prepared, mut committed) = (HashSet::new(), HashSet::new());
+            recs.retain(|rec| match *rec {
+                Rec::Prepare { txn, .. } => !committed.contains(&txn) && prepared.insert(txn),
+                Rec::Commit { txn, .. } => committed.insert(txn),
+                _ => true,
+            });
+        }
         // In one case of five, a corrupt record somewhere in the log —
-        // possibly in an attempt a retry supersedes, before a record that
-        // names the chain, or in the tail a crash loses.
+        // possibly before a record that names the chain, or in the tail a
+        // crash loses.
         if corrupt.0 == 0 {
             let at = usize::from(corrupt.1) % (recs.len() + 1);
             recs.insert(at, Rec::Corrupt { txn: 1 + at as u64 % 5 });

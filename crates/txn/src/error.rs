@@ -20,9 +20,9 @@ pub enum TxnError {
     InvalidState(String),
     /// A participant failed to prepare; the transaction was aborted.
     PrepareFailed(String),
-    /// The transaction is decided committed, but the named participant
-    /// failed to apply the decision. It stays prepared — in doubt — until
-    /// recovery resolves it from the decision row; the others committed.
+    /// The named participant's commit failed after every prepare (its
+    /// deciding one, whose record may be on the device, or one after the
+    /// decision): the transaction holds its locks until a reopen decides it.
     InDoubt(String),
     /// A storage error bubbled up from a participant.
     Storage(StorageError),
@@ -37,7 +37,7 @@ impl fmt::Display for TxnError {
             TxnError::LockTimeout => write!(f, "lock wait timed out"),
             TxnError::InvalidState(msg) => write!(f, "invalid transaction state: {msg}"),
             TxnError::PrepareFailed(msg) => write!(f, "prepare failed: {msg}"),
-            TxnError::InDoubt(msg) => write!(f, "committed, participant in doubt: {msg}"),
+            TxnError::InDoubt(msg) => write!(f, "in doubt until the reopen: {msg}"),
             TxnError::Storage(e) => write!(f, "storage error: {e}"),
             TxnError::Aborted => write!(f, "transaction aborted"),
         }

@@ -193,9 +193,11 @@ impl Txn {
     /// Commit: one-phase for a single participant, two-phase for several —
     /// the others prepare, then the first commits with the decision row
     /// ([`ResourceManager::commit_deciding`]), then the others commit. Locks
-    /// are released on success, and after the decision whatever its
-    /// participants do ([`TxnError::InDoubt`]); a failure before the
-    /// decision aborts every participant first.
+    /// are released on success. A failed prepare aborts every participant; a
+    /// failed one-phase commit is undone in memory, its record, if any, left
+    /// to the reopen (counted neither committed nor aborted). From the
+    /// deciding commit on, a failure is [`TxnError::InDoubt`]: nothing aborts
+    /// and the locks stay held until the reopen decides it.
     pub fn commit(self) -> TxnResult<()> {
         self.commit_with_heir(None)
     }
@@ -214,26 +216,36 @@ impl Txn {
         // the forwarded request element) visible: the next stage may dequeue
         // the request and adopt the heir's locks the instant commit lands.
         // Nothing else can touch the heir id until then, so on a failure
-        // before the commit decision the transfer is safely reversed.
+        // before the decision the transfer is safely reversed.
         if let Some(heir) = heir {
             locks.transfer_locks(id, heir.raw());
         }
-        let result = commit_impl(&self.mgr, self.id, &rms);
         let stats = &self.mgr.inner.stats;
-        match result {
-            Ok(()) | Err(CommitFailure::Decided(_)) => bump(&stats.committed),
-            Err(CommitFailure::Undecided(_)) => {
+        let result = match commit_impl(&self.mgr, self.id, &rms) {
+            Ok(()) => {
+                bump(&stats.committed);
+                Ok(())
+            }
+            Err(CommitFailure::Undecided(e)) => {
                 if let Some(heir) = heir {
                     locks.transfer_locks(heir.raw(), id);
                 }
-                // The commit's error is the one to report.
+                // The commit's error is the one to report. Only a failed
+                // prepare aborts for good; a one-phase record is the reopen's.
                 let _ = abort_impl(self.id, &rms);
-                bump(&stats.aborted);
+                if rms.len() > 1 {
+                    bump(&stats.aborted);
+                }
+                Err(e)
             }
-        }
+            // Held until the reopen, by the heir if there is one (the next
+            // stage may have adopted them already): a lock given up now
+            // could let another transaction take what the reopen commits.
+            Err(CommitFailure::InDoubt(e)) => return Err(e),
+        };
         // With an heir, what is left here is nothing.
         locks.unlock_all(id);
-        result.map_err(CommitFailure::into_error)
+        result
     }
 
     /// Abort: undo every participant, release locks. Every participant is
@@ -260,19 +272,12 @@ impl Drop for Txn {
     }
 }
 
-/// How a commit failed: before its decision, when the transaction still
-/// aborts, or after it, when no participant may.
+/// How a commit failed: where undoing it in memory is safe (a prepare, or
+/// the only participant's commit, whose failed log commits nothing else
+/// before a reopen), or later, when only a reopen decides the transaction.
 enum CommitFailure {
     Undecided(TxnError),
-    Decided(TxnError),
-}
-
-impl CommitFailure {
-    fn into_error(self) -> TxnError {
-        match self {
-            CommitFailure::Undecided(e) | CommitFailure::Decided(e) => e,
-        }
-    }
+    InDoubt(TxnError),
 }
 
 fn commit_impl(
@@ -294,10 +299,10 @@ fn commit_impl(
             let forgettable = &mgr.inner.forgettable;
             let forget = std::mem::take(&mut *forgettable.lock());
             if let Err(e) = coordinator.commit_deciding(id, &forget) {
-                // Undecided: its deletes are undone with it, so the rows wait
-                // for the next decision.
-                forgettable.lock().extend(forget);
-                return Err(CommitFailure::Undecided(e));
+                // Its record may be on the device, for a reopen to commit
+                // every sibling by; the rows in `forget` wait for its sweep.
+                let e = TxnError::InDoubt(format!("{}: {e}", coordinator.name()));
+                return Err(CommitFailure::InDoubt(e));
             }
             obs.counter_inc("txn.twophase.decisions");
             bump(&mgr.inner.stats.two_phase_commits);
@@ -316,7 +321,7 @@ fn commit_impl(
                     forgettable.lock().push(id);
                     Ok(())
                 }
-                Some(e) => Err(CommitFailure::Decided(e)),
+                Some(e) => Err(CommitFailure::InDoubt(e)),
             }
         }
     }
@@ -343,7 +348,7 @@ mod tests {
     use super::*;
     use crate::rm::KvResource;
     use crate::twophase::{decision_key, resolve_in_doubt};
-    use rrq_storage::disk::{CrashStyle, SimDisk};
+    use rrq_storage::disk::{CrashStyle, Disk, SimDisk};
     use rrq_storage::kv::KvStore;
 
     fn kv_on(wal: &SimDisk, ckpt: &SimDisk) -> Arc<KvStore> {
@@ -503,10 +508,6 @@ mod tests {
             self.wal.fail();
             self.inner.commit(txn)
         }
-        fn commit_deciding(&self, txn: TxnId, forget: &[TxnId]) -> TxnResult<()> {
-            self.wal.fail();
-            self.inner.commit_deciding(txn, forget)
-        }
         fn abort(&self, txn: TxnId) -> TxnResult<()> {
             self.inner.abort(txn)
         }
@@ -547,8 +548,8 @@ mod tests {
         assert_eq!(s2.get(None, b"y").unwrap(), Some(b"2".to_vec()));
         assert!(s1.is_open(id.raw()), "still in doubt");
         assert_eq!(s1.get(None, b"x").unwrap(), None);
-        assert_eq!(mgr.locks().held_count(id.raw()), 0);
-        assert_eq!((mgr.stats().committed, mgr.stats().aborted), (1, 0));
+        assert_eq!(mgr.locks().held_count(id.raw()), 1, "held until the reopen");
+        assert_eq!((mgr.stats().committed, mgr.stats().aborted), (0, 0));
         assert!(mgr.inner.forgettable.lock().is_empty(), "the row is needed");
 
         // After a restart the coordinator's row resolves it to commit.
@@ -569,17 +570,63 @@ mod tests {
     }
 
     #[test]
-    fn a_deciding_commit_that_fails_aborts_every_participant() {
+    fn an_heir_keeps_its_locks_only_once_the_commit_is_decided() {
+        let mgr = TxnManager::single_node();
+        let (w0, c0) = (SimDisk::new(), SimDisk::new());
+        let (w1, c1) = (SimDisk::new(), SimDisk::new());
+        let (w2, c2) = (SimDisk::new(), SimDisk::new());
+        let (s0, s1, s2) = (kv_on(&w0, &c0), kv_on(&w1, &c1), kv_on(&w2, &c2));
+
+        // A one-phase commit that fails is undecided: the transfer is
+        // reversed and the locks go with the abort.
+        let txn = mgr.begin();
+        let (id, heir) = (txn.id(), mgr.reserve_id());
+        txn.enlist(Arc::new(KvResource::new("u", Arc::clone(&s0))))
+            .unwrap();
+        txn.lock_exclusive(&LockKey::new(0, "u")).unwrap();
+        s0.put(id.raw(), b"u", b"0").unwrap();
+        w0.fail();
+        assert!(txn.commit_inheriting_locks(heir).is_err());
+        assert_eq!(mgr.locks().held_count(heir.raw()), 0);
+        assert_eq!(mgr.locks().held_count(id.raw()), 0);
+        // Its record is the reopen's to decide: neither count moves.
+        assert_eq!((mgr.stats().committed, mgr.stats().aborted), (0, 0));
+
+        // After the decision the forwarded work is visible, and the next
+        // stage may already have adopted the heir's locks: a participant's
+        // failed commit leaves them with the heir.
+        let coordinator: Arc<dyn ResourceManager> = Arc::new(KvResource::new("c", Arc::clone(&s2)));
+        let failing: Arc<dyn ResourceManager> = Arc::new(FailsAtCommit {
+            inner: KvResource::new("a", Arc::clone(&s1)),
+            wal: w1.clone(),
+        });
+        let txn = mgr.begin();
+        let (id, heir) = (txn.id(), mgr.reserve_id());
+        txn.enlist(coordinator).unwrap();
+        txn.enlist(failing).unwrap();
+        txn.lock_exclusive(&LockKey::new(0, "d")).unwrap();
+        s2.put(id.raw(), b"d", b"0").unwrap();
+        s1.put(id.raw(), b"d", b"1").unwrap();
+        let err = txn.commit_inheriting_locks(heir).unwrap_err();
+        assert!(matches!(err, TxnError::InDoubt(_)), "{err}");
+        assert_eq!(s2.get(None, b"d").unwrap(), Some(b"0".to_vec()), "decided");
+        assert_eq!(mgr.locks().held_count(heir.raw()), 1, "the heir keeps them");
+        assert_eq!(mgr.locks().held_count(id.raw()), 0);
+    }
+
+    #[test]
+    fn a_deciding_commit_that_fails_leaves_every_participant_in_doubt() {
+        // The coordinator's own deciding commit fails at its force: its record
+        // is on the device, unsynced. A reopen that keeps those bytes (a
+        // process restart) commits the transaction, one that drops them (a
+        // crash) aborts it, so no participant may abort before the reopen.
         let mgr = TxnManager::single_node();
         let (w0, c0) = (SimDisk::new(), SimDisk::new());
         let (w1, c1) = (SimDisk::new(), SimDisk::new());
         let (w2, c2) = (SimDisk::new(), SimDisk::new());
         let (s0, s1, s2) = (kv_on(&w0, &c0), kv_on(&w1, &c1), kv_on(&w2, &c2));
         let healthy: Arc<dyn ResourceManager> = Arc::new(KvResource::new("h", Arc::clone(&s0)));
-        let failing: Arc<dyn ResourceManager> = Arc::new(FailsAtCommit {
-            inner: KvResource::new("a", Arc::clone(&s1)),
-            wal: w1.clone(),
-        });
+        let coordinator: Arc<dyn ResourceManager> = Arc::new(KvResource::new("a", Arc::clone(&s1)));
         let sibling: Arc<dyn ResourceManager> = Arc::new(KvResource::new("b", Arc::clone(&s2)));
 
         // A completed 2PC leaves its id for the next decision to forget.
@@ -593,25 +640,72 @@ mod tests {
 
         let txn = mgr.begin();
         let id = txn.id();
-        txn.enlist(failing).unwrap();
+        txn.enlist(coordinator).unwrap();
         txn.enlist(sibling).unwrap();
         txn.lock_exclusive(&LockKey::new(0, "x")).unwrap();
         s1.put(id.raw(), b"x", b"1").unwrap();
         s2.put(id.raw(), b"y", b"2").unwrap();
-        assert_eq!(
-            txn.commit(),
-            Err(TxnError::Storage(StorageError::DeviceFailed))
+        w1.fail_syncs();
+        let err = txn.commit().unwrap_err();
+        assert!(
+            matches!(&err, TxnError::InDoubt(msg) if msg.starts_with("a: ")),
+            "the error names the coordinator: {err}"
         );
-        // Undecided: the prepared sibling aborted, the coordinator holds no
-        // row and no write, and the id to forget waits for the next decision.
-        assert!(!s2.is_open(id.raw()), "the sibling aborted");
+        // In doubt: the sibling is still prepared, the coordinator's state is
+        // back for nobody to commit (its log failed), the locks are held and
+        // the ids to forget are dropped: the reopen sweeps their rows.
+        assert!(s2.is_open(id.raw()), "the sibling stays prepared");
         assert_eq!(s2.get(None, b"y").unwrap(), None);
-        assert!(!s1.is_open(id.raw()));
-        assert_eq!(s1.get(None, b"x").unwrap(), None);
+        assert!(s1.log_failed());
         assert_eq!(s1.get(None, &decision_key(id)).unwrap(), None);
-        assert_eq!(mgr.locks().held_count(id.raw()), 0);
-        assert_eq!((mgr.stats().committed, mgr.stats().aborted), (1, 1));
-        assert_eq!(*mgr.inner.forgettable.lock(), vec![done]);
+        assert_eq!(mgr.locks().held_count(id.raw()), 1, "held until the reopen");
+        assert_eq!((mgr.stats().committed, mgr.stats().aborted), (1, 0));
+        assert!(mgr.inner.forgettable.lock().is_empty());
+
+        // Both reopens resolve the sibling as the coordinator's log reads,
+        // and a crash right after the resolution, before either store forces
+        // again, loses nothing it acted on: both sides still agree.
+        w1.repair();
+        let reopen = |w: &SimDisk, c: &SimDisk| {
+            KvStore::open(
+                Arc::new(w.clone()),
+                Arc::new(c.clone()),
+                rrq_obs::Obs::default(),
+            )
+            .unwrap()
+        };
+        let durable = w1.durable_len() as usize;
+        let coordinator_log = w1.read(0, w1.len() as usize).unwrap();
+        let sibling_log = w2.read(0, w2.len() as usize).unwrap();
+        for (crash, committed) in [(false, true), (true, false)] {
+            // The logs as the failed force left them: the decision appended
+            // to the coordinator's, not synced.
+            w1.reset(coordinator_log[..durable].to_vec()).unwrap();
+            w1.append(&coordinator_log[durable..]).unwrap();
+            w2.reset(sibling_log.clone()).unwrap();
+            if crash {
+                w1.crash(CrashStyle::DropVolatile);
+            }
+            let (s1b, _) = reopen(&w1, &c1);
+            let (s2b, report) = reopen(&w2, &c2);
+            assert_eq!(report.in_doubt, vec![id.raw()]);
+            let resolved = resolve_in_doubt(&s2b, &report.in_doubt, &[Arc::clone(&s1b)]);
+            assert_eq!(
+                resolved.unwrap(),
+                (usize::from(committed), usize::from(!committed))
+            );
+            let want = |v: &[u8]| committed.then(|| v.to_vec());
+            assert_eq!(s1b.get(None, b"x").unwrap(), want(b"1"));
+            assert_eq!(s2b.get(None, b"y").unwrap(), want(b"2"));
+
+            w1.crash(CrashStyle::DropVolatile);
+            w2.crash(CrashStyle::DropVolatile);
+            let (s1c, _) = reopen(&w1, &c1);
+            let (s2c, report) = reopen(&w2, &c2);
+            resolve_in_doubt(&s2c, &report.in_doubt, &[Arc::clone(&s1c)]).unwrap();
+            assert_eq!(s1c.get(None, b"x").unwrap(), want(b"1"), "crash: {crash}");
+            assert_eq!(s2c.get(None, b"y").unwrap(), want(b"2"), "crash: {crash}");
+        }
     }
 
     #[test]
